@@ -337,8 +337,8 @@ class NativeReorderHeap:
         hseq = np.empty(cap, dtype=np.int64)
         hkey = np.empty(cap, dtype=np.int64)
         hval = np.empty(cap, dtype=np.float64)
-        for i, (t, s, k, v) in enumerate(heap_tuples):
-            hts[i], hseq[i], hkey[i], hval[i] = t, s, k, v
+        if hs0:
+            hts[:hs0], hseq[:hs0], hkey[:hs0], hval[:hs0] = zip(*heap_tuples)
         heap_size = np.array([hs0], dtype=np.int64)
         state = np.array([max_seen, sequence], dtype=np.int64)
         out_ts = np.empty(cap, dtype=np.int64)
@@ -356,10 +356,12 @@ class NativeReorderHeap:
             _ptr(late_idx), _ptr(late_lateness), _ptr(late_count),
         )
         hs = int(heap_size[0])
-        new_heap = [
-            (int(hts[i]), int(hseq[i]), int(hkey[i]), float(hval[i]))
-            for i in range(hs)
-        ]
+        new_heap = list(
+            zip(
+                hts[:hs].tolist(), hseq[:hs].tolist(),
+                hkey[:hs].tolist(), hval[:hs].tolist(),
+            )
+        )
         late = int(late_count[0])
         return (
             out_ts[:released], out_keys[:released], out_values[:released],

@@ -11,6 +11,7 @@ agree on which instances exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,6 +115,103 @@ class EventBatch:
             horizon=min(self.horizon, end),
             num_keys=self.num_keys,
         )
+
+
+#: Integers at or beyond this magnitude are not all representable in
+#: float64, so a row table cannot prove they arrived unrounded.
+_EXACT_INT_LIMIT = float(2**53)
+
+
+def _first_malformed_row(rows) -> "str | None":
+    """Name the first row that is not three numbers (a NaN *value* is
+    a legal event, so a clean scan returns ``None``)."""
+    for i, item in enumerate(rows):
+        try:
+            ts, key, value = item
+            int(ts), int(key), float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return (
+                f"events[{i}]: expected [ts, key, value], got {item!r} "
+                f"({exc})"
+            )
+    return None
+
+
+def event_table(events, num_keys: int) -> np.ndarray:
+    """Validate ``(ts, key, value)`` rows into an ``(n, 3)`` float64
+    table — the check every batch front end (both session classes'
+    ``push_many`` and the service manager) runs before applying any of
+    a batch.
+
+    ``events`` is an iterable of rows or an ``(n, 3)`` array.  The
+    batch is checked whole and the first offending row is named: three
+    numeric fields per row; timestamps and keys integral and below
+    2**53 in magnitude (they travel through float64, which must not
+    round them); ``ts >= 0``; keys inside ``[0, num_keys)``.
+    """
+    rows = events if isinstance(events, (list, np.ndarray)) else list(events)
+    if len(rows) == 0:
+        return np.empty((0, 3), dtype=np.float64)
+    try:
+        if isinstance(rows, np.ndarray):
+            table = np.asarray(rows, dtype=np.float64)
+        elif set(map(len, rows)) == {3}:
+            # One flat pass: ``asarray`` on nested lists costs half as
+            # much again.
+            table = np.fromiter(
+                chain.from_iterable(rows), np.float64, 3 * len(rows)
+            ).reshape(-1, 3)
+        else:
+            table = None
+    except (TypeError, ValueError, OverflowError):
+        table = None
+    if table is None or table.shape[1:] != (3,):
+        raise ExecutionError(
+            _first_malformed_row(rows)
+            or "events must be rows of [ts, key, value]"
+        )
+    if np.isnan(table).any():
+        # ``None`` converts to NaN silently, so a NaN anywhere earns
+        # the per-row scan (which lets a real NaN value through).
+        problem = _first_malformed_row(rows)
+        if problem is not None:
+            raise ExecutionError(problem)
+    ids = table[:, :2]
+    exact = np.abs(ids) < _EXACT_INT_LIMIT
+    if exact.all():
+        exact = ids.astype(np.int64) == ids
+    if not exact.all():
+        i = int(np.argmin(exact.all(axis=1)))
+        raise ExecutionError(
+            f"events[{i}]: timestamp and key must be integers below "
+            f"2**53 (exact in float64), got {list(rows[i])!r}"
+        )
+    ts, keys = table[:, 0], table[:, 1]
+    if ts.min() < 0:
+        i = int(np.argmax(ts < 0))
+        raise ExecutionError(
+            f"events[{i}]: timestamp {int(ts[i])} must be >= 0"
+        )
+    if keys.min() < 0 or keys.max() >= num_keys:
+        i = int(np.argmax((keys < 0) | (keys >= num_keys)))
+        raise ExecutionError(
+            f"events[{i}]: key {int(keys[i])} outside dense id space "
+            f"[0, {num_keys})"
+        )
+    return table
+
+
+def event_columns(
+    events, num_keys: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """:func:`event_table`, split into the engines' ``(ts, keys,
+    values)`` columns (int64, int64, float64; contiguous)."""
+    table = event_table(events, num_keys)
+    return (
+        table[:, 0].astype(np.int64),
+        table[:, 1].astype(np.int64),
+        np.ascontiguousarray(table[:, 2]),
+    )
 
 
 def make_batch(

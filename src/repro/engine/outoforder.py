@@ -183,18 +183,14 @@ class ReorderBuffer:
                     self._keep_late,
                 )
             return out_ts, out_keys, out_values
-        rel_ts: list[int] = []
-        rel_keys: list[int] = []
-        rel_values: list[float] = []
-        for i in range(n):
-            for event in self.push(
-                int(ts[i]), int(keys[i]), float(values[i])
-            ):
-                rel_ts.append(event[0])
-                rel_keys.append(event[1])
-                rel_values.append(event[2])
-        if not rel_ts:
+        # One ``tolist`` per column: boxing element by element
+        # (``int(ts[i])``) costs more than the push it feeds.
+        released: list[Event] = []
+        for event in zip(ts.tolist(), keys.tolist(), values.tolist()):
+            released.extend(self.push(*event))
+        if not released:
             return empty
+        rel_ts, rel_keys, rel_values = zip(*released)
         return (
             np.asarray(rel_ts, dtype=np.int64),
             np.asarray(rel_keys, dtype=np.int64),

@@ -18,10 +18,10 @@ subscription routing.  It deliberately owns **no** reorder buffer and
   invariant 10) provable: every core sees the same watermark sequence
   regardless of how keys were split or shipped.
 
-Because the core never advances time on its own (``ingest`` self-rolls
-chunk boundaries only in the standalone path; ``buffer_arrays`` never
-does), a coordinator can hold N cores at identical watermarks by
-construction.
+Because the core never advances time on its own (``ingest`` and its
+columnar twin ``ingest_arrays`` self-roll chunk boundaries only in the
+standalone path; ``buffer_arrays`` never does), a coordinator can hold
+N cores at identical watermarks by construction.
 """
 
 from __future__ import annotations
@@ -740,6 +740,31 @@ class SessionCore:
             self._max_event_ts = ts
         while ts >= self._chunk_end:
             self._flush(self._chunk_end)
+
+    def ingest_arrays(
+        self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Columnar twin of :meth:`ingest`: buffer a timestamp-sorted
+        run and self-roll every chunk boundary it crosses.
+
+        The run is cut just *after* each boundary-crossing event, which
+        rides into the buffer before its flush fires — exactly where
+        looping :meth:`ingest` would have flushed, so both paths hand
+        the operators the same blocks at the same watermarks.
+        """
+        n = int(ts.size)
+        pos = 0
+        while pos < n:
+            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
+            if cut >= n:
+                self.buffer_arrays(ts[pos:], keys[pos:], values[pos:])
+                return
+            cut += 1
+            self.buffer_arrays(ts[pos:cut], keys[pos:cut], values[pos:cut])
+            pos = cut
+            last = int(ts[cut - 1])
+            while last >= self._chunk_end:
+                self._flush(self._chunk_end)
 
     def buffer_arrays(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray

@@ -276,6 +276,26 @@ class AsyncIngestFrontDoor:
             return True
         return False
 
+    def push_many(self, events) -> None:
+        """Ingest ``(ts, key, value)`` events — an iterable of rows or
+        an ``(n, 3)`` array.
+
+        Sync mode keeps the batch a batch: it is validated whole
+        (:func:`~repro.engine.events.event_columns` — nothing is
+        applied from a batch holding one bad row), crosses the reorder
+        buffer in one columnar pass
+        (:meth:`~repro.engine.outoforder.ReorderBuffer.push_batch`) and
+        reaches the operators as column runs cut at chunk boundaries,
+        with the same results, late-drop decisions and reorder
+        counters as pushing event by event.  Rate replans and the
+        auto-checkpoint cadence apply once, at the end of the batch.
+        Async mode enqueues per event."""
+        if self._pump is not None and self._pump.accepting:
+            for ts, key, value in events:
+                self.push(ts, key, value)
+            return
+        self._push_many_now(events)
+
     def _stop_pump(self) -> None:
         """Drain and stop the pump (idempotent; no-op in sync mode)."""
         if self._pump is not None:

@@ -49,6 +49,7 @@ import pickle
 from ..aggregates.registry import get_aggregate
 from ..core.adaptive import RateController
 from ..core.multiquery import GroupKey, Query
+from ..engine.events import event_columns
 from ..engine.outoforder import ReorderBuffer
 from ..engine.stats import ExecutionStats
 from ..errors import ExecutionError
@@ -297,10 +298,22 @@ class QuerySession(AsyncIngestFrontDoor):
             )
         for event in self._reorder.push(ts, int(key), float(value)):
             self._core.ingest(*event)
+        self._end_push()
+
+    def _push_many_now(self, events) -> None:
+        self._core._require_open()
+        ts, keys, values = event_columns(events, self.num_keys)
+        if ts.size:
+            self._core.ingest_arrays(
+                *self._reorder.push_batch(ts, keys, values)
+            )
+            self._end_push()
+
+    def _end_push(self) -> None:
+        """What every push call — one event or one batch — ends with."""
         # Rate-driven switches are deferred to this point: a switch
         # advances operators up to the reorder watermark, which is only
-        # safe once every event the buffer has released is ingested —
-        # and the release iterator above drains lazily.
+        # safe once every event the buffer has released is ingested.
         if self._rate_observer.pending_rate is not None:
             rate = self._rate_observer.take_pending()
             self._core.set_event_rate(rate, at=self._safe_watermark())
@@ -310,7 +323,8 @@ class QuerySession(AsyncIngestFrontDoor):
         """Cadence-driven checkpointing, inside the ingest path itself:
         fires on the same thread that applies pushes (the pump thread
         in async mode), so every saved cut is prefix-consistent with
-        the command stream by construction."""
+        the command stream by construction.  It runs once per push
+        call, so a cut never falls inside a ``push_many`` batch."""
         store = self._auto_store
         if store is None or not store.due(self._core.watermark):
             return
@@ -321,11 +335,6 @@ class QuerySession(AsyncIngestFrontDoor):
         path = store.save(snap)
         if self._on_checkpoint is not None:
             self._on_checkpoint(snap, path)
-
-    def push_many(self, events) -> None:
-        """Ingest an iterable of ``(ts, key, value)`` events."""
-        for ts, key, value in events:
-            self.push(ts, key, value)
 
     def _on_flush(self, watermark: int, count: int) -> None:
         self._rate_observer.observe_flush(

@@ -66,6 +66,7 @@ from ..engine.events import (
     EVENT_BYTES,
     EventBatch,
     KeyPartitioner,
+    event_columns,
 )
 from ..engine.outoforder import ReorderBuffer
 from ..engine.stats import ExecutionStats
@@ -1911,36 +1912,12 @@ class ShardedSession(AsyncIngestFrontDoor):
         if self._on_checkpoint is not None:
             self._on_checkpoint(snap, path)
 
-    def push_many(self, events) -> None:
-        """Ingest an iterable of ``(ts, key, value)`` events.
-
-        Sync mode routes the whole iterable through the vectorized
-        reorder front door (:meth:`ReorderBuffer.push_batch`): one
-        columnar heap pass and per-chunk array routing instead of
-        per-event Python dispatch, with identical results, identical
-        late-drop decisions, and identical reorder counters.  Async
-        mode enqueues per event, as before."""
-        if self._pump is not None and self._pump.accepting:
-            for ts, key, value in events:
-                self.push(ts, key, value)
-            return
-        self._push_many_now(events)
-
     def _push_many_now(self, events) -> None:
         self._require_open()
-        rows = events if isinstance(events, np.ndarray) else list(events)
-        if len(rows) == 0:
+        ts, keys, values = event_columns(events, self.num_keys)
+        if ts.size == 0:
             return
-        arr = np.asarray(rows, dtype=np.float64)
-        ts = arr[:, 0].astype(np.int64)
-        keys = arr[:, 1].astype(np.int64)
-        values = np.ascontiguousarray(arr[:, 2])
-        if int(keys.min()) < 0 or int(keys.max()) >= self.num_keys:
-            raise ExecutionError(
-                f"key outside dense id space [0, {self.num_keys})"
-            )
-        released = self._reorder.push_batch(ts, keys, values)
-        self._route_arrays(*released)
+        self._route_arrays(*self._reorder.push_batch(ts, keys, values))
         if self._rate_observer.pending_rate is not None:
             self._apply_rate(self._rate_observer.take_pending())
         self._maybe_auto_checkpoint()

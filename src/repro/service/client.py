@@ -131,12 +131,14 @@ class ServiceClient:
     def ingest(self, tenant: str, events) -> dict:
         """Push a batch of ``(ts, key, value)`` events; returns
         ``{"admitted": n, "watermark": w}``.  Raises
-        :class:`Overloaded` when admission sheds the batch."""
+        :class:`Overloaded` when admission sheds the batch.  Rows go
+        on the wire as they are (NumPy scalars and rows included): the
+        server validates them, and rejects rather than rounds."""
         reply = self._checked(
             self.request(
                 "ingest",
                 tenant=tenant,
-                events=[[int(t), int(k), float(v)] for t, k, v in events],
+                events=events if isinstance(events, list) else list(events),
             )
         )
         return {

@@ -20,9 +20,12 @@ never held across session work):
    behind one tenant's session lock.
 
 **Supervision** (per tenant, under the session lock): every applied
-operation is first appended to a retained *tail*; the session
-auto-checkpoints on its own cadence (``auto_checkpoint=``, shared with
-the CLI) and the ``on_checkpoint`` hook truncates the tail.  When a
+operation is first appended to a retained *tail* — an admitted
+``ingest`` batch is one entry (its validated event table) applied
+with one ``push_many``; the session auto-checkpoints on its own
+cadence (``auto_checkpoint=``, shared with the CLI), checked once per
+push call, so a cut always sits on an entry boundary, and the
+``on_checkpoint`` hook truncates the tail.  When a
 session dies mid-operation the supervisor closes the wreck, restores
 the newest checkpoint (or rebuilds from scratch when none exists yet),
 and replays the tail in order — the failed operation included, since
@@ -42,10 +45,11 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..engine.events import EVENT_BYTES
+from ..engine.events import EVENT_BYTES, event_table
 from ..errors import ExecutionError, ReproError
 from ..runtime import CheckpointStore, QuerySession, ShardedSession
 from ..runtime.core import resolve_registration_query
@@ -78,11 +82,13 @@ class TenantStats:
 
     ``shed_*`` count *requests* shed at each gate (the request applied
     nothing); ``admitted_events`` counts events that passed admission;
+    ``bad_requests`` counts requests answered ``bad_request``;
     ``restores`` counts supervisor session rebuilds; ``replay_skipped``
-    counts tail entries that failed again during a replay (a user-error
-    op that also failed on the original timeline — skipped, never
-    looped on); ``faults_injected`` counts service-level chaos faults
-    fired against this tenant.
+    counts tail entries — an ingest entry is one whole batch — that
+    failed again during a replay (a user-error op that also failed on
+    the original timeline — skipped, never looped on);
+    ``faults_injected`` counts service-level chaos faults fired
+    against this tenant.
     """
 
     requests: int = 0
@@ -426,8 +432,8 @@ class SessionManager:
     @staticmethod
     def _apply_entry(session, entry) -> None:
         kind = entry[0]
-        if kind == "push":
-            session.push(entry[1], entry[2], entry[3])
+        if kind == "batch":
+            session.push_many(entry[1])
         elif kind == "register":
             session.register(entry[1], scope=entry[2])
         elif kind == "deregister":
@@ -478,6 +484,21 @@ class SessionManager:
             seconds, state.stall_seconds = state.stall_seconds, 0.0
             self._sleep(seconds)
 
+    @contextmanager
+    def _request(self, tenant, op: str):
+        """Open one tenant request: resolve (or auto-open) the tenant,
+        count the request, consult the fault plan — and count it again
+        in ``bad_requests`` if it ends up answered ``bad_request``."""
+        state = self._tenant(tenant)
+        state.stats.requests += 1
+        try:
+            self._consult_faults(state, op)
+            yield state
+        except BadRequest:
+            with state.admission:
+                state.stats.bad_requests += 1
+            raise
+
     # ------------------------------------------------------------------
     # Tenant operations
     # ------------------------------------------------------------------
@@ -489,70 +510,58 @@ class SessionManager:
         malformed batch is a ``bad_request``, not a session death);
         applies under the session lock with supervision.
         """
-        state = self._tenant(tenant)
-        state.stats.requests += 1
-        self._consult_faults(state, "ingest")
-        events = self._validated_events(state, events)
-        weight = len(events)
-        nbytes = weight * EVENT_BYTES
-        with state.admission:
-            if not state.breaker.allow():
-                state.stats.shed_circuit_open += 1
-                raise Overloaded(
-                    "circuit_open", retry_after=state.breaker.retry_after
-                )
-            retry = state.bucket.acquire(weight)
-            if retry is not None:
-                state.stats.shed_rate_quota += 1
-                raise Overloaded("rate_quota", retry_after=retry)
-            budget = state.config.queue_budget_bytes
-            if state.pending_bytes + nbytes > budget:
-                state.stats.shed_queue_budget += 1
-                # Honest hint: the backlog drains at the bucket rate at
-                # best, so quote the time to clear what is pending.
-                backlog_events = state.pending_bytes / EVENT_BYTES
-                raise Overloaded(
-                    "queue_budget",
-                    retry_after=max(
-                        backlog_events / state.bucket.rate, 1e-3
-                    ),
-                )
-            state.pending_bytes += nbytes
-            state.stats.admitted_events += weight
-        try:
-            with state.lock:
-                self._stall_if_planned(state)
-                for ts, key, value in events:
-                    self._guarded_apply(state, ("push", ts, key, value))
-                watermark = state.session.watermark
+        with self._request(tenant, "ingest") as state:
+            table = self._validated_events(state, events)
+            weight = len(table)
+            nbytes = weight * EVENT_BYTES
             with state.admission:
-                state.breaker.record_success()
-        finally:
-            with state.admission:
-                state.pending_bytes -= nbytes
-        return {"admitted": weight, "watermark": watermark}
+                if not state.breaker.allow():
+                    state.stats.shed_circuit_open += 1
+                    raise Overloaded(
+                        "circuit_open", retry_after=state.breaker.retry_after
+                    )
+                retry = state.bucket.acquire(weight)
+                if retry is not None:
+                    state.stats.shed_rate_quota += 1
+                    raise Overloaded("rate_quota", retry_after=retry)
+                budget = state.config.queue_budget_bytes
+                if state.pending_bytes + nbytes > budget:
+                    state.stats.shed_queue_budget += 1
+                    # Honest hint: the backlog drains at the bucket rate at
+                    # best, so quote the time to clear what is pending.
+                    backlog_events = state.pending_bytes / EVENT_BYTES
+                    raise Overloaded(
+                        "queue_budget",
+                        retry_after=max(
+                            backlog_events / state.bucket.rate, 1e-3
+                        ),
+                    )
+                state.pending_bytes += nbytes
+                state.stats.admitted_events += weight
+            try:
+                with state.lock:
+                    self._stall_if_planned(state)
+                    self._guarded_apply(state, ("batch", table))
+                    watermark = state.session.watermark
+                with state.admission:
+                    state.breaker.record_success()
+            finally:
+                with state.admission:
+                    state.pending_bytes -= nbytes
+            return {"admitted": weight, "watermark": watermark}
 
-    def _validated_events(self, state: _TenantState, events) -> list:
+    @staticmethod
+    def _validated_events(state: _TenantState, events):
+        """The request's events as one validated ``(n, 3)`` float64
+        table (the replay tail's batch entry), or a ``bad_request``
+        naming the first offending row — before anything is admitted,
+        applied, or tail-logged."""
         if not isinstance(events, (list, tuple)):
             raise BadRequest("'events' must be a list of [ts, key, value]")
-        num_keys = state.config.num_keys
-        out = []
-        for i, item in enumerate(events):
-            try:
-                ts, key, value = item
-                ts, key, value = int(ts), int(key), float(value)
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    f"events[{i}]: expected [ts, key, value], got "
-                    f"{item!r} ({exc})"
-                ) from exc
-            if not 0 <= key < num_keys:
-                raise BadRequest(
-                    f"events[{i}]: key {key} outside dense id space "
-                    f"[0, {num_keys})"
-                )
-            out.append((ts, key, value))
-        return out
+        try:
+            return event_table(events, state.config.num_keys)
+        except ExecutionError as exc:
+            raise BadRequest(str(exc)) from exc
 
     def register(
         self,
@@ -567,59 +576,55 @@ class SessionManager:
         *before* anything enters the tail, so a bad query is a
         ``bad_request`` and a replayed tail never re-parses text.
         """
-        state = self._tenant(tenant)
-        state.stats.requests += 1
-        self._consult_faults(state, "register")
-        self._breaker_gate(state)
-        if scope not in ("per_key", "global"):
-            raise BadRequest(
-                f"unknown scope {scope!r}; expected 'per_key' or 'global'"
-            )
-        def next_auto() -> str:
-            state.auto_names += 1
-            return f"q{state.auto_names}"
-
-        try:
-            resolved = resolve_registration_query(query, name, next_auto)
-        except ReproError as exc:  # SQL errors included — user input
-            raise BadRequest(f"cannot register query: {exc}") from exc
-        with state.lock:
-            self._stall_if_planned(state)
-            try:
-                live = state.session.queries
-            except ExecutionError as exc:  # killed between requests
-                with state.admission:
-                    state.breaker.record_failure()
-                self._recover(state, exc)
-                live = state.session.queries
-            if resolved.name in live:
+        with self._request(tenant, "register") as state:
+            self._breaker_gate(state)
+            if scope not in ("per_key", "global"):
                 raise BadRequest(
-                    f"query name {resolved.name!r} is already registered"
+                    f"unknown scope {scope!r}; expected 'per_key' or 'global'"
                 )
-            self._guarded_apply(state, ("register", resolved, scope))
-            with state.admission:
-                state.breaker.record_success()
-        return resolved.name
+            def next_auto() -> str:
+                state.auto_names += 1
+                return f"q{state.auto_names}"
+
+            try:
+                resolved = resolve_registration_query(query, name, next_auto)
+            except ReproError as exc:  # SQL errors included — user input
+                raise BadRequest(f"cannot register query: {exc}") from exc
+            with state.lock:
+                self._stall_if_planned(state)
+                try:
+                    live = state.session.queries
+                except ExecutionError as exc:  # killed between requests
+                    with state.admission:
+                        state.breaker.record_failure()
+                    self._recover(state, exc)
+                    live = state.session.queries
+                if resolved.name in live:
+                    raise BadRequest(
+                        f"query name {resolved.name!r} is already registered"
+                    )
+                self._guarded_apply(state, ("register", resolved, scope))
+                with state.admission:
+                    state.breaker.record_success()
+            return resolved.name
 
     def deregister(self, tenant: str, name: str) -> None:
-        state = self._tenant(tenant)
-        state.stats.requests += 1
-        self._consult_faults(state, "deregister")
-        self._breaker_gate(state)
-        with state.lock:
-            self._stall_if_planned(state)
-            try:
-                live = state.session.queries
-            except ExecutionError as exc:
+        with self._request(tenant, "deregister") as state:
+            self._breaker_gate(state)
+            with state.lock:
+                self._stall_if_planned(state)
+                try:
+                    live = state.session.queries
+                except ExecutionError as exc:
+                    with state.admission:
+                        state.breaker.record_failure()
+                    self._recover(state, exc)
+                    live = state.session.queries
+                if name not in live:
+                    raise BadRequest(f"no registered query named {name!r}")
+                self._guarded_apply(state, ("deregister", name))
                 with state.admission:
-                    state.breaker.record_failure()
-                self._recover(state, exc)
-                live = state.session.queries
-            if name not in live:
-                raise BadRequest(f"no registered query named {name!r}")
-            self._guarded_apply(state, ("deregister", name))
-            with state.admission:
-                state.breaker.record_success()
+                    state.breaker.record_success()
 
     def results(self, tenant: str, drain: bool = True) -> dict:
         """A tenant's merged results (serialized, wire-shaped).
@@ -629,54 +634,50 @@ class SessionManager:
         consumption is tail-logged so a replayed timeline re-consumes
         identically.
         """
-        state = self._tenant(tenant)
-        state.stats.requests += 1
-        self._consult_faults(state, "results")
-        with state.lock:
-            self._stall_if_planned(state)
-            try:
-                if drain:
-                    state.tail.append(("drain",))
-                    raw = state.session.drain_results()
-                else:
-                    raw = state.session.results()
-            except ExecutionError as exc:
+        with self._request(tenant, "results") as state:
+            with state.lock:
+                self._stall_if_planned(state)
+                try:
+                    if drain:
+                        state.tail.append(("drain",))
+                        raw = state.session.drain_results()
+                    else:
+                        raw = state.session.results()
+                except ExecutionError as exc:
+                    with state.admission:
+                        state.breaker.record_failure()
+                    if drain:
+                        state.tail.pop()
+                    self._recover(state, exc)
+                    if drain:
+                        state.tail.append(("drain",))
+                        raw = state.session.drain_results()
+                    else:
+                        raw = state.session.results()
                 with state.admission:
-                    state.breaker.record_failure()
-                if drain:
-                    state.tail.pop()
-                self._recover(state, exc)
-                if drain:
-                    state.tail.append(("drain",))
-                    raw = state.session.drain_results()
-                else:
-                    raw = state.session.results()
-            with state.admission:
-                state.breaker.record_success()
-        return serialize_results(raw)
+                    state.breaker.record_success()
+            return serialize_results(raw)
 
     def snapshot(self, tenant: str) -> dict:
         """Checkpoint a tenant's session now (outside the cadence);
         truncates the replay tail like any checkpoint."""
-        state = self._tenant(tenant)
-        state.stats.requests += 1
-        self._consult_faults(state, "snapshot")
-        with state.lock:
-            self._stall_if_planned(state)
-            try:
-                snap = state.session.snapshot(
-                    meta={"tenant": state.name}
-                )
-            except ExecutionError as exc:
+        with self._request(tenant, "snapshot") as state:
+            with state.lock:
+                self._stall_if_planned(state)
+                try:
+                    snap = state.session.snapshot(
+                        meta={"tenant": state.name}
+                    )
+                except ExecutionError as exc:
+                    with state.admission:
+                        state.breaker.record_failure()
+                    self._recover(state, exc)
+                    snap = state.session.snapshot(meta={"tenant": state.name})
+                path = state.store.save(snap)
+                state.tail.clear()
                 with state.admission:
-                    state.breaker.record_failure()
-                self._recover(state, exc)
-                snap = state.session.snapshot(meta={"tenant": state.name})
-            path = state.store.save(snap)
-            state.tail.clear()
-            with state.admission:
-                state.breaker.record_success()
-        return {"path": str(path), "watermark": snap.watermark}
+                    state.breaker.record_success()
+            return {"path": str(path), "watermark": snap.watermark}
 
     def stats(self, tenant: str) -> dict:
         """Admission/supervision counters plus session introspection."""

@@ -66,10 +66,20 @@ class BadRequest(ExecutionError):
     """The request is invalid as stated — retrying it cannot help."""
 
 
+def _plain(value):
+    """``json`` hook: NumPy scalars and rows travel as the Python
+    numbers they hold."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def encode_line(obj: dict) -> bytes:
     """One protocol line: compact JSON + newline."""
     return (
-        json.dumps(obj, separators=(",", ":"), allow_nan=False).encode()
+        json.dumps(
+            obj, separators=(",", ":"), allow_nan=False, default=_plain
+        ).encode()
         + b"\n"
     )
 
@@ -95,7 +105,10 @@ def serialize_results(results: "dict[str, dict]") -> dict:
     Shape: ``{name: [{"window": [range, slide], "start_instance": i,
     "values": [[...], ...]}, ...]}``, windows sorted for a stable wire
     order.  float64 survives JSON exactly (repr round-trip), so the
-    other end reconstructs bit-identical arrays.
+    other end reconstructs bit-identical arrays.  An *empty* instance
+    of MIN / MAX / AVG / MEDIAN is NaN, which strict JSON cannot spell:
+    it travels as ``null`` and :func:`deserialize_results` turns it
+    back into NaN.
     """
     out: dict = {}
     for name, by_window in results.items():
@@ -104,11 +117,16 @@ def serialize_results(results: "dict[str, dict]") -> dict:
             by_window, key=lambda w: (w.range, w.slide)
         ):
             block = by_window[window]
+            values = block.values.tolist()
+            if np.isnan(block.values).any():
+                values = [
+                    [None if v != v else v for v in row] for row in values
+                ]
             blocks.append(
                 {
                     "window": [window.range, window.slide],
                     "start_instance": block.start_instance,
-                    "values": block.values.tolist(),
+                    "values": values,
                 }
             )
         out[name] = blocks
@@ -124,6 +142,7 @@ def deserialize_results(
         by_window: dict = {}
         for block in blocks:
             window = Window(*block["window"])
+            # ``null`` (an empty instance) converts back to NaN here.
             values = np.asarray(block["values"], dtype=np.float64)
             if values.ndim == 1:  # zero-instance block
                 values = values.reshape(values.shape[0], 0)

@@ -1,0 +1,185 @@
+"""``QuerySession.push_many`` is the columnar front door: a batch stays
+a batch from the caller to the operators, and must be observationally
+the per-event ``push`` loop it replaced.
+
+Three feeds of one out-of-order stream — ``push_many(list of rows)``,
+``push_many(ndarray)`` and a per-event ``push`` loop — with a
+``register`` and a ``deregister`` landing between batches, must agree
+bit for bit on results, exact reorder counters and the watermark.
+Whole-number values keep every aggregate exact however a live replan
+regroups the additions (the carve-out of DESIGN.md invariants 9/10: a
+rate replan applies at the end of a ``push_many`` call, so under the
+default hysteresis it may land at another event than in the per-event
+loop); real-valued streams are held to the same standard with
+``hysteresis=None``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
+from repro.core.multiquery import Query
+from repro.engine.events import event_columns
+from repro.errors import ExecutionError
+from repro.runtime import QuerySession, ShardedSession
+from repro.windows.window import Window, WindowSet
+
+NUM_KEYS = 4
+TICKS = 600
+RATE = 4
+CHUNK_TICKS = 24  # 96 events: every batch size below straddles chunks
+
+INITIAL = [
+    Query("sums", WindowSet([Window(12, 4), Window(24, 8)]), SUM),
+    Query("mins", WindowSet([Window(8, 8), Window(16, 16)]), MIN),
+    Query("medians", WindowSet([Window(10, 5)]), MEDIAN),
+]
+LATE = Query("avgs", WindowSet([Window(20, 10)]), AVG)
+
+
+def arrivals(seed: int, max_lateness: int, whole: bool):
+    """A constant-rate stream whose arrival jitter overshoots the
+    lateness bound by a few ticks, so some events are late-dropped."""
+    rng = np.random.default_rng(seed)
+    n = TICKS * RATE
+    ts = np.arange(n, dtype=np.int64) // RATE
+    keys = rng.integers(0, NUM_KEYS, n)
+    values = rng.normal(20.0, 5.0, n)
+    if whole:
+        values = np.round(values)
+    jitter = rng.integers(0, max_lateness + 4, n)
+    order = np.argsort(ts + jitter, kind="stable")
+    return list(
+        zip(ts[order].tolist(), keys[order].tolist(), values[order].tolist())
+    )
+
+
+def feed(rows, mode: str, batch: int, max_lateness: int, hysteresis):
+    session = QuerySession(
+        num_keys=NUM_KEYS,
+        max_lateness=max_lateness,
+        chunk_ticks=CHUNK_TICKS,
+        hysteresis=hysteresis,
+    )
+    for query in INITIAL:
+        session.register(query)
+    batches = [rows[lo : lo + batch] for lo in range(0, len(rows), batch)]
+    ops = {
+        len(batches) // 3: lambda: session.register(LATE),
+        2 * len(batches) // 3: lambda: session.deregister("sums"),
+    }
+    for index, piece in enumerate(batches):
+        if index in ops:
+            ops[index]()
+        if mode == "rows":
+            session.push_many(piece)
+        elif mode == "ndarray":
+            session.push_many(np.asarray(piece, dtype=np.float64))
+        else:
+            for row in piece:
+                session.push(*row)
+    watermark = session.watermark
+    results = session.finish(TICKS)
+    return results, session.reorder_stats, watermark, session.switches
+
+
+def assert_same_results(got, expected, context):
+    assert got.keys() == expected.keys(), context
+    for name, by_window in expected.items():
+        assert got[name].keys() == by_window.keys(), (context, name)
+        for window, block in by_window.items():
+            other = got[name][window]
+            assert other.start_instance == block.start_instance, context
+            assert other.frontier == block.frontier, context
+            np.testing.assert_array_equal(
+                other.values, block.values, err_msg=f"{context} {name} {window}"
+            )
+
+
+def assert_same_reorder(got, expected, context):
+    for counter in ("accepted", "late_dropped", "max_observed_lateness"):
+        assert getattr(got, counter) == getattr(expected, counter), (
+            context,
+            counter,
+        )
+
+
+@pytest.mark.parametrize("max_lateness", [0, 8, 32])
+@pytest.mark.parametrize("batch", [1, 7, 200, 1000])
+@pytest.mark.parametrize(
+    "whole, hysteresis", [(True, 0.25), (False, None)],
+    ids=["whole-replanning", "real-static"],
+)
+def test_push_many_is_the_per_event_loop(
+    max_lateness, batch, whole, hysteresis, repro_seed
+):
+    rows = arrivals(repro_seed, max_lateness, whole)
+    context = f"seed={repro_seed}"
+    loop, loop_reorder, loop_wm, _ = feed(
+        rows, "push", batch, max_lateness, hysteresis
+    )
+    assert loop_reorder.late_dropped > 0, context  # the counters are live
+    listed, listed_reorder, listed_wm, listed_switches = feed(
+        rows, "rows", batch, max_lateness, hysteresis
+    )
+    table, table_reorder, table_wm, table_switches = feed(
+        rows, "ndarray", batch, max_lateness, hysteresis
+    )
+    assert_same_results(listed, loop, context)
+    assert_same_results(table, loop, context)
+    assert_same_reorder(listed_reorder, loop_reorder, context)
+    assert_same_reorder(table_reorder, loop_reorder, context)
+    assert listed_wm == table_wm, context
+    assert len(listed_switches) == len(table_switches), context
+    if hysteresis is None:
+        # No replan can shift the chunk grid: the watermark a caller
+        # reads after the last batch is the per-event loop's too.
+        assert listed_wm == loop_wm, context
+
+
+class TestBatchValidation:
+    """A batch is checked whole before any of it is applied."""
+
+    def test_bad_row_applies_nothing(self):
+        session = QuerySession(num_keys=NUM_KEYS, hysteresis=None)
+        session.register(INITIAL[0])
+        session.push_many([(1, 0, 1.0), (2, 1, 2.0)])
+        accepted = session.reorder_stats.accepted
+        for bad, match in (
+            ([(3, 0, 1.0), (-1, 1, 2.0)], r"events\[1\]: timestamp -1"),
+            ([(3, 0, 1.0), (4, NUM_KEYS, 2.0)], r"events\[1\]: key 4 outside"),
+            ([(3, 0, 1.0), (4.5, 1, 2.0)], r"events\[1\]: .*integers"),
+            ([(3, 0, 1.0), (4, 1)], r"events\[1\]: expected \[ts, key, value\]"),
+            ([(3, 0, 1.0), (4, 1, None)], r"events\[1\]: expected"),
+            ([(3, 0, 1.0), (2**53 + 1, 1, 2.0)], r"events\[1\]: .*2\*\*53"),
+        ):
+            with pytest.raises(ExecutionError, match=match):
+                session.push_many(bad)
+            assert session.reorder_stats.accepted == accepted
+        session.push_many([(3, 0, 1.0)])  # still healthy
+        assert session.reorder_stats.accepted == accepted + 1
+
+    def test_exact_conversion_boundary(self):
+        ts, keys, values = event_columns(
+            [(2**53 - 1, 0, float("nan")), (0, 1, 0.5)], num_keys=2
+        )
+        assert ts.dtype == np.int64 and keys.dtype == np.int64
+        assert ts.tolist() == [2**53 - 1, 0]  # exact, not rounded
+        assert np.isnan(values[0]) and values[1] == 0.5  # NaN is a value
+        with pytest.raises(ExecutionError, match=r"events\[0\]"):
+            event_columns([(2**53, 0, 1.0)], num_keys=2)
+        with pytest.raises(ExecutionError, match=r"events\[0\]"):
+            event_columns(np.array([[np.inf, 0.0, 1.0]]), num_keys=2)
+        empty = event_columns([], num_keys=2)
+        assert [column.size for column in empty] == [0, 0, 0]
+
+    def test_sharded_session_shares_the_door(self):
+        """A fractional timestamp used to be truncated on its way
+        through ``astype(int64)``; both session classes now reject it."""
+        with ShardedSession(
+            num_keys=NUM_KEYS, num_shards=2, hysteresis=None
+        ) as session:
+            session.register(INITIAL[0])
+            with pytest.raises(ExecutionError, match=r"events\[0\]"):
+                session.push_many([(4.5, 1, 2.0)])
+            assert session.reorder_stats.accepted == 0

@@ -201,7 +201,11 @@ class TestPlanSwitching:
             num_keys=1, hysteresis=0.5, alpha=0.6, chunk_ticks=24
         )
         session.register(query)
-        session.push_many(stream.rows())
+        # A rate replan applies at the end of the push_many call that
+        # observed the drift, so a live stream arrives in batches.
+        rows = list(stream.rows())
+        for lo in range(0, len(rows), 500):
+            session.push_many(rows[lo : lo + 500])
         results = session.finish(horizon=stream.horizon)
         assert_session_matches(results, cold, [query], stream.horizon)
         rate_switches = [

@@ -219,9 +219,48 @@ class TestAdmission:
                 mgr.ingest("alice", "nope")
             with pytest.raises(BadRequest, match="outside dense id space"):
                 mgr.ingest("alice", [(1, 99, 1.0)])
+            with pytest.raises(BadRequest, match="already registered"):
+                mgr.register("alice", SQL_AVG, name="q1")
             stats = mgr.stats("alice")["stats"]
             assert stats["admitted_events"] == 0
             assert stats["shed_rate_quota"] == 0
+            assert stats["bad_requests"] == 3
+            assert stats["requests"] == 4  # the register that worked + 3
+
+    def test_bad_timestamp_is_rejected_whole_not_replayed(self, tmp_path):
+        """A negative timestamp used to be admitted, applied up to the
+        bad row, and then cost a restore + tail replay per request —
+        three of them opened the tenant's own breaker."""
+        with make_manager(tmp_path, failure_threshold=3) as mgr:
+            mgr.register("alice", SQL_SUM)
+            mgr.ingest("alice", [(1, 0, 1.0)])
+            before = mgr.stats("alice")
+            for _ in range(4):
+                reply = mgr.handle(
+                    {"op": "ingest", "tenant": "alice",
+                     "events": [[5, 0, 1.0], [-1, 1, 2.0]]}
+                )
+                assert reply["error"] == "bad_request"
+                assert reply["detail"].startswith("events[1]: timestamp -1")
+            for events, detail in (
+                ([[5, 0, 1.0], [6.5, 1, 2.0]], "events[1]: timestamp and key"),
+                ([[5, 0, 1.0], [6, 1]], "events[1]: expected [ts, key, value]"),
+                ([[2**53 + 1, 0, 1.0]], "events[0]: timestamp and key"),
+            ):
+                reply = mgr.handle(
+                    {"op": "ingest", "tenant": "alice", "events": events}
+                )
+                assert reply["error"] == "bad_request"
+                assert reply["detail"].startswith(detail)
+            after = mgr.stats("alice")
+            assert after["watermark"] == before["watermark"]
+            stats = after["stats"]
+            assert stats["restores"] == 0
+            assert stats["breaker"] == "closed"
+            assert stats["bad_requests"] == 7
+            assert stats["admitted_events"] == 1
+            assert stats["tail_length"] == before["stats"]["tail_length"]
+            assert mgr.ingest("alice", [(5, 0, 1.0)])["admitted"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +348,11 @@ class TestSupervision:
             before = mgr.stats("alice")["stats"]["tail_length"]
             mgr.ingest("alice", [(t, 0, 1.0) for t in range(9, 30)])
             after = mgr.stats("alice")["stats"]["tail_length"]
-            assert before == 9  # register + 8 pushes
-            assert after < before + 21  # cadence cleared mid-way
+            assert before == 2  # register + one batch entry
+            # The cadence fell due inside the second batch: the cut is
+            # taken once the whole batch has been applied, so nothing
+            # is left to replay.
+            assert after == 0
             assert list((tmp_path / "ckpt" / "alice").glob("*.rckpt"))
 
     def test_manual_snapshot_clears_tail(self, tmp_path):
@@ -320,6 +362,89 @@ class TestSupervision:
             out = mgr.snapshot("alice")
             assert out["watermark"] >= 1
             assert mgr.stats("alice")["stats"]["tail_length"] == 0
+
+    def test_kill_between_batches_replays_whole_batches(
+        self, tmp_path, repro_seed
+    ):
+        events = integer_events(60, NUM_KEYS, seed=repro_seed)
+        plan = FaultPlan(
+            Fault(kind="kill_session", tenant="alice", op="ingest",
+                  at_watermark=25)
+        )
+        with make_manager(tmp_path, fault_plan=plan, checkpoint_every=16) as mgr:
+            mgr.register("alice", SQL_SUM)
+            for lo in range(0, len(events), 14):
+                mgr.ingest("alice", events[lo : lo + 14])
+            stats = mgr.stats("alice")["stats"]
+            assert stats["restores"] == 1 and stats["replay_skipped"] == 0
+            # One tail entry per admitted batch since the last cut.
+            assert stats["tail_length"] <= len(events) // 14
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        ), f"seed={repro_seed}"
+
+    def test_session_death_mid_batch_replays_the_whole_batch(
+        self, tmp_path, repro_seed, monkeypatch
+    ):
+        """The session dies after part of a batch reached the
+        operators: recovery restores the last cut — which sits on a
+        batch boundary — and replays whole batches, this one included."""
+        from repro.runtime.core import SessionCore
+
+        events = integer_events(60, NUM_KEYS, seed=repro_seed)
+        real_flush = SessionCore._flush
+        flushes = {"seen": 0, "fail_at": 4}
+
+        def dying_flush(core, to_watermark):
+            flushes["seen"] += 1
+            if flushes["seen"] == flushes["fail_at"]:
+                raise ExecutionError("operator fault mid-batch")
+            real_flush(core, to_watermark)
+
+        monkeypatch.setattr(SessionCore, "_flush", dying_flush)
+        with make_manager(tmp_path, checkpoint_every=10_000) as mgr:
+            mgr.register("alice", SQL_SUM)
+            # One batch spanning several chunks (the query's range is
+            # 10 ticks): the fourth flush falls in its middle.
+            mgr.ingest("alice", events)
+            stats = mgr.stats("alice")["stats"]
+            assert flushes["seen"] > flushes["fail_at"]
+            assert stats["restores"] == 1 and stats["replay_skipped"] == 0
+            assert stats["breaker"] == "closed"
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        ), f"seed={repro_seed}"
+
+    def test_checkpoint_due_mid_batch_cuts_at_the_batch_boundary(
+        self, tmp_path, repro_seed
+    ):
+        events = integer_events(60, NUM_KEYS, seed=repro_seed)
+        half = len(events) // 2
+        plan = FaultPlan(
+            Fault(kind="kill_session", tenant="alice", op="ingest",
+                  at_watermark=1)
+        )
+        with make_manager(tmp_path, fault_plan=plan, checkpoint_every=16) as mgr:
+            mgr.register("alice", SQL_SUM)
+            plan_fired = len(plan.fired)
+            # Ticks 1-30 in one batch: the cadence (16) falls due in
+            # its middle, the cut is taken after its last event.
+            mgr.ingest("alice", events[:half])
+            stats = mgr.stats("alice")["stats"]
+            assert stats["tail_length"] == 0
+            assert list((tmp_path / "ckpt" / "alice").glob("*.rckpt"))
+            # The kill fires on the next request: recovery has only
+            # the checkpoint to go on, and must lose nothing.
+            mgr.ingest("alice", events[half:])
+            stats = mgr.stats("alice")["stats"]
+            assert len(plan.fired) == plan_fired + 1
+            assert stats["restores"] == 1
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        ), f"seed={repro_seed}"
 
     def test_repeated_recovery_failure_opens_breaker(self, tmp_path, monkeypatch):
         clock = FakeClock()
@@ -371,22 +496,33 @@ class TestSupervision:
             real_apply = SessionManager._apply_entry
 
             def poisoned(session, entry):
-                if entry[0] == "push" and entry[1] == 99:
+                if entry[0] == "batch" and 99 in entry[1][:, 0]:
                     raise ExecutionError("poison event")
                 real_apply(session, entry)
 
             monkeypatch.setattr(SessionManager, "_apply_entry",
                                 staticmethod(poisoned))
             with pytest.raises(BadRequest, match="freshly restored"):
-                mgr.ingest("alice", [(99, 0, 1.0)])
+                mgr.ingest("alice", [(98, 1, 5.0), (99, 0, 1.0), (99, 2, 7.0)])
             stats = mgr.stats("alice")["stats"]
             assert stats["replay_skipped"] == 1
             assert stats["restores"] == 1
-            # The tenant is healthy again; the poison op is not looped.
+            assert stats["bad_requests"] == 1
+            assert stats["tail_length"] == 2  # register + the good batch
+            # The tenant is healthy again; the poison batch is not
+            # looped, and none of its events — the good rows ahead of
+            # the poison one included — reached the session.
             monkeypatch.setattr(SessionManager, "_apply_entry",
                                 staticmethod(real_apply))
-            mgr.ingest("alice", [(100, 0, 1.0)])
-            assert mgr.stats("alice")["stats"]["restores"] == 1
+            mgr.ingest("alice", [(100, 0, 1.0), (140, 0, 1.0)])
+            stats = mgr.stats("alice")["stats"]
+            assert stats["restores"] == 1 and stats["breaker"] == "closed"
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            [(1, 0, 1.0), (100, 0, 1.0), (140, 0, 1.0)],
+            [(0, SQL_SUM, "", "per_key")],
+            NUM_KEYS,
+        )
 
     def test_stall_fault_uses_injected_sleeper(self, tmp_path):
         clock = FakeClock()

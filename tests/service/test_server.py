@@ -10,6 +10,7 @@ import json
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
@@ -72,6 +73,59 @@ class TestRoundTrips:
             client.ingest("alice", [(t, 0, 1.0) for t in range(1, 30)])
             snap = client.snapshot("alice")
             assert snap["watermark"] > 0
+
+    def test_empty_instances_cross_the_wire_as_null(self, served):
+        """An empty MIN instance is NaN, which strict JSON cannot
+        spell: the reply used to raise in the connection handler after
+        the drain had consumed the results — connection dropped,
+        results lost.  It travels as ``null`` now."""
+        _, server = served
+        sql = "SELECT MIN(v) FROM s GROUP BY WINDOWS(TUMBLING(second, 5))"
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+
+            def call(request):
+                f.write(json.dumps(request).encode() + b"\n")
+                f.flush()
+                return json.loads(f.readline())
+
+            assert call({"op": "register", "tenant": "a", "query": sql})["ok"]
+            # Key 1 never reports: every one of its instances is empty.
+            events = [[t, 0, float(t)] for t in range(40)]
+            assert call({"op": "ingest", "tenant": "a", "events": events})["ok"]
+            reply = call({"op": "results", "tenant": "a"})
+            assert reply["ok"], reply
+            (block,) = reply["results"]["q1"]
+            assert block["values"][0][:3] == [0.0, 5.0, 10.0]
+            assert set(block["values"][1]) == {None}
+            # The connection is still good for the next request.
+            assert call({"op": "ping"})["ok"]
+        with ServiceClient(port=server.port) as client:
+            client.ingest("a", [[t, 0, float(t)] for t in range(40, 80)])
+            (got,) = client.results("a")["q1"].values()
+            assert np.isnan(got.values[1]).all()
+            assert got.values[0, 0] == 35.0
+        from repro.service.protocol import (
+            deserialize_results,
+            serialize_results,
+        )
+
+        payload = serialize_results({"q1": {got.window: got}})
+        back = deserialize_results(payload)["q1"][got.window]
+        assert back.values.tobytes() == got.values.tobytes()  # bit for bit
+
+    def test_numpy_rows_go_on_the_wire_unrounded(self, served):
+        _, server = served
+        table = np.array([[1, 0, 1.5], [2, 1, 2.5]])
+        with ServiceClient(port=server.port) as client:
+            client.register("alice", SQL_SUM)
+            assert client.ingest("alice", table)["admitted"] == 2
+            rows = [(np.int64(3), np.int32(2), np.float64(0.5))]
+            assert client.ingest("alice", rows)["admitted"] == 1
+            # The client used to truncate this to ts=4 on its own.
+            with pytest.raises(BadRequest, match=r"events\[0\]"):
+                client.ingest("alice", [(4.5, 0, 1.0)])
+            assert client.stats("alice")["stats"]["admitted_events"] == 3
 
     def test_replies_stay_in_request_order(self, served):
         _, server = served
