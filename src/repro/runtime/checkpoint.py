@@ -56,7 +56,9 @@ __all__ = [
 CHECKPOINT_MAGIC = b"RCKPT\x00"
 
 #: Format version; bumped on any incompatible payload change.
-CHECKPOINT_VERSION = 1
+#: v2: subscriptions hold key-labelled segments (DESIGN.md §12) — a v1
+#: payload would unpickle into subscriptions without them.
+CHECKPOINT_VERSION = 2
 
 _VERSION_WORD = struct.Struct("<H")
 _DIGEST_BYTES = 32

@@ -26,7 +26,7 @@ N cores at identical watermarks by construction.
 
 from __future__ import annotations
 
-import pickle
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -84,10 +84,19 @@ class RegisterAck:
 
 @dataclass
 class ShardReport:
-    """One core's emitted results: per-key rows plus cross-key partials."""
+    """One core's emitted results: per-key rows plus cross-key partials.
+
+    Row ``i`` of every ``results`` block is global key ``key_ids[i]``.
+    On a core that has been through a migration barrier, ``results``
+    holds only the rows emitted since (right-aligned at the frontier);
+    the earlier ones are in ``sealed``, as ``(key_ids, first instance,
+    values)`` segments.
+    """
 
     results: "dict[str, dict[Window, WindowResults]]"
     partials: "dict[tuple[str, Window], PartialResults]"
+    key_ids: np.ndarray
+    sealed: "dict[tuple[str, Window], list[tuple]]"
 
 
 def resolve_registration_query(
@@ -196,6 +205,10 @@ class SessionCore:
                 f"max_retired_results must be >= 0, got {max_retired_results}"
             )
         self.num_keys = num_keys
+        # Global id of each local key.  A standalone core owns the
+        # whole key space; a shard core is handed its slice by
+        # ``ShardConfig.build`` and re-labelled at migration barriers.
+        self.key_ids = np.arange(num_keys, dtype=np.int64)
         self.workload = IncrementalWorkload(
             event_rate=event_rate,
             enable_factor_windows=enable_factor_windows,
@@ -314,18 +327,38 @@ class SessionCore:
                 "barrier"
             )
 
+    def _subs_of(self, kind: type) -> list:
+        """``(slot, subscription)`` for every subscription of ``kind``
+        (:class:`Subscription` or :class:`PartialSubscription`), live
+        then retired."""
+        live = self._subs if kind is Subscription else self._psubs
+        return list(live.items()) + [
+            (slot, sub)
+            for slot, sub in self._retired.items()
+            if isinstance(sub, kind)
+        ]
+
+    def _rekey(self, key_ids: np.ndarray) -> None:
+        """Adopt a new owned-key set: every per-key subscription seals
+        the rows emitted under the old one."""
+        self.key_ids = key_ids
+        self.num_keys = int(key_ids.size)
+        for _, sub in self._subs_of(Subscription):
+            sub.rekey(key_ids)
+
     def extract_keys(self, local_ids: "np.ndarray | list[int]") -> dict:
-        """Remove and export the per-key state of ``local_ids``.
+        """Remove and export the live per-key state of ``local_ids``.
 
         ``local_ids`` are sorted local key ids.  Only valid at a
-        watermark barrier (no buffered events): per-key state is then
-        exactly the retained operator buffers plus the
-        emitted-but-undrained subscription rows.  Remaining keys
-        renumber down to rank order in the surviving owned-key set.
-        The bundle is plain picklable data for :meth:`absorb_keys` on a
-        lockstep sibling core.  Cross-key partial subscriptions ship
-        nothing — closed instances keep their contributions here, and
-        every instance still counts each key exactly once.
+        watermark barrier (no buffered events): live per-key state is
+        then exactly the retained operator buffers, bounded by window
+        range.  Emitted rows are closed instances and stay here — the
+        subscriptions seal them under the current key labels — so the
+        bundle's size is independent of how much has been emitted.
+        Remaining keys renumber down to rank order in the surviving
+        owned-key set.  The bundle is plain picklable data for
+        :meth:`absorb_keys` on a lockstep sibling core and carries the
+        moved keys' global ids.
         """
         self._require_barrier("extract_keys")
         local_ids = np.asarray(local_ids, dtype=np.int64)
@@ -339,23 +372,13 @@ class SessionCore:
             (key, [op.extract_keys(local_ids) for op in rt.advance_order])
             for key, rt in self._groups.items()
         ]
-        subs = [
-            (slot, sub.extract_keys(local_ids))
-            for slot, sub in self._subs.items()
-        ]
-        retired = [
-            (slot, sub.extract_keys(local_ids))
-            for slot, sub in self._retired.items()
-            if isinstance(sub, Subscription)
-        ]
-        self.num_keys -= int(local_ids.size)
+        keys = self.key_ids[local_ids]
+        self._rekey(np.delete(self.key_ids, local_ids))
         return {
             "watermark": self._watermark,
             "generation": self.generation,
-            "count": int(local_ids.size),
+            "keys": keys,
             "groups": groups,
-            "subs": subs,
-            "retired": retired,
         }
 
     def absorb_keys(
@@ -366,14 +389,14 @@ class SessionCore:
         ``positions`` are the incoming keys' local ids in this core's
         *post-absorb* owned-key ranking.  Both cores must sit at the
         same barrier (equal watermark and generation) — lockstep makes
-        their operator/subscription structure identical, which every
-        layer below re-asserts.
+        their operator structure identical, which every layer below
+        re-asserts.
         """
         self._require_barrier("absorb_keys")
         positions = np.asarray(positions, dtype=np.int64)
-        if positions.size != bundle["count"]:
+        if positions.size != bundle["keys"].size:
             raise ExecutionError(
-                f"bundle carries {bundle['count']} keys but "
+                f"bundle carries {bundle['keys'].size} keys but "
                 f"{positions.size} positions given"
             )
         if (
@@ -397,25 +420,12 @@ class SessionCore:
                 )
             for op, state in zip(runtime.advance_order, op_states):
                 op.absorb_keys(state, positions, num_keys)
-        for slots, incoming, label in (
-            (self._subs, bundle["subs"], "subscription"),
-            (
-                {
-                    slot: sub
-                    for slot, sub in self._retired.items()
-                    if isinstance(sub, Subscription)
-                },
-                bundle["retired"],
-                "retired subscription",
-            ),
-        ):
-            if [slot for slot, _ in incoming] != list(slots):
-                raise ExecutionError(
-                    f"{label} structure mismatch on key absorb"
-                )
-            for slot, state in incoming:
-                slots[slot].absorb_keys(state, positions, num_keys)
-        self.num_keys = num_keys
+        incoming = np.zeros(num_keys, dtype=bool)
+        incoming[positions] = True
+        key_ids = np.empty(num_keys, dtype=np.int64)
+        key_ids[incoming] = bundle["keys"]
+        key_ids[~incoming] = self.key_ids
+        self._rekey(key_ids)
 
     def spawn_sibling(self) -> "SessionCore":
         """Clone this core into a fresh, keyless sibling (shard split).
@@ -423,23 +433,26 @@ class SessionCore:
         The sibling inherits the entire workload/plan/generation
         history — which is what keeps every barrier identity
         (operator structure, close cursors, subscription frontiers)
-        valid — but starts empty: per-key rows stripped, cross-key
-        partial blocks neutralized to identity components, and all
-        counters zeroed so the merged logical stats across cores stay
-        equal to the unsharded run.
+        valid — but starts empty: no emitted rows (the copy maps every
+        per-key subscription's buffers to empty lists, so a split
+        costs O(live state), not O(history)), per-key operator state
+        stripped, cross-key partial blocks neutralized to identity
+        components, and all counters zeroed so the merged logical
+        stats across cores stay equal to the unsharded run.
         """
         self._require_barrier("spawn_sibling")
-        twin: "SessionCore" = pickle.loads(pickle.dumps(self))
+        memo: dict = {}
+        for _, sub in self._subs_of(Subscription):
+            memo[id(sub._blocks)] = []
+            memo[id(sub._sealed)] = []
+        twin: "SessionCore" = copy.deepcopy(self, memo)
         if twin.num_keys:
             # The donor may already be keyless: a migration plan
             # extracts before it spawns, so a retiring slot-0 shard
             # has had every key moved out by the time it donates.
             twin.extract_keys(np.arange(twin.num_keys, dtype=np.int64))
-        for psub in twin._psubs.values():
+        for _, psub in twin._subs_of(PartialSubscription):
             psub.neutralize()
-        for sub in twin._retired.values():
-            if isinstance(sub, PartialSubscription):
-                sub.neutralize()
         for runtime in twin._groups.values():
             runtime.stats.__init__()
         twin.wall_seconds = 0.0
@@ -450,27 +463,26 @@ class SessionCore:
         return twin
 
     def extract_remnant(self) -> dict:
-        """Export the cross-key residue of a retiring (keyless) core.
+        """Export the residue of a retiring (keyless) core.
 
         After :meth:`extract_keys` moved every owned key out, what
-        remains is state reduced *over* keys: partial-subscription
-        blocks holding closed-instance contributions of keys this core
-        used to own, plus the logical counters.  The coordinator folds
-        the remnant into exactly one surviving core, so each instance
-        still counts every key once and merged stats stay equal to the
-        unsharded run.
+        remains is the sealed per-key rows it emitted while it owned
+        keys (labelled by global key id, so any core can hold them),
+        the partial-subscription blocks holding closed-instance
+        contributions of those keys, and the logical counters.  The
+        coordinator folds the remnant into exactly one surviving core,
+        so each instance still counts every key once and merged stats
+        stay equal to the unsharded run.
         """
         return {
             "watermark": self._watermark,
             "generation": self.generation,
-            "psubs": [
-                (slot, psub.extract_remnant())
-                for slot, psub in self._psubs.items()
-            ],
-            "retired_psubs": [
-                (slot, sub.extract_remnant())
-                for slot, sub in self._retired.items()
-                if isinstance(sub, PartialSubscription)
+            "subs": [
+                [
+                    (slot, sub.extract_remnant())
+                    for slot, sub in self._subs_of(kind)
+                ]
+                for kind in (Subscription, PartialSubscription)
             ],
             "group_stats": [
                 (key, rt.stats) for key, rt in self._groups.items()
@@ -483,7 +495,7 @@ class SessionCore:
         }
 
     def absorb_remnant(self, remnant: dict) -> None:
-        """Fold a retiring core's cross-key residue into this core."""
+        """Fold a retiring core's residue into this core."""
         self._require_barrier("absorb_remnant")
         if (
             remnant["watermark"] != self._watermark
@@ -494,24 +506,16 @@ class SessionCore:
                 f"(wm={remnant['watermark']}, gen={remnant['generation']}) "
                 f"vs (wm={self._watermark}, gen={self.generation})"
             )
-        for slots, incoming, label in (
-            (self._psubs, remnant["psubs"], "partial subscription"),
-            (
-                {
-                    slot: sub
-                    for slot, sub in self._retired.items()
-                    if isinstance(sub, PartialSubscription)
-                },
-                remnant["retired_psubs"],
-                "retired partial subscription",
-            ),
+        for kind, incoming in zip(
+            (Subscription, PartialSubscription), remnant["subs"]
         ):
-            if [slot for slot, _ in incoming] != list(slots):
+            mine = self._subs_of(kind)
+            if [slot for slot, _ in incoming] != [slot for slot, _ in mine]:
                 raise ExecutionError(
-                    f"{label} structure mismatch on remnant absorb"
+                    f"{kind.__name__} structure mismatch on remnant absorb"
                 )
-            for slot, state in incoming:
-                slots[slot].absorb_remnant(state)
+            for (_, sub), (_, state) in zip(mine, incoming):
+                sub.absorb_remnant(state)
         if [key for key, _ in remnant["group_stats"]] != list(self._groups):
             raise ExecutionError("group structure mismatch on remnant absorb")
         for key, stats in remnant["group_stats"]:
@@ -580,7 +584,7 @@ class SessionCore:
             slot = (query.name, window)
             if scope == "per_key":
                 sub = Subscription(
-                    query.name, window, op.next_close, self.num_keys
+                    query.name, window, op.next_close, self.key_ids
                 )
                 self._subs[slot] = sub
                 runtime.subs_by_window.setdefault(target, []).append(sub)
@@ -936,17 +940,21 @@ class SessionCore:
         """
         results: dict[str, dict[Window, WindowResults]] = {}
         partials: dict[tuple[str, Window], PartialResults] = {}
+        sealed: dict[tuple[str, Window], list[tuple]] = {}
         tables = (self._retired, self._subs, self._psubs)
         for table in tables:
             for (name, window), sub in table.items():
+                per_key = isinstance(sub, Subscription)
+                if per_key:  # read before a drain frees them
+                    sealed[(name, window)] = sub.sealed()
                 emitted = sub.drain() if drain else sub.snapshot()
-                if isinstance(sub, Subscription):
+                if per_key:
                     results.setdefault(name, {})[window] = emitted
                 else:
                     partials[(name, window)] = emitted
         if drain:
             self._retired = {}
-        return ShardReport(results=results, partials=partials)
+        return ShardReport(results, partials, self.key_ids, sealed)
 
     def _require_open(self) -> None:
         if self._closed:

@@ -100,15 +100,28 @@ class PartialResults:
 
 
 class Subscription:
-    """Routes one (query, requested window)'s emitted result blocks."""
+    """Routes one (query, requested window)'s emitted result blocks.
 
-    def __init__(self, query: str, window: Window, start: int, num_keys: int):
+    Row ``i`` of every buffered block belongs to global key
+    ``key_ids[i]``.  When the owning core's key set changes at a
+    migration barrier, :meth:`rekey` *seals* the blocks buffered so far
+    as a segment ``(key_ids, first instance, blocks)`` and opens a new
+    one — O(1), no block is touched: the instances are closed, so the
+    rows stay where they are (DESIGN.md §12) and a sharding coordinator
+    places them by label.  A subscription that is never rekeyed (every
+    :class:`~repro.runtime.QuerySession`) holds one open segment.
+    """
+
+    def __init__(
+        self, query: str, window: Window, start: int, key_ids: np.ndarray
+    ):
         self.query = query
         self.window = window
         self.start = start
         self.frontier = start
-        self.num_keys = num_keys
+        self.key_ids = key_ids
         self._blocks: list[np.ndarray] = []
+        self._sealed: "list[tuple[np.ndarray, int, list[np.ndarray]]]" = []
 
     def accept(self, m0: int, m1: int, block: np.ndarray) -> None:
         if m1 <= self.frontier:
@@ -125,10 +138,12 @@ class Subscription:
         self.frontier = m1
 
     def snapshot(self) -> WindowResults:
+        """The open segment's rows, right-aligned at the frontier —
+        the whole emitted range unless :meth:`sealed` holds the rest."""
         if self._blocks:
             values = np.concatenate(self._blocks, axis=1)
         else:
-            values = np.empty((self.num_keys, 0), dtype=np.float64)
+            values = np.empty((self.key_ids.size, 0), dtype=np.float64)
         return WindowResults(
             query=self.query,
             window=self.window,
@@ -137,11 +152,21 @@ class Subscription:
             values=values,
         )
 
+    def sealed(self) -> "list[tuple[np.ndarray, int, np.ndarray]]":
+        """The segments closed off by earlier barriers, as ``(key_ids,
+        first instance, values)``."""
+        return [
+            (key_ids, lo, np.concatenate(blocks, axis=1))
+            for key_ids, lo, blocks in self._sealed
+        ]
+
     def drain(self) -> WindowResults:
-        """Hand over everything emitted so far and release it — the
+        """Hand over the open segment and release everything buffered
+        (callers needing :meth:`sealed` read it first) — the
         bounded-memory read path for unbounded sessions."""
         snapshot = self.snapshot()
         self._blocks = []
+        self._sealed = []
         self.start = self.frontier
         return snapshot
 
@@ -151,51 +176,26 @@ class Subscription:
         return self.frontier - self.start
 
     # ------------------------------------------------------------------
-    # Elastic-shard protocol (DESIGN.md §12): emitted-but-undrained
-    # blocks are per-key rows and travel with their keys.
+    # Elastic-shard protocol (DESIGN.md §12): closed rows never move.
     # ------------------------------------------------------------------
-    def extract_keys(self, local_ids: np.ndarray) -> dict:
-        """Remove and return the rows of ``local_ids`` (sorted)."""
-        rows = [block[local_ids] for block in self._blocks]
-        self._blocks = [
-            np.delete(block, local_ids, axis=0) for block in self._blocks
-        ]
-        self.num_keys -= int(local_ids.size)
-        return {"start": self.start, "frontier": self.frontier, "rows": rows}
-
-    def absorb_keys(
-        self, state: dict, positions: np.ndarray, num_keys: int
-    ) -> None:
-        """Splice extracted rows in at ``positions``.
-
-        Block boundaries are emission-driven and the coordinator drains
-        every core in the same collect, so lockstep cores always agree
-        on the block structure here.
-        """
-        if (
-            state["start"] != self.start
-            or state["frontier"] != self.frontier
-            or len(state["rows"]) != len(self._blocks)
-            or any(
-                rows.shape[1] != block.shape[1]
-                for rows, block in zip(state["rows"], self._blocks)
+    def rekey(self, key_ids: np.ndarray) -> None:
+        """Seal the open segment under its current labels; rows emitted
+        from here on belong to ``key_ids``."""
+        if self._blocks:
+            width = sum(block.shape[1] for block in self._blocks)
+            self._sealed.append(
+                (self.key_ids, self.frontier - width, self._blocks)
             )
-        ):
-            raise ExecutionError(
-                f"{self.query}/{self.window}: subscription block "
-                "structure mismatch on key absorb"
-            )
-        keep = np.setdiff1d(
-            np.arange(num_keys, dtype=np.int64), positions, assume_unique=True
-        )
-        spliced = []
-        for block, rows in zip(self._blocks, state["rows"]):
-            out = np.empty((num_keys, block.shape[1]), dtype=block.dtype)
-            out[keep] = block
-            out[positions] = rows
-            spliced.append(out)
-        self._blocks = spliced
-        self.num_keys = num_keys
+            self._blocks = []
+        self.key_ids = key_ids
+
+    def extract_remnant(self) -> list:
+        """A retiring (keyless) core's sealed segments: addressed by
+        global key id, so any surviving core can hold them."""
+        return self._sealed
+
+    def absorb_remnant(self, sealed: list) -> None:
+        self._sealed.extend(sealed)
 
 
 class PartialSubscription:

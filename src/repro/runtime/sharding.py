@@ -147,20 +147,23 @@ class ShardConfig:
     """Constructor arguments for one shard's :class:`SessionCore`."""
 
     shard: int
-    num_keys: int
+    key_ids: np.ndarray  # global id of each local key, ascending
     chunk_ticks: "int | None"
     event_rate: int
     enable_factor_windows: bool
     max_retired_results: "int | None"
 
     def build(self) -> SessionCore:
-        return SessionCore(
-            num_keys=self.num_keys,
+        core = SessionCore(
+            num_keys=int(self.key_ids.size),
             chunk_ticks=self.chunk_ticks,
             event_rate=self.event_rate,
             enable_factor_windows=self.enable_factor_windows,
             max_retired_results=self.max_retired_results,
         )
+        # Emitted rows are addressed by global key id (DESIGN.md §12).
+        core.key_ids = self.key_ids
+        return core
 
 
 def _merge_acks(acks: "list[RegisterAck]") -> RegisterAck:
@@ -1588,18 +1591,12 @@ class ShardedSession(AsyncIngestFrontDoor):
         _configure_durability(
             self.backend, fault_plan, worker_recovery, control_timeout
         )
+        self._fixed_chunk = chunk_ticks
+        self._event_rate = event_rate
+        self._enable_factor_windows = enable_factor_windows
+        self._max_retired_results = max_retired_results
         self.backend.start(
-            [
-                ShardConfig(
-                    shard=shard,
-                    num_keys=self.partitioner.local_num_keys(shard),
-                    chunk_ticks=chunk_ticks,
-                    event_rate=event_rate,
-                    enable_factor_windows=enable_factor_windows,
-                    max_retired_results=max_retired_results,
-                )
-                for shard in self.active_shards
-            ]
+            [self._shard_config(shard) for shard in self.active_shards]
         )
         self.controller = (
             None
@@ -1609,12 +1606,8 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         )
         self._reorder = ReorderBuffer(max_lateness)
-        self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
         self._chunk_end = self._chunk_ticks
-        self._enable_factor_windows = enable_factor_windows
-        self._max_retired_results = max_retired_results
-        self._event_rate = event_rate
         self._rate_observer = EpochRateObserver(self.controller)
         self._watermark = 0
         self._max_event_ts = -1
@@ -2321,10 +2314,12 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         return self.partitioner.slot_map
 
-    def _shard_config(self, shard: int, num_keys: int) -> ShardConfig:
+    def _shard_config(
+        self, shard: int, partitioner: "KeyPartitioner | None" = None
+    ) -> ShardConfig:
         return ShardConfig(
             shard=shard,
-            num_keys=max(1, num_keys),
+            key_ids=(partitioner or self.partitioner).owned[shard],
             chunk_ticks=self._fixed_chunk,
             event_rate=self._event_rate,
             enable_factor_windows=self._enable_factor_windows,
@@ -2370,41 +2365,38 @@ class ShardedSession(AsyncIngestFrontDoor):
         def plan() -> None:
             backend = self.backend
             slot_of = {shard: i for i, shard in enumerate(old_active)}
-            owned_now = {shard: old.owned[shard] for shard in old_active}
+            owned_now = {}
             moves: "list[tuple[int, object, np.ndarray]]" = []
             for src in old_active:
-                mine = owned_now[src]
-                outgoing = mine[new.shard_of[mine] != src]
-                if not outgoing.size:
-                    continue
-                for dst in np.unique(new.shard_of[outgoing]):
-                    dst = int(dst)
-                    keys = outgoing[new.shard_of[outgoing] == dst]
-                    local = np.searchsorted(owned_now[src], keys)
-                    bundle = backend.migrate_extract(slot_of[src], local)
-                    owned_now[src] = np.setdiff1d(
-                        owned_now[src], keys, assume_unique=True
+                mine = old.owned[src]
+                dest_of = new.shard_of[mine]
+                for dst in np.flatnonzero(
+                    np.bincount(dest_of[dest_of != src])
+                ):
+                    going = dest_of == dst
+                    bundle = backend.migrate_extract(
+                        slot_of[src], np.flatnonzero(going)
                     )
-                    moves.append((dst, bundle, keys))
+                    moves.append((int(dst), bundle, mine[going]))
+                    mine, dest_of = mine[~going], dest_of[~going]
+                owned_now[src] = mine
             # Spawn before any retire, so backend slot 0 (the donor)
             # is always a live original.
             next_slot = len(old_active)
             for dst in spawned:
-                backend.spawn_sibling(
-                    0, self._shard_config(dst, int(new.owned[dst].size))
-                )
+                backend.spawn_sibling(0, self._shard_config(dst, new))
                 slot_of[dst] = next_slot
                 next_slot += 1
                 owned_now[dst] = np.empty(0, dtype=np.int64)
             for dst, bundle, keys in moves:
-                combined = np.union1d(owned_now[dst], keys)
+                combined = np.sort(np.concatenate((owned_now[dst], keys)))
                 positions = np.searchsorted(combined, keys)
                 backend.migrate_absorb(slot_of[dst], bundle, positions)
                 owned_now[dst] = combined
             # Retire emptied shards in descending backend-slot order
             # (removals never shift a slot still to be visited), then
-            # fold their cross-key remnants into the first slot of the
-            # final layout.
+            # fold their remnants into the first slot of the final
+            # layout.
             remnants = [
                 backend.retire_shard(slot_of[src])
                 for src in sorted(retiring, key=lambda s: -slot_of[s])
@@ -2635,28 +2627,18 @@ class ShardedSession(AsyncIngestFrontDoor):
         _configure_durability(
             self.backend, fault_plan, worker_recovery, control_timeout
         )
+        self._fixed_chunk = coord["fixed_chunk"]
+        self._event_rate = coord["event_rate"]
+        self._enable_factor_windows = coord["enable_factor_windows"]
+        self._max_retired_results = coord["max_retired_results"]
         self.backend.start(
-            [
-                ShardConfig(
-                    shard=shard,
-                    num_keys=self.partitioner.local_num_keys(shard),
-                    chunk_ticks=coord["fixed_chunk"],
-                    event_rate=coord["event_rate"],
-                    enable_factor_windows=coord["enable_factor_windows"],
-                    max_retired_results=coord["max_retired_results"],
-                )
-                for shard in self.active_shards
-            ]
+            [self._shard_config(shard) for shard in self.active_shards]
         )
         self.backend.restore(graph["shards"])
         self.controller = coord["controller"]
         self._reorder = coord["reorder"]
-        self._fixed_chunk = coord["fixed_chunk"]
         self._chunk_ticks = coord["chunk_ticks"]
         self._chunk_end = coord["chunk_end"]
-        self._enable_factor_windows = coord["enable_factor_windows"]
-        self._max_retired_results = coord["max_retired_results"]
-        self._event_rate = coord["event_rate"]
         self._rate_observer = coord["observer"]
         self._watermark = coord["watermark"]
         self._max_event_ts = coord["max_event_ts"]
@@ -2741,24 +2723,14 @@ class ShardedSession(AsyncIngestFrontDoor):
         started = time.perf_counter()
         reports = self.backend.collect(drain)
         out: dict[str, dict[Window, WindowResults]] = {}
-        names: set[str] = set()
-        for report in reports:
-            names.update(report.results)
-        for name in sorted(names):
-            windows: set[Window] = set()
-            for report in reports:
-                windows.update(report.results.get(name, {}))
-            for window in windows:
-                parts = [
-                    report.results[name][window] for report in reports
-                ]
-                out.setdefault(name, {})[window] = self._scatter(parts)
-        partial_slots: set[tuple[str, Window]] = set()
-        for report in reports:
-            partial_slots.update(report.partials)
-        for name, window in sorted(
-            partial_slots, key=lambda slot: (slot[0], slot[1])
-        ):
+        # Lockstep cores hold identical subscription tables, so the
+        # first report names every slot.
+        for name in sorted(reports[0].results):
+            out[name] = {
+                window: self._scatter(name, window, reports)
+                for window in reports[0].results[name]
+            }
+        for name, window in sorted(reports[0].partials):
             parts = [report.partials[(name, window)] for report in reports]
             aggregate = get_aggregate(parts[0].aggregate)
             out.setdefault(name, {})[window] = finalize_partials(
@@ -2772,30 +2744,47 @@ class ShardedSession(AsyncIngestFrontDoor):
         self.wall_seconds += time.perf_counter() - started
         return out
 
-    def _scatter(self, parts: "list[WindowResults]") -> WindowResults:
-        """Disjoint-key concatenation: permute shard rows back into the
-        global key space (no arithmetic — each key has one owner)."""
-        first = parts[0]
-        for part in parts[1:]:
-            if (
-                part.start_instance != first.start_instance
-                or part.frontier != first.frontier
-            ):
+    def _scatter(
+        self, name: str, window: Window, reports: "list[ShardReport]"
+    ) -> WindowResults:
+        """Disjoint-key concatenation: place every core's segments in
+        the global key space by their key labels (no arithmetic).
+
+        Closed rows stay on the core that emitted them (DESIGN.md
+        §12), so one key's instances may arrive from several cores.
+        Walking the segments in instance order, each must start exactly
+        where its keys' previous one ended, and every key must end at
+        the frontier: each (key, instance) cell is written once, or
+        this raises."""
+        first = reports[0].results[name][window]
+        start, frontier = first.start_instance, first.frontier
+        segments = []
+        for report in reports:
+            part = report.results[name][window]
+            open_lo = part.frontier - part.values.shape[1]
+            segments.append((report.key_ids, open_lo, part.values))
+            segments.extend(report.sealed[(name, window)])
+        values = np.empty((self.num_keys, frontier - start), dtype=np.float64)
+        covered = np.full(self.num_keys, start, dtype=np.int64)
+        for key_ids, lo, rows in sorted(segments, key=lambda seg: seg[1]):
+            hi = lo + rows.shape[1]
+            if np.any(covered[key_ids] != lo):
                 raise ExecutionError(
-                    f"{first.query}/{first.window}: shard emission ranges "
-                    f"disagree — [{first.start_instance}, {first.frontier}) "
-                    f"vs [{part.start_instance}, {part.frontier})"
+                    f"{name}/{window}: shard segment [{lo}, {hi}) "
+                    "overlaps or leaves a gap after its keys' earlier rows"
                 )
-        span = first.frontier - first.start_instance
-        values = np.empty((self.num_keys, span), dtype=np.float64)
-        for slot, part in enumerate(parts):
-            owned = self.partitioner.owned[self.active_shards[slot]]
-            values[owned, :] = part.values
+            values[key_ids, lo - start : hi - start] = rows
+            covered[key_ids] = hi
+        if np.any(covered != frontier):
+            raise ExecutionError(
+                f"{name}/{window}: shard segments do not cover "
+                f"[{start}, {frontier}) for every key"
+            )
         return WindowResults(
             query=first.query,
             window=first.window,
-            start_instance=first.start_instance,
-            frontier=first.frontier,
+            start_instance=start,
+            frontier=frontier,
             values=values,
         )
 

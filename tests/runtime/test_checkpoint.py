@@ -150,6 +150,20 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
+    def test_v1_checkpoint_is_refused(self, tmp_path):
+        """A file written before subscriptions held key-labelled
+        segments (format v1) must be rejected by its header — even
+        with a valid checksum — never restored half-shaped."""
+        path = tmp_path / "ckpt.rckpt"
+        write_checkpoint(self.make_snapshot(), path)
+        blob = bytearray(path.read_bytes())
+        offset = len(CHECKPOINT_MAGIC)
+        assert blob[offset : offset + 2] == (2).to_bytes(2, "little")
+        blob[offset : offset + 2] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ExecutionError, match="format v1 is not supported"):
+            read_checkpoint(path)
+
     def test_latest_checkpoint_orders_by_watermark(self, tmp_path):
         assert latest_checkpoint(tmp_path / "absent") is None
         store = CheckpointStore(tmp_path)

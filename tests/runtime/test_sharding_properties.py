@@ -27,7 +27,7 @@ import pytest
 from repro.aggregates.registry import AVG, MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.outoforder import scramble_batch
-from repro.runtime import QuerySession, ShardedSession
+from repro.runtime import Fault, FaultPlan, QuerySession, ShardedSession
 from repro.windows.window import Window, WindowSet
 
 from session_streams import integer_stream
@@ -82,7 +82,12 @@ def run_sharded(
     fault_plan=None,
     worker_recovery=False,
     elastic_at=None,
+    polls_at=None,
+    polled=None,
 ):
+    # ``polls_at`` maps an event index to ``drain`` flags: each reads
+    # ``drain_results()`` / ``results()`` there and appends it to
+    # ``polled``.
     # The async high watermark is deliberately small and odd so the
     # pump genuinely interleaves with the producer (queueing, gate
     # closes, synchronization points mid-stream) instead of buffering
@@ -112,6 +117,10 @@ def run_sharded(
                     dropped.add(name)
             for op in (elastic_at or {}).get(i, ()):
                 op(session)
+            for drain in (polls_at or {}).get(i, ()):
+                polled.append(
+                    session.drain_results() if drain else session.results()
+                )
         # (registration loop above intentionally interleaves with data)
             session.push(ts, key, value)
         for queries in register_at.values():
@@ -485,17 +494,23 @@ from repro.engine.events import DEFAULT_NUM_SLOTS  # noqa: E402
 def make_elastic_ops(rng, n_events):
     """A randomized mid-stream resharding schedule.
 
-    Guarantees at least 3 slot moves, 1 split, and 1 merge actually
-    execute (a merge finding a single-shard layout splits first —
-    deterministic across backends, since every run applies the same
-    ops in the same order to the same stream).  Returns
+    Guarantees at least 3 slot moves, 1 rebalance, 1 split, and 1 merge
+    actually execute (a merge finding a single-shard layout splits
+    first — deterministic across backends, since every run applies the
+    same ops in the same order to the same stream).  Returns
     ``(ops_at, counts)`` where ``ops_at`` maps an event index to
     callables taking the session.
     """
     n_moves = int(rng.integers(3, 6))
     n_splits = int(rng.integers(1, 3))
     n_merges = int(rng.integers(1, 3))
-    kinds = ["move"] * n_moves + ["split"] * n_splits + ["merge"] * n_merges
+    n_rebalances = int(rng.integers(1, 3))
+    kinds = (
+        ["move"] * n_moves
+        + ["split"] * n_splits
+        + ["merge"] * n_merges
+        + ["rebalance"] * n_rebalances
+    )
     rng.shuffle(kinds)
     ops = []
     for kind in kinds:
@@ -515,6 +530,11 @@ def make_elastic_ops(rng, n_events):
             def op(session):
                 session.split_shard()
 
+        elif kind == "rebalance":
+
+            def op(session):
+                session.rebalance()
+
         else:
             pick = int(rng.integers(0, 1 << 30))
 
@@ -529,7 +549,12 @@ def make_elastic_ops(rng, n_events):
     ops_at = {}
     for index, op in zip(sorted(int(i) for i in indices), ops):
         ops_at.setdefault(index, []).append(op)
-    counts = {"move": n_moves, "split": n_splits, "merge": n_merges}
+    counts = {
+        "move": n_moves,
+        "split": n_splits,
+        "merge": n_merges,
+        "rebalance": n_rebalances,
+    }
     return ops_at, counts
 
 
@@ -567,6 +592,104 @@ def test_elastic_reshard_schedules_are_layout_invariant(repro_seed, backend):
     )
     assert min(marks) == max(marks), context
     assert_results_identical(oracle, actual, context)
+
+
+#: Registered at event 0 in the closed-rows tests below, so every
+#: barrier has emitted-but-undrained per-key rows on both sides of it.
+PINNED = (Query("pin", WindowSet([Window(4, 2)]), SUM), "per_key")
+#: Deregistered and re-registered under the same name mid-stream: each
+#: re-registration renames the archive to ``cycle@gN``.
+CYCLED = (Query("cycle", WindowSet([Window(6, 2)]), MIN), "per_key")
+
+
+def make_polls(rng, n_events, barriers, gap=40):
+    """Random ``results()`` / ``drain_results()`` poll points, each at
+    least ``gap`` events (several closed instances of ``PINNED``) away
+    from every barrier — so no barrier ever finds its cores drained."""
+    candidates = [
+        i
+        for i in range(int(0.05 * n_events), int(0.95 * n_events))
+        if all(abs(i - b) >= gap for b in barriers)
+    ]
+    picks = rng.choice(candidates, size=int(rng.integers(3, 8)), replace=False)
+    return {int(i): [bool(rng.integers(0, 2))] for i in picks}
+
+
+def stitch(reads, context):
+    """Fold a sequence of ``results()`` / ``drain_results()`` reads
+    into ``{(query, window): {instance: column}}``.  A barrier shifts
+    *when* a chunk flushes, so two layouts may split the same rows
+    differently across reads — and across an archive rename, hence the
+    ``@gN`` suffix is dropped; what must agree is every cell, and a
+    cell read twice (a non-consuming poll, then a later read) must not
+    change in between."""
+    cells = {}
+    for read in reads:
+        for name, by_window in read.items():
+            for window, emitted in by_window.items():
+                seen = cells.setdefault((name.split("@")[0], window), {})
+                for offset in range(emitted.frontier - emitted.start_instance):
+                    column = emitted.values[:, offset].tobytes()
+                    instance = emitted.start_instance + offset
+                    assert seen.setdefault(instance, column) == column, (
+                        context, name, window, instance
+                    )
+    return cells
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "shm"])
+def test_closed_rows_stay_put_across_barriers_and_polls(repro_seed, backend):
+    """Emitted rows never move (DESIGN.md §12): random move / rebalance
+    / split / merge schedules x random ``results()`` /
+    ``drain_results()`` polls, with undrained rows on both sides of
+    every barrier and a same-name re-registration (``cycle@gN``
+    archives) — every cell ever read is bit-identical to the static
+    1-shard run given the same polls."""
+    rng = np.random.default_rng((repro_seed, 1251))
+    lateness = int(rng.integers(0, 6))
+    batch = integer_stream(
+        ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
+    )
+    events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
+    n = len(events)
+    register_at, deregister_at = make_schedule(rng, n)
+    register_at.setdefault(0, []).append(PINNED)
+    for frac in (0.0, 0.45, 0.7):
+        register_at.setdefault(int(frac * n), []).append(CYCLED)
+    for frac in (0.3, 0.6):
+        deregister_at.setdefault(int(frac * n), []).append("cycle")
+    ops_at, counts = make_elastic_ops(rng, n)
+    # No poll may fall between the second retirement and the
+    # re-registration: a drain there would consume the archive before
+    # it is ever renamed.
+    quiet = list(range(int(0.6 * n), int(0.7 * n) + 1, 20))
+    polls_at = make_polls(rng, n, list(ops_at) + quiet)
+    context = (
+        f"seed={repro_seed} backend={backend} lateness={lateness} "
+        f"ops={counts} polls={polls_at}"
+    )
+
+    def run(num_shards, which, elastic_at):
+        polled = []
+        final, marks = run_sharded(
+            (register_at, deregister_at),
+            events,
+            batch.horizon,
+            num_shards,
+            which,
+            lateness,
+            elastic_at=elastic_at,
+            polls_at=polls_at,
+            polled=polled,
+        )
+        assert min(marks) == max(marks), context
+        reads = polled + [final]
+        assert any("cycle@g" in name for read in reads for name in read), context
+        return stitch(reads, context)
+
+    oracle = run(1, "serial", None)
+    actual = run(int(rng.integers(2, 4)), backend, ops_at)
+    assert oracle == actual, context
 
 
 @pytest.mark.parametrize("backend", ["serial", "process", "shm"])
@@ -668,7 +791,35 @@ CHAOS_MIGRATION_CELLS = [
     # the epoch-end snapshot landed — per-slot replay would resurrect
     # its pre-migration state; the epoch must roll back instead.
     ("kill_mid_op", "absorb_remnant", 0, "process"),
+    # The survivor acked an absorb_remnant carrying the retired shard's
+    # sealed rows, then died before the epoch-end snapshot: rollback
+    # must neither lose those segments nor hand them over twice.
+    ("kill_after_ack", "absorb_remnant", 0, "shm"),
 ]
+
+
+class KillAfterAck(FaultPlan):
+    """Kill ``slot``'s worker at the first control command *after* it
+    acknowledged ``op`` — i.e. with the op applied but not yet covered
+    by any snapshot."""
+
+    def __init__(self, slot, op):
+        super().__init__()
+        self.slot, self.op = slot, op
+        self.acked = self.done = False
+
+    @property
+    def exhausted(self):
+        return self.done
+
+    def take(self, point, slot=0, watermark=None, op=None, tenant=None):
+        if point != "control" or slot != self.slot or self.done:
+            return []
+        if not self.acked:
+            self.acked = op == self.op
+            return []
+        self.done = True
+        return [Fault(kind="kill", slot=slot, op=op)]
 
 
 @pytest.mark.chaos
@@ -682,9 +833,10 @@ def test_migrations_survive_worker_kill_mid_op(
 ):
     """A worker killed mid-migration (on each migration op kind) rolls
     the epoch back, redoes the plan, and still matches the serial
-    oracle bit-for-bit."""
-    from repro.runtime import Fault, FaultPlan
-
+    oracle bit-for-bit — with emitted, never-drained rows on every core
+    at every barrier (``PINNED`` is live from event 0), so a rollback
+    that lost or duplicated a sealed segment would fail the
+    coordinator's coverage check."""
     rng = np.random.default_rng((repro_seed, 1401))
     lateness = int(rng.integers(0, 5))
     batch = integer_stream(
@@ -692,6 +844,7 @@ def test_migrations_survive_worker_kill_mid_op(
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
     schedule = make_schedule(rng, len(events))
+    schedule[0].setdefault(0, []).append(PINNED)
     n = len(events)
     ops_at = {
         int(0.35 * n): [
@@ -702,7 +855,11 @@ def test_migrations_survive_worker_kill_mid_op(
         int(0.55 * n): [lambda s: s.split_shard()],
         int(0.8 * n): [lambda s: s.merge_shard(s.num_shards - 1)],
     }
-    plan = FaultPlan(Fault(kind=kind, slot=slot, op=op))
+    plan = (
+        KillAfterAck(slot, op)
+        if kind == "kill_after_ack"
+        else FaultPlan(Fault(kind=kind, slot=slot, op=op))
+    )
     context = f"seed={repro_seed} {kind} on {op}@{slot} backend={backend}"
 
     oracle, _ = run_sharded(
