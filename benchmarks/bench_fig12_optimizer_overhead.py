@@ -3,7 +3,10 @@
 Paper shape: overhead stays small (well under 100 ms per query even at
 |W| = 20) and grows gently with the window-set size; the covered-by
 search (Algorithm 2) costs more than the partitioned-by search
-(Algorithm 5) because its candidate space is larger.
+(Algorithm 5) because its candidate space is larger.  |W| = 40 is past
+the paper's range: it is the size a live session's shared group
+reaches when four ten-window queries register (DESIGN.md §6), where
+every ``register`` pays this search.
 """
 
 import pytest
@@ -16,7 +19,7 @@ from repro.workloads.generators import RandomGen
 from conftest import BENCH_RUNS
 
 
-@pytest.mark.parametrize("set_size", [5, 10, 15, 20])
+@pytest.mark.parametrize("set_size", [5, 10, 15, 20, 40])
 @pytest.mark.parametrize("tumbling", [True, False], ids=["part", "cov"])
 def test_fig12_optimize_time(benchmark, set_size, tumbling):
     windows = RandomGen().generate(set_size, tumbling=tumbling, seed=101)
@@ -31,12 +34,15 @@ def test_fig12_optimize_time(benchmark, set_size, tumbling):
 def test_fig12_report(benchmark, report_sink):
     points = benchmark.pedantic(
         optimizer_overhead,
-        kwargs=dict(set_sizes=(5, 10, 15, 20), runs=BENCH_RUNS),
+        kwargs=dict(set_sizes=(5, 10, 15, 20, 40), runs=BENCH_RUNS),
         rounds=1,
         iterations=1,
     )
     report_sink("fig12_optimizer_overhead", render_overhead(points))
 
-    # Shape: optimization is cheap in absolute terms (< 1 s everywhere;
-    # the paper reports < 100 ms on a C# implementation).
-    assert all(p.stats.mean < 1.0 for p in points)
+    # The paper's claim, on its own range: under 100 ms per query at
+    # every |W| <= 20.  The |W| = 40 point keeps the looser bound a
+    # session's register can afford.
+    for point in points:
+        set_size = int(point.setup.split("-")[1])
+        assert point.stats.mean < (0.1 if set_size <= 20 else 0.5), point

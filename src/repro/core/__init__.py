@@ -26,6 +26,7 @@ from .factor import (
 )
 from .optimizer import (
     OptimizationResult,
+    SearchStats,
     min_cost_wcg,
     min_cost_wcg_with_factors,
     optimize,
@@ -48,6 +49,7 @@ __all__ = [
     "FactorCandidate",
     "MinCostWCG",
     "OptimizationResult",
+    "SearchStats",
     "WindowCoverageGraph",
     "candidate_pool",
     "exhaustive_min_cost",

@@ -170,6 +170,7 @@ def explain(
             f"[Algorithm 3] with factor windows — total "
             f"{factored.total_cost}"
         )
+        lines.append(f"  search: {result.search_stats}")
         if result.inserted_factors:
             for candidate in result.inserted_factors:
                 kept = candidate.window in factored.factor_windows

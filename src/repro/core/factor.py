@@ -13,6 +13,13 @@ This module implements:
 * Theorem 9 — the comparator for independent tumbling candidates,
 * Algorithm 5 — candidate generation/selection under ``partitioned_by``.
 
+The candidate spaces of Algorithms 2 and 5 and the regression-safe
+benefit gate are plain integer arithmetic on ``(range, slide)`` pairs
+(:func:`candidate_grid`, :func:`price_factor`): the optimizer's search
+prices thousands of grid points per target and allocates a ``Window``
+only for a winner.  The ``Window``-level functions here are wrappers
+over that arithmetic.
+
 All arithmetic is exact (integers / ``fractions.Fraction``); no floats.
 """
 
@@ -22,14 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..windows.coverage import (
     CoverageSemantics,
     covered_by,
     covering_multiplier,
-    partitioned_by,
-    strictly_relates,
 )
 from ..windows.window import VIRTUAL_ROOT, Window
 from .cost import CostModel
@@ -50,9 +55,8 @@ class FactorCandidate:
 def _divisors(value: int) -> tuple[int, ...]:
     """All positive divisors of ``value``, ascending.
 
-    Memoized: the optimizer re-derives divisors of the same gcds for
-    every candidate during factor search (``bench_fig12`` measures the
-    overhead), and divisor sets are tiny and immutable.
+    Memoized: the search asks for the divisors of the same few gcds at
+    every target, and divisor tuples are tiny and immutable.
     """
     small, large = [], []
     d = 1
@@ -105,6 +109,72 @@ def factor_benefit(
 
 
 # ----------------------------------------------------------------------
+# The candidate space in closed form (Theorems 1 and 4)
+# ----------------------------------------------------------------------
+def subset_signature(downstream: Sequence[Window]) -> tuple[int, int]:
+    """``(g, r_min)`` — all a downstream set contributes to its
+    candidate space: ``g = gcd`` of every slide and range, and the
+    smallest range.  Sets with equal signatures have equal spaces."""
+    return (
+        math.gcd(*(w.slide for w in downstream), *(w.range for w in downstream)),
+        min(w.range for w in downstream),
+    )
+
+
+def candidate_grid(
+    target_range: int,
+    target_slide: int,
+    g: int,
+    r_min: int,
+    partitioned: bool,
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """Every ``(sf, ranges)``: an eligible factor slide and, ascending,
+    the factor ranges eligible with it.
+
+    A factor ``W⟨rf, sf⟩`` with ``sf | rf`` sits between the target
+    and a downstream set of signature ``(g, r_min)`` exactly when
+
+    * covered-by (Theorem 1): ``s_target | sf | g``,
+      ``rf ≡ r_target (mod s_target)`` and ``r_target < rf < r_min`` —
+      ``sf`` divides every downstream slide, and every downstream range
+      because ``rf`` is a multiple of it;
+    * partitioned-by (Theorem 4): additionally the target and the
+      factor tumble, so ``r_target | rf | g``.
+
+    Slides ascend, so flattening the grid reproduces the order in which
+    Algorithms 2 and 5 enumerate their candidates.
+    """
+    if partitioned:
+        if target_range != target_slide:
+            return
+        for rf in _divisors(g):
+            if rf % target_range == 0 and target_range < rf < r_min:
+                yield rf, (rf,)
+    elif target_range % target_slide == 0:
+        # s_target | sf | rf, so the congruence only asks s_target | r_target.
+        for sf in _divisors(g):
+            if sf % target_slide == 0:
+                first = (target_range // sf + 1) * sf
+                yield sf, range(first, r_min, sf)
+
+
+def _generate_candidates(
+    target: Window,
+    downstream: Sequence[Window],
+    exclude: Iterable[Window],
+    partitioned: bool,
+) -> list[Window]:
+    if not downstream:
+        return []
+    excluded = {target, *downstream, *exclude}
+    grid = candidate_grid(
+        target.range, target.slide, *subset_signature(downstream), partitioned
+    )
+    candidates = (Window(rf, sf) for sf, ranges in grid for rf in ranges)
+    return [factor for factor in candidates if factor not in excluded]
+
+
+# ----------------------------------------------------------------------
 # Algorithm 2 — "covered by" semantics
 # ----------------------------------------------------------------------
 def generate_candidates_covered(
@@ -115,30 +185,13 @@ def generate_candidates_covered(
     """Candidate factor windows per Algorithm 2, lines 1-11.
 
     Eligible slides ``sf`` divide ``sd = gcd(s1..sK)`` and are multiples
-    of ``s_target``; eligible ranges ``rf <= rmin`` are multiples of
-    ``sf``.  Candidates must satisfy the Figure-9 coverage constraints
-    ``Wf <= W`` and ``Wj <= Wf``, and must not duplicate an existing
-    window (Definition 6).
+    of ``s_target``; eligible ranges ``rf < rmin`` are multiples of
+    ``sf``.  Candidates satisfy the Figure-9 coverage constraints
+    ``Wf <= W`` and ``Wj <= Wf`` by construction
+    (:func:`candidate_grid`), and must not duplicate an existing window
+    (Definition 6).
     """
-    if not downstream:
-        return []
-    excluded = set(exclude) | {target, *downstream}
-    slide_gcd = math.gcd(*(w.slide for w in downstream))
-    r_min = min(w.range for w in downstream)
-    target_slide = target.slide
-    candidates: list[Window] = []
-    for sf in _divisors(slide_gcd):
-        if sf % target_slide != 0:
-            continue
-        for rf in range(sf, r_min + 1, sf):
-            factor = Window(rf, sf)
-            if factor in excluded:
-                continue
-            if not covered_by(factor, target):
-                continue
-            if all(covered_by(w, factor) for w in downstream):
-                candidates.append(factor)
-    return candidates
+    return _generate_candidates(target, downstream, exclude, False)
 
 
 def find_best_factor_covered(
@@ -244,29 +297,12 @@ def generate_candidates_partitioned(
     """Candidate *tumbling* factor windows per Algorithm 5, lines 3-12.
 
     ``rf`` must divide ``rd = gcd(r1..rK)`` and be a multiple of
-    ``r_target``.  Beyond the paper we also verify full partitioned-by
+    ``r_target``.  Beyond the paper we also require full partitioned-by
     coverage of each downstream window (``s_j % rf == 0``), which only
     matters when downstream windows hop — a strict-superset safety
     check (see DESIGN.md §3).
     """
-    if not downstream:
-        return []
-    excluded = set(exclude) | {target, *downstream}
-    range_gcd = math.gcd(*(w.range for w in downstream))
-    if range_gcd == target.range:
-        return []
-    candidates: list[Window] = []
-    for rf in _divisors(range_gcd):
-        if rf % target.range != 0 or rf == target.range:
-            continue
-        factor = Window(rf, rf)
-        if factor in excluded:
-            continue
-        if not partitioned_by(factor, target):
-            continue
-        if all(partitioned_by(w, factor) for w in downstream):
-            candidates.append(factor)
-    return candidates
+    return _generate_candidates(target, downstream, exclude, True)
 
 
 def prune_dependent_candidates(candidates: Sequence[Window]) -> list[Window]:
@@ -331,36 +367,71 @@ def find_best_factor(
     return find_best_factor_covered(target, downstream, period, model, exclude)
 
 
-def direct_downstream(
-    graph_nodes: Sequence[Window],
-    target: Window,
-    semantics: CoverageSemantics,
-) -> list[Window]:
-    """Windows in ``graph_nodes`` that ``target`` can feed directly."""
-    return [
-        w for w in graph_nodes
-        if w is not VIRTUAL_ROOT and strictly_relates(w, target, semantics)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Global benefit — the regression-safe insertion gate (DESIGN.md §3)
 # ----------------------------------------------------------------------
-def current_instance_costs(graph, model: CostModel) -> dict[Window, int]:
-    """Per-window minimum instance cost achievable in ``graph`` now.
-
-    For each node: the cheaper of reading raw events and reading the
-    best in-graph provider (Observation 1 applied to the whole graph).
-    """
-    costs: dict[Window, int] = {}
+def node_rows(
+    graph, period: int, model: CostModel
+) -> list[tuple[int, int, int, int]]:
+    """``(range, slide, n, µ)`` per non-root node of ``graph``, in node
+    order: its recurrence count over ``period`` and the minimum
+    instance cost it can reach in the graph now — the cheaper of
+    reading raw events and reading its best in-graph provider
+    (Observation 1 applied to the whole graph)."""
+    rows = []
     for window in graph.nodes:
         if window is VIRTUAL_ROOT:
             continue
+        r = window.range
         best = model.raw_instance_cost(window)
         for provider in graph.providers_of(window):
-            best = min(best, model.instance_cost(window, provider))
-        costs[window] = best
-    return costs
+            if provider is not VIRTUAL_ROOT:
+                best = min(best, 1 + (r - provider.range) // provider.slide)
+        rows.append((r, window.slide, window.recurrence_count(period), best))
+    return rows
+
+
+def split_by_slide(
+    rows: Sequence[tuple[int, int, int, int]], sf: int, partitioned: bool
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """The slide half of both coverage tests, done once per ``sf``:
+    the ``(range, n, µ)`` of rows whose slide a factor of slide ``sf``
+    divides (its possible readers) and the ``(range, slide)`` of rows
+    whose slide divides ``sf`` (its possible providers — tumbling ones
+    only under partitioned-by)."""
+    readers = [(r, n, mu) for r, s, n, mu in rows if s % sf == 0]
+    sources = [
+        (r, s) for r, s, _, _ in rows
+        if sf % s == 0 and (r == s or not partitioned)
+    ]
+    return readers, sources
+
+
+def price_factor(
+    rf: int,
+    sf: int,
+    readers: Sequence[tuple[int, int, int]],
+    sources: Sequence[tuple[int, int]],
+    event_rate: int,
+    period: int,
+) -> int:
+    """Total-cost change of inserting ``W⟨rf, sf⟩``: what every reader
+    saves against its current best instance cost, minus the cost of
+    computing the factor from its own best provider (from raw events
+    when none covers it).  ``readers`` / ``sources`` come from
+    :func:`split_by_slide`; ``sf`` must divide ``period − rf``.
+    """
+    gain = 0
+    for r, n, mu in readers:
+        if r > rf and (r - rf) % sf == 0:
+            multiplier = 1 + (r - rf) // sf
+            if multiplier < mu:
+                gain += n * (mu - multiplier)
+    read = event_rate * rf
+    for r, s in sources:
+        if r < rf and (rf - r) % s == 0:
+            read = min(read, 1 + (rf - r) // s)
+    return gain - (1 + (period - rf) // sf) * read
 
 
 def global_factor_benefit(
@@ -379,25 +450,15 @@ def global_factor_benefit(
     positive value guarantees Algorithm 1 over the expanded graph
     strictly improves.
     """
-    semantics = graph.semantics
-    current = current_instance_costs(graph, model)
-    gain = 0
-    for window in graph.nodes:
-        if window is VIRTUAL_ROOT or window == factor:
-            continue
-        if strictly_relates(window, factor, semantics):
-            multiplier = covering_multiplier(window, factor)
-            if multiplier < current[window]:
-                gain += window.recurrence_count(period) * (
-                    current[window] - multiplier
-                )
-    factor_read = model.raw_instance_cost(factor)
-    for provider in graph.nodes:
-        if provider is VIRTUAL_ROOT or provider == factor:
-            continue
-        if strictly_relates(factor, provider, semantics):
-            factor_read = min(
-                factor_read, covering_multiplier(factor, provider)
-            )
-    factor_cost = factor.recurrence_count(period) * factor_read
-    return gain - factor_cost
+    factor.recurrence_count(period)  # raises unless sf | (period - rf)
+    partitioned = graph.semantics is CoverageSemantics.PARTITIONED_BY
+    rows = [
+        row for row in node_rows(graph, period, model)
+        if row[:2] != (factor.range, factor.slide)
+    ]
+    readers, sources = split_by_slide(rows, factor.slide, partitioned)
+    if partitioned and not factor.is_tumbling:
+        readers = []  # only a tumbling window partitions others (Theorem 4)
+    return price_factor(
+        factor.range, factor.slide, readers, sources, model.event_rate, period
+    )

@@ -8,23 +8,47 @@ costs, timings, and predicted speedups.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from ..aggregates.base import AggregateFunction
 from ..errors import CostModelError
 from ..windows.coverage import CoverageSemantics
-from ..windows.window import VIRTUAL_ROOT, Window, WindowSet
+from ..windows.window import Window, WindowSet
 from .cost import CostModel, MinCostWCG, minimize_cost, prune_useless_factors
 from .factor import (
     FactorCandidate,
-    direct_downstream,
-    generate_candidates_covered,
-    generate_candidates_partitioned,
-    global_factor_benefit,
+    candidate_grid,
+    node_rows,
+    price_factor,
+    split_by_slide,
+    subset_signature,
 )
 from .wcg import WindowCoverageGraph
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """Exact work counters of one Algorithm-3 search — they depend on
+    the window set alone, so tests gate the search's scaling on them
+    instead of on a clock."""
+
+    #: Nodes with downstream windows, each searched for one factor.
+    targets: int
+    #: Downstream sets whose candidate space was generated, after sets
+    #: with an equal ``(gcd, r_min)`` signature were merged.
+    subsets: int
+    #: Distinct candidate ``(range, slide)`` pairs priced.
+    candidates: int
+
+    def __str__(self) -> str:
+        return (
+            f"{self.targets} targets, {self.subsets} candidate spaces, "
+            f"{self.candidates} candidates priced"
+        )
 
 
 @dataclass
@@ -43,6 +67,9 @@ class OptimizationResult:
         is ``None`` when factor search was disabled or not applicable.
     inserted_factors:
         Factor windows Algorithm 3 inserted (before pruning).
+    search_stats:
+        Work counters of the factor search (``None`` when it did not
+        run).
     optimize_seconds:
         Wall-clock optimizer time (the paper's Figure 12 metric).
     """
@@ -55,6 +82,7 @@ class OptimizationResult:
     without_factors: "MinCostWCG | None" = None
     with_factors: "MinCostWCG | None" = None
     inserted_factors: tuple[FactorCandidate, ...] = field(default_factory=tuple)
+    search_stats: "SearchStats | None" = None
     optimize_seconds: float = 0.0
 
     @property
@@ -98,8 +126,26 @@ class OptimizationResult:
                 f"w/ factor windows  : {self.with_factors.total_cost}"
                 f" (factors: {factors})"
             )
+        if self.search_stats is not None:
+            lines.append(f"factor search      : {self.search_stats}")
         lines.append(f"predicted speedup  : {self.predicted_speedup:.2f}x")
         return "\n".join(lines)
+
+
+def _as_window_set(windows: "WindowSet | Iterable[Window]") -> WindowSet:
+    return windows if isinstance(windows, WindowSet) else WindowSet(list(windows))
+
+
+def _coverage_graph(
+    windows: "WindowSet | Iterable[Window]",
+    semantics: CoverageSemantics,
+    model: CostModel,
+) -> tuple[WindowCoverageGraph, int]:
+    """The augmented WCG of a validated window set, and its hyper-period."""
+    window_set = _as_window_set(windows)
+    window_set.validate_for_cost_model()
+    graph = WindowCoverageGraph.build(window_set, semantics)
+    return graph, model.hyper_period(window_set)
 
 
 def min_cost_wcg(
@@ -109,10 +155,74 @@ def min_cost_wcg(
 ) -> MinCostWCG:
     """Algorithm 1: min-cost WCG without factor windows."""
     model = model or CostModel()
-    window_set = windows if isinstance(windows, WindowSet) else WindowSet(list(windows))
-    window_set.validate_for_cost_model()
-    graph = WindowCoverageGraph.build(window_set, semantics)
-    return minimize_cost(graph, model)
+    graph, period = _coverage_graph(windows, semantics, model)
+    return minimize_cost(graph, model, period=period)
+
+
+def insert_factor_windows(
+    graph: WindowCoverageGraph, model: CostModel, period: int
+) -> tuple[tuple[FactorCandidate, ...], SearchStats]:
+    """The search of Algorithm 3: visit every node of ``graph`` that
+    has downstream windows and insert its best factor window, if any
+    has positive benefit.  Mutates ``graph``.
+
+    The search runs on integers.  A downstream set contributes only
+    its ``(gcd, r_min)`` signature, so the direct consumers and every
+    pair of strict descendants collapse to a few distinct candidate
+    spaces (:func:`~repro.core.factor.candidate_grid`); each distinct
+    ``(rf, sf)`` in them is priced once against the nodes' current
+    best instance costs (:func:`~repro.core.factor.price_factor`),
+    which change only when a factor is inserted.  Spaces and
+    candidates are visited in the order Algorithms 2/5 enumerate them
+    and a candidate replaces the incumbent only on a strictly larger
+    benefit, so among equal benefits the first enumerated wins.
+    """
+    partitioned = graph.semantics is CoverageSemantics.PARTITIONED_BY
+    rows = node_rows(graph, period, model)
+    inserted: list[FactorCandidate] = []
+    targets = subsets = candidates = 0
+    for target in graph.nodes:
+        downstream = graph.consumers_of(target)
+        if not downstream:
+            continue
+        r_t, s_t = target.range, target.slide
+        # Strict descendants under either semantics: a target with
+        # consumers tumbles when the graph is partitioned-by.
+        descendants = [
+            (math.gcd(r, s), r) for r, s, _, _ in rows
+            if r > r_t and s % s_t == 0 and (r - r_t) % s_t == 0
+        ]
+        # Distinct candidate spaces, in first-seen order.
+        signatures = {subset_signature(downstream): None}
+        for (g_i, r_i), (g_j, r_j) in combinations(descendants, 2):
+            signatures[math.gcd(g_i, g_j), min(r_i, r_j)] = None
+        # A factor window may not duplicate a node (Definition 6).
+        seen = {(r, s) for r, s, _, _ in rows}
+        splits: dict[int, tuple[list, list]] = {}
+        best_benefit, best_pair = 0, None
+        for g, r_min in signatures:
+            for sf, ranges in candidate_grid(r_t, s_t, g, r_min, partitioned):
+                if sf not in splits:
+                    splits[sf] = split_by_slide(rows, sf, partitioned)
+                readers, sources = splits[sf]
+                for rf in ranges:
+                    if (rf, sf) in seen:
+                        continue
+                    seen.add((rf, sf))
+                    benefit = price_factor(
+                        rf, sf, readers, sources, model.event_rate, period
+                    )
+                    if benefit > best_benefit:
+                        best_benefit, best_pair = benefit, (rf, sf)
+        targets += 1
+        subsets += len(signatures)
+        candidates += len(seen) - len(rows)
+        if best_pair is not None:
+            factor = Window(*best_pair)
+            graph.insert_factor(factor)
+            inserted.append(FactorCandidate(factor, best_benefit))
+            rows = node_rows(graph, period, model)
+    return tuple(inserted), SearchStats(targets, subsets, candidates)
 
 
 def min_cost_wcg_with_factors(
@@ -129,8 +239,8 @@ def min_cost_wcg_with_factors(
     nothing reads from.
 
     Deviations from the paper (see DESIGN.md §3): candidates are priced
-    with :func:`~repro.core.factor.global_factor_benefit` — the exact
-    total-cost delta against the windows' current best providers —
+    with the exact total-cost delta against the windows' current best
+    providers (:func:`~repro.core.factor.global_factor_benefit`)
     instead of Equation 2's read-from-target assumption.  The paper's
     formula can over-estimate savings and insert a factor that makes
     the final plan *worse*; the global gate makes improvement over
@@ -148,43 +258,10 @@ def min_cost_wcg_with_factors(
     factors; the exact benefit gate keeps insertion regression-safe.
     """
     model = model or CostModel()
-    window_set = windows if isinstance(windows, WindowSet) else WindowSet(list(windows))
-    window_set.validate_for_cost_model()
-    period = model.hyper_period(window_set)
-    graph = WindowCoverageGraph.build(window_set, semantics)
-    inserted: list[FactorCandidate] = []
-
-    generate = (
-        generate_candidates_partitioned
-        if semantics is CoverageSemantics.PARTITIONED_BY
-        else generate_candidates_covered
-    )
-    for target in list(graph.nodes):
-        downstream = list(graph.consumers_of(target))
-        if not downstream:
-            continue
-        descendants = direct_downstream(graph.nodes, target, semantics)
-        subsets: list[list[Window]] = [downstream]
-        for i in range(len(descendants)):
-            for j in range(i + 1, len(descendants)):
-                subsets.append([descendants[i], descendants[j]])
-        best: FactorCandidate | None = None
-        seen: set[Window] = set()
-        for subset in subsets:
-            for window in generate(target, subset, exclude=graph.nodes):
-                if window in seen:
-                    continue
-                seen.add(window)
-                benefit = global_factor_benefit(graph, window, period, model)
-                if benefit > 0 and (best is None or benefit > best.benefit):
-                    best = FactorCandidate(window, benefit)
-        if best is not None and not graph.has_node(best.window):
-            graph.insert_factor(best.window)
-            inserted.append(best)
-
-    result = minimize_cost(graph, model, period=period)
-    result = prune_useless_factors(result)
-    return result, tuple(inserted)
+    graph, period = _coverage_graph(windows, semantics, model)
+    inserted, _ = insert_factor_windows(graph, model, period)
+    result = prune_useless_factors(minimize_cost(graph, model, period=period))
+    return result, inserted
 
 
 def optimize(
@@ -207,7 +284,7 @@ def optimize(
     (Theorem 6).  The paper's evaluation uses this to run MIN under
     both semantics (Section V-B).
     """
-    window_set = windows if isinstance(windows, WindowSet) else WindowSet(list(windows))
+    window_set = _as_window_set(windows)
     if len(window_set) == 0:
         raise CostModelError("cannot optimize an empty window set")
     model = CostModel(event_rate=event_rate)
@@ -241,10 +318,16 @@ def optimize(
         result.optimize_seconds = time.perf_counter() - started
         return result
 
-    result.without_factors = min_cost_wcg(window_set, semantics, model)
+    # One coverage graph serves both algorithms: Algorithm 1 prices it
+    # as built, the factor search then grows it in place.
+    graph, period = _coverage_graph(window_set, semantics, model)
+    result.without_factors = minimize_cost(graph, model, period=period)
     if enable_factor_windows:
-        result.with_factors, result.inserted_factors = (
-            min_cost_wcg_with_factors(window_set, semantics, model)
+        result.inserted_factors, result.search_stats = insert_factor_windows(
+            graph, model, period
+        )
+        result.with_factors = prune_useless_factors(
+            minimize_cost(graph, model, period=period)
         )
     result.optimize_seconds = time.perf_counter() - started
     return result

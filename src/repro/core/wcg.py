@@ -12,12 +12,31 @@ and its cost is never charged to a plan (see DESIGN.md §3).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import InvalidWindowError
 from ..windows.coverage import CoverageSemantics, strictly_relates
 from ..windows.window import VIRTUAL_ROOT, Window, WindowSet
+
+
+def _position(neighbours: list[Window], window: Window) -> tuple[int, bool]:
+    """Where ``window`` sits (or belongs) in a sorted adjacency list."""
+    index = bisect_left(neighbours, window)
+    return index, index < len(neighbours) and neighbours[index] == window
+
+
+def _link(neighbours: list[Window], window: Window) -> None:
+    index, present = _position(neighbours, window)
+    if not present:
+        neighbours.insert(index, window)
+
+
+def _unlink(neighbours: list[Window], window: Window) -> None:
+    index, present = _position(neighbours, window)
+    if present:
+        del neighbours[index]
 
 
 @dataclass
@@ -30,15 +49,17 @@ class WindowCoverageGraph:
         Which coverage relation edges encode.
     _consumers / _providers:
         Forward and reverse adjacency (provider → consumers and
-        consumer → providers).
+        consumer → providers), each list kept sorted by
+        ``(range, slide)`` so the deterministic traversals every
+        algorithm relies on never sort.
     _factors:
         The subset of nodes that are factor windows (Definition 6) —
         auxiliary windows whose results are not exposed to the user.
     """
 
     semantics: CoverageSemantics
-    _consumers: dict[Window, set[Window]] = field(default_factory=dict)
-    _providers: dict[Window, set[Window]] = field(default_factory=dict)
+    _consumers: dict[Window, list[Window]] = field(default_factory=dict)
+    _providers: dict[Window, list[Window]] = field(default_factory=dict)
     _factors: set[Window] = field(default_factory=set)
     _order: list[Window] = field(default_factory=list)
 
@@ -73,8 +94,8 @@ class WindowCoverageGraph:
         """Add a node without edges; duplicates are rejected."""
         if window in self._consumers:
             raise InvalidWindowError(f"{window} already in WCG")
-        self._consumers[window] = set()
-        self._providers[window] = set()
+        self._consumers[window] = []
+        self._providers[window] = []
         self._order.append(window)
         if is_factor:
             self._factors.add(window)
@@ -83,24 +104,26 @@ class WindowCoverageGraph:
         """Add edge ``(provider, consumer)``; both nodes must exist."""
         if provider not in self._consumers or consumer not in self._consumers:
             raise InvalidWindowError("edge endpoints must be WCG nodes")
-        self._consumers[provider].add(consumer)
-        self._providers[consumer].add(provider)
+        _link(self._consumers[provider], consumer)
+        _link(self._providers[consumer], provider)
 
     def remove_edge(self, provider: Window, consumer: Window) -> None:
-        self._consumers[provider].discard(consumer)
-        self._providers[consumer].discard(provider)
+        _unlink(self._consumers[provider], consumer)
+        _unlink(self._providers[consumer], provider)
 
     def _rebuild_edges(self) -> None:
         """Recompute all coverage edges among current nodes."""
         for window in self._order:
             self._consumers[window].clear()
             self._providers[window].clear()
-        for consumer in self._order:
-            for provider in self._order:
-                if consumer is VIRTUAL_ROOT or provider is VIRTUAL_ROOT:
-                    continue
+        # Visiting both ends in sorted order appends every adjacency
+        # list already sorted.
+        ordered = sorted(w for w in self._order if w is not VIRTUAL_ROOT)
+        for consumer in ordered:
+            for provider in ordered:
                 if strictly_relates(consumer, provider, self.semantics):
-                    self.add_edge(provider, consumer)
+                    self._consumers[provider].append(consumer)
+                    self._providers[consumer].append(provider)
 
     def augment(self) -> None:
         """Add the virtual root ``S⟨1,1⟩`` (Section IV-A).
@@ -173,7 +196,7 @@ class WindowCoverageGraph:
         """All edges as ``(provider, consumer)`` pairs, deterministic."""
         result = []
         for provider in self._order:
-            for consumer in sorted(self._consumers[provider]):
+            for consumer in self._consumers[provider]:
                 result.append((provider, consumer))
         return tuple(result)
 
@@ -184,15 +207,15 @@ class WindowCoverageGraph:
         return window in self._consumers
 
     def has_edge(self, provider: Window, consumer: Window) -> bool:
-        return consumer in self._consumers.get(provider, ())
+        return _position(self._consumers.get(provider, []), consumer)[1]
 
     def consumers_of(self, window: Window) -> tuple[Window, ...]:
         """Downstream windows of ``window`` (its out-neighbours)."""
-        return tuple(sorted(self._consumers[window]))
+        return tuple(self._consumers[window])
 
     def providers_of(self, window: Window) -> tuple[Window, ...]:
         """Windows that can feed ``window`` (its in-neighbours)."""
-        return tuple(sorted(self._providers[window]))
+        return tuple(self._providers[window])
 
     def out_degree(self, window: Window) -> int:
         return len(self._consumers[window])
@@ -208,8 +231,8 @@ class WindowCoverageGraph:
         clone = WindowCoverageGraph(semantics=self.semantics)
         clone._order = list(self._order)
         clone._factors = set(self._factors)
-        clone._consumers = {w: set(c) for w, c in self._consumers.items()}
-        clone._providers = {w: set(p) for w, p in self._providers.items()}
+        clone._consumers = {w: list(c) for w, c in self._consumers.items()}
+        clone._providers = {w: list(p) for w, p in self._providers.items()}
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

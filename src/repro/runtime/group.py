@@ -69,6 +69,16 @@ class GroupRuntime:
         """
         core = self.core
         old_gen = self.ops
+        # A dropped window's operator may still be draining for an old
+        # consumer when the window comes back.  It is then the
+        # predecessor its replacement takes over from, like any
+        # displaced operator — left dropped, it and the replacement
+        # would both feed the window's new, uncapped consumers.
+        dropped = {
+            op.window: op
+            for op in self.draining
+            if getattr(op, "_dropped", False)
+        }
         new_ops: dict[Window, _ChunkedOperator] = {}
         adopted: set[Window] = set()
         for node in plan.topological_window_order():
@@ -95,6 +105,8 @@ class GroupRuntime:
             if compatible:
                 start = old.start_instance
             else:
+                if old is None:
+                    old = dropped.get(window)
                 if provider is None:
                     # Raw readers: first instance starting at/after the
                     # switch watermark — all of its events are still in
@@ -140,6 +152,11 @@ class GroupRuntime:
                 old._dropped = True
             if replacement is None or not old.drained:
                 fresh_draining.append(old)
+        for window, old in dropped.items():
+            replacement = new_ops.get(window)
+            if replacement is not None:
+                old._dropped = False
+                old.cap_instances(replacement.start_instance)
         self.draining = [
             op for op in self.draining if not op.drained
         ] + fresh_draining
@@ -172,8 +189,15 @@ class GroupRuntime:
                     f"{op.window} reads from {provider}, which has no "
                     "live operator"
                 )
+            # A capped consumer is not wired to a generation that
+            # starts past its last covering set: after a dropped window
+            # comes back, the instances between the old operator's cap
+            # and the fresh start belong to nobody, and a block from
+            # beyond that gap would not be contiguous.
+            needed = _needed_from_provider(op)
             for source in sources:
-                source.consumers.append(op)
+                if needed is None or source.start_instance < needed:
+                    source.consumers.append(op)
         self.advance_order = _toposort(live, by_window)
         # Dropped providers stay only as long as a draining consumer
         # still needs their instances; reverse topological order
@@ -187,11 +211,7 @@ class GroupRuntime:
                             f"uncapped operator {consumer.window} reads "
                             f"from dropped window {op.window}"
                         )
-                    needed = max(
-                        needed,
-                        (consumer.num_instances - 1) * consumer.stride
-                        + consumer.multiplier,
-                    )
+                    needed = max(needed, _needed_from_provider(consumer))
                 op.cap_instances(needed)
         self.absorbers = [
             op
@@ -237,6 +257,15 @@ class GroupRuntime:
         if not self.advance_order:
             return 0
         return max(op.max_retained for op in self.advance_order)
+
+
+def _needed_from_provider(op: _ChunkedSubAggOperator) -> "int | None":
+    """Exclusive bound of the provider instances a sub-aggregate reader
+    still consumes: the end of its last owned instance's covering set,
+    ``None`` while it runs uncapped."""
+    if op.num_instances is None:
+        return None
+    return (op.num_instances - 1) * op.stride + op.multiplier
 
 
 def _toposort(

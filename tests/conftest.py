@@ -134,3 +134,27 @@ def example6_windows() -> WindowSet:
     return WindowSet(
         [Window(10, 10), Window(20, 20), Window(30, 30), Window(40, 40)]
     )
+
+
+@pytest.fixture
+def ledger_window_sets() -> "dict[str, WindowSet]":
+    """The four window sets of the ledger's ``plan_batch`` workload
+    (RandomGen / SequentialGen, |W| = 10, shape seed 7).  Together they
+    hold 39 distinct windows — W(80, 80) is in two of them — which is
+    the group a session sharing all four queries plans."""
+    pairs = {
+        "random_tumbling": [
+            (8, 8), (35, 35), (80, 80), (84, 84), (92, 92), (150, 150),
+            (240, 240), (260, 260), (300, 300), (350, 350),
+        ],
+        "random_hopping": [
+            (180, 90), (240, 120), (370, 185), (420, 210), (500, 250),
+            (600, 300), (720, 360), (1000, 500), (1040, 520), (1640, 820),
+        ],
+        "sequential_tumbling": [(m * 10, m * 10) for m in range(2, 12)],
+        "sequential_hopping": [(m * 10, m * 5) for m in range(2, 12)],
+    }
+    return {
+        name: WindowSet([Window(r, s) for r, s in windows])
+        for name, windows in pairs.items()
+    }

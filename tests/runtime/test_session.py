@@ -40,6 +40,11 @@ def assert_session_matches(session_results, cold, queries, horizon):
             np.testing.assert_array_equal(emitted.values, segment)
 
 
+LEDGER_SET_NAMES = (
+    "random_hopping", "random_tumbling",
+    "sequential_hopping", "sequential_tumbling",
+)
+
 QA = Query("a", WindowSet([Window(20, 10), Window(40, 20)]), MIN)
 QB = Query("b", WindowSet([Window(30, 10)]), MIN)
 QC = Query("c", WindowSet([Window(24, 12)]), SUM)
@@ -245,6 +250,76 @@ class TestPlanSwitching:
         assert emitted.frontier > emitted.start_instance > 0
         switch = session.switches[-1]
         assert switch.adopted >= 3 and switch.fresh == 0
+
+    @pytest.mark.parametrize("windows_a, windows_b, gap", [
+        ([(8, 4), (16, 8)], [(6, 2)], 0),
+        ([(12, 6), (18, 6)], [(2, 2), (8, 2)], 3),
+    ])
+    def test_reregistering_a_window_whose_dropped_operator_still_drains(
+        self, windows_a, windows_b, gap
+    ):
+        """``a`` reads from a window of ``b``.  Deregistering ``b``
+        leaves that window's operator draining for ``a``'s displaced
+        reader; when ``b`` comes back at once, the operator must hand
+        over to its fresh twin like any displaced predecessor — it used
+        to stay dropped beside it, both became sources of ``a``'s new
+        uncapped reader, and ``_rewire`` raised.  A few ticks later the
+        old operator's cap and the fresh start leave a gap, which the
+        displaced reader must not be fed across."""
+        stream = integer_stream(ticks=400, rate=1, num_keys=2, seed=3)
+        qa = Query("a", WindowSet([Window(*w) for w in windows_a]), MIN)
+        qb = Query("b", WindowSet([Window(*w) for w in windows_b]), MIN)
+        cold = cold_reference([qa, qb], stream)
+        session = QuerySession(num_keys=2, hysteresis=None)
+        session.register(qa)
+        session.register(qb)
+        rows = list(stream.rows())
+        for ts, key, value in rows[:101]:
+            session.push(ts, key, value)
+        session.deregister("b")
+        for ts, key, value in rows[101 : 101 + gap]:
+            session.push(ts, key, value)
+        session.register(qb)
+        for ts, key, value in rows[101 + gap :]:
+            session.push(ts, key, value)
+        results = session.finish(horizon=stream.horizon)
+        assert_session_matches(results, cold, [qa, qb], stream.horizon)
+        archived = results[f"b@g{session.switches[-2].generation}"]
+        for window in qb.windows:
+            old, new = archived[window], results["b"][window]
+            assert old.start_instance == 0
+            assert old.frontier <= new.start_instance
+            np.testing.assert_array_equal(
+                old.values, cold[("b", window)][:, : old.frontier]
+            )
+        for runtime in session._groups.values():
+            assert runtime.draining == []
+
+    @pytest.mark.parametrize("bounced", LEDGER_SET_NAMES)
+    def test_bouncing_one_of_the_four_paper_sets(
+        self, bounced, ledger_window_sets
+    ):
+        """The same bounce inside the 39-window group the four ledger
+        window sets share."""
+        stream = integer_stream(ticks=5000, rate=1, num_keys=2, seed=5)
+        queries = {
+            name: Query(name, windows, MIN)
+            for name, windows in ledger_window_sets.items()
+        }
+        cold = cold_reference(queries.values(), stream)
+        session = QuerySession(num_keys=2, hysteresis=None)
+        for query in queries.values():
+            session.register(query)
+        rows = list(stream.rows())
+        session.push_many(rows[:2000])
+        session.deregister(bounced)
+        session.register(queries[bounced])
+        for lo in range(2000, len(rows), 500):
+            session.push_many(rows[lo : lo + 500])
+        results = session.finish(horizon=stream.horizon)
+        assert_session_matches(
+            results, cold, queries.values(), stream.horizon
+        )
 
     def test_hysteresis_suppresses_switches_on_stable_rate(self):
         stream = integer_stream(ticks=1200, rate=4, num_keys=1, seed=8)

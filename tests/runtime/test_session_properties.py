@@ -163,3 +163,64 @@ def test_randomized_schedules_are_observationally_invisible(schedule):
             plan, batch, engine="streaming-chunked"
         ).stats.total_physical
     assert session.stats().total_physical <= 2 * envelope + 5000
+
+
+bounce_windows = st.lists(
+    st.builds(
+        lambda s, k: Window(k * s, s), st.integers(1, 6), st.integers(1, 4)
+    ),
+    min_size=1, max_size=3, unique=True,
+).map(WindowSet)
+
+
+@given(
+    window_sets=st.lists(bounce_windows, min_size=3, max_size=3),
+    aggregate=st.sampled_from([MIN, SUM]),
+    bounces=st.lists(
+        st.tuples(
+            st.integers(20, 250), st.integers(0, 2), st.integers(0, 12)
+        ),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 100),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounced_queries_are_observationally_invisible(
+    window_sets, aggregate, bounces, seed
+):
+    """Deregister a query and register it again ``gap`` ticks later,
+    while its windows' dropped operators may still be draining for the
+    other queries' displaced readers (they share one group): every
+    emitted segment, archived or live, matches the cold run."""
+    queries = [
+        Query(name, windows, aggregate)
+        for name, windows in zip("abc", window_sets)
+    ]
+    batch = integer_stream(ticks=300, rate=1, num_keys=2, seed=seed)
+    cold = cold_reference(queries, batch)
+    session = QuerySession(num_keys=2, hysteresis=None)
+    for query in queries:
+        session.register(query)
+    rows = list(batch.rows())
+    pushed = 0
+    for at, which, gap in sorted(bounces):
+        at = max(at, pushed)
+        session.push_many(rows[pushed:at])
+        session.deregister(queries[which].name)
+        session.push_many(rows[at : at + gap])
+        session.register(queries[which])
+        pushed = at + gap
+    session.push_many(rows[pushed:])
+    results = session.finish(horizon=batch.horizon)
+    for name, per_window in results.items():
+        live = "@g" not in name
+        for window, emitted in per_window.items():
+            reference = cold[(name.split("@")[0], window)]
+            if live:
+                assert emitted.frontier == reference.shape[1], (name, window)
+            np.testing.assert_array_equal(
+                emitted.values,
+                reference[:, emitted.start_instance:emitted.frontier],
+            )
+    for runtime in session._groups.values():
+        assert runtime.draining == []
