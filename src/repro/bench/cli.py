@@ -159,7 +159,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from ..runtime import QuerySession, ShardedSession
+    from ..runtime import open_session
     from ..workloads.streams import constant_rate_stream
 
     # Tri-state so scenario mode can tell "not given" from a real
@@ -223,35 +223,26 @@ def _cmd_session(args: argparse.Namespace) -> int:
             f"checkpointing every {args.checkpoint_every:,} watermark "
             f"ticks to {args.checkpoint_dir}/"
         )
+    session = open_session(
+        num_shards=args.shards,
+        backend=args.shard_backend,
+        num_slots=args.slots,
+        num_keys=args.keys,
+        max_lateness=args.lateness,
+        hysteresis=None if args.no_adapt else args.hysteresis,
+        async_ingest=args.async_ingest,
+        **auto_kwargs,
+    )
     if args.shards > 1:
-        if args.slots is not None:
-            auto_kwargs["num_slots"] = args.slots
-        session = ShardedSession(
-            num_keys=args.keys,
-            num_shards=args.shards,
-            backend=args.shard_backend,
-            max_lateness=args.lateness,
-            hysteresis=None if args.no_adapt else args.hysteresis,
-            async_ingest=args.async_ingest,
-            **auto_kwargs,
-        )
         print(
             f"sharded session: x{args.shards} key-hash shards over "
             f"{session.num_slots} slots ({args.shard_backend} backend"
             f"{', async ingest' if args.async_ingest else ''})"
         )
-    else:
-        session = QuerySession(
-            num_keys=args.keys,
-            max_lateness=args.lateness,
-            hysteresis=None if args.no_adapt else args.hysteresis,
-            async_ingest=args.async_ingest,
-            **auto_kwargs,
-        )
-        if args.async_ingest:
-            print("async ingest: bounded-queue front door enabled")
+    elif args.async_ingest:
+        print("async ingest: bounded-queue front door enabled")
     rebalance_every = args.rebalance_every if args.shards > 1 else 0
-    try:
+    with session:  # on any exit: stop pump / workers, unlink rings
         for i, (ts, key, value) in enumerate(rows):
             if i in points:
                 name = session.register(points[i])
@@ -265,14 +256,9 @@ def _cmd_session(args: argparse.Namespace) -> int:
                         f"{moved} slot(s) migrated"
                     )
         results = session.finish(horizon=stream.horizon)
-    except BaseException:
-        session.close()  # stop pump threads / workers, unlink rings
-        raise
-
-    _print_session_report(session, results, args.async_ingest)
-    if args.shards > 1:
-        _print_slot_map(session)
-    session.close()
+        _print_session_report(session, results, args.async_ingest)
+        if args.shards > 1:
+            _print_slot_map(session)
     return 0
 
 
@@ -369,8 +355,6 @@ def _print_slot_map(session) -> None:
     """The final slot->shard layout, run-length compressed, plus the
     decayed per-shard load the layout ended at (DESIGN.md §12)."""
     slot_map = session.slot_map
-    if slot_map is None:
-        return
     runs = []
     start = 0
     for i in range(1, len(slot_map) + 1):
@@ -426,12 +410,7 @@ def _print_session_report(session, results, async_ingest: bool) -> None:
 def _cmd_restore(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from ..runtime import (
-        QuerySession,
-        ShardedSession,
-        latest_checkpoint,
-        read_checkpoint,
-    )
+    from ..runtime import latest_checkpoint, read_checkpoint, restore_session
     from ..workloads.streams import constant_rate_stream
 
     target = Path(args.checkpoint)
@@ -449,14 +428,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if snap.kind == "sharded":
-        session = ShardedSession.restore(
-            snap,
-            backend=args.shard_backend,
-            async_ingest=args.async_ingest,
-        )
-    else:
-        session = QuerySession.restore(snap, async_ingest=args.async_ingest)
+    session = restore_session(
+        snap, backend=args.shard_backend, async_ingest=args.async_ingest
+    )
     spec = meta["stream"]
     events = args.events if args.events is not None else spec["events"]
     stream = constant_rate_stream(
@@ -481,7 +455,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         f"(watermark {snap.watermark:,}, stream position {position:,}, "
         f"{len(rows) - position:,} events to go)"
     )
-    try:
+    with session:
         for i in range(position, len(rows)):
             if i in pending:
                 name = session.register(pending[i])
@@ -489,12 +463,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             ts, key, value = rows[i]
             session.push(ts, key, value)
         results = session.finish(horizon=stream.horizon)
-    except BaseException:
-        session.close()
-        raise
-
-    _print_session_report(session, results, args.async_ingest)
-    session.close()
+        _print_session_report(session, results, args.async_ingest)
     return 0
 
 

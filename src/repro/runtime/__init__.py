@@ -14,6 +14,12 @@ and the out-of-order front door — into long-lived session objects:
   backend contract) and a partial-merge coordinator (DESIGN.md §7,
   invariant 10).
 
+:func:`open_session` / :func:`restore_session` pick between the two
+(one shard → ``QuerySession``, more → ``ShardedSession``) and are what
+the service, the scenario runner and the CLI call.  Both classes are
+one life-cycle — :class:`~repro.runtime.ingest.SessionFrontDoor` — with
+two sets of hooks (DESIGN.md §8).
+
 Both sessions take ``async_ingest=True`` to put a bounded queue and a
 background pump thread in front of ingestion — pushes return without
 waiting for flushes, backpressure instead of loss (DESIGN.md §8,
@@ -50,6 +56,7 @@ from .results import (
     WindowResults,
     finalize_partials,
 )
+from .entry import has_workers, open_session, restore_session
 from .ingest import DEFAULT_INGEST_HIGH_WATERMARK, IngestStats
 from .session import QuerySession
 from .sharding import (
@@ -84,7 +91,10 @@ __all__ = [
     "Snapshot",
     "WindowResults",
     "finalize_partials",
+    "has_workers",
     "latest_checkpoint",
+    "open_session",
     "read_checkpoint",
+    "restore_session",
     "write_checkpoint",
 ]

@@ -15,32 +15,31 @@ emits exactly what the uninterrupted session would have
 (``tests/runtime/test_checkpoint.py`` holds this as a property across
 every backend × ingest combination).
 
-This module owns the *format*, not the capture: sessions assemble
-their own payloads (:meth:`~repro.runtime.QuerySession.snapshot`,
-:meth:`~repro.runtime.sharding.ShardedSession.snapshot`) and hand them
-to :func:`write_checkpoint`.  On disk a checkpoint is::
+This module owns the *format*, not the capture: the session front
+door assembles the payload
+(:meth:`~repro.runtime.ingest.SessionFrontDoor.snapshot`, one framing
+for both session classes) and hands it to :func:`write_checkpoint`.
+On disk a checkpoint is::
 
     magic (6) | version (u16 LE) | sha256(body) (32) | body (pickle)
 
-written atomically (temp file + ``os.replace``) so a crash mid-write
-can never leave a truncated file that :func:`read_checkpoint` would
-trust — a corrupt or torn file fails the checksum and raises, it never
-restores garbage.  See ``docs/durability.md`` for the full format and
+— the checksummed atomic container of :mod:`repro.runtime.container`
+(shared with ``.rstream`` captures): a crash mid-write can never leave
+a truncated file that :func:`read_checkpoint` would trust, and a
+corrupt or torn file fails the checksum and raises, it never restores
+garbage.  See ``docs/durability.md`` for the full format and
 the safe-watermark rules.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
 import re
-import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ExecutionError
+from .container import read_framed, write_framed
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -56,13 +55,10 @@ __all__ = [
 CHECKPOINT_MAGIC = b"RCKPT\x00"
 
 #: Format version; bumped on any incompatible payload change.
-#: v2: subscriptions hold key-labelled segments (DESIGN.md §12) — a v1
-#: payload would unpickle into subscriptions without them.
-CHECKPOINT_VERSION = 2
-
-_VERSION_WORD = struct.Struct("<H")
-_DIGEST_BYTES = 32
-_HEADER_BYTES = len(CHECKPOINT_MAGIC) + _VERSION_WORD.size + _DIGEST_BYTES
+#: v3: one state-graph layout for both session kinds (front-door fields
+#: beside a per-class ``session`` entry; DESIGN.md §9) — a v2 graph
+#: keeps them under per-class keys ``restore`` no longer reads.
+CHECKPOINT_VERSION = 3
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")
@@ -90,38 +86,11 @@ class Snapshot:
 
 
 def write_checkpoint(snapshot: Snapshot, path: "str | Path") -> Path:
-    """Serialize ``snapshot`` to ``path`` atomically; returns the path.
-
-    The body is pickled first, its digest computed, and the whole file
-    staged in a sibling temp file before one ``os.replace`` — readers
-    only ever observe a complete checkpoint or the previous one.
-    """
-    path = Path(path)
+    """Serialize ``snapshot`` to ``path`` atomically; returns the path
+    (readers only ever observe a complete checkpoint or the previous
+    one — :func:`~repro.runtime.container.write_framed`)."""
     body = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(body).digest()
-    blob = (
-        CHECKPOINT_MAGIC
-        + _VERSION_WORD.pack(CHECKPOINT_VERSION)
-        + digest
-        + body
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body)
 
 
 def read_checkpoint(path: "str | Path") -> Snapshot:
@@ -131,48 +100,34 @@ def read_checkpoint(path: "str | Path") -> Snapshot:
     foreign or truncated header, a version mismatch, or a checksum
     failure — a checkpoint either restores exactly or not at all.
     """
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise ExecutionError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < _HEADER_BYTES or not blob.startswith(CHECKPOINT_MAGIC):
-        raise ExecutionError(f"{path} is not a factor-windows checkpoint")
-    offset = len(CHECKPOINT_MAGIC)
-    (version,) = _VERSION_WORD.unpack_from(blob, offset)
-    if version != CHECKPOINT_VERSION:
-        raise ExecutionError(
-            f"{path}: checkpoint format v{version} is not supported "
-            f"(this build reads v{CHECKPOINT_VERSION})"
-        )
-    offset += _VERSION_WORD.size
-    digest = blob[offset : offset + _DIGEST_BYTES]
-    body = blob[offset + _DIGEST_BYTES :]
-    if hashlib.sha256(body).digest() != digest:
-        raise ExecutionError(
-            f"{path}: checksum mismatch — checkpoint is corrupt or torn"
-        )
+    body = read_framed(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "checkpoint"
+    )
     snapshot = pickle.loads(body)
     if not isinstance(snapshot, Snapshot):  # pragma: no cover - defensive
         raise ExecutionError(f"{path}: body is not a Snapshot")
     return snapshot
 
 
+def _scan(directory: "str | Path") -> "list[Path]":
+    """Every checkpoint file in ``directory``, oldest watermark first
+    (the watermark is encoded in the filename)."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        return []
+    found = []
+    for entry in directory.iterdir():
+        match = _CKPT_NAME.match(entry.name)
+        if match is not None:
+            found.append((int(match.group(1)), entry))
+    return [path for _, path in sorted(found)]
+
+
 def latest_checkpoint(directory: "str | Path") -> "Path | None":
     """The newest checkpoint in a :class:`CheckpointStore` directory
     (by watermark encoded in the filename), or ``None``."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
-    best: "tuple[int, Path] | None" = None
-    for entry in directory.iterdir():
-        match = _CKPT_NAME.match(entry.name)
-        if match is None:
-            continue
-        watermark = int(match.group(1))
-        if best is None or watermark > best[0]:
-            best = (watermark, entry)
-    return None if best is None else best[1]
+    paths = _scan(directory)
+    return paths[-1] if paths else None
 
 
 def require_cadence(store: "CheckpointStore | None") -> "CheckpointStore | None":
@@ -236,14 +191,7 @@ class CheckpointStore:
 
     def paths(self) -> "list[Path]":
         """Every checkpoint in the store, oldest watermark first."""
-        if not self.directory.is_dir():
-            return []
-        found = []
-        for entry in self.directory.iterdir():
-            match = _CKPT_NAME.match(entry.name)
-            if match is not None:
-                found.append((int(match.group(1)), entry))
-        return [path for _, path in sorted(found)]
+        return _scan(self.directory)
 
     def latest(self) -> "Path | None":
         return latest_checkpoint(self.directory)

@@ -1,4 +1,13 @@
-"""The non-blocking async ingest front door (DESIGN.md §8).
+"""The session front door (DESIGN.md §8): the one life-cycle both
+session classes share, and the non-blocking async ingest in front of it.
+
+:class:`SessionFrontDoor` is the base class of
+:class:`~repro.runtime.QuerySession` and
+:class:`~repro.runtime.sharding.ShardedSession`: ``push`` /
+``push_many`` / ``snapshot`` / ``restore`` / ``finish`` / ``results``
+/ ``close`` are written here once, over a handful of hooks each class
+supplies, and :func:`synchronized` is how a method declares itself a
+synchronization point.  The rest of this module is the async half.
 
 A live session's ``push`` is synchronous: the producer thread pays for
 routing, partitioning, and — on chunk boundaries — the whole flush
@@ -15,11 +24,12 @@ thread in front of that machinery instead:
   semantics are inherited, not re-implemented, which is what keeps
   shard invariance (invariant 10) and switch invisibility (invariant
   9) intact in async mode (invariant 11 ties the two modes together);
-* workload mutations and reads (``register`` / ``deregister`` /
-  ``results`` / ``drain_results`` / ``finish``) enqueue a *call*
-  command and wait for the pump to execute it, making them
-  synchronization points: a registration lands after every previously
-  pushed event, exactly as in sync mode.
+* workload mutations and reads (every :func:`synchronized` method:
+  ``register`` / ``deregister`` / ``results`` / ``drain_results`` /
+  ``snapshot`` / ``stats`` / …) enqueue a *call* command and wait for
+  the pump to execute it, making them synchronization points: a
+  registration lands after every previously pushed event, exactly as
+  in sync mode.
 
 **Backpressure, not loss.**  The queue is bounded in *events* (a batch
 weighs its length): once the backlog reaches ``high_watermark`` the
@@ -55,18 +65,32 @@ every submission raises.
 
 from __future__ import annotations
 
+import functools
+import pickle
 import threading
 from collections import deque
 from dataclasses import dataclass
 
+from ..core.adaptive import RateController
+from ..engine.events import event_columns
+from ..engine.outoforder import ReorderBuffer
 from ..errors import ExecutionError
+from .checkpoint import (
+    CheckpointStore,
+    Snapshot,
+    read_checkpoint,
+    require_cadence,
+    write_checkpoint,
+)
+from .core import EpochRateObserver
 
 __all__ = [
-    "AsyncIngestFrontDoor",
     "DEFAULT_INGEST_HIGH_WATERMARK",
     "IngestPump",
     "IngestQueue",
     "IngestStats",
+    "SessionFrontDoor",
+    "synchronized",
 ]
 
 #: Default backlog bound, in events.  At the benchmark's ~1-3M ev/s
@@ -238,43 +262,148 @@ class IngestQueue:
 _EVENT, _BATCH, _CALL, _STOP = range(4)
 
 
-class AsyncIngestFrontDoor:
-    """Mixin: the session-side routing half of the async front door.
+def synchronized(method):
+    """Mark a session method as a *synchronization point*: it runs at
+    its own position in the command stream — through
+    :meth:`IngestPump.submit_call` while a pump is accepting and the
+    caller is not the pump thread itself (re-entrant calls, e.g. the
+    auto-checkpoint taking a snapshot, run inline), directly otherwise."""
 
-    A session using it sets ``self._pump`` (an :class:`IngestPump` or
-    ``None``) and routes every public entry point through the helpers
-    below.  Keeping the routing in one place matters beyond tidiness:
-    *every* call that touches session or backend state — including
-    introspection like ``stats()`` — must serialize through the pump
-    while it runs, because the pump thread may be mid-flush inside the
-    backend (two threads writing one worker pipe interleave their
-    bytes and corrupt the stream).  Reads that only load a coordinator
-    local scalar (``watermark``, ``reorder_stats``) are exempt.
+    @functools.wraps(method)
+    def at_stream_position(self, *args, **kwargs):
+        pump = self._pump
+        if pump is not None and pump.accepting and not pump.in_pump_thread():
+            return pump.submit_call(method, self, *args, **kwargs)
+        return method(self, *args, **kwargs)
+
+    at_stream_position.synchronized = True
+    return at_stream_position
+
+
+class SessionFrontDoor:
+    """One session life-cycle, written once (DESIGN.md §8).
+
+    Both session classes are this template plus their hooks.  The base
+    owns what they hold identically — the reorder buffer, the rate
+    controller and its epoch observer, the auto-name counter, the
+    checkpoint store / meta / callback and the pump — and every verb
+    around it: ``push`` / ``push_many``, the end-of-push epilogue (rate
+    replan, then auto-checkpoint cadence), ``snapshot`` / ``restore``
+    and their framing, ``finish``, ``results`` / ``drain_results``,
+    ``close``.  A session class supplies:
+
+    * ``kind`` and ``_wrong_kind`` — its :class:`Snapshot` kind and its
+      refusal of any other;
+    * ``watermark`` / ``generation`` / ``queries`` — coordinator-local
+      reads;
+    * ``_require_open()`` — raise once finished;
+    * ``_apply_event(ts, key, value)`` / ``_apply_run(ts, keys,
+      values)`` — apply one released event / one released sorted run;
+    * ``_apply_rate(rate)`` — re-plan at a new event rate;
+    * ``_seal(horizon)`` — close every instance ending by ``horizon``;
+    * ``_collect(drain)`` — the merged result dict;
+    * ``_capture()`` / ``_adopt(state, **placement)`` — its own durable
+      state out and back in.
+
+    **The rule.**  *Every* public method that touches session or
+    backend state — introspection like ``stats()`` included — is
+    :func:`synchronized`, because while a pump runs its thread may be
+    mid-flush inside the backend (two threads writing one worker pipe
+    interleave their bytes and corrupt the stream).  Exempt are the
+    data-plane enqueues (``push`` / ``push_many`` / ``push_batch``),
+    ``finish`` / ``close`` (they stop the pump) and reads of one
+    coordinator-local value (``watermark``, ``reorder_stats``).
+    ``tests/runtime/test_front_door.py`` holds both classes to it.
     """
 
     _pump: "IngestPump | None" = None
+    #: The sorted-batch apply function (sharded sessions only).
+    _push_batch_now = None
 
+    def _open_front_door(
+        self, max_lateness: int, event_rate: int, hysteresis, alpha: float
+    ) -> None:
+        """Fresh time-keeping state (a restored session adopts it from
+        the snapshot instead)."""
+        self.controller = (
+            None
+            if hysteresis is None
+            else RateController(
+                hysteresis=hysteresis, alpha=alpha, initial_rate=event_rate
+            )
+        )
+        self._reorder = ReorderBuffer(max_lateness)
+        self._rate_observer = EpochRateObserver(self.controller)
+        self._auto_names = 0
+
+    def _attach(
+        self,
+        async_ingest: bool,
+        ingest_high_watermark: int,
+        ingest_low_watermark: "int | None",
+        auto_checkpoint: "CheckpointStore | None",
+        checkpoint_meta,
+        on_checkpoint,
+    ) -> None:
+        """What is an override, never part of a snapshot: the ingest
+        mode and the checkpoint cadence.  Last step of both ``__init__``
+        and :meth:`restore`."""
+        self._auto_store = require_cadence(auto_checkpoint)
+        self._checkpoint_meta = checkpoint_meta
+        self._on_checkpoint = on_checkpoint
+        self._pump = (
+            IngestPump(
+                push=self._push_now,
+                push_batch=self._push_batch_now,
+                high_watermark=ingest_high_watermark,
+                low_watermark=ingest_low_watermark,
+            )
+            if async_ingest
+            else None
+        )
+
+    # ------------------------------------------------------------------
+    # Coordinator-local reads
+    # ------------------------------------------------------------------
     @property
     def ingest_stats(self) -> "IngestStats | None":
         """Front-door counters (``None`` when ``async_ingest=False``)."""
         return None if self._pump is None else self._pump.stats
 
-    def _via_pump(self, fn, *args, **kwargs):
-        """Run ``fn`` at its position in the async command stream (a
-        synchronization point), or directly in sync mode."""
-        pump = self._pump
-        if pump is not None and pump.accepting and not pump.in_pump_thread():
-            return pump.submit_call(fn, *args, **kwargs)
-        return fn(*args, **kwargs)
+    @property
+    def reorder_stats(self):
+        return self._reorder.stats
 
-    def _route_event(self, ts: int, key: int, value: float) -> bool:
-        """Enqueue one event in async mode; ``False`` means the caller
-        should run its synchronous path."""
+    def _next_auto_name(self) -> str:
+        self._auto_names += 1
+        return f"q{self._auto_names}"
+
+    def _safe_watermark(self) -> int:
+        return max(self.watermark, self._reorder.watermark, 0)
+
+    # ------------------------------------------------------------------
+    # Ingestion
+    # ------------------------------------------------------------------
+    def push(self, ts: int, key: int, value: float) -> None:
+        """Ingest one (possibly out-of-order) event.
+
+        In async mode this enqueues and returns immediately, blocking
+        only under backpressure."""
         pump = self._pump
         if pump is not None and pump.accepting:
             pump.submit_event(ts, key, value)
-            return True
-        return False
+        else:
+            self._push_now(ts, key, value)
+
+    def _push_now(self, ts: int, key: int, value: float) -> None:
+        self._require_open()
+        if not 0 <= key < self.num_keys:
+            raise ExecutionError(
+                f"key {key} outside dense id space [0, {self.num_keys})"
+            )
+        for event in self._reorder.push(ts, int(key), float(value)):
+            self._apply_event(*event)
+        self._end_push()
 
     def push_many(self, events) -> None:
         """Ingest ``(ts, key, value)`` events — an iterable of rows or
@@ -294,7 +423,201 @@ class AsyncIngestFrontDoor:
             for ts, key, value in events:
                 self.push(ts, key, value)
             return
-        self._push_many_now(events)
+        self._require_open()
+        ts, keys, values = event_columns(events, self.num_keys)
+        if ts.size:
+            self._apply_run(*self._reorder.push_batch(ts, keys, values))
+            self._end_push()
+
+    def _end_push(self) -> None:
+        """What every push call — one event or one batch — ends with."""
+        # Rate-driven switches are deferred to this point: a switch
+        # advances operators up to the reorder watermark, which is only
+        # safe once every event the buffer has released is applied.
+        if self._rate_observer.pending_rate is not None:
+            self._apply_rate(self._rate_observer.take_pending())
+        self._maybe_auto_checkpoint()
+
+    def _maybe_auto_checkpoint(self) -> None:
+        """Cadence-driven checkpointing, inside the ingest path itself:
+        fires on the same thread that applies pushes (the pump thread
+        in async mode), so every saved cut is prefix-consistent with
+        the command stream by construction.  It runs once per push
+        call, so a cut never falls inside a ``push_many`` batch."""
+        store = self._auto_store
+        if store is None or not store.due(self.watermark):
+            return
+        meta = (
+            {} if self._checkpoint_meta is None else self._checkpoint_meta()
+        )
+        snap = self.snapshot(meta=meta)
+        path = store.save(snap)
+        if self._on_checkpoint is not None:
+            self._on_checkpoint(snap, path)
+
+    # ------------------------------------------------------------------
+    # Durability (DESIGN.md §9, invariant 12)
+    # ------------------------------------------------------------------
+    @synchronized
+    def snapshot(self, path=None, meta: "dict | None" = None) -> Snapshot:
+        """Capture the whole session at one consistent cut.
+
+        The capture is *complete*: the session's own state
+        (``_capture`` — the core's operators, provider partials,
+        routing table, retired archive and workload; for a sharded
+        session every shard core serialized at exactly the
+        coordinator's stream position, without advancing the
+        watermark, plus the coordinator's clock and layout), the
+        reorder buffer, the rate controller, and — in async mode — the
+        ingest-queue residue (events enqueued but not yet applied).
+        Like every synchronization point it runs at its position in
+        the command stream, so it is prefix-consistent with everything
+        pushed before it, and taking it never perturbs results.
+
+        The returned :class:`~repro.runtime.checkpoint.Snapshot` is an
+        isolated deep copy — the live session keeps running unaffected.
+        With ``path`` it is also written to disk atomically.  Restoring
+        it (:meth:`restore`) and replaying the remainder of the stream
+        is bit-identical to never having stopped (invariant 12).
+        """
+        graph = {
+            "session": self._capture(),
+            "reorder": self._reorder,
+            "controller": self.controller,
+            "observer": self._rate_observer,
+            "auto_names": self._auto_names,
+            "residue": [] if self._pump is None else self._pump.pending_data(),
+        }
+        # One dumps over the whole graph: shared references (the
+        # controller inside the observer) survive, and the snapshot is
+        # isolated from further mutation of the live session.
+        snap = Snapshot(
+            kind=self.kind,
+            watermark=self.watermark,
+            generation=self.generation,
+            queries=self.queries,
+            payload={
+                "state": pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
+            },
+            meta=dict(meta or {}),
+        )
+        if path is not None:
+            write_checkpoint(snap, path)
+        return snap
+
+    @classmethod
+    def restore(
+        cls,
+        source,
+        *,
+        async_ingest: bool = False,
+        ingest_high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
+        ingest_low_watermark: "int | None" = None,
+        auto_checkpoint: "CheckpointStore | None" = None,
+        checkpoint_meta=None,
+        on_checkpoint=None,
+        **placement,
+    ):
+        """Rebuild a session from a :class:`Snapshot` or a checkpoint
+        file and resume exactly where it left off.
+
+        The ingest mode is an override, not part of the snapshot —
+        invariant 11 makes it observationally invisible, so a session
+        snapshotted in async mode may restore in sync mode and vice
+        versa; so is ``placement`` (a sharded session's ``backend`` /
+        ``fault_plan`` / ``worker_recovery`` / ``control_timeout`` —
+        invariant 10; a ``QuerySession`` takes none).  Everything after
+        ``source`` is keyword-only: the two classes' override lists
+        differ, so a positional one would bind to the wrong name.  Captured
+        ingest-queue residue is replayed through the restored front
+        door first, so the restored timeline has applied exactly the
+        events the original had accepted.  The auto-checkpoint knobs
+        mirror the constructor's (cadence state lives in the store,
+        not the snapshot — pass the same store to keep the cadence
+        rolling).
+        """
+        snap = source if isinstance(source, Snapshot) else read_checkpoint(source)
+        if snap.kind != cls.kind:
+            raise ExecutionError(cls._wrong_kind.format(kind=snap.kind))
+        graph = pickle.loads(snap.payload["state"])
+        self = cls.__new__(cls)
+        self.controller = graph["controller"]
+        self._reorder = graph["reorder"]
+        self._rate_observer = graph["observer"]
+        self._auto_names = graph["auto_names"]
+        self._adopt(graph["session"], **placement)
+        self._attach(
+            async_ingest,
+            ingest_high_watermark,
+            ingest_low_watermark,
+            auto_checkpoint,
+            checkpoint_meta,
+            on_checkpoint,
+        )
+        for item in graph["residue"]:
+            if item[0] == _EVENT:
+                self.push(item[1], item[2], item[3])
+            else:
+                self.push_batch(item[1])
+        return self
+
+    # ------------------------------------------------------------------
+    # Termination and results
+    # ------------------------------------------------------------------
+    def finish(self, horizon: "int | None" = None):
+        """Drain the reorder buffer, close every instance ending at or
+        before ``horizon`` (default: last event + 1), and return
+        :meth:`results`.  The session accepts no events afterwards (in
+        async mode the pump thread is stopped; a sharded session's
+        backend stays up for result reads until :meth:`close`)."""
+        results = self._drain_and_seal(horizon)
+        self._stop_pump()
+        return results
+
+    @synchronized
+    def _drain_and_seal(self, horizon: "int | None"):
+        self._require_open()
+        for event in self._reorder.flush():
+            self._apply_event(*event)
+        self._seal(horizon)
+        return self._collect(False)
+
+    @synchronized
+    def results(self):
+        """Per-query, per-window emitted results, live and retired
+        subscriptions both (on a sharded session merged at the
+        coordinator: per-key rows scattered back to the global key
+        space, global partials combined and finalized, forwarded
+        holistics passed through as single rows).
+
+        Non-consuming: every call returns everything accumulated since
+        each subscription started, so memory grows with emitted
+        instances.  Long-lived sessions over unbounded streams should
+        poll :meth:`drain_results` instead.
+        """
+        return self._collect(False)
+
+    @synchronized
+    def drain_results(self):
+        """Consume emitted results: return every block accumulated
+        since the previous drain and release it (each subscription's
+        ``start_instance`` moves to its frontier).  Polling this keeps
+        per-subscription memory bounded by the emission rate between
+        polls — the service-shaped read path.  Retired subscriptions
+        are drained too and dropped once read."""
+        return self._collect(True)
+
+    def close(self) -> None:
+        """Stop the async pump thread (if any).  Unlike
+        :meth:`finish`, pending queued events are still applied first;
+        results stay readable afterwards."""
+        self._stop_pump()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _stop_pump(self) -> None:
         """Drain and stop the pump (idempotent; no-op in sync mode)."""

@@ -44,33 +44,19 @@ missing, or duplicate instance.
 
 from __future__ import annotations
 
-import pickle
-
 from ..aggregates.registry import get_aggregate
-from ..core.adaptive import RateController
 from ..core.multiquery import GroupKey, Query
-from ..engine.events import event_columns
-from ..engine.outoforder import ReorderBuffer
 from ..engine.stats import ExecutionStats
-from ..errors import ExecutionError
-from ..windows.window import Window
-from .checkpoint import (
-    CheckpointStore,
-    Snapshot,
-    read_checkpoint,
-    require_cadence,
-    write_checkpoint,
-)
+from .checkpoint import CheckpointStore
 from .core import (
     DEFAULT_RETIRED_RESULT_CAP,
-    EpochRateObserver,
     SessionCore,
     resolve_registration_query,
 )
 from .ingest import (
     DEFAULT_INGEST_HIGH_WATERMARK,
-    AsyncIngestFrontDoor,
-    IngestPump,
+    SessionFrontDoor,
+    synchronized,
 )
 from .results import (
     PlanSwitchRecord,
@@ -81,7 +67,7 @@ from .results import (
 __all__ = ["PlanSwitchRecord", "QuerySession", "WindowResults"]
 
 
-class QuerySession(AsyncIngestFrontDoor):
+class QuerySession(SessionFrontDoor):
     """A long-lived runtime over one unbounded, out-of-order stream.
 
     Parameters
@@ -126,6 +112,12 @@ class QuerySession(AsyncIngestFrontDoor):
         replay tail there).
     """
 
+    kind = "query"
+    _wrong_kind = (
+        "checkpoint kind {kind!r} does not restore into a "
+        "QuerySession (use ShardedSession.restore)"
+    )
+
     def __init__(
         self,
         num_keys: int = 1,
@@ -152,27 +144,14 @@ class QuerySession(AsyncIngestFrontDoor):
             on_flush=self._on_flush,
         )
         self.num_keys = num_keys
-        self.controller = (
-            None
-            if hysteresis is None
-            else RateController(
-                hysteresis=hysteresis, alpha=alpha, initial_rate=event_rate
-            )
-        )
-        self._reorder = ReorderBuffer(max_lateness)
-        self._rate_observer = EpochRateObserver(self.controller)
-        self._auto_names = 0
-        self._auto_store = require_cadence(auto_checkpoint)
-        self._checkpoint_meta = checkpoint_meta
-        self._on_checkpoint = on_checkpoint
-        self._pump = (
-            IngestPump(
-                push=self._push_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
-            )
-            if async_ingest
-            else None
+        self._open_front_door(max_lateness, event_rate, hysteresis, alpha)
+        self._attach(
+            async_ingest,
+            ingest_high_watermark,
+            ingest_low_watermark,
+            auto_checkpoint,
+            checkpoint_meta,
+            on_checkpoint,
         )
 
     # ------------------------------------------------------------------
@@ -194,10 +173,6 @@ class QuerySession(AsyncIngestFrontDoor):
         return self._core.queries
 
     @property
-    def reorder_stats(self):
-        return self._reorder.stats
-
-    @property
     def generation(self) -> int:
         return self._core.generation
 
@@ -206,8 +181,9 @@ class QuerySession(AsyncIngestFrontDoor):
         return self._core.workload
 
     @property
+    @synchronized
     def switches(self) -> "list[PlanSwitchRecord]":
-        return self._via_pump(list, self._core.switches)
+        return list(self._core.switches)
 
     @property
     def wall_seconds(self) -> float:
@@ -227,29 +203,26 @@ class QuerySession(AsyncIngestFrontDoor):
     def _groups(self):
         return self._core._groups
 
+    @synchronized
     def stats(self) -> ExecutionStats:
         """Merged execution counters across all groups (in async mode,
         a synchronization point — the snapshot is consistent with the
         command stream)."""
-        return self._via_pump(self._core.stats)
+        return self._core.stats()
 
+    @synchronized
     def group_stats(self) -> "dict[GroupKey, ExecutionStats]":
-        return self._via_pump(self._core.group_stats)
+        return self._core.group_stats()
 
+    @synchronized
     def max_retained_state(self) -> int:
         """Largest per-operator buffered-state high-water mark."""
-        return self._via_pump(self._core.max_retained_state)
+        return self._core.max_retained_state()
 
     # ------------------------------------------------------------------
     # Workload mutations
     # ------------------------------------------------------------------
-    def _next_auto_name(self) -> str:
-        self._auto_names += 1
-        return f"q{self._auto_names}"
-
-    def _safe_watermark(self) -> int:
-        return max(self._core.watermark, self._reorder.watermark, 0)
-
+    @synchronized
     def register(
         self, query: "str | Query", name: str = "", scope: str = "per_key"
     ) -> str:
@@ -260,81 +233,35 @@ class QuerySession(AsyncIngestFrontDoor):
         result row (mergeable aggregates only; a
         :class:`~repro.runtime.sharding.ShardedSession` additionally
         raw-forwards holistic global queries)."""
-        return self._via_pump(self._register_now, query, name, scope)
-
-    def _register_now(
-        self, query: "str | Query", name: str, scope: str
-    ) -> str:
         query = resolve_registration_query(query, name, self._next_auto_name)
         self._core.register(query, at=self._safe_watermark(), scope=scope)
         return query.name
 
+    @synchronized
     def deregister(self, name: str) -> None:
         """Remove one query at the current watermark.  Its emitted
         results stay readable (within the retention cap); its windows
         stop being computed unless another query (or the optimizer)
         still needs them."""
-        self._via_pump(self._deregister_now, name)
-
-    def _deregister_now(self, name: str) -> None:
         self._core.deregister(name, at=self._safe_watermark())
 
     # ------------------------------------------------------------------
-    # Ingestion
+    # The front door's hooks (see SessionFrontDoor)
     # ------------------------------------------------------------------
-    def push(self, ts: int, key: int, value: float) -> None:
-        """Ingest one (possibly out-of-order) event.
-
-        In async mode this enqueues and returns immediately, blocking
-        only under backpressure (see :mod:`repro.runtime.ingest`)."""
-        if not self._route_event(ts, key, value):
-            self._push_now(ts, key, value)
-
-    def _push_now(self, ts: int, key: int, value: float) -> None:
+    def _require_open(self) -> None:
         self._core._require_open()
-        if not 0 <= key < self.num_keys:
-            raise ExecutionError(
-                f"key {key} outside dense id space [0, {self.num_keys})"
-            )
-        for event in self._reorder.push(ts, int(key), float(value)):
-            self._core.ingest(*event)
-        self._end_push()
 
-    def _push_many_now(self, events) -> None:
-        self._core._require_open()
-        ts, keys, values = event_columns(events, self.num_keys)
-        if ts.size:
-            self._core.ingest_arrays(
-                *self._reorder.push_batch(ts, keys, values)
-            )
-            self._end_push()
+    def _apply_event(self, ts: int, key: int, value: float) -> None:
+        self._core.ingest(ts, key, value)
 
-    def _end_push(self) -> None:
-        """What every push call — one event or one batch — ends with."""
-        # Rate-driven switches are deferred to this point: a switch
-        # advances operators up to the reorder watermark, which is only
-        # safe once every event the buffer has released is ingested.
-        if self._rate_observer.pending_rate is not None:
-            rate = self._rate_observer.take_pending()
-            self._core.set_event_rate(rate, at=self._safe_watermark())
-        self._maybe_auto_checkpoint()
+    def _apply_run(self, ts, keys, values) -> None:
+        self._core.ingest_arrays(ts, keys, values)
 
-    def _maybe_auto_checkpoint(self) -> None:
-        """Cadence-driven checkpointing, inside the ingest path itself:
-        fires on the same thread that applies pushes (the pump thread
-        in async mode), so every saved cut is prefix-consistent with
-        the command stream by construction.  It runs once per push
-        call, so a cut never falls inside a ``push_many`` batch."""
-        store = self._auto_store
-        if store is None or not store.due(self._core.watermark):
-            return
-        meta = (
-            {} if self._checkpoint_meta is None else self._checkpoint_meta()
-        )
-        snap = self._snapshot_now(meta)
-        path = store.save(snap)
-        if self._on_checkpoint is not None:
-            self._on_checkpoint(snap, path)
+    def _apply_rate(self, rate: int) -> None:
+        self._core.set_event_rate(rate, at=self._safe_watermark())
+
+    def _seal(self, horizon: "int | None") -> None:
+        self._core.finish(horizon)
 
     def _on_flush(self, watermark: int, count: int) -> None:
         self._rate_observer.observe_flush(
@@ -344,167 +271,13 @@ class QuerySession(AsyncIngestFrontDoor):
             bool(len(self._core.workload)),
         )
 
-    # ------------------------------------------------------------------
-    # Durability (DESIGN.md §9, invariant 12)
-    # ------------------------------------------------------------------
-    def snapshot(
-        self, path=None, meta: "dict | None" = None
-    ) -> Snapshot:
-        """Capture the whole session at the current safe watermark.
+    def _capture(self) -> SessionCore:
+        return self._core
 
-        The capture is *complete*: the core (operator state, provider
-        partials, routing table, retired-result archive, workload +
-        plan generation), the reorder buffer, the rate controller, and
-        — in async mode — the ingest-queue residue (events enqueued
-        but not yet applied).  In async mode the capture runs at its
-        position in the command stream, like every synchronization
-        point, so it is prefix-consistent with everything pushed
-        before it.
-
-        The returned :class:`~repro.runtime.checkpoint.Snapshot` is an
-        isolated deep copy — the live session keeps running unaffected.
-        With ``path`` it is also written to disk atomically.  Restoring
-        it (:meth:`restore`) and replaying the remainder of the stream
-        is bit-identical to never having stopped (invariant 12).
-        """
-        snap = self._via_pump(self._snapshot_now, meta)
-        if path is not None:
-            write_checkpoint(snap, path)
-        return snap
-
-    def _snapshot_now(self, meta: "dict | None") -> Snapshot:
-        residue = [] if self._pump is None else self._pump.pending_data()
-        graph = {
-            "core": self._core,
-            "reorder": self._reorder,
-            "controller": self.controller,
-            "observer": self._rate_observer,
-            "auto_names": self._auto_names,
-            "num_keys": self.num_keys,
-            "residue": residue,
-        }
-        # One dumps over the whole graph: shared references (the
-        # controller inside the observer) survive, and the snapshot is
-        # isolated from further mutation of the live session.
-        return Snapshot(
-            kind="query",
-            watermark=self._core.watermark,
-            generation=self._core.generation,
-            queries=self.queries,
-            payload={
-                "state": pickle.dumps(
-                    graph, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            },
-            meta=dict(meta or {}),
-        )
-
-    @classmethod
-    def restore(
-        cls,
-        source,
-        async_ingest: bool = False,
-        ingest_high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        ingest_low_watermark: "int | None" = None,
-        auto_checkpoint: "CheckpointStore | None" = None,
-        checkpoint_meta=None,
-        on_checkpoint=None,
-    ) -> "QuerySession":
-        """Rebuild a session from a :class:`Snapshot` or a checkpoint
-        file and resume exactly where it left off.
-
-        The ingest mode is an override, not part of the snapshot —
-        invariant 11 makes it observationally invisible, so a session
-        snapshotted in async mode may restore in sync mode and vice
-        versa.  Captured ingest-queue residue is replayed through the
-        restored front door first, so the restored timeline has applied
-        exactly the events the original had accepted.  The
-        auto-checkpoint knobs mirror the constructor's (cadence state
-        lives in the store, not the snapshot — pass the same store to
-        keep the cadence rolling).
-        """
-        snap = source if isinstance(source, Snapshot) else read_checkpoint(source)
-        if snap.kind != "query":
-            raise ExecutionError(
-                f"checkpoint kind {snap.kind!r} does not restore into a "
-                "QuerySession (use ShardedSession.restore)"
-            )
-        graph = pickle.loads(snap.payload["state"])
-        self = cls.__new__(cls)
-        self._core = graph["core"]
-        self.num_keys = graph["num_keys"]
-        self.controller = graph["controller"]
-        self._reorder = graph["reorder"]
-        self._rate_observer = graph["observer"]
-        self._auto_names = graph["auto_names"]
-        self._auto_store = require_cadence(auto_checkpoint)
-        self._checkpoint_meta = checkpoint_meta
-        self._on_checkpoint = on_checkpoint
-        self._core.on_flush = self._on_flush
-        self._pump = (
-            IngestPump(
-                push=self._push_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
-            )
-            if async_ingest
-            else None
-        )
-        for item in graph["residue"]:
-            self.push(item[1], item[2], item[3])
-        return self
-
-    # ------------------------------------------------------------------
-    # Termination and results
-    # ------------------------------------------------------------------
-    def finish(self, horizon: "int | None" = None):
-        """Drain the reorder buffer, close every instance ending at or
-        before ``horizon`` (default: last event + 1), and return
-        :meth:`results`.  The session accepts no events afterwards (in
-        async mode the pump thread is stopped)."""
-        results = self._via_pump(self._finish_now, horizon)
-        self._stop_pump()
-        return results
-
-    def _finish_now(self, horizon: "int | None"):
-        self._core._require_open()
-        for event in self._reorder.flush():
-            self._core.ingest(*event)
-        self._core.finish(horizon)
-        return self._collect(drain=False)
-
-    def close(self) -> None:
-        """Stop the async pump thread (if any).  Unlike
-        :meth:`finish`, pending queued events are still applied first;
-        results stay readable afterwards."""
-        self._stop_pump()
-
-    def __enter__(self) -> "QuerySession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def results(self) -> "dict[str, dict[Window, WindowResults]]":
-        """Per-query, per-window emitted results (live and retired
-        subscriptions both included; global-scope queries appear as a
-        single finalized row).
-
-        Non-consuming: every call returns everything accumulated since
-        each subscription started, so memory grows with emitted
-        instances.  Long-lived sessions over unbounded streams should
-        poll :meth:`drain_results` instead.
-        """
-        return self._via_pump(self._collect, False)
-
-    def drain_results(self) -> "dict[str, dict[Window, WindowResults]]":
-        """Consume emitted results: return every block accumulated
-        since the previous drain and release it (each subscription's
-        ``start_instance`` moves to its frontier).  Polling this keeps
-        per-subscription memory bounded by the emission rate between
-        polls — the service-shaped read path.  Retired subscriptions
-        are drained too and dropped once read."""
-        return self._via_pump(self._collect, True)
+    def _adopt(self, core: SessionCore) -> None:
+        self._core = core
+        self.num_keys = core.num_keys
+        core.on_flush = self._on_flush
 
     def _collect(self, drain: bool):
         report = self._core.report(drain=drain)

@@ -59,29 +59,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..aggregates.registry import get_aggregate
-from ..core.adaptive import RateController
 from ..core.multiquery import Query
 from ..engine.events import (
     DEFAULT_NUM_SLOTS,
     EVENT_BYTES,
     EventBatch,
     KeyPartitioner,
-    event_columns,
 )
-from ..engine.outoforder import ReorderBuffer
 from ..engine.stats import ExecutionStats
 from ..errors import ExecutionError
 from ..windows.window import Window
-from .checkpoint import (
-    CheckpointStore,
-    Snapshot,
-    read_checkpoint,
-    require_cadence,
-    write_checkpoint,
-)
+from .checkpoint import CheckpointStore
 from .core import (
     DEFAULT_RETIRED_RESULT_CAP,
-    EpochRateObserver,
     RegisterAck,
     SessionCore,
     ShardReport,
@@ -89,9 +79,8 @@ from .core import (
 )
 from .ingest import (
     DEFAULT_INGEST_HIGH_WATERMARK,
-    _EVENT,
-    AsyncIngestFrontDoor,
-    IngestPump,
+    SessionFrontDoor,
+    synchronized,
 )
 from .results import PlanSwitchRecord, WindowResults, finalize_partials
 
@@ -1472,7 +1461,7 @@ def _configure_durability(
     )
 
 
-class ShardedSession(AsyncIngestFrontDoor):
+class ShardedSession(SessionFrontDoor):
     """A live multi-query session hash-partitioned over the key space.
 
     Drop-in surface of :class:`~repro.runtime.QuerySession` (push /
@@ -1527,6 +1516,13 @@ class ShardedSession(AsyncIngestFrontDoor):
         ``on_checkpoint(snapshot, path)`` fires after each save.
     """
 
+    kind = "sharded"
+    _wrong_kind = (
+        "checkpoint kind {kind!r} is not a ShardedSession "
+        "snapshot (QuerySession.restore reads 'query' "
+        "checkpoints)"
+    )
+
     def __init__(
         self,
         num_keys: int = 1,
@@ -1565,16 +1561,12 @@ class ShardedSession(AsyncIngestFrontDoor):
             raise ExecutionError(
                 f"num_shards must be >= 1, got {num_shards}"
             )
+        self._open_front_door(max_lateness, event_rate, hysteresis, alpha)
         self.num_keys = num_keys
         self.num_shards = num_shards
         self.partitioner = KeyPartitioner(
             num_keys, num_shards, num_slots=num_slots
         )
-        self.num_slots = self.partitioner.num_slots
-        # Decayed per-slot load counters (events and bytes) — the
-        # signal the rebalance policy reads (DESIGN.md §12).
-        self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
-        self._slot_bytes = np.zeros(self.num_slots, dtype=np.float64)
         # Only shards that own keys get a core: a key-less core would
         # still close (dummy-key) instances forever — wasted work that
         # would also inflate the logical pair counters sharding must
@@ -1584,61 +1576,55 @@ class ShardedSession(AsyncIngestFrontDoor):
             for shard in range(num_shards)
             if self.partitioner.owned[shard].size
         ]
-        self._slot_of_shard = np.full(num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
-        self.backend = _resolve_backend(backend)
-        _configure_durability(
-            self.backend, fault_plan, worker_recovery, control_timeout
-        )
+        # Decayed per-slot load counters (events and bytes) — the
+        # signal the rebalance policy reads (DESIGN.md §12).
+        self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
+        self._slot_bytes = np.zeros(self.num_slots, dtype=np.float64)
         self._fixed_chunk = chunk_ticks
         self._event_rate = event_rate
         self._enable_factor_windows = enable_factor_windows
         self._max_retired_results = max_retired_results
-        self.backend.start(
-            [self._shard_config(shard) for shard in self.active_shards]
-        )
-        self.controller = (
-            None
-            if hysteresis is None
-            else RateController(
-                hysteresis=hysteresis, alpha=alpha, initial_rate=event_rate
-            )
-        )
-        self._reorder = ReorderBuffer(max_lateness)
         self._chunk_ticks = chunk_ticks or 1
         self._chunk_end = self._chunk_ticks
-        self._rate_observer = EpochRateObserver(self.controller)
         self._watermark = 0
         self._max_event_ts = -1
         self._pending_events = 0
-        active = len(self.active_shards)
-        self._scalar_buf = [([], [], []) for _ in range(active)]
-        self._array_buf: "list[list[tuple]]" = [[] for _ in range(active)]
         self._queries: "dict[str, tuple[Query, str]]" = {}
         self._modes: dict[str, str] = {}
         self._forward: "SessionCore | None" = None
         self._forward_names: set[str] = set()
-        self._fwd_scalar: "tuple[list, list]" = ([], [])
-        self._fwd_arrays: "list[tuple]" = []
-        self._auto_names = 0
         self._generation = 0
         self._closed = False
-        self._released = False
         self.wall_seconds = 0.0
-        self._auto_store = require_cadence(auto_checkpoint)
-        self._checkpoint_meta = checkpoint_meta
-        self._on_checkpoint = on_checkpoint
-        self._pump = (
-            IngestPump(
-                push=self._push_now,
-                push_batch=self._push_batch_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
-            )
-            if async_ingest
-            else None
+        self._start_backend(
+            backend, fault_plan, worker_recovery, control_timeout
         )
+        self._attach(
+            async_ingest,
+            ingest_high_watermark,
+            ingest_low_watermark,
+            auto_checkpoint,
+            checkpoint_meta,
+            on_checkpoint,
+        )
+
+    def _start_backend(
+        self, backend, fault_plan, worker_recovery: bool, control_timeout
+    ) -> None:
+        """Bring up one core per active shard on ``backend`` and reset
+        everything a session never carries across a restore: the
+        per-backend-slot ingest buffers and the teardown flag."""
+        self.backend = _resolve_backend(backend)
+        _configure_durability(
+            self.backend, fault_plan, worker_recovery, control_timeout
+        )
+        self.backend.start(
+            [self._shard_config(shard) for shard in self.active_shards]
+        )
+        self._rebuild_shard_tables()
+        self._fwd_scalar: "tuple[list, list]" = ([], [])
+        self._fwd_arrays: "list[tuple]" = []
+        self._released = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1658,8 +1644,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         return self._generation
 
     @property
-    def reorder_stats(self):
-        return self._reorder.stats
+    def num_slots(self) -> int:
+        return self.partitioner.num_slots
 
     @property
     def worker_recoveries(self) -> int:
@@ -1668,14 +1654,12 @@ class ShardedSession(AsyncIngestFrontDoor):
         return getattr(self.backend, "recoveries", 0)
 
     @property
+    @synchronized
     def switches(self) -> "list[PlanSwitchRecord]":
         """Shard 0's switch log (every shard applies the identical
         schedule; see :meth:`shard_switches` for all of them).  In
         async mode a synchronization point, like every method that
         talks to the backend."""
-        return self._via_pump(self._switches_now)
-
-    def _switches_now(self) -> "list[PlanSwitchRecord]":
         self._require_backend()
         logs = self.backend.switches()
         merged = list(logs[0]) if logs else []
@@ -1683,34 +1667,28 @@ class ShardedSession(AsyncIngestFrontDoor):
             merged.extend(self._forward.switches)
         return merged
 
+    @synchronized
     def shard_switches(self) -> "list[list[PlanSwitchRecord]]":
-        return self._via_pump(self._shard_switches_now)
-
-    def _shard_switches_now(self) -> "list[list[PlanSwitchRecord]]":
         self._require_backend()
         return self.backend.switches()
 
+    @synchronized
     def shard_watermarks(self) -> "list[int]":
         """Per-shard core watermarks (the min is the aligned session
         watermark; after any flush all entries are equal)."""
-        return self._via_pump(self._shard_watermarks_now)
-
-    def _shard_watermarks_now(self) -> "list[int]":
         self._require_backend()
         marks = list(self.backend.watermarks())
         if self._forward is not None:
             marks.append(self._forward.watermark)
         return marks
 
+    @synchronized
     def stats(self) -> ExecutionStats:
         """Merged execution counters across every shard (plus the
         forwarding core).  ``wall_seconds`` is the *coordinator's* wall
         time — the serialized cost of routing, feeding, and merging —
         not the sum of shard-local compute, which overlaps under the
         worker backends (process and shm)."""
-        return self._via_pump(self._stats_now)
-
-    def _stats_now(self) -> ExecutionStats:
         self._require_backend()
         merged = ExecutionStats()
         for stats in self.backend.stats():
@@ -1718,14 +1696,11 @@ class ShardedSession(AsyncIngestFrontDoor):
         if self._forward is not None:
             merged.merge(self._forward.stats())
         merged.wall_seconds = self.wall_seconds
-        if self.partitioner.slot_map is not None:
-            merged.shard_loads = self._shard_loads_now()
+        merged.shard_loads = self.shard_loads()
         return merged
 
+    @synchronized
     def max_retained_state(self) -> int:
-        return self._via_pump(self._max_retained_state_now)
-
-    def _max_retained_state_now(self) -> int:
         self._require_backend()
         retained = self.backend.max_retained_state()
         if self._forward is not None:
@@ -1735,13 +1710,6 @@ class ShardedSession(AsyncIngestFrontDoor):
     # ------------------------------------------------------------------
     # Workload mutations
     # ------------------------------------------------------------------
-    def _next_auto_name(self) -> str:
-        self._auto_names += 1
-        return f"q{self._auto_names}"
-
-    def _safe_watermark(self) -> int:
-        return max(self._watermark, self._reorder.watermark, 0)
-
     @staticmethod
     def _merge_mode(query: Query, scope: str) -> str:
         if scope == "per_key":
@@ -1752,6 +1720,7 @@ class ShardedSession(AsyncIngestFrontDoor):
             f"unknown scope {scope!r}; expected 'per_key' or 'global'"
         )
 
+    @synchronized
     def register(
         self, query: "str | Query", name: str = "", scope: str = "per_key"
     ) -> str:
@@ -1761,11 +1730,6 @@ class ShardedSession(AsyncIngestFrontDoor):
         ``scope="global"`` merges across all keys at the coordinator:
         vectorized partial ``combine`` for distributive/algebraic
         aggregates, raw forwarding for holistic ones."""
-        return self._via_pump(self._register_now, query, name, scope)
-
-    def _register_now(
-        self, query: "str | Query", name: str, scope: str
-    ) -> str:
         self._require_open()
         query = resolve_registration_query(query, name, self._next_auto_name)
         if query.name in self._queries:
@@ -1819,13 +1783,11 @@ class ShardedSession(AsyncIngestFrontDoor):
                 break
             self._modes.pop(stale)
 
+    @synchronized
     def deregister(self, name: str) -> None:
         """Remove one query from every shard at the same safe
         watermark.  Its emitted results stay readable (within the
         retention cap)."""
-        self._via_pump(self._deregister_now, name)
-
-    def _deregister_now(self, name: str) -> None:
         self._require_open()
         entry = self._queries.pop(name, None)
         if entry is None:
@@ -1867,58 +1829,10 @@ class ShardedSession(AsyncIngestFrontDoor):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def push(self, ts: int, key: int, value: float) -> None:
-        """Ingest one (possibly out-of-order) event.
-
-        In async mode this enqueues and returns immediately, blocking
-        only under backpressure (see :mod:`repro.runtime.ingest`)."""
-        if not self._route_event(ts, key, value):
-            self._push_now(ts, key, value)
-
-    def _push_now(self, ts: int, key: int, value: float) -> None:
-        self._require_open()
-        if not 0 <= key < self.num_keys:
-            raise ExecutionError(
-                f"key {key} outside dense id space [0, {self.num_keys})"
-            )
-        for event in self._reorder.push(ts, int(key), float(value)):
-            self._route(event)
-        # Deferred exactly like QuerySession: the release iterator must
-        # fully drain before a switch advances the watermark.
-        if self._rate_observer.pending_rate is not None:
-            self._apply_rate(self._rate_observer.take_pending())
-        self._maybe_auto_checkpoint()
-
-    def _maybe_auto_checkpoint(self) -> None:
-        """Cadence-driven checkpointing inside the ingest path (same
-        contract as :meth:`QuerySession._maybe_auto_checkpoint`): runs
-        on the thread applying pushes, so each saved cut is
-        prefix-consistent with the command stream."""
-        store = self._auto_store
-        if store is None or not store.due(self._watermark):
-            return
-        meta = (
-            {} if self._checkpoint_meta is None else self._checkpoint_meta()
-        )
-        snap = self._snapshot_now(meta)
-        path = store.save(snap)
-        if self._on_checkpoint is not None:
-            self._on_checkpoint(snap, path)
-
-    def _push_many_now(self, events) -> None:
-        self._require_open()
-        ts, keys, values = event_columns(events, self.num_keys)
-        if ts.size == 0:
-            return
-        self._route_arrays(*self._reorder.push_batch(ts, keys, values))
-        if self._rate_observer.pending_rate is not None:
-            self._apply_rate(self._rate_observer.take_pending())
-        self._maybe_auto_checkpoint()
-
-    def _route_arrays(self, ts, keys, values) -> None:
+    def _apply_run(self, ts, keys, values) -> None:
         """Buffer a *released* (timestamp-sorted) columnar run,
         flushing at every chunk boundary — the vectorized twin of
-        looping :meth:`_route`."""
+        looping :meth:`_apply_event`."""
         n = int(ts.size)
         pos = 0
         while pos < n:
@@ -1926,6 +1840,8 @@ class ShardedSession(AsyncIngestFrontDoor):
             if cut >= n:
                 self._buffer_arrays(ts[pos:], keys[pos:], values[pos:])
                 break
+            # The chunk-crossing event rides along, exactly as in the
+            # per-event path (it is buffered before its flush fires).
             cut += 1
             self._buffer_arrays(ts[pos:cut], keys[pos:cut], values[pos:cut])
             pos = cut
@@ -1984,28 +1900,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         # chunk-clock watermark, which can trail buffered events) and
         # keeps its exact counters coherent with push().
         self._reorder.accept_sorted(n, int(ts[0]), int(ts[-1]))
-        pos = 0
-        while pos < n:
-            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
-            if cut >= n:
-                self._buffer_slice(batch, pos, n)
-                break
-            # The chunk-crossing event rides along, exactly as in the
-            # per-event path (it is buffered before its flush fires).
-            cut += 1
-            self._buffer_slice(batch, pos, cut)
-            pos = cut
-            last = int(ts[cut - 1])
-            while last >= self._chunk_end:
-                self._flush(self._chunk_end)
-        if self._rate_observer.pending_rate is not None:
-            self._apply_rate(self._rate_observer.take_pending())
-        self._maybe_auto_checkpoint()
-
-    def _buffer_slice(self, batch: EventBatch, lo: int, hi: int) -> None:
-        self._buffer_arrays(
-            batch.timestamps[lo:hi], batch.keys[lo:hi], batch.values[lo:hi]
-        )
+        self._apply_run(ts, batch.keys, batch.values)
+        self._end_push()
 
     def _buffer_arrays(self, ts, keys, values) -> None:
         slices = self.partitioner.split_arrays(ts, keys, values)
@@ -2015,20 +1911,17 @@ class ShardedSession(AsyncIngestFrontDoor):
                 self._array_buf[slot].append((sts, skeys, svalues))
         if self._forward_names:
             self._fwd_arrays.append((ts, values))
-        if self.partitioner.slot_of_key is not None:
-            counts = np.bincount(
-                self.partitioner.slot_of_key[keys],
-                minlength=self.num_slots,
-            )
-            self._slot_events += counts
-            self._slot_bytes += counts * float(EVENT_BYTES)
+        counts = np.bincount(
+            self.partitioner.slot_of_key[keys], minlength=self.num_slots
+        )
+        self._slot_events += counts
+        self._slot_bytes += counts * float(EVENT_BYTES)
         self._pending_events += int(ts.size)
         last = int(ts[-1])
         if last > self._max_event_ts:
             self._max_event_ts = last
 
-    def _route(self, event) -> None:
-        ts, key, value = event
+    def _apply_event(self, ts: int, key: int, value: float) -> None:
         slot = int(self._slot_of_shard[self.partitioner.shard_of[key]])
         buf_ts, buf_keys, buf_values = self._scalar_buf[slot]
         buf_ts.append(ts)
@@ -2037,10 +1930,9 @@ class ShardedSession(AsyncIngestFrontDoor):
         if self._forward_names:
             self._fwd_scalar[0].append(ts)
             self._fwd_scalar[1].append(value)
-        if self.partitioner.slot_of_key is not None:
-            vslot = int(self.partitioner.slot_of_key[key])
-            self._slot_events[vslot] += 1.0
-            self._slot_bytes[vslot] += float(EVENT_BYTES)
+        vslot = int(self.partitioner.slot_of_key[key])
+        self._slot_events[vslot] += 1.0
+        self._slot_bytes[vslot] += float(EVENT_BYTES)
         self._pending_events += 1
         if ts > self._max_event_ts:
             self._max_event_ts = ts
@@ -2125,23 +2017,18 @@ class ShardedSession(AsyncIngestFrontDoor):
     @property
     def slot_map(self) -> np.ndarray:
         """The live slot → shard map (a copy)."""
-        self._require_slots()
         return self.partitioner.slot_map.copy()
 
+    @synchronized
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
         """Decayed per-slot ``(events, bytes)`` load counters."""
-        return self._via_pump(
-            lambda: (self._slot_events.copy(), self._slot_bytes.copy())
-        )
+        return self._slot_events.copy(), self._slot_bytes.copy()
 
+    @synchronized
     def shard_loads(self) -> "dict[int, dict[str, float]]":
         """Decayed per-shard load totals, folded over the slot map:
         ``{shard: {"events", "bytes", "slots", "keys"}}`` — the skew
         signal :meth:`rebalance` acts on."""
-        return self._via_pump(self._shard_loads_now)
-
-    def _shard_loads_now(self) -> "dict[int, dict[str, float]]":
-        self._require_slots()
         slot_map = self.partitioner.slot_map
         events = np.bincount(
             slot_map, weights=self._slot_events, minlength=self.num_shards
@@ -2160,6 +2047,7 @@ class ShardedSession(AsyncIngestFrontDoor):
             for shard in range(self.num_shards)
         }
 
+    @synchronized
     def move_slots(self, slots, dest: int) -> None:
         """Migrate virtual slots to shard ``dest`` at a safe watermark.
 
@@ -2169,11 +2057,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         per-key state ships core-to-core, and the slot map flips
         atomically — results stay bit-identical to a run that never
         moved anything (extended invariant 10)."""
-        self._via_pump(self._move_slots_now, slots, dest)
-
-    def _move_slots_now(self, slots, dest: int) -> None:
         self._require_open()
-        slot_map = self._require_slots().copy()
+        slot_map = self.partitioner.slot_map.copy()
         slots = np.atleast_1d(np.asarray(slots, dtype=np.int64))
         if slots.size == 0:
             return
@@ -2189,17 +2074,14 @@ class ShardedSession(AsyncIngestFrontDoor):
         slot_map[slots] = dest
         self._apply_slot_map(slot_map, max(self.num_shards, dest + 1))
 
+    @synchronized
     def rebalance(self, max_moves: "int | None" = None) -> int:
         """Greedy hot-slot migration: repeatedly move the hottest
         movable slot of the most loaded shard to the least loaded one,
         while that strictly shrinks the hot/cold load gap.  Returns the
         number of slots moved (0 when already balanced — including the
         single-hot-key case, where no slot move can help)."""
-        return self._via_pump(self._rebalance_now, max_moves)
-
-    def _rebalance_now(self, max_moves: "int | None") -> int:
         self._require_open()
-        self._require_slots()
         if self.num_shards < 2:
             return 0
         load = self._slot_events
@@ -2231,16 +2113,14 @@ class ShardedSession(AsyncIngestFrontDoor):
             self._apply_slot_map(new_map, self.num_shards)
         return moved
 
+    @synchronized
     def split_shard(self, source: "int | None" = None) -> int:
         """Grow the shard count by one: spawn a sibling worker and move
         half of ``source``'s slots (alternating by load, so the split
         halves the observed traffic) onto it.  ``source`` defaults to
         the most loaded shard.  Returns the new shard id."""
-        return self._via_pump(self._split_shard_now, source)
-
-    def _split_shard_now(self, source: "int | None") -> int:
         self._require_open()
-        slot_map = self._require_slots().copy()
+        slot_map = self.partitioner.slot_map.copy()
         load = self._slot_events
         if source is None:
             shard_load = np.bincount(
@@ -2267,6 +2147,7 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._apply_slot_map(slot_map, new_shard + 1)
         return new_shard
 
+    @synchronized
     def merge_shard(self, shard: int, into: "int | None" = None) -> int:
         """Shrink the live worker count: move every slot of ``shard``
         onto ``into`` (default: the least loaded other shard) and
@@ -2275,11 +2156,8 @@ class ShardedSession(AsyncIngestFrontDoor):
         ``num_shards``; merging a middle id leaves that id inactive
         (ids are never renumbered — key hashes must stay stable).
         Returns the absorbing shard id."""
-        return self._via_pump(self._merge_shard_now, shard, into)
-
-    def _merge_shard_now(self, shard: int, into: "int | None") -> int:
         self._require_open()
-        slot_map = self._require_slots().copy()
+        slot_map = self.partitioner.slot_map.copy()
         if self.num_shards < 2:
             raise ExecutionError("cannot merge the only shard")
         if not 0 <= shard < self.num_shards:
@@ -2306,14 +2184,6 @@ class ShardedSession(AsyncIngestFrontDoor):
         self._apply_slot_map(slot_map, num_shards)
         return into
 
-    def _require_slots(self) -> np.ndarray:
-        if self.partitioner.slot_map is None:
-            raise ExecutionError(
-                "this session was built with an explicit key assignment "
-                "— it has no slot layer to migrate"
-            )
-        return self.partitioner.slot_map
-
     def _shard_config(
         self, shard: int, partitioner: "KeyPartitioner | None" = None
     ) -> ShardConfig:
@@ -2339,7 +2209,6 @@ class ShardedSession(AsyncIngestFrontDoor):
         is redone, so a migration is all-or-nothing (invariant 12
         meets invariant 10)."""
         old = self.partitioner
-        self._require_slots()
         slot_map = np.asarray(slot_map, dtype=np.int64)
         new = old.with_slot_map(slot_map, num_shards)
         old_active = list(self.active_shards)
@@ -2355,9 +2224,7 @@ class ShardedSession(AsyncIngestFrontDoor):
             # backend slots) stay untouched.
             self.partitioner = new
             self.num_shards = num_shards
-            self._slot_of_shard = np.full(num_shards, -1, dtype=np.int64)
-            for slot, shard in enumerate(self.active_shards):
-                self._slot_of_shard[shard] = slot
+            self._index_backend_slots()
             return
         at = self._safe_watermark()
         self._sync(at)
@@ -2410,10 +2277,13 @@ class ShardedSession(AsyncIngestFrontDoor):
         self.active_shards = survivors + spawned
         self._rebuild_shard_tables()
 
-    def _rebuild_shard_tables(self) -> None:
+    def _index_backend_slots(self) -> None:
         self._slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
         for slot, shard in enumerate(self.active_shards):
             self._slot_of_shard[shard] = slot
+
+    def _rebuild_shard_tables(self) -> None:
+        self._index_backend_slots()
         active = len(self.active_shards)
         self._scalar_buf = [([], [], []) for _ in range(active)]
         self._array_buf = [[] for _ in range(active)]
@@ -2440,37 +2310,42 @@ class ShardedSession(AsyncIngestFrontDoor):
             plan()
 
     # ------------------------------------------------------------------
-    # Durability (DESIGN.md §9, invariant 12)
+    # Durability (DESIGN.md §9, invariant 12) and termination: the
+    # front door's hooks (see SessionFrontDoor)
     # ------------------------------------------------------------------
-    def snapshot(
-        self, path: "str | None" = None, meta: "dict | None" = None
-    ) -> Snapshot:
-        """Capture the whole sharded session at one consistent
-        watermark.
+    #: The coordinator's durable fields, named once: ``_capture``
+    #: reads exactly these and ``_adopt`` writes them back.  (The
+    #: partitioner travels as its slot map — migrations mutate it and
+    #: the backend slot order in ``active_shards``, so a restore
+    #: replays both verbatim.  ``_pending_events`` counts the
+    #: partial-chunk events that live in the shard cores after the
+    #: pre-snapshot feed: the rate observer still owes them to the
+    #: next ``observe_flush``.)
+    _DURABLE = (
+        "num_keys",
+        "num_shards",
+        "active_shards",
+        "_slot_events",
+        "_slot_bytes",
+        "_fixed_chunk",
+        "_event_rate",
+        "_enable_factor_windows",
+        "_max_retired_results",
+        "_chunk_ticks",
+        "_chunk_end",
+        "_watermark",
+        "_max_event_ts",
+        "_pending_events",
+        "_queries",
+        "_modes",
+        "_forward",
+        "_forward_names",
+        "_generation",
+        "_closed",
+        "wall_seconds",
+    )
 
-        The coordinator first ships its buffered partial chunk down to
-        the shard cores *without advancing the watermark* (so taking a
-        snapshot never perturbs the stream's flush positions — results
-        are bit-identical whether or not, and however often, the
-        session checkpoints), then broadcasts a ``snapshot`` control
-        op.  The op rides the same FIFO as the data plane — pipe
-        ordering on the process backend, drain-ring-before-control on
-        shm — so each worker serializes its core at exactly the
-        coordinator's stream position: the N shard cores (including
-        the just-fed in-chunk events), the coordinator-local
-        forwarding core, the reorder buffer, the rate controller, and
-        the async ingest residue form one mutually consistent cut,
-        with no lockstep pause.
-
-        Pass ``path`` to also persist the snapshot via
-        :func:`~repro.runtime.checkpoint.write_checkpoint`.
-        """
-        snap = self._via_pump(self._snapshot_now, meta)
-        if path is not None:
-            write_checkpoint(snap, path)
-        return snap
-
-    def _snapshot_now(self, meta: "dict | None") -> Snapshot:
+    def _capture(self) -> dict:
         self._require_backend()
         if not self._closed:
             # Ship the buffered partial chunk down to the shard cores
@@ -2481,219 +2356,41 @@ class ShardedSession(AsyncIngestFrontDoor):
             # never snapshotted (results must not depend on checkpoint
             # cadence; invariant 10 meets invariant 12).
             self._feed_buffers()
-        residue = [] if self._pump is None else self._pump.pending_data()
-        shard_states = self.backend.snapshot()
-        coordinator = {
-            "reorder": self._reorder,
-            "controller": self.controller,
-            "observer": self._rate_observer,
-            "queries": self._queries,
-            "modes": self._modes,
-            "forward": self._forward,
-            "forward_names": self._forward_names,
-            "auto_names": self._auto_names,
-            "generation": self._generation,
-            "watermark": self._watermark,
-            "chunk_end": self._chunk_end,
-            "chunk_ticks": self._chunk_ticks,
-            "max_event_ts": self._max_event_ts,
-            "event_rate": self._event_rate,
-            "num_keys": self.num_keys,
-            "num_shards": self.num_shards,
-            # The elastic layout (DESIGN.md §12): the slot map and the
-            # backend slot order are mutated by migrations, so a
-            # restore must replay them, not recompute defaults.
-            "slot_map": (
-                None
-                if self.partitioner.slot_map is None
-                else self.partitioner.slot_map.copy()
-            ),
-            "active_shards": list(self.active_shards),
-            "slot_events": self._slot_events.copy(),
-            "slot_bytes": self._slot_bytes.copy(),
-            "fixed_chunk": self._fixed_chunk,
-            "enable_factor_windows": self._enable_factor_windows,
-            "max_retired_results": self._max_retired_results,
-            "closed": self._closed,
-            "wall_seconds": self.wall_seconds,
-            # The partial-chunk event count lives in the shard cores
-            # after the pre-snapshot feed; the rate observer still owes
-            # it to the next observe_flush, so a restored session must
-            # report the same flush count the uninterrupted one would.
-            "pending_events": self._pending_events,
-        }
-        graph = {
-            "coordinator": coordinator,
-            "shards": shard_states,
-            "residue": residue,
-        }
-        # One dumps over the coordinator graph: shared references (the
-        # controller inside the observer) survive, and the snapshot is
-        # isolated from further mutation of the live session.  Shard
-        # cores were already serialized inside their workers.
-        return Snapshot(
-            kind="sharded",
-            watermark=self._watermark,
-            generation=self._generation,
-            queries=tuple(self._queries),
-            payload={
-                "state": pickle.dumps(
-                    graph, protocol=pickle.HIGHEST_PROTOCOL
-                )
+        # The snapshot op rides the same FIFO as the data plane (pipe
+        # ordering on process, drain-ring-before-control on shm), so
+        # each worker serializes its core at exactly this stream
+        # position — one consistent cut, no lockstep pause.
+        return {
+            "coordinator": {
+                name: getattr(self, name) for name in self._DURABLE
             },
-            meta=dict(meta or {}),
-        )
+            "slot_map": self.partitioner.slot_map,
+            "shards": self.backend.snapshot(),
+        }
 
-    @classmethod
-    def restore(
-        cls,
-        source: "Snapshot | str",
+    def _adopt(
+        self,
+        state: dict,
         backend: "str | object" = "serial",
-        async_ingest: bool = False,
-        ingest_high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        ingest_low_watermark: "int | None" = None,
         fault_plan=None,
         worker_recovery: bool = False,
         control_timeout: "float | None" = DEFAULT_CONTROL_TIMEOUT,
-        auto_checkpoint: "CheckpointStore | None" = None,
-        checkpoint_meta=None,
-        on_checkpoint=None,
-    ) -> "ShardedSession":
-        """Rebuild a sharded session from a :class:`Snapshot` or a
-        checkpoint file and resume exactly where it left off.
+    ) -> None:
+        """The shard *layout* — slot map and backend slot order,
+        however many migrations produced it — is restored verbatim;
+        where it runs is an override (snapshot on shm, restore on
+        serial for a post-mortem, or the reverse)."""
+        for name in self._DURABLE:
+            setattr(self, name, state["coordinator"][name])
+        self.partitioner = KeyPartitioner(
+            self.num_keys, self.num_shards, slot_map=state["slot_map"]
+        )
+        self._start_backend(
+            backend, fault_plan, worker_recovery, control_timeout
+        )
+        self.backend.restore(state["shards"])
 
-        The execution backend and ingest mode are overrides, not part
-        of the snapshot — invariants 10 and 11 make both
-        observationally invisible, so a session snapshotted on the shm
-        backend may restore on serial (handy for post-mortem
-        inspection) and vice versa.  The shard *layout* — slot map and
-        backend slot order, however many migrations produced it — is
-        restored bit-identically from the snapshot; use the elastic
-        APIs (:meth:`rebalance` / :meth:`split_shard` /
-        :meth:`merge_shard`) to reshape it afterwards.  Captured
-        ingest-queue residue is
-        replayed through the restored front door first, so the
-        restored timeline has applied exactly the events the original
-        had accepted.
-        """
-        snap = (
-            source
-            if isinstance(source, Snapshot)
-            else read_checkpoint(source)
-        )
-        if snap.kind != "sharded":
-            raise ExecutionError(
-                f"checkpoint kind {snap.kind!r} is not a ShardedSession "
-                "snapshot (QuerySession.restore reads 'query' "
-                "checkpoints)"
-            )
-        graph = pickle.loads(snap.payload["state"])
-        coord = graph["coordinator"]
-        self = cls.__new__(cls)
-        self.num_keys = coord["num_keys"]
-        self.num_shards = coord["num_shards"]
-        # The elastic layout travels with the checkpoint: migrations
-        # mutate the slot map and the backend slot order, so both are
-        # replayed verbatim.  (Pre-elastic snapshots carry neither —
-        # their partition was the pure default of (num_keys,
-        # num_shards), so recomputing it is exact.)
-        slot_map = coord.get("slot_map")
-        self.partitioner = (
-            KeyPartitioner(self.num_keys, self.num_shards)
-            if slot_map is None
-            else KeyPartitioner(
-                self.num_keys, self.num_shards, slot_map=slot_map
-            )
-        )
-        self.num_slots = self.partitioner.num_slots
-        self.active_shards = list(
-            coord.get("active_shards")
-            or (
-                shard
-                for shard in range(self.num_shards)
-                if self.partitioner.owned[shard].size
-            )
-        )
-        self._slot_events = coord.get(
-            "slot_events", np.zeros(self.num_slots, dtype=np.float64)
-        )
-        self._slot_bytes = coord.get(
-            "slot_bytes", np.zeros(self.num_slots, dtype=np.float64)
-        )
-        self._slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
-        self.backend = _resolve_backend(backend)
-        _configure_durability(
-            self.backend, fault_plan, worker_recovery, control_timeout
-        )
-        self._fixed_chunk = coord["fixed_chunk"]
-        self._event_rate = coord["event_rate"]
-        self._enable_factor_windows = coord["enable_factor_windows"]
-        self._max_retired_results = coord["max_retired_results"]
-        self.backend.start(
-            [self._shard_config(shard) for shard in self.active_shards]
-        )
-        self.backend.restore(graph["shards"])
-        self.controller = coord["controller"]
-        self._reorder = coord["reorder"]
-        self._chunk_ticks = coord["chunk_ticks"]
-        self._chunk_end = coord["chunk_end"]
-        self._rate_observer = coord["observer"]
-        self._watermark = coord["watermark"]
-        self._max_event_ts = coord["max_event_ts"]
-        self._pending_events = coord.get("pending_events", 0)
-        active = len(self.active_shards)
-        self._scalar_buf = [([], [], []) for _ in range(active)]
-        self._array_buf = [[] for _ in range(active)]
-        self._queries = coord["queries"]
-        self._modes = coord["modes"]
-        self._forward = coord["forward"]
-        self._forward_names = coord["forward_names"]
-        self._fwd_scalar = ([], [])
-        self._fwd_arrays = []
-        self._auto_names = coord["auto_names"]
-        self._generation = coord["generation"]
-        self._closed = coord["closed"]
-        self._released = False
-        self.wall_seconds = coord["wall_seconds"]
-        self._auto_store = require_cadence(auto_checkpoint)
-        self._checkpoint_meta = checkpoint_meta
-        self._on_checkpoint = on_checkpoint
-        self._pump = (
-            IngestPump(
-                push=self._push_now,
-                push_batch=self._push_batch_now,
-                high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
-            )
-            if async_ingest
-            else None
-        )
-        for item in graph["residue"]:
-            if item[0] == _EVENT:
-                self.push(item[1], item[2], item[3])
-            else:
-                self.push_batch(item[1])
-        return self
-
-    # ------------------------------------------------------------------
-    # Termination and results
-    # ------------------------------------------------------------------
-    def finish(self, horizon: "int | None" = None):
-        """Drain the reorder buffer, close every instance ending at or
-        before ``horizon`` on every shard, and return :meth:`results`.
-        The session accepts no events afterwards (in async mode the
-        pump thread is stopped; the backend stays up for result reads
-        until :meth:`close`)."""
-        results = self._via_pump(self._finish_now, horizon)
-        self._stop_pump()
-        return results
-
-    def _finish_now(self, horizon: "int | None"):
-        self._require_open()
-        for event in self._reorder.flush():
-            self._route(event)
+    def _seal(self, horizon: "int | None") -> None:
         if horizon is None:
             horizon = max(self._watermark, self._max_event_ts + 1)
         if horizon < self._watermark:
@@ -2703,20 +2400,6 @@ class ShardedSession(AsyncIngestFrontDoor):
             )
         self._flush(horizon)
         self._closed = True
-        return self._collect(drain=False)
-
-    def results(self) -> "dict[str, dict[Window, WindowResults]]":
-        """Coordinator-merged per-query results (live and retired):
-        per-key rows scattered back to the global key space, global
-        partials combined and finalized, forwarded holistics passed
-        through as single rows."""
-        return self._via_pump(self._collect, False)
-
-    def drain_results(self) -> "dict[str, dict[Window, WindowResults]]":
-        """Consuming read: every shard drains its subscriptions and the
-        coordinator merges the released blocks — the bounded-memory
-        service read path."""
-        return self._via_pump(self._collect, True)
 
     def _collect(self, drain: bool):
         self._require_backend()
@@ -2808,12 +2491,6 @@ class ShardedSession(AsyncIngestFrontDoor):
             self._released = True
             self._closed = True
             self.backend.close()
-
-    def __enter__(self) -> "ShardedSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _require_open(self) -> None:
         if self._closed:

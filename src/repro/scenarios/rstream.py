@@ -15,25 +15,23 @@ bit-identically:
   (result digest + logical counters) so a replay can assert identity
   without re-deriving anything.
 
-On disk (the :mod:`~repro.runtime.checkpoint` framing, JSON header
-instead of pickle — a capture is shareable data, not trusted code)::
+On disk (the :mod:`~repro.runtime.container` framing checkpoints use,
+with a JSON header instead of pickle — a capture is shareable data,
+not trusted code)::
 
     magic (6) | version (u16 LE) | sha256(body) (32) | body
     body = header_len (u32 LE) | header (UTF-8 JSON) | column bytes
 
-Writes are atomic (temp file + ``os.replace``); reads verify magic,
-version, checksum, column dtypes, and byte counts and raise
+Writes are atomic; reads verify magic, version, checksum, column
+dtypes, and byte counts and raise
 :class:`~repro.errors.ExecutionError` on any mismatch — a torn or
 tampered capture never partial-replays.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +39,7 @@ import numpy as np
 
 from ..engine.events import EVENT_COLUMN_DTYPES
 from ..errors import ExecutionError
+from ..runtime.container import read_framed, write_framed
 
 __all__ = [
     "RSTREAM_MAGIC",
@@ -56,10 +55,7 @@ RSTREAM_MAGIC = b"RSTRM\x00"
 #: Format version; bumped on any incompatible layout change.
 RSTREAM_VERSION = 1
 
-_VERSION_WORD = struct.Struct("<H")
 _HEADER_LEN = struct.Struct("<I")
-_DIGEST_BYTES = 32
-_PREFIX_BYTES = len(RSTREAM_MAGIC) + _VERSION_WORD.size + _DIGEST_BYTES
 
 #: The canonical column layout, serialized into every header so a
 #: reader can refuse a capture whose schema it does not understand.
@@ -100,7 +96,6 @@ class StreamCapture:
 
 def write_rstream(capture: StreamCapture, path: "str | Path") -> Path:
     """Serialize ``capture`` to ``path`` atomically; returns the path."""
-    path = Path(path)
     columns = [
         np.ascontiguousarray(column, dtype=np.dtype(dtype_str))
         for column, (_, dtype_str) in zip(
@@ -129,29 +124,7 @@ def write_rstream(capture: StreamCapture, path: "str | Path") -> Path:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     body = _HEADER_LEN.pack(len(header_bytes)) + header_bytes
     body += b"".join(column.tobytes() for column in columns)
-    blob = (
-        RSTREAM_MAGIC
-        + _VERSION_WORD.pack(RSTREAM_VERSION)
-        + hashlib.sha256(body).digest()
-        + body
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_framed(path, RSTREAM_MAGIC, RSTREAM_VERSION, body)
 
 
 def read_rstream(path: "str | Path") -> StreamCapture:
@@ -162,28 +135,9 @@ def read_rstream(path: "str | Path") -> StreamCapture:
     checksum failure — a capture either replays exactly or not at all.
     """
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise ExecutionError(f"cannot read capture {path}: {exc}") from exc
-    if len(blob) < _PREFIX_BYTES or not blob.startswith(RSTREAM_MAGIC):
-        raise ExecutionError(
-            f"{path} is not a factor-windows stream capture"
-        )
-    offset = len(RSTREAM_MAGIC)
-    (version,) = _VERSION_WORD.unpack_from(blob, offset)
-    if version != RSTREAM_VERSION:
-        raise ExecutionError(
-            f"{path}: capture format v{version} is not supported "
-            f"(this build reads v{RSTREAM_VERSION})"
-        )
-    offset += _VERSION_WORD.size
-    digest = blob[offset : offset + _DIGEST_BYTES]
-    body = blob[offset + _DIGEST_BYTES :]
-    if hashlib.sha256(body).digest() != digest:
-        raise ExecutionError(
-            f"{path}: checksum mismatch — capture is corrupt or torn"
-        )
+    body = read_framed(
+        path, RSTREAM_MAGIC, RSTREAM_VERSION, "capture", "stream capture"
+    )
     if len(body) < _HEADER_LEN.size:
         raise ExecutionError(f"{path}: capture body is truncated")
     (header_len,) = _HEADER_LEN.unpack_from(body, 0)

@@ -35,7 +35,7 @@ import numpy as np
 from ..aggregates.registry import get_aggregate
 from ..core.multiquery import Query
 from ..errors import ExecutionError
-from ..runtime import QuerySession, ShardedSession
+from ..runtime import has_workers, open_session
 from ..workloads.domains import domain_stream
 from ..workloads.rng import seeded_rng
 from .rstream import StreamCapture, read_rstream, write_rstream
@@ -373,10 +373,7 @@ class ScenarioRunner:
     def runtime_config(self, **overrides) -> RuntimeSpec:
         """The scenario's runtime section with per-run overrides
         applied (``None`` overrides are ignored)."""
-        chosen = {
-            key: value for key, value in overrides.items() if value is not None
-        }
-        return replace(self.scenario.runtime, **chosen)
+        return _override(self.scenario.runtime, **overrides)
 
     def run(
         self,
@@ -394,11 +391,8 @@ class ScenarioRunner:
             backend=backend, shards=shards, async_ingest=async_ingest
         )
         compiled = self.compiled
-        fault_plan = None
-        if self.scenario.chaos is not None and runtime.backend != "serial":
-            fault_plan = self.scenario.chaos.build_plan()
         report = _execute(
-            self.scenario.name, compiled, runtime, fault_plan
+            self.scenario.name, compiled, runtime, self.scenario.chaos
         )
         if record is not None:
             write_rstream(
@@ -444,19 +438,12 @@ class ScenarioRunner:
         """
         if not isinstance(capture, StreamCapture):
             capture = read_rstream(capture)
-        runtime = _build(
-            RuntimeSpec, dict(capture.runtime), "runtime"
+        runtime = _override(
+            _build(RuntimeSpec, dict(capture.runtime), "runtime"),
+            backend=backend,
+            shards=shards,
+            async_ingest=async_ingest,
         )
-        chosen = {
-            key: value
-            for key, value in (
-                ("backend", backend),
-                ("shards", shards),
-                ("async_ingest", async_ingest),
-            )
-            if value is not None
-        }
-        runtime = replace(runtime, **chosen)
         compiled = CompiledStream(
             timestamps=capture.timestamps,
             keys=capture.keys,
@@ -467,7 +454,7 @@ class ScenarioRunner:
             ops=capture.ops,
         )
         name = str(capture.meta.get("scenario") or "capture")
-        report = _execute(name, compiled, runtime, fault_plan=None)
+        report = _execute(name, compiled, runtime, chaos=None)
         if verify and capture.outcome:
             recorded = capture.outcome
             mismatches = [
@@ -484,40 +471,38 @@ class ScenarioRunner:
         return report
 
 
+def _override(runtime: RuntimeSpec, **overrides) -> RuntimeSpec:
+    chosen = {
+        key: value for key, value in overrides.items() if value is not None
+    }
+    return replace(runtime, **chosen)
+
+
 def _execute(
     name: str,
     compiled: CompiledStream,
     runtime: RuntimeSpec,
-    fault_plan,
+    chaos,
 ) -> ScenarioReport:
     num_events = compiled.num_events
-    session_kwargs: dict = {}
-    if runtime.chunk_ticks is not None:
-        session_kwargs["chunk_ticks"] = runtime.chunk_ticks
-    if runtime.shards > 1:
-        if runtime.slots is not None:
-            session_kwargs["num_slots"] = runtime.slots
-        if fault_plan is not None:
-            session_kwargs["fault_plan"] = fault_plan
-        workers = runtime.backend != "serial"
-        session = ShardedSession(
-            num_keys=compiled.num_keys,
-            num_shards=runtime.shards,
-            backend=runtime.backend,
-            max_lateness=compiled.max_lateness,
-            async_ingest=runtime.async_ingest,
-            worker_recovery=runtime.worker_recovery and workers,
-            hysteresis=None,
-            **session_kwargs,
-        )
-    else:
-        session = QuerySession(
-            num_keys=compiled.num_keys,
-            max_lateness=compiled.max_lateness,
-            async_ingest=runtime.async_ingest,
-            hysteresis=None,
-            **session_kwargs,
-        )
+    # Faults and worker recovery act on worker processes: a run
+    # without any (one shard, or the serial backend) arms neither.
+    workers = has_workers(runtime.shards, runtime.backend)
+    fault_plan = (
+        chaos.build_plan() if chaos is not None and workers else None
+    )
+    session = open_session(
+        num_shards=runtime.shards,
+        backend=runtime.backend,
+        num_slots=runtime.slots,
+        fault_plan=fault_plan,
+        worker_recovery=runtime.worker_recovery and workers,
+        num_keys=compiled.num_keys,
+        max_lateness=compiled.max_lateness,
+        chunk_ticks=runtime.chunk_ticks,
+        async_ingest=runtime.async_ingest,
+        hysteresis=None,
+    )
     rows = np.column_stack(
         (
             compiled.timestamps.astype(np.float64),
@@ -527,7 +512,7 @@ def _execute(
     )
     moved = 0
     started = time.perf_counter()
-    try:
+    with session:
         cursor = 0
         schedule = list(compiled.ops) + [(num_events, None, None)]
         for index, kind, payload in schedule:
@@ -550,10 +535,6 @@ def _execute(
         reorder = session.reorder_stats
         stats = session.stats()
         recoveries = getattr(session, "worker_recoveries", 0)
-    except BaseException:
-        session.close()
-        raise
-    session.close()
     queries = {
         query_name: sum(
             emitted.frontier - emitted.start_instance
@@ -584,10 +565,10 @@ def _execute(
 
 
 def _feed(session, compiled, rows, lo: int, hi: int) -> None:
-    """Push arrivals ``[lo, hi)``: vectorized for a sync sharded
-    session, per-event otherwise (results are identical either way —
-    that equivalence is itself a blessed contract)."""
-    if isinstance(session, ShardedSession) and session.ingest_stats is None:
+    """Push arrivals ``[lo, hi)``: vectorized for a sync session,
+    per-event through the async front door (results are identical
+    either way — that equivalence is itself a blessed contract)."""
+    if session.ingest_stats is None:
         session.push_many(rows[lo:hi])
         return
     timestamps, keys, values = (

@@ -51,7 +51,7 @@ from pathlib import Path
 
 from ..engine.events import EVENT_BYTES, event_table
 from ..errors import ExecutionError, ReproError
-from ..runtime import CheckpointStore, QuerySession, ShardedSession
+from ..runtime import CheckpointStore, open_session, restore_session
 from ..runtime.core import resolve_registration_query
 from ..runtime.faults import SERVICE_FAULT_KINDS
 from .protocol import BadRequest, Overloaded, serialize_results
@@ -280,46 +280,25 @@ class SessionManager:
         Tenant sessions are sync-ingest on purpose: the service's own
         byte budget is the front door, and a per-tenant pump queue
         would hold replayable events *outside* the tail — a crash
-        would then lose them silently.  ShardedSession's worker-level
-        ``worker_recovery`` stays available underneath via config
-        backends; the supervisor here is the layer above it.
+        would then lose them silently.  ``num_shards`` / ``backend``
+        pick the session shape (:func:`~repro.runtime.open_session`);
+        the supervisor here is the layer above it.
         """
         cfg = state.config
-        on_checkpoint = lambda snap, path: state.tail.clear()  # noqa: E731
-        meta = lambda: {"tenant": state.name}  # noqa: E731
-        if cfg.num_shards > 1:
-            if source is None:
-                return ShardedSession(
-                    num_keys=cfg.num_keys,
-                    num_shards=cfg.num_shards,
-                    backend=cfg.backend,
-                    max_lateness=cfg.max_lateness,
-                    chunk_ticks=cfg.chunk_ticks,
-                    auto_checkpoint=state.store,
-                    checkpoint_meta=meta,
-                    on_checkpoint=on_checkpoint,
-                )
-            return ShardedSession.restore(
-                source,
-                backend=cfg.backend,
-                auto_checkpoint=state.store,
-                checkpoint_meta=meta,
-                on_checkpoint=on_checkpoint,
-            )
-        if source is None:
-            return QuerySession(
-                num_keys=cfg.num_keys,
-                max_lateness=cfg.max_lateness,
-                chunk_ticks=cfg.chunk_ticks,
-                auto_checkpoint=state.store,
-                checkpoint_meta=meta,
-                on_checkpoint=on_checkpoint,
-            )
-        return QuerySession.restore(
-            source,
-            auto_checkpoint=state.store,
-            checkpoint_meta=meta,
-            on_checkpoint=on_checkpoint,
+        wiring = {
+            "auto_checkpoint": state.store,
+            "checkpoint_meta": lambda: {"tenant": state.name},
+            "on_checkpoint": lambda snap, path: state.tail.clear(),
+        }
+        if source is not None:
+            return restore_session(source, backend=cfg.backend, **wiring)
+        return open_session(
+            num_shards=cfg.num_shards,
+            backend=cfg.backend,
+            num_keys=cfg.num_keys,
+            max_lateness=cfg.max_lateness,
+            chunk_ticks=cfg.chunk_ticks,
+            **wiring,
         )
 
     def _tenant(self, name) -> _TenantState:

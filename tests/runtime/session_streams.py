@@ -59,3 +59,22 @@ def cold_reference(queries, batch):
             for window in query.windows:
                 out[(query.name, window)] = result.results[window]
     return out
+
+
+def assert_identical(expected, actual, context):
+    """Two ``results()`` dicts agree bit for bit: same queries, same
+    windows, same instance ranges, same values."""
+    assert set(expected) == set(actual), context
+    for name in expected:
+        assert set(expected[name]) == set(actual[name]), (context, name)
+        for window, reference in expected[name].items():
+            emitted = actual[name][window]
+            assert (
+                emitted.start_instance == reference.start_instance
+                and emitted.frontier == reference.frontier
+            ), (context, name, window)
+            np.testing.assert_array_equal(
+                emitted.values,
+                reference.values,
+                err_msg=f"{context} {name}/{window}",
+            )

@@ -1,0 +1,360 @@
+"""Front-door conformance: one life-cycle, held on both session classes.
+
+``SessionFrontDoor`` (DESIGN.md §8) writes the session life-cycle once;
+``QuerySession`` and ``ShardedSession`` only supply hooks.  This suite
+runs every check on both:
+
+* **the rule** — every public attribute is a ``@synchronized``
+  synchronization point, a data-plane enqueue, part of the
+  finish/close life-cycle, or a named coordinator-local read; a new
+  public method that touches the backend off the pump thread fails;
+* **what synchronized means** — in async mode the body runs on the
+  pump thread, after every previously pushed event;
+* **the shared verbs** — auto-checkpoint cadence, ``checkpoint_meta``,
+  ``on_checkpoint``, kind-mismatch refusals, residue replay and
+  ``finish`` stopping the pump behave identically.
+"""
+
+import inspect
+import threading
+
+import pytest
+
+from repro.aggregates.registry import MIN, SUM
+from repro.core.multiquery import Query
+from repro.errors import ExecutionError
+from repro.runtime import (
+    CheckpointStore,
+    QuerySession,
+    ShardedSession,
+    read_checkpoint,
+)
+from repro.windows.window import Window, WindowSet
+
+from session_streams import assert_identical, integer_stream
+
+NUM_KEYS = 5
+TICKS = 200
+QUERY = Query("mins", WindowSet([Window(8, 4), Window(16, 8)]), MIN)
+
+#: Enqueue (async) or apply inline (sync); never a synchronization point.
+DATA_PLANE = {"push", "push_many", "push_batch"}
+#: They stop the pump (so cannot run on it) or build a session.
+LIFECYCLE = {"finish", "close", "restore"}
+#: Reads of one coordinator-local value — no backend, no core walk.
+_BOTH = {
+    "kind",
+    "ingest_stats",
+    "reorder_stats",
+    "watermark",
+    "queries",
+    "generation",
+}
+LOCAL_READS = {
+    QuerySession: _BOTH
+    | {
+        "core",
+        "workload",
+        "wall_seconds",
+        "retired_results_evicted",
+        "retired_instances_evicted",
+    },
+    ShardedSession: _BOTH | {"num_slots", "slot_map", "worker_recoveries"},
+}
+
+
+def make(cls, **kwargs):
+    if cls is ShardedSession:
+        kwargs = {"num_shards": 2, "backend": "serial", **kwargs}
+    return cls(num_keys=NUM_KEYS, **kwargs)
+
+
+both = pytest.mark.parametrize(
+    "cls",
+    [QuerySession, ShardedSession],
+    ids=["QuerySession", "ShardedSession[serial,2]"],
+)
+
+
+def events_of(seed):
+    batch = integer_stream(ticks=TICKS, num_keys=NUM_KEYS, seed=seed)
+    rows = list(
+        zip(
+            batch.timestamps.tolist(),
+            batch.keys.tolist(),
+            batch.values.tolist(),
+        )
+    )
+    return rows, batch.horizon
+
+
+def feed(session, rows):
+    for ts, key, value in rows:
+        session.push(ts, key, value)
+
+
+def applied(session):
+    stats = session.reorder_stats
+    return stats.accepted + stats.late_dropped
+
+
+def pump_threads():
+    return [
+        t for t in threading.enumerate() if t.name == "repro-ingest-pump"
+    ]
+
+
+# ----------------------------------------------------------------------
+# (i) The rule, by introspection
+# ----------------------------------------------------------------------
+def public_surface(cls):
+    """``{name: underlying function or plain value}`` of every public
+    class attribute (properties unwrapped to their getter)."""
+    surface = {}
+    for name in dir(cls):
+        if name.startswith("_"):
+            continue
+        attr = inspect.getattr_static(cls, name)
+        if isinstance(attr, property):
+            attr = attr.fget
+        elif isinstance(attr, (classmethod, staticmethod)):
+            attr = attr.__func__
+        surface[name] = attr
+    return surface
+
+
+def synchronized_names(cls):
+    return {
+        name
+        for name, attr in public_surface(cls).items()
+        if getattr(attr, "synchronized", False)
+    }
+
+
+def unguarded(cls, local_reads):
+    allowed = DATA_PLANE | LIFECYCLE | local_reads
+    return sorted(
+        set(public_surface(cls)) - synchronized_names(cls) - allowed
+    )
+
+
+@both
+def test_every_public_attribute_is_classified(cls):
+    assert unguarded(cls, LOCAL_READS[cls]) == []
+    # The exemption lists stay honest: nothing listed that is gone,
+    # nothing listed that is synchronized anyway.
+    surface = public_surface(cls)
+    assert LOCAL_READS[cls] <= set(surface)
+    assert not LOCAL_READS[cls] & synchronized_names(cls)
+    assert not (DATA_PLANE | LIFECYCLE) & synchronized_names(cls)
+
+
+@both
+def test_an_unsynchronized_backend_toucher_is_caught(cls):
+    class Leaky(cls):
+        def peek(self):
+            return self._collect(False)
+
+        @property
+        def peeked(self):
+            return self._collect(False)
+
+    assert unguarded(Leaky, LOCAL_READS[cls]) == ["peek", "peeked"]
+
+
+# ----------------------------------------------------------------------
+# (ii) Synchronized = on the pump thread, after everything pushed
+# ----------------------------------------------------------------------
+def _exercise(session):
+    """Call every synchronized public method once, as ``(name, thunk)``
+    pairs in an order that keeps each call legal."""
+    extra = Query("extra", WindowSet([Window(10, 5)]), SUM)
+    calls = [
+        ("register", lambda: session.register(extra)),
+        ("stats", session.stats),
+        ("max_retained_state", session.max_retained_state),
+        ("switches", lambda: session.switches),
+        ("results", session.results),
+        ("drain_results", session.drain_results),
+        ("snapshot", session.snapshot),
+        ("deregister", lambda: session.deregister("extra")),
+    ]
+    if isinstance(session, QuerySession):
+        calls.append(("group_stats", session.group_stats))
+    else:
+        calls += [
+            ("shard_switches", session.shard_switches),
+            ("shard_watermarks", session.shard_watermarks),
+            ("slot_loads", session.slot_loads),
+            ("shard_loads", session.shard_loads),
+            ("rebalance", session.rebalance),
+            ("move_slots", lambda: session.move_slots([0], 1)),
+            ("split_shard", session.split_shard),
+            ("merge_shard", lambda: session.merge_shard(2)),
+        ]
+    return calls
+
+
+@both
+def test_synchronized_methods_run_on_the_pump_after_every_push(
+    cls, repro_seed
+):
+    rows, _ = events_of(repro_seed)
+    session = make(cls, async_ingest=True)
+    pump = session._pump
+    seen = []
+    submit = pump.submit_call
+
+    def spying_submit(fn, *args, **kwargs):
+        def probe(*a, **k):
+            seen.append((fn.__name__, pump.in_pump_thread(), applied(session)))
+            return fn(*a, **k)
+
+        return submit(probe, *args, **kwargs)
+
+    pump.submit_call = spying_submit
+    try:
+        session.register(QUERY)
+        calls = _exercise(session)
+        assert {name for name, _ in calls} == synchronized_names(cls)
+        step = len(rows) // (len(calls) + 1)
+        pushed = 0
+        expected = [("register", True, 0)]
+        for i, (name, thunk) in enumerate(calls):
+            chunk = rows[i * step : (i + 1) * step]
+            feed(session, chunk)
+            pushed += len(chunk)
+            thunk()
+            expected.append((name, True, pushed))
+        assert seen == expected
+    finally:
+        session.close()
+
+
+# ----------------------------------------------------------------------
+# (iii) The shared verbs behave identically
+# ----------------------------------------------------------------------
+@both
+@pytest.mark.parametrize("async_ingest", [False, True])
+def test_cadence_meta_and_callback(cls, tmp_path, repro_seed, async_ingest):
+    rows, _ = events_of(repro_seed)
+    saved = []
+    store = CheckpointStore(tmp_path, every=25)
+    session = make(
+        cls,
+        async_ingest=async_ingest,
+        auto_checkpoint=store,
+        checkpoint_meta=lambda: {"tag": "auto"},
+        on_checkpoint=lambda snap, path: saved.append((snap.watermark, path)),
+    )
+    with session:
+        session.register(QUERY)
+        feed(session, rows)
+        _ = session.switches  # async mode: pump sync point
+    assert len(saved) >= 5
+    # Strictly increasing watermarks, each >= the cadence apart.
+    marks = [wm for wm, _ in saved]
+    assert all(b - a >= 25 for a, b in zip(marks, marks[1:]))
+    # Every save hit disk through the store's own rotation, and the
+    # meta provider's payload rode along.
+    newest = read_checkpoint(store.latest())
+    assert newest.kind == cls.kind
+    assert newest.meta["tag"] == "auto"
+    assert newest.watermark == marks[-1]
+    assert saved[-1][1] == store.latest()
+
+
+@both
+def test_auto_checkpoint_requires_a_cadence(cls, tmp_path):
+    store = CheckpointStore(tmp_path)  # no every=
+    with pytest.raises(ExecutionError, match="cadence"):
+        make(cls, auto_checkpoint=store)
+
+
+@pytest.mark.parametrize(
+    "cls,other,message",
+    [
+        (
+            QuerySession,
+            ShardedSession,
+            r"checkpoint kind 'sharded' does not restore into a "
+            r"QuerySession \(use ShardedSession.restore\)",
+        ),
+        (
+            ShardedSession,
+            QuerySession,
+            r"checkpoint kind 'query' is not a ShardedSession snapshot "
+            r"\(QuerySession.restore reads 'query' checkpoints\)",
+        ),
+    ],
+    ids=["QuerySession", "ShardedSession[serial,2]"],
+)
+def test_restore_refuses_the_other_kind(cls, other, message):
+    with make(other) as session:
+        session.register(QUERY)
+        snap = session.snapshot()
+    with pytest.raises(ExecutionError, match=message):
+        cls.restore(snap)
+
+
+@both
+def test_queued_residue_is_captured_and_replayed(cls, tmp_path, repro_seed):
+    """Events queued behind a cut are residue: the snapshot carries
+    them and ``restore`` replays them before anything new.  The cut is
+    held open from ``checkpoint_meta`` (it runs on the pump thread,
+    just before the capture) while 100 more events queue up."""
+    rows, horizon = events_of(repro_seed)
+    with make(cls) as baseline:
+        baseline.register(QUERY)
+        feed(baseline, rows)
+        expected = baseline.finish(horizon=horizon)
+
+    entered, release = threading.Event(), threading.Event()
+    cuts = []
+
+    def meta():
+        position = applied(session)
+        if not cuts:
+            entered.set()
+            release.wait(timeout=30)
+        return {"position": position}
+
+    session = make(
+        cls,
+        async_ingest=True,
+        auto_checkpoint=CheckpointStore(tmp_path, every=25),
+        checkpoint_meta=meta,
+        on_checkpoint=lambda snap, path: cuts.append(snap),
+    )
+    with session:
+        session.register(QUERY)
+        feed(session, rows[:200])  # enough ticks for the cadence to fire
+        assert entered.wait(timeout=30)
+        feed(session, rows[200:300])
+        release.set()
+        _ = session.switches
+    snap = cuts[0]
+    with cls.restore(snap) as restored:
+        position = applied(restored)
+        assert position - snap.meta["position"] >= 100
+        feed(restored, rows[position:])
+        actual = restored.finish(horizon=horizon)
+    assert_identical(expected, actual, f"seed={repro_seed} residue")
+
+
+@both
+def test_finish_stops_the_pump_and_closes_the_stream(cls, repro_seed):
+    rows, horizon = events_of(repro_seed)
+    before = len(pump_threads())
+    session = make(cls, async_ingest=True)
+    assert len(pump_threads()) == before + 1
+    with session:
+        session.register(QUERY)
+        feed(session, rows)
+        results = session.finish(horizon=horizon)
+        assert len(pump_threads()) == before
+        assert applied(session) == len(rows)
+        # Reads still work (inline now); the stream is closed.
+        assert_identical(results, session.results(), "after finish")
+        with pytest.raises(ExecutionError, match="finished"):
+            session.push(horizon + 1, 0, 1.0)

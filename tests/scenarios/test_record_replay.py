@@ -161,3 +161,99 @@ class TestCaptureIntegrity:
         bad.write_bytes(bytes(blob))
         with pytest.raises(ExecutionError):
             replay_capture(bad)
+
+    def test_serialization_is_pinned(self, tmp_path):
+        """A fixed capture serializes to fixed bytes: ``.rstream`` is a
+        shareable format, so any drift in the framing (shared with
+        ``.rckpt`` through ``runtime/container.py``), the header JSON
+        or the column layout must be a deliberate version bump, not a
+        side effect."""
+        import hashlib
+
+        import numpy as np
+
+        from repro.scenarios.rstream import StreamCapture, write_rstream
+
+        capture = StreamCapture(
+            timestamps=np.array([0, 1, 1, 3, 2, 5], dtype=np.int64),
+            keys=np.array([0, 2, 1, 0, 2, 1], dtype=np.int64),
+            values=np.array([1.5, -2.0, 0.0, 7.25, 3.0, 1e9]),
+            horizon=6,
+            num_keys=3,
+            max_lateness=2,
+            ops=(
+                (
+                    0,
+                    "register",
+                    {"name": "s", "aggregate": "sum", "windows": ["4/2"]},
+                ),
+                (3, "rebalance", None),
+                (5, "deregister", "s"),
+            ),
+            runtime={"shards": 2, "backend": "serial"},
+            outcome={"digest": "00ff", "accepted": 6},
+            meta={"scenario": "pinned"},
+        )
+        blob = write_rstream(capture, tmp_path / "pinned.rstream").read_bytes()
+        assert len(blob) == 576
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1106c46949e37812ee6495ec3358e782273848fad22cc87c152ed9ecd1646853"
+        )
+        assert list(tmp_path.iterdir()) == [tmp_path / "pinned.rstream"]
+
+
+@pytest.mark.scenarios
+class TestOneShardRuns:
+    """``shards=1`` is a ``QuerySession``: no workers, so no chaos to
+    arm — and a sync one is fed in columnar batches like any other."""
+
+    def test_chaos_scenario_builds_no_fault_plan(self, monkeypatch):
+        from repro.scenarios.schema import ChaosSpec
+
+        built = []
+        build_plan = ChaosSpec.build_plan
+        monkeypatch.setattr(
+            ChaosSpec,
+            "build_plan",
+            lambda self: built.append(1) or build_plan(self),
+        )
+        runner = ScenarioRunner(load_scenario(CHAOS_TEXT))
+        report = runner.run(shards=1)
+        assert built == []  # was: built, then dropped on the floor
+        assert (report.backend, report.shards) == ("serial", 1)
+        assert report.faults_fired == report.worker_recoveries == 0
+        assert report.digest == runner.run(backend="serial").digest
+        assert built == []  # 3 serial shards: no workers either
+
+    def test_open_session_refuses_chaos_at_one_shard(self):
+        from repro.runtime import FaultPlan, open_session
+
+        refusal = "does not support fault injection / worker recovery"
+        with pytest.raises(ExecutionError, match=refusal):
+            open_session(num_shards=1, backend="process", fault_plan=FaultPlan([]))
+        with pytest.raises(ExecutionError, match=refusal):
+            open_session(num_shards=1, worker_recovery=True)
+
+    @pytest.mark.parametrize("async_ingest", [False, True])
+    def test_feed_is_columnar_unless_async(self, monkeypatch, async_ingest):
+        from repro.runtime import QuerySession
+
+        calls = {"push": 0, "push_many": 0}
+        for name in calls:
+            real = getattr(QuerySession, name)
+
+            def counted(self, *args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(QuerySession, name, counted)
+        report = ScenarioRunner(load_scenario(CHAOS_TEXT)).run(
+            shards=1, async_ingest=async_ingest
+        )
+        if async_ingest:
+            assert calls == {"push": report.events, "push_many": 0}
+        else:
+            # One batch per stretch between scheduled ops, no per-event
+            # front-door calls (was: one ``push`` per event).
+            assert calls["push"] == 0
+            assert 0 < calls["push_many"] <= 8
