@@ -168,7 +168,7 @@ def availability_error() -> "str | None":
 
 def globally_enabled() -> bool:
     """True when every reduction site should use the kernels."""
-    return _mode() in ("1", "require") and available()
+    return _mode() in ("1", "require") and _load() is not None
 
 
 def resolve(native: "bool | None") -> bool:
@@ -179,23 +179,37 @@ def resolve(native: "bool | None") -> bool:
     ``REPRO_KERNELS=0`` wins over everything; ``require`` raises when
     the library cannot be built.
     """
-    mode = _mode()
+    mode = _mode()  # read once per visit: tests flip it between calls
     if mode == "0" or native is False:
         return False
     if mode == "require":
-        if not available():
+        if _load() is None:
             raise KernelsUnavailable(
                 f"REPRO_KERNELS=require but kernels are unavailable: "
                 f"{_load_error}"
             )
         return True
-    if native is True:
-        return available()
-    return mode == "1" and available()
+    return (native is True or mode == "1") and _load() is not None
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
+
+
+def _carve(*sizes: int):
+    """``len(sizes)`` int64 arrays cut from one allocation, with their
+    addresses as the ints a ``c_void_p`` parameter accepts: one
+    address lookup per kernel call, not one ``ndarray.ctypes`` object
+    per argument.  A float64 argument is the ``.view(np.float64)`` of
+    its array."""
+    block = np.empty(sum(sizes), dtype=np.int64)
+    base = block.ctypes.data
+    arrays, addresses, lo = [], [], 0
+    for size in sizes:
+        arrays.append(block[lo:lo + size])
+        addresses.append(base + 8 * lo)
+        lo += size
+    return arrays, addresses
 
 
 def _contiguous(array, dtype) -> np.ndarray:
@@ -327,33 +341,28 @@ class NativeReorderHeap:
         late_lateness, new_heap_tuples, new_max_seen, new_sequence)``.
         """
         lib = _load()
-        ts = _contiguous(ts, np.int64)
-        keys = _contiguous(keys, np.int64)
-        values = _contiguous(values, np.float64)
-        n = ts.size
+        n = len(ts)
         hs0 = len(heap_tuples)
         cap = hs0 + n
-        hts = np.empty(cap, dtype=np.int64)
-        hseq = np.empty(cap, dtype=np.int64)
-        hkey = np.empty(cap, dtype=np.int64)
-        hval = np.empty(cap, dtype=np.float64)
+        # The released columns outlive the call (the session buffers
+        # them until its next flush), so they get a block of their own.
+        (out_ts, out_keys, out_values), out = _carve(cap, cap, cap)
+        (
+            (hts, hseq, hkey, hval, heap_size, in_ts, in_keys, in_values,
+             state, late_idx, late_lateness, late_count),
+            work,
+        ) = _carve(cap, cap, cap, cap, 1, n, n, n, 2, n, n, 1)
+        out_values, hval, in_values = (
+            a.view(np.float64) for a in (out_values, hval, in_values)
+        )
+        in_ts[:], in_keys[:], in_values[:] = ts, keys, values
         if hs0:
             hts[:hs0], hseq[:hs0], hkey[:hs0], hval[:hs0] = zip(*heap_tuples)
-        heap_size = np.array([hs0], dtype=np.int64)
-        state = np.array([max_seen, sequence], dtype=np.int64)
-        out_ts = np.empty(cap, dtype=np.int64)
-        out_keys = np.empty(cap, dtype=np.int64)
-        out_values = np.empty(cap, dtype=np.float64)
-        late_idx = np.empty(n, dtype=np.int64)
-        late_lateness = np.empty(n, dtype=np.int64)
-        late_count = np.array([0], dtype=np.int64)
+        heap_size[0], state[0], state[1], late_count[0] = (
+            hs0, max_seen, sequence, 0
+        )
         released = lib.repro_reorder_push_batch(
-            _ptr(hts), _ptr(hseq), _ptr(hkey), _ptr(hval),
-            _ptr(heap_size),
-            _ptr(ts), _ptr(keys), _ptr(values), ctypes.c_int64(n),
-            ctypes.c_int64(max_lateness), _ptr(state),
-            _ptr(out_ts), _ptr(out_keys), _ptr(out_values),
-            _ptr(late_idx), _ptr(late_lateness), _ptr(late_count),
+            *work[:8], n, max_lateness, work[8], *out, *work[9:]
         )
         hs = int(heap_size[0])
         new_heap = list(

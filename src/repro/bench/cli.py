@@ -726,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=8,
-        help="request-handler thread pool size (bounds concurrent "
-        "tenant requests)",
+        help="tenant requests executing at once (every connection "
+        "has its own thread; requests beyond this wait their turn)",
     )
     p_srv.set_defaults(func=_cmd_serve)
 

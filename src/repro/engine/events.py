@@ -201,16 +201,37 @@ def event_table(events, num_keys: int) -> np.ndarray:
     return table
 
 
-def event_columns(
-    events, num_keys: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+@dataclass(frozen=True)
+class EventColumns:
+    """Validated engine columns (int64, int64, float64; contiguous)
+    and the ``num_keys`` they were checked against.  Unpacks as
+    ``ts, keys, values``."""
+
+    ts: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    num_keys: int
+
+    def __iter__(self):
+        return iter((self.ts, self.keys, self.values))
+
+
+def event_columns(events, num_keys: int) -> EventColumns:
     """:func:`event_table`, split into the engines' ``(ts, keys,
-    values)`` columns (int64, int64, float64; contiguous)."""
+    values)`` columns.  Idempotent: columns already validated against
+    the same ``num_keys`` come back untouched, so a batch checked at
+    one front door (the service manager) is not checked again at the
+    next (``push_many``, on apply and on every tail replay)."""
+    if isinstance(events, EventColumns):
+        if events.num_keys == num_keys:
+            return events
+        events = np.column_stack(tuple(events))
     table = event_table(events, num_keys)
-    return (
+    return EventColumns(
         table[:, 0].astype(np.int64),
         table[:, 1].astype(np.int64),
         np.ascontiguousarray(table[:, 2]),
+        num_keys,
     )
 
 

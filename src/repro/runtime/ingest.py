@@ -72,7 +72,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..core.adaptive import RateController
-from ..engine.events import event_columns
+from ..engine.events import EventColumns, event_columns
 from ..engine.outoforder import ReorderBuffer
 from ..errors import ExecutionError
 from .checkpoint import (
@@ -406,8 +406,9 @@ class SessionFrontDoor:
         self._end_push()
 
     def push_many(self, events) -> None:
-        """Ingest ``(ts, key, value)`` events — an iterable of rows or
-        an ``(n, 3)`` array.
+        """Ingest ``(ts, key, value)`` events — an iterable of rows,
+        an ``(n, 3)`` array, or columns ``event_columns`` has already
+        validated (they are not validated twice).
 
         Sync mode keeps the batch a batch: it is validated whole
         (:func:`~repro.engine.events.event_columns` — nothing is
@@ -420,6 +421,8 @@ class SessionFrontDoor:
         auto-checkpoint cadence apply once, at the end of the batch.
         Async mode enqueues per event."""
         if self._pump is not None and self._pump.accepting:
+            if isinstance(events, EventColumns):
+                events = zip(*(column.tolist() for column in events))
             for ts, key, value in events:
                 self.push(ts, key, value)
             return

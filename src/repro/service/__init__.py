@@ -4,8 +4,8 @@ This package turns the runtime's sessions into a *service*: a
 :class:`SessionManager` owning many named tenant sessions behind
 per-tenant admission control (token-bucket rate quotas, byte-weighed
 queue budgets, circuit breakers) and supervision (checkpoint + tail
-replay restore), fronted by a dependency-free asyncio JSON-lines TCP
-server (:class:`ServiceServer`) and a blocking client
+replay restore), fronted by a dependency-free thread-per-connection
+JSON-lines TCP server (:class:`ServiceServer`) and a blocking client
 (:class:`ServiceClient`) with bounded, overload-aware retries.
 
 The robustness contract, end to end:

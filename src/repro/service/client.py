@@ -66,7 +66,8 @@ class ServiceClient:
             raise ExecutionError(
                 f"cannot connect to service at {host}:{port}: {exc}"
             ) from exc
-        self._file = self._sock.makefile("rwb")
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._file = self._sock.makefile("rb")
 
     # ------------------------------------------------------------------
     # The raw exchange
@@ -76,8 +77,7 @@ class ServiceClient:
         failure shapes included, nothing raised but transport errors)."""
         line = encode_line({"op": op, **fields})
         try:
-            self._file.write(line)
-            self._file.flush()
+            self._sock.sendall(line)
             reply = self._file.readline()
         except socket.timeout as exc:
             raise ExecutionError(

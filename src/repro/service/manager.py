@@ -21,7 +21,7 @@ never held across session work):
 
 **Supervision** (per tenant, under the session lock): every applied
 operation is first appended to a retained *tail* — an admitted
-``ingest`` batch is one entry (its validated event table) applied
+``ingest`` batch is one entry (its validated event columns) applied
 with one ``push_many``; the session auto-checkpoints on its own
 cadence (``auto_checkpoint=``, shared with the CLI), checked once per
 push call, so a cut always sits on an entry boundary, and the
@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..engine.events import EVENT_BYTES, event_table
+from ..engine.events import EVENT_BYTES, event_columns
 from ..errors import ExecutionError, ReproError
 from ..runtime import CheckpointStore, open_session, restore_session
 from ..runtime.core import resolve_registration_query
@@ -490,8 +490,8 @@ class SessionManager:
         applies under the session lock with supervision.
         """
         with self._request(tenant, "ingest") as state:
-            table = self._validated_events(state, events)
-            weight = len(table)
+            columns = self._validated_events(state, events)
+            weight = columns.ts.size
             nbytes = weight * EVENT_BYTES
             with state.admission:
                 if not state.breaker.allow():
@@ -520,7 +520,7 @@ class SessionManager:
             try:
                 with state.lock:
                     self._stall_if_planned(state)
-                    self._guarded_apply(state, ("batch", table))
+                    self._guarded_apply(state, ("batch", columns))
                     watermark = state.session.watermark
                 with state.admission:
                     state.breaker.record_success()
@@ -531,14 +531,14 @@ class SessionManager:
 
     @staticmethod
     def _validated_events(state: _TenantState, events):
-        """The request's events as one validated ``(n, 3)`` float64
-        table (the replay tail's batch entry), or a ``bad_request``
-        naming the first offending row — before anything is admitted,
-        applied, or tail-logged."""
+        """The request's events as validated columns (the replay
+        tail's batch entry; ``push_many`` takes them as checked), or a
+        ``bad_request`` naming the first offending row — before
+        anything is admitted, applied, or tail-logged."""
         if not isinstance(events, (list, tuple)):
             raise BadRequest("'events' must be a list of [ts, key, value]")
         try:
-            return event_table(events, state.config.num_keys)
+            return event_columns(events, state.config.num_keys)
         except ExecutionError as exc:
             raise BadRequest(str(exc)) from exc
 
@@ -681,7 +681,7 @@ class SessionManager:
     # ------------------------------------------------------------------
     def handle(self, request: dict) -> dict:
         """One request dict in, one reply dict out — the entire
-        protocol semantics, transport-free (the asyncio server is a
+        protocol semantics, transport-free (the TCP server is a
         thin pipe onto this; tests drive it directly for deterministic
         interleavings)."""
         try:

@@ -85,12 +85,12 @@ def encode_line(obj: dict) -> bytes:
 
 
 def decode_line(line: "bytes | str") -> dict:
-    """Parse one protocol line into a request/reply dict."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
+    """Parse one protocol line into a request/reply dict.  Bytes go
+    to ``json`` as they are: invalid UTF-8 is malformed, not rewritten
+    into text the sender never wrote."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8
         raise BadRequest(f"malformed JSON line: {exc}") from exc
     if not isinstance(obj, dict):
         raise BadRequest(

@@ -2,8 +2,9 @@
 a batch from the caller to the operators, and must be observationally
 the per-event ``push`` loop it replaced.
 
-Three feeds of one out-of-order stream — ``push_many(list of rows)``,
-``push_many(ndarray)`` and a per-event ``push`` loop — with a
+Four feeds of one out-of-order stream — ``push_many(list of rows)``,
+``push_many(ndarray)``, ``push_many(already validated columns)`` and a
+per-event ``push`` loop — with a
 ``register`` and a ``deregister`` landing between batches, must agree
 bit for bit on results, exact reorder counters and the watermark.
 Whole-number values keep every aggregate exact however a live replan
@@ -75,6 +76,8 @@ def feed(rows, mode: str, batch: int, max_lateness: int, hysteresis):
             session.push_many(piece)
         elif mode == "ndarray":
             session.push_many(np.asarray(piece, dtype=np.float64))
+        elif mode == "columns":
+            session.push_many(event_columns(piece, NUM_KEYS))
         else:
             for row in piece:
                 session.push(*row)
@@ -125,11 +128,16 @@ def test_push_many_is_the_per_event_loop(
     table, table_reorder, table_wm, table_switches = feed(
         rows, "ndarray", batch, max_lateness, hysteresis
     )
+    checked, checked_reorder, checked_wm, _ = feed(
+        rows, "columns", batch, max_lateness, hysteresis
+    )
     assert_same_results(listed, loop, context)
     assert_same_results(table, loop, context)
+    assert_same_results(checked, loop, context)
     assert_same_reorder(listed_reorder, loop_reorder, context)
     assert_same_reorder(table_reorder, loop_reorder, context)
-    assert listed_wm == table_wm, context
+    assert_same_reorder(checked_reorder, loop_reorder, context)
+    assert listed_wm == table_wm == checked_wm, context
     assert len(listed_switches) == len(table_switches), context
     if hysteresis is None:
         # No replan can shift the chunk grid: the watermark a caller
@@ -172,6 +180,23 @@ class TestBatchValidation:
             event_columns(np.array([[np.inf, 0.0, 1.0]]), num_keys=2)
         empty = event_columns([], num_keys=2)
         assert [column.size for column in empty] == [0, 0, 0]
+
+    def test_validation_is_idempotent(self):
+        """Columns checked at one door (the service manager) pass the
+        next (``push_many``) untouched — unless that door holds another
+        ``num_keys``, which re-runs every check."""
+        columns = event_columns([(3, 0, 1.0), (4, 3, 2.0)], NUM_KEYS)
+        assert event_columns(columns, NUM_KEYS) is columns
+        with pytest.raises(ExecutionError, match=r"events\[1\]: key 3"):
+            event_columns(columns, 3)
+        wider = event_columns(columns, NUM_KEYS + 1)
+        assert wider.num_keys == NUM_KEYS + 1
+        assert [c.tolist() for c in wider] == [c.tolist() for c in columns]
+        with QuerySession(num_keys=NUM_KEYS, async_ingest=True) as session:
+            session.register(INITIAL[0])
+            session.push_many(columns)  # the pump takes rows
+            session.results()  # a synchronization point
+            assert session.reorder_stats.accepted == 2
 
     def test_sharded_session_shares_the_door(self):
         """A fractional timestamp used to be truncated on its way

@@ -10,6 +10,10 @@ serialized payload — no tolerances anywhere.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import numpy as np
 
 from repro.runtime import QuerySession
@@ -17,6 +21,31 @@ from repro.service.protocol import serialize_results
 
 SQL_SUM = "SELECT SUM(v) FROM s GROUP BY WINDOWS(HOPPING(second, 10, 5))"
 SQL_AVG = "SELECT AVG(v) FROM s GROUP BY WINDOWS(HOPPING(second, 20, 10))"
+
+
+def open_fds() -> "int | None":
+    """This process's open descriptor count (``None`` off Linux)."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+def service_threads() -> list:
+    """Names of the live threads a ``ServiceServer`` started."""
+    return [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-service")
+    ]
+
+
+def settled(probe, expected, within: float = 2.0):
+    """``probe()`` once it equals ``expected`` or the wait runs out —
+    a handler closes its socket a moment after its client goes."""
+    deadline = time.monotonic() + within
+    while (got := probe()) != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return got
 
 
 class FakeClock:

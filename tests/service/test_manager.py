@@ -496,7 +496,7 @@ class TestSupervision:
             real_apply = SessionManager._apply_entry
 
             def poisoned(session, entry):
-                if entry[0] == "batch" and 99 in entry[1][:, 0]:
+                if entry[0] == "batch" and 99 in entry[1].ts:
                     raise ExecutionError("poison event")
                 real_apply(session, entry)
 

@@ -9,11 +9,13 @@ errors, bounded overload-aware retries, and a clean start/stop story.
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
+from repro.runtime.faults import Fault, FaultPlan
 from repro.service import (
     BadRequest,
     Overloaded,
@@ -23,9 +25,26 @@ from repro.service import (
     SessionManager,
     serve_in_thread,
 )
-from service_helpers import SQL_SUM, integer_events, oracle_results
+from repro.service import server as server_module
+from service_helpers import (
+    SQL_SUM,
+    integer_events,
+    open_fds,
+    oracle_results,
+    service_threads,
+    settled,
+)
 
 NUM_KEYS = 4
+CLOSED = "service closed the connection"
+INGEST_ALICE = b'{"op":"ingest","tenant":"alice","events":[[1,0,1.0]]}\n'
+
+
+def raw_call(f, line: bytes) -> dict:
+    """One raw line out, one reply line back, on ``makefile("rwb")``."""
+    f.write(line)
+    f.flush()
+    return json.loads(f.readline())
 
 
 @pytest.fixture
@@ -176,6 +195,49 @@ class TestFailureShapes:
             f.flush()
             assert json.loads(f.readline())["ok"] is True
 
+    def test_large_batch_is_one_request(self, served):
+        """Any line past 64 KiB used to hit the stream reader's
+        default limit: the connection died without a reply."""
+        _, server = served
+        events = [[i, i % NUM_KEYS, 1.0] for i in range(8000)]
+        with ServiceClient(port=server.port) as client:
+            client.open("a", {"rate": 1e9, "burst": 1e9})
+            assert client.ingest("a", events)["admitted"] == 8000
+
+    def test_overlong_line_is_discarded_and_answered(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 256)
+        _, server = served
+        events = [[i, 0, 1.0] for i in range(20_000)]  # many reads long
+        line = json.dumps({"op": "ingest", "tenant": "a", "events": events})
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            reply = raw_call(f, line.encode() + b"\n")
+            assert reply == {
+                "ok": False,
+                "error": "bad_request",
+                "detail": "request line exceeds 256 bytes",
+            }
+            # Nothing of the discarded line is read as a request.
+            assert raw_call(f, b'{"op": "ping"}\n') == {
+                "ok": True, "pong": True,
+            }
+            exact = b'{"op": "ping"}'.ljust(255) + b"\n"  # at the bound
+            assert raw_call(f, exact)["pong"] is True
+
+    def test_invalid_utf8_is_rejected_not_rewritten(self, served):
+        """``errors="replace"`` used to open a tenant named
+        ``a\ufffd`` — input the client never sent."""
+        manager, server = served
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            reply = raw_call(f, b'{"op":"open","tenant":"a\xff"}\n')
+            assert reply["error"] == "bad_request"
+            assert reply["detail"].startswith("malformed JSON line: ")
+            assert manager.tenants == ()
+            assert raw_call(f, b'{"op": "ping"}\n')["ok"] is True
+
     def test_non_object_line_is_bad_request(self, served):
         _, server = served
         with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
@@ -256,6 +318,20 @@ class TestLifecycle:
             finally:
                 server2.stop()
 
+    def test_ipv6_literal_host(self, tmp_path):
+        if not socket.has_ipv6:
+            pytest.skip("no IPv6 on this host")
+        with SessionManager(directory=tmp_path / "c") as manager:
+            try:
+                server = serve_in_thread(manager, host="::1")
+            except ExecutionError as exc:
+                pytest.skip(f"no IPv6 loopback here: {exc}")
+            try:
+                with ServiceClient(host="::1", port=server.port) as client:
+                    assert client.ping()
+            finally:
+                server.stop()
+
     def test_context_manager_and_double_start(self, tmp_path):
         with SessionManager(directory=tmp_path / "c") as manager:
             with ServiceServer(manager) as server:
@@ -264,3 +340,167 @@ class TestLifecycle:
                     server.start()
             # stop() is idempotent.
             server.stop()
+
+
+class OverlapRecorder:
+    """Stands in for the manager (the transport only calls
+    ``handle``): records who ran and how many ran at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.running = 0
+        self.most = 0
+        self.order: list = []
+
+    def handle(self, request: dict) -> dict:
+        with self._lock:
+            self.running += 1
+            self.most = max(self.most, self.running)
+            self.order.append(request["tenant"])
+        time.sleep(0.002)  # long enough for the other side to arrive
+        with self._lock:
+            self.running -= 1
+        return {"ok": True}
+
+
+@pytest.fixture
+def gated(tmp_path):
+    """A served manager whose next ``alice`` ingest parks inside the
+    manager (the ``stall_client`` fault) until the test releases it:
+    yields ``(manager, server, parked, release)``."""
+    parked, release = threading.Event(), threading.Event()
+
+    def sleeper(seconds: float) -> None:
+        parked.set()
+        assert release.wait(10)
+
+    plan = FaultPlan(
+        Fault(kind="stall_client", tenant="alice", op="ingest",
+              delay_seconds=1.0)
+    )
+    with SessionManager(
+        {"defaults": {"num_keys": NUM_KEYS}},
+        directory=tmp_path / "ckpt", fault_plan=plan, sleeper=sleeper,
+    ) as manager:
+        server = serve_in_thread(manager)
+        try:
+            yield manager, server, parked, release
+        finally:
+            release.set()
+            server.stop()
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestTransportConformance:
+    """What the thread-per-connection transport owes its callers, over
+    real sockets."""
+
+    def test_max_workers_bounds_requests_inside_the_manager(self):
+        recorder = OverlapRecorder()
+        start = threading.Barrier(2)
+        done: list = []
+
+        def run(tenant: str, port: int) -> None:
+            with ServiceClient(port=port) as client:
+                start.wait(5)
+                for _ in range(20):
+                    assert client.request("stats", tenant=tenant)["ok"]
+            done.append(tenant)
+
+        with ServiceServer(recorder, max_workers=1) as server:
+            threads = [
+                threading.Thread(target=run, args=(tenant, server.port))
+                for tenant in ("a", "b")
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        assert sorted(done) == ["a", "b"]  # both made progress
+        assert recorder.most == 1  # never two inside at once
+        assert sorted(recorder.order) == ["a"] * 20 + ["b"] * 20
+        assert recorder.order != sorted(recorder.order)  # interleaved
+
+    def test_stop_wakes_idle_connections(self, tmp_path):
+        with SessionManager(directory=tmp_path / "c") as manager:
+            server = serve_in_thread(manager)
+            clients = [ServiceClient(port=server.port) for _ in range(2)]
+            try:
+                assert all(client.ping() for client in clients)
+                began = time.monotonic()
+                server.stop(timeout=2.0)
+                assert time.monotonic() - began < 2.0
+                assert service_threads() == []
+                for client in clients:
+                    with pytest.raises(ExecutionError, match=CLOSED):
+                        client.ping()
+            finally:
+                for client in clients:
+                    client.close()
+
+    def test_shutdown_lets_an_inflight_request_finish(self, gated):
+        manager, server, parked, release = gated
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            f.write(INGEST_ALICE)
+            f.flush()
+            assert parked.wait(5)  # mid-ingest, inside the manager
+            with ServiceClient(port=server.port) as other:
+                other.shutdown()
+            release.set()
+            # Applied and answered first; only then does the socket close.
+            assert json.loads(f.readline())["admitted"] == 1
+            assert f.readline() == b""
+        assert manager.stats("alice")["stats"]["admitted_events"] == 1
+        server.stop()
+        assert service_threads() == []
+
+    def test_clients_that_vanish_leave_the_server_serving(self, gated):
+        manager, server, parked, release = gated
+        address = ("127.0.0.1", server.port)
+        with socket.create_connection(address, 5) as sock:
+            sock.sendall(b'{"op": "ingest", "tena')  # half a line
+        with socket.create_connection(address, 5) as sock:
+            sock.sendall(INGEST_ALICE)
+            assert parked.wait(5)
+        release.set()  # ...and the reply has nobody to go to
+        with ServiceClient(port=server.port) as client:
+            assert client.ping()
+            stats = settled(
+                lambda: client.stats("alice")["stats"]["admitted_events"], 1
+            )
+            assert stats == 1  # the abandoned request was still applied
+        assert settled(
+            lambda: service_threads().count("repro-service-handler"), 0
+        ) == 0
+
+    def test_connection_churn_leaks_nothing(self, served):
+        _, server = served
+        with ServiceClient(port=server.port) as client:
+            assert client.ping()  # warm every lazy import first
+        assert settled(
+            lambda: service_threads().count("repro-service-handler"), 0
+        ) == 0
+        before = open_fds()
+        for _ in range(200):
+            with ServiceClient(port=server.port) as client:
+                assert client.ping()
+        assert settled(open_fds, before) == before
+        assert settled(service_threads, ["repro-service"]) == [
+            "repro-service"
+        ]
+
+    def test_blank_lines_skipped_malformed_lines_answered(self, served):
+        _, server = served
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            # Three lines, one reply: blanks are not requests.
+            assert raw_call(f, b'\n  \n{"op": "ping"}\n')["pong"] is True
+            assert raw_call(f, b"{not json\n")["error"] == "bad_request"
+            assert raw_call(f, b'"a string"\n')["error"] == "bad_request"
+            deep = b"[" * 100_000 + b"\n"  # past any recursion limit
+            assert raw_call(f, deep)["error"] == "bad_request"
+            assert raw_call(f, b'{"op": "nope"}\n')["error"] == "bad_request"
+            assert raw_call(f, b'{"op": "ping"}\n')["pong"] is True
