@@ -4,10 +4,10 @@ data plane's bytes-copied-per-event gate (DESIGN.md §11).
 Three measurements, each preceded by a bit-identity assertion (a
 kernel that got faster by being wrong would be worthless):
 
-* **kernel micros** — the three C kernels (`repro._kernels`) against
-  the NumPy code they replace: stable segment grouping + reduce
-  (``segment_reduce``), segmented holistic compute (MEDIAN), and the
-  reorder-buffer batch push;
+* **kernel micros** — the two C kernels (`repro._kernels`) against
+  the NumPy code they replace: segmented holistic compute (MEDIAN) and
+  the reorder-buffer batch push (raw-event binning has no kernel: it
+  is one ``ufunc.at`` scatter in ``segment_reduce`` on every path);
 * **engine path** — ``columnar-panes-native`` (the fifth engine path)
   against ``columnar-panes`` on a holistic plan, where the segmented
   sort dominates;
@@ -75,17 +75,6 @@ def _kernel_micros(n: int) -> "list[dict]":
     codes = rng.integers(0, segs, n).astype(np.int64)
     values = rng.random(n)
 
-    pure = SUM.segment_reduce(codes, values, segs, native=False)
-    native = SUM.segment_reduce(codes, values, segs, native=True)
-    for a, b in zip(pure, native):
-        np.testing.assert_array_equal(a, b)
-    seg_py = _best(
-        lambda: SUM.segment_reduce(codes, values, segs, native=False)
-    )
-    seg_c = _best(
-        lambda: SUM.segment_reduce(codes, values, segs, native=True)
-    )
-
     ids_py, vals_py = holistic_segment_values(
         codes, values, MEDIAN, native=False
     )
@@ -122,12 +111,6 @@ def _kernel_micros(n: int) -> "list[dict]":
     push_c = _best(lambda: push(True), reps=3)
 
     return [
-        {
-            "kernel": "segment_reduce",
-            "numpy_seconds": seg_py,
-            "native_seconds": seg_c,
-            "native_speedup": seg_py / seg_c,
-        },
         {
             "kernel": "holistic_median",
             "numpy_seconds": hol_py,

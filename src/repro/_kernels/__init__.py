@@ -1,8 +1,10 @@
 """Optional compiled hot kernels behind a pure-NumPy fallback.
 
-``reprokernels.c`` holds three small C kernels for the engine's scalar
-hot spots (scatter segment-reduce, segmented holistic compute, and
-reorder-buffer batch insert).  This package builds them **on demand**
+``reprokernels.c`` holds two small C kernels for the engine's scalar
+hot spots: segmented holistic compute and reorder-buffer batch insert.
+(Raw-event binning needs none: NumPy's own indexed ``ufunc.at`` scatter
+in ``AggregateFunction.segment_reduce`` beat the counting-sort kernel
+that used to live here 3-10x.)  This package builds them **on demand**
 with whatever C compiler the host has (``cc`` / ``gcc`` / ``clang``,
 overridable via ``REPRO_CC``), caches the shared object per source
 hash, and loads it through :mod:`ctypes` — no build-time dependency, no
@@ -14,9 +16,9 @@ Control knob — the ``REPRO_KERNELS`` environment variable:
 * unset / ``auto`` — kernels are used only where a caller explicitly
   asks for them (the ``columnar-panes-native`` engine path), silently
   falling back to NumPy when they cannot be built;
-* ``1`` — kernels are used *everywhere* segment reduction, holistic
-  segment compute, or batch reorder runs (all engine paths and the
-  live runtime), still falling back silently;
+* ``1`` — kernels are used *everywhere* holistic segment compute or
+  batch reorder runs (all engine paths and the live runtime), still
+  falling back silently;
 * ``require`` — like ``1`` but raising :class:`KernelsUnavailable`
   instead of falling back (CI uses this to pin the compiled path);
 * ``0`` — kernels are never used, even where explicitly requested.
@@ -43,8 +45,6 @@ __all__ = [
     "availability_error",
     "globally_enabled",
     "resolve",
-    "supports_segment_reduce",
-    "segment_reduce",
     "holistic_kind",
     "holistic_segment_values",
     "NativeReorderHeap",
@@ -56,11 +56,6 @@ class KernelsUnavailable(RuntimeError):
 
 
 _SOURCE = Path(__file__).with_name("reprokernels.c")
-
-#: Ufuncs segment_reduce may route through the native grouping kernel.
-#: Any ufunc works for correctness (the reduce stays in NumPy); the
-#: allowlist just keeps the contract explicit.
-SEG_UFUNCS = (np.add, np.minimum, np.maximum)
 
 _lib = None
 _load_attempted = False
@@ -95,8 +90,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
     f64 = ctypes.c_double
-    lib.repro_counting_argsort.argtypes = [p, i64, i64, p, p, p, p, p]
-    lib.repro_counting_argsort.restype = i64
     lib.repro_seg_holistic.argtypes = [p, p, i64, i64, i32, f64, p, p, p, p, p]
     lib.repro_seg_holistic.restype = i64
     lib.repro_reorder_push_batch.argtypes = [
@@ -212,69 +205,6 @@ def _carve(*sizes: int):
     return arrays, addresses
 
 
-def _contiguous(array, dtype) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(array), dtype=dtype)
-
-
-# ------------------------------------------------------------------ #
-# segment scatter-reduce                                             #
-# ------------------------------------------------------------------ #
-
-def supports_segment_reduce(aggregate) -> bool:
-    """True when every lifted component reduces via add/min/max."""
-    ufuncs = aggregate.component_ufuncs
-    return bool(ufuncs) and all(u in SEG_UFUNCS for u in ufuncs)
-
-
-def counting_argsort(codes: np.ndarray, num_segments: int):
-    """Stable O(n) argsort of segment codes via the native kernel.
-
-    Returns ``(order, starts, segment_ids)`` — exactly what the head of
-    ``AggregateFunction.segment_reduce`` computes with a stable
-    ``np.argsort`` plus boundary-finding, in one C pass.
-    """
-    lib = _load()
-    codes = _contiguous(codes, np.int64)
-    n = codes.size
-    counts = np.empty(num_segments, dtype=np.int64)
-    offsets = np.empty(num_segments, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    starts = np.empty(num_segments, dtype=np.int64)
-    seg_ids = np.empty(num_segments, dtype=np.int64)
-    written = lib.repro_counting_argsort(
-        _ptr(codes), ctypes.c_int64(n), ctypes.c_int64(num_segments),
-        _ptr(counts), _ptr(offsets), _ptr(order), _ptr(starts),
-        _ptr(seg_ids),
-    )
-    return order, starts[:written], seg_ids[:written]
-
-
-def segment_reduce(aggregate, codes, values, num_segments):
-    """Native drop-in for ``AggregateFunction.segment_reduce``.
-
-    Identical contract: one identity-initialised float64 array of
-    length ``num_segments`` per component.  Only the grouping runs in
-    C; the FP reduction is NumPy's own ``reduceat`` over the same
-    per-segment sequence the pure path reduces, so the results are
-    bit-identical.
-    """
-    codes = _contiguous(codes, np.int64)
-    components = aggregate.lift(np.asarray(values))
-    out = tuple(
-        np.full(num_segments, ident, dtype=np.float64)
-        for ident in aggregate.identity_components
-    )
-    if codes.size == 0:
-        return out
-    order, starts, seg_ids = counting_argsort(codes, num_segments)
-    for ufunc, comp, slot in zip(
-        aggregate.component_ufuncs, components, out
-    ):
-        comp = _contiguous(comp, np.float64)
-        slot[seg_ids] = ufunc.reduceat(comp[order], starts)
-    return out
-
-
 # ------------------------------------------------------------------ #
 # segmented holistic compute                                         #
 # ------------------------------------------------------------------ #
@@ -292,8 +222,8 @@ def holistic_segment_values(codes, values, aggregate):
     """
     kind = holistic_kind(aggregate)
     lib = _load()
-    codes = _contiguous(codes, np.int64)
-    values = _contiguous(values, np.float64)
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if codes.size == 0:
         return (
             np.empty(0, dtype=np.int64),

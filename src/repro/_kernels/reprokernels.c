@@ -1,17 +1,8 @@
 /* Compiled hot kernels for the repro engine (see repro/_kernels/__init__.py).
  *
- * Three kernels, each a drop-in for a NumPy-glue hot spot:
- *
- *   repro_counting_argsort  — stable counting-sort argsort over segment
- *                             codes, plus segment starts/ids.  Replaces
- *                             the O(n log n) stable np.argsort (and the
- *                             boundary-finding glue) at the head of
- *                             aggregates.base.segment_reduce with one
- *                             O(n + num_segments) pass.  The FP reduce
- *                             itself stays in NumPy's own reduceat, so
- *                             results are bit-identical by construction
- *                             (counting sort and np.argsort(stable)
- *                             produce the same permutation).
+ * Two kernels, each a drop-in for a NumPy-glue hot spot (raw-event
+ * binning is not one of them: aggregates.base.segment_reduce is a single
+ * NumPy ufunc.at scatter, which needs no grouping pass at all):
  *
  *   repro_seg_holistic      — segmented holistic compute (quantile /
  *                             count-distinct).  Replaces the global
@@ -36,40 +27,6 @@
 #include <string.h>
 
 #define API __attribute__((visibility("default")))
-
-/* ---------------------------------------------------------------- */
-/* counting-sort argsort over segment codes                          */
-/* ---------------------------------------------------------------- */
-
-/* Stable argsort of `codes` (each in [0, num_segments)) by counting
- * buckets.  Fills order[n] with the permutation (identical to
- * np.argsort(codes, kind="stable")), and starts/seg_ids with the
- * grouped-array offsets and ids of the non-empty segments, ascending.
- * counts/offsets are caller-provided scratch of length num_segments.
- * Returns the number of non-empty segments. */
-API int64_t repro_counting_argsort(const int64_t *codes, int64_t n,
-                                   int64_t num_segments,
-                                   int64_t *counts, int64_t *offsets,
-                                   int64_t *order, int64_t *starts,
-                                   int64_t *seg_ids)
-{
-    int64_t i, s, total = 0, written = 0;
-    memset(counts, 0, (size_t)num_segments * sizeof(int64_t));
-    for (i = 0; i < n; i++)
-        counts[codes[i]]++;
-    for (s = 0; s < num_segments; s++) {
-        offsets[s] = total;
-        if (counts[s] > 0) {
-            starts[written] = total;
-            seg_ids[written] = s;
-            written++;
-        }
-        total += counts[s];
-    }
-    for (i = 0; i < n; i++)
-        order[offsets[codes[i]]++] = i;
-    return written;
-}
 
 /* ---------------------------------------------------------------- */
 /* segmented holistic compute                                        */

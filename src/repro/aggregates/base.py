@@ -34,9 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import UnsupportedAggregateError
+from ..errors import ExecutionError, UnsupportedAggregateError
 from ..windows.coverage import CoverageSemantics
-from .. import _kernels as kernels
 
 
 class Taxonomy(str, Enum):
@@ -173,26 +172,27 @@ class AggregateFunction(ABC):
         codes: np.ndarray,
         values: np.ndarray,
         num_segments: int,
-        native: "bool | None" = None,
     ) -> Components:
         """Aggregate ``values`` grouped by integer ``codes``.
 
         Returns identity-filled component arrays of length
         ``num_segments`` with segment aggregates scattered in.  This is
-        the raw-event aggregation primitive of the columnar engine; the
-        sort makes it O(P log P) in the number of (event, instance)
-        pairs P, uniformly across all plans.
+        the one raw-event binning primitive of every engine path: each
+        lifted component is scattered with ``ufunc.at`` over the flat
+        codes — one indexed pass, O(P) in the number of (event,
+        instance) pairs P, no sort and no permutation.
 
-        ``native`` routes the grouping through the compiled kernels
-        (``repro._kernels``): ``True`` requests them explicitly (the
-        ``columnar-panes-native`` path), ``None`` defers to the
-        ``REPRO_KERNELS`` environment switch, ``False`` forces the pure
-        path.  Either way the FP reduction itself runs in NumPy's
-        ``reduceat`` over identical per-segment sequences, so the two
-        paths are bit-identical.
+        Fold order is part of the contract (DESIGN.md §5): a segment's
+        component is the strict left-to-right fold of its values *in
+        input order*, starting from the identity — what a Python
+        ``+=`` loop over the events computes, and what the row-at-a-time
+        ``streaming`` oracle adds in.  ``values`` is only read (it may
+        be a read-only shared-memory view).
+
+        A code outside ``[0, num_segments)`` raises
+        :class:`~repro.errors.ExecutionError` before anything is
+        written (``ufunc.at`` alone would wrap a negative code around).
         """
-        if kernels.resolve(native) and kernels.supports_segment_reduce(self):
-            return kernels.segment_reduce(self, codes, values, num_segments)
         components = self.lift(np.asarray(values))
         out = tuple(
             np.full(num_segments, ident, dtype=np.float64)
@@ -200,14 +200,14 @@ class AggregateFunction(ABC):
         )
         if codes.size == 0:
             return out
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        segment_ids = sorted_codes[starts]
+        lo, hi = int(codes.min()), int(codes.max())
+        if lo < 0 or hi >= num_segments:
+            bad = lo if lo < 0 else hi
+            raise ExecutionError(
+                f"segment code {bad} is outside [0, {num_segments})"
+            )
         for ufunc, comp, slot in zip(self.component_ufuncs, components, out):
-            reduced = ufunc.reduceat(np.asarray(comp)[order], starts)
-            slot[segment_ids] = reduced
+            ufunc.at(slot, codes, comp)
         return out
 
     def segment_compute(

@@ -60,8 +60,9 @@ def aggregate_raw(
     """Aggregate raw events into per-instance partials.
 
     Every event is routed to each of the ``k = r/s`` instances whose
-    interval contains it, so the operator performs ``N * k`` pair
-    touches — matching the cost model's ``n * (η * r)`` per hyper-period.
+    interval contains it, so the operator materializes ``N * k`` pairs
+    and scatters them in one ``segment_reduce`` pass — matching the
+    cost model's ``n * (η * r)`` per hyper-period.
     """
     n_inst = num_complete_instances(window, batch.horizon)
     k = window.instances_per_event
@@ -76,7 +77,6 @@ def aggregate_raw(
     base = batch.timestamps // window.slide
     code_parts = []
     value_parts = []
-    key_parts = []
     for j in range(k):
         instance = base - j
         valid = (instance >= 0) & (instance < n_inst)
@@ -86,7 +86,6 @@ def aggregate_raw(
             batch.keys[valid] * n_inst + instance[valid]
         )
         value_parts.append(batch.values[valid])
-        key_parts.append(batch.keys[valid])
     if code_parts:
         codes = np.concatenate(code_parts)
         values = np.concatenate(value_parts)

@@ -10,15 +10,16 @@ Registered paths (DESIGN.md §5):
 
 ``columnar``
     The original vectorized engine: every raw read materializes all
-    ``N * k`` (event, instance) pairs.
+    ``N * k`` (event, instance) pairs and scatters them.
 ``columnar-panes``
-    The pane-partitioned fast path: bin events once per pane table,
-    assemble instances with a vectorized gather+reduce.
+    The pane-partitioned fast path: bin events once per pane table
+    (one indexed scatter), assemble instances with a vectorized
+    gather+reduce.
 ``columnar-panes-native``
-    The pane path with its grouping/holistic hot spots running in the
+    The pane path with its holistic segment compute running in the
     optional compiled kernels (``repro._kernels``); bit-identical to
-    ``columnar-panes``, and falls back to it transparently when no C
-    compiler is available.
+    ``columnar-panes`` — and the same code on mergeable plans — and
+    falls back to it transparently when no C compiler is available.
 ``streaming``
     Row-at-a-time reference interpreter (the semantic oracle).
 ``streaming-chunked``

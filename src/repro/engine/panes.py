@@ -11,8 +11,9 @@ Scotty baseline slices the same way): with pane width
 ``r/p`` panes, so it suffices to
 
 1. **bin** each event once into a per-(key, pane) partial table —
-   ``O(N)`` pair touches, shared by every window with the same pane
-   width and aggregate; then
+   ``O(N)`` pair touches in one indexed scatter (no sort: see
+   ``AggregateFunction.segment_reduce``), shared by every window with
+   the same pane width and aggregate; then
 2. **assemble** each instance with a vectorized gather+reduce over its
    ``r/p`` consecutive panes — ``num_keys * n_instances * (r/p)``
    touches.
@@ -65,22 +66,30 @@ def logical_raw_pairs(
 ) -> int:
     """(event, instance) pairs :func:`aggregate_raw` would materialize.
 
-    Event at ``ts`` joins instances ``ts//s - j`` for ``j in [0, k)``
-    intersected with ``[start_instance, num_instances)``; counting the
-    intersection per event is O(N) instead of O(N * k).
+    ``timestamps`` must be non-decreasing (an :class:`EventBatch`
+    column or a reorder-released chunk — every caller's input already
+    is).  Instance ``m`` holds the events in ``[m*s, m*s + r)``, so the
+    count is ``Σ_m searchsorted(ts, m*s + r) - searchsorted(ts, m*s)``
+    over the owned instances ``[start_instance, num_instances)`` that
+    any event can reach: O(instances * log N), no per-event array.
     ``num_instances=None`` means unbounded above (live operators), and
     ``start_instance`` clips below (operators activated mid-stream own
     no instance before their aligned start).
     """
     if timestamps.size == 0:
         return 0
-    if num_instances is not None and num_instances <= start_instance:
+    r, s = window.range, window.slide
+    first = max(start_instance, (int(timestamps[0]) - r) // s + 1)
+    stop = int(timestamps[-1]) // s + 1
+    if num_instances is not None:
+        stop = min(stop, num_instances)
+    if stop <= first:
         return 0
-    k = window.instances_per_event
-    base = timestamps // window.slide
-    hi = base if num_instances is None else np.minimum(base, num_instances - 1)
-    lo = np.maximum(base - (k - 1), start_instance)
-    return int(np.maximum(hi - lo + 1, 0).sum())
+    opens = s * np.arange(first, stop, dtype=np.int64)
+    held = np.searchsorted(timestamps, opens + r) - np.searchsorted(
+        timestamps, opens
+    )
+    return int(held.sum())
 
 
 @dataclass
@@ -104,14 +113,13 @@ def build_pane_table(
     width: int,
     aggregate: AggregateFunction,
     stats: "ExecutionStats | None" = None,
-    native: "bool | None" = None,
 ) -> PaneTable:
     """Bin every event once into per-(key, pane) partials — O(N)."""
     num_panes = -(-batch.horizon // width)
-    panes = batch.timestamps // width
+    panes = batch.timestamps if width == 1 else batch.timestamps // width
     codes = batch.keys * num_panes + panes
     flat = aggregate.segment_reduce(
-        codes, batch.values, batch.num_keys * num_panes, native=native
+        codes, batch.values, batch.num_keys * num_panes
     )
     if stats is not None:
         stats.record_binned(batch.num_events)
@@ -167,7 +175,6 @@ def aggregate_raw_panes(
     aggregate: AggregateFunction,
     stats: "ExecutionStats | None" = None,
     table: "PaneTable | None" = None,
-    native: "bool | None" = None,
 ) -> WindowState:
     """Pane-partitioned drop-in for :func:`aggregate_raw`.
 
@@ -185,9 +192,7 @@ def aggregate_raw_panes(
         )
         return WindowState(window, comps, batch.num_keys, n_inst)
     if table is None:
-        table = build_pane_table(
-            batch, pane_width(window), aggregate, stats, native=native
-        )
+        table = build_pane_table(batch, pane_width(window), aggregate, stats)
     logical = logical_raw_pairs(batch.timestamps, window, n_inst)
     return assemble_from_panes(
         table, window, aggregate, n_inst, stats, logical_pairs=logical
@@ -220,9 +225,10 @@ def execute_plan_panes(
     fall back to the direct segmented evaluator.  Results and logical
     stats are identical to the plain columnar engine.
 
-    ``native=True`` routes the pane binning and holistic segment
-    kernels through the compiled backend when available (the
-    ``columnar-panes-native`` engine path) — same bits, fewer cycles.
+    ``native=True`` routes the holistic segment kernel through the
+    compiled backend when available (the ``columnar-panes-native``
+    engine path) — same bits, fewer cycles.  Pane binning is the same
+    NumPy scatter either way.
     """
     stats = ExecutionStats(events=batch.num_events)
     started = time.perf_counter()
@@ -230,7 +236,7 @@ def execute_plan_panes(
     for (width, agg_name), group in plan_pane_groups(plan).items():
         node = plan.node_for(group[0])
         tables[(width, agg_name)] = build_pane_table(
-            batch, width, node.aggregate, stats, native=native
+            batch, width, node.aggregate, stats
         )
 
     states: dict[Window, WindowState] = {}

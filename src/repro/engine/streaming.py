@@ -539,7 +539,7 @@ class _ChunkedRawOperator(_ChunkedOperator):
             ),
             physical=0,
         )
-        panes = ts // self.pane
+        panes = ts if self.pane == 1 else ts // self.pane
         # Clip to the panes the owned instance range [start, cap) reads:
         # pre-start events belong only to instances this operator never
         # closes, post-cap events only to its replacement's instances.
@@ -572,7 +572,7 @@ class _ChunkedRawOperator(_ChunkedOperator):
             self.aggregate.component_ufuncs, self._panes, chunk
         ):
             block = buf[:, at:at + span]
-            np.copyto(block, ufunc(block, part.reshape(self.num_keys, span)))
+            ufunc(block, part.reshape(self.num_keys, span), out=block)
         self._note_retained(self._panes[0].shape[1])
 
     def _close_range(self, m0: int, m1: int) -> None:

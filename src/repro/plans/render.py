@@ -41,8 +41,7 @@ def physical_path(node: WindowAggregateNode, engine: str) -> str:
         return "raw-segmented-scan[holistic]"
     if engine in ("columnar-panes", "columnar-panes-native", "streaming-chunked"):
         pane = math.gcd(window.range, window.slide)
-        suffix = ", native-kernel" if engine == "columnar-panes-native" else ""
-        return f"panes[p={pane}, r/p={window.range // pane}{suffix}]"
+        return f"panes[p={pane}, r/p={window.range // pane}]"
     if engine == "streaming":
         return f"event-loop[k={window.range // window.slide}]"
     return f"raw-materialize[k={window.range // window.slide}]"

@@ -7,6 +7,7 @@ for MIN/MAX this still holds when the split *overlaps*.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates.builtin import Avg, Count, Max, Min, Stdev, Sum
+from repro.errors import ExecutionError
 
 MERGEABLE = [Min(), Max(), Sum(), Count(), Avg(), Stdev()]
 OVERLAP_SAFE = [Min(), Max()]
@@ -135,4 +137,78 @@ def test_segment_reduce_matches_per_segment_compute(agg, values):
         )
         assert _close(
             float(np.asarray(finalized)[segment]), expected, _scale(values)
+        )
+
+
+_FOLD = {np.add: operator.add, np.minimum: min, np.maximum: max}
+
+segments_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.floats(allow_nan=False, allow_infinity=True, width=64),
+    ),
+    max_size=60,
+)
+
+
+def _left_fold(agg, codes, values, num_segments):
+    """Per-segment Python fold of the lifted values, in input order."""
+    lifted = agg.lift(np.asarray(values, dtype=np.float64))
+    out = []
+    for ufunc, comp, ident in zip(
+        agg.component_ufuncs, lifted, agg.identity_components
+    ):
+        slots = [float(ident)] * num_segments
+        for code, item in zip(codes, comp.tolist()):
+            slots[code] = _FOLD[ufunc](slots[code], item)
+        out.append(slots)
+    return out
+
+
+@pytest.mark.parametrize("agg", MERGEABLE, ids=lambda a: a.name)
+@given(pairs=segments_strategy)
+@settings(max_examples=100)
+def test_segment_reduce_is_the_left_fold_exactly(agg, pairs):
+    """The numeric contract of DESIGN.md §5: each component of each
+    segment is the strict left-to-right fold of its values in input
+    order from the identity — ``==``, not ``allclose`` — over arbitrary
+    float64 (±inf included; inf - inf is NaN on both sides).  Segments
+    6 and 7 never receive a value, so the oracle leaves the identity
+    there; an empty input returns nothing but identities."""
+    codes = np.array([c for c, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    with np.errstate(all="ignore"):
+        got = agg.segment_reduce(codes, values, 8)
+        expected = _left_fold(agg, codes.tolist(), values, 8)
+    for comp, slots in zip(got, expected):
+        assert comp.dtype == np.float64 and comp.shape == (8,)
+        np.testing.assert_array_equal(comp, np.array(slots))
+
+
+@pytest.mark.parametrize("agg", MERGEABLE, ids=lambda a: a.name)
+def test_segment_reduce_accepts_a_read_only_strided_view(agg):
+    """The shm-ring case: values borrowed from shared memory arrive as
+    a non-writable, non-contiguous view and must only ever be read."""
+    rng = np.random.default_rng(3)
+    backing = rng.normal(0, 50, 400)
+    snapshot = backing.copy()
+    values = backing[::2]
+    values.flags.writeable = False
+    codes = rng.integers(0, 7, values.size)
+    got = agg.segment_reduce(codes, values, 7)
+    expected = _left_fold(agg, codes.tolist(), values, 7)
+    for comp, slots in zip(got, expected):
+        np.testing.assert_array_equal(comp, np.array(slots))
+    np.testing.assert_array_equal(backing, snapshot)
+
+
+@pytest.mark.parametrize("code", [-1, 7], ids=["negative", "past-the-end"])
+def test_segment_reduce_rejects_out_of_range_codes(code):
+    """A code outside ``[0, num_segments)`` used to be a silent wrong
+    answer (NumPy path: wrapped to the last slot and overwritten) or an
+    out-of-bounds write (C path); now it is an error naming the code
+    and the bound, raised before anything is written."""
+    with pytest.raises(ExecutionError, match=rf"{code} .*\[0, 3\)"):
+        Sum().segment_reduce(
+            np.array([0, code, 2]), np.array([1.0, 2.0, 4.0]), 3
         )

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_logical_pairs as oracle
 from repro.aggregates.registry import AVG, MAX, MIN, SUM
 from repro.engine.columnar import aggregate_raw
 from repro.engine.events import make_batch
@@ -64,6 +67,30 @@ class TestLogicalRawPairs:
     def test_empty_inputs(self):
         assert logical_raw_pairs(np.empty(0, dtype=np.int64), Window(4, 2), 5) == 0
         assert logical_raw_pairs(np.array([3]), Window(4, 2), 0) == 0
+
+    @given(
+        timestamps=st.lists(st.integers(0, 400), max_size=60).map(
+            lambda ts: np.array(sorted(ts), dtype=np.int64)
+        ),
+        slide=st.integers(1, 12),
+        k=st.integers(1, 6),
+        num_instances=st.one_of(st.none(), st.just(0), st.integers(1, 80)),
+        start_instance=st.integers(0, 50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_per_event_oracle(
+        self, timestamps, slide, k, num_instances, start_instance
+    ):
+        """Invariant 6 rests on these counts: the two binary searches
+        must equal the per-event formula exactly, over tumbling
+        (``k = 1``) and hopping windows, bounded, empty and unbounded
+        instance ranges, and operators activated mid-stream."""
+        window = Window(k * slide, slide)
+        assert logical_raw_pairs(
+            timestamps, window, num_instances, start_instance
+        ) == oracle.logical_raw_pairs(
+            timestamps, window, num_instances, start_instance
+        )
 
 
 class TestAggregateRawPanes:

@@ -20,6 +20,7 @@ from repro.aggregates.registry import (
     MAX,
     MEDIAN,
     MIN,
+    STDEV,
     SUM,
 )
 from repro.core.cost import CostModel
@@ -93,11 +94,15 @@ def test_registry_exposes_all_paths():
 
 
 @pytest.mark.parametrize(
-    "aggregate", [MIN, SUM, AVG, MEDIAN, COUNT_DISTINCT], ids=lambda a: a.name
+    "aggregate",
+    [MIN, SUM, AVG, STDEV, MEDIAN, COUNT_DISTINCT],
+    ids=lambda a: a.name,
 )
 def test_native_path_bit_identical_to_panes(aggregate):
-    """Native kernels must match the pure pane path *bitwise*, not just
-    within allclose tolerance — same grouping order, same FP reduce."""
+    """The native path must match the pure pane path *bitwise*, not just
+    within allclose tolerance: mergeable aggregates share the one
+    scatter primitive (same fold order), holistic ones run the C
+    kernel against the NumPy closed form."""
     windows = WindowSet([Window(12, 4), Window(20, 4), Window(6, 6)])
     batch = _random_batch(404, horizon=240, num_keys=3)
     plan = original_plan(windows, aggregate)

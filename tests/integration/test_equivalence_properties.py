@@ -126,6 +126,33 @@ def test_streaming_engine_agrees_with_columnar(windows, seed):
         )
 
 
+@pytest.mark.parametrize("aggregate", [SUM, AVG], ids=lambda a: a.name)
+@given(windows=hopping_sets, seed=st.integers(0, 10_000))
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_raw_reads_share_one_fold_order_on_real_values(
+    aggregate, windows, seed
+):
+    """Every path bins raw events through one primitive whose fold
+    order is input order — the order the row-at-a-time oracle adds in —
+    so on a real-valued (non-integer) stream the original plan's sums
+    are *equal*, not merely close: ``columnar`` against ``streaming``
+    on hopping windows, where an ``allclose`` would hide a pairwise or
+    re-sorted reduction."""
+    batch = _random_batch(seed, horizon=100)
+    assert np.any(batch.values != np.round(batch.values))
+    plan = original_plan(windows, aggregate)
+    columnar = execute_plan(plan, batch, engine="columnar")
+    streaming = execute_plan(plan, batch, engine="streaming")
+    for window in windows:
+        np.testing.assert_array_equal(
+            columnar.results[window], streaming.results[window]
+        )
+
+
 @given(windows=hopping_sets, seed=st.integers(0, 10_000))
 @settings(
     max_examples=20,
