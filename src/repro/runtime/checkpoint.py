@@ -58,7 +58,10 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v3: one state-graph layout for both session kinds (front-door fields
 #: beside a per-class ``session`` entry; DESIGN.md §9) — a v2 graph
 #: keeps them under per-class keys ``restore`` no longer reads.
-CHECKPOINT_VERSION = 3
+#: v4: the chunk clock (watermark, chunk end, pending count, staged
+#: events) travels in the front door's frame — a v3 graph keeps it in
+#: the pickled core / the coordinator's fields, where nothing reads it.
+CHECKPOINT_VERSION = 4
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

@@ -18,10 +18,12 @@ subscription routing.  It deliberately owns **no** reorder buffer and
   invariant 10) provable: every core sees the same watermark sequence
   regardless of how keys were split or shipped.
 
-Because the core never advances time on its own (``ingest`` and its
-columnar twin ``ingest_arrays`` self-roll chunk boundaries only in the
-standalone path; ``buffer_arrays`` never does), a coordinator can hold
-N cores at identical watermarks by construction.
+The core never advances time on its own: ``buffer_arrays`` only
+buffers, and only ``advance_to`` (or a mutation's ``at``) moves the
+watermark.  Where the watermark advances is decided in exactly one
+place — the front door's chunk clock
+(:class:`~repro.runtime.ingest.SessionFrontDoor`) — so a coordinator
+holds N cores at identical watermarks by construction.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ DEFAULT_RETIRED_RESULT_CAP = 64
 
 #: Result-routing scopes a query can register under.
 SCOPES = ("per_key", "global")
-
-#: Post-flush callback: ``(watermark, events_absorbed)``.
-FlushHook = Callable[[int, int], None]
 
 
 @dataclass
@@ -184,9 +183,6 @@ class SessionCore:
         Retention cap on retired subscriptions (``None`` = unbounded).
         Evictions are counted exactly in
         :attr:`retired_results_evicted` / :attr:`retired_instances_evicted`.
-    on_flush:
-        Called as ``on_flush(watermark, events)`` after every flush —
-        the hook the front doors hang epoch/rate accounting on.
     """
 
     def __init__(
@@ -196,7 +192,6 @@ class SessionCore:
         event_rate: int = 1,
         enable_factor_windows: bool = True,
         max_retired_results: "int | None" = DEFAULT_RETIRED_RESULT_CAP,
-        on_flush: "FlushHook | None" = None,
     ):
         if num_keys < 1:
             raise ExecutionError(f"num_keys must be >= 1, got {num_keys}")
@@ -214,15 +209,9 @@ class SessionCore:
             enable_factor_windows=enable_factor_windows,
         )
         self.max_retired_results = max_retired_results
-        self.on_flush = on_flush
         self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
-        self._chunk_start = 0
-        self._chunk_end = self._chunk_ticks
         self._buf_chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
-        self._buf_ts: list[int] = []
-        self._buf_keys: list[int] = []
-        self._buf_values: list[float] = []
         self._buffered = 0
         # Reusable flush arena: multi-chunk flushes re-contiguate into
         # these preallocated columns instead of a fresh ``concatenate``
@@ -249,26 +238,20 @@ class SessionCore:
     # Snapshot support (DESIGN.md §9, invariant 12)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle everything but :attr:`on_flush` — the hook is a bound
-        method of the owning front door (it may reach a pump thread)
-        and is re-bound by whoever restores the core.  Every other
-        field — the buffered partial chunk, the group runtimes with
-        their operators and subscriptions, the retired-result archive,
-        the workload and its plans — is plain picklable state, which is
+        """Pickle everything but the flush arena.  Every other field —
+        the buffered partial chunk, the group runtimes with their
+        operators and subscriptions, the retired-result archive, the
+        workload and its plans — is plain picklable state, which is
         what makes a core snapshot a *complete* capture: restoring it
         resumes bit-identical to an uninterrupted run.
 
-        The flush arena is dropped too: it holds no live data between
-        flushes (only capacity), and buffered chunk *views* — which may
-        alias shared-memory ring slots — pickle by value, so a snapshot
-        never captures an aliased page."""
+        The arena holds no live data between flushes (only capacity),
+        and buffered chunk *views* — which may alias shared-memory ring
+        slots — pickle by value, so a snapshot never captures an
+        aliased page."""
         state = dict(self.__dict__)
-        state["on_flush"] = None
         state["_arena"] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -623,10 +606,27 @@ class SessionCore:
     ) -> RegisterAck:
         """Re-price every group at a new rate, switching the plans
         whose provider map actually changed."""
+        return self.switch_plans(self.reprice(event_rate), at)
+
+    def reprice(self, event_rate: int) -> "list[WorkloadDelta]":
+        """Re-price every group at a new rate *without* touching an
+        operator; returns the deltas whose provider map changed, still
+        to be applied by :meth:`switch_plans` (a front door syncs its
+        clock in between only when there is one)."""
         self._require_open()
-        for delta in self.workload.set_event_rate(event_rate):
-            if delta.provider_change:
-                self._apply_delta(delta, at)
+        return [
+            delta
+            for delta in self.workload.set_event_rate(event_rate)
+            if delta.provider_change
+        ]
+
+    def switch_plans(
+        self, deltas: "list[WorkloadDelta]", at: "int | None" = None
+    ) -> RegisterAck:
+        """Switch in the plans :meth:`reprice` found changed, at the
+        safe watermark ``at``."""
+        for delta in deltas:
+            self._apply_delta(delta, at)
         return self._ack("", {})
 
     def _ack(
@@ -726,63 +726,17 @@ class SessionCore:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, ts: int, key: int, value: float) -> None:
-        """Buffer one in-order event and self-roll chunk boundaries —
-        the standalone (single-core front door) path.
-
-        A flush may advance the watermark up to ``ts``'s chunk end;
-        the event is buffered first, so every released-but-unabsorbed
-        event is in the buffer when it does.  Absorbing an event
-        slightly before its chunk is harmless — closes are
-        watermark-driven.
-        """
-        self._buf_ts.append(ts)
-        self._buf_keys.append(key)
-        self._buf_values.append(value)
-        self._buffered += 1
-        if ts > self._max_event_ts:
-            self._max_event_ts = ts
-        while ts >= self._chunk_end:
-            self._flush(self._chunk_end)
-
-    def ingest_arrays(
-        self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Columnar twin of :meth:`ingest`: buffer a timestamp-sorted
-        run and self-roll every chunk boundary it crosses.
-
-        The run is cut just *after* each boundary-crossing event, which
-        rides into the buffer before its flush fires — exactly where
-        looping :meth:`ingest` would have flushed, so both paths hand
-        the operators the same blocks at the same watermarks.
-        """
-        n = int(ts.size)
-        pos = 0
-        while pos < n:
-            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
-            if cut >= n:
-                self.buffer_arrays(ts[pos:], keys[pos:], values[pos:])
-                return
-            cut += 1
-            self.buffer_arrays(ts[pos:cut], keys[pos:cut], values[pos:cut])
-            pos = cut
-            last = int(ts[cut - 1])
-            while last >= self._chunk_end:
-                self._flush(self._chunk_end)
-
     def buffer_arrays(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
     ) -> None:
-        """Buffer a sorted column slice *without* advancing time — the
-        coordinated (sharded) path, where only the coordinator's clock
-        may trigger flushes."""
+        """Buffer a sorted column slice *without* advancing time —
+        only the front door's chunk clock may trigger flushes."""
         if ts.size == 0:
             return
         if keys.size and (keys.min() < 0 or keys.max() >= self.num_keys):
             raise ExecutionError(
                 f"keys outside dense id space [0, {self.num_keys})"
             )
-        self._seal_scalar_buffer()
         self._buf_chunks.append(
             (
                 np.asarray(ts, dtype=np.int64),
@@ -815,17 +769,6 @@ class SessionCore:
             localized.append((np.array(ts), np.array(keys), np.array(values)))
             self.bytes_copied += int(ts.size) * EVENT_BYTES
         self._buf_chunks = localized
-
-    def _seal_scalar_buffer(self) -> None:
-        if self._buf_ts:
-            self._buf_chunks.append(
-                (
-                    np.asarray(self._buf_ts, dtype=np.int64),
-                    np.asarray(self._buf_keys, dtype=np.int64),
-                    np.asarray(self._buf_values, dtype=np.float64),
-                )
-            )
-            self._buf_ts, self._buf_keys, self._buf_values = [], [], []
 
     def advance_to(self, watermark: int) -> None:
         """Absorb the buffer and advance every operator to
@@ -883,7 +826,6 @@ class SessionCore:
 
     def _flush(self, to_watermark: int) -> None:
         started = time.perf_counter()
-        self._seal_scalar_buffer()
         count = self._buffered
         if count:
             chunks, self._buf_chunks = self._buf_chunks, []
@@ -905,11 +847,7 @@ class SessionCore:
         for runtime in self._groups.values():
             runtime.advance(to_watermark)
         self._watermark = to_watermark
-        self._chunk_start = to_watermark
-        self._chunk_end = to_watermark + self._chunk_ticks
         self.wall_seconds += time.perf_counter() - started
-        if self.on_flush is not None:
-            self.on_flush(to_watermark, count)
 
     # ------------------------------------------------------------------
     # Termination and results

@@ -1,13 +1,16 @@
-"""The session front door (DESIGN.md §8): the one life-cycle both
-session classes share, and the non-blocking async ingest in front of it.
+"""The session front door (DESIGN.md §8): the one life-cycle and the
+one chunk clock both session classes share, and the non-blocking async
+ingest in front of them.
 
 :class:`SessionFrontDoor` is the base class of
 :class:`~repro.runtime.QuerySession` and
 :class:`~repro.runtime.sharding.ShardedSession`: ``push`` /
-``push_many`` / ``snapshot`` / ``restore`` / ``finish`` / ``results``
-/ ``close`` are written here once, over a handful of hooks each class
-supplies, and :func:`synchronized` is how a method declares itself a
-synchronization point.  The rest of this module is the async half.
+``push_many`` / ``push_batch`` / ``snapshot`` / ``restore`` /
+``finish`` / ``results`` / ``close`` — and where the watermark
+advances between them — are written here once, over a handful of hooks
+each class supplies, and :func:`synchronized` is how a method declares
+itself a synchronization point.  The rest of this module is the async
+half.
 
 A live session's ``push`` is synchronous: the producer thread pays for
 routing, partitioning, and — on chunk boundaries — the whole flush
@@ -15,8 +18,8 @@ before the call returns.  With ``async_ingest=True`` a session puts a
 bounded :class:`IngestQueue` and one background :class:`IngestPump`
 thread in front of that machinery instead:
 
-* ``push`` / ``push_batch`` enqueue and return immediately — the
-  producer never waits on a flush;
+* ``push`` / ``push_many`` / ``push_batch`` enqueue and return
+  immediately — the producer never waits on a flush;
 * the pump thread dequeues in FIFO order and applies each command
   through the session's *synchronous* path, so the coordinator clock,
   the reorder buffer, and every shard see exactly the command stream
@@ -71,8 +74,10 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.adaptive import RateController
-from ..engine.events import EventColumns, event_columns
+from ..engine.events import EventBatch, EventColumns, event_columns
 from ..engine.outoforder import ReorderBuffer
 from ..errors import ExecutionError
 from .checkpoint import (
@@ -104,7 +109,7 @@ DEFAULT_INGEST_HIGH_WATERMARK = 65_536
 class IngestStats:
     """Exact counters of one session's async front door."""
 
-    enqueued_events: int = 0  # events accepted (push + push_batch)
+    enqueued_events: int = 0  # events accepted (push + runs + batches)
     enqueued_calls: int = 0  # synchronous commands routed through
     backpressure_waits: int = 0  # producer blocks on a closed gate
     max_depth_events: int = 0  # backlog high-water mark, in events
@@ -222,7 +227,8 @@ class IngestQueue:
             self._admit(item, 0)
 
     def get(self):
-        """Dequeue the next command (pump side; blocks when empty)."""
+        """Dequeue the next ``(command, weight)`` (pump side; blocks
+        when empty)."""
         with self._lock:
             while not self._items:
                 self._not_empty.wait()
@@ -231,7 +237,7 @@ class IngestQueue:
             if not self._gate_open and self._depth_events <= self.low_watermark:
                 self._gate_open = True
                 self._gate.notify_all()
-            return item
+            return item, weight
 
     def peek_data(self) -> list:
         """The queued *data* items, in order, without consuming them —
@@ -241,7 +247,7 @@ class IngestQueue:
             return [
                 item
                 for item, _ in self._items
-                if item[0] in (_EVENT, _BATCH)
+                if item[0] in _DATA
             ]
 
     def close(self) -> list:
@@ -258,8 +264,11 @@ class IngestQueue:
             return leftovers
 
 
-#: Queue item kinds.
-_EVENT, _BATCH, _CALL, _STOP = range(4)
+#: Queue item kinds: one event, one sorted ``EventBatch`` (reorder
+#: bypass), one validated column run (through the reorder buffer), one
+#: synchronous call, the stop sentinel.
+_EVENT, _BATCH, _RUN, _CALL, _STOP = range(5)
+_DATA = (_EVENT, _BATCH, _RUN)
 
 
 def synchronized(method):
@@ -281,26 +290,31 @@ def synchronized(method):
 
 
 class SessionFrontDoor:
-    """One session life-cycle, written once (DESIGN.md §8).
+    """One session life-cycle and one chunk clock, written once
+    (DESIGN.md §8).
 
     Both session classes are this template plus their hooks.  The base
     owns what they hold identically — the reorder buffer, the rate
     controller and its epoch observer, the auto-name counter, the
-    checkpoint store / meta / callback and the pump — and every verb
-    around it: ``push`` / ``push_many``, the end-of-push epilogue (rate
-    replan, then auto-checkpoint cadence), ``snapshot`` / ``restore``
-    and their framing, ``finish``, ``results`` / ``drain_results``,
-    ``close``.  A session class supplies:
+    checkpoint store / meta / callback, the pump and **the chunk
+    clock** (``_watermark``, ``_chunk_ticks``, ``_chunk_end``,
+    ``_max_event_ts``, ``_pending_events`` and the scalar staging
+    buffer per-event ``push`` fills) — and every verb around it:
+    ``push`` / ``push_many`` / ``push_batch``, the one loop that cuts a
+    released run at chunk ends (:meth:`_apply_run`), ``_flush`` /
+    ``_sync``, the end-of-push epilogue (rate replan, then
+    auto-checkpoint cadence), ``snapshot`` / ``restore`` and their
+    framing, ``finish``, ``results`` / ``drain_results``, ``close``.
+    A session class supplies:
 
     * ``kind`` and ``_wrong_kind`` — its :class:`Snapshot` kind and its
       refusal of any other;
-    * ``watermark`` / ``generation`` / ``queries`` — coordinator-local
-      reads;
-    * ``_require_open()`` — raise once finished;
-    * ``_apply_event(ts, key, value)`` / ``_apply_run(ts, keys,
-      values)`` — apply one released event / one released sorted run;
+    * ``generation`` / ``queries`` — coordinator-local reads;
+    * ``_buffer_run(ts, keys, values)`` — take one sorted column run
+      into its buffers *without* advancing time;
+    * ``_deliver(to_watermark)`` — hand everything buffered to the
+      operators and advance them to ``to_watermark``;
     * ``_apply_rate(rate)`` — re-plan at a new event rate;
-    * ``_seal(horizon)`` — close every instance ending by ``horizon``;
     * ``_collect(drain)`` — the merged result dict;
     * ``_capture()`` / ``_adopt(state, **placement)`` — its own durable
       state out and back in.
@@ -313,15 +327,39 @@ class SessionFrontDoor:
     data-plane enqueues (``push`` / ``push_many`` / ``push_batch``),
     ``finish`` / ``close`` (they stop the pump) and reads of one
     coordinator-local value (``watermark``, ``reorder_stats``).
-    ``tests/runtime/test_front_door.py`` holds both classes to it.
+    ``tests/runtime/test_front_door.py`` holds both classes to it, and
+    fails a class that grows a chunk cut of its own.
     """
 
     _pump: "IngestPump | None" = None
-    #: The sorted-batch apply function (sharded sessions only).
-    _push_batch_now = None
+
+    #: What a snapshot frame carries of the front door itself
+    #: (DESIGN.md §9): time-keeping state, then the chunk clock.
+    #: ``_pending_events`` counts partial-chunk events already handed
+    #: to ``_buffer_run`` — the rate observer still owes them to the
+    #: next ``observe_flush`` — and ``_staged`` holds the ones not yet
+    #: handed over.
+    _FRAME = (
+        "controller",
+        "_reorder",
+        "_rate_observer",
+        "_auto_names",
+        "_chunk_ticks",
+        "_chunk_end",
+        "_watermark",
+        "_max_event_ts",
+        "_pending_events",
+        "_staged",
+        "_closed",
+    )
 
     def _open_front_door(
-        self, max_lateness: int, event_rate: int, hysteresis, alpha: float
+        self,
+        max_lateness: int,
+        chunk_ticks: "int | None",
+        event_rate: int,
+        hysteresis,
+        alpha: float,
     ) -> None:
         """Fresh time-keeping state (a restored session adopts it from
         the snapshot instead)."""
@@ -335,6 +373,13 @@ class SessionFrontDoor:
         self._reorder = ReorderBuffer(max_lateness)
         self._rate_observer = EpochRateObserver(self.controller)
         self._auto_names = 0
+        self._chunk_ticks = chunk_ticks or 1
+        self._chunk_end = self._chunk_ticks
+        self._watermark = 0
+        self._max_event_ts = -1
+        self._pending_events = 0
+        self._staged: "tuple[list, list, list]" = ([], [], [])
+        self._closed = False
 
     def _attach(
         self,
@@ -354,7 +399,8 @@ class SessionFrontDoor:
         self._pump = (
             IngestPump(
                 push=self._push_now,
-                push_batch=self._push_batch_now,
+                push_batch=self._push_sorted_now,
+                push_run=self._push_run_now,
                 high_watermark=ingest_high_watermark,
                 low_watermark=ingest_low_watermark,
             )
@@ -365,6 +411,12 @@ class SessionFrontDoor:
     # ------------------------------------------------------------------
     # Coordinator-local reads
     # ------------------------------------------------------------------
+    @property
+    def watermark(self) -> int:
+        """The chunk clock: instances ending at or before this are
+        final and emitted, and every core is at it after any flush."""
+        return self._watermark
+
     @property
     def ingest_stats(self) -> "IngestStats | None":
         """Front-door counters (``None`` when ``async_ingest=False``)."""
@@ -379,10 +431,15 @@ class SessionFrontDoor:
         return f"q{self._auto_names}"
 
     def _safe_watermark(self) -> int:
-        return max(self.watermark, self._reorder.watermark, 0)
+        return max(self._watermark, self._reorder.watermark, 0)
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ExecutionError("session is finished")
 
     # ------------------------------------------------------------------
-    # Ingestion
+    # Ingestion: three public verbs, each enqueued (async) or applied
+    # inline (sync) by the same ``_push*_now`` function
     # ------------------------------------------------------------------
     def push(self, ts: int, key: int, value: float) -> None:
         """Ingest one (possibly out-of-order) event.
@@ -402,7 +459,7 @@ class SessionFrontDoor:
                 f"key {key} outside dense id space [0, {self.num_keys})"
             )
         for event in self._reorder.push(ts, int(key), float(value)):
-            self._apply_event(*event)
+            self._stage(*event)
         self._end_push()
 
     def push_many(self, events) -> None:
@@ -410,7 +467,7 @@ class SessionFrontDoor:
         an ``(n, 3)`` array, or columns ``event_columns`` has already
         validated (they are not validated twice).
 
-        Sync mode keeps the batch a batch: it is validated whole
+        The batch stays a batch: it is validated whole
         (:func:`~repro.engine.events.event_columns` — nothing is
         applied from a batch holding one bad row), crosses the reorder
         buffer in one columnar pass
@@ -419,18 +476,162 @@ class SessionFrontDoor:
         with the same results, late-drop decisions and reorder
         counters as pushing event by event.  Rate replans and the
         auto-checkpoint cadence apply once, at the end of the batch.
-        Async mode enqueues per event."""
-        if self._pump is not None and self._pump.accepting:
-            if isinstance(events, EventColumns):
-                events = zip(*(column.tolist() for column in events))
-            for ts, key, value in events:
-                self.push(ts, key, value)
+        In async mode the validated columns enqueue as one run (sliced
+        at the backpressure high watermark, like :meth:`push_batch`)
+        and the pump applies each through the same function."""
+        columns = event_columns(events, self.num_keys)
+        pump = self._pump
+        if pump is None or not pump.accepting:
+            self._push_run_now(columns)
             return
+        ts, keys, values = columns
+        high = pump.queue.high_watermark
+        for lo in range(0, int(ts.size), high):
+            hi = lo + high
+            pump.submit_run(
+                EventColumns(
+                    ts[lo:hi], keys[lo:hi], values[lo:hi], columns.num_keys
+                )
+            )
+
+    def _push_run_now(self, columns: EventColumns) -> None:
         self._require_open()
-        ts, keys, values = event_columns(events, self.num_keys)
+        ts, keys, values = columns
         if ts.size:
             self._apply_run(*self._reorder.push_batch(ts, keys, values))
             self._end_push()
+
+    def push_batch(self, batch: EventBatch) -> None:
+        """Vectorized sorted fast path: a whole columnar batch bypasses
+        the reorder heap and reaches the operators as column runs cut
+        at chunk boundaries — no per-event Python dispatch.
+
+        Requires an in-order session (``max_lateness == 0``) with
+        nothing buffered in the front door, and a batch starting at or
+        after the newest seen timestamp; results are identical to
+        pushing the same events one at a time.
+
+        In async mode the batch enqueues without waiting for flushes;
+        batches larger than the backpressure high watermark are split
+        into watermark-sized slices (column views, no copies) so the
+        queue's event bound stays meaningful — the backlog never
+        exceeds twice the high watermark.  An empty batch is never
+        enqueued.
+        """
+        pump = self._pump
+        if pump is None or not pump.accepting:
+            self._push_sorted_now(batch)
+            return
+        n, high = batch.num_events, pump.queue.high_watermark
+        for lo in range(0, n, high):
+            hi = min(lo + high, n)
+            pump.submit_batch(
+                batch
+                if n <= high
+                else EventBatch(
+                    timestamps=batch.timestamps[lo:hi],
+                    keys=batch.keys[lo:hi],
+                    values=batch.values[lo:hi],
+                    horizon=batch.horizon,
+                    num_keys=batch.num_keys,
+                )
+            )
+
+    def _push_sorted_now(self, batch: EventBatch) -> None:
+        self._require_open()
+        if batch.num_keys != self.num_keys:
+            raise ExecutionError(
+                f"batch has {batch.num_keys} keys, session has "
+                f"{self.num_keys}"
+            )
+        ts = batch.timestamps
+        n = int(ts.size)
+        if n == 0:
+            return
+        # The reorder buffer validates the bypass (in-order session,
+        # batch at or after the newest seen timestamp — *not* merely the
+        # chunk-clock watermark, which can trail buffered events) and
+        # keeps its exact counters coherent with push().
+        self._reorder.accept_sorted(n, int(ts[0]), int(ts[-1]))
+        self._apply_run(ts, batch.keys, batch.values)
+        self._end_push()
+
+    # ------------------------------------------------------------------
+    # The chunk clock: where the watermark advances
+    # ------------------------------------------------------------------
+    def _stage(self, ts: int, key: int, value: float) -> None:
+        """Apply one released event: stage it, then flush every chunk
+        end it crossed.  The event is staged first, so every
+        released-but-undelivered event is buffered when a flush fires;
+        delivering an event slightly before its chunk is harmless —
+        closes are watermark-driven."""
+        staged_ts, staged_keys, staged_values = self._staged
+        staged_ts.append(ts)
+        staged_keys.append(key)
+        staged_values.append(value)
+        self._pending_events += 1
+        if ts > self._max_event_ts:
+            self._max_event_ts = ts
+        while ts >= self._chunk_end:
+            self._flush(self._chunk_end)
+
+    def _seal_staged(self) -> None:
+        """Hand the staged events over as one column run."""
+        ts, keys, values = self._staged
+        if ts:
+            self._staged = ([], [], [])
+            self._buffer_run(
+                np.asarray(ts, dtype=np.int64),
+                np.asarray(keys, dtype=np.int64),
+                np.asarray(values, dtype=np.float64),
+            )
+
+    def _apply_run(self, ts, keys, values) -> None:
+        """Apply one *released* (timestamp-sorted) column run, flushing
+        at every chunk end it crosses — the columnar form of looping
+        :meth:`_stage`, and the only chunk cut in the runtime.
+
+        The run is cut just *after* each chunk-crossing event, which
+        rides into the buffer before its flush fires — exactly where
+        the per-event loop flushes, so both paths hand the operators
+        the same blocks at the same watermarks."""
+        n = int(ts.size)
+        if n == 0:
+            return
+        self._seal_staged()  # arrival order: staged events came first
+        pos = 0
+        while pos < n:
+            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
+            cut = min(cut + 1, n)
+            self._buffer_run(ts[pos:cut], keys[pos:cut], values[pos:cut])
+            self._pending_events += cut - pos
+            pos = cut
+            last = int(ts[cut - 1])
+            if last > self._max_event_ts:
+                self._max_event_ts = last
+            while last >= self._chunk_end:
+                self._flush(self._chunk_end)
+
+    def _flush(self, to_watermark: int) -> None:
+        """Seal staging, deliver, advance the clock, account the epoch."""
+        self._seal_staged()
+        count, self._pending_events = self._pending_events, 0
+        self._deliver(to_watermark)
+        self._watermark = to_watermark
+        self._chunk_end = to_watermark + self._chunk_ticks
+        self._rate_observer.observe_flush(
+            to_watermark, count, self._chunk_ticks, bool(self.queries)
+        )
+
+    def _sync(self, at: int) -> None:
+        """Advance to the newest safe watermark before a workload
+        mutation.  Absorbs at most the buffered partial chunk;
+        everything newer still sits in the reorder buffer and reaches
+        fresh operators through the normal path — a switch never
+        replays more than the reorder buffer plus one chunk."""
+        at = max(self._watermark, at)
+        if self._pending_events or at > self._watermark:
+            self._flush(at)
 
     def _end_push(self) -> None:
         """What every push call — one event or one batch — ends with."""
@@ -470,8 +671,9 @@ class SessionFrontDoor:
         routing table, retired archive and workload; for a sharded
         session every shard core serialized at exactly the
         coordinator's stream position, without advancing the
-        watermark, plus the coordinator's clock and layout), the
-        reorder buffer, the rate controller, and — in async mode — the
+        watermark, plus the coordinator's layout), the front door's
+        own frame (``_FRAME``: reorder buffer, rate controller, chunk
+        clock and staged events), and — in async mode — the
         ingest-queue residue (events enqueued but not yet applied).
         Like every synchronization point it runs at its position in
         the command stream, so it is prefix-consistent with everything
@@ -485,10 +687,7 @@ class SessionFrontDoor:
         """
         graph = {
             "session": self._capture(),
-            "reorder": self._reorder,
-            "controller": self.controller,
-            "observer": self._rate_observer,
-            "auto_names": self._auto_names,
+            "door": {name: getattr(self, name) for name in self._FRAME},
             "residue": [] if self._pump is None else self._pump.pending_data(),
         }
         # One dumps over the whole graph: shared references (the
@@ -544,10 +743,8 @@ class SessionFrontDoor:
             raise ExecutionError(cls._wrong_kind.format(kind=snap.kind))
         graph = pickle.loads(snap.payload["state"])
         self = cls.__new__(cls)
-        self.controller = graph["controller"]
-        self._reorder = graph["reorder"]
-        self._rate_observer = graph["observer"]
-        self._auto_names = graph["auto_names"]
+        for name in cls._FRAME:
+            setattr(self, name, graph["door"][name])
         self._adopt(graph["session"], **placement)
         self._attach(
             async_ingest,
@@ -557,11 +754,13 @@ class SessionFrontDoor:
             checkpoint_meta,
             on_checkpoint,
         )
-        for item in graph["residue"]:
-            if item[0] == _EVENT:
-                self.push(item[1], item[2], item[3])
-            else:
-                self.push_batch(item[1])
+        replay = {
+            _EVENT: self.push,
+            _BATCH: self.push_batch,
+            _RUN: self.push_many,
+        }
+        for kind, *payload in graph["residue"]:
+            replay[kind](*payload)
         return self
 
     # ------------------------------------------------------------------
@@ -581,8 +780,16 @@ class SessionFrontDoor:
     def _drain_and_seal(self, horizon: "int | None"):
         self._require_open()
         for event in self._reorder.flush():
-            self._apply_event(*event)
-        self._seal(horizon)
+            self._stage(*event)
+        if horizon is None:
+            horizon = max(self._watermark, self._max_event_ts + 1)
+        if horizon < self._watermark:
+            raise ExecutionError(
+                f"horizon {horizon} is behind the watermark "
+                f"{self._watermark}"
+            )
+        self._flush(horizon)
+        self._closed = True
         return self._collect(False)
 
     @synchronized
@@ -632,24 +839,24 @@ class IngestPump:
     """The background thread draining an :class:`IngestQueue` into a
     session's synchronous ingest path.
 
-    ``push`` / ``push_batch`` are the session's *synchronous*
-    single-threaded entry points — the pump is their only caller while
-    it runs, which is the whole concurrency story: one producer-facing
-    bounded MPSC queue (any number of submitting threads), one
-    consumer thread, zero shared mutable session state across
-    threads.
+    ``push`` / ``push_batch`` / ``push_run`` are the session's
+    *synchronous* single-threaded entry points, one per data item kind
+    — the pump is their only caller while it runs, which is the whole
+    concurrency story: one producer-facing bounded MPSC queue (any
+    number of submitting threads), one consumer thread, zero shared
+    mutable session state across threads.
     """
 
     def __init__(
         self,
         push,
         push_batch=None,
+        push_run=None,
         high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
         low_watermark: "int | None" = None,
         name: str = "repro-ingest-pump",
     ):
-        self._push = push
-        self._push_batch = push_batch
+        self._apply = {_EVENT: push, _BATCH: push_batch, _RUN: push_run}
         self.queue = IngestQueue(high_watermark, low_watermark)
         self._error: "BaseException | None" = None
         self._error_seen = False
@@ -687,11 +894,13 @@ class IngestPump:
         self._raise_pending()
         self.queue.put_data((_EVENT, ts, key, value), 1)
 
-    def submit_batch(self, batch) -> None:
-        if self._push_batch is None:  # pragma: no cover - defensive
-            raise ExecutionError("this session has no batch ingest path")
+    def submit_batch(self, batch: EventBatch) -> None:
         self._raise_pending()
-        self.queue.put_data((_BATCH, batch), max(1, batch.num_events))
+        self.queue.put_data((_BATCH, batch), batch.num_events)
+
+    def submit_run(self, columns: EventColumns) -> None:
+        self._raise_pending()
+        self.queue.put_data((_RUN, columns), int(columns.ts.size))
 
     def submit_call(self, fn, *args, **kwargs):
         """Enqueue ``fn(*args, **kwargs)`` and wait for the pump to
@@ -740,7 +949,7 @@ class IngestPump:
     def _run(self) -> None:
         try:
             while True:
-                item = self.queue.get()
+                item, weight = self.queue.get()
                 kind = item[0]
                 if kind == _STOP:
                     break
@@ -762,15 +971,10 @@ class IngestPump:
                 if self._error is not None:
                     # Poisoned: discard data (counted — stop() raises
                     # with the exact tally), surface on submit.
-                    self._discarded_events += (
-                        1 if kind == _EVENT else max(1, item[1].num_events)
-                    )
+                    self._discarded_events += weight
                     continue
                 try:
-                    if kind == _EVENT:
-                        self._push(item[1], item[2], item[3])
-                    else:
-                        self._push_batch(item[1])
+                    self._apply[kind](*item[1:])
                 except BaseException as exc:  # noqa: BLE001 - parked
                     self._error = exc
         finally:
@@ -780,5 +984,5 @@ class IngestPump:
                     item[1].fail(
                         ExecutionError("ingest pump stopped")
                     )
-                elif item[0] in (_EVENT, _BATCH):
-                    self._discarded_events += max(1, weight)
+                else:
+                    self._discarded_events += weight

@@ -141,10 +141,11 @@ class QuerySession(SessionFrontDoor):
             event_rate=event_rate,
             enable_factor_windows=enable_factor_windows,
             max_retired_results=max_retired_results,
-            on_flush=self._on_flush,
         )
         self.num_keys = num_keys
-        self._open_front_door(max_lateness, event_rate, hysteresis, alpha)
+        self._open_front_door(
+            max_lateness, chunk_ticks, event_rate, hysteresis, alpha
+        )
         self._attach(
             async_ingest,
             ingest_high_watermark,
@@ -161,12 +162,6 @@ class QuerySession(SessionFrontDoor):
     def core(self) -> SessionCore:
         """The embedded single-shard engine."""
         return self._core
-
-    @property
-    def watermark(self) -> int:
-        """The operators' frontier: instances ending at or before this
-        are final and emitted."""
-        return self._core.watermark
 
     @property
     def queries(self) -> tuple[str, ...]:
@@ -233,8 +228,9 @@ class QuerySession(SessionFrontDoor):
         result row (mergeable aggregates only; a
         :class:`~repro.runtime.sharding.ShardedSession` additionally
         raw-forwards holistic global queries)."""
+        self._require_open()
         query = resolve_registration_query(query, name, self._next_auto_name)
-        self._core.register(query, at=self._safe_watermark(), scope=scope)
+        self._mutate(self._core.register, query, scope=scope)
         return query.name
 
     @synchronized
@@ -243,33 +239,32 @@ class QuerySession(SessionFrontDoor):
         results stay readable (within the retention cap); its windows
         stop being computed unless another query (or the optimizer)
         still needs them."""
-        self._core.deregister(name, at=self._safe_watermark())
+        self._require_open()
+        self._mutate(self._core.deregister, name)
+
+    def _mutate(self, mutation, *args, **kwargs) -> None:
+        """One workload mutation on the core, at the safe watermark the
+        shared clock has synced to first."""
+        at = self._safe_watermark()
+        self._sync(at)
+        mutation(*args, at=at, **kwargs)
+        self._chunk_ticks = self._core.chunk_ticks
 
     # ------------------------------------------------------------------
     # The front door's hooks (see SessionFrontDoor)
     # ------------------------------------------------------------------
-    def _require_open(self) -> None:
-        self._core._require_open()
+    def _buffer_run(self, ts, keys, values) -> None:
+        self._core.buffer_arrays(ts, keys, values)
 
-    def _apply_event(self, ts: int, key: int, value: float) -> None:
-        self._core.ingest(ts, key, value)
-
-    def _apply_run(self, ts, keys, values) -> None:
-        self._core.ingest_arrays(ts, keys, values)
+    def _deliver(self, to_watermark: int) -> None:
+        self._core.advance_to(to_watermark)
 
     def _apply_rate(self, rate: int) -> None:
-        self._core.set_event_rate(rate, at=self._safe_watermark())
-
-    def _seal(self, horizon: "int | None") -> None:
-        self._core.finish(horizon)
-
-    def _on_flush(self, watermark: int, count: int) -> None:
-        self._rate_observer.observe_flush(
-            watermark,
-            count,
-            self._core.chunk_ticks,
-            bool(len(self._core.workload)),
-        )
+        # Re-pricing alone moves no operator, so it moves no clock:
+        # only a rate that changes a plan is a mutation.
+        deltas = self._core.reprice(rate)
+        if deltas:
+            self._mutate(self._core.switch_plans, deltas)
 
     def _capture(self) -> SessionCore:
         return self._core
@@ -277,7 +272,6 @@ class QuerySession(SessionFrontDoor):
     def _adopt(self, core: SessionCore) -> None:
         self._core = core
         self.num_keys = core.num_keys
-        core.on_flush = self._on_flush
 
     def _collect(self, drain: bool):
         report = self._core.report(drain=drain)

@@ -63,7 +63,6 @@ from ..core.multiquery import Query
 from ..engine.events import (
     DEFAULT_NUM_SLOTS,
     EVENT_BYTES,
-    EventBatch,
     KeyPartitioner,
 )
 from ..engine.stats import ExecutionStats
@@ -1561,7 +1560,9 @@ class ShardedSession(SessionFrontDoor):
             raise ExecutionError(
                 f"num_shards must be >= 1, got {num_shards}"
             )
-        self._open_front_door(max_lateness, event_rate, hysteresis, alpha)
+        self._open_front_door(
+            max_lateness, chunk_ticks, event_rate, hysteresis, alpha
+        )
         self.num_keys = num_keys
         self.num_shards = num_shards
         self.partitioner = KeyPartitioner(
@@ -1584,17 +1585,11 @@ class ShardedSession(SessionFrontDoor):
         self._event_rate = event_rate
         self._enable_factor_windows = enable_factor_windows
         self._max_retired_results = max_retired_results
-        self._chunk_ticks = chunk_ticks or 1
-        self._chunk_end = self._chunk_ticks
-        self._watermark = 0
-        self._max_event_ts = -1
-        self._pending_events = 0
         self._queries: "dict[str, tuple[Query, str]]" = {}
         self._modes: dict[str, str] = {}
         self._forward: "SessionCore | None" = None
         self._forward_names: set[str] = set()
         self._generation = 0
-        self._closed = False
         self.wall_seconds = 0.0
         self._start_backend(
             backend, fault_plan, worker_recovery, control_timeout
@@ -1621,20 +1616,13 @@ class ShardedSession(SessionFrontDoor):
         self.backend.start(
             [self._shard_config(shard) for shard in self.active_shards]
         )
-        self._rebuild_shard_tables()
-        self._fwd_scalar: "tuple[list, list]" = ([], [])
+        self._array_buf: "list[list[tuple]]" = [[] for _ in self.active_shards]
         self._fwd_arrays: "list[tuple]" = []
         self._released = False
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def watermark(self) -> int:
-        """The coordinator clock — every shard is at or behind this,
-        and at it after every flush (see :meth:`shard_watermarks`)."""
-        return self._watermark
-
     @property
     def queries(self) -> tuple[str, ...]:
         return tuple(self._queries)
@@ -1829,81 +1817,7 @@ class ShardedSession(SessionFrontDoor):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _apply_run(self, ts, keys, values) -> None:
-        """Buffer a *released* (timestamp-sorted) columnar run,
-        flushing at every chunk boundary — the vectorized twin of
-        looping :meth:`_apply_event`."""
-        n = int(ts.size)
-        pos = 0
-        while pos < n:
-            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
-            if cut >= n:
-                self._buffer_arrays(ts[pos:], keys[pos:], values[pos:])
-                break
-            # The chunk-crossing event rides along, exactly as in the
-            # per-event path (it is buffered before its flush fires).
-            cut += 1
-            self._buffer_arrays(ts[pos:cut], keys[pos:cut], values[pos:cut])
-            pos = cut
-            last = int(ts[cut - 1])
-            while last >= self._chunk_end:
-                self._flush(self._chunk_end)
-
-    def push_batch(self, batch: EventBatch) -> None:
-        """Vectorized sorted fast path: partition a whole columnar
-        batch per chunk and ship slices — no per-event Python dispatch.
-
-        Requires an in-order session (``max_lateness == 0``) with
-        nothing buffered in the front door, and a batch starting at or
-        after the newest seen timestamp; results are identical to
-        pushing the same events one at a time.
-
-        In async mode the batch enqueues without waiting for flushes;
-        batches larger than the backpressure high watermark are split
-        into watermark-sized slices (column views, no copies) so the
-        queue's event bound stays meaningful — the backlog never
-        exceeds twice the high watermark.
-        """
-        if self._pump is not None and self._pump.accepting:
-            high = self._pump.queue.high_watermark
-            n = batch.num_events
-            if n <= high:
-                self._pump.submit_batch(batch)
-                return
-            for lo in range(0, n, high):
-                hi = min(lo + high, n)
-                self._pump.submit_batch(
-                    EventBatch(
-                        timestamps=batch.timestamps[lo:hi],
-                        keys=batch.keys[lo:hi],
-                        values=batch.values[lo:hi],
-                        horizon=batch.horizon,
-                        num_keys=batch.num_keys,
-                    )
-                )
-            return
-        self._push_batch_now(batch)
-
-    def _push_batch_now(self, batch: EventBatch) -> None:
-        self._require_open()
-        if batch.num_keys != self.num_keys:
-            raise ExecutionError(
-                f"batch has {batch.num_keys} keys, session has "
-                f"{self.num_keys}"
-            )
-        ts = batch.timestamps
-        n = int(ts.size)
-        if n == 0:
-            return
-        # The front door validates the bypass (in-order session, batch
-        # at or after the newest seen timestamp — *not* merely the
-        # chunk-clock watermark, which can trail buffered events) and
-        # keeps its exact counters coherent with push().
-        self._reorder.accept_sorted(n, int(ts[0]), int(ts[-1]))
-        self._apply_run(ts, batch.keys, batch.values)
-        self._end_push()
-
-    def _buffer_arrays(self, ts, keys, values) -> None:
+    def _buffer_run(self, ts, keys, values) -> None:
         slices = self.partitioner.split_arrays(ts, keys, values)
         for slot, shard in enumerate(self.active_shards):
             sts, skeys, svalues, _ = slices[shard]
@@ -1916,28 +1830,6 @@ class ShardedSession(SessionFrontDoor):
         )
         self._slot_events += counts
         self._slot_bytes += counts * float(EVENT_BYTES)
-        self._pending_events += int(ts.size)
-        last = int(ts[-1])
-        if last > self._max_event_ts:
-            self._max_event_ts = last
-
-    def _apply_event(self, ts: int, key: int, value: float) -> None:
-        slot = int(self._slot_of_shard[self.partitioner.shard_of[key]])
-        buf_ts, buf_keys, buf_values = self._scalar_buf[slot]
-        buf_ts.append(ts)
-        buf_keys.append(int(self.partitioner.local_id[key]))
-        buf_values.append(value)
-        if self._forward_names:
-            self._fwd_scalar[0].append(ts)
-            self._fwd_scalar[1].append(value)
-        vslot = int(self.partitioner.slot_of_key[key])
-        self._slot_events[vslot] += 1.0
-        self._slot_bytes[vslot] += float(EVENT_BYTES)
-        self._pending_events += 1
-        if ts > self._max_event_ts:
-            self._max_event_ts = ts
-        while ts >= self._chunk_end:
-            self._flush(self._chunk_end)
 
     def _feed_buffers(self) -> None:
         # Ship per-shard chunk *runs*, never concatenating here: the
@@ -1946,61 +1838,25 @@ class ShardedSession(SessionFrontDoor):
         # copy of every event.  Chunk order is preserved end-to-end,
         # which keeps the flushed block bit-identical to the old
         # concatenate-then-ship plane.
-        slices = []
-        for slot in range(len(self.active_shards)):
-            chunks = self._array_buf[slot]
-            buf_ts, buf_keys, buf_values = self._scalar_buf[slot]
-            if buf_ts:
-                chunks.append(
-                    (
-                        np.asarray(buf_ts, dtype=np.int64),
-                        np.asarray(buf_keys, dtype=np.int64),
-                        np.asarray(buf_values, dtype=np.float64),
-                    )
-                )
-                self._scalar_buf[slot] = ([], [], [])
-            slices.append(chunks)
-            self._array_buf[slot] = []
+        slices = self._array_buf
+        self._array_buf = [[] for _ in self.active_shards]
         self.backend.feed(slices)
         if self._forward is not None:
-            if self._fwd_scalar[0]:
-                self._fwd_arrays.append(
-                    (
-                        np.asarray(self._fwd_scalar[0], dtype=np.int64),
-                        np.asarray(self._fwd_scalar[1], dtype=np.float64),
-                    )
-                )
-                self._fwd_scalar = ([], [])
             for ts, values in self._fwd_arrays:
                 self._forward.buffer_arrays(
                     ts, np.zeros(ts.size, dtype=np.int64), values
                 )
             self._fwd_arrays = []
 
-    def _flush(self, to_watermark: int) -> None:
+    def _deliver(self, to_watermark: int) -> None:
         started = time.perf_counter()
-        count = self._pending_events
-        self._pending_events = 0
         self._feed_buffers()
         self.backend.advance(to_watermark)
         if self._forward is not None:
             self._forward.advance_to(to_watermark)
-        self._watermark = to_watermark
-        self._chunk_end = to_watermark + self._chunk_ticks
         self.wall_seconds += time.perf_counter() - started
-        self._rate_observer.observe_flush(
-            to_watermark, count, self._chunk_ticks, bool(self._queries)
-        )
         self._slot_events *= LOAD_DECAY
         self._slot_bytes *= LOAD_DECAY
-
-    def _sync(self, target: int) -> None:
-        """Advance every core to the same safe watermark (the
-        broadcast-mutation entry point) — absorbs at most the buffered
-        partial chunk, never history."""
-        target = max(self._watermark, target)
-        if self._pending_events or target > self._watermark:
-            self._flush(target)
 
     def _apply_rate(self, rate: int) -> None:
         at = self._safe_watermark()
@@ -2224,7 +2080,6 @@ class ShardedSession(SessionFrontDoor):
             # backend slots) stay untouched.
             self.partitioner = new
             self.num_shards = num_shards
-            self._index_backend_slots()
             return
         at = self._safe_watermark()
         self._sync(at)
@@ -2275,18 +2130,7 @@ class ShardedSession(SessionFrontDoor):
         self.partitioner = new
         self.num_shards = num_shards
         self.active_shards = survivors + spawned
-        self._rebuild_shard_tables()
-
-    def _index_backend_slots(self) -> None:
-        self._slot_of_shard = np.full(self.num_shards, -1, dtype=np.int64)
-        for slot, shard in enumerate(self.active_shards):
-            self._slot_of_shard[shard] = slot
-
-    def _rebuild_shard_tables(self) -> None:
-        self._index_backend_slots()
-        active = len(self.active_shards)
-        self._scalar_buf = [([], [], []) for _ in range(active)]
-        self._array_buf = [[] for _ in range(active)]
+        self._array_buf = [[] for _ in self.active_shards]
 
     def _run_migration(self, plan) -> None:
         backend = self.backend
@@ -2317,10 +2161,8 @@ class ShardedSession(SessionFrontDoor):
     #: reads exactly these and ``_adopt`` writes them back.  (The
     #: partitioner travels as its slot map — migrations mutate it and
     #: the backend slot order in ``active_shards``, so a restore
-    #: replays both verbatim.  ``_pending_events`` counts the
-    #: partial-chunk events that live in the shard cores after the
-    #: pre-snapshot feed: the rate observer still owes them to the
-    #: next ``observe_flush``.)
+    #: replays both verbatim.  The clock itself travels in the front
+    #: door's frame.)
     _DURABLE = (
         "num_keys",
         "num_shards",
@@ -2331,17 +2173,11 @@ class ShardedSession(SessionFrontDoor):
         "_event_rate",
         "_enable_factor_windows",
         "_max_retired_results",
-        "_chunk_ticks",
-        "_chunk_end",
-        "_watermark",
-        "_max_event_ts",
-        "_pending_events",
         "_queries",
         "_modes",
         "_forward",
         "_forward_names",
         "_generation",
-        "_closed",
         "wall_seconds",
     )
 
@@ -2389,17 +2225,6 @@ class ShardedSession(SessionFrontDoor):
             backend, fault_plan, worker_recovery, control_timeout
         )
         self.backend.restore(state["shards"])
-
-    def _seal(self, horizon: "int | None") -> None:
-        if horizon is None:
-            horizon = max(self._watermark, self._max_event_ts + 1)
-        if horizon < self._watermark:
-            raise ExecutionError(
-                f"horizon {horizon} is behind the watermark "
-                f"{self._watermark}"
-            )
-        self._flush(horizon)
-        self._closed = True
 
     def _collect(self, drain: bool):
         self._require_backend()
@@ -2491,10 +2316,6 @@ class ShardedSession(SessionFrontDoor):
             self._released = True
             self._closed = True
             self.backend.close()
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ExecutionError("session is finished")
 
     def _require_backend(self) -> None:
         if self._released:

@@ -518,7 +518,7 @@ def _execute(
         for index, kind, payload in schedule:
             index = min(max(index, 0), num_events)
             if index > cursor:
-                _feed(session, compiled, rows, cursor, index)
+                session.push_many(rows[cursor:index])
                 cursor = index
             if kind == "register":
                 query, scope = _query_from_payload(payload)
@@ -529,7 +529,7 @@ def _execute(
                 if runtime.shards > 1:
                     moved += session.rebalance()
         if cursor < num_events:
-            _feed(session, compiled, rows, cursor, num_events)
+            session.push_many(rows[cursor:num_events])
         results = session.finish(horizon=compiled.horizon)
         wall = time.perf_counter() - started
         reorder = session.reorder_stats
@@ -562,22 +562,6 @@ def _execute(
         results=results,
         stats=stats,
     )
-
-
-def _feed(session, compiled, rows, lo: int, hi: int) -> None:
-    """Push arrivals ``[lo, hi)``: vectorized for a sync session,
-    per-event through the async front door (results are identical
-    either way — that equivalence is itself a blessed contract)."""
-    if session.ingest_stats is None:
-        session.push_many(rows[lo:hi])
-        return
-    timestamps, keys, values = (
-        compiled.timestamps,
-        compiled.keys,
-        compiled.values,
-    )
-    for i in range(lo, hi):
-        session.push(int(timestamps[i]), int(keys[i]), float(values[i]))
 
 
 def run_scenario(

@@ -133,21 +133,23 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("old", [1, 2])
+    @pytest.mark.parametrize("old", [1, 2, 3])
     def test_older_checkpoint_is_refused(self, tmp_path, old):
         """A file written before subscriptions held key-labelled
-        segments (format v1), or before both session kinds shared one
-        state-graph layout (v2), must be rejected by its header — even
-        with a valid checksum — never restored half-shaped."""
+        segments (format v1), before both session kinds shared one
+        state-graph layout (v2), or before the chunk clock moved into
+        the front door's frame (v3) must be rejected by its header —
+        even with a valid checksum — never restored half-shaped."""
         path = tmp_path / "ckpt.rckpt"
         write_checkpoint(self.make_snapshot(), path)
         blob = bytearray(path.read_bytes())
         offset = len(CHECKPOINT_MAGIC)
-        assert blob[offset : offset + 2] == (3).to_bytes(2, "little")
+        assert blob[offset : offset + 2] == (4).to_bytes(2, "little")
         blob[offset : offset + 2] = old.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(
-            ExecutionError, match=f"format v{old} is not supported"
+            ExecutionError,
+            match=rf"format v{old} is not supported \(this build reads v4\)",
         ):
             read_checkpoint(path)
 

@@ -1,0 +1,277 @@
+"""One chunk clock (DESIGN.md §8): however a stream reaches a session —
+event by event, as row lists, arrays or validated columns, as sorted
+batches, through a pump or not, across a snapshot/restore — the
+watermark advances at the same events, so the operators see the same
+blocks at the same watermarks as the plain per-event loop.
+
+Every script is held to the per-event ``push`` loop of the same class:
+
+* bit-identical results, the same reorder counters, the same
+  ``watermark`` after every call;
+* the same ``ExecutionStats.total_pairs`` / ``total_physical``, and the
+  same number of delivered events.  ``bytes_copied`` and
+  ``copies_elided`` split that number by whether a flush absorbed one
+  run (passed through) or several (gathered), which is a property of
+  the call granularity itself — so the split is held equal where the
+  calls are equal (the same script, sync vs async) and its sum is held
+  equal against the loop (in-process cores only: the shm ring's own
+  copies land in the same counter).
+
+Real-valued streams run with ``hysteresis=None``.  Two feeds move
+*when* a block is cut without changing what the stream means, so they
+are held to the exactness conditions of invariants 9/10 instead
+(whole-number values; results, reorder counters and pair counts only):
+live replanning, where a rate switch lands at the end of a push
+*call*; and ``push_batch``, whose sorted bypass delivers the events of
+the newest tick at once where the reorder buffer holds them until the
+next tick arrives.  For the same reason ``push_batch`` scripts carry no
+``register`` / ``deregister``: a switch right after a sorted batch
+syncs to the batch's last tick with that tick's events already
+delivered, and a fresh operator whose first instance starts on that
+tick never sees them (present since ``push_batch`` was added; ROADMAP
+item 3(b); pinned below as a strict ``xfail``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
+from repro.core.multiquery import Query
+from repro.engine.events import EVENT_BYTES, EventBatch, event_columns
+from repro.runtime import QuerySession, ShardedSession
+from repro.windows.window import Window, WindowSet
+
+from session_streams import assert_identical
+
+NUM_KEYS = 5
+TICKS = 90
+RATE = 3
+
+INITIAL = [
+    (Query("sums", WindowSet([Window(12, 4), Window(24, 8)]), SUM), "per_key"),
+    (Query("mins", WindowSet([Window(8, 8)]), MIN), "global"),
+    (Query("medians", WindowSet([Window(10, 5)]), MEDIAN), "per_key"),
+]
+#: Raw-forwarded to the coordinator's own core: sharded sessions only.
+FORWARDED = (Query("spread", WindowSet([Window(9, 3)]), MEDIAN), "global")
+LATE = (Query("avgs", WindowSet([Window(20, 10)]), AVG), "per_key")
+
+COUNTERS = ("total_pairs", "total_physical", "bytes_copied", "copies_elided")
+DATA_STEPS = ("push", "rows", "array", "columns")
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(DATA_STEPS), st.integers(1, 60)),
+        st.tuples(
+            st.sampled_from(("register", "deregister", "stats", "restore")),
+            st.just(0),
+        ),
+    ),
+    min_size=4,
+    max_size=14,
+)
+
+
+def make_events(seed: int, lateness: int, in_order: bool, whole: bool):
+    """A constant-rate stream; unless ``in_order``, arrival jitter
+    overshoots the lateness bound so some events are late-dropped."""
+    rng = np.random.default_rng(seed)
+    n = TICKS * RATE
+    ts = np.arange(n, dtype=np.int64) // RATE
+    keys = rng.integers(0, NUM_KEYS, n)
+    values = rng.normal(20.0, 5.0, n)
+    if whole:
+        values = np.round(values)
+    if not in_order:
+        jitter = rng.integers(0, lateness + 4, n)
+        order = np.argsort(ts + jitter, kind="stable")
+        ts, keys, values = ts[order], keys[order], values[order]
+    return list(zip(ts.tolist(), keys.tolist(), values.tolist()))
+
+
+def open_cell(cls, backend, lateness, chunk_ticks, hysteresis, async_ingest):
+    kwargs = dict(
+        num_keys=NUM_KEYS,
+        max_lateness=lateness,
+        chunk_ticks=chunk_ticks,
+        hysteresis=hysteresis,
+        async_ingest=async_ingest,
+    )
+    if cls is ShardedSession:
+        kwargs.update(num_shards=2, backend=backend)
+    session = cls(**kwargs)
+    for query, scope in INITIAL + ([FORWARDED] * (cls is ShardedSession)):
+        session.register(query, scope=scope)
+    return session
+
+
+def push_piece(session, how, piece):
+    if how == "push":
+        for row in piece:
+            session.push(*row)
+    elif how == "rows":
+        session.push_many(piece)
+    elif how == "array":
+        session.push_many(np.asarray(piece, dtype=np.float64))
+    elif how == "columns":
+        session.push_many(event_columns(piece, NUM_KEYS))
+    else:
+        ts, keys, values = event_columns(piece, NUM_KEYS)
+        session.push_batch(
+            EventBatch(ts, keys, values, horizon=TICKS, num_keys=NUM_KEYS)
+        )
+
+
+def run(cls, backend, events, steps, config, *, as_loop=False, async_ingest=False):
+    """Play ``steps`` over ``events``; returns ``(results, reorder
+    stats, {step: watermark}, execution stats)``.  ``as_loop`` replaces
+    every data step by the per-event loop and skips the steps that
+    mutate nothing (``stats`` / ``restore``)."""
+    lateness, chunk_ticks, hysteresis, in_order = config
+    session = open_cell(
+        cls, backend, lateness, chunk_ticks, hysteresis, async_ingest
+    )
+    try:
+        marks, cursor, late = {}, 0, False
+        for index, (step, size) in enumerate(steps):
+            synced = not async_ingest
+            if step in DATA_STEPS:
+                piece = events[cursor : cursor + size]
+                cursor += len(piece)
+                how = "push" if as_loop else "batch" if in_order else step
+                push_piece(session, how, piece)
+            elif step == "register" and not late and not in_order:
+                session.register(LATE[0], scope=LATE[1])
+                late = synced = True
+            elif step == "deregister" and late:
+                session.deregister(LATE[0].name)
+                late, synced = False, True
+            elif step == "stats" and not as_loop:
+                session.stats()
+                synced = True
+            elif step == "restore" and not as_loop:
+                snap = session.snapshot()
+                session.close()
+                placement = (
+                    {"backend": backend} if cls is ShardedSession else {}
+                )
+                session = cls.restore(
+                    snap, async_ingest=async_ingest, **placement
+                )
+                synced = True
+            if synced:
+                marks[index] = session.watermark
+        push_piece(session, "push" if as_loop else "rows", events[cursor:])
+        stats = session.stats()
+        marks["end"] = session.watermark
+        results = session.finish(TICKS)
+        return results, session.reorder_stats, marks, stats
+    finally:
+        session.close()
+
+
+def delivered(stats):
+    return stats.bytes_copied // EVENT_BYTES + stats.copies_elided
+
+
+def check_clock(cls, backend, seed, lateness, chunk_ticks, in_order, replanning, steps):
+    if in_order:
+        lateness = 0  # push_batch's precondition
+    exact = in_order or replanning
+    events = make_events(seed, lateness, in_order, whole=exact)
+    config = (lateness, chunk_ticks, 0.25 if replanning else None, in_order)
+    context = f"{cls.__name__}[{backend}] seed={seed} config={config} {steps}"
+    loop, loop_reorder, loop_marks, loop_stats = run(
+        cls, backend, events, steps, config, as_loop=True
+    )
+    sync, sync_reorder, sync_marks, sync_stats = run(
+        cls, backend, events, steps, config
+    )
+    pumped, pumped_reorder, pumped_marks, pumped_stats = run(
+        cls, backend, events, steps, config, async_ingest=True
+    )
+    for results, reorder in ((sync, sync_reorder), (pumped, pumped_reorder)):
+        assert_identical(loop, results, context)
+        assert (reorder.accepted, reorder.late_dropped) == (
+            loop_reorder.accepted,
+            loop_reorder.late_dropped,
+        ), context
+    if not in_order:
+        assert loop_reorder.late_dropped > 0, context  # the bound is live
+    # Sync and async run the same calls through the same functions.
+    assert pumped_marks == {i: sync_marks[i] for i in pumped_marks}, context
+    # (Copy accounting on in-process cores only: a shm worker also
+    # counts ring copies, which depend on when its ring went idle.)
+    for counter in COUNTERS if backend == "serial" else COUNTERS[:2]:
+        assert getattr(pumped_stats, counter) == getattr(
+            sync_stats, counter
+        ), (context, counter)
+    if not replanning:
+        assert sync_stats.total_pairs == loop_stats.total_pairs, context
+    if exact:
+        return
+    # The loop skipped the steps that only read; everywhere else the
+    # clocks agree call by call and the operators saw the same blocks.
+    assert {i: sync_marks[i] for i in loop_marks} == loop_marks, context
+    assert sync_stats.total_physical == loop_stats.total_physical, context
+    if backend == "serial":
+        assert delivered(sync_stats) == delivered(loop_stats), context
+
+
+CASE = dict(
+    seed=st.integers(0, 2**16),
+    lateness=st.sampled_from([0, 3, 8]),
+    chunk_ticks=st.sampled_from([None, 7, 24]),
+    in_order=st.booleans(),
+    replanning=st.booleans(),
+    steps=STEPS,
+)
+both = pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
+
+
+@both
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(**CASE)
+def test_every_interleaving_is_the_per_event_loop(cls, **case):
+    check_clock(cls, "serial", **case)
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("backend", ["process", "shm"])
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(**CASE)
+def test_every_interleaving_is_the_per_event_loop_on_workers(backend, **case):
+    check_clock(ShardedSession, backend, **case)
+
+
+@both
+@pytest.mark.xfail(
+    strict=True,
+    reason="push_batch delivers the newest tick before a switch at that "
+    "tick builds fresh operators (ROADMAP item 3(b))",
+)
+def test_register_after_a_sorted_batch_sees_its_last_tick(cls):
+    """Three events at tick 0, then a registration, then the rest: the
+    late query's first instance starts at 0 and must count all three."""
+    events = make_events(seed=0, lateness=0, in_order=True, whole=True)
+
+    def run_registering(as_loop):
+        session = open_cell(cls, "serial", 0, None, None, False)
+        try:
+            push_piece(session, "push" if as_loop else "batch", events[:RATE])
+            session.register(LATE[0], scope=LATE[1])
+            push_piece(session, "push", events[RATE:])
+            return session.finish(TICKS)
+        finally:
+            session.close()
+
+    assert_identical(run_registering(True), run_registering(False), "aligned")

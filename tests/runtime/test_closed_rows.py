@@ -51,8 +51,9 @@ def core_at(ticks):
     for query in QUERIES:
         core.register(query)
     batch = integer_stream(ticks=ticks, num_keys=NUM_KEYS, seed=3)
-    core.ingest_arrays(batch.timestamps, batch.keys, batch.values)
-    core.advance_to(ticks)
+    for _, end, ts, keys, values in batch.iter_time_chunks(core.chunk_ticks):
+        core.buffer_arrays(ts, keys, values)
+        core.advance_to(end)
     emitted = sum(sub.emitted_instances for sub in core._subs.values())
     return core, emitted
 

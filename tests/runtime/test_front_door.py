@@ -8,6 +8,9 @@ runs every check on both:
   synchronization point, a data-plane enqueue, part of the
   finish/close life-cycle, or a named coordinator-local read; a new
   public method that touches the backend off the pump thread fails;
+* **one chunk clock** — the cut-at-chunk-ends / stage / flush loop
+  exists in the base only: a session class (or ``SessionCore``) that
+  grows a chunk cut of its own fails;
 * **what synchronized means** — in async mode the body runs on the
   pump thread, after every previously pushed event;
 * **the shared verbs** — auto-checkpoint cadence, ``checkpoint_meta``,
@@ -26,9 +29,11 @@ from repro.errors import ExecutionError
 from repro.runtime import (
     CheckpointStore,
     QuerySession,
+    SessionCore,
     ShardedSession,
     read_checkpoint,
 )
+from repro.runtime.ingest import SessionFrontDoor
 from repro.windows.window import Window, WindowSet
 
 from session_streams import assert_identical, integer_stream
@@ -160,6 +165,65 @@ def test_an_unsynchronized_backend_toucher_is_caught(cls):
             return self._collect(False)
 
     assert unguarded(Leaky, LOCAL_READS[cls]) == ["peek", "peeked"]
+
+
+# ----------------------------------------------------------------------
+# (i') One chunk clock, by introspection
+# ----------------------------------------------------------------------
+#: Every name the chunk cut has ever lived under.  The base class may
+#: define them; a session class or the core may not.
+CHUNK_CUTS = {
+    "_apply_event",
+    "_apply_run",
+    "ingest",
+    "ingest_arrays",
+    "_flush",
+    "_sync",
+}
+#: ``SessionCore._flush(to_watermark)`` absorbs and advances to a
+#: watermark its caller chose; it holds no chunk end to cut at, which
+#: the source check below keeps true.
+NOT_A_CUT = {SessionCore: {"_flush"}}
+#: The clock's state: read and written in the base only (a session
+#: class reaches it through ``watermark`` / ``_safe_watermark()``).
+CLOCK_STATE = ("_watermark", "_chunk_end", "_max_event_ts", "_pending_events")
+
+
+def own_chunk_cuts(cls):
+    """Chunk-cut methods ``cls`` (or a base short of the front door)
+    defines itself."""
+    return sorted(
+        name
+        for klass in cls.__mro__
+        if klass not in (SessionFrontDoor, object)
+        for name in CHUNK_CUTS & set(vars(klass)) - NOT_A_CUT.get(klass, set())
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [QuerySession, ShardedSession, SessionCore], ids=lambda c: c.__name__
+)
+def test_the_chunk_cut_is_written_once(cls):
+    assert own_chunk_cuts(cls) == []
+    source = inspect.getsource(cls)
+    assert "_chunk_end" not in source and "searchsorted(ts" not in source
+    if cls is not SessionCore:  # the core keeps its own operator frontier
+        for name in CLOCK_STATE:
+            assert f"self.{name}" not in source, name
+    assert {"_apply_run", "_flush", "_sync"} <= set(vars(SessionFrontDoor))
+    assert inspect.getsource(SessionFrontDoor).count("searchsorted(ts") == 1
+
+
+@both
+def test_a_second_chunk_cut_is_caught(cls):
+    class Forked(cls):
+        def _flush(self, to_watermark):
+            super()._flush(to_watermark)
+
+        def ingest_arrays(self, ts, keys, values):
+            self._apply_run(ts, keys, values)
+
+    assert own_chunk_cuts(Forked) == ["_flush", "ingest_arrays"]
 
 
 # ----------------------------------------------------------------------

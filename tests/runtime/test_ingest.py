@@ -282,6 +282,33 @@ def test_full_queue_backpressure_never_drops_or_reorders(repro_seed):
     assert stats.max_depth_events <= 2 * 128, context
 
 
+@pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
+def test_an_empty_batch_or_run_is_never_enqueued(cls):
+    """``IngestStats`` is exact: nothing was pushed, so nothing was
+    enqueued (an empty batch used to weigh one event) — and the big
+    run that follows is weighed in events, slice by slice."""
+    empty = integer_stream(ticks=0, num_keys=NUM_KEYS)
+    with cls(
+        num_keys=NUM_KEYS,
+        hysteresis=None,
+        async_ingest=True,
+        ingest_high_watermark=64,
+    ) as session:
+        session.push_batch(empty)
+        session.push_batch(empty)
+        session.push_many([])
+        session.push_many(np.empty((0, 3)))
+        assert session.stats().total_pairs == 0  # a synchronization point
+        assert session.ingest_stats.enqueued_events == 0
+        assert session.reorder_stats.accepted == 0
+        rows = [(t, t % NUM_KEYS, 1.0) for t in range(200)]
+        session.push_many(rows)
+        session.stats()
+        assert session.ingest_stats.enqueued_events == 200
+        assert session.ingest_stats.max_depth_events <= 2 * 64
+        assert session.reorder_stats.accepted == 200
+
+
 def test_mid_stream_introspection_is_safe_in_async_mode(repro_seed):
     """stats()/switches/shard_watermarks talk to the worker pipes, so
     in async mode they must serialize through the pump — calling them

@@ -81,6 +81,13 @@ def count(path: Path) -> int:
 
 
 def main(argv: "list[str]") -> int:
+    missing = [arg for arg in argv if not Path(arg).exists()]
+    if missing:
+        print(
+            f"usage: python tools/loc.py [PATH...] (no such path: {missing[0]})",
+            file=sys.stderr,
+        )
+        return 2
     if argv:
         rows = [(arg, count(Path(arg))) for arg in argv]
     else:
