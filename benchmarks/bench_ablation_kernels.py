@@ -4,10 +4,11 @@ data plane's bytes-copied-per-event gate (DESIGN.md §11).
 Three measurements, each preceded by a bit-identity assertion (a
 kernel that got faster by being wrong would be worthless):
 
-* **kernel micros** — the two C kernels (`repro._kernels`) against
-  the NumPy code they replace: segmented holistic compute (MEDIAN) and
-  the reorder-buffer batch push (raw-event binning has no kernel: it
-  is one ``ufunc.at`` scatter in ``segment_reduce`` on every path);
+* **kernel micro** — the C kernel (`repro._kernels`) against the
+  NumPy code it replaces: segmented holistic compute (MEDIAN).
+  (Raw-event binning and the reorder buffer have no kernel: one
+  ``ufunc.at`` scatter in ``segment_reduce`` and one stable sort in
+  ``ReorderBuffer.push_batch``, on every path);
 * **engine path** — ``columnar-panes-native`` (the fifth engine path)
   against ``columnar-panes`` on a holistic plan, where the segmented
   sort dominates;
@@ -36,7 +37,6 @@ from repro.bench.reporting import format_table, write_json_report
 from repro.core.multiquery import Query
 from repro.engine.columnar import holistic_segment_values
 from repro.engine.executor import execute_plan, results_equal
-from repro.engine.outoforder import ReorderBuffer, scramble_batch
 from repro.plans.builder import original_plan
 from repro.runtime import ShardedSession
 from repro.runtime.shm_ring import EVENT_BYTES
@@ -52,7 +52,6 @@ JSON_PATH = Path(
 
 NUM_KEYS = 64
 RATE = 8
-MAX_LATENESS = 40
 #: Loose acceptance floors — CI machines are noisy; the tighter
 #: trajectory gate is ``bench compare`` against the stored baseline.
 MIN_KERNEL_SPEEDUP = 1.5
@@ -69,7 +68,7 @@ def _best(fn, reps=5):
 
 
 def _kernel_micros(n: int) -> "list[dict]":
-    """Time each C kernel against the NumPy code it replaces."""
+    """Time the C kernel against the NumPy code it replaces."""
     rng = np.random.default_rng(0)
     segs = max(n // 100, 16)
     codes = rng.integers(0, segs, n).astype(np.int64)
@@ -90,38 +89,12 @@ def _kernel_micros(n: int) -> "list[dict]":
         lambda: holistic_segment_values(codes, values, MEDIAN, native=True)
     )
 
-    batch = constant_rate_stream(n, num_keys=NUM_KEYS, rate=RATE, seed=3)
-    events = scramble_batch(batch, MAX_LATENESS, seed=5)
-    ts = np.array([e[0] for e in events], dtype=np.int64)
-    keys = np.array([e[1] for e in events], dtype=np.int64)
-    vals = np.array([e[2] for e in events], dtype=np.float64)
-
-    def push(native):
-        buf = ReorderBuffer(MAX_LATENESS)
-        released = buf.push_batch(ts, keys, vals, native=native)
-        return released, buf
-
-    (rel_py, buf_py) = push(False)
-    (rel_c, buf_c) = push(True)
-    for a, b in zip(rel_py, rel_c):
-        np.testing.assert_array_equal(a, b)
-    assert buf_py.stats.accepted == buf_c.stats.accepted
-    assert buf_py.stats.late_dropped == buf_c.stats.late_dropped
-    push_py = _best(lambda: push(False), reps=3)
-    push_c = _best(lambda: push(True), reps=3)
-
     return [
         {
             "kernel": "holistic_median",
             "numpy_seconds": hol_py,
             "native_seconds": hol_c,
             "native_speedup": hol_py / hol_c,
-        },
-        {
-            "kernel": "reorder_push_batch",
-            "numpy_seconds": push_py,
-            "native_seconds": push_c,
-            "native_speedup": push_py / push_c,
         },
     ]
 

@@ -1,10 +1,11 @@
 """Optional compiled hot kernels behind a pure-NumPy fallback.
 
-``reprokernels.c`` holds two small C kernels for the engine's scalar
-hot spots: segmented holistic compute and reorder-buffer batch insert.
-(Raw-event binning needs none: NumPy's own indexed ``ufunc.at`` scatter
-in ``AggregateFunction.segment_reduce`` beat the counting-sort kernel
-that used to live here 3-10x.)  This package builds them **on demand**
+``reprokernels.c`` holds one small C kernel for the engine's one
+scalar hot spot NumPy has no primitive for: segmented holistic compute.
+(Raw-event binning and the reorder buffer need none: NumPy's indexed
+``ufunc.at`` scatter in ``AggregateFunction.segment_reduce`` and the
+one stable sort in ``ReorderBuffer.push_batch`` each beat the kernel
+that used to live here.)  This package builds it **on demand**
 with whatever C compiler the host has (``cc`` / ``gcc`` / ``clang``,
 overridable via ``REPRO_CC``), caches the shared object per source
 hash, and loads it through :mod:`ctypes` — no build-time dependency, no
@@ -16,9 +17,9 @@ Control knob — the ``REPRO_KERNELS`` environment variable:
 * unset / ``auto`` — kernels are used only where a caller explicitly
   asks for them (the ``columnar-panes-native`` engine path), silently
   falling back to NumPy when they cannot be built;
-* ``1`` — kernels are used *everywhere* holistic segment compute or
-  batch reorder runs (all engine paths and the live runtime), still
-  falling back silently;
+* ``1`` — kernels are used *everywhere* holistic segment compute runs
+  (all engine paths and the live runtime), still falling back
+  silently;
 * ``require`` — like ``1`` but raising :class:`KernelsUnavailable`
   instead of falling back (CI uses this to pin the compiled path);
 * ``0`` — kernels are never used, even where explicitly requested.
@@ -47,7 +48,6 @@ __all__ = [
     "resolve",
     "holistic_kind",
     "holistic_segment_values",
-    "NativeReorderHeap",
 ]
 
 
@@ -92,10 +92,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     f64 = ctypes.c_double
     lib.repro_seg_holistic.argtypes = [p, p, i64, i64, i32, f64, p, p, p, p, p]
     lib.repro_seg_holistic.restype = i64
-    lib.repro_reorder_push_batch.argtypes = [
-        p, p, p, p, p, p, p, p, i64, i64, p, p, p, p, p, p, p,
-    ]
-    lib.repro_reorder_push_batch.restype = i64
     return lib
 
 
@@ -189,22 +185,6 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _carve(*sizes: int):
-    """``len(sizes)`` int64 arrays cut from one allocation, with their
-    addresses as the ints a ``c_void_p`` parameter accepts: one
-    address lookup per kernel call, not one ``ndarray.ctypes`` object
-    per argument.  A float64 argument is the ``.view(np.float64)`` of
-    its array."""
-    block = np.empty(sum(sizes), dtype=np.int64)
-    base = block.ctypes.data
-    arrays, addresses, lo = [], [], 0
-    for size in sizes:
-        arrays.append(block[lo:lo + size])
-        addresses.append(base + 8 * lo)
-        lo += size
-    return arrays, addresses
-
-
 # ------------------------------------------------------------------ #
 # segmented holistic compute                                         #
 # ------------------------------------------------------------------ #
@@ -244,66 +224,3 @@ def holistic_segment_values(codes, values, aggregate):
         _ptr(seg_ids), _ptr(results),
     )
     return seg_ids[:written], results[:written]
-
-
-# ------------------------------------------------------------------ #
-# reorder-buffer batch push                                          #
-# ------------------------------------------------------------------ #
-
-class NativeReorderHeap:
-    """Stateless-per-call wrapper around ``repro_reorder_push_batch``.
-
-    The heap itself lives in four parallel NumPy arrays owned by the
-    caller (the :class:`~repro.engine.outoforder.ReorderBuffer`), so the
-    buffer can move freely between the per-event Python path and this
-    batch path.
-    """
-
-    @staticmethod
-    def push_batch(heap_tuples, max_seen, sequence, max_lateness,
-                   ts, keys, values):
-        """Push a batch through the heap.
-
-        ``heap_tuples`` is the current heap as a list of
-        ``(ts, seq, key, value)`` tuples (heapq layout — already a valid
-        binary heap under the same order the C side uses).  Returns
-        ``(released_ts, released_keys, released_values, late_idx,
-        late_lateness, new_heap_tuples, new_max_seen, new_sequence)``.
-        """
-        lib = _load()
-        n = len(ts)
-        hs0 = len(heap_tuples)
-        cap = hs0 + n
-        # The released columns outlive the call (the session buffers
-        # them until its next flush), so they get a block of their own.
-        (out_ts, out_keys, out_values), out = _carve(cap, cap, cap)
-        (
-            (hts, hseq, hkey, hval, heap_size, in_ts, in_keys, in_values,
-             state, late_idx, late_lateness, late_count),
-            work,
-        ) = _carve(cap, cap, cap, cap, 1, n, n, n, 2, n, n, 1)
-        out_values, hval, in_values = (
-            a.view(np.float64) for a in (out_values, hval, in_values)
-        )
-        in_ts[:], in_keys[:], in_values[:] = ts, keys, values
-        if hs0:
-            hts[:hs0], hseq[:hs0], hkey[:hs0], hval[:hs0] = zip(*heap_tuples)
-        heap_size[0], state[0], state[1], late_count[0] = (
-            hs0, max_seen, sequence, 0
-        )
-        released = lib.repro_reorder_push_batch(
-            *work[:8], n, max_lateness, work[8], *out, *work[9:]
-        )
-        hs = int(heap_size[0])
-        new_heap = list(
-            zip(
-                hts[:hs].tolist(), hseq[:hs].tolist(),
-                hkey[:hs].tolist(), hval[:hs].tolist(),
-            )
-        )
-        late = int(late_count[0])
-        return (
-            out_ts[:released], out_keys[:released], out_values[:released],
-            late_idx[:late], late_lateness[:late],
-            new_heap, int(state[0]), int(state[1]),
-        )

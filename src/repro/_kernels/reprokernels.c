@@ -1,8 +1,9 @@
 /* Compiled hot kernels for the repro engine (see repro/_kernels/__init__.py).
  *
- * Two kernels, each a drop-in for a NumPy-glue hot spot (raw-event
- * binning is not one of them: aggregates.base.segment_reduce is a single
- * NumPy ufunc.at scatter, which needs no grouping pass at all):
+ * One kernel, a drop-in for a NumPy-glue hot spot (raw-event binning
+ * and the reorder buffer are not: aggregates.base.segment_reduce is a
+ * single NumPy ufunc.at scatter and ReorderBuffer.push_batch one stable
+ * sort, neither of which a C loop beats):
  *
  *   repro_seg_holistic      — segmented holistic compute (quantile /
  *                             count-distinct).  Replaces the global
@@ -12,12 +13,6 @@
  *                             (NaN-last) value sequence, and the closed
  *                             forms repeat the NumPy index arithmetic
  *                             operation for operation.
- *
- *   repro_reorder_push_batch — batch push into a (ts, seq)-ordered binary
- *                             heap with a trailing watermark.  Replaces a
- *                             per-event Python heapq loop; (ts, seq) is a
- *                             total order, so the release sequence is
- *                             identical to heapq's.
  *
  * Plain C99 + libm only; built on demand with `cc -O3 -shared -fPIC`.
  */
@@ -154,103 +149,4 @@ API int64_t repro_seg_holistic(const int64_t *codes, const double *values,
         written++;
     }
     return written;
-}
-
-/* ---------------------------------------------------------------- */
-/* reorder-buffer batch push                                         */
-/* ---------------------------------------------------------------- */
-
-static inline int heap_less(const int64_t *ts, const int64_t *seq,
-                            int64_t a, int64_t b)
-{
-    return ts[a] < ts[b] || (ts[a] == ts[b] && seq[a] < seq[b]);
-}
-
-static inline void heap_swap(int64_t *ts, int64_t *seq, int64_t *key,
-                             double *val, int64_t a, int64_t b)
-{
-    int64_t t;
-    double v;
-    t = ts[a]; ts[a] = ts[b]; ts[b] = t;
-    t = seq[a]; seq[a] = seq[b]; seq[b] = t;
-    t = key[a]; key[a] = key[b]; key[b] = t;
-    v = val[a]; val[a] = val[b]; val[b] = v;
-}
-
-/* Push a batch of (ts, key, value) events through the reorder heap.
- *
- * The heap lives in four parallel arrays (caller guarantees capacity
- * >= *heap_size_io + n); state is [max_seen, next_seq].  Released
- * events are appended to out_* (capacity >= heap_size + n); indices of
- * late-dropped inputs and their lateness go to late_* (capacity >= n).
- * Returns the released count; *late_count_out receives the late count.
- */
-API int64_t repro_reorder_push_batch(
-    int64_t *hts, int64_t *hseq, int64_t *hkey, double *hval,
-    int64_t *heap_size_io,
-    const int64_t *ts, const int64_t *keys, const double *values,
-    int64_t n, int64_t max_lateness, int64_t *state,
-    int64_t *out_ts, int64_t *out_keys, double *out_values,
-    int64_t *late_idx, int64_t *late_lateness, int64_t *late_count_out)
-{
-    int64_t hs = *heap_size_io;
-    int64_t max_seen = state[0], seq = state[1];
-    int64_t released = 0, late = 0;
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        int64_t t = ts[i];
-        int64_t wm = max_seen - max_lateness;
-        int64_t pos;
-        if (t < wm) {
-            late_idx[late] = i;
-            late_lateness[late] = wm - t;
-            late++;
-            continue;
-        }
-        pos = hs++;
-        hts[pos] = t;
-        hseq[pos] = seq++;
-        hkey[pos] = keys[i];
-        hval[pos] = values[i];
-        while (pos > 0) {
-            int64_t parent = (pos - 1) / 2;
-            if (!heap_less(hts, hseq, pos, parent))
-                break;
-            heap_swap(hts, hseq, hkey, hval, pos, parent);
-            pos = parent;
-        }
-        if (t > max_seen)
-            max_seen = t;
-        wm = max_seen - max_lateness;
-        while (hs > 0 && hts[0] < wm) {
-            out_ts[released] = hts[0];
-            out_keys[released] = hkey[0];
-            out_values[released] = hval[0];
-            released++;
-            hs--;
-            if (hs > 0) {
-                int64_t p = 0;
-                hts[0] = hts[hs];
-                hseq[0] = hseq[hs];
-                hkey[0] = hkey[hs];
-                hval[0] = hval[hs];
-                for (;;) {
-                    int64_t l = 2 * p + 1, r = l + 1, m = p;
-                    if (l < hs && heap_less(hts, hseq, l, m))
-                        m = l;
-                    if (r < hs && heap_less(hts, hseq, r, m))
-                        m = r;
-                    if (m == p)
-                        break;
-                    heap_swap(hts, hseq, hkey, hval, p, m);
-                    p = m;
-                }
-            }
-        }
-    }
-    state[0] = max_seen;
-    state[1] = seq;
-    *heap_size_io = hs;
-    *late_count_out = late;
-    return released;
 }

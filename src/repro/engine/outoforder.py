@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .. import _kernels as kernels
 from ..errors import ExecutionError
-from .events import EventBatch
+from .events import EVENT_COLUMN_DTYPES, EventBatch
 
 Event = tuple[int, int, float]  # (timestamp, key, value)
 
@@ -52,14 +52,18 @@ class ReorderStats:
     late_event_cap: int = DEFAULT_LATE_EVENT_CAP
     late_events_elided: int = 0
 
-    def note_late(self, event: Event, keep: bool) -> None:
-        """Count one late drop; retain the event within the cap."""
-        self.late_dropped += 1
+    def note_late(
+        self, count: int, lateness: int, events: Iterable[Event], keep: bool
+    ) -> None:
+        """Count ``count`` late drops, the worst ``lateness`` ticks
+        behind the watermark; ``events`` yields them in arrival order
+        and is read only as far as the cap has room."""
+        self.late_dropped += count
+        self.max_observed_lateness = max(self.max_observed_lateness, lateness)
         if keep:
-            if len(self.late_events) < self.late_event_cap:
-                self.late_events.append(event)
-            else:
-                self.late_events_elided += 1
+            room = max(self.late_event_cap - len(self.late_events), 0)
+            self.late_events.extend(islice(events, room))
+            self.late_events_elided += max(count - room, 0)
 
     @property
     def total(self) -> int:
@@ -70,7 +74,8 @@ class ReorderBuffer:
     """Min-heap reorder buffer with a trailing watermark.
 
     ``push`` accepts one (possibly out-of-order) event and yields every
-    event whose timestamp the new watermark has passed, in order.
+    event whose timestamp the new watermark has passed, in order;
+    ``push_batch`` does the same for a columnar block in one pass.
     ``flush`` drains the remainder at end of stream.
     """
 
@@ -104,11 +109,9 @@ class ReorderBuffer:
         if ts < 0:
             raise ExecutionError(f"timestamps must be >= 0, got {ts}")
         if ts < self.watermark:
-            lateness = self.watermark - ts
-            self.stats.max_observed_lateness = max(
-                self.stats.max_observed_lateness, lateness
+            self.stats.note_late(
+                1, self.watermark - ts, [(ts, key, value)], self._keep_late
             )
-            self.stats.note_late((ts, key, value), self._keep_late)
             return
         self.stats.accepted += 1
         heapq.heappush(self._heap, (ts, self._sequence, key, value))
@@ -119,109 +122,74 @@ class ReorderBuffer:
             yield (out_ts, out_key, out_value)
 
     def push_batch(
-        self,
-        ts: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        native: "bool | None" = None,
+        self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Push a columnar block of (possibly out-of-order) events.
 
         Returns the released events as ``(ts, keys, values)`` arrays —
         the exact sequence ``push`` would have yielded event by event,
-        with identical late-drop decisions and counters.  When the
-        compiled kernels are enabled (``repro._kernels``) the heap
-        churn runs in C; the pure-Python fallback literally loops
-        :meth:`push`, so both paths are bit-identical by construction.
+        with identical late-drop decisions and counters, in one pass
+        over the block instead of one heap operation per event:
+
+        * an event is late iff it is behind the watermark of everything
+          seen *before* it — a running maximum (a late event is below
+          that maximum, so folding it in changes nothing);
+        * ``push`` releases in ``(ts, arrival)`` order and never
+          releases a tick that can still receive an event, so what a
+          run of pushes releases is the stable timestamp sort of the
+          carried events followed by the accepted ones, cut at the
+          final watermark.  An in-order block is already that sort.
+
+        The remainder is carried as the ``(ts, seq, key, value)`` list
+        ``push`` keeps (sorted, hence a valid heap), so the two verbs
+        interleave freely on one buffer.  A negative timestamp rejects
+        the whole block before any state moves.
         """
-        ts = np.ascontiguousarray(ts, dtype=np.int64)
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        n = int(ts.size)
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-        if n == 0:
-            return empty
+        ts = np.asarray(ts, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if ts.size == 0:
+            return ts, keys, values
         if int(ts.min()) < 0:
             raise ExecutionError(
                 f"timestamps must be >= 0, got {int(ts.min())}"
             )
-        if kernels.resolve(native):
-            (
-                out_ts,
-                out_keys,
-                out_values,
-                late_idx,
-                late_lateness,
-                heap,
-                max_seen,
-                sequence,
-            ) = kernels.NativeReorderHeap.push_batch(
-                self._heap,
-                self._max_seen,
-                self._sequence,
-                self.max_lateness,
-                ts,
-                keys,
-                values,
+        seen = np.maximum.accumulate(np.concatenate(([self._max_seen], ts)))
+        behind = seen[:-1] - ts
+        late = behind > self.max_lateness
+        if late.any():
+            dropped = np.flatnonzero(late)
+            first = dropped[: self.stats.late_event_cap]
+            self.stats.note_late(
+                int(dropped.size),
+                int(behind[dropped].max()) - self.max_lateness,
+                zip(*(c[first].tolist() for c in (ts, keys, values))),
+                self._keep_late,
             )
-            self._heap = heap
-            self._max_seen = max_seen
-            self._sequence = sequence
-            self.stats.accepted += n - int(late_idx.size)
-            for i, lateness in zip(
-                late_idx.tolist(), late_lateness.tolist()
-            ):
-                self.stats.max_observed_lateness = max(
-                    self.stats.max_observed_lateness, int(lateness)
-                )
-                self.stats.note_late(
-                    (int(ts[i]), int(keys[i]), float(values[i])),
-                    self._keep_late,
-                )
-            return out_ts, out_keys, out_values
-        # One ``tolist`` per column: boxing element by element
-        # (``int(ts[i])``) costs more than the push it feeds.
-        released: list[Event] = []
-        for event in zip(ts.tolist(), keys.tolist(), values.tolist()):
-            released.extend(self.push(*event))
-        if not released:
-            return empty
-        rel_ts, rel_keys, rel_values = zip(*released)
-        return (
-            np.asarray(rel_ts, dtype=np.int64),
-            np.asarray(rel_keys, dtype=np.int64),
-            np.asarray(rel_values, dtype=np.float64),
-        )
-
-    def accept_sorted(
-        self, count: int, first_ts: int, last_ts: int
-    ) -> None:
-        """Account a pre-sorted batch that bypasses the heap (the
-        sorted fast path of batch ingestion).
-
-        Only valid on an in-order front door (``max_lateness == 0``)
-        with nothing buffered, and only for a batch starting at or
-        after the newest seen timestamp — otherwise the bypass could
-        reorder events relative to earlier pushes.  Keeps the exact
-        ``accepted`` counter and the watermark coherent with
-        :meth:`push`.
-        """
-        if self.max_lateness != 0 or self._heap:
-            raise ExecutionError(
-                "sorted-batch bypass requires max_lateness=0 and an "
-                "empty reorder buffer; push events individually instead"
-            )
-        if first_ts < self._max_seen:
-            raise ExecutionError(
-                f"sorted batch starts at {first_ts}, before the newest "
-                f"seen timestamp {self._max_seen}"
-            )
-        self.stats.accepted += count
-        self._max_seen = max(self._max_seen, last_ts)
+            accepted = ~late
+            ts, keys, values = ts[accepted], keys[accepted], values[accepted]
+        self._max_seen = int(seen[-1])
+        self.stats.accepted += int(ts.size)
+        columns = [
+            ts,
+            np.arange(self._sequence, self._sequence + ts.size),
+            keys,
+            values,
+        ]
+        self._sequence += int(ts.size)
+        if self._heap:
+            columns = [
+                np.concatenate((np.asarray(held, dtype=column.dtype), column))
+                for held, column in zip(zip(*sorted(self._heap)), columns)
+            ]
+        merged = columns[0]
+        if (merged[1:] < merged[:-1]).any():
+            order = np.argsort(merged, kind="stable")
+            columns = [column[order] for column in columns]
+        cut = int(np.searchsorted(columns[0], self.watermark, side="left"))
+        self._heap = list(zip(*(column[cut:].tolist() for column in columns)))
+        out_ts, _, out_keys, out_values = (column[:cut] for column in columns)
+        return out_ts, out_keys, out_values
 
     def flush(self) -> Iterator[Event]:
         """Drain all buffered events (end of stream)."""
@@ -234,16 +202,31 @@ class ReorderBuffer:
         return len(self._heap)
 
 
+def _columns(rows: "list[Event]") -> "list[np.ndarray]":
+    columns = tuple(zip(*rows)) or ((), (), ())
+    return [
+        np.asarray(column, dtype=dtype)
+        for column, (_, dtype) in zip(columns, EVENT_COLUMN_DTYPES)
+    ]
+
+
+def _reorder_columns(
+    events: Iterable[Event], max_lateness: int
+) -> "tuple[list[np.ndarray], ReorderStats]":
+    """One ``push_batch`` of the whole iterable, then the end-of-stream
+    flush: ``([ts, keys, values], stats)`` of everything released."""
+    buffer = ReorderBuffer(max_lateness)
+    released = buffer.push_batch(*_columns(list(events)))
+    tail = _columns(list(buffer.flush()))
+    return [np.concatenate(pair) for pair in zip(released, tail)], buffer.stats
+
+
 def reorder_events(
     events: Iterable[Event], max_lateness: int
 ) -> tuple[list[Event], ReorderStats]:
     """Reorder a finite event iterable; returns (sorted events, stats)."""
-    buffer = ReorderBuffer(max_lateness)
-    ordered: list[Event] = []
-    for ts, key, value in events:
-        ordered.extend(buffer.push(ts, key, value))
-    ordered.extend(buffer.flush())
-    return ordered, buffer.stats
+    columns, stats = _reorder_columns(events, max_lateness)
+    return list(zip(*(column.tolist() for column in columns))), stats
 
 
 def batch_from_unordered(
@@ -257,21 +240,9 @@ def batch_from_unordered(
     The returned batch feeds either engine directly; ``stats`` reports
     what the lateness bound cost in dropped events.
     """
-    ordered, stats = reorder_events(events, max_lateness)
-    if not ordered:
-        return (
-            EventBatch(
-                timestamps=np.empty(0, dtype=np.int64),
-                keys=np.empty(0, dtype=np.int64),
-                values=np.empty(0, dtype=np.float64),
-                horizon=horizon or 1,
-                num_keys=num_keys or 1,
-            ),
-            stats,
-        )
-    ts = np.asarray([e[0] for e in ordered], dtype=np.int64)
-    keys = np.asarray([e[1] for e in ordered], dtype=np.int64)
-    values = np.asarray([e[2] for e in ordered], dtype=np.float64)
+    (ts, keys, values), stats = _reorder_columns(events, max_lateness)
+    if not ts.size:
+        horizon, num_keys = horizon or 1, num_keys or 1
     if num_keys is None:
         num_keys = int(keys.max()) + 1
     if horizon is None:

@@ -61,7 +61,10 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v4: the chunk clock (watermark, chunk end, pending count, staged
 #: events) travels in the front door's frame — a v3 graph keeps it in
 #: the pickled core / the coordinator's fields, where nothing reads it.
-CHECKPOINT_VERSION = 4
+#: v5: the async residue has two data kinds, events and column runs —
+#: a v4 residue may hold a sorted-batch item, and tags its runs and
+#: calls with the numbers that now mean something else.
+CHECKPOINT_VERSION = 5
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

@@ -264,11 +264,10 @@ class IngestQueue:
             return leftovers
 
 
-#: Queue item kinds: one event, one sorted ``EventBatch`` (reorder
-#: bypass), one validated column run (through the reorder buffer), one
+#: Queue item kinds: one event, one validated column run, one
 #: synchronous call, the stop sentinel.
-_EVENT, _BATCH, _RUN, _CALL, _STOP = range(5)
-_DATA = (_EVENT, _BATCH, _RUN)
+_EVENT, _RUN, _CALL, _STOP = range(4)
+_DATA = (_EVENT, _RUN)
 
 
 def synchronized(method):
@@ -399,7 +398,6 @@ class SessionFrontDoor:
         self._pump = (
             IngestPump(
                 push=self._push_now,
-                push_batch=self._push_sorted_now,
                 push_run=self._push_run_now,
                 high_watermark=ingest_high_watermark,
                 low_watermark=ingest_low_watermark,
@@ -476,9 +474,12 @@ class SessionFrontDoor:
         with the same results, late-drop decisions and reorder
         counters as pushing event by event.  Rate replans and the
         auto-checkpoint cadence apply once, at the end of the batch.
-        In async mode the validated columns enqueue as one run (sliced
-        at the backpressure high watermark, like :meth:`push_batch`)
-        and the pump applies each through the same function."""
+        In async mode the validated columns enqueue without waiting
+        for flushes, as runs of at most the backpressure high watermark
+        (column views, no copies), so the queue's event bound stays
+        meaningful — the backlog never exceeds twice the high watermark
+        — and the pump applies each through the same function.  An
+        empty batch is never enqueued."""
         columns = event_columns(events, self.num_keys)
         pump = self._pump
         if pump is None or not pump.accepting:
@@ -502,59 +503,25 @@ class SessionFrontDoor:
             self._end_push()
 
     def push_batch(self, batch: EventBatch) -> None:
-        """Vectorized sorted fast path: a whole columnar batch bypasses
-        the reorder heap and reaches the operators as column runs cut
-        at chunk boundaries — no per-event Python dispatch.
+        """Ingest one sorted columnar batch: :meth:`push_many` of its
+        columns, which the batch's own constructor has validated.
 
-        Requires an in-order session (``max_lateness == 0``) with
-        nothing buffered in the front door, and a batch starting at or
-        after the newest seen timestamp; results are identical to
-        pushing the same events one at a time.
-
-        In async mode the batch enqueues without waiting for flushes;
-        batches larger than the backpressure high watermark are split
-        into watermark-sized slices (column views, no copies) so the
-        queue's event bound stays meaningful — the backlog never
-        exceeds twice the high watermark.  An empty batch is never
-        enqueued.
-        """
-        pump = self._pump
-        if pump is None or not pump.accepting:
-            self._push_sorted_now(batch)
-            return
-        n, high = batch.num_events, pump.queue.high_watermark
-        for lo in range(0, n, high):
-            hi = min(lo + high, n)
-            pump.submit_batch(
-                batch
-                if n <= high
-                else EventBatch(
-                    timestamps=batch.timestamps[lo:hi],
-                    keys=batch.keys[lo:hi],
-                    values=batch.values[lo:hi],
-                    horizon=batch.horizon,
-                    num_keys=batch.num_keys,
-                )
-            )
-
-    def _push_sorted_now(self, batch: EventBatch) -> None:
-        self._require_open()
+        The same call on any session — whatever its ``max_lateness``,
+        whatever the front door already holds, wherever the batch
+        starts: an in-order batch crosses the reorder buffer for the
+        price of a comparison, its newest tick waits there for the next
+        one like any pushed event, and events behind the watermark are
+        dropped and counted as late."""
         if batch.num_keys != self.num_keys:
             raise ExecutionError(
                 f"batch has {batch.num_keys} keys, session has "
                 f"{self.num_keys}"
             )
-        ts = batch.timestamps
-        n = int(ts.size)
-        if n == 0:
-            return
-        # The reorder buffer validates the bypass (in-order session,
-        # batch at or after the newest seen timestamp — *not* merely the
-        # chunk-clock watermark, which can trail buffered events) and
-        # keeps its exact counters coherent with push().
-        self._reorder.accept_sorted(n, int(ts[0]), int(ts[-1]))
-        self._apply_run(ts, batch.keys, batch.values)
-        self._end_push()
+        self.push_many(
+            EventColumns(
+                batch.timestamps, batch.keys, batch.values, batch.num_keys
+            )
+        )
 
     # ------------------------------------------------------------------
     # The chunk clock: where the watermark advances
@@ -754,11 +721,7 @@ class SessionFrontDoor:
             checkpoint_meta,
             on_checkpoint,
         )
-        replay = {
-            _EVENT: self.push,
-            _BATCH: self.push_batch,
-            _RUN: self.push_many,
-        }
+        replay = {_EVENT: self.push, _RUN: self.push_many}
         for kind, *payload in graph["residue"]:
             replay[kind](*payload)
         return self
@@ -839,7 +802,7 @@ class IngestPump:
     """The background thread draining an :class:`IngestQueue` into a
     session's synchronous ingest path.
 
-    ``push`` / ``push_batch`` / ``push_run`` are the session's
+    ``push`` / ``push_run`` are the session's
     *synchronous* single-threaded entry points, one per data item kind
     — the pump is their only caller while it runs, which is the whole
     concurrency story: one producer-facing bounded MPSC queue (any
@@ -850,13 +813,12 @@ class IngestPump:
     def __init__(
         self,
         push,
-        push_batch=None,
         push_run=None,
         high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
         low_watermark: "int | None" = None,
         name: str = "repro-ingest-pump",
     ):
-        self._apply = {_EVENT: push, _BATCH: push_batch, _RUN: push_run}
+        self._apply = {_EVENT: push, _RUN: push_run}
         self.queue = IngestQueue(high_watermark, low_watermark)
         self._error: "BaseException | None" = None
         self._error_seen = False
@@ -893,10 +855,6 @@ class IngestPump:
     def submit_event(self, ts: int, key: int, value: float) -> None:
         self._raise_pending()
         self.queue.put_data((_EVENT, ts, key, value), 1)
-
-    def submit_batch(self, batch: EventBatch) -> None:
-        self._raise_pending()
-        self.queue.put_data((_BATCH, batch), batch.num_events)
 
     def submit_run(self, columns: EventColumns) -> None:
         self._raise_pending()

@@ -1474,9 +1474,9 @@ class ShardedSession(SessionFrontDoor):
       of the coordinator (:mod:`repro.runtime.ingest`): pushes return
       immediately, backpressure at ``ingest_high_watermark`` queued
       events, identical results (DESIGN.md §8, invariant 11);
-    * :meth:`push_batch` — the vectorized sorted fast path: whole
-      columnar batches are partitioned per chunk and shipped as
-      slices, bypassing per-event Python dispatch;
+    * :meth:`push_batch` / :meth:`push_many` — whole columnar batches
+      cross the reorder buffer in one pass, are partitioned per chunk
+      and shipped as slices, with no per-event Python dispatch;
     * ``scope="global"`` registrations — cross-key aggregates merged
       at the coordinator (partials for mergeable aggregates, raw
       forwarding for holistic ones);

@@ -1,5 +1,7 @@
 """Tests for out-of-order ingestion (reorder buffer + watermark)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,33 +153,32 @@ class TestBatchFromUnordered:
         assert stats.late_dropped == 2  # ts 0 and 1 behind watermark 4
 
 
-class TestAcceptSorted:
-    """The sorted-batch bypass keeps counters and the watermark
-    coherent with push() — and refuses every unsafe precondition."""
+def columns(events):
+    ts, keys, values = zip(*events) if events else ((), (), ())
+    return (
+        np.array(ts, dtype=np.int64),
+        np.array(keys, dtype=np.int64),
+        np.array(values, dtype=np.float64),
+    )
 
-    def test_accounts_and_advances_watermark(self):
-        buffer = ReorderBuffer(0)
-        buffer.accept_sorted(10, 5, 42)
-        assert buffer.stats.accepted == 10
-        assert buffer.watermark == 42
-        # A later batch may start at the newest seen timestamp…
-        buffer.accept_sorted(3, 42, 50)
-        # …but never before it.
-        with pytest.raises(ExecutionError):
-            buffer.accept_sorted(1, 49, 60)
 
-    def test_requires_in_order_empty_buffer(self):
-        with pytest.raises(ExecutionError):
-            ReorderBuffer(4).accept_sorted(1, 0, 0)
-        buffer = ReorderBuffer(0)
-        list(buffer.push(7, 0, 1.0))  # ts=7 still buffered (lateness 0)
-        with pytest.raises(ExecutionError):
-            buffer.accept_sorted(1, 8, 8)
+def rows(released):
+    return list(zip(*(column.tolist() for column in released)))
+
+
+COUNTERS = (
+    "accepted",
+    "late_dropped",
+    "max_observed_lateness",
+    "late_events",
+    "late_events_elided",
+)
+
 
 class TestPushBatch:
-    """The columnar batch push is bit-identical to the per-event path
-    — on the pure fallback and the compiled kernel alike — including
-    every late-drop decision and stats counter."""
+    """The columnar batch push is the per-event path, call by call —
+    every release, late-drop decision and stats counter — alone or
+    interleaved with ``push`` on one buffer."""
 
     events_strategy = st.lists(
         st.tuples(
@@ -190,79 +191,64 @@ class TestPushBatch:
     )
 
     @staticmethod
-    def _oracle(events, splits, max_lateness, keep_late):
+    def _play(events, splits, max_lateness, keep_late, verbs):
+        """Feed ``events`` piece by piece, each through the next of
+        ``verbs`` (cycled): ``push`` event by event, ``batch`` through
+        ``push_batch``, ``pickle`` the same after a pickle round trip of
+        the buffer.  Returns ``(per-piece trace, buffer)``."""
         buffer = ReorderBuffer(max_lateness, keep_late_events=keep_late)
-        released = []
-        for ts, key, value in events:
-            released.extend(buffer.push(ts, key, value))
-        return released, buffer
-
-    @staticmethod
-    def _batched(events, splits, max_lateness, keep_late, native):
-        buffer = ReorderBuffer(max_lateness, keep_late_events=keep_late)
-        out_ts, out_keys, out_values = [], [], []
         bounds = sorted(min(s, len(events)) for s in splits)
-        pieces = np.split(np.arange(len(events)), bounds)
-        for piece in pieces:
+        trace = []
+        for index, piece in enumerate(
+            np.split(np.arange(len(events)), bounds)
+        ):
             block = [events[i] for i in piece]
-            ts = np.array([e[0] for e in block], dtype=np.int64)
-            keys = np.array([e[1] for e in block], dtype=np.int64)
-            values = np.array([e[2] for e in block], dtype=np.float64)
-            r_ts, r_keys, r_values = buffer.push_batch(
-                ts, keys, values, native=native
-            )
-            out_ts.append(r_ts)
-            out_keys.append(r_keys)
-            out_values.append(r_values)
-        released = list(
-            zip(
-                np.concatenate(out_ts).tolist(),
-                np.concatenate(out_keys).tolist(),
-                np.concatenate(out_values).tolist(),
-            )
-        )
-        return released, buffer
+            verb = verbs[index % len(verbs)]
+            if verb == "pickle":
+                buffer = pickle.loads(pickle.dumps(buffer))
+            if verb == "push":
+                released = [e for row in block for e in buffer.push(*row)]
+            else:
+                released = rows(buffer.push_batch(*columns(block)))
+            trace.append((released, buffer.watermark, buffer.buffered))
+        return trace, buffer
 
     @given(
         events=events_strategy,
         splits=st.lists(st.integers(0, 200), max_size=3),
         max_lateness=st.integers(0, 15),
         keep_late=st.booleans(),
+        mixed=st.lists(
+            st.sampled_from(("push", "batch", "pickle")),
+            min_size=1,
+            max_size=4,
+        ),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_matches_per_event_push_on_both_paths(
-        self, events, splits, max_lateness, keep_late
+        self, events, splits, max_lateness, keep_late, mixed
     ):
-        from repro import _kernels
-
-        oracle, oracle_buf = self._oracle(
-            events, splits, max_lateness, keep_late
+        """Both ways a batch meets a buffer: every piece batched, and
+        batches interleaved with per-event pushes (the carried heap
+        handed across in both directions, pickled mid-stream)."""
+        oracle, oracle_buf = self._play(
+            events, splits, max_lateness, keep_late, ["push"]
         )
-        paths = [False]
-        if _kernels.available():
-            paths.append(True)
-        for native in paths:
-            released, buf = self._batched(
-                events, splits, max_lateness, keep_late, native
+        for verbs in (["batch"], mixed):
+            trace, buf = self._play(
+                events, splits, max_lateness, keep_late, verbs
             )
-            context = f"native={native}"
-            assert released == oracle, context
-            # Drain order after the batch must also agree.
-            assert list(buf.flush()) == list(
-                self._oracle(events, splits, max_lateness, keep_late)[
-                    1
-                ].flush()
-            ), context
-            for counter in (
-                "accepted",
-                "late_dropped",
-                "max_observed_lateness",
-                "late_events",
-                "late_events_elided",
-            ):
+            assert trace == oracle, verbs
+            for counter in COUNTERS:
                 assert getattr(buf.stats, counter) == getattr(
                     oracle_buf.stats, counter
-                ), (context, counter)
+                ), (verbs, counter)
+            # Drain order after the batch must also agree.
+            assert list(buf.flush()) == list(
+                self._play(events, splits, max_lateness, keep_late, ["push"])[
+                    1
+                ].flush()
+            ), verbs
 
     @given(
         events=events_strategy,
@@ -314,30 +300,80 @@ class TestPushBatch:
                 np.testing.assert_array_equal(res.values, other.values)
         assert many_stats.events == base_stats.events
         assert many_stats.total_pairs == base_stats.total_pairs
-        for counter in (
-            "accepted",
-            "late_dropped",
-            "max_observed_lateness",
-            "late_events",
-            "late_events_elided",
-        ):
+        for counter in COUNTERS:
             assert getattr(many_reorder, counter) == getattr(
                 base_reorder, counter
             ), counter
 
     def test_negative_timestamp_rejected_upfront_on_both_paths(self):
-        from repro import _kernels
-
-        paths = [False] + ([True] if _kernels.available() else [])
-        for native in paths:
+        """On a fresh buffer and on one carrying events: the whole
+        batch is refused before any state moves."""
+        for carried in ([], [(7, 0, 1.0), (9, 1, 2.0)]):
             buffer = ReorderBuffer(2)
+            for row in carried:
+                list(buffer.push(*row))
+            before = pickle.dumps(buffer)
             with pytest.raises(ExecutionError, match=">= 0"):
                 buffer.push_batch(
-                    np.array([3, -1, 4]),
+                    np.array([30, -1, 40]),
                     np.zeros(3, dtype=np.int64),
                     np.zeros(3),
-                    native=native,
                 )
-            # Upfront validation: nothing was pushed.
-            assert buffer.stats.total == 0
-            assert buffer.buffered == 0
+            assert pickle.dumps(buffer) == before
+
+    def test_an_event_at_the_watermark_is_held(self):
+        buffer = ReorderBuffer(2)
+        assert rows(buffer.push_batch(*columns([(5, 0, 1.0)]))) == []
+        assert buffer.watermark == 3
+        # Not late (3 is not *below* the watermark), not final either.
+        assert rows(buffer.push_batch(*columns([(3, 1, 2.0)]))) == []
+        assert (buffer.stats.accepted, buffer.stats.late_dropped) == (2, 0)
+        assert list(buffer.flush()) == [(3, 1, 2.0), (5, 0, 1.0)]
+
+    def test_an_all_late_batch_moves_nothing_but_the_counters(self):
+        buffer = ReorderBuffer(1, keep_late_events=True)
+        assert rows(buffer.push_batch(*columns([(10, 0, 1.0)]))) == []
+        late = [(3, 1, 2.0), (8, 0, 3.0), (0, 1, 4.0)]
+        assert rows(buffer.push_batch(*columns(late))) == []
+        assert (buffer.watermark, buffer.buffered) == (9, 1)
+        assert buffer.stats.accepted == 1
+        assert buffer.stats.late_dropped == 3
+        assert buffer.stats.max_observed_lateness == 9
+        assert buffer.stats.late_events == late
+
+    def test_retained_late_events_are_capped_across_batches(self):
+        buffer = ReorderBuffer(0, keep_late_events=True, late_event_cap=3)
+        first = [(100, 0, 0.0)] + [(ts, 0, float(ts)) for ts in range(2)]
+        second = [(ts, 1, float(ts)) for ts in range(2, 7)]
+        buffer.push_batch(*columns(first))
+        assert buffer.stats.late_events_elided == 0
+        buffer.push_batch(*columns(second))
+        assert buffer.stats.late_dropped == 7
+        assert buffer.stats.late_events == [
+            (0, 0, 0.0),
+            (1, 0, 1.0),
+            (2, 1, 2.0),
+        ]
+        assert buffer.stats.late_events_elided == 4
+        assert buffer.stats.max_observed_lateness == 100
+
+    def test_equal_timestamps_keep_arrival_order_across_the_seam(self):
+        """Carried events precede the batch's at the same tick, and a
+        later ``push`` at that tick follows both."""
+        buffer = ReorderBuffer(0)
+        assert list(buffer.push(5, 0, 0.0)) == []
+        same_tick = [(5, 1, 1.0), (5, 2, 2.0)]
+        assert rows(buffer.push_batch(*columns(same_tick))) == []
+        assert list(buffer.push(5, 3, 3.0)) == []
+        late_then_next = [(4, 9, 9.0), (6, 4, 4.0)]
+        released = rows(buffer.push_batch(*columns(late_then_next)))
+        assert released == [(5, k, float(k)) for k in range(4)]
+        assert buffer.stats.late_dropped == 1
+
+    def test_an_in_order_batch_holds_exactly_its_newest_tick(self):
+        buffer = ReorderBuffer(0)
+        batch = [(0, 0, 0.0), (0, 1, 1.0), (1, 0, 2.0), (2, 1, 3.0)]
+        batch.append((2, 0, 4.0))
+        assert rows(buffer.push_batch(*columns(batch))) == batch[:3]
+        assert (buffer.watermark, buffer.buffered) == (2, 2)
+        assert list(buffer.flush()) == batch[3:]

@@ -133,23 +133,24 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("old", [1, 2, 3])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4])
     def test_older_checkpoint_is_refused(self, tmp_path, old):
         """A file written before subscriptions held key-labelled
         segments (format v1), before both session kinds shared one
-        state-graph layout (v2), or before the chunk clock moved into
-        the front door's frame (v3) must be rejected by its header —
+        state-graph layout (v2), before the chunk clock moved into
+        the front door's frame (v3), or while the async residue still
+        had a sorted-batch kind (v4) must be rejected by its header —
         even with a valid checksum — never restored half-shaped."""
         path = tmp_path / "ckpt.rckpt"
         write_checkpoint(self.make_snapshot(), path)
         blob = bytearray(path.read_bytes())
         offset = len(CHECKPOINT_MAGIC)
-        assert blob[offset : offset + 2] == (4).to_bytes(2, "little")
+        assert blob[offset : offset + 2] == (5).to_bytes(2, "little")
         blob[offset : offset + 2] = old.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(
             ExecutionError,
-            match=rf"format v{old} is not supported \(this build reads v4\)",
+            match=rf"format v{old} is not supported \(this build reads v5\)",
         ):
             read_checkpoint(path)
 
@@ -436,9 +437,8 @@ class TestAutoCheckpoint:
             query, scope = self.QUERY
             session.register(query, scope=scope)
             half = batch.num_events // 2
-            # The vectorized batch path first (it needs an untouched
-            # reorder buffer), then the scalar path — the cadence must
-            # keep rolling across both.
+            # The batch path first, then the scalar path — the cadence
+            # must keep rolling across both.
             from repro.engine.events import EventBatch
 
             session.push_batch(

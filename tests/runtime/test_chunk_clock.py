@@ -17,19 +17,16 @@ Every script is held to the per-event ``push`` loop of the same class:
   equal against the loop (in-process cores only: the shm ring's own
   copies land in the same counter).
 
-Real-valued streams run with ``hysteresis=None``.  Two feeds move
-*when* a block is cut without changing what the stream means, so they
-are held to the exactness conditions of invariants 9/10 instead
+Real-valued streams run with ``hysteresis=None``.  One feed moves
+*when* a block is cut without changing what the stream means, so it is
+held to the exactness conditions of invariants 9/10 instead
 (whole-number values; results, reorder counters and pair counts only):
-live replanning, where a rate switch lands at the end of a push
-*call*; and ``push_batch``, whose sorted bypass delivers the events of
-the newest tick at once where the reorder buffer holds them until the
-next tick arrives.  For the same reason ``push_batch`` scripts carry no
-``register`` / ``deregister``: a switch right after a sorted batch
-syncs to the batch's last tick with that tick's events already
-delivered, and a fresh operator whose first instance starts on that
-tick never sees them (present since ``push_batch`` was added; ROADMAP
-item 3(b); pinned below as a strict ``xfail``).
+live replanning, where a rate switch lands at the end of a push *call*.
+
+Data steps are sized in events, or run through the next tick a freshly
+registered operator's instance starts on — a switch right there is the
+alignment that hid the one wrong answer this file has caught (a sorted
+batch's newest tick delivered before the switch; the last test).
 """
 
 import numpy as np
@@ -56,13 +53,20 @@ INITIAL = [
 ]
 #: Raw-forwarded to the coordinator's own core: sharded sessions only.
 FORWARDED = (Query("spread", WindowSet([Window(9, 3)]), MEDIAN), "global")
-LATE = (Query("avgs", WindowSet([Window(20, 10)]), AVG), "per_key")
+LATE_SLIDE = 10
+LATE = (Query("avgs", WindowSet([Window(20, LATE_SLIDE)]), AVG), "per_key")
 
 COUNTERS = ("total_pairs", "total_physical", "bytes_copied", "copies_elided")
-DATA_STEPS = ("push", "rows", "array", "columns")
+DATA_STEPS = ("push", "rows", "array", "columns", "batch")
+#: A data step of this size runs through the next tick that is a
+#: multiple of ``LATE_SLIDE``.
+ALIGNED = 0
 STEPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(DATA_STEPS), st.integers(1, 60)),
+        st.tuples(
+            st.sampled_from(DATA_STEPS),
+            st.one_of(st.integers(1, 60), st.just(ALIGNED)),
+        ),
         st.tuples(
             st.sampled_from(("register", "deregister", "stats", "restore")),
             st.just(0),
@@ -106,6 +110,24 @@ def open_cell(cls, backend, lateness, chunk_ticks, hysteresis, async_ingest):
     return session
 
 
+def take_piece(events, cursor, step, size):
+    """The events of one data step: ``size`` of them, or (``ALIGNED``)
+    all up to the end of the next tick a fresh ``LATE`` instance starts
+    on; a ``batch`` step keeps the longest prefix one sorted
+    ``EventBatch`` can hold."""
+    if size == ALIGNED:
+        tick = 0
+        while (tick + 1) * RATE <= cursor:
+            tick += LATE_SLIDE
+        size = (tick + 1) * RATE - cursor
+    piece = events[cursor : cursor + size]
+    if step == "batch":
+        for i in range(1, len(piece)):
+            if piece[i][0] < piece[i - 1][0]:
+                return piece[:i]
+    return piece
+
+
 def push_piece(session, how, piece):
     if how == "push":
         for row in piece:
@@ -128,7 +150,7 @@ def run(cls, backend, events, steps, config, *, as_loop=False, async_ingest=Fals
     stats, {step: watermark}, execution stats)``.  ``as_loop`` replaces
     every data step by the per-event loop and skips the steps that
     mutate nothing (``stats`` / ``restore``)."""
-    lateness, chunk_ticks, hysteresis, in_order = config
+    lateness, chunk_ticks, hysteresis = config
     session = open_cell(
         cls, backend, lateness, chunk_ticks, hysteresis, async_ingest
     )
@@ -137,11 +159,10 @@ def run(cls, backend, events, steps, config, *, as_loop=False, async_ingest=Fals
         for index, (step, size) in enumerate(steps):
             synced = not async_ingest
             if step in DATA_STEPS:
-                piece = events[cursor : cursor + size]
+                piece = take_piece(events, cursor, step, size)
                 cursor += len(piece)
-                how = "push" if as_loop else "batch" if in_order else step
-                push_piece(session, how, piece)
-            elif step == "register" and not late and not in_order:
+                push_piece(session, "push" if as_loop else step, piece)
+            elif step == "register" and not late:
                 session.register(LATE[0], scope=LATE[1])
                 late = synced = True
             elif step == "deregister" and late:
@@ -176,12 +197,12 @@ def delivered(stats):
 
 
 def check_clock(cls, backend, seed, lateness, chunk_ticks, in_order, replanning, steps):
-    if in_order:
-        lateness = 0  # push_batch's precondition
-    exact = in_order or replanning
-    events = make_events(seed, lateness, in_order, whole=exact)
-    config = (lateness, chunk_ticks, 0.25 if replanning else None, in_order)
-    context = f"{cls.__name__}[{backend}] seed={seed} config={config} {steps}"
+    events = make_events(seed, lateness, in_order, whole=replanning)
+    config = (lateness, chunk_ticks, 0.25 if replanning else None)
+    context = (
+        f"{cls.__name__}[{backend}] seed={seed} in_order={in_order} "
+        f"config={config} {steps}"
+    )
     loop, loop_reorder, loop_marks, loop_stats = run(
         cls, backend, events, steps, config, as_loop=True
     )
@@ -209,7 +230,7 @@ def check_clock(cls, backend, seed, lateness, chunk_ticks, in_order, replanning,
         ), (context, counter)
     if not replanning:
         assert sync_stats.total_pairs == loop_stats.total_pairs, context
-    if exact:
+    if replanning:
         return
     # The loop skipped the steps that only read; everywhere else the
     # clocks agree call by call and the operators saw the same blocks.
@@ -254,14 +275,11 @@ def test_every_interleaving_is_the_per_event_loop_on_workers(backend, **case):
 
 
 @both
-@pytest.mark.xfail(
-    strict=True,
-    reason="push_batch delivers the newest tick before a switch at that "
-    "tick builds fresh operators (ROADMAP item 3(b))",
-)
 def test_register_after_a_sorted_batch_sees_its_last_tick(cls):
     """Three events at tick 0, then a registration, then the rest: the
-    late query's first instance starts at 0 and must count all three."""
+    late query's first instance starts at 0 and must count all three
+    (a sorted batch used to bypass the reorder buffer, newest tick
+    included, so the switch found that tick already delivered)."""
     events = make_events(seed=0, lateness=0, in_order=True, whole=True)
 
     def run_registering(as_loop):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.aggregates.registry import AVG, MEDIAN, SUM
 from repro.core.multiquery import Query
+from repro.engine.events import EventColumns
 from repro.errors import ExecutionError
 from repro.runtime import (
     QuerySession,
@@ -167,12 +168,14 @@ class TestDrainOrRaiseClose:
             gate.wait()
             raise ValueError("boom")
 
-        def push_batch(b):  # pragma: no cover - parked error skips it
+        def push_run(columns):  # pragma: no cover - parked error skips it
             raise AssertionError("batch must be discarded, not applied")
 
-        pump = IngestPump(push=push, push_batch=push_batch, high_watermark=256)
+        pump = IngestPump(push=push, push_run=push_run, high_watermark=256)
         pump.submit_event(0, 99, 1.0)
-        pump.submit_batch(batch)
+        pump.submit_run(
+            EventColumns(batch.timestamps, batch.keys, batch.values, NUM_KEYS)
+        )
         gate.set()
         with pytest.raises(
             ExecutionError,

@@ -15,7 +15,7 @@ from repro.errors import ExecutionError
 from repro.runtime import QuerySession, ShardedSession
 from repro.windows.window import Window, WindowSet
 
-from session_streams import integer_stream
+from session_streams import assert_identical, integer_stream
 
 QA = Query("a", WindowSet([Window(20, 10), Window(40, 20)]), MIN)
 QB = Query("b", WindowSet([Window(24, 12)]), SUM)
@@ -262,35 +262,85 @@ class TestApiSurface:
         with pytest.raises(ExecutionError):
             session.push(0, 0, 1.0)
 
-    def test_push_batch_requires_in_order_front_door(self, int_stream):
-        session = ShardedSession(
-            num_keys=NUM_KEYS, num_shards=2, max_lateness=4,
-            hysteresis=None,
-        )
-        session.register(QA)
-        with pytest.raises(ExecutionError):
-            session.push_batch(int_stream)
+    def test_push_batch_on_a_lateness_session_is_push_many(self, int_stream):
+        """``push_batch`` has no precondition: on a ``max_lateness > 0``
+        session it is ``push_many`` of the same columns, call by call
+        and bit for bit."""
+        from repro.engine.events import EventColumns
 
-    def test_push_batch_rejects_out_of_order_continuation(self):
-        """A second batch must start at or after the newest *seen*
-        timestamp — not merely the chunk-clock watermark, which can
-        trail events still sitting in the chunk buffer."""
+        def run(as_batches):
+            session = ShardedSession(
+                num_keys=NUM_KEYS, num_shards=2, max_lateness=4,
+                hysteresis=None,
+            )
+            session.register(QA)
+            session.register(QB, scope="global")
+            marks = []
+            for lo in range(0, int_stream.horizon, 75):
+                piece = int_stream.slice_time(lo, lo + 75)
+                if as_batches:
+                    session.push_batch(piece)
+                else:
+                    session.push_many(
+                        EventColumns(
+                            piece.timestamps, piece.keys, piece.values,
+                            NUM_KEYS,
+                        )
+                    )
+                marks.append(session.watermark)
+            stats = session.stats()
+            results = session.finish(int_stream.horizon)
+            return results, marks, stats, session.reorder_stats
+
+        many, many_marks, many_stats, many_reorder = run(False)
+        batch, batch_marks, batch_stats, batch_reorder = run(True)
+        assert_identical(many, batch, "push_batch vs push_many")
+        assert batch_marks == many_marks
+        assert batch_reorder == many_reorder
+        assert batch_reorder.accepted == int_stream.num_events
+        for counter in ("events", "total_pairs", "total_physical"):
+            assert getattr(batch_stats, counter) == getattr(
+                many_stats, counter
+            ), counter
+
+    def test_push_batch_behind_the_watermark_drops_and_counts(self):
+        """A batch reaching behind the watermark is not refused: it
+        loses exactly the events the per-event loop drops as late, with
+        the same counters."""
         from repro.engine.events import make_batch
 
-        session = ShardedSession(
-            num_keys=2, num_shards=2, chunk_ticks=1000, hysteresis=None
-        )
-        session.register(QA)
-        # Stays buffered: no chunk boundary is crossed, so the
-        # coordinator watermark is still 0.
-        session.push_batch(
-            make_batch([150], [1.0], keys=[0], num_keys=2, horizon=151)
-        )
-        assert session.watermark == 0
-        with pytest.raises(ExecutionError):
-            session.push_batch(
-                make_batch([20], [1.0], keys=[1], num_keys=2, horizon=21)
+        batches = [
+            make_batch([150], [1.0], keys=[0], num_keys=2, horizon=200),
+            make_batch(
+                [20, 148, 149, 160], [2.0, 3.0, 4.0, 5.0],
+                keys=[1, 0, 1, 0], num_keys=2, horizon=200,
+            ),
+        ]
+
+        def run(as_batches):
+            session = ShardedSession(
+                num_keys=2, num_shards=2, max_lateness=1,
+                chunk_ticks=1000, hysteresis=None,
             )
+            session.register(QB)
+            for batch in batches:
+                if as_batches:
+                    session.push_batch(batch)
+                else:
+                    for row in batch.rows():
+                        session.push(*row)
+            return session.finish(200), session.reorder_stats
+
+        loop, loop_reorder = run(False)
+        batched, batched_reorder = run(True)
+        assert_identical(loop, batched, "late events in a sorted batch")
+        assert batched_reorder == loop_reorder
+        assert (
+            batched_reorder.accepted,
+            batched_reorder.late_dropped,
+            batched_reorder.max_observed_lateness,
+            batched_reorder.late_events,
+        ) == (3, 2, 129, [])
 
     def test_closed_session_fails_loudly(self, int_stream):
         """After close() every surface raises — never a silent empty

@@ -13,6 +13,7 @@ TRACKED = (
     "front door (session+sharding+ingest)",
     "runtime+service+scenarios",
     "bench/cli.py",
+    "_kernels/reprokernels.c (all lines)",
 )
 
 
