@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..aggregates.base import AggregateFunction
 from ..errors import ExecutionError
@@ -99,6 +100,63 @@ def aggregate_raw(
     return WindowState(window, comps, batch.num_keys, n_inst)
 
 
+#: Widest covering set folded as ``width - 1`` binary passes; wider
+#: sets reduce a strided window view.  Read off the shape table in
+#: docs/performance.md, "Fold, don't gather: ledger before and after
+#: (PR 22)": passes win up to width 20 for ``add`` and 32 for
+#: ``minimum``, the view from 21 and 36.
+FOLD_PASSES_MAX_WIDTH = 24
+
+#: Partials one block of rows spans while the passes run over it: each
+#: pass re-reads the block, so it has to stay in L2.  256 KiB assumes an
+#: L2 of at least 512 KiB per core (accumulator and block side by side);
+#: the same section's block table is flat from 64 KiB to 1 MiB and 1.5x
+#: slower at 2 MiB on a 2 MiB L2 — re-run that table's snippet to
+#: re-derive the value for a smaller cache.
+FOLD_BLOCK_BYTES = 1 << 18
+
+
+def fold_covering_sets(
+    ufunc: np.ufunc,
+    comp: np.ndarray,
+    first: int,
+    stride: int,
+    width: int,
+    count: int,
+) -> np.ndarray:
+    """Merge ``count`` regularly spaced covering sets of partials.
+
+    ``out[:, m] = fold_j comp[:, first + m*stride + j]`` for
+    ``j < width`` — the one merge behind every pane → instance and
+    provider → consumer read (Definition 2's covering set, Theorem 3's
+    merge), batch and chunked.  The partials are folded where they lie:
+    no ``(count, width)`` index and no ``(num_keys, count, width)`` copy
+    is built, and ``comp`` may be any 2-D view (its strides are
+    honoured).  The result is a fresh array that never aliases ``comp``.
+
+    Up to ``FOLD_PASSES_MAX_WIDTH`` partials the fold is a strict left
+    fold in time order; wider sets are NumPy's reduce of each contiguous
+    set (DESIGN.md §5, "One merge primitive").
+    """
+    last = first + (count - 1) * stride + width
+    if first < 0 or last > comp.shape[1]:
+        raise ExecutionError(
+            f"covering sets [{first} + m*{stride}, +{width}) for m < {count} "
+            f"span columns [{first}, {last}), outside the {comp.shape[1]} held"
+        )
+    if width <= FOLD_PASSES_MAX_WIDTH:
+        stop = last - width + 1
+        out = comp[:, first:stop:stride].copy()
+        rows = max(1, FOLD_BLOCK_BYTES // (comp.itemsize * (last - first)))
+        for lo in range(0, comp.shape[0], rows):
+            acc, block = out[lo:lo + rows], comp[lo:lo + rows]
+            for j in range(1, width):
+                ufunc(acc, block[:, first + j:stop + j:stride], out=acc)
+        return out
+    sets = sliding_window_view(comp, width, axis=1)[:, first::stride][:, :count]
+    return ufunc.reduce(sets, axis=2)
+
+
 def aggregate_from_provider(
     provider_state: WindowState,
     window: Window,
@@ -129,23 +187,21 @@ def aggregate_from_provider(
         raise ExecutionError(
             f"{window} cannot read from {provider}: slides incompatible"
         )
-    # Provider instance indices per consumer instance: (n_inst, M).
-    starts = stride * np.arange(n_inst, dtype=np.int64)[:, None]
-    index = starts + np.arange(multiplier, dtype=np.int64)[None, :]
-    if index.max() >= provider_state.num_instances:
+    needed = (n_inst - 1) * stride + multiplier
+    if needed > provider_state.num_instances:
         raise ExecutionError(
-            f"{window} needs provider instance {int(index.max())} of "
+            f"{window} needs provider instance {needed - 1} of "
             f"{provider}, but only {provider_state.num_instances} exist"
         )
     if stats is not None:
         stats.record_pairs(window, num_keys * n_inst * multiplier)
-    comps = []
-    for ufunc, comp in zip(
-        aggregate.component_ufuncs, provider_state.components
-    ):
-        gathered = comp[:, index]  # (num_keys, n_inst, M)
-        comps.append(ufunc.reduce(gathered, axis=2))
-    return WindowState(window, tuple(comps), num_keys, n_inst)
+    comps = tuple(
+        fold_covering_sets(ufunc, comp, 0, stride, multiplier, n_inst)
+        for ufunc, comp in zip(
+            aggregate.component_ufuncs, provider_state.components
+        )
+    )
+    return WindowState(window, comps, num_keys, n_inst)
 
 
 def holistic_segment_values(

@@ -13,8 +13,8 @@ Registered paths (DESIGN.md §5):
     ``N * k`` (event, instance) pairs and scatters them.
 ``columnar-panes``
     The pane-partitioned fast path: bin events once per pane table
-    (one indexed scatter), assemble instances with a vectorized
-    gather+reduce.
+    (one indexed scatter), assemble instances by folding their panes
+    in place (``fold_covering_sets``).
 ``columnar-panes-native``
     The pane path with its holistic segment compute running in the
     optional compiled kernels (``repro._kernels``); bit-identical to

@@ -14,9 +14,9 @@ Scotty baseline slices the same way): with pane width
    ``O(N)`` pair touches in one indexed scatter (no sort: see
    ``AggregateFunction.segment_reduce``), shared by every window with
    the same pane width and aggregate; then
-2. **assemble** each instance with a vectorized gather+reduce over its
-   ``r/p`` consecutive panes — ``num_keys * n_instances * (r/p)``
-   touches.
+2. **assemble** each instance by folding its ``r/p`` consecutive panes
+   where they lie (``fold_covering_sets``) — ``num_keys * n_instances
+   * (r/p)`` touches.
 
 Total physical work is ``N + Σ_w num_keys * n_w * (r_w/p_w)`` instead
 of ``Σ_w N * k_w`` — the engine scales with panes, not with ``k``.
@@ -24,7 +24,7 @@ Soundness needs only that panes *partition* each instance exactly
 (``p | s`` and ``p | r``), so it holds for every mergeable aggregate,
 including the partitioned-by-only ones (SUM/COUNT/AVG/...): sharing a
 pane table across windows never merges overlapping inputs because each
-window's gather reads disjoint panes.
+window's fold reads disjoint panes.
 
 The *logical* pair counters are still reported exactly as the naive
 paths count them (DESIGN.md invariant 6); the binning/assembly work is
@@ -47,6 +47,7 @@ from .columnar import (
     WindowState,
     aggregate_from_provider,
     aggregate_raw_holistic,
+    fold_covering_sets,
     num_complete_instances,
 )
 from .events import EventBatch
@@ -135,9 +136,9 @@ def assemble_from_panes(
     stats: "ExecutionStats | None" = None,
     logical_pairs: "int | None" = None,
 ) -> WindowState:
-    """Gather+reduce pane partials into per-instance partials.
+    """Fold pane partials into per-instance partials.
 
-    Instance ``m`` spans panes ``[m * s/p, m * s/p + r/p)``; the gather
+    Instance ``m`` spans panes ``[m * s/p, m * s/p + r/p)``; the fold
     touches ``num_keys * num_instances * (r/p)`` pane partials.
     """
     if window.slide % table.width or window.range % table.width:
@@ -152,21 +153,17 @@ def assemble_from_panes(
             for ident in aggregate.identity_components
         )
         return WindowState(window, comps, table.num_keys, 0)
-    index = (
-        stride * np.arange(num_instances, dtype=np.int64)[:, None]
-        + np.arange(per_instance, dtype=np.int64)[None, :]
-    )
     if stats is not None:
         if logical_pairs is not None:
             stats.record_pairs(window, logical_pairs, physical=0)
         stats.record_physical(
             window, table.num_keys * num_instances * per_instance
         )
-    comps = []
-    for ufunc, comp in zip(aggregate.component_ufuncs, table.components):
-        gathered = comp[:, index]  # (num_keys, n_inst, r/p)
-        comps.append(ufunc.reduce(gathered, axis=2))
-    return WindowState(window, tuple(comps), table.num_keys, num_instances)
+    comps = tuple(
+        fold_covering_sets(ufunc, comp, 0, stride, per_instance, num_instances)
+        for ufunc, comp in zip(aggregate.component_ufuncs, table.components)
+    )
+    return WindowState(window, comps, table.num_keys, num_instances)
 
 
 def aggregate_raw_panes(
@@ -221,7 +218,7 @@ def execute_plan_panes(
     """Execute ``plan`` on the pane-partitioned columnar path.
 
     Raw mergeable reads go through shared pane tables; provider reads
-    use the (already vectorized) sub-aggregate gather; holistic reads
+    use the same covering-set fold over provider partials; holistic reads
     fall back to the direct segmented evaluator.  Results and logical
     stats are identical to the plain columnar engine.
 

@@ -35,7 +35,11 @@ from ..errors import ExecutionError
 from ..plans.nodes import LogicalPlan, WindowAggregateNode
 from ..windows.coverage import covering_multiplier
 from ..windows.window import Window
-from .columnar import holistic_segment_values, num_complete_instances
+from .columnar import (
+    fold_covering_sets,
+    holistic_segment_values,
+    num_complete_instances,
+)
 from .events import EventBatch
 from .panes import logical_raw_pairs, pane_width
 from .stats import ExecutionStats
@@ -492,8 +496,8 @@ class _ChunkedRawOperator(_ChunkedOperator):
     """Raw mergeable reads via a rolling per-(key, pane) buffer.
 
     Each chunk is binned once (O(chunk events)); instances close with a
-    gather+reduce over their ``r/p`` panes.  Only panes at or after the
-    next open instance's start are retained.
+    fold over their ``r/p`` panes (``fold_covering_sets``).  Only panes
+    at or after the next open instance's start are retained.
     """
 
     def __init__(self, *args, **kwargs):
@@ -577,16 +581,14 @@ class _ChunkedRawOperator(_ChunkedOperator):
 
     def _close_range(self, m0: int, m1: int) -> None:
         self._ensure_panes((m1 - 1) * self.stride + self.per_instance)
-        index = (
-            self.stride * np.arange(m0, m1, dtype=np.int64)[:, None]
-            - self.pane_offset
-            + np.arange(self.per_instance, dtype=np.int64)[None, :]
-        )
         self.stats.record_physical(
             self.window, self.num_keys * (m1 - m0) * self.per_instance
         )
+        first = m0 * self.stride - self.pane_offset
         components = tuple(
-            ufunc.reduce(buf[:, index], axis=2)
+            fold_covering_sets(
+                ufunc, buf, first, self.stride, self.per_instance, m1 - m0
+            )
             for ufunc, buf in zip(self.aggregate.component_ufuncs, self._panes)
         )
         self._emit(m0, m1, components)
@@ -761,7 +763,7 @@ class _ChunkedHolisticOperator(_ChunkedOperator):
 
 
 class _ChunkedSubAggOperator(_ChunkedOperator):
-    """Consumes provider partial blocks; covering-set gather on close."""
+    """Consumes provider partial blocks; covering-set fold on close."""
 
     def __init__(self, provider: Window, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -810,16 +812,14 @@ class _ChunkedSubAggOperator(_ChunkedOperator):
                 f"{self.window} needs provider instance {needed - 1} of "
                 f"{self.provider}, which has not been emitted"
             )
-        index = (
-            self.stride * np.arange(m0, m1, dtype=np.int64)[:, None]
-            - self.offset
-            + np.arange(self.multiplier, dtype=np.int64)[None, :]
-        )
         self.stats.record_pairs(
             self.window, self.num_keys * (m1 - m0) * self.multiplier
         )
+        first = m0 * self.stride - self.offset
         components = tuple(
-            ufunc.reduce(buf[:, index], axis=2)
+            fold_covering_sets(
+                ufunc, buf, first, self.stride, self.multiplier, m1 - m0
+            )
             for ufunc, buf in zip(
                 self.aggregate.component_ufuncs, self._partials
             )

@@ -34,7 +34,7 @@ def physical_path(node: WindowAggregateNode, engine: str) -> str:
     window = node.window
     if node.provider is not None:
         multiplier = covering_multiplier(window, node.provider)
-        return f"subagg-gather[M={multiplier}]"
+        return f"subagg-fold[M={multiplier}]"
     if not node.aggregate.mergeable:
         if engine == "columnar-panes-native":
             return "raw-segmented-scan[holistic, native-kernel]"
@@ -213,7 +213,7 @@ def to_tree(
 
     With ``engine`` given, each aggregate line is annotated with the
     physical execution path that engine would use (``via panes[...]``,
-    ``via subagg-gather[...]``, ...).  With ``shards`` given — a
+    ``via subagg-fold[...]``, ...).  With ``shards`` given — a
     fan-out count or a live :class:`~repro.runtime.ShardedSession` —
     the header is annotated with the key-shard fan-out the sharded
     runtime would execute the plan under (DESIGN.md §7); a session

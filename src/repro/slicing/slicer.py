@@ -82,6 +82,10 @@ def assemble_window(
 
     Returns finalized results of shape ``(num_keys, num_instances)``.
     Work: ``num_keys * Σ_m (slices in instance m)`` pair touches.
+
+    This stays a masked gather: slice edges are the union of several
+    windows' boundaries, so an instance's covering set has no fixed
+    width or stride for the engine's ``fold_covering_sets`` to walk.
     """
     num_instances = len(window.instance_range(horizon))
     if num_instances == 0:

@@ -1,13 +1,31 @@
 """Tests for the columnar engine's window-aggregate operators."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.aggregates.registry import AVG, COUNT, MAX, MEDIAN, MIN, SUM
+import repro.engine
+from repro.aggregates.registry import (
+    AVG,
+    COUNT,
+    MAX,
+    MEDIAN,
+    MIN,
+    SUM,
+    get_aggregate,
+    known_aggregates,
+)
 from repro.engine.columnar import (
+    FOLD_BLOCK_BYTES,
+    FOLD_PASSES_MAX_WIDTH,
     aggregate_from_provider,
     aggregate_raw,
     aggregate_raw_holistic,
+    fold_covering_sets,
     num_complete_instances,
 )
 from repro.engine.events import make_batch
@@ -159,3 +177,122 @@ class TestHolisticPath:
         batch = make_batch([], [], horizon=24)
         out = aggregate_raw_holistic(batch, Window(12, 4), MEDIAN)
         assert np.all(np.isnan(out))
+
+
+MERGE_UFUNCS = sorted(
+    {
+        ufunc
+        for name in known_aggregates()
+        for ufunc in get_aggregate(name).component_ufuncs
+    },
+    key=lambda ufunc: ufunc.__name__,
+)
+CROSSOVER = FOLD_PASSES_MAX_WIDTH
+
+
+class TestFoldCoveringSets:
+    """The one covering-set merge (DESIGN.md §5, "One merge primitive")."""
+
+    @pytest.mark.parametrize("cut", [0, 3], ids=["contiguous", "column-cut"])
+    @pytest.mark.parametrize(
+        "width", [1, 2, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 64]
+    )
+    @pytest.mark.parametrize("ufunc", MERGE_UFUNCS, ids=lambda u: u.__name__)
+    @given(
+        pool=st.lists(st.floats(width=64), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+        num_keys=st.integers(1, 3),
+        count=st.sampled_from([1, 2, 20]),
+        first=st.integers(1, 4),
+        stride_vs_width=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_is_the_fold_of_each_set_exactly(
+        self, ufunc, width, cut, pool, seed, num_keys, count, first,
+        stride_vs_width,
+    ):
+        """``==``, not ``allclose``, over arbitrary float64 (NaN and
+        ±inf included): a strict left fold in time order up to the
+        crossover, NumPy's own reduce of each contiguous set above it —
+        whatever the table's strides, and without ever aliasing it."""
+        rng = np.random.default_rng(seed)
+        stride = max(1, width + stride_vs_width * int(rng.integers(1, 4)))
+        columns = first + (count - 1) * stride + width + int(rng.integers(0, 3))
+        backing = rng.choice(np.array(pool), size=(num_keys, cut + columns))
+        comp = backing[:, cut:]
+        with np.errstate(all="ignore"):
+            got = fold_covering_sets(ufunc, comp, first, stride, width, count)
+            expected = np.empty((num_keys, count))
+            for key in range(num_keys):
+                for m in range(count):
+                    members = comp[key, first + m * stride:][:width]
+                    if width <= CROSSOVER:
+                        acc = members[0]
+                        for x in members[1:]:
+                            acc = ufunc(acc, x)
+                    else:
+                        acc = ufunc.reduce(members)
+                    expected[key, m] = acc
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+        assert not np.shares_memory(got, backing)
+        backing[...] = 0.0
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("ufunc", MERGE_UFUNCS, ids=lambda u: u.__name__)
+    def test_a_table_wider_than_one_block_folds_the_same(self, ufunc):
+        """The passes run over ``FOLD_BLOCK_BYTES`` of partials at a
+        time; where the row blocks fall must not show."""
+        rng = np.random.default_rng(5)
+        comp = rng.normal(0, 50, (5, 8 + FOLD_BLOCK_BYTES // 32))
+        count = (comp.shape[1] - 3) // 2  # one row spans a quarter block
+        got = fold_covering_sets(ufunc, comp, 1, 2, 3, count)
+        stop = 1 + 2 * count
+        expected = ufunc(
+            ufunc(comp[:, 1:stop:2], comp[:, 2:stop:2]), comp[:, 3:stop + 1:2]
+        )
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
+    @pytest.mark.parametrize("width", [CROSSOVER, CROSSOVER + 1, 64])
+    def test_order_insensitive_merges_match_the_gathered_reduce(
+        self, ufunc, width
+    ):
+        rng = np.random.default_rng(width)
+        comp = rng.normal(0, 50, (4, 300))
+        index = 2 + 7 * np.arange(30)[:, None] + np.arange(width)[None, :]
+        np.testing.assert_array_equal(
+            fold_covering_sets(ufunc, comp, 2, 7, width, 30),
+            ufunc.reduce(comp[:, index], axis=2),
+        )
+
+    @pytest.mark.parametrize("width", [1, CROSSOVER, CROSSOVER + 1])
+    @pytest.mark.parametrize(
+        "first, count", [(-1, 2), (0, 50), (5, 3)],
+        ids=["before-the-table", "over-long", "one-column-short"],
+    )
+    def test_out_of_range_sets_are_refused_before_any_read(
+        self, width, first, count
+    ):
+        stride = width
+        comp = np.zeros((2, 5 + 2 * stride + width - 1))
+        with pytest.raises(ExecutionError, match="outside the"):
+            fold_covering_sets(np.add, comp, first, stride, width, count)
+
+
+def test_only_the_merge_primitive_builds_strided_views_or_gathers():
+    """A strided view reads whatever the arithmetic says; the bound
+    check lives in ``fold_covering_sets``, so nothing else in the engine
+    may build one — nor gather a ``[:, index]`` copy of its own."""
+    users = set()
+    for path in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and any(
+                name in ast.unparse(node)
+                for name in ("as_strided", "sliding_window_view", "[:, index]")
+            ):
+                users.add((path.name, node.name))
+        if path.name != "columnar.py":
+            assert "stride_tricks" not in source, path.name
+    assert users == {("columnar.py", "fold_covering_sets")}

@@ -12,6 +12,7 @@ from repro.engine.events import make_batch
 from repro.engine.executor import execute_plan, results_equal
 from repro.engine.panes import (
     aggregate_raw_panes,
+    assemble_from_panes,
     build_pane_table,
     logical_raw_pairs,
     pane_width,
@@ -126,6 +127,17 @@ class TestAggregateRawPanes:
         state = aggregate_raw_panes(empty, Window(10, 10), SUM)
         assert state.components[0].shape == (2, 5)
         assert (state.components[0] == 0.0).all()
+
+
+def test_asking_for_more_instances_than_the_table_holds_is_an_engine_error(
+    batch,
+):
+    """An ``ExecutionError`` naming the bound, not a bare NumPy
+    ``IndexError`` from outside the ``ReproError`` hierarchy."""
+    table = build_pane_table(batch, 10, MIN)
+    assert table.num_panes == 25
+    with pytest.raises(ExecutionError, match="outside the 25 held"):
+        assemble_from_panes(table, Window(20, 10), MIN, 50)
 
 
 class TestPaneSharing:

@@ -83,7 +83,7 @@ class TestPhysicalPathAnnotation:
         text = to_tree(_factor_plan(), engine="columnar-panes")
         assert "engine=columnar-panes" in text
         assert "via panes[p=" in text
-        assert "via subagg-gather[M=" in text
+        assert "via subagg-fold[M=" in text
 
     def test_raw_paths_differ_by_engine(self, example6_windows):
         plan = original_plan(WindowSet([Window(40, 10)]), MIN)
