@@ -9,9 +9,10 @@ kernel that got faster by being wrong would be worthless):
   (Raw-event binning and the reorder buffer have no kernel: one
   ``ufunc.at`` scatter in ``segment_reduce`` and one stable sort in
   ``ReorderBuffer.push_batch``, on every path);
-* **engine path** — ``columnar-panes-native`` (the fifth engine path)
-  against ``columnar-panes`` on a holistic plan, where the segmented
-  sort dominates;
+* **engine path** — the pane engine (``columnar-panes``) on a holistic
+  plan, where the segmented sort dominates, under ``REPRO_KERNELS=1``
+  against ``REPRO_KERNELS=0``: one engine name, the switch every call
+  site obeys;
 * **zero-copy plane** — a shared-memory sharded session over the same
   stream, gating ``bytes_copied_per_event <= EVENT_BYTES`` (at most
   one materializing copy per event end-to-end; the steady-state borrow
@@ -99,29 +100,29 @@ def _kernel_micros(n: int) -> "list[dict]":
     ]
 
 
-def _engine_path(stream) -> dict:
-    """Fifth engine path vs the NumPy pane path on a holistic plan."""
+def _engine_path(stream, monkeypatch) -> dict:
+    """The pane engine on a holistic plan, kernel off vs kernel on."""
     plan = original_plan(
         WindowSet([Window(64 * 25, 25), Window(64 * 50, 50)]), MEDIAN
     )
-    reference = execute_plan(plan, stream, engine="columnar-panes")
-    native = execute_plan(plan, stream, engine="columnar-panes-native")
+
+    def best_of_three(mode):
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", mode)
+            runs = [
+                execute_plan(plan, stream, engine="columnar-panes")
+                for _ in range(3)
+            ]
+        return runs[0], min(run.stats.wall_seconds for run in runs)
+
+    reference, numpy_wall = best_of_three("0")
+    native, native_wall = best_of_three("1")
     assert results_equal(reference, native)
-    panes = min(
-        execute_plan(plan, stream, engine="columnar-panes")
-        .stats.wall_seconds
-        for _ in range(3)
-    )
-    native_wall = min(
-        execute_plan(plan, stream, engine="columnar-panes-native")
-        .stats.wall_seconds
-        for _ in range(3)
-    )
     return {
         "plan": "original/median",
-        "panes_seconds": panes,
+        "numpy_seconds": numpy_wall,
         "native_seconds": native_wall,
-        "native_speedup": panes / native_wall,
+        "native_speedup": numpy_wall / native_wall,
     }
 
 
@@ -153,7 +154,7 @@ def _zero_copy_plane(n: int) -> dict:
     }
 
 
-def test_kernels_ablation_report(report_sink, bench_events):
+def test_kernels_ablation_report(report_sink, bench_events, monkeypatch):
     if not kernels.available():
         pytest.skip(
             f"compiled kernels unavailable: {kernels.availability_error()}"
@@ -161,7 +162,7 @@ def test_kernels_ablation_report(report_sink, bench_events):
     n = max(bench_events, 30_000)
     micros = _kernel_micros(n)
     stream = constant_rate_stream(bench_events, seed=1)
-    engine = _engine_path(stream)
+    engine = _engine_path(stream, monkeypatch)
     plane = _zero_copy_plane(bench_events)
 
     for row in micros:
@@ -170,8 +171,8 @@ def test_kernels_ablation_report(report_sink, bench_events):
             f"({row['native_speedup']:.2f}x)"
         )
     assert engine["native_speedup"] > MIN_ENGINE_SPEEDUP, (
-        f"columnar-panes-native failed to beat columnar-panes "
-        f"({engine['native_speedup']:.2f}x)"
+        f"columnar-panes under REPRO_KERNELS=1 failed to beat itself "
+        f"under REPRO_KERNELS=0 ({engine['native_speedup']:.2f}x)"
     )
     # The tentpole gate: at most one materializing copy per event
     # through partition -> ring -> shard core (steady state copies
@@ -194,7 +195,7 @@ def test_kernels_ablation_report(report_sink, bench_events):
     rows.append(
         (
             "engine: " + engine["plan"],
-            f"{engine['panes_seconds'] * 1e3:,.2f}",
+            f"{engine['numpy_seconds'] * 1e3:,.2f}",
             f"{engine['native_seconds'] * 1e3:,.2f}",
             f"{engine['native_speedup']:.2f}x",
         )

@@ -1,5 +1,5 @@
-"""Streaming engines: columnar (+ pane-partitioned fast path) and
-row-at-a-time / chunked streaming."""
+"""The engines: columnar (N*k reference), row-at-a-time streaming
+(oracle) and the chunked pane operators (batch and live)."""
 
 from .columnar import (
     WindowState,
@@ -24,14 +24,7 @@ from .outoforder import (
     reorder_events,
     scramble_batch,
 )
-from .panes import (
-    PaneTable,
-    aggregate_raw_panes,
-    assemble_from_panes,
-    build_pane_table,
-    logical_raw_pairs,
-    pane_width,
-)
+from .panes import logical_raw_pairs, pane_width
 from .stats import ExecutionStats
 from .streaming import ChunkedStreamingExecutor, StreamingExecutor
 
@@ -40,7 +33,6 @@ __all__ = [
     "EventBatch",
     "ExecutionResult",
     "ExecutionStats",
-    "PaneTable",
     "ReorderBuffer",
     "ReorderStats",
     "StreamingExecutor",
@@ -48,11 +40,8 @@ __all__ = [
     "aggregate_from_provider",
     "aggregate_raw",
     "aggregate_raw_holistic",
-    "aggregate_raw_panes",
-    "assemble_from_panes",
     "available_engines",
     "batch_from_unordered",
-    "build_pane_table",
     "encode_keys",
     "execute_plan",
     "holistic_segment_values",

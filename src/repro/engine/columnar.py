@@ -256,7 +256,6 @@ def aggregate_raw_holistic(
     window: Window,
     aggregate: AggregateFunction,
     stats: "ExecutionStats | None" = None,
-    native: "bool | None" = None,
 ) -> np.ndarray:
     """Directly evaluate a holistic aggregate per (key, instance).
 
@@ -281,8 +280,6 @@ def aggregate_raw_holistic(
         stats.record_pairs(window, int(codes.size))
     if codes.size == 0:
         return out
-    segment_ids, results = holistic_segment_values(
-        codes, values, aggregate, native=native
-    )
+    segment_ids, results = holistic_segment_values(codes, values, aggregate)
     out.reshape(-1)[segment_ids] = results
     return out

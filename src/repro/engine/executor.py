@@ -6,25 +6,23 @@ finite event batch with any registered execution path and returns an
 execution statistics.  This is the function the benchmark harness, the
 examples, and the equivalence tests all call.
 
-Registered paths (DESIGN.md §5):
+Registered paths (DESIGN.md §5) — three implementations; the two pane
+names are two chunk sizes of one of them (a fifth, legacy name is an
+alias: see the comment at the registry's end):
 
 ``columnar``
-    The original vectorized engine: every raw read materializes all
+    The reference vectorized engine: every raw read materializes all
     ``N * k`` (event, instance) pairs and scatters them.
 ``columnar-panes``
-    The pane-partitioned fast path: bin events once per pane table
-    (one indexed scatter), assemble instances by folding their panes
-    in place (``fold_covering_sets``).
-``columnar-panes-native``
-    The pane path with its holistic segment compute running in the
-    optional compiled kernels (``repro._kernels``); bit-identical to
-    ``columnar-panes`` — and the same code on mergeable plans — and
-    falls back to it transparently when no C compiler is available.
+    The pane engine fed the whole batch as one chunk: bin each raw
+    read's events once (one indexed scatter), assemble instances by
+    folding their panes in place (``fold_covering_sets``).
+``streaming-chunked``
+    The same operators fed ``chunk_ticks``-wide watermark blocks
+    (default: the largest window range) with bounded open state — what
+    a live session runs.
 ``streaming``
     Row-at-a-time reference interpreter (the semantic oracle).
-``streaming-chunked``
-    Streaming semantics in vectorized watermark blocks with bounded
-    open state.
 
 All paths produce identical results and identical *logical* pair
 counts; they differ only in wall-clock and *physical* touches.
@@ -32,6 +30,7 @@ counts; they differ only in wall-clock and *physical* touches.
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +48,6 @@ from .columnar import (
     aggregate_raw_holistic,
 )
 from .events import EventBatch
-from .panes import execute_plan_panes
 from .stats import ExecutionStats
 from .streaming import ChunkedStreamingExecutor, StreamingExecutor
 
@@ -63,7 +61,7 @@ class ExecutionResult:
     plan: LogicalPlan
     results: dict[Window, np.ndarray]
     stats: ExecutionStats
-    engine: str
+    engine: str = ""  # the name execute_plan was asked for; it stamps it
 
     @property
     def throughput(self) -> float:
@@ -107,10 +105,12 @@ _ENGINES: dict[str, EngineFn] = {}
 def register_engine(name: str) -> "Callable[[EngineFn], EngineFn]":
     """Register an execution path under ``name`` (decorator).
 
-    The registered callable receives ``(plan, batch, **engine_kwargs)``
-    and must return an :class:`ExecutionResult`.  Registering an
-    existing name replaces the path — the hook third-party backends use
-    to shadow a built-in.
+    The registered callable receives ``(plan, batch, **options)`` — its
+    keyword parameters are the options the path accepts — and must
+    return an :class:`ExecutionResult`; :func:`execute_plan` stamps it
+    with the name it was asked for.
+    Registering an existing name replaces the path — the hook
+    third-party backends use to shadow a built-in.
     """
 
     def decorator(fn: EngineFn) -> EngineFn:
@@ -125,6 +125,21 @@ def available_engines() -> tuple[str, ...]:
     return tuple(sorted(_ENGINES))
 
 
+def _check_options(engine: str, fn: EngineFn, options: dict) -> None:
+    """Refuse an option the path has no keyword parameter for."""
+    params = inspect.signature(fn).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        return
+    accepted = list(params)[2:]  # after (plan, batch)
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise ExecutionError(
+            f"engine {engine!r} takes no option "
+            f"{', '.join(map(repr, unknown))}; it accepts: "
+            + (", ".join(accepted) or "none")
+        )
+
+
 def execute_plan(
     plan: LogicalPlan,
     batch: EventBatch,
@@ -135,18 +150,24 @@ def execute_plan(
     """Execute ``plan`` over ``batch`` on the ``engine`` path.
 
     ``engine`` is any name in :func:`available_engines`; extra keyword
-    arguments are forwarded to the path (e.g. ``chunk_ticks`` for
-    ``streaming-chunked``).
+    arguments are the path's options (e.g. ``chunk_ticks`` for
+    ``streaming-chunked``).  An option the named path does not take is
+    an :class:`~repro.errors.ExecutionError`, raised before anything
+    runs.
     """
-    if validate:
-        validate_plan(plan)
     fn = _ENGINES.get(engine)
     if fn is None:
         raise ExecutionError(
             f"unknown engine {engine!r}; available: "
             + ", ".join(available_engines())
         )
-    return fn(plan, batch, **engine_kwargs)
+    if engine_kwargs:
+        _check_options(engine, fn, engine_kwargs)
+    if validate:
+        validate_plan(plan)
+    result = fn(plan, batch, **engine_kwargs)
+    result.engine = engine
+    return result
 
 
 @register_engine("columnar")
@@ -186,42 +207,13 @@ def _execute_columnar(plan: LogicalPlan, batch: EventBatch) -> ExecutionResult:
                 results[node.window] = state.finalized(aggregate)
 
     stats.wall_seconds = time.perf_counter() - started
-    return ExecutionResult(
-        plan=plan, results=results, stats=stats, engine="columnar"
-    )
-
-
-@register_engine("columnar-panes")
-def _execute_columnar_panes(
-    plan: LogicalPlan, batch: EventBatch
-) -> ExecutionResult:
-    results, stats = execute_plan_panes(plan, batch)
-    return ExecutionResult(
-        plan=plan, results=results, stats=stats, engine="columnar-panes"
-    )
-
-
-@register_engine("columnar-panes-native")
-def _execute_columnar_panes_native(
-    plan: LogicalPlan, batch: EventBatch
-) -> ExecutionResult:
-    results, stats = execute_plan_panes(plan, batch, native=True)
-    return ExecutionResult(
-        plan=plan,
-        results=results,
-        stats=stats,
-        engine="columnar-panes-native",
-    )
+    return ExecutionResult(plan, results, stats)
 
 
 @register_engine("streaming")
 def _execute_streaming(plan: LogicalPlan, batch: EventBatch) -> ExecutionResult:
     executor = StreamingExecutor(plan, batch)
-    results = executor.run()
-    executor.stats.events = batch.num_events
-    return ExecutionResult(
-        plan=plan, results=results, stats=executor.stats, engine="streaming"
-    )
+    return ExecutionResult(plan, executor.run(), executor.stats)
 
 
 @register_engine("streaming-chunked")
@@ -231,13 +223,24 @@ def _execute_streaming_chunked(
     chunk_ticks: "int | None" = None,
 ) -> ExecutionResult:
     executor = ChunkedStreamingExecutor(plan, batch, chunk_ticks=chunk_ticks)
-    results = executor.run()
-    return ExecutionResult(
-        plan=plan,
-        results=results,
-        stats=executor.stats,
-        engine="streaming-chunked",
+    return ExecutionResult(plan, executor.run(), executor.stats)
+
+
+@register_engine("columnar-panes")
+def _execute_columnar_panes(
+    plan: LogicalPlan, batch: EventBatch
+) -> ExecutionResult:
+    """The chunked operators fed one chunk: the whole batch."""
+    return _execute_streaming_chunked(
+        plan, batch, chunk_ticks=max(1, batch.horizon)
     )
+
+
+# The frozen ledger ladder (benchmarks/ledger/ladder.py:45) still climbs
+# a fourth pane rung, so its name stays — bound to the same callable
+# until ROADMAP item 4 unfreezes the ladder.  Whether holistic compute
+# runs in C is REPRO_KERNELS' call there, as at every other call site.
+register_engine("columnar-panes-native")(_execute_columnar_panes)
 
 
 def results_equal(

@@ -11,16 +11,17 @@ incrementally, exactly like the paper's Trill plans.
 :class:`ChunkedStreamingExecutor` keeps those streaming semantics —
 watermark-driven closes, bounded open state, partials flowing
 provider → consumer — but advances the watermark in timestamp *blocks*
-and applies the vectorized pane reduction of
-:mod:`~repro.engine.panes` to each block, replacing the per-event
-Python dispatch with NumPy kernels.  Its state per raw operator is a
-rolling per-(key, pane) buffer covering only the open instances plus
-the current block.
+and applies the vectorized pane reduction (:mod:`~repro.engine.panes`)
+to each block, replacing the per-event Python dispatch with NumPy
+kernels.  Its state per raw operator is a rolling per-(key, pane)
+buffer covering only the open instances plus the current block.  Its
+operators are the one pane engine: a live session feeds them a chunk
+per flush, ``streaming-chunked`` a chunk per ``chunk_ticks``, and
+``columnar-panes`` one chunk — the whole batch (DESIGN.md §5).
 
-The columnar engine is the fast path; the row-at-a-time engine is the
-semantic oracle.  All engines must produce identical results and
-identical *logical* processed-pair counts (DESIGN.md invariants 5
-and 6).
+The row-at-a-time engine is the semantic oracle.  All engines must
+produce identical results and identical *logical* processed-pair
+counts (DESIGN.md invariants 5 and 6).
 """
 
 from __future__ import annotations
@@ -348,9 +349,22 @@ class _ChunkedOperator:
             raise ExecutionError(
                 "unbounded operators emit through a sink, not a result array"
             )
-        self.results = np.full(
-            (self.num_keys, self.num_instances), np.nan, dtype=np.float64
+        # NaN everywhere and no memory yet: a read-only broadcast of one
+        # NaN stands in until the first block is stored.
+        self.results = np.broadcast_to(
+            np.nan, (self.num_keys, self.num_instances)
         )
+
+    def _store_results(self, m0: int, m1: int, block: np.ndarray) -> None:
+        """Keep a finalized block: one that covers every instance is
+        adopted whole, anything less is written into a NaN-filled array
+        allocated on first need."""
+        if not self.results.flags.writeable:
+            if m1 - m0 == self.results.shape[1]:
+                self.results = block
+                return
+            self.results = self.results.copy()
+        self.results[:, m0:m1] = block
 
     def _close_bound(self, watermark: int) -> int:
         """Largest exclusive instance index closed at ``watermark``."""
@@ -379,7 +393,7 @@ class _ChunkedOperator:
                 self.aggregate.finalize(components), dtype=np.float64
             )
             if self.results is not None:
-                self.results[:, m0:m1] = block
+                self._store_results(m0, m1, block)
             if self.sink is not None:
                 self.sink(self.window, m0, m1, block)
         for consumer in self.consumers:
@@ -564,19 +578,29 @@ class _ChunkedRawOperator(_ChunkedOperator):
         if ts.size == 0:
             return
         self.stats.record_binned(ts.size)
-        lo, hi = int(panes[0]), int(panes[-1])
-        self._ensure_panes(hi + 1)
+        # An empty buffer is binned into directly: the chunk table,
+        # laid out from the pane cursor, *is* the new buffer.
+        empty = self._panes[0].shape[1] == 0
+        lo = self.pane_offset if empty else int(panes[0])
+        hi = int(panes[-1])
         span = hi - lo + 1
-        codes = keys * span + (panes - lo)
-        chunk = self.aggregate.segment_reduce(
-            codes, values, self.num_keys * span
-        )
-        at = lo - self.pane_offset
-        for ufunc, buf, part in zip(
-            self.aggregate.component_ufuncs, self._panes, chunk
-        ):
-            block = buf[:, at:at + span]
-            ufunc(block, part.reshape(self.num_keys, span), out=block)
+        codes = keys * span + (panes - lo if lo else panes)
+        chunk = [
+            part.reshape(self.num_keys, span)
+            for part in self.aggregate.segment_reduce(
+                codes, values, self.num_keys * span
+            )
+        ]
+        if empty:
+            self._panes = chunk
+        else:
+            self._ensure_panes(hi + 1)
+            at = lo - self.pane_offset
+            for ufunc, buf, part in zip(
+                self.aggregate.component_ufuncs, self._panes, chunk
+            ):
+                block = buf[:, at:at + span]
+                ufunc(block, part, out=block)
         self._note_retained(self._panes[0].shape[1])
 
     def _close_range(self, m0: int, m1: int) -> None:
@@ -706,7 +730,7 @@ class _ChunkedHolisticOperator(_ChunkedOperator):
                 )
                 block.reshape(-1)[segment_ids] = computed
         if self.results is not None:
-            self.results[:, m0:m1] = block
+            self._store_results(m0, m1, block)
         if self.sink is not None:
             self.sink(self.window, m0, m1, block)
         # Drop events no longer covered by any open instance.
@@ -799,10 +823,18 @@ class _ChunkedSubAggOperator(_ChunkedOperator):
             components = tuple(
                 np.asarray(part)[:, skip:] for part in components
             )
-        self._partials = [
-            np.concatenate((buf, np.asarray(part, dtype=np.float64)), axis=1)
-            for buf, part in zip(self._partials, components)
-        ]
+        parts = [np.asarray(part, dtype=np.float64) for part in components]
+        if self._partials[0].shape[1] == 0:
+            # Adopted, not copied.  Sinks, sibling consumers and the
+            # provider's result array may hold the same block: all of
+            # them only read it, and this operator only folds, cuts,
+            # splices or re-concatenates its buffer — none writes into it.
+            self._partials = parts
+        else:
+            self._partials = [
+                np.concatenate((buf, part), axis=1)
+                for buf, part in zip(self._partials, parts)
+            ]
         self._note_retained(self._partials[0].shape[1])
 
     def _close_range(self, m0: int, m1: int) -> None:

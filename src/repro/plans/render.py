@@ -25,26 +25,20 @@ from .nodes import (
 
 
 def physical_path(node: WindowAggregateNode, engine: str) -> str:
-    """Describe the physical operator ``engine`` uses for ``node``.
-
-    The pane math is duplicated from :mod:`repro.engine.panes`
-    (``p = gcd(r, s)``) rather than imported, keeping ``plans`` free of
-    an engine dependency; DESIGN.md §5 documents the path taxonomy.
-    """
+    """Describe the physical operator ``engine`` uses for ``node``
+    (DESIGN.md §5 documents the path taxonomy)."""
     window = node.window
     if node.provider is not None:
         multiplier = covering_multiplier(window, node.provider)
         return f"subagg-fold[M={multiplier}]"
     if not node.aggregate.mergeable:
-        if engine == "columnar-panes-native":
-            return "raw-segmented-scan[holistic, native-kernel]"
         return "raw-segmented-scan[holistic]"
-    if engine in ("columnar-panes", "columnar-panes-native", "streaming-chunked"):
-        pane = math.gcd(window.range, window.slide)
-        return f"panes[p={pane}, r/p={window.range // pane}]"
     if engine == "streaming":
         return f"event-loop[k={window.range // window.slide}]"
-    return f"raw-materialize[k={window.range // window.slide}]"
+    if engine == "columnar":
+        return f"raw-materialize[k={window.range // window.slide}]"
+    pane = math.gcd(window.range, window.slide)
+    return f"panes[p={pane}, r/p={window.range // pane}]"
 
 
 def physical_paths(

@@ -122,6 +122,28 @@ class TestEngineRegistry:
         finally:
             del _ENGINES["echo"]
 
+    def test_result_is_stamped_with_the_requested_name(self, batch):
+        from repro.engine.executor import _ENGINES, available_engines
+
+        plan = original_plan(WindowSet([Window(10, 10)]), MIN)
+        for name in available_engines():
+            assert execute_plan(plan, batch, engine=name).engine == name
+        # Two names, one pane engine: only the stamp tells them apart.
+        assert _ENGINES["columnar-panes"] is _ENGINES["columnar-panes-native"]
+
+    @pytest.mark.parametrize(
+        "engine, accepts",
+        [("columnar-panes", "none"), ("streaming-chunked", "chunk_ticks")],
+    )
+    def test_unknown_option_is_an_engine_error(self, batch, engine, accepts):
+        """Not the bare ``TypeError`` of the path's private function —
+        and raised before the plan is even validated."""
+        with pytest.raises(ExecutionError) as raised:
+            execute_plan(object(), batch, engine=engine, chunk_tick=5)
+        message = str(raised.value)
+        assert repr(engine) in message and "'chunk_tick'" in message
+        assert message.endswith(f"it accepts: {accepts}")
+
     def test_engine_kwargs_forwarded(self, batch):
         plan = original_plan(WindowSet([Window(10, 10)]), MIN)
         result = execute_plan(

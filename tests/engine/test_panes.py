@@ -1,4 +1,6 @@
-"""Tests for the pane-partitioned columnar fast path."""
+"""Tests for the pane arithmetic and the one pane engine: the chunked
+operators give one answer at any chunk size, ``columnar-panes`` being
+the size "whole batch"."""
 
 import numpy as np
 import pytest
@@ -6,19 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_logical_pairs as oracle
-from repro.aggregates.registry import AVG, MAX, MIN, SUM
+from repro.aggregates.registry import (
+    AVG,
+    COUNT,
+    MAX,
+    MEDIAN,
+    MIN,
+    STDEV,
+    SUM,
+)
+from repro.core.optimizer import optimize
+from repro.core.rewrite import rewrite_plan
 from repro.engine.columnar import aggregate_raw
 from repro.engine.events import make_batch
 from repro.engine.executor import execute_plan, results_equal
-from repro.engine.panes import (
-    aggregate_raw_panes,
-    assemble_from_panes,
-    build_pane_table,
-    logical_raw_pairs,
-    pane_width,
-    plan_pane_groups,
-)
+from repro.engine.panes import logical_raw_pairs, pane_width
 from repro.engine.stats import ExecutionStats
+from repro.engine.streaming import _ChunkedRawOperator, _ChunkedSubAggOperator
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
@@ -94,68 +100,190 @@ class TestLogicalRawPairs:
         )
 
 
-class TestAggregateRawPanes:
+class _Partials:
+    """``partial_sink`` that keeps the emitted component blocks."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __call__(self, window, m0, m1, components):
+        self.blocks.append(components)
+
+    def components(self):
+        return [np.concatenate(parts, axis=1) for parts in zip(*self.blocks)]
+
+
+class TestRawOperatorFedOneChunk:
+    """What ``aggregate_raw_panes`` was: the raw operator handed the
+    whole batch is a drop-in for :func:`aggregate_raw`."""
+
     @pytest.mark.parametrize("aggregate", [MIN, MAX, SUM, AVG])
     @pytest.mark.parametrize(
         "window", [Window(10, 10), Window(20, 10), Window(45, 15)]
     )
     def test_state_matches_aggregate_raw(self, batch, window, aggregate):
         reference = aggregate_raw(batch, window, aggregate)
-        panes = aggregate_raw_panes(batch, window, aggregate)
-        assert panes.num_instances == reference.num_instances
-        for ref, got in zip(reference.components, panes.components):
+        sink = _Partials()
+        op = _ChunkedRawOperator(
+            window, aggregate, batch.num_keys, reference.num_instances,
+            ExecutionStats(), partial_sink=sink,
+        )
+        op.absorb(batch.timestamps, batch.keys, batch.values)
+        op.advance(batch.horizon)
+        assert op.drained
+        for ref, got in zip(reference.components, sink.components()):
             np.testing.assert_allclose(got, ref, rtol=1e-12)
 
     def test_logical_pairs_match_physical_smaller(self, batch):
         window = Window(60, 5)  # k = 12
-        ref_stats, pane_stats = ExecutionStats(), ExecutionStats()
-        aggregate_raw(batch, window, MIN, ref_stats)
-        aggregate_raw_panes(batch, window, MIN, pane_stats)
+        plan = original_plan(WindowSet([window]), MIN)
+        columnar = execute_plan(plan, batch, engine="columnar")
+        panes = execute_plan(plan, batch, engine="columnar-panes")
         assert (
-            pane_stats.pairs_per_window[window]
-            == ref_stats.pairs_per_window[window]
+            panes.stats.pairs_per_window[window]
+            == columnar.stats.pairs_per_window[window]
         )
-        assert pane_stats.total_physical < ref_stats.total_physical
+        assert panes.stats.total_physical < columnar.stats.total_physical
 
-    def test_incompatible_shared_table_rejected(self, batch):
-        table = build_pane_table(batch, 7, MIN)
-        with pytest.raises(ExecutionError):
-            aggregate_raw_panes(batch, Window(20, 10), MIN, table=table)
+    def test_each_raw_read_bins_its_own_events_once(self, batch):
+        """No pane table is shared between raw reads (none of the
+        ledger's eight plans had two reads of one pane width): every
+        raw operator bins the events its owned instances read, once."""
+        plan = original_plan(WindowSet([Window(20, 10), Window(40, 10)]), MIN)
+        result = execute_plan(plan, batch, engine="columnar-panes")
+        assert result.stats.events_binned == 2 * batch.num_events
+
+
+def test_closing_past_the_providers_frontier_is_an_engine_error():
+    """An ``ExecutionError`` naming the missing provider instance, not a
+    bare NumPy ``IndexError`` from outside the ``ReproError`` hierarchy
+    (the fold's own bound check is pinned in ``test_columnar.py``)."""
+    consumer = _ChunkedSubAggOperator(
+        Window(10, 10), Window(20, 20), MIN, 1, None, ExecutionStats()
+    )
+    consumer.accept_block(0, 3, (np.zeros((1, 3)),))
+    with pytest.raises(ExecutionError, match="needs provider instance 3"):
+        consumer.advance(40)
+
+
+MERGEABLE = [MIN, MAX, SUM, COUNT, AVG, STDEV]
+ORDER_FREE = {"min", "max", "count"}
+WINDOWS = WindowSet(
+    [Window(10, 10), Window(20, 10), Window(30, 15), Window(60, 20)]
+)
+HORIZON = 250
+CHUNKINGS = {
+    "tick": 1,
+    "odd": 7,
+    "max-range": 60,
+    "horizon": HORIZON,
+    "past-horizon": 10 * HORIZON,
+}
+
+
+def _stream(whole: bool, n: int = 400):
+    rng = np.random.default_rng(5)
+    values = rng.integers(-50, 50, n) if whole else rng.normal(0, 10, n)
+    return make_batch(
+        np.sort(rng.integers(0, HORIZON, n)),
+        values.astype(np.float64),
+        keys=rng.integers(0, 3, n),
+        num_keys=3,
+        horizon=HORIZON,
+    )
+
+
+def _plans(aggregate):
+    plans = [original_plan(WINDOWS, aggregate)]
+    if aggregate.mergeable:
+        plans.append(rewrite_plan(optimize(WINDOWS, aggregate).best, aggregate))
+    return plans
+
+
+class TestAnyChunkingOneAnswer:
+    """``columnar-panes`` and ``streaming-chunked`` are one engine at two
+    chunk sizes, so every chunk size must tell the ``columnar`` story:
+    bit for bit where the fold order cannot matter, and — once a chunk
+    holds the whole batch — bit for bit with ``columnar-panes`` on any
+    values, because it is then the same scatter and the same fold."""
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize(
+        "aggregate", MERGEABLE + [MEDIAN], ids=lambda a: a.name
+    )
+    def test_whole_number_streams_are_bit_identical_to_columnar(
+        self, aggregate, chunking
+    ):
+        batch = _stream(whole=True)
+        for plan in _plans(aggregate):
+            reference = execute_plan(plan, batch, engine="columnar")
+            chunked = execute_plan(
+                plan, batch, engine="streaming-chunked",
+                chunk_ticks=CHUNKINGS[chunking],
+            )
+            assert set(chunked.results) == set(reference.results)
+            for window, want in reference.results.items():
+                np.testing.assert_array_equal(chunked.results[window], want)
+            assert (
+                chunked.stats.pairs_per_window
+                == reference.stats.pairs_per_window
+            )
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize(
+        "aggregate", MERGEABLE + [MEDIAN], ids=lambda a: a.name
+    )
+    def test_real_valued_streams(self, aggregate, chunking):
+        batch = _stream(whole=False)
+        chunk_ticks = CHUNKINGS[chunking]
+        for plan in _plans(aggregate):
+            reference = execute_plan(plan, batch, engine="columnar")
+            panes = execute_plan(plan, batch, engine="columnar-panes")
+            chunked = execute_plan(
+                plan, batch, engine="streaming-chunked", chunk_ticks=chunk_ticks
+            )
+            assert results_equal(reference, chunked)
+            assert (
+                chunked.stats.pairs_per_window
+                == reference.stats.pairs_per_window
+            )
+            for window, got in chunked.results.items():
+                if aggregate.name in ORDER_FREE or not aggregate.mergeable:
+                    np.testing.assert_array_equal(
+                        got, reference.results[window]
+                    )
+                if chunk_ticks >= batch.horizon:
+                    np.testing.assert_array_equal(got, panes.results[window])
+            if chunk_ticks >= batch.horizon:
+                assert (
+                    chunked.stats.physical_per_window
+                    == panes.stats.physical_per_window
+                )
+                assert chunked.stats.events_binned == panes.stats.events_binned
+
+    @pytest.mark.parametrize("horizon", [0, 5, HORIZON], ids="h{}".format)
+    @pytest.mark.parametrize("engine", ["columnar-panes", "streaming-chunked"])
+    @pytest.mark.parametrize("aggregate", [SUM, MEDIAN], ids=lambda a: a.name)
+    def test_empty_batch_and_short_horizons(self, aggregate, engine, horizon):
+        """No event, and horizons that close nothing (0) or only some
+        windows (5 < every range): shapes and the empty value still
+        match ``columnar``."""
+        empty = make_batch([], [], horizon=horizon, num_keys=2)
+        plan = original_plan(WINDOWS, aggregate)
+        reference = execute_plan(plan, empty, engine="columnar")
+        got = execute_plan(plan, empty, engine=engine)
+        assert set(got.results) == set(reference.results)
+        for window, want in reference.results.items():
+            assert got.results[window].shape == want.shape
+            np.testing.assert_array_equal(got.results[window], want)
+        assert got.stats.total_pairs == 0
 
     def test_empty_batch(self):
         empty = make_batch([], [], horizon=50, num_keys=2)
-        state = aggregate_raw_panes(empty, Window(10, 10), SUM)
-        assert state.components[0].shape == (2, 5)
-        assert (state.components[0] == 0.0).all()
-
-
-def test_asking_for_more_instances_than_the_table_holds_is_an_engine_error(
-    batch,
-):
-    """An ``ExecutionError`` naming the bound, not a bare NumPy
-    ``IndexError`` from outside the ``ReproError`` hierarchy."""
-    table = build_pane_table(batch, 10, MIN)
-    assert table.num_panes == 25
-    with pytest.raises(ExecutionError, match="outside the 25 held"):
-        assemble_from_panes(table, Window(20, 10), MIN, 50)
-
-
-class TestPaneSharing:
-    def test_windows_grouped_by_pane_width_and_aggregate(self):
-        windows = WindowSet(
-            [Window(20, 10), Window(40, 10), Window(30, 15), Window(7, 3)]
-        )
-        plan = original_plan(windows, MIN)
-        groups = plan_pane_groups(plan)
-        assert set(groups) == {(10, "min"), (15, "min"), (1, "min")}
-        assert groups[(10, "min")] == [Window(20, 10), Window(40, 10)]
-
-    def test_shared_table_binned_once(self, batch):
-        windows = WindowSet([Window(20, 10), Window(40, 10)])
-        plan = original_plan(windows, MIN)
-        result = execute_plan(batch=batch, plan=plan, engine="columnar-panes")
-        # One shared pane table for both windows: N events binned once.
-        assert result.stats.events_binned == batch.num_events
+        plan = original_plan(WindowSet([Window(10, 10)]), SUM)
+        result = execute_plan(plan, empty, engine="columnar-panes")
+        assert result.results[Window(10, 10)].shape == (2, 5)
+        assert (result.results[Window(10, 10)] == 0.0).all()
 
 
 class TestPanesEngine:

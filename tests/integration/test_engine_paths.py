@@ -98,16 +98,23 @@ def test_registry_exposes_all_paths():
     [MIN, SUM, AVG, STDEV, MEDIAN, COUNT_DISTINCT],
     ids=lambda a: a.name,
 )
-def test_native_path_bit_identical_to_panes(aggregate):
-    """The native path must match the pure pane path *bitwise*, not just
-    within allclose tolerance: mergeable aggregates share the one
-    scatter primitive (same fold order), holistic ones run the C
-    kernel against the NumPy closed form."""
+def test_native_path_bit_identical_to_panes(aggregate, monkeypatch):
+    """The C kernel must match the NumPy closed form *bitwise*, not just
+    within allclose tolerance.  The pane engine is one callable whatever
+    its name; ``REPRO_KERNELS`` alone picks the holistic kernel, so the
+    two sides are one engine name under ``0`` and ``1`` (mergeable
+    aggregates run the same scatter either way)."""
+    from repro import _kernels
+
     windows = WindowSet([Window(12, 4), Window(20, 4), Window(6, 6)])
     batch = _random_batch(404, horizon=240, num_keys=3)
     plan = original_plan(windows, aggregate)
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    if not _kernels.globally_enabled():
+        pytest.skip(f"no compiled kernels: {_kernels.availability_error()}")
+    native = execute_plan(plan, batch, engine="columnar-panes")
+    monkeypatch.setenv("REPRO_KERNELS", "0")
     pure = execute_plan(plan, batch, engine="columnar-panes")
-    native = execute_plan(plan, batch, engine="columnar-panes-native")
     assert set(pure.results) == set(native.results)
     for window, array in pure.results.items():
         np.testing.assert_array_equal(array, native.results[window])
