@@ -7,16 +7,15 @@ Commands
 ``list``          list available experiment ids.
 ``engines``       list registered execution paths; with ``--query``,
                   show the physical path each window takes per engine.
-``session``       run a live :class:`~repro.runtime.QuerySession` over
+``session``       run a live :class:`~repro.runtime.ShardedSession` over
                   a synthetic stream, registering the given queries
                   one at a time mid-stream (DESIGN.md §6).  With
-                  ``--shards N`` (N > 1) the stream runs on the
-                  key-sharded :class:`~repro.runtime.ShardedSession`
-                  instead (DESIGN.md §7); ``--shard-backend`` picks
+                  ``--shards N`` (N > 1) the key space is split into N
+                  shards (DESIGN.md §7); ``--shard-backend`` picks
                   the serial oracle, the multiprocessing pipe pool, or
                   the shared-memory ring pool (``shm``, DESIGN.md §8);
                   ``--async-ingest`` puts the bounded-queue front door
-                  in front of either session; ``--checkpoint-dir`` +
+                  in front of the session; ``--checkpoint-dir`` +
                   ``--checkpoint-every`` write rotating watermark-safe
                   checkpoints while streaming (DESIGN.md §9).
 ``restore``       resume a ``session`` run from its newest checkpoint
@@ -40,6 +39,7 @@ import argparse
 import sys
 
 from ..plans.render import to_tree, to_trill
+from ..runtime.sharding import SHARD_BACKENDS
 from ..sql.compile import plan_query
 from . import experiments
 from .reporting import format_boost_summary_table
@@ -233,22 +233,18 @@ def _cmd_session(args: argparse.Namespace) -> int:
         async_ingest=args.async_ingest,
         **auto_kwargs,
     )
-    if args.shards > 1:
-        print(
-            f"sharded session: x{args.shards} key-hash shards over "
-            f"{session.num_slots} slots ({args.shard_backend} backend"
-            f"{', async ingest' if args.async_ingest else ''})"
-        )
-    elif args.async_ingest:
-        print("async ingest: bounded-queue front door enabled")
-    rebalance_every = args.rebalance_every if args.shards > 1 else 0
+    print(
+        f"session: x{args.shards} key-hash shard(s) over "
+        f"{session.num_slots} slots ({session.backend.name} backend"
+        f"{', async ingest' if args.async_ingest else ''})"
+    )
     with session:  # on any exit: stop pump / workers, unlink rings
         for i, (ts, key, value) in enumerate(rows):
             if i in points:
                 name = session.register(points[i])
                 print(f"[wm {session.watermark:>6}] registered {name!r}")
             session.push(ts, key, value)
-            if rebalance_every and i and i % rebalance_every == 0:
+            if args.rebalance_every and i and i % args.rebalance_every == 0:
                 moved = session.rebalance()
                 if moved:
                     print(
@@ -257,8 +253,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
                     )
         results = session.finish(horizon=stream.horizon)
         _print_session_report(session, results, args.async_ingest)
-        if args.shards > 1:
-            _print_slot_map(session)
+        _print_slot_map(session)
     return 0
 
 
@@ -451,7 +446,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         int(i): q for i, q in meta.get("pending", {}).items() if i < len(rows)
     }
     print(
-        f"restored {snap.kind!r} session from {path} "
+        f"restored x{session.num_shards} session from {path} "
         f"(watermark {snap.watermark:,}, stream position {position:,}, "
         f"{len(rows) - position:,} events to go)"
     )
@@ -590,12 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="run on a key-sharded session with this many hash shards "
-        "(1 = single-core QuerySession; DESIGN.md §7; in scenario "
+        "(1 = one core, in-process; DESIGN.md §7; in scenario "
         "mode, overrides the scenario's runtime.shards)",
     )
     p_ses.add_argument(
         "--shard-backend",
-        choices=("serial", "process", "shm"),
+        choices=SHARD_BACKENDS,
         default=None,
         help="where shard cores run: in-process (deterministic oracle), "
         "one worker process per shard over pipes, or one worker per "
@@ -606,14 +601,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="virtual slot count for the elastic slot->shard partition "
-        "(sharded sessions only; default 256 — DESIGN.md §12)",
+        "(default 256 — DESIGN.md §12)",
     )
     p_ses.add_argument(
         "--rebalance-every",
         type=int,
         default=0,
         help="greedily migrate hot slots off the most-loaded shard "
-        "every N events (0 = never; sharded sessions only — "
+        "every N events (0 = never; a no-op at one shard — "
         "DESIGN.md §12)",
     )
     p_ses.add_argument(
@@ -678,10 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_res.add_argument(
         "--shard-backend",
-        choices=("serial", "process", "shm"),
+        choices=SHARD_BACKENDS,
         default="serial",
-        help="backend for a restored sharded session — an override, "
-        "not part of the snapshot (invariant 12)",
+        help="where the restored session's shard cores run — an "
+        "override, not part of the snapshot (invariant 12)",
     )
     p_res.add_argument(
         "--async-ingest",

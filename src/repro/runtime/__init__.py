@@ -2,33 +2,32 @@
 
 This package composes the layers the rest of the repo builds — the SQL
 front end, the shared-workload optimizer, the chunked streaming engine,
-and the out-of-order front door — into long-lived session objects:
+and the out-of-order front door — into one long-lived session class:
 
-* :class:`QuerySession` — one :class:`~repro.runtime.core.SessionCore`
-  behind one reorder buffer: the single-process service shape of the
-  paper's motivating Azure IoT Central scenario.
-* :class:`ShardedSession` — N cores over a hash-partitioned key space
-  behind one coordinator clock, with pluggable execution backends
-  (deterministic serial; a ``multiprocessing`` worker pool over pipes;
-  a shared-memory ring data plane — see ``docs/backends.md`` for the
-  backend contract) and a partial-merge coordinator (DESIGN.md §7,
-  invariant 10).
+* :class:`ShardedSession` — N shard cores
+  (:class:`~repro.runtime.core.SessionCore`) over a hash-partitioned
+  key space behind one coordinator clock, with pluggable execution
+  backends (deterministic serial; a ``multiprocessing`` worker pool
+  over pipes; a shared-memory ring data plane — see
+  ``docs/backends.md`` for the backend contract) and a partial-merge
+  coordinator (DESIGN.md §7, invariant 10);
+* :class:`QuerySession` — the same class pinned to one serial shard:
+  the single-process service shape of the paper's motivating Azure IoT
+  Central scenario.
 
-:func:`open_session` / :func:`restore_session` pick between the two
-(one shard → ``QuerySession``, more → ``ShardedSession``) and are what
-the service, the scenario runner and the CLI call.  Both classes are
-one life-cycle — :class:`~repro.runtime.ingest.SessionFrontDoor` — with
-two sets of hooks (DESIGN.md §8).
+:func:`open_session` / :func:`restore_session` are what the service,
+the scenario runner and the CLI call; one shard runs in-process.  The
+life-cycle and the chunk clock are
+:class:`~repro.runtime.ingest.SessionFrontDoor` (DESIGN.md §8).
 
-Both sessions take ``async_ingest=True`` to put a bounded queue and a
-background pump thread in front of ingestion — pushes return without
-waiting for flushes, backpressure instead of loss (DESIGN.md §8,
-invariant 11).
+``async_ingest=True`` puts a bounded queue and a background pump thread
+in front of ingestion — pushes return without waiting for flushes,
+backpressure instead of loss (DESIGN.md §8, invariant 11).
 
-Both sessions are also *durable*: ``session.snapshot(path)`` captures
-the whole session at a safe watermark and ``Session.restore(path)``
-resumes it bit-identically (DESIGN.md §9, invariant 12) — see
-:mod:`repro.runtime.checkpoint` for the format,
+A session is also *durable*: ``session.snapshot(path)`` captures the
+whole session at a safe watermark and ``ShardedSession.restore(path)``
+resumes it bit-identically on any backend (DESIGN.md §9, invariant
+12) — see :mod:`repro.runtime.checkpoint` for the format,
 :mod:`repro.runtime.faults` for the deterministic fault-injection
 harness, and ``docs/durability.md`` for the crash-recovery story.
 
@@ -61,6 +60,7 @@ from .ingest import DEFAULT_INGEST_HIGH_WATERMARK, IngestStats
 from .session import QuerySession
 from .sharding import (
     DEFAULT_CONTROL_TIMEOUT,
+    SHARD_BACKENDS,
     ProcessShardBackend,
     SerialShardBackend,
     ShardedSession,
@@ -82,6 +82,7 @@ __all__ = [
     "QuerySession",
     "RegisterAck",
     "RingSpec",
+    "SHARD_BACKENDS",
     "SerialShardBackend",
     "SessionCore",
     "ShardReport",

@@ -17,8 +17,8 @@ every backend × ingest combination).
 
 This module owns the *format*, not the capture: the session front
 door assembles the payload
-(:meth:`~repro.runtime.ingest.SessionFrontDoor.snapshot`, one framing
-for both session classes) and hands it to :func:`write_checkpoint`.
+(:meth:`~repro.runtime.ingest.SessionFrontDoor.snapshot`) and hands it
+to :func:`write_checkpoint`.
 On disk a checkpoint is::
 
     magic (6) | version (u16 LE) | sha256(body) (32) | body (pickle)
@@ -64,7 +64,11 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v5: the async residue has two data kinds, events and column runs —
 #: a v4 residue may hold a sorted-batch item, and tags its runs and
 #: calls with the numbers that now mean something else.
-CHECKPOINT_VERSION = 5
+#: v6: one snapshot kind — a v5 ``Snapshot`` carries a ``kind`` field,
+#: its one-shard kind holds a bare core where every session now keeps a
+#: coordinator, and a v5 coordinator carries a slot-bytes counter that
+#: is now derived from the slot-event counter.
+CHECKPOINT_VERSION = 6
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")
@@ -74,16 +78,14 @@ _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")
 class Snapshot:
     """One whole-session capture, in memory.
 
-    ``kind`` names the session shape that produced it (``"query"`` or
-    ``"sharded"`` — restore dispatches on it), ``watermark`` is the
-    safe watermark of the cut, and ``payload`` is the session-assembled
-    state graph (pickled wholesale, so shared references — e.g. the
-    rate controller inside the rate observer — survive).  ``meta`` is
-    caller-owned (the CLI stores its stream position there so
-    ``restore`` can resume the synthetic stream deterministically).
+    ``watermark`` is the safe watermark of the cut, and ``payload`` is
+    the session-assembled state graph (pickled wholesale, so shared
+    references — e.g. the rate controller inside the rate observer —
+    survive).  ``meta`` is caller-owned (the CLI stores its stream
+    position there so ``restore`` can resume the synthetic stream
+    deterministically).
     """
 
-    kind: str
     watermark: int
     generation: int
     queries: tuple

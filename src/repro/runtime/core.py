@@ -4,19 +4,14 @@ The core is everything a live session does *after* its out-of-order
 front door: chunked event buffering, one :class:`GroupRuntime` per
 (aggregate, semantics) group, watermark-safe plan switching, and
 subscription routing.  It deliberately owns **no** reorder buffer and
-**no** rate controller — those belong to whoever feeds it:
-
-* :class:`~repro.runtime.QuerySession` wraps one core behind a
-  :class:`~repro.engine.outoforder.ReorderBuffer` and a
-  :class:`~repro.core.adaptive.RateController` (the single-process
-  service shape);
-* :class:`~repro.runtime.sharding.ShardedSession` embeds N cores — one
-  per key shard: in-process (serial backend) or in worker processes
-  fed over pipes (process backend) or shared-memory rings (shm
-  backend, DESIGN.md §8) — and drives them all from one coordinator
-  clock, which is what makes shard-count invariance (DESIGN.md
-  invariant 10) provable: every core sees the same watermark sequence
-  regardless of how keys were split or shipped.
+**no** rate controller — those belong to the coordinator that feeds
+it: :class:`~repro.runtime.sharding.ShardedSession` embeds one core
+per key shard — in-process (serial backend) or in worker processes
+fed over pipes (process backend) or shared-memory rings (shm backend,
+DESIGN.md §8) — and drives them all from one clock, which is what
+makes shard-count invariance (DESIGN.md invariant 10) provable: every
+core sees the same watermark sequence regardless of how keys were
+split or shipped.
 
 The core never advances time on its own: ``buffer_arrays`` only
 buffers, and only ``advance_to`` (or a mutation's ``at``) moves the
@@ -117,12 +112,10 @@ def resolve_registration_query(
 class EpochRateObserver:
     """Chunk-sized epoch accounting feeding a rate controller.
 
-    Shared by every front door (:class:`~repro.runtime.QuerySession`
-    and :class:`~repro.runtime.sharding.ShardedSession`) so the replan
-    *timing policy* — when an epoch closes, when a drift decision is
-    parked — has exactly one implementation: a divergence here would
-    silently break the shard-count invariance of replan timing
-    (DESIGN.md invariant 10).
+    Owned by the session front door, so the replan *timing policy* —
+    when an epoch closes, when a drift decision is parked — has exactly
+    one implementation, independent of the shard count (DESIGN.md
+    invariant 10).
 
     A due replan is parked in :attr:`pending_rate`, never applied
     inline: a switch advances operators up to the reorder watermark,
@@ -227,6 +220,9 @@ class SessionCore:
         self._subs: dict[tuple[str, Window], Subscription] = {}
         self._psubs: dict[tuple[str, Window], PartialSubscription] = {}
         self._retired: "dict[tuple[str, Window], Subscription | PartialSubscription]" = {}
+        # Plans a rate reprice changed, held only until the switch
+        # that follows it.
+        self._repriced: "list[WorkloadDelta]" = []
         self.retired_results_evicted = 0
         self.retired_instances_evicted = 0
         self._seq = 0
@@ -274,10 +270,6 @@ class SessionCore:
         return self._buffered
 
     @property
-    def queries(self) -> tuple[str, ...]:
-        return tuple(self.workload.queries)
-
-    @property
     def generation(self) -> int:
         return self.workload.generation
 
@@ -290,9 +282,6 @@ class SessionCore:
         merged.bytes_copied += self.bytes_copied
         merged.copies_elided += self.copies_elided
         return merged
-
-    def group_stats(self) -> "dict[GroupKey, ExecutionStats]":
-        return {key: rt.stats for key, rt in self._groups.items()}
 
     def max_retained_state(self) -> int:
         """Largest per-operator buffered-state high-water mark."""
@@ -601,30 +590,24 @@ class SessionCore:
         self._apply_delta(delta, at)
         return self._ack(name, {})
 
-    def set_event_rate(
-        self, event_rate: int, at: "int | None" = None
-    ) -> RegisterAck:
-        """Re-price every group at a new rate, switching the plans
-        whose provider map actually changed."""
-        return self.switch_plans(self.reprice(event_rate), at)
-
-    def reprice(self, event_rate: int) -> "list[WorkloadDelta]":
+    def reprice(self, event_rate: int) -> bool:
         """Re-price every group at a new rate *without* touching an
-        operator; returns the deltas whose provider map changed, still
-        to be applied by :meth:`switch_plans` (a front door syncs its
-        clock in between only when there is one)."""
+        operator; returns whether some group's provider map changed.
+        The changed plans wait here for :meth:`switch_plans` — the
+        coordinator syncs its clock in between only when there is
+        one."""
         self._require_open()
-        return [
+        self._repriced = [
             delta
             for delta in self.workload.set_event_rate(event_rate)
             if delta.provider_change
         ]
+        return bool(self._repriced)
 
-    def switch_plans(
-        self, deltas: "list[WorkloadDelta]", at: "int | None" = None
-    ) -> RegisterAck:
-        """Switch in the plans :meth:`reprice` found changed, at the
-        safe watermark ``at``."""
+    def switch_plans(self, at: "int | None" = None) -> RegisterAck:
+        """Switch in the plans the last :meth:`reprice` found changed,
+        at the safe watermark ``at``."""
+        deltas, self._repriced = self._repriced, []
         for delta in deltas:
             self._apply_delta(delta, at)
         return self._ack("", {})

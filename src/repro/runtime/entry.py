@@ -1,19 +1,18 @@
-"""The one place that decides *which* session class a run gets.
+"""Where a session runs: the service, the scenario runner and the CLI
+build and restore sessions through :func:`open_session` and
+:func:`restore_session`.
 
-:func:`open_session` and :func:`restore_session` are what the session
-service, the scenario runner and the CLI call; nothing else in
-``src/`` outside this package names :class:`QuerySession` or
-:class:`ShardedSession`.  One shard is a ``QuerySession`` — one core
-behind the front door, no coordinator — and more than one is a
-``ShardedSession`` on ``backend``; invariant 10 makes the choice
-invisible in the results, so it is purely a placement decision.
+There is one session class — :class:`ShardedSession` — at every shard
+count.  The only placement rule is that one shard runs in-process: a
+one-shard session has no second core to overlap with, so
+:func:`open_session` puts it on the serial backend whatever ``backend``
+says, and :func:`has_workers` is false for it.  Invariant 10 makes the
+placement invisible in the results.
 """
 
 from __future__ import annotations
 
-from .checkpoint import Snapshot, read_checkpoint
-from .session import QuerySession
-from .sharding import SerialShardBackend, ShardedSession, _configure_durability
+from .sharding import ShardedSession
 
 __all__ = ["has_workers", "open_session", "restore_session"]
 
@@ -31,23 +30,17 @@ def open_session(
     fault_plan=None,
     worker_recovery: bool = False,
     **options,
-):
+) -> ShardedSession:
     """Construct the session for ``num_shards`` on ``backend``.
 
-    ``options`` are the constructor arguments both classes share
-    (``num_keys``, ``max_lateness``, ``chunk_ticks``, ``hysteresis``,
-    ``async_ingest``, ``auto_checkpoint``, …).  ``backend`` and
-    ``num_slots`` (``None`` = the default pool) only shape a sharded
-    layout and mean nothing at one shard; a ``fault_plan`` or
-    ``worker_recovery=True`` there raises, exactly as on the serial
-    backend, instead of silently testing nothing."""
+    ``options`` are the remaining :class:`ShardedSession` constructor
+    arguments (``num_keys``, ``max_lateness``, ``chunk_ticks``,
+    ``hysteresis``, ``async_ingest``, ``auto_checkpoint``, …);
+    ``num_slots=None`` is the default slot pool.  One shard runs on the
+    serial backend, where a ``fault_plan`` or ``worker_recovery=True``
+    raises instead of silently testing nothing."""
     if num_shards == 1:
-        # One core in-process is the serial backend's situation: a
-        # chaos schedule against it must fail as loudly as there.
-        _configure_durability(
-            SerialShardBackend(), fault_plan, worker_recovery, None
-        )
-        return QuerySession(**options)
+        backend = "serial"
     if num_slots is not None:
         options["num_slots"] = num_slots
     return ShardedSession(
@@ -59,13 +52,12 @@ def open_session(
     )
 
 
-def restore_session(source, backend: str = "serial", **options):
-    """Restore whichever session kind ``source`` (a :class:`Snapshot`
-    or a checkpoint path) holds.  ``backend`` places a sharded
-    session's cores and means nothing to a ``"query"`` snapshot;
-    ``options`` are the overrides both ``restore`` methods share
-    (``async_ingest``, ``auto_checkpoint``, …)."""
-    snap = source if isinstance(source, Snapshot) else read_checkpoint(source)
-    if snap.kind == QuerySession.kind:
-        return QuerySession.restore(snap, **options)
-    return ShardedSession.restore(snap, backend=backend, **options)
+def restore_session(
+    source, backend: str = "serial", **options
+) -> ShardedSession:
+    """:meth:`ShardedSession.restore` of ``source`` (a
+    :class:`~repro.runtime.checkpoint.Snapshot` or a checkpoint path):
+    the snapshot's shard layout, placed on ``backend``; ``options`` are
+    the other restore overrides (``async_ingest``, ``auto_checkpoint``,
+    …)."""
+    return ShardedSession.restore(source, backend=backend, **options)

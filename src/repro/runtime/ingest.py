@@ -1,14 +1,13 @@
-"""The session front door (DESIGN.md §8): the one life-cycle and the
-one chunk clock both session classes share, and the non-blocking async
-ingest in front of them.
+"""The session front door (DESIGN.md §8): the session's life-cycle and
+its one chunk clock, and the non-blocking async ingest in front of
+them.
 
 :class:`SessionFrontDoor` is the base class of
-:class:`~repro.runtime.QuerySession` and
 :class:`~repro.runtime.sharding.ShardedSession`: ``push`` /
 ``push_many`` / ``push_batch`` / ``snapshot`` / ``restore`` /
 ``finish`` / ``results`` / ``close`` — and where the watermark
-advances between them — are written here once, over a handful of hooks
-each class supplies, and :func:`synchronized` is how a method declares
+advances between them — are written here, over a handful of hooks the
+coordinator supplies, and :func:`synchronized` is how a method declares
 itself a synchronization point.  The rest of this module is the async
 half.
 
@@ -289,11 +288,9 @@ def synchronized(method):
 
 
 class SessionFrontDoor:
-    """One session life-cycle and one chunk clock, written once
-    (DESIGN.md §8).
+    """The session life-cycle and its one chunk clock (DESIGN.md §8).
 
-    Both session classes are this template plus their hooks.  The base
-    owns what they hold identically — the reorder buffer, the rate
+    The base owns the time-keeping — the reorder buffer, the rate
     controller and its epoch observer, the auto-name counter, the
     checkpoint store / meta / callback, the pump and **the chunk
     clock** (``_watermark``, ``_chunk_ticks``, ``_chunk_end``,
@@ -304,10 +301,9 @@ class SessionFrontDoor:
     ``_sync``, the end-of-push epilogue (rate replan, then
     auto-checkpoint cadence), ``snapshot`` / ``restore`` and their
     framing, ``finish``, ``results`` / ``drain_results``, ``close``.
-    A session class supplies:
+    The coordinator (:class:`~repro.runtime.sharding.ShardedSession`)
+    supplies:
 
-    * ``kind`` and ``_wrong_kind`` — its :class:`Snapshot` kind and its
-      refusal of any other;
     * ``generation`` / ``queries`` — coordinator-local reads;
     * ``_buffer_run(ts, keys, values)`` — take one sorted column run
       into its buffers *without* advancing time;
@@ -326,8 +322,8 @@ class SessionFrontDoor:
     data-plane enqueues (``push`` / ``push_many`` / ``push_batch``),
     ``finish`` / ``close`` (they stop the pump) and reads of one
     coordinator-local value (``watermark``, ``reorder_stats``).
-    ``tests/runtime/test_front_door.py`` holds both classes to it, and
-    fails a class that grows a chunk cut of its own.
+    ``tests/runtime/test_front_door.py`` holds the session to it, and
+    fails a subclass that grows a chunk cut of its own.
     """
 
     _pump: "IngestPump | None" = None
@@ -634,11 +630,11 @@ class SessionFrontDoor:
         """Capture the whole session at one consistent cut.
 
         The capture is *complete*: the session's own state
-        (``_capture`` — the core's operators, provider partials,
-        routing table, retired archive and workload; for a sharded
-        session every shard core serialized at exactly the
-        coordinator's stream position, without advancing the
-        watermark, plus the coordinator's layout), the front door's
+        (``_capture`` — every shard core's operators, provider
+        partials, routing table, retired archive and workload,
+        serialized at exactly the coordinator's stream position
+        without advancing the watermark, plus the coordinator's
+        layout), the front door's
         own frame (``_FRAME``: reorder buffer, rate controller, chunk
         clock and staged events), and — in async mode — the
         ingest-queue residue (events enqueued but not yet applied).
@@ -661,7 +657,6 @@ class SessionFrontDoor:
         # controller inside the observer) survive, and the snapshot is
         # isolated from further mutation of the live session.
         snap = Snapshot(
-            kind=self.kind,
             watermark=self.watermark,
             generation=self.generation,
             queries=self.queries,
@@ -693,11 +688,10 @@ class SessionFrontDoor:
         The ingest mode is an override, not part of the snapshot —
         invariant 11 makes it observationally invisible, so a session
         snapshotted in async mode may restore in sync mode and vice
-        versa; so is ``placement`` (a sharded session's ``backend`` /
-        ``fault_plan`` / ``worker_recovery`` / ``control_timeout`` —
-        invariant 10; a ``QuerySession`` takes none).  Everything after
-        ``source`` is keyword-only: the two classes' override lists
-        differ, so a positional one would bind to the wrong name.  Captured
+        versa; so is ``placement`` (``backend`` / ``fault_plan`` /
+        ``worker_recovery`` / ``control_timeout`` — invariant 10: the
+        snapshot's shard layout runs anywhere).  Everything after
+        ``source`` is keyword-only.  Captured
         ingest-queue residue is replayed through the restored front
         door first, so the restored timeline has applied exactly the
         events the original had accepted.  The auto-checkpoint knobs
@@ -706,8 +700,6 @@ class SessionFrontDoor:
         rolling).
         """
         snap = source if isinstance(source, Snapshot) else read_checkpoint(source)
-        if snap.kind != cls.kind:
-            raise ExecutionError(cls._wrong_kind.format(kind=snap.kind))
         graph = pickle.loads(snap.payload["state"])
         self = cls.__new__(cls)
         for name in cls._FRAME:
@@ -733,8 +725,8 @@ class SessionFrontDoor:
         """Drain the reorder buffer, close every instance ending at or
         before ``horizon`` (default: last event + 1), and return
         :meth:`results`.  The session accepts no events afterwards (in
-        async mode the pump thread is stopped; a sharded session's
-        backend stays up for result reads until :meth:`close`)."""
+        async mode the pump thread is stopped; the backend stays up for
+        result reads until ``close``)."""
         results = self._drain_and_seal(horizon)
         self._stop_pump()
         return results
@@ -758,10 +750,10 @@ class SessionFrontDoor:
     @synchronized
     def results(self):
         """Per-query, per-window emitted results, live and retired
-        subscriptions both (on a sharded session merged at the
-        coordinator: per-key rows scattered back to the global key
-        space, global partials combined and finalized, forwarded
-        holistics passed through as single rows).
+        subscriptions both, merged at the coordinator: per-key rows
+        scattered back to the global key space, global partials
+        combined and finalized, forwarded holistics passed through as
+        single rows.
 
         Non-consuming: every call returns everything accumulated since
         each subscription started, so memory grows with emitted
@@ -779,12 +771,6 @@ class SessionFrontDoor:
         polls — the service-shaped read path.  Retired subscriptions
         are drained too and dropped once read."""
         return self._collect(True)
-
-    def close(self) -> None:
-        """Stop the async pump thread (if any).  Unlike
-        :meth:`finish`, pending queued events are still applied first;
-        results stay readable afterwards."""
-        self._stop_pump()
 
     def __enter__(self):
         return self

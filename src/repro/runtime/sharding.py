@@ -1,7 +1,8 @@
 """Key-sharded parallel runtime (DESIGN.md §7, invariant 10).
 
-:class:`ShardedSession` scales the live session across the key axis:
-the dense key space is hash-partitioned into N disjoint shards
+:class:`ShardedSession` is the live session at any shard count (a
+:class:`~repro.runtime.QuerySession` is one serial shard of it): the
+dense key space is hash-partitioned into N disjoint shards
 (:func:`~repro.engine.events.shard_assignment`), each owned by one
 embedded :class:`~repro.runtime.core.SessionCore` running the same
 workload over its keys' sub-stream.  One coordinator owns everything
@@ -206,13 +207,11 @@ class SerialShardBackend:
             [core.deregister(name, at=at) for core in self.cores]
         )
 
-    def set_rate(self, event_rate: int, at: int) -> RegisterAck:
-        return _merge_acks(
-            [
-                core.set_event_rate(event_rate, at=at)
-                for core in self.cores
-            ]
-        )
+    def reprice(self, event_rate: int) -> bool:
+        return any([core.reprice(event_rate) for core in self.cores])
+
+    def switch(self, at: int) -> RegisterAck:
+        return _merge_acks([core.switch_plans(at=at) for core in self.cores])
 
     def collect(self, drain: bool) -> "list[ShardReport]":
         return [core.report(drain=drain) for core in self.cores]
@@ -286,7 +285,8 @@ _REPLY_OPS = frozenset(
     {
         "register",
         "deregister",
-        "rate",
+        "reprice",
+        "switch",
         "collect",
         "stats",
         "retained",
@@ -306,7 +306,7 @@ _REPLY_OPS = frozenset(
 
 #: Mutating control commands the coordinator retains for crash-recovery
 #: replay (reads are idempotent or reproduced via a drain barrier).
-_LOGGED_OPS = frozenset({"register", "deregister", "rate"})
+_LOGGED_OPS = frozenset({"register", "deregister", "reprice", "switch"})
 
 #: Worker idle wait on the control pipe when the data plane is quiet.
 _IDLE_POLL_SECONDS = 500e-6
@@ -341,8 +341,10 @@ def _apply_control(core, conn, msg, pending_error: "str | None") -> "str | None"
             conn.send(("ok", core.register(msg[1], at=msg[2], scope=msg[3])))
         elif op == "deregister":
             conn.send(("ok", core.deregister(msg[1], at=msg[2])))
-        elif op == "rate":
-            conn.send(("ok", core.set_event_rate(msg[1], at=msg[2])))
+        elif op == "reprice":
+            conn.send(("ok", core.reprice(msg[1])))
+        elif op == "switch":
+            conn.send(("ok", core.switch_plans(at=msg[1])))
         elif op == "collect":
             conn.send(("ok", core.report(drain=msg[1])))
         elif op == "stats":
@@ -1116,8 +1118,11 @@ class _WorkerShardBackend:
     def deregister(self, name: str, at: int) -> RegisterAck:
         return _merge_acks(self._command(("deregister", name, at)))
 
-    def set_rate(self, event_rate: int, at: int) -> RegisterAck:
-        return _merge_acks(self._command(("rate", event_rate, at)))
+    def reprice(self, event_rate: int) -> bool:
+        return any(self._command(("reprice", event_rate)))
+
+    def switch(self, at: int) -> RegisterAck:
+        return _merge_acks(self._command(("switch", at)))
 
     def collect(self, drain: bool) -> "list[ShardReport]":
         return self._command(("collect", drain))
@@ -1418,19 +1423,29 @@ class SharedMemoryShardBackend(_WorkerShardBackend):
         self._rings = []
 
 
+_BACKEND_CLASSES = {
+    cls.name: cls
+    for cls in (
+        SerialShardBackend,
+        ProcessShardBackend,
+        SharedMemoryShardBackend,
+    )
+}
+
+#: The built-in shard backends by name — the one list the scenario
+#: schema and the CLI accept.
+SHARD_BACKENDS = tuple(_BACKEND_CLASSES)
+
+
 def _resolve_backend(backend):
-    if isinstance(backend, str):
-        if backend == "serial":
-            return SerialShardBackend()
-        if backend in ("process", "multiprocessing"):
-            return ProcessShardBackend()
-        if backend in ("shm", "shared_memory", "shared-memory"):
-            return SharedMemoryShardBackend()
+    if not isinstance(backend, str):
+        return backend
+    if backend not in _BACKEND_CLASSES:
         raise ExecutionError(
-            f"unknown shard backend {backend!r}; "
-            "expected 'serial', 'process', or 'shm'"
+            f"unknown shard backend {backend!r}; expected one of "
+            f"{SHARD_BACKENDS}"
         )
-    return backend
+    return _BACKEND_CLASSES[backend]()
 
 
 def _configure_durability(
@@ -1461,10 +1476,12 @@ def _configure_durability(
 
 
 class ShardedSession(SessionFrontDoor):
-    """A live multi-query session hash-partitioned over the key space.
+    """The live multi-query session, hash-partitioned over the key space.
 
-    Drop-in surface of :class:`~repro.runtime.QuerySession` (push /
-    register / deregister / results / finish) plus:
+    The one session implementation (a
+    :class:`~repro.runtime.QuerySession` is this class at one serial
+    shard): push / register / deregister / results / finish behind one
+    reorder buffer, one chunk clock and one rate controller, plus:
 
     * ``num_shards`` / ``backend`` — the partition width and where the
       shard cores run (``"serial"`` in-process, ``"process"`` one
@@ -1506,21 +1523,13 @@ class ShardedSession(SessionFrontDoor):
         raises).  Ignored by the serial backend, whose in-process
         calls cannot stall.
     auto_checkpoint / checkpoint_meta / on_checkpoint:
-        In-session checkpoint cadence, identical to
-        :class:`~repro.runtime.QuerySession`'s: a
+        In-session checkpoint cadence: a
         :class:`~repro.runtime.checkpoint.CheckpointStore` built with
         ``every=<ticks>`` is consulted after every applied push and
         saves a rotating coordinator-consistent snapshot when due;
         ``checkpoint_meta()`` supplies each checkpoint's ``meta`` and
         ``on_checkpoint(snapshot, path)`` fires after each save.
     """
-
-    kind = "sharded"
-    _wrong_kind = (
-        "checkpoint kind {kind!r} is not a ShardedSession "
-        "snapshot (QuerySession.restore reads 'query' "
-        "checkpoints)"
-    )
 
     def __init__(
         self,
@@ -1577,10 +1586,10 @@ class ShardedSession(SessionFrontDoor):
             for shard in range(num_shards)
             if self.partitioner.owned[shard].size
         ]
-        # Decayed per-slot load counters (events and bytes) — the
-        # signal the rebalance policy reads (DESIGN.md §12).
+        # Decayed per-slot event counters (bytes are events × the fixed
+        # event width) — the signal the rebalance policy reads
+        # (DESIGN.md §12).
         self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
-        self._slot_bytes = np.zeros(self.num_slots, dtype=np.float64)
         self._fixed_chunk = chunk_ticks
         self._event_rate = event_rate
         self._enable_factor_windows = enable_factor_windows
@@ -1818,18 +1827,31 @@ class ShardedSession(SessionFrontDoor):
     # Ingestion
     # ------------------------------------------------------------------
     def _buffer_run(self, ts, keys, values) -> None:
-        slices = self.partitioner.split_arrays(ts, keys, values)
+        # One gather of the run's slots feeds both the load counters and
+        # the split: a shard's share is its slots' counts, so a shard
+        # that owns the whole run takes it as it is, and only a run the
+        # shards share is masked apart.
+        partitioner = self.partitioner
+        slots = partitioner.slot_of_key[keys]
+        counts = np.bincount(slots, minlength=self.num_slots)
+        self._slot_events += counts
+        shares = np.bincount(
+            partitioner.slot_map, weights=counts, minlength=self.num_shards
+        )
+        local = partitioner.local_id[keys]
+        owner = None
         for slot, shard in enumerate(self.active_shards):
-            sts, skeys, svalues, _ = slices[shard]
-            if sts.size:
-                self._array_buf[slot].append((sts, skeys, svalues))
+            if shares[shard] == ts.size:
+                self._array_buf[slot].append((ts, local, values))
+            elif shares[shard]:
+                if owner is None:
+                    owner = partitioner.slot_map[slots]
+                idx = np.flatnonzero(owner == shard)
+                self._array_buf[slot].append(
+                    (ts[idx], local[idx], values[idx])
+                )
         if self._forward_names:
             self._fwd_arrays.append((ts, values))
-        counts = np.bincount(
-            self.partitioner.slot_of_key[keys], minlength=self.num_slots
-        )
-        self._slot_events += counts
-        self._slot_bytes += counts * float(EVENT_BYTES)
 
     def _feed_buffers(self) -> None:
         # Ship per-shard chunk *runs*, never concatenating here: the
@@ -1856,15 +1878,23 @@ class ShardedSession(SessionFrontDoor):
             self._forward.advance_to(to_watermark)
         self.wall_seconds += time.perf_counter() - started
         self._slot_events *= LOAD_DECAY
-        self._slot_bytes *= LOAD_DECAY
 
     def _apply_rate(self, rate: int) -> None:
+        # Re-pricing alone moves no operator, so it moves no clock:
+        # only a rate that changes some group's plan is a mutation
+        # (invariant 9).  Every core re-prices; lockstep makes them
+        # agree on whether anything changed.
+        self._event_rate = rate
+        changed = self.backend.reprice(rate)
+        if self._forward is not None:
+            changed = self._forward.reprice(rate) or changed
+        if not changed:
+            return
         at = self._safe_watermark()
         self._sync(at)
-        self.backend.set_rate(rate, at)
+        self.backend.switch(at)
         if self._forward is not None:
-            self._forward.set_event_rate(rate, at=at)
-        self._event_rate = rate
+            self._forward.switch_plans(at=at)
         self._generation += 1
 
     # ------------------------------------------------------------------
@@ -1878,7 +1908,7 @@ class ShardedSession(SessionFrontDoor):
     @synchronized
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
         """Decayed per-slot ``(events, bytes)`` load counters."""
-        return self._slot_events.copy(), self._slot_bytes.copy()
+        return self._slot_events.copy(), self._slot_events * EVENT_BYTES
 
     @synchronized
     def shard_loads(self) -> "dict[int, dict[str, float]]":
@@ -1889,14 +1919,11 @@ class ShardedSession(SessionFrontDoor):
         events = np.bincount(
             slot_map, weights=self._slot_events, minlength=self.num_shards
         )
-        volume = np.bincount(
-            slot_map, weights=self._slot_bytes, minlength=self.num_shards
-        )
         slots = np.bincount(slot_map, minlength=self.num_shards)
         return {
             shard: {
                 "events": float(events[shard]),
-                "bytes": float(volume[shard]),
+                "bytes": float(events[shard]) * EVENT_BYTES,
                 "slots": int(slots[shard]),
                 "keys": int(self.partitioner.owned[shard].size),
             }
@@ -1935,11 +1962,9 @@ class ShardedSession(SessionFrontDoor):
         """Greedy hot-slot migration: repeatedly move the hottest
         movable slot of the most loaded shard to the least loaded one,
         while that strictly shrinks the hot/cold load gap.  Returns the
-        number of slots moved (0 when already balanced — including the
-        single-hot-key case, where no slot move can help)."""
+        number of slots moved (0 when already balanced — one shard, or
+        the single-hot-key case, where no slot move can help)."""
         self._require_open()
-        if self.num_shards < 2:
-            return 0
         load = self._slot_events
         new_map = self.partitioner.slot_map.copy()
         limit = 8 if max_moves is None else int(max_moves)
@@ -2168,7 +2193,6 @@ class ShardedSession(SessionFrontDoor):
         "num_shards",
         "active_shards",
         "_slot_events",
-        "_slot_bytes",
         "_fixed_chunk",
         "_event_rate",
         "_enable_factor_windows",
@@ -2230,6 +2254,14 @@ class ShardedSession(SessionFrontDoor):
         self._require_backend()
         started = time.perf_counter()
         reports = self.backend.collect(drain)
+        owners = np.bincount(
+            np.concatenate([report.key_ids for report in reports]),
+            minlength=self.num_keys,
+        )
+        if owners.size != self.num_keys or np.any(owners != 1):
+            raise ExecutionError(
+                "shard cores' key sets do not partition the key space"
+            )
         out: dict[str, dict[Window, WindowResults]] = {}
         # Lockstep cores hold identical subscription tables, so the
         # first report names every slot.
@@ -2263,7 +2295,10 @@ class ShardedSession(SessionFrontDoor):
         Walking the segments in instance order, each must start exactly
         where its keys' previous one ended, and every key must end at
         the frontier: each (key, instance) cell is written once, or
-        this raises."""
+        this raises.  A window no migration has sealed rows of is one
+        whole-range block per core, and the cores' key sets partition
+        the key space (:meth:`_collect` checks that once per read), so
+        each block is placed without the walk."""
         first = reports[0].results[name][window]
         start, frontier = first.start_instance, first.frontier
         segments = []
@@ -2273,21 +2308,29 @@ class ShardedSession(SessionFrontDoor):
             segments.append((report.key_ids, open_lo, part.values))
             segments.extend(report.sealed[(name, window)])
         values = np.empty((self.num_keys, frontier - start), dtype=np.float64)
-        covered = np.full(self.num_keys, start, dtype=np.int64)
-        for key_ids, lo, rows in sorted(segments, key=lambda seg: seg[1]):
-            hi = lo + rows.shape[1]
-            if np.any(covered[key_ids] != lo):
+        if len(segments) == len(reports) and all(
+            lo == start and rows.shape[1] == values.shape[1]
+            for _, lo, rows in segments
+        ):
+            for key_ids, _, rows in segments:
+                values[key_ids] = rows
+        else:
+            covered = np.full(self.num_keys, start, dtype=np.int64)
+            for key_ids, lo, rows in sorted(segments, key=lambda seg: seg[1]):
+                hi = lo + rows.shape[1]
+                if np.any(covered[key_ids] != lo):
+                    raise ExecutionError(
+                        f"{name}/{window}: shard segment [{lo}, {hi}) "
+                        "overlaps or leaves a gap after its keys' earlier "
+                        "rows"
+                    )
+                values[key_ids, lo - start : hi - start] = rows
+                covered[key_ids] = hi
+            if np.any(covered != frontier):
                 raise ExecutionError(
-                    f"{name}/{window}: shard segment [{lo}, {hi}) "
-                    "overlaps or leaves a gap after its keys' earlier rows"
+                    f"{name}/{window}: shard segments do not cover "
+                    f"[{start}, {frontier}) for every key"
                 )
-            values[key_ids, lo - start : hi - start] = rows
-            covered[key_ids] = hi
-        if np.any(covered != frontier):
-            raise ExecutionError(
-                f"{name}/{window}: shard segments do not cover "
-                f"[{start}, {frontier}) for every key"
-            )
         return WindowResults(
             query=first.query,
             window=first.window,

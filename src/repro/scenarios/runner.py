@@ -526,15 +526,15 @@ def _execute(
             elif kind == "deregister":
                 session.deregister(str(payload))
             elif kind == "rebalance":
-                if runtime.shards > 1:
-                    moved += session.rebalance()
+                moved += session.rebalance()
         if cursor < num_events:
             session.push_many(rows[cursor:num_events])
         results = session.finish(horizon=compiled.horizon)
         wall = time.perf_counter() - started
         reorder = session.reorder_stats
         stats = session.stats()
-        recoveries = getattr(session, "worker_recoveries", 0)
+        recoveries = session.worker_recoveries
+        backend = session.backend.name
     queries = {
         query_name: sum(
             emitted.frontier - emitted.start_instance
@@ -544,7 +544,7 @@ def _execute(
     }
     return ScenarioReport(
         name=name,
-        backend=runtime.backend if runtime.shards > 1 else "serial",
+        backend=backend,
         shards=runtime.shards,
         async_ingest=runtime.async_ingest,
         events=num_events,

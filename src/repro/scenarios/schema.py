@@ -49,6 +49,7 @@ from pathlib import Path
 from ..aggregates.registry import get_aggregate
 from ..errors import ExecutionError
 from ..runtime.faults import Fault, FaultPlan
+from ..runtime.sharding import SHARD_BACKENDS
 from ..service.quotas import parse_simple_yaml
 from ..windows.window import Window, WindowSet
 from ..workloads.domains import DOMAIN_STREAMS
@@ -77,8 +78,6 @@ STREAM_PROFILES = ("synthetic",) + tuple(sorted(DOMAIN_STREAMS))
 
 #: Value distributions the synthetic profile can sample.
 VALUE_DISTRIBUTIONS = ("gaussian", "lognormal", "exponential", "uniform")
-
-SHARD_BACKENDS = ("serial", "process", "shm")
 
 
 def _build(cls, data, where: str):

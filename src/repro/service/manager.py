@@ -1,9 +1,8 @@
 """The supervised multi-tenant session manager (DESIGN.md §10).
 
 :class:`SessionManager` owns many named tenant sessions
-(:class:`~repro.runtime.QuerySession` or
-:class:`~repro.runtime.ShardedSession`, per tenant config) and wraps
-every operation on them in the service's robustness machinery:
+(:class:`~repro.runtime.ShardedSession`, shaped per tenant config) and
+wraps every operation on them in the service's robustness machinery:
 
 **Admission control** (per tenant, under a fast admission lock that is
 never held across session work):
@@ -107,9 +106,8 @@ class TenantStats:
 
 class _DeadSession:
     """What a hard-killed tenant session is replaced with: every use
-    fails like a real mid-request death (uniform for both session
-    classes — ``QuerySession.close()`` alone would keep accepting
-    synchronous pushes)."""
+    fails like a real mid-request death, reads included (a closed
+    session still answers ``watermark`` and ``reorder_stats``)."""
 
     def __init__(self, cause: str):
         self._cause = cause

@@ -124,9 +124,10 @@ class TenantConfig:
     Session knobs (what the manager builds on first touch):
 
     * ``num_keys`` / ``max_lateness`` / ``chunk_ticks`` — the stream
-      shape, as in :class:`~repro.runtime.QuerySession`.
-    * ``num_shards`` / ``backend`` — ``num_shards > 1`` builds a
-      :class:`~repro.runtime.ShardedSession` on ``backend``.
+      shape, as in :class:`~repro.runtime.ShardedSession`.
+    * ``num_shards`` / ``backend`` — the session's shard count and
+      where its cores run (:func:`~repro.runtime.open_session`: one
+      shard runs in-process).
     * ``checkpoint_every`` — auto-checkpoint cadence in ticks
       (``None`` inherits the manager's default); the cadence also
       bounds the supervisor's replay tail.

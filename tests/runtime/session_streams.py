@@ -9,11 +9,43 @@ boundaries fall (DESIGN.md invariant 9's strongest form).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.multiquery import optimize_workload
 from repro.engine.events import EventBatch
 from repro.engine.executor import execute_plan
 from repro.plans.builder import original_plan
+from repro.runtime import ShardedSession
+
+#: The shard-count cells every one-session test runs in: one core (what
+#: ``QuerySession`` is) and two, both on the serial backend.
+SHARD_COUNTS = pytest.mark.parametrize(
+    "shards", [1, 2], ids=["1-shard", "2-shard"]
+)
+
+
+def serial_session(shards: int, **options) -> ShardedSession:
+    """A session of ``shards`` serial shards (``options`` as for
+    :class:`ShardedSession`)."""
+    return ShardedSession(num_shards=shards, backend="serial", **options)
+
+
+def group_runtimes(session) -> list:
+    """Every shard core's group runtimes (serial backend, any shard
+    count)."""
+    return [
+        runtime
+        for core in session.backend.cores
+        for runtime in core._groups.values()
+    ]
+
+
+def core_counter(session, name: str) -> int:
+    """A per-core counter every lockstep core agrees on (the retired
+    archive's eviction counts), read off every serial shard core."""
+    values = {getattr(core, name) for core in session.backend.cores}
+    assert len(values) == 1, (name, values)
+    return values.pop()
 
 
 def integer_stream(

@@ -27,16 +27,21 @@ from repro.runtime import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.runtime.checkpoint import CHECKPOINT_MAGIC
+from repro.runtime.checkpoint import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from repro.windows.window import Window, WindowSet
 
-from session_streams import assert_identical, integer_stream
+from session_streams import (
+    SHARD_COUNTS,
+    assert_identical,
+    integer_stream,
+    serial_session,
+)
 
 NUM_KEYS = 5
 TICKS = 200
 
 #: Mixed taxonomies and scopes, including the forward (global-holistic)
-#: path that only the sharded coordinator serves.
+#: path the coordinator serves on its own core.
 WORKLOAD = [
     (Query("mins", WindowSet([Window(8, 4), Window(16, 8)]), MIN), "per_key"),
     (Query("sums", WindowSet([Window(10, 5)]), SUM), "global"),
@@ -79,7 +84,6 @@ def stream_events(seed, lateness=0):
 class TestCheckpointFormat:
     def make_snapshot(self):
         return Snapshot(
-            kind="query",
             watermark=40,
             generation=3,
             queries=("sums",),
@@ -133,24 +137,27 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5])
     def test_older_checkpoint_is_refused(self, tmp_path, old):
         """A file written before subscriptions held key-labelled
         segments (format v1), before both session kinds shared one
         state-graph layout (v2), before the chunk clock moved into
-        the front door's frame (v3), or while the async residue still
-        had a sorted-batch kind (v4) must be rejected by its header —
-        even with a valid checksum — never restored half-shaped."""
+        the front door's frame (v3), while the async residue still
+        had a sorted-batch kind (v4), or while a one-shard session
+        snapshotted a bare core under its own kind (v5) must be
+        rejected by its header — even with a valid checksum — never
+        restored half-shaped."""
+        assert CHECKPOINT_VERSION == 6
         path = tmp_path / "ckpt.rckpt"
         write_checkpoint(self.make_snapshot(), path)
         blob = bytearray(path.read_bytes())
         offset = len(CHECKPOINT_MAGIC)
-        assert blob[offset : offset + 2] == (5).to_bytes(2, "little")
+        assert blob[offset : offset + 2] == (6).to_bytes(2, "little")
         blob[offset : offset + 2] = old.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(
             ExecutionError,
-            match=rf"format v{old} is not supported \(this build reads v5\)",
+            match=rf"format v{old} is not supported \(this build reads v6\)",
         ):
             read_checkpoint(path)
 
@@ -192,8 +199,9 @@ class TestCheckpointFormat:
 
 
 # ----------------------------------------------------------------------
-# QuerySession: invariant 12, hypothesis-chosen cut points
+# Invariant 12 at one shard and at two, hypothesis-chosen cut points
 # ----------------------------------------------------------------------
+@SHARD_COUNTS
 @settings(max_examples=12, deadline=None)
 @given(
     cut=st.integers(min_value=1, max_value=len(stream_events(0)[0]) - 1),
@@ -201,16 +209,17 @@ class TestCheckpointFormat:
     lateness=st.sampled_from([0, 5]),
     restore_async=st.booleans(),
 )
-def test_query_session_restores_bit_identically(
-    cut, seed, lateness, restore_async
+def test_session_restores_bit_identically(
+    shards, cut, seed, lateness, restore_async
 ):
     events, horizon = stream_events(seed, lateness)
 
     def build():
-        session = QuerySession(num_keys=NUM_KEYS, max_lateness=lateness)
-        for query, scope in WORKLOAD[:3]:
-            if scope == "per_key" or query.aggregate.mergeable:
-                session.register(query, scope=scope)
+        session = serial_session(
+            shards, num_keys=NUM_KEYS, max_lateness=lateness
+        )
+        for query, scope in WORKLOAD:
+            session.register(query, scope=scope)
         return session
 
     baseline = build()
@@ -222,7 +231,7 @@ def test_query_session_restores_bit_identically(
     for ts, key, value in events[:cut]:
         live.push(ts, key, value)
     snap = live.snapshot()
-    restored = QuerySession.restore(snap, async_ingest=restore_async)
+    restored = ShardedSession.restore(snap, async_ingest=restore_async)
     for ts, key, value in events[cut:]:
         restored.push(ts, key, value)
     actual = restored.finish(horizon=horizon)
@@ -231,16 +240,21 @@ def test_query_session_restores_bit_identically(
     assert live.watermark <= restored.watermark
 
 
-def test_query_session_checkpoint_file_round_trip(tmp_path):
+@SHARD_COUNTS
+def test_checkpoint_file_round_trip(shards, tmp_path):
     events, horizon = stream_events(3)
-    session = QuerySession(num_keys=NUM_KEYS)
+    session = serial_session(shards, num_keys=NUM_KEYS)
     session.register(WORKLOAD[0][0])
     for ts, key, value in events[:250]:
         session.push(ts, key, value)
     path = tmp_path / "session.rckpt"
     snap = session.snapshot(path=str(path), meta={"position": 250})
     assert read_checkpoint(path).meta == {"position": 250}
+    assert snap.generation == session.generation
+    # Either class restores it: a QuerySession is one serial shard.
     restored = QuerySession.restore(str(path))
+    assert isinstance(restored, QuerySession)
+    assert restored.num_shards == shards
     for ts, key, value in events[250:]:
         restored.push(ts, key, value)
     for ts, key, value in events[250:]:
@@ -250,19 +264,19 @@ def test_query_session_checkpoint_file_round_trip(tmp_path):
         restored.finish(horizon=horizon),
         "file round trip",
     )
-    assert snap.kind == "query"
 
 
-def test_query_session_async_residue_is_captured_and_replayed():
+@SHARD_COUNTS
+def test_async_residue_is_captured_and_replayed(shards):
     events, horizon = stream_events(11)
-    baseline = QuerySession(num_keys=NUM_KEYS)
+    baseline = serial_session(shards, num_keys=NUM_KEYS)
     baseline.register(WORKLOAD[0][0])
     for ts, key, value in events:
         baseline.push(ts, key, value)
     expected = baseline.finish(horizon=horizon)
 
-    session = QuerySession(
-        num_keys=NUM_KEYS, async_ingest=True, ingest_high_watermark=37
+    session = serial_session(
+        shards, num_keys=NUM_KEYS, async_ingest=True, ingest_high_watermark=37
     )
     session.register(WORKLOAD[0][0])
     for ts, key, value in events[:300]:
@@ -271,7 +285,7 @@ def test_query_session_async_residue_is_captured_and_replayed():
     # before it is either applied or captured as residue.
     snap = session.snapshot()
     session.close()
-    restored = QuerySession.restore(snap, async_ingest=True)
+    restored = ShardedSession.restore(snap, async_ingest=True)
     for ts, key, value in events[300:]:
         restored.push(ts, key, value)
     assert_identical(
@@ -407,12 +421,12 @@ def test_sharded_checkpoint_store_rotation_with_live_session(tmp_path):
 # ----------------------------------------------------------------------
 # Auto-checkpoint: the cadence lives inside the session
 # ----------------------------------------------------------------------
+@SHARD_COUNTS
 class TestAutoCheckpoint:
-    """``auto_checkpoint=`` on both session classes: the ingest path
-    itself saves at the store's cadence, on the applying thread, so the
-    CLI and the session service share one durability code path.  (The
-    cadence / meta / callback contract itself is held on both classes
-    by ``test_front_door.py``.)"""
+    """``auto_checkpoint=``: the ingest path itself saves at the
+    store's cadence, on the applying thread, so the CLI and the session
+    service share one durability code path.  (The cadence / meta /
+    callback contract itself is held by ``test_front_door.py``.)"""
 
     QUERY = WORKLOAD[0]
 
@@ -420,16 +434,15 @@ class TestAutoCheckpoint:
         for ts, key, value in events:
             session.push(ts, key, value)
 
-    def test_sharded_session_cadence_fires_in_both_push_paths(
-        self, tmp_path, repro_seed
+    def test_cadence_fires_in_both_push_paths(
+        self, shards, tmp_path, repro_seed
     ):
         batch = integer_stream(ticks=TICKS, num_keys=NUM_KEYS, seed=repro_seed)
         saved = []
         store = CheckpointStore(tmp_path, every=40)
-        session = ShardedSession(
+        session = serial_session(
+            shards,
             num_keys=NUM_KEYS,
-            num_shards=2,
-            backend="serial",
             auto_checkpoint=store,
             on_checkpoint=lambda snap, path: saved.append(snap.watermark),
         )
@@ -461,14 +474,16 @@ class TestAutoCheckpoint:
         assert len(saved) >= 3
         assert all(b - a >= 40 for a, b in zip(saved, saved[1:]))
 
-    def test_restore_keeps_the_cadence_rolling(self, tmp_path, repro_seed):
+    def test_restore_keeps_the_cadence_rolling(
+        self, shards, tmp_path, repro_seed
+    ):
         """Crash after an auto-save, restore with the same store, keep
         streaming: the remaining saves land as if nothing happened, and
         the final results are bit-identical to an uninterrupted run."""
         events, horizon = stream_events(repro_seed)
         query, scope = self.QUERY
 
-        uninterrupted = QuerySession(num_keys=NUM_KEYS)
+        uninterrupted = serial_session(shards, num_keys=NUM_KEYS)
         try:
             uninterrupted.register(query, scope=scope)
             self.feed(uninterrupted, events)
@@ -478,7 +493,9 @@ class TestAutoCheckpoint:
 
         store = CheckpointStore(tmp_path, every=30)
         cut = len(events) // 2
-        first = QuerySession(num_keys=NUM_KEYS, auto_checkpoint=store)
+        first = serial_session(
+            shards, num_keys=NUM_KEYS, auto_checkpoint=store
+        )
         applied = 0
         try:
             first.register(query, scope=scope)
@@ -489,9 +506,7 @@ class TestAutoCheckpoint:
             first.close()  # the "crash": whatever was saved is saved
 
         resume_from = read_checkpoint(store.latest())
-        second = QuerySession.restore(
-            resume_from, auto_checkpoint=store
-        )
+        second = ShardedSession.restore(resume_from, auto_checkpoint=store)
         try:
             # Resume from the snapshot's own exact position (the
             # restored reorder counters), not the crash position.
@@ -508,19 +523,17 @@ class TestAutoCheckpoint:
             expected, actual, f"seed={repro_seed} auto-restore"
         )
 
-    def test_sharded_snapshots_never_perturb_results(
-        self, tmp_path, repro_seed
+    def test_snapshots_never_perturb_results(
+        self, shards, tmp_path, repro_seed
     ):
-        """Snapshotting is observationally free: a sharded session
+        """Snapshotting is observationally free: a session
         auto-checkpointing at an aggressive cadence emits results
         bit-identical to one that never snapshots (the pre-snapshot
         feed must not advance the watermark)."""
         events, horizon = stream_events(repro_seed)
 
         def run(**kw):
-            session = ShardedSession(
-                num_keys=NUM_KEYS, num_shards=2, backend="serial", **kw
-            )
+            session = serial_session(shards, num_keys=NUM_KEYS, **kw)
             try:
                 for query, scope in WORKLOAD:
                     session.register(query, scope=scope)

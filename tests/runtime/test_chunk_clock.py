@@ -4,7 +4,8 @@ batches, through a pump or not, across a snapshot/restore — the
 watermark advances at the same events, so the operators see the same
 blocks at the same watermarks as the plain per-event loop.
 
-Every script is held to the per-event ``push`` loop of the same class:
+Every script is held to the per-event ``push`` loop of the same
+session, at one shard and at two:
 
 * bit-identical results, the same reorder counters, the same
   ``watermark`` after every call;
@@ -37,10 +38,10 @@ from hypothesis import strategies as st
 from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import EVENT_BYTES, EventBatch, event_columns
-from repro.runtime import QuerySession, ShardedSession
+from repro.runtime import ShardedSession
 from repro.windows.window import Window, WindowSet
 
-from session_streams import assert_identical
+from session_streams import SHARD_COUNTS, assert_identical
 
 NUM_KEYS = 5
 TICKS = 90
@@ -51,7 +52,7 @@ INITIAL = [
     (Query("mins", WindowSet([Window(8, 8)]), MIN), "global"),
     (Query("medians", WindowSet([Window(10, 5)]), MEDIAN), "per_key"),
 ]
-#: Raw-forwarded to the coordinator's own core: sharded sessions only.
+#: Raw-forwarded to the coordinator's own core.
 FORWARDED = (Query("spread", WindowSet([Window(9, 3)]), MEDIAN), "global")
 LATE_SLIDE = 10
 LATE = (Query("avgs", WindowSet([Window(20, LATE_SLIDE)]), AVG), "per_key")
@@ -94,18 +95,19 @@ def make_events(seed: int, lateness: int, in_order: bool, whole: bool):
     return list(zip(ts.tolist(), keys.tolist(), values.tolist()))
 
 
-def open_cell(cls, backend, lateness, chunk_ticks, hysteresis, async_ingest):
-    kwargs = dict(
+def open_cell(
+    shards, backend, lateness, chunk_ticks, hysteresis, async_ingest
+):
+    session = ShardedSession(
         num_keys=NUM_KEYS,
+        num_shards=shards,
+        backend=backend,
         max_lateness=lateness,
         chunk_ticks=chunk_ticks,
         hysteresis=hysteresis,
         async_ingest=async_ingest,
     )
-    if cls is ShardedSession:
-        kwargs.update(num_shards=2, backend=backend)
-    session = cls(**kwargs)
-    for query, scope in INITIAL + ([FORWARDED] * (cls is ShardedSession)):
+    for query, scope in INITIAL + [FORWARDED]:
         session.register(query, scope=scope)
     return session
 
@@ -145,14 +147,17 @@ def push_piece(session, how, piece):
         )
 
 
-def run(cls, backend, events, steps, config, *, as_loop=False, async_ingest=False):
+def run(
+    shards, backend, events, steps, config, *, as_loop=False,
+    async_ingest=False,
+):
     """Play ``steps`` over ``events``; returns ``(results, reorder
     stats, {step: watermark}, execution stats)``.  ``as_loop`` replaces
     every data step by the per-event loop and skips the steps that
     mutate nothing (``stats`` / ``restore``)."""
     lateness, chunk_ticks, hysteresis = config
     session = open_cell(
-        cls, backend, lateness, chunk_ticks, hysteresis, async_ingest
+        shards, backend, lateness, chunk_ticks, hysteresis, async_ingest
     )
     try:
         marks, cursor, late = {}, 0, False
@@ -174,11 +179,8 @@ def run(cls, backend, events, steps, config, *, as_loop=False, async_ingest=Fals
             elif step == "restore" and not as_loop:
                 snap = session.snapshot()
                 session.close()
-                placement = (
-                    {"backend": backend} if cls is ShardedSession else {}
-                )
-                session = cls.restore(
-                    snap, async_ingest=async_ingest, **placement
+                session = ShardedSession.restore(
+                    snap, backend=backend, async_ingest=async_ingest
                 )
                 synced = True
             if synced:
@@ -196,21 +198,23 @@ def delivered(stats):
     return stats.bytes_copied // EVENT_BYTES + stats.copies_elided
 
 
-def check_clock(cls, backend, seed, lateness, chunk_ticks, in_order, replanning, steps):
+def check_clock(
+    shards, backend, seed, lateness, chunk_ticks, in_order, replanning, steps
+):
     events = make_events(seed, lateness, in_order, whole=replanning)
     config = (lateness, chunk_ticks, 0.25 if replanning else None)
     context = (
-        f"{cls.__name__}[{backend}] seed={seed} in_order={in_order} "
+        f"{shards}x{backend} seed={seed} in_order={in_order} "
         f"config={config} {steps}"
     )
     loop, loop_reorder, loop_marks, loop_stats = run(
-        cls, backend, events, steps, config, as_loop=True
+        shards, backend, events, steps, config, as_loop=True
     )
     sync, sync_reorder, sync_marks, sync_stats = run(
-        cls, backend, events, steps, config
+        shards, backend, events, steps, config
     )
     pumped, pumped_reorder, pumped_marks, pumped_stats = run(
-        cls, backend, events, steps, config, async_ingest=True
+        shards, backend, events, steps, config, async_ingest=True
     )
     for results, reorder in ((sync, sync_reorder), (pumped, pumped_reorder)):
         assert_identical(loop, results, context)
@@ -248,18 +252,17 @@ CASE = dict(
     replanning=st.booleans(),
     steps=STEPS,
 )
-both = pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
 
 
-@both
+@SHARD_COUNTS
 @settings(
     max_examples=30,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(**CASE)
-def test_every_interleaving_is_the_per_event_loop(cls, **case):
-    check_clock(cls, "serial", **case)
+def test_every_interleaving_is_the_per_event_loop(shards, **case):
+    check_clock(shards, "serial", **case)
 
 
 @pytest.mark.chaos
@@ -271,11 +274,11 @@ def test_every_interleaving_is_the_per_event_loop(cls, **case):
 )
 @given(**CASE)
 def test_every_interleaving_is_the_per_event_loop_on_workers(backend, **case):
-    check_clock(ShardedSession, backend, **case)
+    check_clock(2, backend, **case)
 
 
-@both
-def test_register_after_a_sorted_batch_sees_its_last_tick(cls):
+@SHARD_COUNTS
+def test_register_after_a_sorted_batch_sees_its_last_tick(shards):
     """Three events at tick 0, then a registration, then the rest: the
     late query's first instance starts at 0 and must count all three
     (a sorted batch used to bypass the reorder buffer, newest tick
@@ -283,7 +286,7 @@ def test_register_after_a_sorted_batch_sees_its_last_tick(cls):
     events = make_events(seed=0, lateness=0, in_order=True, whole=True)
 
     def run_registering(as_loop):
-        session = open_cell(cls, "serial", 0, None, None, False)
+        session = open_cell(shards, "serial", 0, None, None, False)
         try:
             push_piece(session, "push" if as_loop else "batch", events[:RATE])
             session.register(LATE[0], scope=LATE[1])

@@ -161,7 +161,7 @@ def test_archive_rename_and_eviction_straddle_a_migration():
 
     plain = QuerySession(num_keys=NUM_KEYS, max_retired_results=2, hysteresis=None)
     expected = run_cycles(plain, events, batch.horizon)
-    assert plain.retired_results_evicted == 1
+    assert plain.backend.cores[0].retired_results_evicted == 1
     assert any("@g" in name for name in expected)
 
     sharded = ShardedSession(
@@ -188,11 +188,10 @@ def test_archive_rename_and_eviction_straddle_a_migration():
                 reference.start_instance, reference.frontier,
             ), (name, window)
             np.testing.assert_array_equal(emitted.values, reference.values)
+    one = plain.backend.cores[0]
     for core in cores:
-        assert core.retired_results_evicted == plain.retired_results_evicted
-        assert (
-            core.retired_instances_evicted == plain.retired_instances_evicted
-        )
+        assert core.retired_results_evicted == one.retired_results_evicted
+        assert core.retired_instances_evicted == one.retired_instances_evicted
 
 
 def test_coordinator_refuses_a_lost_or_duplicated_segment():

@@ -1,8 +1,8 @@
-"""Front-door conformance: one life-cycle, held on both session classes.
+"""Front-door conformance: one life-cycle, held at every shard count.
 
 ``SessionFrontDoor`` (DESIGN.md §8) writes the session life-cycle once;
-``QuerySession`` and ``ShardedSession`` only supply hooks.  This suite
-runs every check on both:
+``ShardedSession`` (``QuerySession`` is its one-shard form) only
+supplies hooks.  This suite runs every check at one shard and at two:
 
 * **the rule** — every public attribute is a ``@synchronized``
   synchronization point, a data-plane enqueue, part of the
@@ -14,8 +14,7 @@ runs every check on both:
 * **what synchronized means** — in async mode the body runs on the
   pump thread, after every previously pushed event;
 * **the shared verbs** — auto-checkpoint cadence, ``checkpoint_meta``,
-  ``on_checkpoint``, kind-mismatch refusals, residue replay and
-  ``finish`` stopping the pump behave identically.
+  ``on_checkpoint``, residue replay and ``finish`` stopping the pump.
 """
 
 import inspect
@@ -36,7 +35,12 @@ from repro.runtime import (
 from repro.runtime.ingest import SessionFrontDoor
 from repro.windows.window import Window, WindowSet
 
-from session_streams import assert_identical, integer_stream
+from session_streams import (
+    SHARD_COUNTS,
+    assert_identical,
+    integer_stream,
+    serial_session,
+)
 
 NUM_KEYS = 5
 TICKS = 200
@@ -47,38 +51,20 @@ DATA_PLANE = {"push", "push_many", "push_batch"}
 #: They stop the pump (so cannot run on it) or build a session.
 LIFECYCLE = {"finish", "close", "restore"}
 #: Reads of one coordinator-local value — no backend, no core walk.
-_BOTH = {
-    "kind",
+LOCAL_READS = {
     "ingest_stats",
     "reorder_stats",
     "watermark",
     "queries",
     "generation",
-}
-LOCAL_READS = {
-    QuerySession: _BOTH
-    | {
-        "core",
-        "workload",
-        "wall_seconds",
-        "retired_results_evicted",
-        "retired_instances_evicted",
-    },
-    ShardedSession: _BOTH | {"num_slots", "slot_map", "worker_recoveries"},
+    "num_slots",
+    "slot_map",
+    "worker_recoveries",
 }
 
 
-def make(cls, **kwargs):
-    if cls is ShardedSession:
-        kwargs = {"num_shards": 2, "backend": "serial", **kwargs}
-    return cls(num_keys=NUM_KEYS, **kwargs)
-
-
-both = pytest.mark.parametrize(
-    "cls",
-    [QuerySession, ShardedSession],
-    ids=["QuerySession", "ShardedSession[serial,2]"],
-)
+def make(shards, **kwargs):
+    return serial_session(shards, num_keys=NUM_KEYS, **kwargs)
 
 
 def events_of(seed):
@@ -143,20 +129,23 @@ def unguarded(cls, local_reads):
     )
 
 
-@both
-def test_every_public_attribute_is_classified(cls):
-    assert unguarded(cls, LOCAL_READS[cls]) == []
+def test_every_public_attribute_is_classified():
+    cls = ShardedSession
+    assert unguarded(cls, LOCAL_READS) == []
     # The exemption lists stay honest: nothing listed that is gone,
     # nothing listed that is synchronized anyway.
     surface = public_surface(cls)
-    assert LOCAL_READS[cls] <= set(surface)
-    assert not LOCAL_READS[cls] & synchronized_names(cls)
+    assert LOCAL_READS <= set(surface)
+    assert not LOCAL_READS & synchronized_names(cls)
     assert not (DATA_PLANE | LIFECYCLE) & synchronized_names(cls)
+    # A QuerySession is the same surface: it adds a constructor only.
+    assert public_surface(QuerySession) == surface
+    assert "__init__" in vars(QuerySession)
+    assert [name for name in vars(QuerySession) if name[:2] != "__"] == []
 
 
-@both
-def test_an_unsynchronized_backend_toucher_is_caught(cls):
-    class Leaky(cls):
+def test_an_unsynchronized_backend_toucher_is_caught():
+    class Leaky(ShardedSession):
         def peek(self):
             return self._collect(False)
 
@@ -164,7 +153,7 @@ def test_an_unsynchronized_backend_toucher_is_caught(cls):
         def peeked(self):
             return self._collect(False)
 
-    assert unguarded(Leaky, LOCAL_READS[cls]) == ["peek", "peeked"]
+    assert unguarded(Leaky, LOCAL_READS) == ["peek", "peeked"]
 
 
 # ----------------------------------------------------------------------
@@ -214,9 +203,8 @@ def test_the_chunk_cut_is_written_once(cls):
     assert inspect.getsource(SessionFrontDoor).count("searchsorted(ts") == 1
 
 
-@both
-def test_a_second_chunk_cut_is_caught(cls):
-    class Forked(cls):
+def test_a_second_chunk_cut_is_caught():
+    class Forked(ShardedSession):
         def _flush(self, to_watermark):
             super()._flush(to_watermark)
 
@@ -242,29 +230,25 @@ def _exercise(session):
         ("drain_results", session.drain_results),
         ("snapshot", session.snapshot),
         ("deregister", lambda: session.deregister("extra")),
+        ("shard_switches", session.shard_switches),
+        ("shard_watermarks", session.shard_watermarks),
+        ("slot_loads", session.slot_loads),
+        ("shard_loads", session.shard_loads),
+        ("rebalance", session.rebalance),
+        # At one shard the move grows the session to two.
+        ("move_slots", lambda: session.move_slots([0], 1)),
+        ("split_shard", session.split_shard),
+        ("merge_shard", lambda: session.merge_shard(2)),
     ]
-    if isinstance(session, QuerySession):
-        calls.append(("group_stats", session.group_stats))
-    else:
-        calls += [
-            ("shard_switches", session.shard_switches),
-            ("shard_watermarks", session.shard_watermarks),
-            ("slot_loads", session.slot_loads),
-            ("shard_loads", session.shard_loads),
-            ("rebalance", session.rebalance),
-            ("move_slots", lambda: session.move_slots([0], 1)),
-            ("split_shard", session.split_shard),
-            ("merge_shard", lambda: session.merge_shard(2)),
-        ]
     return calls
 
 
-@both
+@SHARD_COUNTS
 def test_synchronized_methods_run_on_the_pump_after_every_push(
-    cls, repro_seed
+    shards, repro_seed
 ):
     rows, _ = events_of(repro_seed)
-    session = make(cls, async_ingest=True)
+    session = make(shards, async_ingest=True)
     pump = session._pump
     seen = []
     submit = pump.submit_call
@@ -280,7 +264,9 @@ def test_synchronized_methods_run_on_the_pump_after_every_push(
     try:
         session.register(QUERY)
         calls = _exercise(session)
-        assert {name for name, _ in calls} == synchronized_names(cls)
+        assert {name for name, _ in calls} == synchronized_names(
+            ShardedSession
+        )
         step = len(rows) // (len(calls) + 1)
         pushed = 0
         expected = [("register", True, 0)]
@@ -298,14 +284,14 @@ def test_synchronized_methods_run_on_the_pump_after_every_push(
 # ----------------------------------------------------------------------
 # (iii) The shared verbs behave identically
 # ----------------------------------------------------------------------
-@both
+@SHARD_COUNTS
 @pytest.mark.parametrize("async_ingest", [False, True])
-def test_cadence_meta_and_callback(cls, tmp_path, repro_seed, async_ingest):
+def test_cadence_meta_and_callback(shards, tmp_path, repro_seed, async_ingest):
     rows, _ = events_of(repro_seed)
     saved = []
     store = CheckpointStore(tmp_path, every=25)
     session = make(
-        cls,
+        shards,
         async_ingest=async_ingest,
         auto_checkpoint=store,
         checkpoint_meta=lambda: {"tag": "auto"},
@@ -322,53 +308,26 @@ def test_cadence_meta_and_callback(cls, tmp_path, repro_seed, async_ingest):
     # Every save hit disk through the store's own rotation, and the
     # meta provider's payload rode along.
     newest = read_checkpoint(store.latest())
-    assert newest.kind == cls.kind
     assert newest.meta["tag"] == "auto"
     assert newest.watermark == marks[-1]
     assert saved[-1][1] == store.latest()
 
 
-@both
-def test_auto_checkpoint_requires_a_cadence(cls, tmp_path):
+@SHARD_COUNTS
+def test_auto_checkpoint_requires_a_cadence(shards, tmp_path):
     store = CheckpointStore(tmp_path)  # no every=
     with pytest.raises(ExecutionError, match="cadence"):
-        make(cls, auto_checkpoint=store)
+        make(shards, auto_checkpoint=store)
 
 
-@pytest.mark.parametrize(
-    "cls,other,message",
-    [
-        (
-            QuerySession,
-            ShardedSession,
-            r"checkpoint kind 'sharded' does not restore into a "
-            r"QuerySession \(use ShardedSession.restore\)",
-        ),
-        (
-            ShardedSession,
-            QuerySession,
-            r"checkpoint kind 'query' is not a ShardedSession snapshot "
-            r"\(QuerySession.restore reads 'query' checkpoints\)",
-        ),
-    ],
-    ids=["QuerySession", "ShardedSession[serial,2]"],
-)
-def test_restore_refuses_the_other_kind(cls, other, message):
-    with make(other) as session:
-        session.register(QUERY)
-        snap = session.snapshot()
-    with pytest.raises(ExecutionError, match=message):
-        cls.restore(snap)
-
-
-@both
-def test_queued_residue_is_captured_and_replayed(cls, tmp_path, repro_seed):
+@SHARD_COUNTS
+def test_queued_residue_is_captured_and_replayed(shards, tmp_path, repro_seed):
     """Events queued behind a cut are residue: the snapshot carries
     them and ``restore`` replays them before anything new.  The cut is
     held open from ``checkpoint_meta`` (it runs on the pump thread,
     just before the capture) while 100 more events queue up."""
     rows, horizon = events_of(repro_seed)
-    with make(cls) as baseline:
+    with make(shards) as baseline:
         baseline.register(QUERY)
         feed(baseline, rows)
         expected = baseline.finish(horizon=horizon)
@@ -384,7 +343,7 @@ def test_queued_residue_is_captured_and_replayed(cls, tmp_path, repro_seed):
         return {"position": position}
 
     session = make(
-        cls,
+        shards,
         async_ingest=True,
         auto_checkpoint=CheckpointStore(tmp_path, every=25),
         checkpoint_meta=meta,
@@ -398,7 +357,7 @@ def test_queued_residue_is_captured_and_replayed(cls, tmp_path, repro_seed):
         release.set()
         _ = session.switches
     snap = cuts[0]
-    with cls.restore(snap) as restored:
+    with ShardedSession.restore(snap) as restored:
         position = applied(restored)
         assert position - snap.meta["position"] >= 100
         feed(restored, rows[position:])
@@ -406,11 +365,11 @@ def test_queued_residue_is_captured_and_replayed(cls, tmp_path, repro_seed):
     assert_identical(expected, actual, f"seed={repro_seed} residue")
 
 
-@both
-def test_finish_stops_the_pump_and_closes_the_stream(cls, repro_seed):
+@SHARD_COUNTS
+def test_finish_stops_the_pump_and_closes_the_stream(shards, repro_seed):
     rows, horizon = events_of(repro_seed)
     before = len(pump_threads())
-    session = make(cls, async_ingest=True)
+    session = make(shards, async_ingest=True)
     assert len(pump_threads()) == before + 1
     with session:
         session.register(QUERY)

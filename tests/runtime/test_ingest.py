@@ -17,15 +17,11 @@ from repro.aggregates.registry import AVG, MEDIAN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import EventColumns
 from repro.errors import ExecutionError
-from repro.runtime import (
-    QuerySession,
-    ShardedSession,
-    SharedMemoryShardBackend,
-)
+from repro.runtime import ShardedSession, SharedMemoryShardBackend
 from repro.runtime.ingest import IngestPump, IngestQueue
 from repro.windows.window import Window, WindowSet
 
-from session_streams import integer_stream
+from session_streams import SHARD_COUNTS, integer_stream, serial_session
 
 NUM_KEYS = 8
 QUERIES = [
@@ -100,8 +96,9 @@ class TestIngestQueue:
 # ----------------------------------------------------------------------
 # Front-door error parking
 # ----------------------------------------------------------------------
-def test_pump_error_is_parked_and_surfaces_on_next_call():
-    session = QuerySession(num_keys=2, async_ingest=True)
+@SHARD_COUNTS
+def test_pump_error_is_parked_and_surfaces_on_next_call(shards):
+    session = serial_session(shards, num_keys=2, async_ingest=True)
     session.push(0, 99, 1.0)  # key outside the dense id space
     with pytest.raises(ExecutionError, match="async ingest failed"):
         # The failure was asynchronous; it must surface on the next
@@ -183,15 +180,17 @@ class TestDrainOrRaiseClose:
         ):
             pump.stop()
 
-    def test_session_close_raises_unobserved_parked_error_once(self):
-        session = QuerySession(num_keys=2, async_ingest=True)
+    @SHARD_COUNTS
+    def test_session_close_raises_unobserved_parked_error_once(self, shards):
+        session = serial_session(shards, num_keys=2, async_ingest=True)
         session.push(0, 99, 1.0)  # key outside the dense id space
         with pytest.raises(ExecutionError, match="async ingest failed"):
             session.close()
         session.close()  # idempotent: the error does not surface twice
 
-    def test_session_close_stays_silent_after_error_surfaced(self):
-        session = QuerySession(num_keys=2, async_ingest=True)
+    @SHARD_COUNTS
+    def test_session_close_stays_silent_after_error_surfaced(self, shards):
+        session = serial_session(shards, num_keys=2, async_ingest=True)
         session.push(0, 99, 1.0)
         with pytest.raises(ExecutionError, match="async ingest failed"):
             session.results()  # the error surfaces here...
@@ -285,13 +284,14 @@ def test_full_queue_backpressure_never_drops_or_reorders(repro_seed):
     assert stats.max_depth_events <= 2 * 128, context
 
 
-@pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
-def test_an_empty_batch_or_run_is_never_enqueued(cls):
+@SHARD_COUNTS
+def test_an_empty_batch_or_run_is_never_enqueued(shards):
     """``IngestStats`` is exact: nothing was pushed, so nothing was
     enqueued (an empty batch used to weigh one event) — and the big
     run that follows is weighed in events, slice by slice."""
     empty = integer_stream(ticks=0, num_keys=NUM_KEYS)
-    with cls(
+    with serial_session(
+        shards,
         num_keys=NUM_KEYS,
         hysteresis=None,
         async_ingest=True,
@@ -454,35 +454,32 @@ def _mpsc_run(session, batch, producers):
     assert not errors, errors
 
 
+@SHARD_COUNTS
 @pytest.mark.parametrize("producers", [2, 4])
-def test_mpsc_producers_equal_serial_oracle(repro_seed, producers):
+def test_mpsc_producers_equal_serial_oracle(repro_seed, shards, producers):
     """The MPSC contract of the async front door (DESIGN.md §8): any
     thread may call ``push`` concurrently, and the merged timeline is
-    indistinguishable from the serial sorted oracle.
+    indistinguishable from the serial sorted oracle — a sync-ingest
+    twin of the same topology, so concurrency is the only variable.
 
     Each producer owns a strided lane of one sorted stream, so each
     lane is itself sorted but the interleaving at the queue is
     arbitrary scheduling; ``max_lateness`` spanning the stream makes
     the reorder buffer the serializer, so *no* interleaving may drop
-    an event or change a value."""
-    ticks = 60
-    batch = integer_stream(ticks, rate=3, num_keys=NUM_KEYS, seed=repro_seed)
+    an event or change a value (the median rides raw forwarding)."""
+    batch = integer_stream(60, rate=3, num_keys=NUM_KEYS, seed=repro_seed)
     span = int(batch.horizon) + 1
-    # Mergeable queries only: a single-core session has no raw
-    # forwarding, so holistic-global (median) stays with the sharded
-    # variant below.
-    queries = [(q, scope) for q, scope in QUERIES if q.aggregate.mergeable]
 
-    def build(cls, **kw):
-        session = cls(
-            num_keys=NUM_KEYS, max_lateness=span, hysteresis=None, **kw
+    def build(**kw):
+        session = serial_session(
+            shards, num_keys=NUM_KEYS, max_lateness=span, hysteresis=None,
+            **kw,
         )
-        for query, scope in queries:
+        for query, scope in QUERIES:
             session.register(query, scope=scope)
         return session
 
-    oracle = build(QuerySession)
-    try:
+    with build() as oracle:
         for i in range(batch.num_events):
             oracle.push(
                 int(batch.timestamps[i]),
@@ -490,64 +487,13 @@ def test_mpsc_producers_equal_serial_oracle(repro_seed, producers):
                 float(batch.values[i]),
             )
         expected = oracle.finish(horizon=batch.horizon)
-    finally:
-        oracle.close()
 
-    session = build(QuerySession, async_ingest=True)
-    try:
+    with build(async_ingest=True) as session:
         _mpsc_run(session, batch, producers)
         actual = session.finish(horizon=batch.horizon)
         stats = session.reorder_stats  # pump fully drained by finish()
         assert stats.accepted == batch.num_events
         assert stats.late_dropped == 0
-    finally:
-        session.close()
     _assert_identical(
         expected, actual, f"seed={repro_seed} producers={producers}"
     )
-
-
-def test_mpsc_producers_on_a_sharded_session(repro_seed):
-    """Same property through the sharded front door: concurrent
-    producers, two shard cores (median rides raw forwarding), against
-    a sync-ingest twin of the same topology — concurrency is the only
-    variable."""
-    batch = integer_stream(60, rate=3, num_keys=NUM_KEYS, seed=repro_seed)
-    span = int(batch.horizon) + 1
-
-    oracle = ShardedSession(
-        num_keys=NUM_KEYS,
-        num_shards=2,
-        backend="serial",
-        max_lateness=span,
-        hysteresis=None,
-    )
-    try:
-        for query, scope in QUERIES:
-            oracle.register(query, scope=scope)
-        for i in range(batch.num_events):
-            oracle.push(
-                int(batch.timestamps[i]),
-                int(batch.keys[i]),
-                float(batch.values[i]),
-            )
-        expected = oracle.finish(horizon=batch.horizon)
-    finally:
-        oracle.close()
-
-    session = ShardedSession(
-        num_keys=NUM_KEYS,
-        num_shards=2,
-        backend="serial",
-        max_lateness=span,
-        hysteresis=None,
-        async_ingest=True,
-    )
-    try:
-        for query, scope in QUERIES:
-            session.register(query, scope=scope)
-        _mpsc_run(session, batch, 3)
-        actual = session.finish(horizon=batch.horizon)
-    finally:
-        session.close()
-    _assert_identical(expected, actual, f"seed={repro_seed} sharded-mpsc")

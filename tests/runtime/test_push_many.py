@@ -1,6 +1,6 @@
-"""``QuerySession.push_many`` is the columnar front door: a batch stays
-a batch from the caller to the operators, and must be observationally
-the per-event ``push`` loop it replaced.
+"""``push_many`` is the columnar front door: a batch stays a batch
+from the caller to the operators, and must be observationally the
+per-event ``push`` loop it replaced — at one shard and at two.
 
 Four feeds of one out-of-order stream — ``push_many(list of rows)``,
 ``push_many(ndarray)``, ``push_many(already validated columns)`` and a
@@ -22,8 +22,9 @@ from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import event_columns
 from repro.errors import ExecutionError
-from repro.runtime import QuerySession, ShardedSession
 from repro.windows.window import Window, WindowSet
+
+from session_streams import SHARD_COUNTS, serial_session
 
 NUM_KEYS = 4
 TICKS = 600
@@ -55,8 +56,9 @@ def arrivals(seed: int, max_lateness: int, whole: bool):
     )
 
 
-def feed(rows, mode: str, batch: int, max_lateness: int, hysteresis):
-    session = QuerySession(
+def feed(rows, mode, batch, max_lateness, hysteresis, shards):
+    session = serial_session(
+        shards,
         num_keys=NUM_KEYS,
         max_lateness=max_lateness,
         chunk_ticks=CHUNK_TICKS,
@@ -107,6 +109,7 @@ def assert_same_reorder(got, expected, context):
         )
 
 
+@SHARD_COUNTS
 @pytest.mark.parametrize("max_lateness", [0, 8, 32])
 @pytest.mark.parametrize("batch", [1, 7, 200, 1000])
 @pytest.mark.parametrize(
@@ -114,23 +117,20 @@ def assert_same_reorder(got, expected, context):
     ids=["whole-replanning", "real-static"],
 )
 def test_push_many_is_the_per_event_loop(
-    max_lateness, batch, whole, hysteresis, repro_seed
+    max_lateness, batch, whole, hysteresis, shards, repro_seed
 ):
     rows = arrivals(repro_seed, max_lateness, whole)
     context = f"seed={repro_seed}"
-    loop, loop_reorder, loop_wm, _ = feed(
-        rows, "push", batch, max_lateness, hysteresis
-    )
+    config = (batch, max_lateness, hysteresis, shards)
+    loop, loop_reorder, loop_wm, _ = feed(rows, "push", *config)
     assert loop_reorder.late_dropped > 0, context  # the counters are live
     listed, listed_reorder, listed_wm, listed_switches = feed(
-        rows, "rows", batch, max_lateness, hysteresis
+        rows, "rows", *config
     )
     table, table_reorder, table_wm, table_switches = feed(
-        rows, "ndarray", batch, max_lateness, hysteresis
+        rows, "ndarray", *config
     )
-    checked, checked_reorder, checked_wm, _ = feed(
-        rows, "columns", batch, max_lateness, hysteresis
-    )
+    checked, checked_reorder, checked_wm, _ = feed(rows, "columns", *config)
     assert_same_results(listed, loop, context)
     assert_same_results(table, loop, context)
     assert_same_results(checked, loop, context)
@@ -146,10 +146,15 @@ def test_push_many_is_the_per_event_loop(
 
 
 class TestBatchValidation:
-    """A batch is checked whole before any of it is applied."""
+    """A batch is checked whole before any of it is applied.  (A
+    fractional timestamp used to be truncated on its way through
+    ``astype(int64)`` on the sharded front door.)"""
 
-    def test_bad_row_applies_nothing(self):
-        session = QuerySession(num_keys=NUM_KEYS, hysteresis=None)
+    @SHARD_COUNTS
+    def test_bad_row_applies_nothing(self, shards):
+        session = serial_session(
+            shards, num_keys=NUM_KEYS, hysteresis=None
+        )
         session.register(INITIAL[0])
         session.push_many([(1, 0, 1.0), (2, 1, 2.0)])
         accepted = session.reorder_stats.accepted
@@ -181,7 +186,8 @@ class TestBatchValidation:
         empty = event_columns([], num_keys=2)
         assert [column.size for column in empty] == [0, 0, 0]
 
-    def test_validation_is_idempotent(self):
+    @SHARD_COUNTS
+    def test_validation_is_idempotent(self, shards):
         """Columns checked at one door (the service manager) pass the
         next (``push_many``) untouched — unless that door holds another
         ``num_keys``, which re-runs every check."""
@@ -192,19 +198,10 @@ class TestBatchValidation:
         wider = event_columns(columns, NUM_KEYS + 1)
         assert wider.num_keys == NUM_KEYS + 1
         assert [c.tolist() for c in wider] == [c.tolist() for c in columns]
-        with QuerySession(num_keys=NUM_KEYS, async_ingest=True) as session:
+        with serial_session(
+            shards, num_keys=NUM_KEYS, async_ingest=True
+        ) as session:
             session.register(INITIAL[0])
             session.push_many(columns)  # the pump takes rows
             session.results()  # a synchronization point
             assert session.reorder_stats.accepted == 2
-
-    def test_sharded_session_shares_the_door(self):
-        """A fractional timestamp used to be truncated on its way
-        through ``astype(int64)``; both session classes now reject it."""
-        with ShardedSession(
-            num_keys=NUM_KEYS, num_shards=2, hysteresis=None
-        ) as session:
-            session.register(INITIAL[0])
-            with pytest.raises(ExecutionError, match=r"events\[0\]"):
-                session.push_many([(4.5, 1, 2.0)])
-            assert session.reorder_stats.accepted == 0

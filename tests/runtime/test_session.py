@@ -1,9 +1,12 @@
-"""Tests for the live :class:`~repro.runtime.QuerySession`.
+"""Tests for the live session, at one shard and at two.
 
 The contract under test is DESIGN.md invariant 9: whatever schedule of
 register/deregister/rate-shift a session lives through, every emitted
 result is identical to a cold batch run of the final workload over the
-same events — plan switches are observationally invisible.
+same events — plan switches are observationally invisible.  Every test
+runs in two shard-count cells (``QuerySession`` is the one-shard cell);
+the last class holds the one rate-replan rule and a ``QuerySession``
+to the sharded session bit for bit on a float stream (invariant 10).
 """
 
 import numpy as np
@@ -15,10 +18,18 @@ from repro.engine.executor import execute_plan
 from repro.engine.outoforder import scramble_batch
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
-from repro.runtime import QuerySession
+from repro.runtime import QuerySession, ShardedSession, open_session
 from repro.windows.window import Window, WindowSet
 
-from session_streams import cold_reference, integer_stream
+from session_streams import (
+    SHARD_COUNTS,
+    assert_identical,
+    cold_reference,
+    core_counter,
+    group_runtimes,
+    integer_stream,
+    serial_session,
+)
 
 
 @pytest.fixture
@@ -51,11 +62,12 @@ QC = Query("c", WindowSet([Window(24, 12)]), SUM)
 QD = Query("d", WindowSet([Window(30, 15)]), MEDIAN)
 
 
+@SHARD_COUNTS
 class TestBatchEquivalence:
-    def test_register_before_data_equals_batch(self, int_stream):
+    def test_register_before_data_equals_batch(self, shards, int_stream):
         queries = [QA, QB, QC, QD]
         cold = cold_reference(queries, int_stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         for query in queries:
             session.register(query)
         session.push_many(int_stream.rows())
@@ -68,7 +80,7 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2])
     def test_one_at_a_time_interleaved_equals_batch(
-        self, int_stream, order_seed
+        self, shards, int_stream, order_seed
     ):
         """Satellite: N queries registered one at a time, in random
         order, interleaved with data — per-window results identical to
@@ -84,7 +96,7 @@ class TestBatchEquivalence:
         )
         schedule = dict(zip(points, order))
         cold = cold_reference(queries, int_stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         registered = []
         for i, (ts, key, value) in enumerate(rows):
             if i in schedule:
@@ -98,11 +110,13 @@ class TestBatchEquivalence:
         results = session.finish(horizon=int_stream.horizon)
         assert_session_matches(results, cold, queries, int_stream.horizon)
 
-    def test_out_of_order_input_same_results(self, int_stream):
+    def test_out_of_order_input_same_results(self, shards, int_stream):
         queries = [QA, QC]
         cold = cold_reference(queries, int_stream)
         scrambled = scramble_batch(int_stream, max_lateness=9, seed=3)
-        session = QuerySession(num_keys=2, max_lateness=9, hysteresis=None)
+        session = serial_session(
+            shards, num_keys=2, max_lateness=9, hysteresis=None
+        )
         for query in queries:
             session.register(query)
         session.push_many(scrambled)
@@ -110,12 +124,12 @@ class TestBatchEquivalence:
         assert session.reorder_stats.late_dropped == 0
         assert_session_matches(results, cold, queries, int_stream.horizon)
 
-    def test_logical_pairs_match_cold_run(self, int_stream):
+    def test_logical_pairs_match_cold_run(self, shards, int_stream):
         queries = [QA, QB]
         workload = optimize_workload(queries)
         plan = workload.groups[0].plan
         cold = execute_plan(plan, int_stream, engine="streaming-chunked")
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         for query in queries:
             session.register(query)
         session.push_many(int_stream.rows())
@@ -125,8 +139,11 @@ class TestBatchEquivalence:
         )
 
 
+@SHARD_COUNTS
 class TestPlanSwitching:
-    def test_registration_reroutes_providers_seamlessly(self):
+    def test_registration_reroutes_providers_seamlessly(
+        self, shards
+    ):
         """Adding W(10,10) turns existing raw readers into
         sub-aggregate readers; the displaced operators drain exactly
         their straddling instances."""
@@ -134,7 +151,7 @@ class TestPlanSwitching:
         qa = Query("a", WindowSet([Window(20, 20), Window(40, 40)]), MIN)
         qb = Query("b", WindowSet([Window(10, 10)]), MIN)
         cold = cold_reference([qa, qb], stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(qa)
         rows = list(stream.rows())
         for i, (ts, key, value) in enumerate(rows):
@@ -147,7 +164,7 @@ class TestPlanSwitching:
         assert switch.reason == "register"
         assert switch.draining >= 1  # the displaced raw reader
 
-    def test_deregistering_provider_owner(self):
+    def test_deregistering_provider_owner(self, shards):
         """Removing the query that owns a provider window reroutes the
         survivors back to raw; the dropped provider drains only while
         its last consumer still needs it."""
@@ -155,7 +172,7 @@ class TestPlanSwitching:
         qa = Query("a", WindowSet([Window(20, 20), Window(40, 40)]), MIN)
         qb = Query("b", WindowSet([Window(10, 10)]), MIN)
         cold = cold_reference([qa], stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(qa)
         session.register(qb)
         rows = list(stream.rows())
@@ -166,11 +183,13 @@ class TestPlanSwitching:
         results = session.finish(horizon=stream.horizon)
         assert_session_matches(results, cold, [qa], stream.horizon)
         # Every draining operator eventually retired.
-        for runtime in session._groups.values():
+        for runtime in group_runtimes(session):
             assert runtime.draining == []
 
-    def test_deregistered_results_stay_readable(self, int_stream):
-        session = QuerySession(num_keys=2, hysteresis=None)
+    def test_deregistered_results_stay_readable(
+        self, shards, int_stream
+    ):
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(QA)
         session.register(QB)
         rows = list(int_stream.rows())
@@ -191,7 +210,7 @@ class TestPlanSwitching:
         np.testing.assert_array_equal(emitted.values, segment)
         assert emitted.frontier < reference.shape[1]  # stopped early
 
-    def test_rate_drift_triggers_live_replan(self):
+    def test_rate_drift_triggers_live_replan(self, shards):
         """The W(6,3)/W(8,4) plan provably flips with the rate; a rate
         ramp must flip it live without disturbing results."""
         stream = integer_stream(
@@ -202,8 +221,8 @@ class TestPlanSwitching:
         )
         query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
         cold = cold_reference([query], stream)
-        session = QuerySession(
-            num_keys=1, hysteresis=0.5, alpha=0.6, chunk_ticks=24
+        session = serial_session(
+            shards, num_keys=1, hysteresis=0.5, alpha=0.6, chunk_ticks=24
         )
         session.register(query)
         # A rate replan applies at the end of the push_many call that
@@ -219,7 +238,9 @@ class TestPlanSwitching:
         assert rate_switches, "rate drift should have re-planned live"
         assert any(s.rate > 10 for s in rate_switches)
 
-    def test_factor_window_promoted_to_user_window(self):
+    def test_factor_window_promoted_to_user_window(
+        self, shards
+    ):
         """Registering a query whose window already runs as a *factor*
         window must re-issue the operator with an emission sink (state
         adopted, nothing fresh) — the regression the plan 'shape'
@@ -230,11 +251,11 @@ class TestPlanSwitching:
         # for qa's windows.
         qb = Query("b", WindowSet([Window(20, 20)]), MIN)
         cold = cold_reference([qa, qb], stream)
-        session = QuerySession(num_keys=1, hysteresis=None)
+        session = serial_session(shards, num_keys=1, hysteresis=None)
         session.register(qa)
         factor_windows = {
             w
-            for rt in session._groups.values()
+            for rt in group_runtimes(session)
             for w, op in rt.ops.items()
             if op.sink is None
         }
@@ -256,7 +277,7 @@ class TestPlanSwitching:
         ([(12, 6), (18, 6)], [(2, 2), (8, 2)], 3),
     ])
     def test_reregistering_a_window_whose_dropped_operator_still_drains(
-        self, windows_a, windows_b, gap
+        self, shards, windows_a, windows_b, gap
     ):
         """``a`` reads from a window of ``b``.  Deregistering ``b``
         leaves that window's operator draining for ``a``'s displaced
@@ -270,7 +291,7 @@ class TestPlanSwitching:
         qa = Query("a", WindowSet([Window(*w) for w in windows_a]), MIN)
         qb = Query("b", WindowSet([Window(*w) for w in windows_b]), MIN)
         cold = cold_reference([qa, qb], stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(qa)
         session.register(qb)
         rows = list(stream.rows())
@@ -292,12 +313,12 @@ class TestPlanSwitching:
             np.testing.assert_array_equal(
                 old.values, cold[("b", window)][:, : old.frontier]
             )
-        for runtime in session._groups.values():
+        for runtime in group_runtimes(session):
             assert runtime.draining == []
 
     @pytest.mark.parametrize("bounced", LEDGER_SET_NAMES)
     def test_bouncing_one_of_the_four_paper_sets(
-        self, bounced, ledger_window_sets
+        self, shards, bounced, ledger_window_sets
     ):
         """The same bounce inside the 39-window group the four ledger
         window sets share."""
@@ -307,7 +328,7 @@ class TestPlanSwitching:
             for name, windows in ledger_window_sets.items()
         }
         cold = cold_reference(queries.values(), stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         for query in queries.values():
             session.register(query)
         rows = list(stream.rows())
@@ -321,11 +342,13 @@ class TestPlanSwitching:
             results, cold, queries.values(), stream.horizon
         )
 
-    def test_hysteresis_suppresses_switches_on_stable_rate(self):
+    def test_hysteresis_suppresses_switches_on_stable_rate(
+        self, shards
+    ):
         stream = integer_stream(ticks=1200, rate=4, num_keys=1, seed=8)
         query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
-        session = QuerySession(
-            num_keys=1, event_rate=4, hysteresis=0.5, chunk_ticks=24
+        session = serial_session(
+            shards, num_keys=1, event_rate=4, hysteresis=0.5, chunk_ticks=24
         )
         session.register(query)
         session.push_many(stream.rows())
@@ -333,8 +356,11 @@ class TestPlanSwitching:
         assert [s.reason for s in session.switches] == ["register"]
 
 
+@SHARD_COUNTS
 class TestBoundedWork:
-    def test_late_registration_never_recomputes_history(self):
+    def test_late_registration_never_recomputes_history(
+        self, shards
+    ):
         """Registering at 90% of the stream must cost ~10% of the
         query's full-stream physical work, not a history replay."""
         stream = integer_stream(ticks=4000, rate=2, num_keys=1, seed=9)
@@ -343,7 +369,7 @@ class TestBoundedWork:
         rows = list(stream.rows())
 
         def run(register_b_at):
-            session = QuerySession(num_keys=1, hysteresis=None)
+            session = serial_session(shards, num_keys=1, hysteresis=None)
             session.register(qa)
             for i, (ts, key, value) in enumerate(rows):
                 if i == register_b_at:
@@ -361,13 +387,15 @@ class TestBoundedWork:
         # the switch's partial-chunk flush.
         assert b_late_cost <= 0.3 * b_full_cost
 
-    def test_switch_itself_absorbs_at_most_one_chunk(self):
+    def test_switch_itself_absorbs_at_most_one_chunk(self, shards):
         """The physical work done *inside* a switch is bounded by the
         buffered partial chunk — never the stream history."""
         stream = integer_stream(ticks=3000, rate=2, num_keys=1, seed=10)
         qa = Query("a", WindowSet([Window(20, 10)]), MIN)
         qb = Query("b", WindowSet([Window(16, 8)]), SUM)
-        session = QuerySession(num_keys=1, hysteresis=None, chunk_ticks=40)
+        session = serial_session(
+            shards, num_keys=1, hysteresis=None, chunk_ticks=40
+        )
         session.register(qa)
         rows = list(stream.rows())
         for ts, key, value in rows[: int(len(rows) * 0.8)]:
@@ -379,10 +407,10 @@ class TestBoundedWork:
         # closing work for open instances is a small multiple of that.
         assert during_switch < 80 * 20
 
-    def test_retained_state_stays_bounded(self):
+    def test_retained_state_stays_bounded(self, shards):
         stream = integer_stream(ticks=6000, rate=2, num_keys=1, seed=12)
         query = Query("a", WindowSet([Window(20, 10), Window(40, 20)]), MIN)
-        session = QuerySession(num_keys=1, hysteresis=None)
+        session = serial_session(shards, num_keys=1, hysteresis=None)
         session.register(query)
         session.push_many(stream.rows())
         session.finish(horizon=stream.horizon)
@@ -390,9 +418,10 @@ class TestBoundedWork:
         assert session.max_retained_state() < 200
 
 
+@SHARD_COUNTS
 class TestSessionApi:
-    def test_sql_registration(self, int_stream):
-        session = QuerySession(num_keys=2, hysteresis=None)
+    def test_sql_registration(self, shards, int_stream):
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         name = session.register(
             "SELECT MIN(Reading) FROM Sensors "
             "GROUP BY WINDOWS(HOPPING(second, 20, 10))"
@@ -408,36 +437,36 @@ class TestSessionApi:
         ).results[Window(20, 10)]
         np.testing.assert_array_equal(emitted.values, reference)
 
-    def test_duplicate_name_rejected(self):
-        session = QuerySession(hysteresis=None)
+    def test_duplicate_name_rejected(self, shards):
+        session = serial_session(shards, hysteresis=None)
         session.register(QA)
         with pytest.raises(Exception):
             session.register(QA)
 
-    def test_unknown_deregister_rejected(self):
-        session = QuerySession(hysteresis=None)
+    def test_unknown_deregister_rejected(self, shards):
+        session = serial_session(shards, hysteresis=None)
         with pytest.raises(ExecutionError):
             session.deregister("ghost")
 
-    def test_key_range_validated(self):
-        session = QuerySession(num_keys=2, hysteresis=None)
+    def test_key_range_validated(self, shards):
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(QA)
         with pytest.raises(ExecutionError):
             session.push(0, 2, 1.0)
 
-    def test_push_after_finish_rejected(self):
-        session = QuerySession(hysteresis=None)
+    def test_push_after_finish_rejected(self, shards):
+        session = serial_session(shards, hysteresis=None)
         session.register(QA)
         session.finish()
         with pytest.raises(ExecutionError):
             session.push(0, 0, 1.0)
 
     def test_new_query_on_shared_window_starts_at_frontier(
-        self, int_stream
+        self, shards, int_stream
     ):
         """A query registering a window that already runs subscribes
         from the operator's close frontier — no recomputation, no gap."""
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(QA)
         rows = list(int_stream.rows())
         half = len(rows) // 2
@@ -458,10 +487,12 @@ class TestSessionApi:
                 original.values[:, late.start_instance:],
             )
 
-    def test_reregistered_name_keeps_archived_results(self, int_stream):
+    def test_reregistered_name_keeps_archived_results(
+        self, shards, int_stream
+    ):
         """Re-using a retired query's name must not shadow what it
         already emitted — the archive moves to a suffixed name."""
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(QA)
         session.register(QB)
         rows = list(int_stream.rows())
@@ -493,12 +524,14 @@ class TestSessionApi:
             new.values, reference[:, new.start_instance : new.frontier]
         )
 
-    def test_drain_results_consumes_and_reassembles(self, int_stream):
+    def test_drain_results_consumes_and_reassembles(
+        self, shards, int_stream
+    ):
         """Polling drain_results keeps subscriptions empty between
         polls; the drained pieces concatenate to the full answer."""
         queries = [QA, QC]
         cold = cold_reference(queries, int_stream)
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         for query in queries:
             session.register(query)
         rows = list(int_stream.rows())
@@ -526,13 +559,13 @@ class TestSessionApi:
                 assert parts[-1].frontier == reference.shape[1]
                 np.testing.assert_array_equal(stitched, reference)
 
-    def test_rate_replan_not_swallowed_by_switch_flush(self):
+    def test_rate_replan_not_swallowed_by_switch_flush(self, shards):
         """A replan decision made during a register()'s sync flush must
         stay pending and apply at the next push — the observed rate
         reaches the workload either way."""
         stream = integer_stream(ticks=1200, rate=20, num_keys=1, seed=14)
-        session = QuerySession(
-            num_keys=1, hysteresis=0.1, alpha=1.0, chunk_ticks=10
+        session = serial_session(
+            shards, num_keys=1, hysteresis=0.1, alpha=1.0, chunk_ticks=10
         )
         session.register(Query("a", WindowSet([Window(20, 10)]), MIN))
         rows = list(stream.rows())
@@ -545,10 +578,13 @@ class TestSessionApi:
                 )
             session.push(ts, key, value)
         session.finish(horizon=stream.horizon)
-        assert session.workload.event_rate == 20
+        rates = {core.workload.event_rate for core in session.backend.cores}
+        assert rates == {20}
 
-    def test_watermark_and_generation_progress(self, int_stream):
-        session = QuerySession(num_keys=2, hysteresis=None)
+    def test_watermark_and_generation_progress(
+        self, shards, int_stream
+    ):
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         session.register(QA)
         assert session.generation == 1
         session.push_many(int_stream.rows())
@@ -556,6 +592,7 @@ class TestSessionApi:
         assert session.queries == ("a",)
 
 
+@SHARD_COUNTS
 class TestRetiredRetention:
     """The retired-result archive is capped with exact eviction
     counters (mirrors the ``late_events_elided`` pattern): a service
@@ -575,11 +612,13 @@ class TestRetiredRetention:
                 session.push(ts, key, value)
             i += per
 
-    def test_cap_bounds_archive_with_exact_counters(self, int_stream):
+    def test_cap_bounds_archive_with_exact_counters(
+        self, shards, int_stream
+    ):
         rows = list(int_stream.rows())
         cycles = 6
-        session = QuerySession(
-            num_keys=2, hysteresis=None, max_retired_results=2
+        session = serial_session(
+            shards, num_keys=2, hysteresis=None, max_retired_results=2
         )
         self._churn(session, rows, cycles)
         results = session.finish(horizon=int_stream.horizon)
@@ -587,36 +626,42 @@ class TestRetiredRetention:
         assert len(retired) <= 2
         # One archived subscription per cycle (single window), minus
         # the two retained and the final life's live subscription.
-        assert session.retired_results_evicted == cycles - 2
-        assert session.retired_instances_evicted > 0
+        assert core_counter(session, "retired_results_evicted") == cycles - 2
+        assert core_counter(session, "retired_instances_evicted") > 0
 
-    def test_uncapped_archive_retains_everything(self, int_stream):
+    def test_uncapped_archive_retains_everything(
+        self, shards, int_stream
+    ):
         rows = list(int_stream.rows())
-        session = QuerySession(
-            num_keys=2, hysteresis=None, max_retired_results=None
+        session = serial_session(
+            shards, num_keys=2, hysteresis=None, max_retired_results=None
         )
         self._churn(session, rows, 6)
         results = session.finish(horizon=int_stream.horizon)
         assert len([n for n in results if n.startswith("q@g")]) == 5
-        assert session.retired_results_evicted == 0
+        assert core_counter(session, "retired_results_evicted") == 0
 
-    def test_default_cap_keeps_existing_behaviour(self, int_stream):
+    def test_default_cap_keeps_existing_behaviour(
+        self, shards, int_stream
+    ):
         """Moderate churn stays under the default cap — nothing is
         evicted and every archive stays readable."""
         rows = list(int_stream.rows())
-        session = QuerySession(num_keys=2, hysteresis=None)
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         self._churn(session, rows, 4)
         results = session.finish(horizon=int_stream.horizon)
-        assert session.retired_results_evicted == 0
+        assert core_counter(session, "retired_results_evicted") == 0
         assert len([n for n in results if n.startswith("q@g")]) == 3
 
-    def test_rename_keeps_archive_eviction_order(self, int_stream):
+    def test_rename_keeps_archive_eviction_order(
+        self, shards, int_stream
+    ):
         """Re-registering a name renames its archive *in place*: the
         renamed entry must stay oldest in the eviction order, not be
         rejuvenated past archives retired after it."""
         rows = list(int_stream.rows())
-        session = QuerySession(
-            num_keys=2, hysteresis=None, max_retired_results=2
+        session = serial_session(
+            shards, num_keys=2, hysteresis=None, max_retired_results=2
         )
         wq, wr, ws = Window(10, 5), Window(12, 6), Window(14, 7)
         session.register(Query("q", WindowSet([wq]), MIN))
@@ -633,19 +678,91 @@ class TestRetiredRetention:
         results = session.finish(horizon=int_stream.horizon)
         assert not any(n.startswith("q@g") for n in results)
         assert "r" in results and "s" in results
-        assert session.retired_results_evicted == 1
+        assert core_counter(session, "retired_results_evicted") == 1
 
-    def test_sharded_session_applies_cap_per_core(self, int_stream):
-        from repro.runtime import ShardedSession
 
-        rows = list(int_stream.rows())
-        session = ShardedSession(
-            num_keys=2,
-            num_shards=2,
-            hysteresis=None,
-            max_retired_results=2,
+class TestOneRateRule:
+    """A rate replan re-prices every core and moves the clock only when
+    some group's plan changed — on every backend, at every shard count
+    — so a ``QuerySession`` and a sharded session stay bit-identical on
+    a float stream under the default hysteresis (invariants 9–10)."""
+
+    SUMS = Query("sums", WindowSet([Window(40, 40), Window(120, 40)]), SUM)
+
+    @staticmethod
+    def batches(seed=0, num_keys=8):
+        """60 sorted row batches of 40–840 Gaussian events, one per
+        50-tick span: the swinging rate keeps the controller replanning,
+        mostly without changing a plan."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for index in range(60):
+            n = int(rng.integers(40, 841))
+            ts = np.sort(rng.integers(50 * index, 50 * index + 50, n))
+            keys = rng.integers(0, num_keys, n)
+            out.append(np.column_stack((ts, keys, rng.normal(20.0, 5.0, n))))
+        return out
+
+    def drive(self, session):
+        """Every drain's clock and blocks, then the final results."""
+        with session:
+            session.register(self.SUMS)
+            polls = []
+            for index, batch in enumerate(self.batches()):
+                session.push_many(batch)
+                if index % 7 == 6:
+                    polls.append((session.watermark, session.drain_results()))
+            return polls, session.finish()
+
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
+    def test_sharded_session_is_the_query_session_on_floats(self, backend):
+        want_polls, want = self.drive(QuerySession(num_keys=8))
+        got_polls, got = self.drive(
+            ShardedSession(num_keys=8, num_shards=2, backend=backend)
         )
-        self._churn(session, rows, 6)
-        results = session.finish(horizon=int_stream.horizon)
-        retired = [name for name in results if name != "q"]
-        assert len(retired) <= 2
+        assert [wm for wm, _ in got_polls] == [wm for wm, _ in want_polls]
+        for (_, expected), (_, actual) in zip(want_polls, got_polls):
+            assert_identical(expected, actual, backend)
+        assert_identical(want, got, backend)
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "shm"])
+    def test_a_replan_moves_the_clock_only_when_a_plan_changes(
+        self, backend
+    ):
+        # W(6,3)/W(8,4) re-plans between rate 1 and rate 30 (see
+        # test_rate_drift_triggers_live_replan), not between 30 and 3.
+        query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
+        with ShardedSession(
+            num_keys=4, num_shards=2, backend=backend, chunk_ticks=24,
+            hysteresis=None,
+        ) as session:
+            session.register(query)
+            session.push_many([(t, t % 4, 1.0) for t in range(40)])
+            before = (session.watermark, session.generation)
+            session._apply_rate(30)
+            assert session.generation == before[1] + 1
+            assert session.watermark > before[0]
+            assert [s.reason for s in session.switches] == ["register", "rate"]
+            session.push_many([(t, t % 4, 1.0) for t in range(40, 70)])
+            before = (session.watermark, session.generation)
+            session._apply_rate(3)
+            assert (session.watermark, session.generation) == before
+            assert len(session.switches) == 2
+
+
+@pytest.mark.parametrize("backend", ["serial", "shm"])
+def test_one_shard_forwards_a_global_holistic_query(backend):
+    """``register(median, scope="global")`` at one shard runs on the
+    coordinator's forwarding core, exactly as at two."""
+    stream = integer_stream(ticks=300, rate=3, num_keys=4, seed=2)
+    median = Query("med", WindowSet([Window(12, 6)]), MEDIAN)
+    results = []
+    for shards in (1, 2):
+        with open_session(
+            num_shards=shards, backend=backend, num_keys=4, hysteresis=None
+        ) as session:
+            session.register(median, scope="global")
+            session.push_many(stream.rows())
+            results.append(session.finish(horizon=stream.horizon))
+    assert_identical(results[0], results[1], backend)
+    assert results[0]["med"][Window(12, 6)].values.shape[0] == 1

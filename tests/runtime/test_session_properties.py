@@ -23,7 +23,7 @@ from repro.plans.builder import original_plan
 from repro.runtime import QuerySession
 from repro.windows.window import Window, WindowSet
 
-from session_streams import cold_reference, integer_stream
+from session_streams import cold_reference, group_runtimes, integer_stream
 
 POOL = [
     Query("q0", WindowSet([Window(8, 4), Window(16, 8)]), MIN),
@@ -148,7 +148,7 @@ def test_randomized_schedules_are_observationally_invisible(schedule):
             )
 
     # Every displaced operator drained and retired.
-    for runtime in session._groups.values():
+    for runtime in group_runtimes(session):
         assert runtime.draining == []
 
     # Bounded work: even with every switch in the schedule, total
@@ -222,5 +222,5 @@ def test_bounced_queries_are_observationally_invisible(
                 emitted.values,
                 reference[:, emitted.start_instance:emitted.frontier],
             )
-    for runtime in session._groups.values():
+    for runtime in group_runtimes(session):
         assert runtime.draining == []

@@ -12,7 +12,7 @@ import pytest
 from repro.aggregates.registry import AVG, MEDIAN, MIN, STDEV, SUM
 from repro.core.multiquery import Query
 from repro.errors import ExecutionError
-from repro.runtime import QuerySession, ShardedSession
+from repro.runtime import SHARD_BACKENDS, QuerySession, ShardedSession
 from repro.windows.window import Window, WindowSet
 
 from session_streams import assert_identical, integer_stream
@@ -405,9 +405,20 @@ class TestApiSurface:
         results = session.finish(horizon=int_stream.horizon)
         assert results["q1"][Window(20, 10)].values.shape[0] == NUM_KEYS
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExecutionError):
-            ShardedSession(num_keys=2, num_shards=2, backend="quantum")
+    @pytest.mark.parametrize(
+        "name",
+        ["quantum", "multiprocessing", "shared_memory", "shared-memory"],
+    )
+    def test_unknown_backend_rejected(self, name):
+        """Backends have one name each: the old aliases are unknown
+        names, and the refusal lists the three there are."""
+        from repro.scenarios import SHARD_BACKENDS as scenario_backends
+
+        assert SHARD_BACKENDS == ("serial", "process", "shm")
+        assert scenario_backends is SHARD_BACKENDS
+        listed = r"\('serial', 'process', 'shm'\)"
+        with pytest.raises(ExecutionError, match=listed):
+            ShardedSession(num_keys=2, num_shards=2, backend=name)
 
 
 class TestProcessBackend:

@@ -5,9 +5,9 @@ For any shard count, any out-of-order stream, and any randomized
 register/deregister/rate schedule over distributive, algebraic, and
 holistic aggregates — in both per-key and global scope — a
 :class:`~repro.runtime.ShardedSession`'s merged results must be
-**bit-identical** to the 1-shard run, and (for everything a
-:class:`~repro.runtime.QuerySession` can express) to the unsharded
-session, which invariant 9 already ties to a cold batch run.
+**bit-identical** to the 1-shard run — which is what a
+:class:`~repro.runtime.QuerySession` is, and which invariant 9 already
+ties to a cold batch run.
 
 The same identity must hold across every execution configuration:
 {serial, process, shm} backends × {sync, async} ingest (invariant 11
@@ -27,7 +27,7 @@ import pytest
 from repro.aggregates.registry import AVG, MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.outoforder import scramble_batch
-from repro.runtime import Fault, FaultPlan, QuerySession, ShardedSession
+from repro.runtime import Fault, FaultPlan, ShardedSession
 from repro.windows.window import Window, WindowSet
 
 from session_streams import integer_stream
@@ -137,43 +137,6 @@ def run_sharded(
     return results, watermarks
 
 
-def run_unsharded(schedule, events, horizon, lateness=0, hysteresis=None):
-    """The same schedule on a QuerySession — minus forward-mode
-    (global holistic) queries, which only the sharded runtime serves."""
-    register_at, deregister_at = schedule
-    session = QuerySession(
-        num_keys=NUM_KEYS,
-        max_lateness=lateness,
-        hysteresis=hysteresis,
-        alpha=0.6,
-    )
-    forward = {
-        query.name
-        for point in register_at.values()
-        for query, scope in point
-        if scope == "global" and not query.aggregate.mergeable
-    }
-    dropped = set()
-    for i, (ts, key, value) in enumerate(events):
-        for query, scope in register_at.get(i, ()):
-            if query.name not in forward:
-                session.register(query, scope=scope)
-        for name in deregister_at.get(i, ()):
-            if name in session.queries:
-                session.deregister(name)
-                dropped.add(name)
-        session.push(ts, key, value)
-    for queries in register_at.values():
-        for query, scope in queries:
-            if (
-                query.name not in session.queries
-                and query.name not in dropped
-                and query.name not in forward
-            ):
-                session.register(query, scope=scope)
-    return session.finish(horizon=horizon), forward
-
-
 def assert_results_identical(expected, actual, context):
     assert set(expected) == set(actual), context
     for name in expected:
@@ -229,23 +192,6 @@ def test_randomized_schedules_are_shard_invariant(repro_seed, case):
         assert_results_identical(
             baseline, results, f"{context} shards={num_shards}"
         )
-
-    # Invariant 10 ties into invariant 9: everything a QuerySession can
-    # express matches it bit-for-bit (and invariant 9 ties *that* to a
-    # cold batch run).
-    unsharded, forward = run_unsharded(
-        schedule,
-        events,
-        batch.horizon,
-        lateness=lateness,
-        hysteresis=hysteresis,
-    )
-    comparable = {
-        name: by_window
-        for name, by_window in baseline.items()
-        if name.split("@g")[0] not in forward
-    }
-    assert_results_identical(unsharded, comparable, f"{context} vs-unsharded")
 
 
 #: Every execution configuration that must match the serial-sync

@@ -204,8 +204,8 @@ class TestCaptureIntegrity:
 
 @pytest.mark.scenarios
 class TestOneShardRuns:
-    """``shards=1`` is a ``QuerySession``: no workers, so no chaos to
-    arm — and a sync one is fed in columnar batches like any other."""
+    """``shards=1`` runs its one core in-process: no workers, so no
+    chaos to arm — and it is fed in columnar batches like any other."""
 
     def test_chaos_scenario_builds_no_fault_plan(self, monkeypatch):
         from repro.scenarios.schema import ChaosSpec
@@ -236,17 +236,17 @@ class TestOneShardRuns:
 
     @pytest.mark.parametrize("async_ingest", [False, True])
     def test_feed_is_columnar(self, monkeypatch, async_ingest):
-        from repro.runtime import QuerySession
+        from repro.runtime import ShardedSession
 
         calls = {"push": 0, "push_many": 0}
         for name in calls:
-            real = getattr(QuerySession, name)
+            real = getattr(ShardedSession, name)
 
             def counted(self, *args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(self, *args)
 
-            monkeypatch.setattr(QuerySession, name, counted)
+            monkeypatch.setattr(ShardedSession, name, counted)
         ScenarioRunner(load_scenario(CHAOS_TEXT)).run(
             shards=1, async_ingest=async_ingest
         )
