@@ -55,25 +55,30 @@ def logical_raw_pairs(
 
     ``timestamps`` must be non-decreasing (an :class:`EventBatch`
     column or a reorder-released chunk — every caller's input already
-    is).  Instance ``m`` holds the events in ``[m*s, m*s + r)``, so the
-    count is ``Σ_m searchsorted(ts, m*s + r) - searchsorted(ts, m*s)``
-    over the owned instances ``[start_instance, num_instances)`` that
-    any event can reach: O(instances * log N), no per-event array.
-    ``num_instances=None`` means unbounded above (live operators), and
-    ``start_instance`` clips below (operators activated mid-stream own
-    no instance before their aligned start).
+    is).  Event ``t`` lies in the ``k = r/s`` instances ``(t - r)/s <
+    m <= t/s``, all of them owned unless it sits within ``k - 1``
+    slides of an end of the owned range ``[start_instance,
+    num_instances)``: the count is ``k`` per event in between, two
+    binary searches find the edges, and only the edge events are
+    counted one by one.  ``num_instances=None`` means unbounded above
+    (live operators), and ``start_instance`` clips below (operators
+    activated mid-stream own no instance before their aligned start).
     """
-    if timestamps.size == 0:
+    n = int(timestamps.size)
+    if n == 0:
         return 0
     r, s = window.range, window.slide
-    first = max(start_instance, (int(timestamps[0]) - r) // s + 1)
-    stop = int(timestamps[-1]) // s + 1
+    k = r // s
+    lo = (start_instance + k - 1) * s  # first tick owning all k below
+    i0 = 0 if timestamps[0] >= lo else int(np.searchsorted(timestamps, lo))
+    i1 = n
+    if num_instances is not None and timestamps[-1] >= num_instances * s:
+        i1 = max(i0, int(np.searchsorted(timestamps, num_instances * s)))
+    if i0 == 0 and i1 == n:
+        return n * k
+    edges = np.concatenate((timestamps[:i0], timestamps[i1:]))
+    top = edges // s
     if num_instances is not None:
-        stop = min(stop, num_instances)
-    if stop <= first:
-        return 0
-    opens = s * np.arange(first, stop, dtype=np.int64)
-    held = np.searchsorted(timestamps, opens + r) - np.searchsorted(
-        timestamps, opens
-    )
-    return int(held.sum())
+        top = np.minimum(top, num_instances - 1)
+    owned = top - np.maximum((edges - r) // s + 1, start_instance) + 1
+    return (i1 - i0) * k + int(np.maximum(owned, 0).sum())

@@ -80,15 +80,15 @@ class ExecutionStats:
         """Record ``nbytes`` of event data physically copied.
 
         The zero-copy data plane (docs/performance.md) charges every
-        materializing copy of event columns — ring-slot reads, flush
-        re-contiguation — here, so benchmarks can gate bytes copied
-        per event end-to-end.
+        materializing copy of event columns — ring-slot reads, buffer
+        localization — here, so benchmarks can gate bytes copied per
+        event end-to-end.
         """
         self.bytes_copied += nbytes
 
     def record_copy_elided(self, events: int) -> None:
         """Record ``events`` handed downstream without a copy (borrowed
-        ring views, single-run flush pass-through)."""
+        ring views, flushed runs absorbed where they lie)."""
         self.copies_elided += events
 
     @property

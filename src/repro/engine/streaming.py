@@ -13,8 +13,8 @@ watermark-driven closes, bounded open state, partials flowing
 provider → consumer — but advances the watermark in timestamp *blocks*
 and applies the vectorized pane reduction (:mod:`~repro.engine.panes`)
 to each block, replacing the per-event Python dispatch with NumPy
-kernels.  Its state per raw operator is a rolling per-(key, pane)
-buffer covering only the open instances plus the current block.  Its
+kernels.  Its state per raw operator is one rolling per-(key, pane)
+store covering only the open instances plus the current block.  Its
 operators are the one pane engine: a live session feeds them a chunk
 per flush, ``streaming-chunked`` a chunk per ``chunk_ticks``, and
 ``columnar-panes`` one chunk — the whole batch (DESIGN.md §5).
@@ -507,11 +507,17 @@ class _ChunkedOperator:
 
 
 class _ChunkedRawOperator(_ChunkedOperator):
-    """Raw mergeable reads via a rolling per-(key, pane) buffer.
+    """Raw mergeable reads via one rolling per-(key, pane) store.
 
-    Each chunk is binned once (O(chunk events)); instances close with a
-    fold over their ``r/p`` panes (``fold_covering_sets``).  Only panes
-    at or after the next open instance's start are retained.
+    Each component's panes live in one owned, C-contiguous ``(num_keys,
+    capacity)`` array: column ``_col`` holds global pane
+    ``pane_offset``, the ``_span`` panes from there are live, and every
+    column after them holds the identity.  ``absorb`` scatters a chunk
+    straight into the store, so a pane is the strict left fold of its
+    events in input order however the stream was cut into chunks
+    (DESIGN.md §5).  Instances close with a fold over their ``r/p``
+    panes (``fold_covering_sets``); only panes at or after the next open
+    instance's start stay live.
     """
 
     def __init__(self, *args, **kwargs):
@@ -520,30 +526,52 @@ class _ChunkedRawOperator(_ChunkedOperator):
         self.stride = self.window.slide // self.pane
         self.per_instance = self.window.range // self.pane
         self.pane_offset = self.start_instance * self.stride
-        self._panes = [
-            np.full((self.num_keys, 0), ident, dtype=np.float64)
-            for ident in self.aggregate.identity_components
-        ]
+        self._own(
+            [
+                np.empty((self.num_keys, 0))
+                for _ in self.aggregate.component_ufuncs
+            ]
+        )
+
+    def _own(self, panes: list) -> None:
+        """Make fresh C-contiguous live panes the whole store."""
+        self._store, self._col, self._span = panes, 0, panes[0].shape[1]
+
+    @property
+    def _panes(self) -> list:
+        """The live panes: views into the store."""
+        lo, hi = self._col, self._col + self._span
+        return [buf[:, lo:hi] for buf in self._store]
+
+    def __getstate__(self) -> dict:
+        """Pickle only the live panes: spare and closed columns are not
+        state."""
+        state = dict(self.__dict__)
+        state.update(_store=self._panes, _col=0)
+        return state
 
     def _ensure_panes(self, upto: int) -> None:
-        """Grow the buffer to cover global panes ``[offset, upto)``."""
-        span = self._panes[0].shape[1]
-        missing = upto - self.pane_offset - span
-        if missing > 0:
-            self._panes = [
-                np.concatenate(
-                    (
-                        buf,
-                        np.full(
-                            (self.num_keys, missing), ident, dtype=np.float64
-                        ),
-                    ),
-                    axis=1,
+        """Make global panes ``[offset, upto)`` live.  Past the store's
+        last column the live panes move to a fresh store of twice the
+        need, capped at the last pane an owned instance reads."""
+        need = upto - self.pane_offset
+        if need <= self._span:
+            return
+        if self._col + need > self._store[0].shape[1]:
+            capacity = 2 * need
+            if self.num_instances is not None:
+                last = (self.num_instances - 1) * self.stride
+                capacity = min(
+                    capacity, last + self.per_instance - self.pane_offset
                 )
-                for buf, ident in zip(
-                    self._panes, self.aggregate.identity_components
-                )
-            ]
+            live = self._panes
+            self._store = []
+            for buf, ident in zip(live, self.aggregate.identity_components):
+                store = np.full((self.num_keys, capacity), ident)
+                store[:, :self._span] = buf
+                self._store.append(store)
+            self._col = 0
+        self._span = need
 
     def absorb(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
@@ -578,64 +606,57 @@ class _ChunkedRawOperator(_ChunkedOperator):
         if ts.size == 0:
             return
         self.stats.record_binned(ts.size)
-        # An empty buffer is binned into directly: the chunk table,
-        # laid out from the pane cursor, *is* the new buffer.
-        empty = self._panes[0].shape[1] == 0
-        lo = self.pane_offset if empty else int(panes[0])
-        hi = int(panes[-1])
-        span = hi - lo + 1
-        codes = keys * span + (panes - lo if lo else panes)
-        chunk = [
-            part.reshape(self.num_keys, span)
-            for part in self.aggregate.segment_reduce(
-                codes, values, self.num_keys * span
-            )
-        ]
-        if empty:
-            self._panes = chunk
-        else:
-            self._ensure_panes(hi + 1)
-            at = lo - self.pane_offset
-            for ufunc, buf, part in zip(
-                self.aggregate.component_ufuncs, self._panes, chunk
-            ):
-                block = buf[:, at:at + span]
-                ufunc(block, part, out=block)
-        self._note_retained(self._panes[0].shape[1])
+        self._ensure_panes(int(panes[-1]) + 1)
+        # One flat scatter per component into the raveled store (the
+        # tuple-indexed form is several times slower).
+        codes = keys * self._store[0].shape[1]
+        codes += panes
+        codes += self._col - self.pane_offset
+        for ufunc, buf, comp in zip(
+            self.aggregate.component_ufuncs,
+            self._store,
+            self.aggregate.lift(values),
+        ):
+            ufunc.at(buf.reshape(-1), codes, comp)
+        self._note_retained(self._span)
 
     def _close_range(self, m0: int, m1: int) -> None:
         self._ensure_panes((m1 - 1) * self.stride + self.per_instance)
         self.stats.record_physical(
             self.window, self.num_keys * (m1 - m0) * self.per_instance
         )
-        first = m0 * self.stride - self.pane_offset
+        first = self._col + m0 * self.stride - self.pane_offset
         components = tuple(
             fold_covering_sets(
                 ufunc, buf, first, self.stride, self.per_instance, m1 - m0
             )
-            for ufunc, buf in zip(self.aggregate.component_ufuncs, self._panes)
+            for ufunc, buf in zip(self.aggregate.component_ufuncs, self._store)
         )
         self._emit(m0, m1, components)
         cut = m1 * self.stride - self.pane_offset
         if cut > 0:
-            self._panes = [buf[:, cut:] for buf in self._panes]
+            self._col += cut
+            self._span -= cut
             self.pane_offset = m1 * self.stride
 
     def handoff(self) -> dict:
         state = super().handoff()
-        state.update(pane_offset=self.pane_offset, panes=self._panes)
+        state.update(
+            pane_offset=self.pane_offset,
+            store=(self._store, self._col, self._span),
+        )
         return state
 
     def adopt(self, state: dict) -> None:
         super().adopt(state)
         self.pane_offset = state["pane_offset"]
-        self._panes = state["panes"]
+        self._store, self._col, self._span = state["store"]
 
     def extract_keys(self, local_ids: np.ndarray) -> dict:
         state = super().extract_keys(local_ids)
         state["pane_offset"] = self.pane_offset
         state["rows"] = [buf[local_ids] for buf in self._panes]
-        self._panes = [np.delete(buf, local_ids, axis=0) for buf in self._panes]
+        self._store = [np.delete(buf, local_ids, axis=0) for buf in self._store]
         return state
 
     def absorb_keys(
@@ -650,24 +671,26 @@ class _ChunkedRawOperator(_ChunkedOperator):
                 f"{self.window}: pane offset mismatch on key absorb — "
                 f"{state['pane_offset']} vs {self.pane_offset}"
             )
-        width = max(self._panes[0].shape[1], state["rows"][0].shape[1])
-        self._panes = [
-            _splice_rows(
-                _pad_columns(buf, width, ident),
-                _pad_columns(rows, width, ident),
-                positions,
-                num_keys,
-            )
-            for buf, rows, ident in zip(
-                self._panes,
-                state["rows"],
-                self.aggregate.identity_components,
-            )
-        ]
+        width = max(self._span, state["rows"][0].shape[1])
+        self._own(
+            [
+                _splice_rows(
+                    _pad_columns(buf, width, ident),
+                    _pad_columns(rows, width, ident),
+                    positions,
+                    num_keys,
+                )
+                for buf, rows, ident in zip(
+                    self._panes,
+                    state["rows"],
+                    self.aggregate.identity_components,
+                )
+            ]
+        )
 
     @property
     def retained_state(self) -> int:
-        return self._panes[0].shape[1]
+        return self._span
 
 
 class _ChunkedHolisticOperator(_ChunkedOperator):

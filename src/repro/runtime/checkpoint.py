@@ -68,7 +68,10 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: its one-shard kind holds a bare core where every session now keeps a
 #: coordinator, and a v5 coordinator carries a slot-bytes counter that
 #: is now derived from the slot-event counter.
-CHECKPOINT_VERSION = 6
+#: v7: a raw operator keeps its panes in one store with a column cursor
+#: and a coordinator owes buffered events to its slot loads — a v6 raw
+#: operator holds a bare pane list and a v6 coordinator no such count.
+CHECKPOINT_VERSION = 7
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

@@ -204,14 +204,11 @@ class SessionCore:
         self.max_retired_results = max_retired_results
         self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
+        # Buffered runs, absorbed in place at the next flush.  A run may
+        # be a view over a shared-memory ring slot; views pickle by
+        # value, so a core snapshot never captures an aliased page.
         self._buf_chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]" = []
         self._buffered = 0
-        # Reusable flush arena: multi-chunk flushes re-contiguate into
-        # these preallocated columns instead of a fresh ``concatenate``
-        # per flush; a single-chunk flush passes its arrays through
-        # untouched (zero copies).  Operators never retain absorbed
-        # arrays past the flush, so reusing the arena is safe.
-        self._arena: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self.bytes_copied = 0
         self.copies_elided = 0
         self._watermark = 0
@@ -229,25 +226,6 @@ class SessionCore:
         self._closed = False
         self.switches: list[PlanSwitchRecord] = []
         self.wall_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    # Snapshot support (DESIGN.md §9, invariant 12)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle everything but the flush arena.  Every other field —
-        the buffered partial chunk, the group runtimes with their
-        operators and subscriptions, the retired-result archive, the
-        workload and its plans — is plain picklable state, which is
-        what makes a core snapshot a *complete* capture: restoring it
-        resumes bit-identical to an uninterrupted run.
-
-        The arena holds no live data between flushes (only capacity),
-        and buffered chunk *views* — which may alias shared-memory ring
-        slots — pickle by value, so a snapshot never captures an
-        aliased page."""
-        state = dict(self.__dict__)
-        state["_arena"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Introspection
@@ -776,55 +754,17 @@ class SessionCore:
         if self._buffered or target > self._watermark:
             self._flush(target)
 
-    def _gather_chunks(
-        self,
-        chunks: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]",
-        count: int,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Copy buffered runs into the reused arena, returning length-
-        ``count`` views over it.
-
-        Growth is geometric so steady-state flushes allocate nothing.
-        The views die with the flush (operators do not retain absorbed
-        arrays), so the arena can be rewritten next flush.
-        """
-        if self._arena is None or self._arena[0].size < count:
-            cap = count
-            if self._arena is not None:
-                cap = max(cap, 2 * self._arena[0].size)
-            self._arena = (
-                np.empty(cap, dtype=np.int64),
-                np.empty(cap, dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-            )
-        arena_ts, arena_keys, arena_values = self._arena
-        pos = 0
-        for chunk_ts, chunk_keys, chunk_values in chunks:
-            n = int(chunk_ts.size)
-            arena_ts[pos : pos + n] = chunk_ts
-            arena_keys[pos : pos + n] = chunk_keys
-            arena_values[pos : pos + n] = chunk_values
-            pos += n
-        return arena_ts[:count], arena_keys[:count], arena_values[:count]
-
     def _flush(self, to_watermark: int) -> None:
         started = time.perf_counter()
-        count = self._buffered
-        if count:
-            chunks, self._buf_chunks = self._buf_chunks, []
-            self._buffered = 0
-            if len(chunks) == 1:
-                # Pass the single run straight through — no copy.  The
-                # arrays may be borrowed ring views; operators reduce
-                # them into their own state without retaining them.
-                ts, keys, values = chunks[0]
-                self.copies_elided += count
-            else:
-                # Re-contiguate into the reused arena (one bounded
-                # copy), so operators see one contiguous block per
-                # flush — the same bits a concatenate would produce.
-                ts, keys, values = self._gather_chunks(chunks, count)
-                self.bytes_copied += count * EVENT_BYTES
+        # Every buffered run is absorbed where it lies, in order: exact
+        # pane folds make its pieces the same bits as one gathered
+        # block, so no flush copies an event.  The arrays may be
+        # borrowed ring views; operators reduce them into their own
+        # state without retaining them.
+        chunks, self._buf_chunks = self._buf_chunks, []
+        self.copies_elided += self._buffered
+        self._buffered = 0
+        for ts, keys, values in chunks:
             for runtime in self._groups.values():
                 runtime.absorb(ts, keys, values)
         for runtime in self._groups.values():

@@ -296,8 +296,8 @@ class SessionFrontDoor:
     clock** (``_watermark``, ``_chunk_ticks``, ``_chunk_end``,
     ``_max_event_ts``, ``_pending_events`` and the scalar staging
     buffer per-event ``push`` fills) — and every verb around it:
-    ``push`` / ``push_many`` / ``push_batch``, the one loop that cuts a
-    released run at chunk ends (:meth:`_apply_run`), ``_flush`` /
+    ``push`` / ``push_many`` / ``push_batch``, the one loop that finds
+    the chunk ends in a released run (:meth:`_apply_run`), ``_flush`` /
     ``_sync``, the end-of-push epilogue (rate replan, then
     auto-checkpoint cadence), ``snapshot`` / ``restore`` and their
     framing, ``finish``, ``results`` / ``drain_results``, ``close``.
@@ -305,8 +305,10 @@ class SessionFrontDoor:
     supplies:
 
     * ``generation`` / ``queries`` — coordinator-local reads;
-    * ``_buffer_run(ts, keys, values)`` — take one sorted column run
-      into its buffers *without* advancing time;
+    * ``_buffer_run(ts, keys, values, ends)`` — take one sorted column
+      run into its buffers *without* advancing time; ``ends`` holds,
+      per chunk end the run closes, the position just past that
+      chunk's last event (for the per-chunk slot loads);
     * ``_deliver(to_watermark)`` — hand everything buffered to the
       operators and advance them to ``to_watermark``;
     * ``_apply_rate(rate)`` — re-plan at a new event rate;
@@ -386,8 +388,13 @@ class SessionFrontDoor:
         on_checkpoint,
     ) -> None:
         """What is an override, never part of a snapshot: the ingest
-        mode and the checkpoint cadence.  Last step of both ``__init__``
-        and :meth:`restore`."""
+        mode, the longest run a batch is applied in, and the checkpoint
+        cadence.  Last step of both ``__init__`` and :meth:`restore`."""
+        if ingest_high_watermark < 1:
+            raise ExecutionError(
+                f"high_watermark must be >= 1, got {ingest_high_watermark}"
+            )
+        self._run_events = ingest_high_watermark
         self._auto_store = require_cadence(auto_checkpoint)
         self._checkpoint_meta = checkpoint_meta
         self._on_checkpoint = on_checkpoint
@@ -463,26 +470,26 @@ class SessionFrontDoor:
 
         The batch stays a batch: it is validated whole
         (:func:`~repro.engine.events.event_columns` — nothing is
-        applied from a batch holding one bad row), crosses the reorder
-        buffer in one columnar pass
+        applied from a batch holding one bad row), and split into runs
+        of at most the ingest high watermark (column views, no copies).
+        Each run crosses the reorder buffer in one columnar pass
         (:meth:`~repro.engine.outoforder.ReorderBuffer.push_batch`) and
-        reaches the operators as column runs cut at chunk boundaries,
+        reaches the operators once, however many chunk ends it crosses,
         with the same results, late-drop decisions and reorder
         counters as pushing event by event.  Rate replans and the
         auto-checkpoint cadence apply once, at the end of the batch.
-        In async mode the validated columns enqueue without waiting
-        for flushes, as runs of at most the backpressure high watermark
-        (column views, no copies), so the queue's event bound stays
-        meaningful — the backlog never exceeds twice the high watermark
-        — and the pump applies each through the same function.  An
-        empty batch is never enqueued."""
+        In async mode the runs enqueue without waiting for flushes, so
+        the queue's event bound stays meaningful — the backlog never
+        exceeds twice the high watermark — and the pump applies each
+        through the same function.  An empty batch is never
+        enqueued."""
         columns = event_columns(events, self.num_keys)
         pump = self._pump
         if pump is None or not pump.accepting:
             self._push_run_now(columns)
             return
         ts, keys, values = columns
-        high = pump.queue.high_watermark
+        high = self._run_events
         for lo in range(0, int(ts.size), high):
             hi = lo + high
             pump.submit_run(
@@ -494,8 +501,13 @@ class SessionFrontDoor:
     def _push_run_now(self, columns: EventColumns) -> None:
         self._require_open()
         ts, keys, values = columns
+        high = self._run_events
+        for lo in range(0, int(ts.size), high):
+            hi = lo + high
+            self._apply_run(
+                *self._reorder.push_batch(ts[lo:hi], keys[lo:hi], values[lo:hi])
+            )
         if ts.size:
-            self._apply_run(*self._reorder.push_batch(ts, keys, values))
             self._end_push()
 
     def push_batch(self, batch: EventBatch) -> None:
@@ -538,53 +550,68 @@ class SessionFrontDoor:
         while ts >= self._chunk_end:
             self._flush(self._chunk_end)
 
-    def _seal_staged(self) -> None:
-        """Hand the staged events over as one column run."""
+    def _seal_staged(self, ends=()) -> None:
+        """Hand the staged events over as one column run (an empty one
+        when nothing is staged but a chunk end is)."""
         ts, keys, values = self._staged
-        if ts:
+        if ts or ends:
             self._staged = ([], [], [])
             self._buffer_run(
                 np.asarray(ts, dtype=np.int64),
                 np.asarray(keys, dtype=np.int64),
                 np.asarray(values, dtype=np.float64),
+                ends,
             )
 
     def _apply_run(self, ts, keys, values) -> None:
-        """Apply one *released* (timestamp-sorted) column run, flushing
-        at every chunk end it crosses — the columnar form of looping
-        :meth:`_stage`, and the only chunk cut in the runtime.
+        """Apply one *released* (timestamp-sorted) column run — the
+        columnar form of looping :meth:`_stage`, and the only chunk cut
+        in the runtime.
 
-        The run is cut just *after* each chunk-crossing event, which
-        rides into the buffer before its flush fires — exactly where
-        the per-event loop flushes, so both paths hand the operators
-        the same blocks at the same watermarks."""
+        Every chunk end the run crosses is accounted where the
+        per-event loop flushes — just *after* the chunk-crossing event,
+        with that chunk's count — and then the operators get the run
+        once: everything up to the last crossing event in one
+        ``_buffer_run``, delivered to the last chunk end in one
+        ``_deliver``.  Exact pane folds make the chunks in between
+        unobservable.  The events after the last crossing stay
+        buffered, as the per-event loop leaves them staged."""
         n = int(ts.size)
         if n == 0:
             return
         self._seal_staged()  # arrival order: staged events came first
-        pos = 0
-        while pos < n:
-            cut = int(np.searchsorted(ts, self._chunk_end, side="left"))
-            cut = min(cut + 1, n)
-            self._buffer_run(ts[pos:cut], keys[pos:cut], values[pos:cut])
+        pos, ends = 0, []
+        while True:
+            cut = int(np.searchsorted(ts, self._chunk_end, side="left")) + 1
+            if cut > n:
+                break
             self._pending_events += cut - pos
             pos = cut
-            last = int(ts[cut - 1])
-            if last > self._max_event_ts:
-                self._max_event_ts = last
-            while last >= self._chunk_end:
-                self._flush(self._chunk_end)
+            while ts[cut - 1] >= self._chunk_end:
+                ends.append(cut)
+                self._close_chunk(self._chunk_end)
+        if ends:
+            self._buffer_run(ts[:pos], keys[:pos], values[:pos], ends)
+            self._deliver(self._watermark)
+        if pos < n:
+            self._buffer_run(ts[pos:], keys[pos:], values[pos:], ())
+            self._pending_events += n - pos
+        self._max_event_ts = max(self._max_event_ts, int(ts[-1]))
 
-    def _flush(self, to_watermark: int) -> None:
-        """Seal staging, deliver, advance the clock, account the epoch."""
-        self._seal_staged()
+    def _close_chunk(self, to_watermark: int) -> None:
+        """Advance the clock to a chunk end and account its epoch."""
         count, self._pending_events = self._pending_events, 0
-        self._deliver(to_watermark)
         self._watermark = to_watermark
         self._chunk_end = to_watermark + self._chunk_ticks
         self._rate_observer.observe_flush(
             to_watermark, count, self._chunk_ticks, bool(self.queries)
         )
+
+    def _flush(self, to_watermark: int) -> None:
+        """Seal staging, advance the clock, deliver."""
+        self._seal_staged(ends=(len(self._staged[0]),))
+        self._close_chunk(to_watermark)
+        self._deliver(to_watermark)
 
     def _sync(self, at: int) -> None:
         """Advance to the newest safe watermark before a workload

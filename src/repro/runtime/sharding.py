@@ -34,10 +34,10 @@ third-party implementations in ``docs/backends.md``):
 * :class:`SerialShardBackend` — all cores in-process, advanced
   deterministically in shard order: the test oracle.
 * :class:`ProcessShardBackend` — one worker process per shard over a
-  ``multiprocessing`` pipe; columnar event slices ship per chunk (one
-  IPC message per shard per chunk, never per event) and data-plane
-  commands are fire-and-forget, so the coordinator keeps routing chunk
-  ``k+1`` while workers crunch chunk ``k``.
+  ``multiprocessing`` pipe; columnar event slices ship per run (one
+  IPC message per shard per run, never per event) and data-plane
+  commands are fire-and-forget, so the coordinator keeps routing run
+  ``k+1`` while workers crunch run ``k``.
 * :class:`SharedMemoryShardBackend` — the same worker topology, but
   the data plane moves to one single-producer/single-consumer columnar
   ring per shard in ``multiprocessing.shared_memory``
@@ -101,9 +101,9 @@ DEFAULT_CONTROL_TIMEOUT = 60.0
 #: must be distinguishable from an explicit ``None`` (no deadline).
 _TIMEOUT_UNSET = object()
 
-#: Per-flush exponential decay of the per-slot load counters: recent
-#: traffic dominates the rebalance policy, but a slot that was hot a
-#: few chunks ago still registers (half-life ≈ 3 flushes).
+#: Per-chunk-end exponential decay of the per-slot load counters:
+#: recent traffic dominates the rebalance policy, but a slot that was
+#: hot a few chunks ago still registers (half-life ≈ 3 chunks).
 LOAD_DECAY = 0.8
 
 
@@ -1492,8 +1492,8 @@ class ShardedSession(SessionFrontDoor):
       immediately, backpressure at ``ingest_high_watermark`` queued
       events, identical results (DESIGN.md §8, invariant 11);
     * :meth:`push_batch` / :meth:`push_many` — whole columnar batches
-      cross the reorder buffer in one pass, are partitioned per chunk
-      and shipped as slices, with no per-event Python dispatch;
+      cross the reorder buffer in one pass, are partitioned once per
+      run and shipped as slices, with no per-event Python dispatch;
     * ``scope="global"`` registrations — cross-key aggregates merged
       at the coordinator (partials for mergeable aggregates, raw
       forwarding for holistic ones);
@@ -1588,8 +1588,9 @@ class ShardedSession(SessionFrontDoor):
         ]
         # Decayed per-slot event counters (bytes are events × the fixed
         # event width) — the signal the rebalance policy reads
-        # (DESIGN.md §12).
+        # (DESIGN.md §12) — and the buffered events they still owe.
         self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
+        self._slot_pending = np.zeros(self.num_slots, dtype=np.int64)
         self._fixed_chunk = chunk_ticks
         self._event_rate = event_rate
         self._enable_factor_windows = enable_factor_windows
@@ -1826,18 +1827,29 @@ class ShardedSession(SessionFrontDoor):
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def _buffer_run(self, ts, keys, values) -> None:
+    def _buffer_run(self, ts, keys, values, ends) -> None:
         # One gather of the run's slots feeds both the load counters and
         # the split: a shard's share is its slots' counts, so a shard
         # that owns the whole run takes it as it is, and only a run the
-        # shards share is masked apart.
+        # shards share is masked apart.  The loads step at every chunk
+        # end by the events delivered since the one before, whatever
+        # run boundaries those events crossed.
         partitioner = self.partitioner
         slots = partitioner.slot_of_key[keys]
         counts = np.bincount(slots, minlength=self.num_slots)
-        self._slot_events += counts
         shares = np.bincount(
             partitioner.slot_map, weights=counts, minlength=self.num_shards
         )
+        for lo, end in zip((0, *ends), ends):
+            part = np.bincount(slots[lo:end], minlength=self.num_slots)
+            counts -= part
+            self._slot_pending += part
+            self._slot_events += self._slot_pending
+            self._slot_events *= LOAD_DECAY
+            self._slot_pending[:] = 0
+        self._slot_pending += counts
+        if not ts.size:
+            return
         local = partitioner.local_id[keys]
         owner = None
         for slot, shard in enumerate(self.active_shards):
@@ -1854,12 +1866,9 @@ class ShardedSession(SessionFrontDoor):
             self._fwd_arrays.append((ts, values))
 
     def _feed_buffers(self) -> None:
-        # Ship per-shard chunk *runs*, never concatenating here: the
-        # shard core re-contiguates once per flush (into its reused
-        # arena), so a coordinator-side concatenate would be a second
-        # copy of every event.  Chunk order is preserved end-to-end,
-        # which keeps the flushed block bit-identical to the old
-        # concatenate-then-ship plane.
+        # Ship per-shard runs as they are, never concatenating: the
+        # shard core absorbs each in place, in order, and exact pane
+        # folds make that the same bits as one concatenated block.
         slices = self._array_buf
         self._array_buf = [[] for _ in self.active_shards]
         self.backend.feed(slices)
@@ -1877,7 +1886,6 @@ class ShardedSession(SessionFrontDoor):
         if self._forward is not None:
             self._forward.advance_to(to_watermark)
         self.wall_seconds += time.perf_counter() - started
-        self._slot_events *= LOAD_DECAY
 
     def _apply_rate(self, rate: int) -> None:
         # Re-pricing alone moves no operator, so it moves no clock:
@@ -1905,10 +1913,21 @@ class ShardedSession(SessionFrontDoor):
         """The live slot → shard map (a copy)."""
         return self.partitioner.slot_map.copy()
 
+    def _loads(self) -> np.ndarray:
+        """Decayed per-slot event loads: the counters stepped at every
+        chunk end, plus the events taken in since the last one — staged
+        or buffered alike, so the value is the same whatever call
+        granularity brought them."""
+        staged = np.asarray(self._staged[1], dtype=np.int64)
+        return self._slot_events + (self._slot_pending + np.bincount(
+            self.partitioner.slot_of_key[staged], minlength=self.num_slots
+        ))
+
     @synchronized
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
         """Decayed per-slot ``(events, bytes)`` load counters."""
-        return self._slot_events.copy(), self._slot_events * EVENT_BYTES
+        loads = self._loads()
+        return loads, loads * EVENT_BYTES
 
     @synchronized
     def shard_loads(self) -> "dict[int, dict[str, float]]":
@@ -1917,7 +1936,7 @@ class ShardedSession(SessionFrontDoor):
         signal :meth:`rebalance` acts on."""
         slot_map = self.partitioner.slot_map
         events = np.bincount(
-            slot_map, weights=self._slot_events, minlength=self.num_shards
+            slot_map, weights=self._loads(), minlength=self.num_shards
         )
         slots = np.bincount(slot_map, minlength=self.num_shards)
         return {
@@ -1965,7 +1984,7 @@ class ShardedSession(SessionFrontDoor):
         number of slots moved (0 when already balanced — one shard, or
         the single-hot-key case, where no slot move can help)."""
         self._require_open()
-        load = self._slot_events
+        load = self._loads()
         new_map = self.partitioner.slot_map.copy()
         limit = 8 if max_moves is None else int(max_moves)
         moved = 0
@@ -2002,7 +2021,7 @@ class ShardedSession(SessionFrontDoor):
         the most loaded shard.  Returns the new shard id."""
         self._require_open()
         slot_map = self.partitioner.slot_map.copy()
-        load = self._slot_events
+        load = self._loads()
         if source is None:
             shard_load = np.bincount(
                 slot_map, weights=load, minlength=self.num_shards
@@ -2047,7 +2066,7 @@ class ShardedSession(SessionFrontDoor):
             )
         if into is None:
             shard_load = np.bincount(
-                slot_map, weights=self._slot_events,
+                slot_map, weights=self._loads(),
                 minlength=self.num_shards,
             )
             into = min(
@@ -2193,6 +2212,7 @@ class ShardedSession(SessionFrontDoor):
         "num_shards",
         "active_shards",
         "_slot_events",
+        "_slot_pending",
         "_fixed_chunk",
         "_event_rate",
         "_enable_factor_windows",

@@ -1,12 +1,16 @@
-"""The three "an empty buffer adopts what it is handed" rules of the
-chunked operators (DESIGN.md §5, "One pane engine").
+"""The two "an empty buffer adopts what it is handed" rules of the
+chunked operators (DESIGN.md §5, "One pane engine"), and the one store
+they write into.
 
 Adoption shares one array between a provider's sinks, its result array
 and every consumer's buffer, so it is sound only while nobody writes
 into a block they were handed.  These tests pin that from both sides:
 a live-protocol run that adopts often is bit-identical to a control
-that never adopts, every block handed out is unchanged at the end, and
-a source scan names the one in-place write in ``engine/streaming.py``.
+that never adopts (and whose raw operator absorbs one event at a time:
+exact pane folds make that cut invisible too), every block handed out
+is unchanged at the end, and a source scan names the one in-place
+write in ``engine/streaming.py`` — the raw operator's scatter into the
+pane store it owns.
 """
 
 import ast
@@ -35,13 +39,12 @@ ENDS = (20, 27, 40, 60, 61, 80, 100, 110, 127, 140, 160, 175, 200, 220, 240)
 MIGRATE_AT, HANDOFF_AT, PICKLE_AT = 100, 140, 200
 
 
-class _MergingRaw(_ChunkedRawOperator):
-    """Never bins into an empty buffer: one identity pane is always
-    there first, so every chunk takes the table + merge path."""
+class _EventAtATimeRaw(_ChunkedRawOperator):
+    """Absorbs every chunk one event at a time."""
 
     def absorb(self, ts, keys, values):
-        self._ensure_panes(self.pane_offset + 1)
-        super().absorb(ts, keys, values)
+        for i in range(ts.size):
+            super().absorb(ts[i : i + 1], keys[i : i + 1], values[i : i + 1])
 
 
 class _CopyingSubAgg(_ChunkedSubAggOperator):
@@ -157,7 +160,7 @@ def _run(raw_cls, sub_cls):
 
 def test_adopting_run_is_bit_identical_to_the_never_adopting_one():
     got, widths = _run(_ChunkedRawOperator, _ChunkedSubAggOperator)
-    want, _ = _run(_MergingRaw, _CopyingSubAgg)
+    want, _ = _run(_EventAtATimeRaw, _CopyingSubAgg)
     # The schedule reaches both states of both adopting operators.
     assert widths >= {
         ("_ChunkedRawOperator", True), ("_ChunkedRawOperator", False),
@@ -189,9 +192,19 @@ def test_a_block_covering_every_instance_becomes_the_result_array():
     assert whole.results.flags.writeable and pieces.results.flags.writeable
 
 
+def _writes_in_place(node):
+    """A call that writes into an existing array: ``out=`` or
+    ``ufunc.at``."""
+    return isinstance(node, ast.Call) and (
+        any(kw.arg == "out" for kw in node.keywords)
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "at")
+    )
+
+
 def test_only_the_raw_operators_absorb_writes_in_place():
-    """``out=`` is how this module writes into an existing array; the
-    one site writes into the pane buffer its operator built itself."""
+    """``out=`` and ``ufunc.at`` are how this module writes into an
+    existing array; the one site scatters into the pane store its
+    operator built itself."""
     tree = ast.parse(Path(streaming.__file__).read_text())
     functions = [(None, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
@@ -201,10 +214,6 @@ def test_only_the_raw_operators_absorb_writes_in_place():
     writers = {
         (owner, fn.name)
         for owner, fn in functions
-        if any(
-            isinstance(node, ast.Call)
-            and any(kw.arg == "out" for kw in node.keywords)
-            for node in ast.walk(fn)
-        )
+        if any(_writes_in_place(node) for node in ast.walk(fn))
     }
     assert writers == {("_ChunkedRawOperator", "absorb")}

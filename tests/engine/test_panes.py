@@ -19,7 +19,7 @@ from repro.aggregates.registry import (
 )
 from repro.core.optimizer import optimize
 from repro.core.rewrite import rewrite_plan
-from repro.engine.columnar import aggregate_raw
+from repro.engine.columnar import FOLD_PASSES_MAX_WIDTH, aggregate_raw
 from repro.engine.events import make_batch
 from repro.engine.executor import execute_plan, results_equal
 from repro.engine.panes import logical_raw_pairs, pane_width
@@ -193,19 +193,20 @@ def _stream(whole: bool, n: int = 400):
     )
 
 
-def _plans(aggregate):
-    plans = [original_plan(WINDOWS, aggregate)]
+def _plans(aggregate, windows=WINDOWS):
+    plans = [original_plan(windows, aggregate)]
     if aggregate.mergeable:
-        plans.append(rewrite_plan(optimize(WINDOWS, aggregate).best, aggregate))
+        plans.append(rewrite_plan(optimize(windows, aggregate).best, aggregate))
     return plans
 
 
 class TestAnyChunkingOneAnswer:
     """``columnar-panes`` and ``streaming-chunked`` are one engine at two
     chunk sizes, so every chunk size must tell the ``columnar`` story:
-    bit for bit where the fold order cannot matter, and — once a chunk
-    holds the whole batch — bit for bit with ``columnar-panes`` on any
-    values, because it is then the same scatter and the same fold."""
+    bit for bit where the fold order cannot matter, and bit for bit with
+    ``columnar-panes`` on any values at every chunk size, because every
+    chunk is scattered into the same pane store in input order and
+    folded the same way."""
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     @pytest.mark.parametrize(
@@ -252,14 +253,35 @@ class TestAnyChunkingOneAnswer:
                     np.testing.assert_array_equal(
                         got, reference.results[window]
                     )
-                if chunk_ticks >= batch.horizon:
-                    np.testing.assert_array_equal(got, panes.results[window])
-            if chunk_ticks >= batch.horizon:
-                assert (
-                    chunked.stats.physical_per_window
-                    == panes.stats.physical_per_window
-                )
-                assert chunked.stats.events_binned == panes.stats.events_binned
+                np.testing.assert_array_equal(got, panes.results[window])
+            assert (
+                chunked.stats.physical_per_window
+                == panes.stats.physical_per_window
+            )
+            assert chunked.stats.events_binned == panes.stats.events_binned
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize(
+        "aggregate", [SUM, AVG, STDEV], ids=lambda a: a.name
+    )
+    def test_covering_sets_wider_than_the_passes(self, aggregate, chunking):
+        """Folds wider than ``FOLD_PASSES_MAX_WIDTH`` reduce a strided
+        view; NumPy's reduce of one contiguous set does not depend on
+        how many sets a close folds at once, so the answer is still one
+        at every chunking — for 50 and 60 panes per instance, and for
+        consumers reading 50 and 60 provider partials."""
+        batch = _stream(whole=False)
+        windows = WindowSet([Window(100, 2), Window(120, 4)])
+        assert 100 // 2 > FOLD_PASSES_MAX_WIDTH
+        for plan in _plans(aggregate, windows):
+            panes = execute_plan(plan, batch, engine="columnar-panes")
+            chunked = execute_plan(
+                plan, batch, engine="streaming-chunked",
+                chunk_ticks=CHUNKINGS[chunking],
+            )
+            assert set(chunked.results) == set(panes.results)
+            for window, got in chunked.results.items():
+                np.testing.assert_array_equal(got, panes.results[window])
 
     @pytest.mark.parametrize("horizon", [0, 5, HORIZON], ids="h{}".format)
     @pytest.mark.parametrize("engine", ["columnar-panes", "streaming-chunked"])

@@ -1,28 +1,30 @@
 """One chunk clock (DESIGN.md §8): however a stream reaches a session —
 event by event, as row lists, arrays or validated columns, as sorted
 batches, through a pump or not, across a snapshot/restore — the
-watermark advances at the same events, so the operators see the same
-blocks at the same watermarks as the plain per-event loop.
+watermark advances at the same events, and every chunk end is
+accounted where the plain per-event loop flushes.
 
 Every script is held to the per-event ``push`` loop of the same
-session, at one shard and at two:
+session, at one shard and at two, on real-valued streams:
 
-* bit-identical results, the same reorder counters, the same
-  ``watermark`` after every call;
+* bit-identical results and the same reorder counters.  A call that
+  crosses several chunk ends hands the operators its run once where
+  the loop flushes at every one of them; exact pane folds make the
+  two the same bits;
+* the same ``watermark``, ``slot_loads()`` and rate-controller state
+  after every call;
 * the same ``ExecutionStats.total_pairs`` / ``total_physical``, and the
-  same number of delivered events.  ``bytes_copied`` and
-  ``copies_elided`` split that number by whether a flush absorbed one
-  run (passed through) or several (gathered), which is a property of
-  the call granularity itself — so the split is held equal where the
-  calls are equal (the same script, sync vs async) and its sum is held
-  equal against the loop (in-process cores only: the shm ring's own
-  copies land in the same counter).
+  same number of delivered events.  No flush copies an event, so
+  ``bytes_copied`` and ``copies_elided`` are held equal where the calls
+  are equal (the same script, sync vs async) and their sum against
+  the loop (in-process cores only: the shm ring's own copies land in
+  the same counter).
 
-Real-valued streams run with ``hysteresis=None``.  One feed moves
-*when* a block is cut without changing what the stream means, so it is
-held to the exactness conditions of invariants 9/10 instead
-(whole-number values; results, reorder counters and pair counts only):
-live replanning, where a rate switch lands at the end of a push *call*.
+Half the scripts run the default hysteresis: the rate controller is
+live and re-prices every group, but no plan of this workload depends
+on the rate, so a replan never switches a plan and never moves the
+clock (a switch would land at the end of a push *call*, where the loop
+and a batch differ by construction).
 
 Data steps are sized in events, or run through the next tick a freshly
 registered operator's instance starts on — a switch right there is the
@@ -78,16 +80,15 @@ STEPS = st.lists(
 )
 
 
-def make_events(seed: int, lateness: int, in_order: bool, whole: bool):
-    """A constant-rate stream; unless ``in_order``, arrival jitter
-    overshoots the lateness bound so some events are late-dropped."""
+def make_events(seed: int, lateness: int, in_order: bool):
+    """A constant-rate real-valued stream; unless ``in_order``, arrival
+    jitter overshoots the lateness bound so some events are
+    late-dropped."""
     rng = np.random.default_rng(seed)
     n = TICKS * RATE
     ts = np.arange(n, dtype=np.int64) // RATE
     keys = rng.integers(0, NUM_KEYS, n)
     values = rng.normal(20.0, 5.0, n)
-    if whole:
-        values = np.round(values)
     if not in_order:
         jitter = rng.integers(0, lateness + 4, n)
         order = np.argsort(ts + jitter, kind="stable")
@@ -147,12 +148,27 @@ def push_piece(session, how, piece):
         )
 
 
+def clock(session):
+    """What a call leaves on the clock: the watermark, the slot loads
+    and the rate observer's epoch, with its controller's estimate."""
+    loads = session.slot_loads()[0].tolist()  # a synchronization point
+    observer = session._rate_observer
+    controller = observer.controller
+    rate = None if controller is None else (
+        controller.planned_rate, dict(vars(controller.estimator))
+    )
+    return (
+        session.watermark, loads, observer.epoch_start,
+        observer.epoch_events, observer.pending_rate, rate,
+    )
+
+
 def run(
     shards, backend, events, steps, config, *, as_loop=False,
     async_ingest=False,
 ):
     """Play ``steps`` over ``events``; returns ``(results, reorder
-    stats, {step: watermark}, execution stats)``.  ``as_loop`` replaces
+    stats, {step: clock}, execution stats)``.  ``as_loop`` replaces
     every data step by the per-event loop and skips the steps that
     mutate nothing (``stats`` / ``restore``)."""
     lateness, chunk_ticks, hysteresis = config
@@ -184,10 +200,11 @@ def run(
                 )
                 synced = True
             if synced:
-                marks[index] = session.watermark
+                marks[index] = clock(session)
         push_piece(session, "push" if as_loop else "rows", events[cursor:])
         stats = session.stats()
-        marks["end"] = session.watermark
+        marks["end"] = clock(session)
+        assert all(s.reason != "rate" for s in session.switches)
         results = session.finish(TICKS)
         return results, session.reorder_stats, marks, stats
     finally:
@@ -201,7 +218,7 @@ def delivered(stats):
 def check_clock(
     shards, backend, seed, lateness, chunk_ticks, in_order, replanning, steps
 ):
-    events = make_events(seed, lateness, in_order, whole=replanning)
+    events = make_events(seed, lateness, in_order)
     config = (lateness, chunk_ticks, 0.25 if replanning else None)
     context = (
         f"{shards}x{backend} seed={seed} in_order={in_order} "
@@ -232,12 +249,9 @@ def check_clock(
         assert getattr(pumped_stats, counter) == getattr(
             sync_stats, counter
         ), (context, counter)
-    if not replanning:
-        assert sync_stats.total_pairs == loop_stats.total_pairs, context
-    if replanning:
-        return
+    assert sync_stats.total_pairs == loop_stats.total_pairs, context
     # The loop skipped the steps that only read; everywhere else the
-    # clocks agree call by call and the operators saw the same blocks.
+    # clocks agree call by call and the operators saw the same events.
     assert {i: sync_marks[i] for i in loop_marks} == loop_marks, context
     assert sync_stats.total_physical == loop_stats.total_physical, context
     if backend == "serial":
@@ -283,7 +297,7 @@ def test_register_after_a_sorted_batch_sees_its_last_tick(shards):
     late query's first instance starts at 0 and must count all three
     (a sorted batch used to bypass the reorder buffer, newest tick
     included, so the switch found that tick already delivered)."""
-    events = make_events(seed=0, lateness=0, in_order=True, whole=True)
+    events = make_events(seed=0, lateness=0, in_order=True)
 
     def run_registering(as_loop):
         session = open_cell(shards, "serial", 0, None, None, False)
@@ -296,3 +310,27 @@ def test_register_after_a_sorted_batch_sees_its_last_tick(shards):
             session.close()
 
     assert_identical(run_registering(True), run_registering(False), "aligned")
+
+
+@SHARD_COUNTS
+def test_a_call_across_many_chunk_ends_is_delivered_once(shards):
+    """Ticks 0-29 at ``chunk_ticks=7`` cross the chunk ends 7, 14, 21
+    and 28: the per-event loop delivers at each of them, one
+    ``push_many`` delivers its run once, to the last — and both leave
+    the same clock behind."""
+
+    def deliveries(as_loop):
+        session = open_cell(shards, "serial", 0, 7, None, False)
+        try:
+            delivered, deliver = [], session._deliver
+            session._deliver = lambda to: (delivered.append(to), deliver(to))
+            push_piece(session, "push" if as_loop else "rows", EVENTS)
+            return delivered, clock(session)
+        finally:
+            session.close()
+
+    EVENTS = make_events(seed=0, lateness=0, in_order=True)[: 30 * RATE]
+    loop, loop_clock = deliveries(as_loop=True)
+    batch, batch_clock = deliveries(as_loop=False)
+    assert loop == [7, 14, 21, 28] and batch == [28]
+    assert batch_clock == loop_clock

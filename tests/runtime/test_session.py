@@ -19,6 +19,7 @@ from repro.engine.outoforder import scramble_batch
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
 from repro.runtime import QuerySession, ShardedSession, open_session
+from repro.runtime.ingest import DEFAULT_INGEST_HIGH_WATERMARK
 from repro.windows.window import Window, WindowSet
 
 from session_streams import (
@@ -410,12 +411,31 @@ class TestBoundedWork:
     def test_retained_state_stays_bounded(self, shards):
         stream = integer_stream(ticks=6000, rate=2, num_keys=1, seed=12)
         query = Query("a", WindowSet([Window(20, 10), Window(40, 20)]), MIN)
+        session = serial_session(
+            shards, num_keys=1, hysteresis=None, ingest_high_watermark=1_000
+        )
+        session.register(query)
+        session.push_many(stream.rows())
+        session.finish(horizon=stream.horizon)
+        # Panes retained per operator: O(r/p + run/p), never O(stream).
+        assert session.max_retained_state() < 200
+
+    def test_retained_state_is_bounded_by_the_run_at_the_default(
+        self, shards
+    ):
+        """One ``push_many`` longer than the ingest high watermark is
+        applied in runs of at most that many events, so an operator
+        retains at most ``r/p`` panes plus the panes one run spans."""
+        rate, pane = 2, 10
+        stream = integer_stream(ticks=40_000, rate=rate, num_keys=1, seed=12)
+        assert stream.num_events > DEFAULT_INGEST_HIGH_WATERMARK
+        query = Query("a", WindowSet([Window(20, pane), Window(40, 20)]), MIN)
         session = serial_session(shards, num_keys=1, hysteresis=None)
         session.register(query)
         session.push_many(stream.rows())
         session.finish(horizon=stream.horizon)
-        # Panes retained per operator: O(r/p + chunk/p), never O(stream).
-        assert session.max_retained_state() < 200
+        run_panes = DEFAULT_INGEST_HIGH_WATERMARK / rate / pane
+        assert session.max_retained_state() <= 40 // 20 + run_panes
 
 
 @SHARD_COUNTS

@@ -15,8 +15,10 @@ The same identity must hold across every execution configuration:
 *when* work happens, never *what* is computed).  The serial-sync run
 is the oracle every other cell of the matrix is compared against.
 
-Streams carry integer values so every partial merge is exact float64
-arithmetic: bit-identity is required, not just closeness.  Schedules
+Streams carry integer values so every partial merge — the global
+cross-key combine included — is exact float64 arithmetic: bit-identity
+is required, not just closeness.  One resharding test runs per-key
+queries over real values, which need no such help.  Schedules
 are seeded from ``REPRO_TEST_SEED`` (printed in the pytest header and
 embedded in failure messages) so counterexamples reproduce exactly.
 """
@@ -26,6 +28,7 @@ import pytest
 
 from repro.aggregates.registry import AVG, MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
+from repro.engine.events import make_batch
 from repro.engine.outoforder import scramble_batch
 from repro.runtime import Fault, FaultPlan, ShardedSession
 from repro.windows.window import Window, WindowSet
@@ -537,6 +540,30 @@ def test_elastic_reshard_schedules_are_layout_invariant(repro_seed, backend):
         elastic_at=ops_at,
     )
     assert min(marks) == max(marks), context
+    assert_results_identical(oracle, actual, context)
+
+
+def test_elastic_reshard_is_bit_identical_per_key_on_real_values(repro_seed):
+    """A barrier flushes every core mid-chunk, and a pane it splits
+    goes on folding where it stopped: per-key results on a real-valued
+    stream stay bit-identical to the static 1-shard run, however the
+    layout was reshaped."""
+    rng = np.random.default_rng((repro_seed, 1202))
+    batch = integer_stream(
+        ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
+    )
+    batch = make_batch(
+        batch.timestamps, rng.normal(20.0, 5.0, batch.num_events),
+        keys=batch.keys, num_keys=NUM_KEYS, horizon=batch.horizon,
+    )
+    events = scramble_batch(batch, 3, seed=int(rng.integers(0, 100)))
+    schedule = ({0: [entry for entry in POOL if entry[1] == "per_key"]}, {})
+    ops_at, counts = make_elastic_ops(rng, len(events))
+    context = f"seed={repro_seed} ops={counts}"
+    oracle, _ = run_sharded(schedule, events, batch.horizon, 1, "serial", 3)
+    actual, _ = run_sharded(
+        schedule, events, batch.horizon, 3, "serial", 3, elastic_at=ops_at
+    )
     assert_results_identical(oracle, actual, context)
 
 

@@ -387,29 +387,30 @@ class TestSupervision:
     def test_session_death_mid_batch_replays_the_whole_batch(
         self, tmp_path, repro_seed, monkeypatch
     ):
-        """The session dies after part of a batch reached the
-        operators: recovery restores the last cut — which sits on a
-        batch boundary — and replays whole batches, this one included."""
+        """The session dies in a batch's one flush, after the batch
+        reached the operators and before its trailing events did:
+        recovery restores the last cut — which sits on a batch boundary
+        — and replays whole batches, this one included."""
         from repro.runtime.core import SessionCore
 
         events = integer_events(60, NUM_KEYS, seed=repro_seed)
         real_flush = SessionCore._flush
-        flushes = {"seen": 0, "fail_at": 4}
+        flushes = []
 
         def dying_flush(core, to_watermark):
-            flushes["seen"] += 1
-            if flushes["seen"] == flushes["fail_at"]:
-                raise ExecutionError("operator fault mid-batch")
             real_flush(core, to_watermark)
+            flushes.append(to_watermark)
+            if len(flushes) == 1:
+                raise ExecutionError("operator fault mid-batch")
 
         monkeypatch.setattr(SessionCore, "_flush", dying_flush)
         with make_manager(tmp_path, checkpoint_every=10_000) as mgr:
             mgr.register("alice", SQL_SUM)
             # One batch spanning several chunks (the query's range is
-            # 10 ticks): the fourth flush falls in its middle.
+            # 10 ticks) flushes once, to its last chunk end.
             mgr.ingest("alice", events)
             stats = mgr.stats("alice")["stats"]
-            assert flushes["seen"] > flushes["fail_at"]
+            assert len(flushes) == 2 and flushes[0] == flushes[1] >= 20
             assert stats["restores"] == 1 and stats["replay_skipped"] == 0
             assert stats["breaker"] == "closed"
             got = mgr.results("alice")
