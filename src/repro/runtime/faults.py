@@ -6,8 +6,12 @@ on one run and never on the next cannot anchor a property test.  So
 faults here are not random signals from outside — they are injected by
 the **coordinator itself**, at exact points of its own deterministic
 command stream (:class:`~repro.runtime.sharding._WorkerShardBackend`
-consults the plan before every data-plane send and every control-plane
-command).  Given the same stream and schedule, a
+consults the plan before every ``advance`` it ships and every
+control-plane command it sends).  A control-plane fault names its
+command by its op name in the shard op table
+(``repro.runtime.sharding._SHARD_OPS``: ``register``, ``collect``,
+``snapshot``, ``extract`` …) or ``restore``.  Given the same stream and
+schedule, a
 :class:`FaultPlan` fires at the same instruction on every run, which
 is what lets ``tests/runtime/test_checkpoint.py`` assert bit-identical
 recovery under hypothesis-chosen crash points seeded from

@@ -29,7 +29,11 @@ The coordinator merges per result-routing mode:
   taxonomy).
 
 Three execution backends implement one contract (documented for
-third-party implementations in ``docs/backends.md``):
+third-party implementations in ``docs/backends.md``): one command
+vocabulary, the op table ``_SHARD_OPS`` (op name → what it does to a
+core, whether it owes a reply, whether recovery replays it), applied
+to every core, and one backend surface written over it once
+(``_ShardBackend``).  They differ only in where the table is applied:
 
 * :class:`SerialShardBackend` — all cores in-process, advanced
   deterministically in shard order: the test oracle.
@@ -56,6 +60,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,10 +101,6 @@ MERGE_MODES = ("concat", "partial", "forward")
 #: on purpose: a *working* worker never takes anywhere near this long to
 #: ack a control op, so a false stall requires pathological scheduling.
 DEFAULT_CONTROL_TIMEOUT = 60.0
-
-#: ``configure(control_timeout=...)`` sentinel: "leave it unchanged"
-#: must be distinguishable from an explicit ``None`` (no deadline).
-_TIMEOUT_UNSET = object()
 
 #: Per-chunk-end exponential decay of the per-slot load counters:
 #: recent traffic dominates the rebalance policy, but a slot that was
@@ -172,8 +173,192 @@ def _merge_acks(acks: "list[RegisterAck]") -> RegisterAck:
     return first
 
 
-class SerialShardBackend:
-    """All shard cores in-process, advanced in shard order.
+# ----------------------------------------------------------------------
+# The shard command vocabulary, written once
+# ----------------------------------------------------------------------
+class _ShardOp(NamedTuple):
+    """One shard command: what it does to a core, and how it travels."""
+
+    #: ``apply(core, *args) -> reply``.
+    apply: Callable
+    #: Synchronous: the coordinator waits for the reply.  Every other
+    #: command is fire-and-forget data plane.
+    reply: bool = True
+    #: Retained for crash-recovery replay (reads are idempotent or
+    #: reproduced via a drain barrier).
+    logged: bool = False
+
+
+def _feed(core: SessionCore, chunks) -> None:
+    for ts, keys, values in chunks:
+        if ts.size:
+            core.buffer_arrays(ts, keys, values)
+
+
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+#: Every command a backend applies to a shard core: the serial backend
+#: applies it in-process, the worker loops to what the pipe or the ring
+#: delivers (docs/backends.md has one row per op).  Op names are public:
+#: ``FaultPlan(op=...)`` triggers on them.
+_SHARD_OPS = {
+    "feed": _ShardOp(_feed, reply=False, logged=True),
+    "advance": _ShardOp(SessionCore.advance_to, reply=False, logged=True),
+    "register": _ShardOp(SessionCore.register, logged=True),
+    "deregister": _ShardOp(SessionCore.deregister, logged=True),
+    "reprice": _ShardOp(SessionCore.reprice, logged=True),
+    "switch": _ShardOp(SessionCore.switch_plans, logged=True),
+    "collect": _ShardOp(SessionCore.report),
+    "stats": _ShardOp(
+        lambda core: (core.stats(), list(core.switches), core.watermark)
+    ),
+    "retained": _ShardOp(SessionCore.max_retained_state),
+    # Sent after all pending data is published, so the command's
+    # stream position IS the consistent cut (pipe FIFO; the shm worker
+    # drains its ring first) — no lockstep pause needed.
+    "snapshot": _ShardOp(_dumps),
+    # Elastic-shard migration (DESIGN.md §12), sent only at a drained
+    # barrier (the core re-asserts it).  Never logged: a transplant is
+    # not replayable command by command — recovery instead rolls the
+    # whole migration back to its pre-plan snapshot and redoes it.
+    "extract": _ShardOp(SessionCore.extract_keys),
+    "absorb": _ShardOp(SessionCore.absorb_keys),
+    "sibling": _ShardOp(lambda core: _dumps(core.spawn_sibling())),
+    "remnant": _ShardOp(SessionCore.extract_remnant),
+    "absorb_remnant": _ShardOp(SessionCore.absorb_remnant),
+}
+
+_REPLY_OPS = frozenset(name for name, op in _SHARD_OPS.items() if op.reply)
+_LOGGED_OPS = frozenset(name for name, op in _SHARD_OPS.items() if op.logged)
+
+
+def _apply(core: SessionCore, msg: tuple):
+    """Apply one command ``(op, *args)`` to one core; returns its reply."""
+    op = _SHARD_OPS.get(msg[0])
+    if op is None:
+        raise ExecutionError(f"unknown shard command {msg[0]!r}")
+    return op.apply(core, *msg[1:])
+
+
+class _ShardBackend:
+    """The backend surface the session drives, written once.
+
+    Every public command is a message ``(op, *args)`` of
+    :data:`_SHARD_OPS`, sent through three primitives a backend
+    supplies: :meth:`_broadcast` (to every core, one reply each, in
+    slot order), :meth:`_on` (to one core, its reply) and :meth:`_post`
+    (fire-and-forget data plane).  It also supplies ``start``,
+    ``slot_count``, ``_add_slot`` (append a core loaded from a
+    snapshot blob), ``_drop_slot`` and ``_restore_cores``.
+
+    The durability surface is here too, so the session never probes:
+    a backend without workers has nothing to recover, and refuses a
+    fault plan or recovery instead of silently testing nothing.
+    """
+
+    #: Workers rebuilt after a crash (``ShardedSession.worker_recoveries``).
+    recoveries = 0
+    #: Whether elastic migrations run inside rollback-able epochs.
+    recovery_armed = False
+
+    def configure(self, fault_plan, recovery: bool, control_timeout) -> None:
+        """Arm fault injection and worker recovery — refused here, as
+        in-process cores cannot crash on their own.  The control
+        timeout is ignored, not rejected: it carries a finite default,
+        and an in-process call cannot stall."""
+        del control_timeout
+        if fault_plan is not None or recovery:
+            raise ExecutionError(
+                f"backend {self.name!r} does not support fault injection "
+                "/ worker recovery — use the 'process' or 'shm' backend"
+            )
+
+    # Data plane -------------------------------------------------------
+    def feed(self, slices) -> None:
+        for slot, chunks in enumerate(slices):
+            if chunks:
+                self._post(slot, ("feed", chunks))
+
+    def advance(self, watermark: int) -> None:
+        for slot in range(self.slot_count):
+            self._post(slot, ("advance", watermark))
+
+    # Control plane ----------------------------------------------------
+    def register(self, query: Query, at: int, scope: str) -> RegisterAck:
+        return _merge_acks(self._broadcast(("register", query, at, scope)))
+
+    def deregister(self, name: str, at: int) -> RegisterAck:
+        return _merge_acks(self._broadcast(("deregister", name, at)))
+
+    def reprice(self, event_rate: int) -> bool:
+        return any(self._broadcast(("reprice", event_rate)))
+
+    def switch(self, at: int) -> RegisterAck:
+        return _merge_acks(self._broadcast(("switch", at)))
+
+    def collect(self, drain: bool) -> "list[ShardReport]":
+        return self._broadcast(("collect", drain))
+
+    def stats(self) -> "list[ExecutionStats]":
+        return [status[0] for status in self._broadcast(("stats",))]
+
+    def switches(self) -> "list[list[PlanSwitchRecord]]":
+        return [status[1] for status in self._broadcast(("stats",))]
+
+    def watermarks(self) -> "list[int]":
+        return [status[2] for status in self._broadcast(("stats",))]
+
+    def max_retained_state(self) -> int:
+        return max(self._broadcast(("retained",)), default=0)
+
+    def snapshot(self) -> "list[bytes]":
+        """One pickle blob per shard core, at each core's current
+        stream position — the backend half of a coordinator-consistent
+        checkpoint."""
+        return self._broadcast(("snapshot",))
+
+    def restore(self, states: "list[bytes]") -> None:
+        """Replace every shard core with a snapshotted one."""
+        if len(states) != self.slot_count:
+            raise ExecutionError(
+                f"snapshot has {len(states)} shard cores, backend has "
+                f"{self.slot_count}"
+            )
+        self._restore_cores(states)
+
+    # Elastic-shard protocol (DESIGN.md §12): the five ops one
+    # coordinator plan is built from, on every backend.
+    def migrate_extract(self, slot: int, local_ids) -> object:
+        return self._on(slot, ("extract", local_ids))
+
+    def migrate_absorb(self, slot: int, bundle, positions) -> None:
+        self._on(slot, ("absorb", bundle, positions))
+
+    def spawn_sibling(self, src_slot: int, config: ShardConfig) -> None:
+        """Shard split: the donor serializes a keyless sibling
+        (workload history and barrier cursors intact, per-key state
+        stripped, counters zeroed), loaded into a new last slot."""
+        self._add_slot(config, self._on(src_slot, ("sibling",)))
+
+    def retire_shard(self, slot: int) -> object:
+        """Shard merge: take the keyless core's cross-key remnant and
+        drop the slot from the topology."""
+        remnant = self._on(slot, ("remnant",))
+        self._drop_slot(slot)
+        return remnant
+
+    def absorb_remnant(self, slot: int, remnant) -> None:
+        self._on(slot, ("absorb_remnant", remnant))
+
+    def close(self) -> None:
+        """Release what :meth:`start` built (nothing, in-process)."""
+
+
+class SerialShardBackend(_ShardBackend):
+    """All shard cores in-process: the op table applied directly, in
+    shard order.
 
     Deterministic by construction — the oracle the invariant-10/11
     property tests (and every worker backend) are compared against.
@@ -187,127 +372,32 @@ class SerialShardBackend:
     def start(self, configs: "list[ShardConfig]") -> None:
         self.cores = [config.build() for config in configs]
 
-    def feed(self, slices) -> None:
-        for core, chunks in zip(self.cores, slices):
-            for ts, keys, values in chunks:
-                if ts.size:
-                    core.buffer_arrays(ts, keys, values)
-
-    def advance(self, watermark: int) -> None:
-        for core in self.cores:
-            core.advance_to(watermark)
-
-    def register(self, query: Query, at: int, scope: str) -> RegisterAck:
-        return _merge_acks(
-            [core.register(query, at=at, scope=scope) for core in self.cores]
-        )
-
-    def deregister(self, name: str, at: int) -> RegisterAck:
-        return _merge_acks(
-            [core.deregister(name, at=at) for core in self.cores]
-        )
-
-    def reprice(self, event_rate: int) -> bool:
-        return any([core.reprice(event_rate) for core in self.cores])
-
-    def switch(self, at: int) -> RegisterAck:
-        return _merge_acks([core.switch_plans(at=at) for core in self.cores])
-
-    def collect(self, drain: bool) -> "list[ShardReport]":
-        return [core.report(drain=drain) for core in self.cores]
-
-    def stats(self) -> "list[ExecutionStats]":
-        return [core.stats() for core in self.cores]
-
-    def switches(self) -> "list[list[PlanSwitchRecord]]":
-        return [list(core.switches) for core in self.cores]
-
-    def watermarks(self) -> "list[int]":
-        return [core.watermark for core in self.cores]
-
-    def max_retained_state(self) -> int:
-        return max(
-            (core.max_retained_state() for core in self.cores), default=0
-        )
-
-    def snapshot(self) -> "list[bytes]":
-        """Serialize every shard core (one pickle blob per shard) —
-        the backend half of a coordinator-consistent checkpoint."""
-        return [
-            pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL)
-            for core in self.cores
-        ]
-
-    def restore(self, states: "list[bytes]") -> None:
-        """Replace every shard core with a snapshotted one."""
-        if len(states) != len(self.cores):
-            raise ExecutionError(
-                f"snapshot has {len(states)} shard cores, backend has "
-                f"{len(self.cores)}"
-            )
-        self.cores = [pickle.loads(state) for state in states]
-
-    # ------------------------------------------------------------------
-    # Elastic-shard protocol (DESIGN.md §12): direct core calls.  The
-    # worker backends speak the identical five-op vocabulary over their
-    # control pipes, so one coordinator plan drives all three.
-    # ------------------------------------------------------------------
     @property
     def slot_count(self) -> int:
         return len(self.cores)
 
-    def migrate_extract(self, slot: int, local_ids) -> object:
-        return self.cores[slot].extract_keys(local_ids)
+    def _broadcast(self, msg) -> list:
+        return [_apply(core, msg) for core in self.cores]
 
-    def migrate_absorb(self, slot: int, bundle, positions) -> None:
-        self.cores[slot].absorb_keys(bundle, positions)
+    def _on(self, slot: int, msg):
+        return _apply(self.cores[slot], msg)
 
-    def spawn_sibling(self, src_slot: int, config: ShardConfig) -> None:
-        del config  # the sibling clones the donor; nothing to build
-        self.cores.append(self.cores[src_slot].spawn_sibling())
+    _post = _on
 
-    def retire_shard(self, slot: int) -> object:
-        return self.cores.pop(slot).extract_remnant()
+    def _add_slot(self, config: ShardConfig, state: bytes) -> None:
+        del config  # the blob is the whole core
+        self.cores.append(pickle.loads(state))
 
-    def absorb_remnant(self, slot: int, remnant) -> None:
-        self.cores[slot].absorb_remnant(remnant)
+    def _drop_slot(self, slot: int) -> None:
+        del self.cores[slot]
 
-    def close(self) -> None:
-        pass
+    def _restore_cores(self, states: "list[bytes]") -> None:
+        self.cores = [pickle.loads(state) for state in states]
 
 
 # ----------------------------------------------------------------------
 # Worker-process backends (pipe and shared-memory data planes)
 # ----------------------------------------------------------------------
-#: Commands that synchronously return a payload (everything else is
-#: fire-and-forget data plane).
-_REPLY_OPS = frozenset(
-    {
-        "register",
-        "deregister",
-        "reprice",
-        "switch",
-        "collect",
-        "stats",
-        "retained",
-        "snapshot",
-        "restore",
-        # Elastic-shard migration vocabulary (DESIGN.md §12).  These
-        # are deliberately *not* in _LOGGED_OPS: a transplant is not
-        # replayable command-by-command — recovery instead rolls the
-        # whole migration back to its pre-plan snapshot and redoes it.
-        "extract",
-        "absorb",
-        "sibling",
-        "remnant",
-        "absorb_remnant",
-    }
-)
-
-#: Mutating control commands the coordinator retains for crash-recovery
-#: replay (reads are idempotent or reproduced via a drain barrier).
-_LOGGED_OPS = frozenset({"register", "deregister", "reprice", "switch"})
-
 #: Worker idle wait on the control pipe when the data plane is quiet.
 _IDLE_POLL_SECONDS = 500e-6
 
@@ -327,226 +417,157 @@ def _send_fatal(conn) -> None:
         pass
 
 
-def _apply_control(core, conn, msg, pending_error: "str | None") -> "str | None":
-    """Execute one synchronous control-plane command and reply on the
-    pipe.  A parked data-plane error pre-empts the command (the reply
-    stream must never desync); the possibly-updated parked error is
-    returned."""
-    op = msg[0]
-    if pending_error is not None:
-        conn.send(("error", pending_error))
-        return pending_error
-    try:
-        if op == "register":
-            conn.send(("ok", core.register(msg[1], at=msg[2], scope=msg[3])))
-        elif op == "deregister":
-            conn.send(("ok", core.deregister(msg[1], at=msg[2])))
-        elif op == "reprice":
-            conn.send(("ok", core.reprice(msg[1])))
-        elif op == "switch":
-            conn.send(("ok", core.switch_plans(at=msg[1])))
-        elif op == "collect":
-            conn.send(("ok", core.report(drain=msg[1])))
-        elif op == "stats":
-            conn.send(
-                ("ok", (core.stats(), list(core.switches), core.watermark))
-            )
-        elif op == "retained":
-            conn.send(("ok", core.max_retained_state()))
-        elif op == "extract":
-            # The coordinator only sends migration ops at a drained
-            # barrier (ring empty / pipe fully consumed), which the
-            # core re-asserts via _require_barrier.
-            conn.send(("ok", core.extract_keys(msg[1])))
-        elif op == "absorb":
-            conn.send(("ok", core.absorb_keys(msg[1], msg[2])))
-        elif op == "sibling":
-            conn.send(
-                (
-                    "ok",
-                    pickle.dumps(
-                        core.spawn_sibling(),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                )
-            )
-        elif op == "remnant":
-            conn.send(("ok", core.extract_remnant()))
-        elif op == "absorb_remnant":
-            conn.send(("ok", core.absorb_remnant(msg[1])))
-        elif op == "snapshot":
-            # The coordinator broadcasts this after publishing all
-            # pending data, so the stream position of this command IS
-            # the consistent cut (pipe FIFO; the shm worker drains its
-            # ring first) — no lockstep pause needed.
-            conn.send(
-                ("ok", pickle.dumps(core, protocol=pickle.HIGHEST_PROTOCOL))
-            )
-        else:  # pragma: no cover - defensive
-            raise ExecutionError(f"unknown shard command {msg[0]!r}")
-    except Exception:
-        err = traceback.format_exc()
-        if op in _REPLY_OPS:
-            conn.send(("error", err))
-        else:  # pragma: no cover - defensive (no reply is owed)
-            return err
-    return pending_error
+class _ShardWorker:
+    """A worker process's end of the protocol: one core, its control
+    pipe, and the first data-plane error, parked until the next reply
+    so the coordinator never desyncs on the reply stream.  The two
+    loops differ only in where records come from."""
 
+    def __init__(self, conn, core: SessionCore):
+        self.conn = conn
+        self.core = core
+        self.parked: "str | None" = None
 
-def _shard_worker(conn, config: ShardConfig) -> None:
-    """One shard's command loop: a :class:`SessionCore` behind a pipe.
-
-    Data-plane errors (from fire-and-forget ``feed``/``advance``) are
-    parked and surfaced on the next synchronous command, so the
-    coordinator never desyncs on the reply stream.  An unhandled crash
-    of the loop itself ships its traceback as a ``fatal`` message
-    before the process dies.
-    """
-    try:
-        _shard_worker_loop(conn, config)
-    except BaseException:  # noqa: BLE001 - last words, then die
-        _send_fatal(conn)
-        raise
-
-
-def _shard_worker_loop(conn, config: ShardConfig) -> None:
-    core = config.build()
-    pending_error: "str | None" = None
-    while True:
+    def apply(self, msg) -> None:
+        """Apply one command from the pipe or the ring.  A command that
+        owes a reply sends it — or the parked error, which pre-empts
+        it; any other command's failure is parked."""
+        owes = msg[0] in _REPLY_OPS
+        if owes and self.parked is not None:
+            self.conn.send(("error", self.parked))
+            return
         try:
-            msg = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            return
-        op = msg[0]
-        if op == "close":
-            conn.close()
-            return
-        if op == "restore":
-            # Recovery path: adopt a snapshotted core wholesale (the
-            # coordinator replays post-snapshot input right after).
-            core = pickle.loads(msg[1])
-            pending_error = None
-            conn.send(("ok", core.watermark))
-        elif op in ("feed", "advance"):
-            try:
-                if op == "feed":
-                    for ts, keys, values in msg[1]:
-                        if ts.size:
-                            core.buffer_arrays(ts, keys, values)
-                else:
-                    core.advance_to(msg[1])
-            except Exception:
-                pending_error = traceback.format_exc()
+            reply = ("ok", _apply(self.core, msg))
+        except Exception:
+            reply = ("error", traceback.format_exc())
+        if owes:
+            self.conn.send(reply)
+        elif reply[0] == "error" and self.parked is None:
+            self.parked = reply[1]
+
+    def control(self, msg) -> bool:
+        """Handle one control-pipe message; False once told to close."""
+        if msg[0] == "close":
+            self.conn.close()
+            return False
+        if msg[0] == "restore":
+            # Adopt a snapshotted core wholesale (recovery, rollback, a
+            # split's sibling, session restore); whatever the
+            # coordinator replays follows on the stream.
+            self.core, self.parked = pickle.loads(msg[1]), None
+            self.conn.send(("ok", self.core.watermark))
         else:
-            pending_error = _apply_control(core, conn, msg, pending_error)
+            self.apply(msg)
+        return True
 
-
-def _shm_shard_worker(conn, config: ShardConfig, spec, untrack: bool) -> None:
-    """One shard's loop for the shared-memory backend: data plane from
-    the ring, control plane from the pipe.
-
-    The coordinator publishes every data/advance record *before* it
-    sends a control command and then blocks for the reply, so draining
-    the ring to empty right before executing a control command applies
-    that command at exactly its position in the stream — the same FIFO
-    the single-pipe worker gets for free.
-    """
-    try:
-        _shm_shard_worker_loop(conn, config, spec, untrack)
-    except BaseException:  # noqa: BLE001 - last words, then die
-        _send_fatal(conn)
-        raise
-
-
-def _shm_shard_worker_loop(
-    conn, config: ShardConfig, spec, untrack: bool
-) -> None:
-    from .shm_ring import ShmRing
-
-    ring = ShmRing.attach(spec, untrack=untrack)
-    core = config.build()
-    pending_error: "str | None" = None
-    # Zero-copy consume: data records are *borrowed* (slot views go
-    # straight into the core's chunk buffer; no per-column memcpy) and
-    # their slots are released in bulk once a flush has absorbed the
-    # views.  The budget keeps two slots available to the producer so
-    # it can always publish the advance record that triggers that
-    # flush; hitting the budget localizes the buffer (one bounded
-    # copy) and releases, so a borrow can never deadlock the
-    # coordinator or outlive a slot's reuse.
-    borrow_budget = max(ring.spec.num_slots - 2, 0)
-
-    def release_borrows() -> None:
-        if ring.borrowed:
-            if core.buffered_events:
-                core.localize_buffer()
-            ring.release()
-
-    def drain() -> "tuple[bool, str | None]":
-        progressed, error = False, None
-        # A pop() failure (corrupt ring record) propagates and kills
-        # the worker: the head never moves past a record that cannot
-        # be parsed, so parking the error would wedge the ring and
-        # deadlock the coordinator.  Application errors, by contrast,
-        # are parked — the record was consumed, so draining continues
-        # and the error surfaces on the next control reply.
+    def serve_pipe(self) -> None:
+        """The ``process`` loop: one pipe carries data and control in
+        one FIFO."""
         while True:
-            if ring.borrowed >= borrow_budget:
-                release_borrows()
-            record = ring.pop(copy=False)
-            if record is None:
-                break
-            progressed = True
             try:
-                if record[0] == "data":
-                    core.buffer_arrays(record[1], record[2], record[3])
-                else:
-                    core.advance_to(record[1])
-            except Exception:
-                error = error or traceback.format_exc()
-            if ring.borrowed and not core.buffered_events:
-                ring.release()
-        core.bytes_copied += ring.bytes_copied
-        core.copies_elided += ring.copies_elided
-        ring.bytes_copied = 0
-        ring.copies_elided = 0
-        return progressed, error
-
-    try:
-        while True:
-            progressed, error = drain()
-            pending_error = pending_error or error
-            if not conn.poll(0 if progressed else _IDLE_POLL_SECONDS):
-                continue
-            try:
-                msg = conn.recv()
+                msg = self.conn.recv()
             except (EOFError, OSError):  # pragma: no cover - parent died
                 return
-            if msg[0] == "close":
-                conn.close()
+            if not self.control(msg):
                 return
-            if msg[0] == "restore":
-                # The adopted core owns all of its buffered chunks
-                # (views pickle by value), so any slots the discarded
-                # core still borrowed can be freed outright.
-                ring.release()
-                core = pickle.loads(msg[1])
-                pending_error = None
-                conn.send(("ok", core.watermark))
-                continue
-            _, error = drain()
-            pending_error = pending_error or error
-            pending_error = _apply_control(core, conn, msg, pending_error)
-    finally:
-        ring.close()
+
+    def serve_ring(self, spec, untrack: bool) -> None:
+        """The ``shm`` loop: data plane from the ring, control plane
+        from the pipe.
+
+        The coordinator publishes every data/advance record *before* it
+        sends a control command and then blocks for the reply, so
+        draining the ring to empty right before executing a control
+        command applies that command at exactly its position in the
+        stream — the same FIFO the pipe loop gets for free.
+        """
+        from .shm_ring import ShmRing
+
+        ring = ShmRing.attach(spec, untrack=untrack)
+        # Zero-copy consume: data records are *borrowed* (slot views go
+        # straight into the core's chunk buffer; no per-column memcpy)
+        # and their slots are released in bulk once a flush has
+        # absorbed the views.  The budget keeps two slots available to
+        # the producer so it can always publish the advance record that
+        # triggers that flush; hitting the budget localizes the buffer
+        # (one bounded copy) and releases, so a borrow can never
+        # deadlock the coordinator or outlive a slot's reuse.
+        borrow_budget = max(ring.spec.num_slots - 2, 0)
+
+        def drain() -> bool:
+            progressed = False
+            # A pop() failure (corrupt ring record) propagates and kills
+            # the worker: the head never moves past a record that cannot
+            # be parsed, so parking the error would wedge the ring and
+            # deadlock the coordinator.  Application errors, by
+            # contrast, are parked — the record was consumed, so
+            # draining continues and the error surfaces on the next
+            # control reply.
+            while True:
+                if ring.borrowed and ring.borrowed >= borrow_budget:
+                    if self.core.buffered_events:
+                        self.core.localize_buffer()
+                    ring.release()
+                record = ring.pop(copy=False)
+                if record is None:
+                    break
+                progressed = True
+                self.apply(
+                    record if record[0] == "advance"
+                    else ("feed", (record[1:],))
+                )
+                if ring.borrowed and not self.core.buffered_events:
+                    ring.release()
+            self.core.bytes_copied += ring.bytes_copied
+            self.core.copies_elided += ring.copies_elided
+            ring.bytes_copied = ring.copies_elided = 0
+            return progressed
+
+        try:
+            while True:
+                if not self.conn.poll(0 if drain() else _IDLE_POLL_SECONDS):
+                    continue
+                try:
+                    msg = self.conn.recv()
+                except (EOFError, OSError):  # pragma: no cover - parent died
+                    return
+                if msg[0] == "restore":
+                    # The adopted core owns all of its buffered chunks
+                    # (views pickle by value), so any slots the
+                    # discarded core still borrowed can be freed
+                    # outright.
+                    ring.release()
+                elif msg[0] != "close":
+                    drain()
+                if not self.control(msg):
+                    return
+        finally:
+            ring.close()
 
 
-class _WorkerShardBackend:
+def _shard_worker(conn, config: ShardConfig, *ring) -> None:
+    """One shard's worker process: a :class:`SessionCore` behind a
+    control pipe, fed by that pipe, or by a shared-memory ring when
+    ``ring`` is ``(spec, untrack)``.  An unhandled crash of the loop
+    ships its traceback as a ``fatal`` message before the process
+    dies."""
+    try:
+        worker = _ShardWorker(conn, config.build())
+        if ring:
+            worker.serve_ring(*ring)
+        else:
+            worker.serve_pipe()
+    except BaseException:  # noqa: BLE001 - last words, then die
+        _send_fatal(conn)
+        raise
+
+
+class _WorkerShardBackend(_ShardBackend):
     """Shared machinery of the worker-process backends: one daemonic
-    worker per shard, a control pipe each, broadcast/gather with
+    worker per shard, a control pipe each, broadcast with
     drain-before-raise error collection.  Subclasses choose the data
-    plane by implementing :meth:`feed` / :meth:`advance` and spawning
-    their worker loop in :meth:`start`.
+    plane: ``_open_data_plane(slot)`` returns the worker's extra
+    arguments, ``_ship(slot, msg)`` moves one ``feed`` / ``advance``.
 
     **Durability** (DESIGN.md §9).  :meth:`configure` arms three
     orthogonal behaviours:
@@ -558,80 +579,88 @@ class _WorkerShardBackend:
       when the crash was a Python error), and the last watermark the
       worker provably acked — never a bare ``EOFError``;
     * *recovery* — the coordinator retains each shard's last core
-      snapshot plus an ordered replay log of everything shipped since
-      (feeds, advances, mutations, drain barriers).  A detected death
-      respawns the worker, restores the snapshot, replays the log, and
-      re-issues the in-flight command — results stay bit-identical to
-      a crash-free run (invariant 12);
+      snapshot plus an ordered replay log of every logged command
+      shipped since (feeds, advances, mutations, drain barriers).  A
+      detected death respawns the worker, restores the snapshot,
+      replays the log, and re-issues the in-flight command — results
+      stay bit-identical to a crash-free run (invariant 12);
     * *fault injection* — a :class:`~repro.runtime.faults.FaultPlan`
-      is consulted before every data-plane ship and control delivery,
+      is consulted before every advance ship and control delivery,
       making chaos schedules deterministic and property-testable.
     """
 
     def __init__(self, context: "str | None" = None):
         self._ctx = multiprocessing.get_context(context)
-        self._conns = []
-        self._procs = []
-        self._configs: "list[ShardConfig]" = []
         self._fault_plan = None
         self._retain = False
         self._control_timeout: "float | None" = DEFAULT_CONTROL_TIMEOUT
-        self._base_states: "list[bytes | None]" = []
-        self._logs: "list[list[tuple]]" = []
         self._last_advance = 0
-        self._last_acked: "list[int]" = []
-        self._fatal_tracebacks: "dict[int, str]" = {}
         self._migration_active = False
         self.recoveries = 0
+        self._clear_slots()
 
-    def configure(
-        self,
-        fault_plan=None,
-        recovery: "bool | None" = None,
-        control_timeout: "float | None" = _TIMEOUT_UNSET,
-    ) -> None:
-        """Arm fault injection, crash recovery, and/or a control-plane
-        reply deadline (defaults to
-        :data:`DEFAULT_CONTROL_TIMEOUT`; an explicit ``None`` waits on
-        liveness alone — a lost control message then hangs rather than
-        stalls out)."""
-        if fault_plan is not None:
-            self._fault_plan = fault_plan
-        if recovery is not None:
-            self._retain = recovery
-        if control_timeout is not _TIMEOUT_UNSET:
-            self._control_timeout = control_timeout
+    def configure(self, fault_plan, recovery: bool, control_timeout) -> None:
+        """Arm fault injection, crash recovery, and a control-plane
+        reply deadline (``None`` waits on liveness alone — a lost
+        control message then hangs rather than stalls out)."""
+        self._fault_plan = fault_plan
+        self._retain = recovery
+        self._control_timeout = control_timeout
+
+    @property
+    def recovery_armed(self) -> bool:
+        return self._retain
+
+    @property
+    def slot_count(self) -> int:
+        return len(self._conns)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, config: ShardConfig, target, extra_args=()) -> None:
-        slot = len(self._configs)
+    def start(self, configs: "list[ShardConfig]") -> None:
+        try:
+            for config in configs:
+                self._spawn_worker(config)
+        except BaseException:
+            # A mid-loop failure (ENOSPC on /dev/shm, spawn error)
+            # would otherwise orphan what already exists — close() is
+            # unreachable because the session constructor never
+            # returns.  Tear down what exists, then re-raise.
+            self.close()
+            raise
+
+    def _clear_slots(self) -> None:
+        """Forget every slot (their workers have stopped)."""
+        self._conns, self._procs, self._configs = [], [], []
+        self._base_states: "list[bytes | None]" = []
+        self._logs: "list[list[tuple]]" = []
+        self._last_acked: "list[int]" = []
+        self._fatal_tracebacks: "dict[int, str]" = {}
+
+    def _spawn_worker(self, config: ShardConfig) -> None:
+        """Append one slot and start its worker."""
         self._configs.append(config)
         self._conns.append(None)
         self._procs.append(None)
         self._base_states.append(None)
         self._logs.append([])
         self._last_acked.append(0)
-        self._spawn_at(slot, target, extra_args)
+        self._spawn_at(len(self._configs) - 1)
 
-    def _spawn_at(self, slot: int, target, extra_args=()) -> None:
+    def _spawn_at(self, slot: int) -> None:
+        """Start ``slot``'s worker on a fresh data plane (first start
+        or respawn)."""
         config = self._configs[slot]
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=target,
-            args=(child, config, *extra_args),
+            target=_shard_worker,
+            args=(child, config, *self._open_data_plane(slot)),
             daemon=True,
             name=f"repro-shard-{config.shard}",
         )
         proc.start()
         child.close()
-        old = self._conns[slot]
-        if old is not None:
-            try:
-                old.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
         self._conns[slot] = parent
         self._procs[slot] = proc
 
@@ -643,22 +672,34 @@ class _WorkerShardBackend:
             proc.kill()
             proc.join(timeout=10.0)
 
-    def _reap(self, slot: int) -> None:
-        """Ensure one worker is dead and its pipe closed (recovery
-        pre-step; escalates terminate → kill)."""
-        proc = self._procs[slot]
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stubborn worker
-                proc.kill()
-                proc.join(timeout=10.0)
-        conn = self._conns[slot]
-        if conn is not None:
+    def _stop_workers(self, slots, grace: float) -> None:
+        """Stop workers, dead ones included: ask each to close and
+        close its pipe, wait up to ``grace`` seconds for all of them,
+        then escalate terminate → kill (every wait bounded)."""
+        for slot in slots:
+            conn = self._conns[slot]
+            if conn is None:
+                continue
+            try:
+                conn.send(("close",))
+            except (BrokenPipeError, OSError):
+                pass
             try:
                 conn.close()
             except OSError:  # pragma: no cover - defensive
                 pass
+        deadline = time.monotonic() + grace
+        for slot in slots:
+            proc = self._procs[slot]
+            if proc is None:
+                continue
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=2.0)
+            if proc.is_alive():  # pragma: no cover - stubborn worker
+                proc.kill()
+                proc.join(timeout=10.0)
 
     # ------------------------------------------------------------------
     # Control plane: faulted send, liveness-aware receive
@@ -702,26 +743,19 @@ class _WorkerShardBackend:
         )
         while True:
             try:
-                if conn.poll(_CONTROL_POLL_SECONDS):
-                    msg = conn.recv()
-                    if msg[0] == "fatal":
-                        self._fatal_tracebacks[slot] = msg[1]
-                        return ("dead", None, "worker crashed")
-                    return (msg[0], msg[1], None)
+                # A dead worker gets one last poll: it may have flushed
+                # its fatal traceback before the pipe closed.
+                if conn.poll(_CONTROL_POLL_SECONDS) or (
+                    not proc.is_alive() and conn.poll(0)
+                ):
+                    kind, payload = conn.recv()
+                    if kind != "fatal":
+                        return (kind, payload, None)
+                    self._fatal_tracebacks[slot] = payload
+                    return ("dead", None, "worker crashed")
             except (EOFError, OSError):
                 return ("dead", None, "control connection lost")
             if not proc.is_alive():
-                # One last poll: the dying worker may have flushed its
-                # fatal traceback before the pipe closed.
-                try:
-                    if conn.poll(0):
-                        msg = conn.recv()
-                        if msg[0] == "fatal":
-                            self._fatal_tracebacks[slot] = msg[1]
-                            return ("dead", None, "worker crashed")
-                        return (msg[0], msg[1], None)
-                except (EOFError, OSError):
-                    pass
                 return (
                     "dead",
                     None,
@@ -780,12 +814,12 @@ class _WorkerShardBackend:
         raise ExecutionError(detail)
 
     # ------------------------------------------------------------------
-    # Broadcast commands with recovery
+    # The three primitives, with recovery
     # ------------------------------------------------------------------
-    def _command(self, msg) -> list:
-        """Broadcast one reply-bearing command, gather one reply per
-        worker (drain-before-raise), and recover any worker that died
-        along the way."""
+    def _broadcast(self, msg) -> list:
+        """Send one reply-bearing command to every worker, gather one
+        reply per worker (drain-before-raise), and recover any worker
+        that died along the way."""
         op = msg[0]
         count = len(self._conns)
         send_failure: "dict[int, str]" = {}
@@ -825,100 +859,46 @@ class _WorkerShardBackend:
             )
             raise ExecutionError(f"shard worker(s) failed:\n{detail}")
         if self._retain:
-            if op in _LOGGED_OPS:
-                for slot in range(count):
-                    self._logs[slot].append(("cmd", msg))
-            elif op == "collect" and msg[1]:
-                # drain=True consumes subscription state: replay must
-                # reproduce the consumption (and discard the output).
-                for slot in range(count):
-                    self._logs[slot].append(("drain",))
+            if op == "snapshot":
+                # The new respawn base: the replay logs start over.
+                self._base_states = list(replies)
+                self._logs = [[] for _ in replies]
+            elif op in _LOGGED_OPS or msg == ("collect", True):
+                # A drained collect consumes subscription state: replay
+                # must reproduce the consumption (and discard the
+                # output).
+                for log in self._logs:
+                    log.append(msg)
         return replies
 
-    # ------------------------------------------------------------------
-    # Crash recovery: respawn + restore + replay
-    # ------------------------------------------------------------------
-    def _recover_slot(self, slot: int, cause: str, inflight):
-        """Bring one crashed shard back: reap the dead worker, respawn
-        it (fresh data plane), restore the last retained core snapshot,
-        replay the retained post-snapshot input in order, and re-issue
-        the in-flight command (returning its reply).
+    def _post(self, slot: int, msg) -> None:
+        """Ship one data-plane command, fire-and-forget.  It is logged
+        before the attempt, so a recovery replays it — nothing to
+        re-send on failure."""
+        op = msg[0]
+        if op == "advance":
+            self._last_advance = msg[1]
+            self._inject_data_faults(slot, msg[1])
+        if self._retain:
+            self._logs[slot].append(msg)
+        try:
+            self._ship(slot, msg)
+        except (OSError, ExecutionError) as exc:
+            cause = f"{op} ship failed ({exc})"
+            if self._migration_active:  # pragma: no cover - defensive
+                raise _MigrationDisrupted(slot, op, cause)
+            if self._retain and not self._procs[slot].is_alive():
+                self._recover_slot(slot, cause, inflight=None)
+            else:
+                self._raise_worker_failure(slot, cause, op)
 
-        The replay log and the in-flight command are disjoint by
-        construction — mutations are logged only after every shard
-        acked them — so nothing is ever applied twice.
-        """
-        shard = self._configs[slot].shard
-        self._reap(slot)
-        self._fatal_tracebacks.pop(slot, None)
-        self._respawn_slot(slot)
-        self.recoveries += 1
-        conn = self._conns[slot]
-        base = self._base_states[slot]
-        if base is not None:
-            conn.send(("restore", base))
-            self._expect_ok(slot, "restore", cause)
-        for entry in self._logs[slot]:
-            kind = entry[0]
-            if kind == "feed":
-                self._replay_feed(slot, entry[1])
-            elif kind == "advance":
-                self._replay_advance(slot, entry[1])
-            elif kind == "cmd":
-                conn.send(entry[1])
-                self._expect_ok(slot, entry[1][0], cause)
-            elif kind == "drain":
-                conn.send(("collect", True))
-                self._expect_ok(slot, "collect", cause)
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unknown replay entry {kind!r}")
-        if inflight is not None:
-            conn.send(inflight)
-            return self._expect_ok(slot, inflight[0], cause)
-        return None
-
-    def _expect_ok(self, slot: int, op: str, original_cause: str):
-        kind, payload, cause = self._recv_reply(slot)
-        if kind == "ok":
-            return payload
-        detail = payload if kind == "error" else cause
-        self._raise_worker_failure(
-            slot,
-            f"recovery replay of {op!r} failed ({detail}); original "
-            f"failure: {original_cause}",
-            op,
-        )
-
-    def _data_plane_failure(self, slot: int, cause: str, op: str) -> None:
-        """A fire-and-forget ship failed.  The entry was logged before
-        the attempt, so recovery replays it — nothing to re-send here."""
-        proc = self._procs[slot]
-        dead = proc is None or not proc.is_alive()
-        if self._migration_active:  # pragma: no cover - defensive
-            raise _MigrationDisrupted(slot, op, cause)
-        if self._retain and dead:
-            self._recover_slot(slot, cause, inflight=None)
-        else:
-            self._raise_worker_failure(slot, cause, op)
-
-    # ------------------------------------------------------------------
-    # Elastic-shard protocol (DESIGN.md §12)
-    # ------------------------------------------------------------------
     # Migration ops are single-slot, synchronous, and — unlike every
     # other command — NOT individually recoverable: a transplant
     # bundle extracted from a core that then crashed and was restored
     # from its base would be applied twice.  A failure mid-plan raises
     # :class:`_MigrationDisrupted` instead; the coordinator rolls the
     # whole topology back to the epoch snapshot and redoes the plan.
-    @property
-    def slot_count(self) -> int:
-        return len(self._conns)
-
-    @property
-    def recovery_armed(self) -> bool:
-        return self._retain
-
-    def _migration_command(self, slot: int, msg):
+    def _on(self, slot: int, msg):
         op = msg[0]
         try:
             self._send_control(slot, msg)
@@ -940,153 +920,50 @@ class _WorkerShardBackend:
             raise _MigrationDisrupted(slot, op, cause)
         self._raise_worker_failure(slot, cause, op)
 
-    def migrate_extract(self, slot: int, local_ids) -> object:
-        return self._migration_command(slot, ("extract", local_ids))
+    # ------------------------------------------------------------------
+    # Crash recovery: respawn + restore + replay
+    # ------------------------------------------------------------------
+    def _recover_slot(self, slot: int, cause: str, inflight):
+        """Bring one crashed shard back: stop the dead worker, respawn
+        it (fresh data plane), restore the last retained core snapshot,
+        replay the retained post-snapshot commands in order, and
+        re-issue the in-flight command (returning its reply).
 
-    def migrate_absorb(self, slot: int, bundle, positions) -> None:
-        self._migration_command(slot, ("absorb", bundle, positions))
-
-    def absorb_remnant(self, slot: int, remnant) -> None:
-        self._migration_command(slot, ("absorb_remnant", remnant))
-
-    def spawn_sibling(self, src_slot: int, config: ShardConfig) -> None:
-        """Shard split: clone the donor core into a fresh worker.
-
-        The donor serializes a keyless sibling (workload history and
-        barrier cursors intact, per-key state stripped, counters
-        zeroed); a new worker is spawned at the end of the slot list
-        and restores the sibling blob."""
-        blob = self._migration_command(src_slot, ("sibling",))
-        self._spawn_worker(config)
-        slot = len(self._conns) - 1
-        try:
-            self._conns[slot].send(("restore", blob))
-        except (BrokenPipeError, OSError) as exc:
-            self._migration_failure(
-                slot, "sibling", f"restore send failed ({exc})"
-            )
-        kind, payload, cause = self._recv_reply(slot)
-        if kind != "ok":
-            self._migration_failure(
-                slot,
-                "sibling",
-                cause or f"sibling restore rejected:\n{payload}",
-            )
-
-    def retire_shard(self, slot: int) -> object:
-        """Shard merge: collect the keyless core's cross-key remnant,
-        shut its worker down, and drop the slot from the topology."""
-        remnant = self._migration_command(slot, ("remnant",))
-        conn = self._conns[slot]
-        try:
-            conn.send(("close",))
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        proc = self._procs[slot]
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stubborn worker
-                proc.terminate()
-                proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stubborn worker
-                proc.kill()
-                proc.join(timeout=10.0)
-        self._drop_slot(slot)
-        return remnant
-
-    def _drop_slot(self, slot: int) -> None:
-        for seq in (
-            self._conns,
-            self._procs,
-            self._configs,
-            self._base_states,
-            self._logs,
-            self._last_acked,
-        ):
-            del seq[slot]
-        self._fatal_tracebacks = {
-            (s - 1 if s > slot else s): tb
-            for s, tb in self._fatal_tracebacks.items()
-            if s != slot
-        }
-
-    def migration_epoch_begin(self) -> None:
-        """Open a migration epoch: snapshot every core (the rollback
-        point) and remember the pre-plan topology."""
-        if not self._retain:
-            raise ExecutionError(
-                "migration epochs require worker_recovery=True"
-            )
-        self.snapshot()
-        self._epoch_configs = list(self._configs)
-        self._epoch_bases = list(self._base_states)
-        # From here until epoch_end's snapshot lands, a worker death
-        # cannot be repaired per-slot (migration ops are unlogged) —
-        # _command escalates failures to _MigrationDisrupted instead.
-        self._migration_active = True
-
-    def migration_rollback(self) -> None:
-        """Discard a half-run migration plan: tear down whatever
-        topology it left behind and rebuild the epoch's workers from
-        their pre-plan snapshots.  Counts as one recovery."""
-        for slot in range(len(self._conns)):
-            self._reap(slot)
-        self._conns, self._procs = [], []
-        self._configs = []
-        self._base_states, self._logs = [], []
-        self._last_acked = []
-        self._fatal_tracebacks = {}
-        self._release_data_plane()
-        for config, base in zip(self._epoch_configs, self._epoch_bases):
-            self._spawn_worker(config)
-            slot = len(self._conns) - 1
-            if base is None:  # pragma: no cover - defensive
-                raise ExecutionError(
-                    f"no rollback snapshot for shard {config.shard}"
-                )
-            self._conns[slot].send(("restore", base))
-            kind, payload, cause = self._recv_reply(slot)
-            if kind != "ok":
-                self._raise_worker_failure(
-                    slot,
-                    cause or f"rollback restore rejected:\n{payload}",
-                    "restore",
-                )
-            self._base_states[slot] = base
+        The replay log and the in-flight command are disjoint by
+        construction — mutations are logged only after every shard
+        acked them — so nothing is ever applied twice.
+        """
+        self._stop_workers([slot], grace=0.0)
+        self._fatal_tracebacks.pop(slot, None)
+        self._spawn_at(slot)
         self.recoveries += 1
+        conn = self._conns[slot]
+        base = self._base_states[slot]
+        if base is not None:
+            conn.send(("restore", base))
+            self._expect_ok(slot, "restore", cause)
+        for msg in self._logs[slot]:
+            if msg[0] in _REPLY_OPS:
+                conn.send(msg)
+                self._expect_ok(slot, msg[0], cause)
+            else:
+                self._ship(slot, msg)
+        if inflight is not None:
+            conn.send(inflight)
+            return self._expect_ok(slot, inflight[0], cause)
+        return None
 
-    def migration_epoch_end(self) -> None:
-        """Close a migration epoch: re-snapshot the (possibly resized)
-        topology so ordinary per-worker crash recovery resumes from the
-        post-migration layout."""
-        self.snapshot()
-        self._migration_active = False
-        self._epoch_configs = []
-        self._epoch_bases = []
-
-    def _spawn_worker(self, config: ShardConfig) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    # Subclass hooks -----------------------------------------------------
-    def _respawn_slot(self, slot: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _replay_feed(self, slot, chunks) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _replay_advance(self, slot, watermark) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Data-plane shared helpers
-    # ------------------------------------------------------------------
-    def _log(self, slot: int, entry: tuple) -> None:
-        if self._retain:
-            self._logs[slot].append(entry)
+    def _expect_ok(self, slot: int, op: str, original_cause: str):
+        kind, payload, cause = self._recv_reply(slot)
+        if kind == "ok":
+            return payload
+        detail = payload if kind == "error" else cause
+        self._raise_worker_failure(
+            slot,
+            f"recovery replay of {op!r} failed ({detail}); original "
+            f"failure: {original_cause}",
+            op,
+        )
 
     def _inject_data_faults(self, slot: int, watermark: int) -> None:
         plan = self._fault_plan
@@ -1110,57 +987,45 @@ class _WorkerShardBackend:
         )
 
     # ------------------------------------------------------------------
-    # Backend surface (ShardedSession contract)
+    # Slots: add, drop, restore, and migration epochs
     # ------------------------------------------------------------------
-    def register(self, query: Query, at: int, scope: str) -> RegisterAck:
-        return _merge_acks(self._command(("register", query, at, scope)))
-
-    def deregister(self, name: str, at: int) -> RegisterAck:
-        return _merge_acks(self._command(("deregister", name, at)))
-
-    def reprice(self, event_rate: int) -> bool:
-        return any(self._command(("reprice", event_rate)))
-
-    def switch(self, at: int) -> RegisterAck:
-        return _merge_acks(self._command(("switch", at)))
-
-    def collect(self, drain: bool) -> "list[ShardReport]":
-        return self._command(("collect", drain))
-
-    def _status(self) -> list:
-        return self._command(("stats",))
-
-    def stats(self) -> "list[ExecutionStats]":
-        return [status[0] for status in self._status()]
-
-    def switches(self) -> "list[list[PlanSwitchRecord]]":
-        return [status[1] for status in self._status()]
-
-    def watermarks(self) -> "list[int]":
-        return [status[2] for status in self._status()]
-
-    def max_retained_state(self) -> int:
-        return max(self._command(("retained",)), default=0)
-
-    def snapshot(self) -> "list[bytes]":
-        """One consistent cut across every shard: the broadcast rides
-        the same FIFO as the data plane, so each worker serializes its
-        core at exactly the coordinator's stream position.  When
-        recovery is armed the new snapshot becomes the respawn base and
-        the replay logs truncate."""
-        states = self._command(("snapshot",))
-        if self._retain:
-            self._base_states = list(states)
-            self._logs = [[] for _ in states]
-        return states
-
-    def restore(self, states: "list[bytes]") -> None:
-        """Load one snapshotted core per worker (session restore)."""
-        if len(states) != len(self._conns):
-            raise ExecutionError(
-                f"snapshot has {len(states)} shard cores, backend has "
-                f"{len(self._conns)}"
+    def _add_slot(self, config: ShardConfig, state: bytes) -> None:
+        """Append a worker and load ``state`` into it (a split's
+        sibling, or an epoch rollback's pre-plan core)."""
+        self._spawn_worker(config)
+        slot = len(self._conns) - 1
+        try:
+            self._conns[slot].send(("restore", state))
+        except (BrokenPipeError, OSError) as exc:
+            self._migration_failure(
+                slot, "restore", f"restore send failed ({exc})"
             )
+        kind, payload, cause = self._recv_reply(slot)
+        if kind != "ok":
+            self._migration_failure(
+                slot, "restore", cause or f"restore rejected:\n{payload}"
+            )
+        if self._retain:
+            self._base_states[slot] = state
+
+    def _drop_slot(self, slot: int) -> None:
+        self._stop_workers([slot], grace=5.0)
+        for seq in (
+            self._conns,
+            self._procs,
+            self._configs,
+            self._base_states,
+            self._logs,
+            self._last_acked,
+        ):
+            del seq[slot]
+        self._fatal_tracebacks = {
+            (s - 1 if s > slot else s): tb
+            for s, tb in self._fatal_tracebacks.items()
+            if s != slot
+        }
+
+    def _restore_cores(self, states: "list[bytes]") -> None:
         for slot, state in enumerate(states):
             self._send_control(slot, ("restore", state))
         for slot in range(len(states)):
@@ -1173,38 +1038,49 @@ class _WorkerShardBackend:
             self._base_states = list(states)
             self._logs = [[] for _ in states]
 
+    def migration_epoch_begin(self) -> None:
+        """Open a migration epoch: snapshot every core (the rollback
+        point) and remember the pre-plan topology."""
+        if not self._retain:
+            raise ExecutionError(
+                "migration epochs require worker_recovery=True"
+            )
+        self.snapshot()
+        self._epoch_configs = list(self._configs)
+        self._epoch_bases = list(self._base_states)
+        # From here until epoch_end's snapshot lands, a worker death
+        # cannot be repaired per-slot (migration ops are unlogged) —
+        # _broadcast escalates failures to _MigrationDisrupted instead.
+        self._migration_active = True
+
+    def migration_rollback(self) -> None:
+        """Discard a half-run migration plan: tear down whatever
+        topology it left behind and rebuild the epoch's workers from
+        their pre-plan snapshots.  Counts as one recovery."""
+        self._stop_workers(range(len(self._conns)), grace=0.0)
+        self._clear_slots()
+        self._release_data_plane()
+        for config, base in zip(self._epoch_configs, self._epoch_bases):
+            self._add_slot(config, base)
+        self.recoveries += 1
+
+    def migration_epoch_end(self) -> None:
+        """Close a migration epoch: re-snapshot the (possibly resized)
+        topology so ordinary per-worker crash recovery resumes from the
+        post-migration layout."""
+        self.snapshot()
+        self._migration_active = False
+        self._epoch_configs = []
+        self._epoch_bases = []
+
     def close(self) -> None:
         """Shut every worker down, robust to workers that are already
         dead: bounded join with terminate → kill escalation, and the
         data plane (shm segments included) released on every path."""
         try:
-            for conn in self._conns:
-                if conn is None:
-                    continue
-                try:
-                    conn.send(("close",))
-                except (BrokenPipeError, OSError):
-                    pass
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-            deadline = time.monotonic() + 5.0
-            for proc in self._procs:
-                if proc is None:
-                    continue
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stubborn worker
-                    proc.kill()
-                    proc.join(timeout=10.0)
+            self._stop_workers(range(len(self._conns)), grace=5.0)
         finally:
-            self._conns, self._procs = [], []
-            self._configs = []
-            self._base_states, self._logs = [], []
-            self._last_acked = []
+            self._clear_slots()
             self._release_data_plane()
 
     def _release_data_plane(self) -> None:
@@ -1215,53 +1091,20 @@ class _WorkerShardBackend:
 class ProcessShardBackend(_WorkerShardBackend):
     """One worker process per shard, fed columnar slices over a pipe.
 
-    Pipes give per-worker FIFO command streams; only commands in
-    ``_REPLY_OPS`` produce replies, so the coordinator can pipeline
-    data-plane traffic without round trips.  Workers are daemonic —
-    they die with the coordinator process.
+    Pipes give per-worker FIFO command streams; only commands that owe
+    a reply produce one, so the coordinator can pipeline data-plane
+    traffic without round trips.  Workers are daemonic — they die with
+    the coordinator process.
     """
 
     name = "process"
 
-    def start(self, configs: "list[ShardConfig]") -> None:
-        for config in configs:
-            self._spawn(config, _shard_worker)
+    def _open_data_plane(self, slot: int) -> tuple:
+        del slot  # the control pipe carries the data too
+        return ()
 
-    def feed(self, slices) -> None:
-        for slot, chunks in enumerate(slices):
-            if not chunks:
-                continue
-            self._log(slot, ("feed", chunks))
-            try:
-                self._conns[slot].send(("feed", chunks))
-            except (BrokenPipeError, OSError) as exc:
-                self._data_plane_failure(
-                    slot, f"feed pipe failed ({exc})", "feed"
-                )
-
-    def advance(self, watermark: int) -> None:
-        self._last_advance = watermark
-        for slot in range(len(self._conns)):
-            self._log(slot, ("advance", watermark))
-            self._inject_data_faults(slot, watermark)
-            try:
-                self._conns[slot].send(("advance", watermark))
-            except (BrokenPipeError, OSError) as exc:
-                self._data_plane_failure(
-                    slot, f"advance pipe failed ({exc})", "advance"
-                )
-
-    def _respawn_slot(self, slot: int) -> None:
-        self._spawn_at(slot, _shard_worker)
-
-    def _spawn_worker(self, config: ShardConfig) -> None:
-        self._spawn(config, _shard_worker)
-
-    def _replay_feed(self, slot, chunks) -> None:
-        self._conns[slot].send(("feed", chunks))
-
-    def _replay_advance(self, slot, watermark) -> None:
-        self._conns[slot].send(("advance", watermark))
+    def _ship(self, slot: int, msg) -> None:
+        self._conns[slot].send(msg)
 
 
 class SharedMemoryShardBackend(_WorkerShardBackend):
@@ -1307,111 +1150,42 @@ class SharedMemoryShardBackend(_WorkerShardBackend):
         self._feed_timeout = feed_timeout
         self._rings = []
 
-    def start(self, configs: "list[ShardConfig]") -> None:
+    def _open_data_plane(self, slot: int) -> tuple:
+        """A fresh ring for ``slot``: a respawned worker's old ring may
+        hold half-consumed slots, and replay re-ships everything."""
         from .shm_ring import ShmRing
 
+        ring = ShmRing.create(
+            slot_events=self._slot_events, num_slots=self._num_slots
+        )
+        if slot < len(self._rings):
+            self._rings[slot].close_ring()
+            self._rings[slot].close()
+            self._rings[slot] = ring
+        else:
+            self._rings.append(ring)
         # A fork-context worker shares the coordinator's resource
         # tracker (it must not untrack the segment); a spawn-context
         # worker runs its own and must untrack (see ShmRing.attach).
-        untrack = self._ctx.get_start_method() != "fork"
-        try:
-            for config in configs:
-                ring = ShmRing.create(
-                    slot_events=self._slot_events, num_slots=self._num_slots
-                )
-                self._rings.append(ring)
-                self._spawn(config, _shm_shard_worker, (ring.spec, untrack))
-        except BaseException:
-            # A mid-loop failure (ENOSPC on /dev/shm, spawn error)
-            # would otherwise orphan the segments already created —
-            # close() is unreachable because the session constructor
-            # never returns.  Tear down what exists, then re-raise.
-            self.close()
-            raise
+        return ring.spec, self._ctx.get_start_method() != "fork"
 
-    def feed(self, slices) -> None:
-        for slot, chunks in enumerate(slices):
-            if not chunks:
-                continue
-            self._log(slot, ("feed", chunks))
-            try:
-                for ts, keys, values in chunks:
-                    self._rings[slot].push_events(
-                        ts,
-                        keys,
-                        values,
-                        timeout=self._feed_timeout,
-                        liveness=self._procs[slot].is_alive,
-                    )
-            except ExecutionError as exc:
-                self._data_plane_failure(slot, str(exc), "feed")
-
-    def advance(self, watermark: int) -> None:
-        self._last_advance = watermark
-        for slot in range(len(self._rings)):
-            self._log(slot, ("advance", watermark))
-            self._inject_data_faults(slot, watermark)
-            try:
-                self._rings[slot].push_advance(
-                    watermark,
-                    timeout=self._feed_timeout,
-                    liveness=self._procs[slot].is_alive,
-                )
-            except ExecutionError as exc:
-                self._data_plane_failure(slot, str(exc), "advance")
-
-    def _respawn_slot(self, slot: int) -> None:
-        from .shm_ring import ShmRing
-
-        # The dead worker's ring may hold half-consumed slots; replay
-        # re-ships everything, so start the respawn on a fresh segment.
-        old = self._rings[slot]
-        old.close_ring()
-        old.close()
-        ring = ShmRing.create(
-            slot_events=self._slot_events, num_slots=self._num_slots
-        )
-        self._rings[slot] = ring
-        untrack = self._ctx.get_start_method() != "fork"
-        self._spawn_at(slot, _shm_shard_worker, (ring.spec, untrack))
-
-    def _spawn_worker(self, config: ShardConfig) -> None:
-        from .shm_ring import ShmRing
-
-        ring = ShmRing.create(
-            slot_events=self._slot_events, num_slots=self._num_slots
-        )
-        untrack = self._ctx.get_start_method() != "fork"
-        try:
-            self._spawn(config, _shm_shard_worker, (ring.spec, untrack))
-        except BaseException:  # pragma: no cover - spawn failure
-            ring.close_ring()
-            ring.close()
-            raise
-        self._rings.append(ring)
+    def _ship(self, slot: int, msg) -> None:
+        ring, alive = self._rings[slot], self._procs[slot].is_alive
+        if msg[0] == "advance":
+            ring.push_advance(
+                msg[1], timeout=self._feed_timeout, liveness=alive
+            )
+            return
+        for ts, keys, values in msg[1]:
+            ring.push_events(
+                ts, keys, values, timeout=self._feed_timeout, liveness=alive
+            )
 
     def _drop_slot(self, slot: int) -> None:
+        super()._drop_slot(slot)
         ring = self._rings.pop(slot)
         ring.close_ring()
         ring.close()
-        super()._drop_slot(slot)
-
-    def _replay_feed(self, slot, chunks) -> None:
-        for ts, keys, values in chunks:
-            self._rings[slot].push_events(
-                ts,
-                keys,
-                values,
-                timeout=self._feed_timeout,
-                liveness=self._procs[slot].is_alive,
-            )
-
-    def _replay_advance(self, slot, watermark) -> None:
-        self._rings[slot].push_advance(
-            watermark,
-            timeout=self._feed_timeout,
-            liveness=self._procs[slot].is_alive,
-        )
 
     def _poison_slot(self, slot: int) -> None:
         self._rings[slot].poison_slot()
@@ -1446,33 +1220,6 @@ def _resolve_backend(backend):
             f"{SHARD_BACKENDS}"
         )
     return _BACKEND_CLASSES[backend]()
-
-
-def _configure_durability(
-    backend, fault_plan, worker_recovery: bool, control_timeout
-) -> None:
-    """Arm a backend's durability knobs.
-
-    Fault injection and worker recovery fail loudly on backends without
-    a ``configure`` hook (serial cores cannot crash independently — a
-    chaos schedule against them would silently test nothing).  The
-    control timeout is passed through only where it means something:
-    in-process calls cannot stall, so it is ignored — not rejected — on
-    such backends (it carries a finite default, so rejecting it would
-    break every serial construction)."""
-    if not hasattr(backend, "configure"):
-        if fault_plan is not None or worker_recovery:
-            raise ExecutionError(
-                f"backend {getattr(backend, 'name', backend)!r} does not "
-                "support fault injection / worker recovery — use the "
-                "'process' or 'shm' backend"
-            )
-        return
-    backend.configure(
-        fault_plan=fault_plan,
-        recovery=worker_recovery,
-        control_timeout=control_timeout,
-    )
 
 
 class ShardedSession(SessionFrontDoor):
@@ -1620,9 +1367,7 @@ class ShardedSession(SessionFrontDoor):
         everything a session never carries across a restore: the
         per-backend-slot ingest buffers and the teardown flag."""
         self.backend = _resolve_backend(backend)
-        _configure_durability(
-            self.backend, fault_plan, worker_recovery, control_timeout
-        )
+        self.backend.configure(fault_plan, worker_recovery, control_timeout)
         self.backend.start(
             [self._shard_config(shard) for shard in self.active_shards]
         )
@@ -1648,8 +1393,8 @@ class ShardedSession(SessionFrontDoor):
     @property
     def worker_recoveries(self) -> int:
         """How many shard workers have been respawned after a crash
-        (always 0 on backends without recovery support)."""
-        return getattr(self.backend, "recoveries", 0)
+        (always 0 on the serial backend)."""
+        return self.backend.recoveries
 
     @property
     @synchronized
@@ -1747,8 +1492,9 @@ class ShardedSession(SessionFrontDoor):
         at = self._safe_watermark()
         self._sync(at)
         if mode == "forward":
-            core = self._ensure_forward_core(at)
-            core.register(query, at=at, scope="per_key")
+            self._ensure_forward_core(at).register(
+                query, at=at, scope="per_key"
+            )
             self._forward_names.add(query.name)
         else:
             self.backend.register(
@@ -2178,7 +1924,7 @@ class ShardedSession(SessionFrontDoor):
 
     def _run_migration(self, plan) -> None:
         backend = self.backend
-        if getattr(backend, "recovery_armed", False):
+        if backend.recovery_armed:
             backend.migration_epoch_begin()
             try:
                 plan()

@@ -11,14 +11,36 @@ violation — reproduces exactly with::
 
     REPRO_TEST_SEED=<seed> python -m pytest ...
 
-Hypothesis tests get the same treatment through a profile that prints
-reproduction blobs on failure (and derandomizes when a seed is
-pinned).
+Hypothesis tests draw from the same seed: unless ``--hypothesis-seed``
+is given, :func:`pytest_configure` hands ``REPRO_TEST_SEED`` to it, so
+a pinned seed replays a fresh seed's examples and two seeds explore
+different ones.  The ``repro`` profile prints reproduction blobs on
+failure; ``--hypothesis-profile=sweep`` (the scheduled seed sweep,
+``.github/workflows/seed-sweep.yml``) also raises every test's example
+budget.
+
+Resource fences
+---------------
+A test that leaves something behind fails itself, not whichever later
+test counts:
+
+* the front-door suites: no live ``repro-ingest-pump`` thread;
+* every test whose sessions have a backend life-cycle — all of
+  ``tests/runtime`` and ``tests/scenarios``, and every ``chaos`` test
+  (the service's included): no live worker process, no new
+  ``/dev/shm`` entry, and this process's descriptor count back to its
+  baseline.
 """
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
+import threading
+import time
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +57,45 @@ REPRO_TEST_SEED = (
     else int.from_bytes(os.urandom(4), "big")
 )
 
+#: How many times its own ``max_examples`` a property test runs under
+#: the ``sweep`` profile.
+_SWEEP_FACTOR = 10
+
+hypothesis_settings.register_profile("repro", print_blob=True)
 hypothesis_settings.register_profile(
-    "repro",
-    print_blob=True,
-    derandomize=_SEED_ENV is not None,
+    "sweep",
+    hypothesis_settings.get_profile("repro"),
+    max_examples=100 * _SWEEP_FACTOR,
 )
 hypothesis_settings.load_profile("repro")
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    # Runs before hypothesis's own hook, which reads the option.
+    if config.getoption("hypothesis_seed", None) is None:
+        config.option.hypothesis_seed = REPRO_TEST_SEED
+
+
+def pytest_collection_modifyitems(items):
+    """Under the ``sweep`` profile, raise the budgets a profile cannot
+    reach: a test's own ``@settings(max_examples=...)`` wins over any
+    profile."""
+    if hypothesis_settings.get_current_profile_name() != "sweep":
+        return
+    raised = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # a method's function
+        if id(test) in raised or not getattr(
+            test, "_hypothesis_internal_settings_applied", False
+        ):
+            continue
+        raised.add(id(test))
+        own = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = hypothesis_settings(
+            own, max_examples=own.max_examples * _SWEEP_FACTOR
+        )
 
 
 def pytest_report_header(config):  # pragma: no cover - cosmetic
@@ -158,3 +213,80 @@ def ledger_window_sets() -> "dict[str, WindowSet]":
         name: WindowSet([Window(r, s) for r, s in windows])
         for name, windows in pairs.items()
     }
+
+
+# ----------------------------------------------------------------------
+# Resource fences
+# ----------------------------------------------------------------------
+PUMP_CHECKED = {"test_ingest.py", "test_front_door.py", "test_push_many.py"}
+BACKEND_CHECKED = {"runtime", "scenarios"}
+
+
+def pump_threads() -> "list[threading.Thread]":
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "repro-ingest-pump"
+    ]
+
+
+def shm_entries() -> "set[str]":
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # no /dev/shm on this platform
+        return set()
+
+
+def open_fds() -> "int | None":
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:  # no /proc on this platform
+        return None
+
+
+def settled(probe, expected, within: float = 2.0):
+    """``probe()`` once it equals ``expected`` or the wait runs out: a
+    stopped pump or a reaped worker lands a moment after its stop."""
+    deadline = time.monotonic() + within
+    while (got := probe()) != expected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return got
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_pump_threads(request):
+    if request.node.path.name not in PUMP_CHECKED:
+        yield
+        return
+    before = set(pump_threads())
+    yield
+    leaked = settled(lambda: set(pump_threads()) - before, set())
+    assert not leaked, f"{len(leaked)} ingest pump thread(s) left running"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers_segments_or_fds(request):
+    suite = request.node.path.relative_to(Path(__file__).parent).parts[0]
+    if suite not in BACKEND_CHECKED and not request.node.get_closest_marker(
+        "chaos"
+    ):
+        yield
+        return
+    # The shm backend starts this process-wide helper on first use and
+    # it keeps a pipe for good: not a per-test leak.
+    resource_tracker.ensure_running()
+    gc.collect()  # an earlier test's garbage must not close fds in this one
+    segments, fds = shm_entries(), open_fds()
+    yield
+    gc.collect()
+    children = settled(multiprocessing.active_children, [])
+    assert children == [], f"worker process(es) left running: {children}"
+    leaked = settled(lambda: shm_entries() - segments, set())
+    assert not leaked, f"shared-memory segment(s) left behind: {leaked}"
+    assert settled(open_fds, fds) == fds, "file descriptor(s) left open"
+
+
+def pytest_collection_finish(session):
+    # The fences collect garbage twice per test: freeze what import and
+    # collection built, so each collect walks only what tests allocate.
+    gc.freeze()
