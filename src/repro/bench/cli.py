@@ -463,6 +463,9 @@ def _cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from ..errors import ReproError
     from ..service import (
         DEFAULT_CHECKPOINT_EVERY,
         ServiceServer,
@@ -470,9 +473,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_tenants_config,
     )
 
-    config = (
-        load_tenants_config(args.config) if args.config is not None else None
-    )
+    try:
+        config = (
+            load_tenants_config(Path(args.config))
+            if args.config is not None
+            else None
+        )
+    except (ReproError, OSError) as exc:
+        # Refused before a port is bound, like a bad scenario file.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     every = (
         args.checkpoint_every
         if args.checkpoint_every is not None

@@ -41,7 +41,6 @@ from .schema import (
     load_scenario,
     parse_scenario,
     parse_window,
-    scenario_dict,
 )
 
 __all__ = [
@@ -74,6 +73,5 @@ __all__ = [
     "replay_capture",
     "results_digest",
     "run_scenario",
-    "scenario_dict",
     "write_rstream",
 ]

@@ -39,6 +39,7 @@ from ..runtime import has_workers, open_session
 from ..workloads.domains import domain_stream
 from ..workloads.rng import seeded_rng
 from .rstream import StreamCapture, read_rstream, write_rstream
+from ..config import as_mapping, build_spec
 from .schema import (
     QuerySpec,
     RatePhase,
@@ -46,8 +47,6 @@ from .schema import (
     Scenario,
     StreamSpec,
     ValueSpec,
-    _build,
-    _spec_dict,
     load_scenario,
 )
 
@@ -186,7 +185,7 @@ def compile_scenario(scenario: Scenario) -> CompiledStream:
             (
                 _arrival_index(timestamps, query.register_at),
                 "register",
-                _spec_dict(query),
+                as_mapping(query),
             )
         )
         if query.deregister_at is not None:
@@ -341,7 +340,7 @@ def _query_from_payload(payload: dict) -> "tuple[Query, str]":
     spec = (
         payload
         if isinstance(payload, QuerySpec)
-        else _build(QuerySpec, dict(payload), "query")
+        else build_spec(QuerySpec, dict(payload))
     )
     query = Query(
         name=spec.name,
@@ -404,7 +403,7 @@ class ScenarioRunner:
                     num_keys=compiled.num_keys,
                     max_lateness=compiled.max_lateness,
                     ops=compiled.ops,
-                    runtime=_spec_dict(runtime),
+                    runtime=as_mapping(runtime),
                     outcome=report.outcome(),
                     meta={
                         "scenario": self.scenario.name,
@@ -439,7 +438,7 @@ class ScenarioRunner:
         if not isinstance(capture, StreamCapture):
             capture = read_rstream(capture)
         runtime = _override(
-            _build(RuntimeSpec, dict(capture.runtime), "runtime"),
+            build_spec(RuntimeSpec, dict(capture.runtime)),
             backend=backend,
             shards=shards,
             async_ingest=async_ingest,

@@ -42,7 +42,6 @@ from .quotas import (
     TenantConfig,
     TokenBucket,
     load_tenants_config,
-    parse_simple_yaml,
 )
 from .server import ServiceServer, serve_in_thread
 from .supervise import CircuitBreaker, RetryPolicy
@@ -64,7 +63,6 @@ __all__ = [
     "deserialize_results",
     "encode_line",
     "load_tenants_config",
-    "parse_simple_yaml",
     "serialize_results",
     "serve_in_thread",
 ]

@@ -239,14 +239,17 @@ class SessionManager:
             state = self._tenants.get(name)
             try:
                 cfg = self.config.config_for(name).merged(overrides)
-            except ReproError as exc:  # unknown key — user input
-                raise BadRequest(str(exc)) from exc
-            if state is not None:
-                if overrides and state.config != cfg:
+                if state is not None and overrides and state.config != cfg:
                     raise BadRequest(
                         f"tenant {name!r} is already open with a "
                         "different config"
                     )
+            except ReproError as exc:  # a bad key or value — user input
+                if state is not None:
+                    with state.admission:
+                        state.stats.bad_requests += 1
+                raise BadRequest(str(exc)) from exc
+            if state is not None:
                 return state.config
             every = (
                 cfg.checkpoint_every

@@ -19,31 +19,41 @@ Both gates are deterministic given an injectable ``clock``, which is
 what makes the soak and chaos suites assert *exact* admission counters
 instead of sleeping and hoping.
 
-Configuration is a ``tenants.yaml``-shaped file parsed by
-:func:`load_tenants_config` — a dependency-free reader for the tiny
-indentation-based subset the repo's config files need (the container
-bakes in no YAML library, and neither a quota file nor a scenario
-file needs one): nested mappings of scalars, block sequences,
-comments, and blank lines.  JSON input is accepted too (any text
-whose first non-space character is ``{``).  The scenario loader
-(:mod:`repro.scenarios.schema`) reuses :func:`parse_simple_yaml`.
+Configuration is a ``tenants.yaml``-shaped file (or its JSON, or a
+dict) loaded by :func:`load_tenants_config`: a ``defaults`` section
+plus per-tenant overrides, merged field-wise into
+:class:`TenantConfig`, a declared spec of :mod:`repro.config` — the
+same file format and the same field check the scenario files use.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
+from ..config import (
+    INT,
+    NUMBER,
+    STR,
+    Spec,
+    above,
+    at_least,
+    build_spec,
+    one_of,
+    optional,
+    read_source,
+    reject_unknown,
+    setting,
+)
 from ..errors import ExecutionError
+from ..runtime.sharding import SHARD_BACKENDS
 
 __all__ = [
     "ServiceConfig",
     "TenantConfig",
     "TokenBucket",
     "load_tenants_config",
-    "parse_simple_yaml",
 ]
 
 
@@ -110,7 +120,7 @@ class TokenBucket:
 
 
 @dataclass(frozen=True)
-class TenantConfig:
+class TenantConfig(Spec):
     """One tenant's quota and session shape.
 
     Quota knobs (the admission gates):
@@ -131,32 +141,34 @@ class TenantConfig:
     * ``checkpoint_every`` — auto-checkpoint cadence in ticks
       (``None`` inherits the manager's default); the cadence also
       bounds the supervisor's replay tail.
+
+    Every field is declared (:mod:`repro.config`): a config the
+    service could not run — ``rate: 0``, ``rate: fast``, ``backend:
+    nope`` — is refused when it is built, not when a request hits it.
     """
 
-    rate: float = 10_000.0
-    burst: int = 4_096
-    queue_budget_bytes: int = 1 << 20
-    num_keys: int = 1
-    max_lateness: int = 0
-    chunk_ticks: "int | None" = None
-    num_shards: int = 1
-    backend: str = "serial"
-    checkpoint_every: "int | None" = None
+    section = "tenant config"
+    prefix = ""
+
+    rate: float = setting(NUMBER, 10_000.0, above(0))
+    burst: float = setting(NUMBER, 4_096, at_least(1))
+    queue_budget_bytes: int = setting(INT, 1 << 20, at_least(1))
+    num_keys: int = setting(INT, 1, at_least(1))
+    max_lateness: int = setting(INT, 0, at_least(0))
+    chunk_ticks: "int | None" = setting(optional(INT), None, at_least(1))
+    num_shards: int = setting(INT, 1, at_least(1))
+    backend: str = setting(STR, "serial", one_of(SHARD_BACKENDS))
+    checkpoint_every: "int | None" = setting(
+        optional(INT), None, at_least(1)
+    )
 
     def merged(self, overrides: "dict | None") -> "TenantConfig":
-        """This config with ``overrides`` applied field-wise (unknown
-        keys raise — a typo'd quota silently defaulting would be a
-        production incident, not a convenience)."""
+        """This config with ``overrides`` applied field-wise (checked
+        like any other construction: unknown keys and bad values
+        raise)."""
         if not overrides:
             return self
-        known = {f.name for f in fields(TenantConfig)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ExecutionError(
-                f"unknown tenant config key(s) {unknown}; expected a "
-                f"subset of {sorted(known)}"
-            )
-        return replace(self, **overrides)
+        return build_spec(TenantConfig, overrides, base=self)
 
 
 @dataclass(frozen=True)
@@ -172,175 +184,11 @@ class ServiceConfig:
         return self.tenants.get(tenant, self.defaults)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    if len(text) >= 2 and text[0] == "[" and text[-1] == "]":
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        items = _split_flow_items(inner)
-        if items is not None:
-            return [_parse_scalar(item) for item in items]
-        return text
-    lowered = text.lower()
-    if lowered in ("null", "none", "~"):
-        return None
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
+def _merged(where: str, base: TenantConfig, overrides) -> TenantConfig:
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _split_flow_items(inner: str) -> "list[str] | None":
-    """Split a flow-sequence body on top-level commas, honoring
-    quotes; ``None`` when the body nests (``[``/``{``) or leaves a
-    quote open — callers keep the raw text rather than guess."""
-    items, start, i, n = [], 0, 0, len(inner)
-    while i < n:
-        ch = inner[i]
-        if ch in "'\"":
-            end = inner.find(ch, i + 1)
-            if end < 0:
-                return None
-            i = end + 1
-            continue
-        if ch in "[{":
-            return None
-        if ch == ",":
-            items.append(inner[start:i])
-            start = i + 1
-        i += 1
-    items.append(inner[start:])
-    return items
-
-
-def parse_simple_yaml(text: str) -> dict:
-    """Parse the tiny YAML subset the repo's config files need.
-
-    Supported: arbitrarily nested mappings with scalar leaves, block
-    sequences (``- item`` lines holding scalars or ``key: value``
-    mappings — what a scenario file's query list needs), flat flow
-    sequences of scalars (``["300/50", "120"]``), ``#`` comments
-    (full-line or trailing), blank lines, single- or double-quoted
-    strings, ints/floats/bools/null.  Not supported (raises, never
-    guesses): flow mappings, nested flow sequences, anchors,
-    multi-line scalars, tabs.  JSON is accepted as a fast path when
-    the first non-space character is ``{``.
-    """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return json.loads(text)
-    root: dict = {}
-    # Stack of (indent, container) — a line's indent selects its
-    # parent; containers are mappings or (for '- ' blocks) lists.
-    stack: "list[tuple[int, dict | list]]" = [(-1, root)]
-    pending: "tuple[int, str] | None" = None  # key awaiting its block
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "\t" in raw:
-            raise ExecutionError(
-                f"config line {lineno}: tabs are not allowed "
-                "(indent with spaces)"
-            )
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        indent = len(line) - len(line.lstrip(" "))
-        body = line.strip()
-        if body == "-" or body.startswith("- "):
-            pending, stack = _resolve_pending(
-                pending, stack, indent, as_list=True
-            )
-            # A dash pops everything deeper, and mappings at its own
-            # indent, but never the list it appends to (which was
-            # pushed at the dash column).
-            while stack[-1][0] > indent or (
-                stack[-1][0] == indent
-                and not isinstance(stack[-1][1], list)
-            ):
-                stack.pop()
-            target = stack[-1][1]
-            if not isinstance(target, list) or stack[-1][0] != indent:
-                raise ExecutionError(
-                    f"config line {lineno}: misindented sequence item "
-                    f"{body!r} (a '- ' block must open under a bare "
-                    "'key:' line and keep one dash column)"
-                )
-            rest = body[1:].strip()
-            if not rest:
-                raise ExecutionError(
-                    f"config line {lineno}: empty sequence item "
-                    "(write the value on the dash line: '- value' or "
-                    "'- key: value')"
-                )
-            if ":" in rest and not (
-                rest[0] in "'\"" and rest[0] == rest[-1] and len(rest) >= 2
-            ):
-                # '- key: value' opens a mapping item; its remaining
-                # keys sit two columns right of the dash, so the item
-                # is pushed just past the dash column.
-                item: dict = {}
-                target.append(item)
-                stack.append((indent + 1, item))
-                key, _, value = rest.partition(":")
-                if not value.strip():
-                    pending = (indent + 2, key.strip())
-                else:
-                    item[key.strip()] = _parse_scalar(value)
-            else:
-                target.append(_parse_scalar(rest))
-            continue
-        if ":" not in body:
-            raise ExecutionError(
-                f"config line {lineno}: expected 'key: value' "
-                f"or 'key:', got {body!r}"
-            )
-        key, _, value = body.partition(":")
-        key = key.strip()
-        pending, stack = _resolve_pending(pending, stack, indent)
-        while indent <= stack[-1][0]:
-            stack.pop()
-        if isinstance(stack[-1][1], list):
-            raise ExecutionError(
-                f"config line {lineno}: mapping key {key!r} inside a "
-                "sequence must belong to a '- key: value' item"
-            )
-        if not value.strip():
-            pending = (indent, key)
-        else:
-            stack[-1][1][key] = _parse_scalar(value)
-    if pending is not None:
-        stack[-1][1][pending[1]] = {}
-    return root
-
-
-def _resolve_pending(pending, stack, indent, as_list: bool = False):
-    """Close out a ``key:`` line once its first follower arrives: a
-    deeper follower opens the key's block (mapping, or list when the
-    follower is a ``- `` item), a same-or-shallower one leaves ``{}``.
-    The stack records the *opening key's* indent for mappings (so
-    siblings of the key pop it and deeper lines don't) and the *dash
-    column* for lists (so every later dash finds its list)."""
-    if pending is None:
-        return None, stack
-    pending_indent, pending_key = pending
-    if indent > pending_indent:
-        child: "dict | list" = [] if as_list else {}
-        stack[-1][1][pending_key] = child
-        stack.append((indent if as_list else pending_indent, child))
-    else:
-        stack[-1][1][pending_key] = {}
-    return None, stack
+        return base.merged(overrides)
+    except ExecutionError as exc:
+        raise ExecutionError(f"{where}: {exc}") from None
 
 
 def load_tenants_config(source: "str | Path | dict") -> ServiceConfig:
@@ -359,30 +207,21 @@ def load_tenants_config(source: "str | Path | dict") -> ServiceConfig:
           bob:
             num_shards: 2
 
-    Unknown top-level or tenant-level keys raise.
+    Unknown sections or keys, and values of the wrong type or out of
+    range, raise naming ``defaults`` or the tenant.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if isinstance(source, Path) or (
-            "\n" not in text and (text.endswith((".yaml", ".yml", ".json")))
-        ):
-            text = Path(source).read_text()
-        data = parse_simple_yaml(text)
-    unknown = sorted(set(data) - {"defaults", "tenants"})
-    if unknown:
+    data, _ = read_source(source)
+    reject_unknown(data, ("defaults", "tenants"), "tenants config", "section")
+    defaults = _merged("defaults", TenantConfig(), data.get("defaults"))
+    tenants = data.get("tenants") or {}
+    if not isinstance(tenants, dict):
         raise ExecutionError(
-            f"unknown tenants config section(s) {unknown}; expected "
-            "'defaults' and/or 'tenants'"
+            f"tenants must map tenant names to overrides, got {tenants!r}"
         )
-    defaults = TenantConfig().merged(data.get("defaults") or {})
-    tenants = {}
-    for name, overrides in (data.get("tenants") or {}).items():
-        if overrides is not None and not isinstance(overrides, dict):
-            raise ExecutionError(
-                f"tenant {name!r}: expected a mapping of overrides, "
-                f"got {overrides!r}"
-            )
-        tenants[str(name)] = defaults.merged(overrides or {})
-    return ServiceConfig(defaults=defaults, tenants=tenants)
+    return ServiceConfig(
+        defaults=defaults,
+        tenants={
+            str(name): _merged(f"tenant {name!r}", defaults, overrides)
+            for name, overrides in tenants.items()
+        },
+    )

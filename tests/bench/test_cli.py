@@ -90,3 +90,41 @@ class TestEnginesCommand:
         out = capsys.readouterr().out
         assert "engine=columnar-panes" in out
         assert "via panes[p=" in out
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "defaults:\n  rtae: 5\n",
+                "error: defaults: unknown tenant config key(s) ['rtae']",
+            ),
+            (
+                "tenants:\n  a:\n    rate: 0\n",
+                "error: tenant 'a': rate must be > 0, got 0",
+            ),
+        ],
+        ids=["unknown_key", "bad_value"],
+    )
+    def test_bad_config_exits_2_before_binding_a_port(
+        self, tmp_path, monkeypatch, capsys, text, message
+    ):
+        import repro.service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve went on with a bad config")
+
+        monkeypatch.setattr(repro.service, "SessionManager", refuse)
+        monkeypatch.setattr(repro.service, "ServiceServer", refuse)
+        path = tmp_path / "tenants.yaml"
+        path.write_text(text)
+        assert main(["serve", "--port", "0", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.yaml"
+        assert main(["serve", "--port", "0", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -53,6 +53,7 @@ GOLDEN_ERRORS = {
         "of ['chaos', 'description', 'expect', 'name', 'runtime', "
         "'stream', 'workload']"
     ),
+    "wrong_type": "stream.events must be an integer, got 'abc'",
 }
 
 
@@ -67,6 +68,72 @@ class TestGoldenErrors:
     def test_every_fixture_has_a_golden_message(self):
         stems = {p.stem for p in FIXTURES.glob("*.yaml")}
         assert stems == set(GOLDEN_ERRORS)
+
+
+#: One scenario with a single field of the wrong type, and the exact
+#: error it must raise: ``section.field``, what it must be, the value.
+_QUERY = "workload:\n  queries:\n    - name: q\n"
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "stream:\n  events: abc\n" + _QUERY,
+                "stream.events must be an integer, got 'abc'",
+            ),
+            (
+                _QUERY + "      register_at: soon\n",
+                "query.register_at must be an integer, got 'soon'",
+            ),
+            (
+                "runtime:\n  shards: 2.5\n" + _QUERY,
+                "runtime.shards must be an integer, got 2.5",
+            ),
+            (
+                "runtime:\n  async_ingest: maybe\n" + _QUERY,
+                "runtime.async_ingest must be a boolean, got 'maybe'",
+            ),
+            (
+                "stream:\n  values:\n    mean: hi\n" + _QUERY,
+                "values.mean must be a number, got 'hi'",
+            ),
+        ],
+        ids=["events", "register_at", "shards", "async_ingest", "mean"],
+    )
+    def test_wrong_type_names_the_field(self, text, message):
+        with pytest.raises(ExecutionError) as excinfo:
+            load_scenario("name: t\n" + text)
+        assert str(excinfo.value) == message
+
+    def test_a_missing_required_key_is_named(self):
+        with pytest.raises(
+            ExecutionError, match=r"query needs key\(s\) \['name'\]"
+        ):
+            load_scenario(
+                "name: t\nworkload:\n  queries:\n    - windows: ['60']\n"
+            )
+
+    def test_bool_is_not_a_number_and_int_is(self):
+        with pytest.raises(ExecutionError, match="values.mean must be a"):
+            load_scenario(
+                "name: t\nstream:\n  values:\n    mean: true\n" + _QUERY
+            )
+        scenario = load_scenario(
+            "name: t\nstream:\n  values:\n    mean: 3\n" + _QUERY
+        )
+        assert scenario.stream.values.mean == 3
+
+    def test_every_construction_runs_the_check(self):
+        from dataclasses import replace
+
+        from repro.scenarios import RuntimeSpec
+
+        with pytest.raises(ExecutionError, match="runtime.shards"):
+            RuntimeSpec(shards=0)
+        with pytest.raises(ExecutionError, match="runtime.backend"):
+            replace(RuntimeSpec(), backend="nope")
 
 
 class TestRoundTrip:

@@ -583,6 +583,36 @@ class TestHandle:
             )
             assert bad["error"] == "bad_request"
 
+    def test_open_with_an_unrunnable_config_is_a_counted_bad_request(
+        self, tmp_path
+    ):
+        """A config the session could not run used to be accepted and
+        then fail every request (``rate: 0`` died in the token bucket
+        with ``failed``); it is refused at ``open``, counted against an
+        open tenant, and creates no new one."""
+        with make_manager(tmp_path) as mgr:
+            reply = mgr.handle(
+                {"op": "open", "tenant": "b", "config": {"rate": 0}}
+            )
+            assert reply["error"] == "bad_request"
+            assert reply["detail"] == "rate must be > 0, got 0"
+            assert "b" not in mgr.tenants
+            assert mgr.handle({"op": "open", "tenant": "a"})["ok"]
+            for config, detail in (
+                ({"rate": 0}, "rate must be > 0, got 0"),
+                ({"rate": "fast"}, "rate must be a number, got 'fast'"),
+                ({"burst": True}, "burst must be a number, got True"),
+                ({"backend": "nope"}, "backend must be one of"),
+                ({"num_shards": 1.5}, "num_shards must be an integer"),
+            ):
+                reply = mgr.handle(
+                    {"op": "open", "tenant": "a", "config": config}
+                )
+                assert reply["error"] == "bad_request", config
+                assert reply["detail"].startswith(detail)
+            assert mgr.stats("a")["stats"]["bad_requests"] == 5
+            assert mgr.tenants == ("a",)
+
     def test_handle_never_raises(self, tmp_path, monkeypatch):
         with make_manager(tmp_path) as mgr:
             monkeypatch.setattr(

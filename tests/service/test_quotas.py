@@ -8,6 +8,7 @@ deadlines), not sleep-and-hope timing.
 
 import pytest
 
+from repro.config import parse_simple_yaml
 from repro.errors import ExecutionError
 from repro.service import (
     CircuitBreaker,
@@ -16,7 +17,6 @@ from repro.service import (
     TenantConfig,
     TokenBucket,
     load_tenants_config,
-    parse_simple_yaml,
 )
 
 
@@ -253,6 +253,68 @@ class TestConfigLoader:
             load_tenants_config("tenants:\n  a:\n    rtae: 5\n")
         with pytest.raises(ExecutionError, match="section"):
             load_tenants_config("defautls:\n  rate: 5\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("defaults:\n  rate: 0\n", "defaults: rate must be > 0, got 0"),
+            (
+                "defaults:\n  rate: fast\n",
+                "defaults: rate must be a number, got 'fast'",
+            ),
+            (
+                "tenants:\n  a:\n    backend: nope\n",
+                "tenant 'a': backend must be one of ('serial', 'process', "
+                "'shm'), got 'nope'",
+            ),
+            (
+                "tenants:\n  a:\n    num_keys: 0\n",
+                "tenant 'a': num_keys must be >= 1, got 0",
+            ),
+            (
+                "defaults:\n  burst: true\n",
+                "defaults: burst must be a number, got True",
+            ),
+            (
+                "tenants:\n  a:\n    chunk_ticks: 2.5\n",
+                "tenant 'a': chunk_ticks must be an integer, got 2.5",
+            ),
+        ],
+    )
+    def test_unrunnable_configs_are_refused_at_load(self, text, message):
+        """Each of these used to load and then fail every request (or,
+        for ``backend``, be silently ignored by a one-shard session)."""
+        with pytest.raises(ExecutionError) as excinfo:
+            load_tenants_config(text)
+        assert str(excinfo.value) == message
+
+    def test_every_construction_runs_the_check(self):
+        from dataclasses import replace
+
+        with pytest.raises(ExecutionError, match="num_keys must be >= 1"):
+            TenantConfig(num_keys=0)
+        with pytest.raises(ExecutionError, match="rate must be > 0"):
+            replace(TenantConfig(), rate=-1.0)
+        with pytest.raises(ExecutionError, match="max_lateness"):
+            TenantConfig().merged({"max_lateness": -1})
+
+    def test_lifted_quotas_still_load(self):
+        """The shapes the benchmark and the service tests send: float
+        rates and bursts, integer byte budgets."""
+        cfg = load_tenants_config(
+            {
+                "defaults": {
+                    "num_keys": 8,
+                    "max_lateness": 4,
+                    "rate": 1e9,
+                    "burst": 10**9,
+                    "queue_budget_bytes": 1 << 30,
+                }
+            }
+        )
+        assert cfg.defaults.burst == 10**9
+        text = "defaults:\n  burst: 1e9\n"
+        assert load_tenants_config(text).defaults.burst == 1e9
 
     def test_config_is_immutable_and_mergeable(self):
         base = TenantConfig()

@@ -121,12 +121,13 @@ def check_yaml_blocks() -> list[str]:
     src = str(REPO / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
-    from repro.scenarios import load_scenario
-    from repro.scenarios.schema import _SECTIONS
-    from repro.service import load_tenants_config
-    from repro.service.quotas import parse_simple_yaml
+    from dataclasses import fields
 
-    scenario_keys = {"name", "description", *_SECTIONS}
+    from repro.config import parse_simple_yaml
+    from repro.scenarios import Scenario, load_scenario
+    from repro.service import load_tenants_config
+
+    scenario_keys = {f.name for f in fields(Scenario)}
     for doc in DOC_FILES:
         for line, source in iter_fenced_blocks(doc.read_text(), "yaml"):
             where = f"{doc.relative_to(REPO)}:{line}"
