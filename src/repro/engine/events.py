@@ -147,7 +147,10 @@ def event_table(events, num_keys: int) -> np.ndarray:
     batch is checked whole and the first offending row is named: three
     numeric fields per row; timestamps and keys integral and below
     2**53 in magnitude (they travel through float64, which must not
-    round them); ``ts >= 0``; keys inside ``[0, num_keys)``.
+    round them); ``ts >= 0``; keys inside ``[0, num_keys)``.  A NaN in
+    a numeric array is a real NaN (a legal value; a NaN ts or key fails
+    the exactness check), so only rows and object arrays, where
+    ``None`` converts to NaN, earn the per-row scan.
     """
     rows = events if isinstance(events, (list, np.ndarray)) else list(events)
     if len(rows) == 0:
@@ -170,7 +173,7 @@ def event_table(events, num_keys: int) -> np.ndarray:
             _first_malformed_row(rows)
             or "events must be rows of [ts, key, value]"
         )
-    if np.isnan(table).any():
+    if np.isnan(table).any() and getattr(rows, "dtype", object) == object:
         # ``None`` converts to NaN silently, so a NaN anywhere earns
         # the per-row scan (which lets a real NaN value through).
         problem = _first_malformed_row(rows)
@@ -182,9 +185,10 @@ def event_table(events, num_keys: int) -> np.ndarray:
         exact = ids.astype(np.int64) == ids
     if not exact.all():
         i = int(np.argmin(exact.all(axis=1)))
+        row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
         raise ExecutionError(
             f"events[{i}]: timestamp and key must be integers below "
-            f"2**53 (exact in float64), got {list(rows[i])!r}"
+            f"2**53 (exact in float64), got {list(row)!r}"
         )
     ts, keys = table[:, 0], table[:, 1]
     if ts.min() < 0:

@@ -1,9 +1,11 @@
 """A dependency-free blocking client for the session service.
 
 :class:`ServiceClient` speaks the JSON-lines protocol over one TCP
-connection.  :meth:`request` is the raw exchange (one dict in, one
-dict out); the typed convenience methods raise the protocol's failure
-shapes as exceptions — :class:`~repro.service.protocol.Overloaded`
+connection, and ships every ``ingest`` batch as a binary frame (the
+float64 table the server validates) after its header line.
+:meth:`request` is the raw exchange (one dict in, one dict out); the
+typed convenience methods raise the protocol's failure shapes as
+exceptions — :class:`~repro.service.protocol.Overloaded`
 with its ``reason`` and ``retry_after``,
 :class:`~repro.service.protocol.BadRequest`, and plain
 :class:`~repro.errors.ExecutionError` for ``failed`` — so callers
@@ -18,16 +20,23 @@ so it never hammers a breaker that told it exactly when to come back.
 ``bad_request`` is never retried (it is deterministic by contract).
 
 Every exchange is bounded by the socket ``timeout``: a reply that does
-not arrive in time raises, it does not hang the caller.
+not arrive in time raises, it does not hang the caller.  A timeout or
+transport error closes the connection for good — the server may still
+apply the request, and bytes of it may still be in flight — so every
+later call raises without sending anything; open a new client.
 """
 
 from __future__ import annotations
 
 import socket
 import time
+from itertools import chain
+
+import numpy as np
 
 from ..errors import ExecutionError
 from .protocol import (
+    FRAME_ROW,
     BadRequest,
     Overloaded,
     decode_line,
@@ -37,6 +46,28 @@ from .protocol import (
 from .supervise import RetryPolicy
 
 __all__ = ["ServiceClient"]
+
+
+def _frame_table(events: list) -> "np.ndarray | None":
+    """``events`` as the ``(n, 3)`` float64 table an ingest frame
+    carries, or ``None`` when some row is not three numbers (those go
+    as JSON rows, so the server names the offending one)."""
+    try:
+        if isinstance(events, np.ndarray) and events.dtype != object:
+            table = np.asarray(events, dtype=np.float64)
+            return table if table.shape[1:] == (3,) else None
+        if set(map(len, events)) - {3}:
+            return None
+        table = np.fromiter(
+            chain.from_iterable(events), np.float64, 3 * len(events)
+        ).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    # ``None`` converts to NaN: only the rows holding a NaN are looked at.
+    for i in np.flatnonzero(np.isnan(table).any(axis=1)):
+        if None in tuple(events[i]):
+            return None
+    return table
 
 
 class ServiceClient:
@@ -68,6 +99,7 @@ class ServiceClient:
             ) from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rb")
+        self._closed: "str | None" = None  # why the connection is gone
 
     # ------------------------------------------------------------------
     # The raw exchange
@@ -75,24 +107,35 @@ class ServiceClient:
     def request(self, op: str, **fields) -> dict:
         """Send one request line, read one reply line (raw dict —
         failure shapes included, nothing raised but transport errors)."""
-        line = encode_line({"op": op, **fields})
+        return self._exchange(op, encode_line({"op": op, **fields}))
+
+    def _exchange(self, op: str, data: bytes) -> dict:
+        """Send ``data`` (one request), read its reply line.  After a
+        timeout or transport error the connection is closed and every
+        later exchange raises before sending."""
+        if self._closed is not None:
+            raise ExecutionError(
+                f"service connection is closed ({self._closed}); "
+                f"nothing sent (op={op!r})"
+            )
         try:
-            self._sock.sendall(line)
+            self._sock.sendall(data)
             reply = self._file.readline()
         except socket.timeout as exc:
-            raise ExecutionError(
+            self._fail(
                 f"service reply timed out after {self._sock.gettimeout()}s "
-                f"(op={op!r})"
-            ) from exc
-        except OSError as exc:
-            raise ExecutionError(
-                f"service connection failed (op={op!r}): {exc}"
-            ) from exc
-        if not reply:
-            raise ExecutionError(
-                f"service closed the connection (op={op!r})"
+                f"(op={op!r})", exc
             )
+        except OSError as exc:
+            self._fail(f"service connection failed (op={op!r}): {exc}", exc)
+        if not reply:
+            self._fail(f"service closed the connection (op={op!r})")
         return decode_line(reply)
+
+    def _fail(self, detail: str, cause: "Exception | None" = None):
+        self._closed = detail
+        self.close()
+        raise ExecutionError(detail) from cause
 
     @staticmethod
     def _checked(reply: dict) -> dict:
@@ -131,16 +174,23 @@ class ServiceClient:
     def ingest(self, tenant: str, events) -> dict:
         """Push a batch of ``(ts, key, value)`` events; returns
         ``{"admitted": n, "watermark": w}``.  Raises
-        :class:`Overloaded` when admission sheds the batch.  Rows go
-        on the wire as they are (NumPy scalars and rows included): the
-        server validates them, and rejects rather than rounds."""
-        reply = self._checked(
-            self.request(
-                "ingest",
-                tenant=tenant,
-                events=events if isinstance(events, list) else list(events),
-            )
-        )
+        :class:`Overloaded` when admission sheds the batch.  The batch
+        goes as one float64 frame (an ``(n, 3)`` array, or rows of
+        three numbers — NumPy scalars included).  The server validates
+        it and rejects rather than rounds: converting to float64 keeps
+        every id below 2**53 exact and rounds none above into that
+        range.  Rows that are not three numbers go as JSON ``events``,
+        so the server names the offending one."""
+        if not isinstance(events, (list, np.ndarray)):
+            events = list(events)
+        table = _frame_table(events)
+        if table is None:
+            reply = self.request("ingest", tenant=tenant, events=events)
+        else:
+            payload = table.astype(FRAME_ROW.base, copy=False).tobytes()
+            header = {"op": "ingest", "tenant": tenant, "frame": len(payload)}
+            reply = self._exchange("ingest", encode_line(header) + payload)
+        reply = self._checked(reply)
         return {
             "admitted": reply["admitted"],
             "watermark": reply["watermark"],
@@ -216,6 +266,7 @@ class ServiceClient:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
+        self._closed = self._closed or "closed by the caller"
         try:
             self._file.close()
         except OSError:  # pragma: no cover - already torn down

@@ -48,6 +48,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..engine.events import EVENT_BYTES, event_columns
 from ..errors import ExecutionError, ReproError
 from ..runtime import CheckpointStore, open_session, restore_session
@@ -532,11 +534,12 @@ class SessionManager:
 
     @staticmethod
     def _validated_events(state: _TenantState, events):
-        """The request's events as validated columns (the replay
-        tail's batch entry; ``push_many`` takes them as checked), or a
+        """The request's events — JSON rows, or the table an ingest
+        frame carried — as validated columns (the replay tail's batch
+        entry; ``push_many`` takes them as checked), or a
         ``bad_request`` naming the first offending row — before
         anything is admitted, applied, or tail-logged."""
-        if not isinstance(events, (list, tuple)):
+        if not isinstance(events, (list, tuple, np.ndarray)):
             raise BadRequest("'events' must be a list of [ts, key, value]")
         try:
             return event_columns(events, state.config.num_keys)

@@ -6,6 +6,11 @@ ends.  Requests carry ``op`` and (for tenant ops) ``tenant``::
 
     {"op": "ingest", "tenant": "alice", "events": [[ts, key, value], ...]}
 
+An ``ingest`` may instead carry ``"frame": <byte length>``: exactly
+that many bytes follow the newline, ``n`` rows of ``(ts, key, value)``
+as little-endian float64 (:data:`FRAME_ROW`, 24 bytes) — the table
+the server validates either way, without JSON per event.
+
 Replies always carry ``ok``.  The three failure shapes are part of the
 robustness contract (DESIGN.md §10), not presentation:
 
@@ -29,6 +34,7 @@ is what lets the service suites assert *bit-identity* across the wire).
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 
@@ -38,6 +44,7 @@ from ..windows.window import Window
 
 __all__ = [
     "BadRequest",
+    "FRAME_ROW",
     "Overloaded",
     "decode_line",
     "deserialize_results",
@@ -47,6 +54,14 @@ __all__ = [
 
 #: Shed reasons the ``overloaded`` reply may carry.
 OVERLOAD_REASONS = ("rate_quota", "queue_budget", "circuit_open")
+
+#: One ``(ts, key, value)`` row of an ingest frame: three little-endian
+#: float64, so ``np.frombuffer(payload, FRAME_ROW)`` is the ``(n, 3)``
+#: table.
+FRAME_ROW = np.dtype(("<f8", (3,)))
+
+#: The bits of the NaN an empty instance holds: it travels as ``null``.
+_NAN_BITS = struct.unpack("<Q", struct.pack("<d", float("nan")))[0]
 
 
 class Overloaded(ExecutionError):
@@ -99,16 +114,37 @@ def decode_line(line: "bytes | str") -> dict:
     return obj
 
 
+def _spelled(value: float):
+    """One result value as strict JSON can carry it (see
+    :func:`serialize_results`)."""
+    if value - value == 0.0:  # finite
+        return value
+    if value in (np.inf, -np.inf):
+        return "inf" if value > 0 else "-inf"
+    bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+    return None if bits == _NAN_BITS else f"nan:{bits:016x}"
+
+
+def _unspelled(value):
+    """Inverse of :func:`_spelled` (``null`` and the infinities are
+    left to NumPy's own conversion)."""
+    if isinstance(value, str) and value.startswith("nan:"):
+        return struct.unpack("<d", struct.pack("<Q", int(value[4:], 16)))[0]
+    return value
+
+
 def serialize_results(results: "dict[str, dict]") -> dict:
     """``{name: {window: WindowResults}}`` → JSON-able lists.
 
     Shape: ``{name: [{"window": [range, slide], "start_instance": i,
     "values": [[...], ...]}, ...]}``, windows sorted for a stable wire
     order.  float64 survives JSON exactly (repr round-trip), so the
-    other end reconstructs bit-identical arrays.  An *empty* instance
-    of MIN / MAX / AVG / MEDIAN is NaN, which strict JSON cannot spell:
-    it travels as ``null`` and :func:`deserialize_results` turns it
-    back into NaN.
+    other end reconstructs bit-identical arrays.  Strict JSON cannot
+    spell a non-finite value: an *empty* instance of MIN / MAX / AVG /
+    MEDIAN is NaN and travels as ``null``, an overflowed one as
+    ``"inf"`` / ``"-inf"``, and any other NaN (``inf - inf`` is one) as
+    ``"nan:"`` and its 16 hex bits; :func:`deserialize_results` turns
+    each back into the float64 it was, bit for bit.
     """
     out: dict = {}
     for name, by_window in results.items():
@@ -118,10 +154,8 @@ def serialize_results(results: "dict[str, dict]") -> dict:
         ):
             block = by_window[window]
             values = block.values.tolist()
-            if np.isnan(block.values).any():
-                values = [
-                    [None if v != v else v for v in row] for row in values
-                ]
+            if not np.isfinite(block.values).all():
+                values = [[_spelled(v) for v in row] for row in values]
             blocks.append(
                 {
                     "window": [window.range, window.slide],
@@ -142,8 +176,15 @@ def deserialize_results(
         by_window: dict = {}
         for block in blocks:
             window = Window(*block["window"])
-            # ``null`` (an empty instance) converts back to NaN here.
-            values = np.asarray(block["values"], dtype=np.float64)
+            # ``null``, "inf" and "-inf" convert back here; a NaN
+            # spelled by its bits needs the per-value pass.
+            try:
+                values = np.asarray(block["values"], dtype=np.float64)
+            except ValueError:
+                values = np.asarray(
+                    [[_unspelled(v) for v in row] for row in block["values"]],
+                    dtype=np.float64,
+                )
             if values.ndim == 1:  # zero-instance block
                 values = values.reshape(values.shape[0], 0)
             start = int(block["start_instance"])

@@ -2,23 +2,24 @@
 
 :class:`ServiceServer` is a deliberately thin pipe onto
 :meth:`SessionManager.handle`.  An accept loop hands every connection
-to its own handler thread, which reads a line, decodes it, runs the
-request (the manager is thread-safe; sessions hold the GIL-releasing
-numpy work) and writes exactly one reply line — a request never
-changes threads between the socket and its reply.  All protocol
-semantics — admission control, supervision, error shapes — live in the
-manager, which is what lets the chaos suite drive the *same* code path
-in-process with deterministic interleavings while this module only
-ever moves bytes.
+to its own handler thread, which reads a line (and the ingest frame
+that may follow it), decodes it, runs the request (the manager is
+thread-safe; sessions hold the GIL-releasing numpy work) and writes
+exactly one reply line — a request never changes threads between the
+socket and its reply.  All protocol semantics — admission control,
+supervision, error shapes — live in the manager, which is what lets
+the chaos suite drive the *same* code path in-process with
+deterministic interleavings while this module only ever moves bytes.
 
 Per connection, requests are strictly sequential (read → handle →
 reply → read): replies can never reorder against their requests, and a
 client gets natural backpressure on its own socket.  What bounds the
 transport's memory: one in-flight request per connection, a request
-line of at most :data:`MAX_LINE_BYTES`, and at most ``max_workers``
-requests inside the manager at once (a connection beyond that waits
-its turn) — the transport half of the no-unbounded-queueing story (the
-manager's byte budget is the admission half).
+line and a frame of at most :data:`MAX_LINE_BYTES` each, and at most
+``max_workers`` requests inside the manager at once (a connection
+beyond that waits its turn) — the transport half of the
+no-unbounded-queueing story (the manager's byte budget is the
+admission half).
 
 Two ops are served by the transport itself, not the manager:
 
@@ -38,9 +39,11 @@ import socket
 import threading
 from contextlib import suppress
 
+import numpy as np
+
 from ..errors import ExecutionError
 from .manager import SessionManager
-from .protocol import BadRequest, decode_line, encode_line
+from .protocol import FRAME_ROW, BadRequest, decode_line, encode_line
 
 __all__ = ["MAX_LINE_BYTES", "ServiceServer", "serve_in_thread"]
 
@@ -49,8 +52,30 @@ __all__ = ["MAX_LINE_BYTES", "ServiceServer", "serve_in_thread"]
 #: the wire, so this is every batch the default 1 MiB budget can admit
 #: (43 690 events, under 3 MiB of JSON) with room for a tenant that
 #: raised its budget fivefold; a longer line is discarded and answered
-#: ``bad_request`` — split the batch.
+#: ``bad_request`` — split the batch.  An ingest frame (24 bytes an
+#: event) has the same bound.
 MAX_LINE_BYTES = 16 << 20
+
+
+class _Unframed(BadRequest):
+    """A frame length that cannot be trusted: there is no telling where
+    the next request starts, so the reply is the connection's last."""
+
+
+def _encoded(reply: dict) -> bytes:
+    """The reply line — or, when the reply cannot be encoded, a
+    ``failed`` one: the client always gets its answer."""
+    try:
+        return encode_line(reply)
+    except Exception as exc:  # noqa: BLE001 - the reply must exist
+        return encode_line(
+            {
+                "ok": False,
+                "error": "failed",
+                "detail": f"reply cannot be encoded: "
+                f"{type(exc).__name__}: {exc}",
+            }
+        )
 
 
 class ServiceServer:
@@ -157,15 +182,18 @@ class ServiceServer:
                 ):
                     if line.isspace():
                         continue
-                    reply = self._reply(line, reader)
-                    conn.sendall(encode_line(reply))
+                    reply, last = self._reply(line, reader)
+                    conn.sendall(_encoded(reply))
                     if reply.get("stopping"):
                         self._request_stop()
+                    if last:
                         break
-        except OSError:
+        except (OSError, EOFError):
             pass  # client went away mid-exchange; nothing to clean up
 
-    def _reply(self, line: bytes, reader) -> dict:
+    def _reply(self, line: bytes, reader) -> "tuple[dict, bool]":
+        """The reply to one request, and whether it is the
+        connection's last."""
         try:
             if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
                 rest = line  # discard up to the newline (or EOF)
@@ -175,15 +203,44 @@ class ServiceServer:
                     f"request line exceeds {MAX_LINE_BYTES} bytes"
                 )
             request = decode_line(line)
+            if "frame" in request:
+                request = self._read_frame(request, reader)
         except BadRequest as exc:
-            return {"ok": False, "error": "bad_request", "detail": str(exc)}
+            reply = {"ok": False, "error": "bad_request", "detail": str(exc)}
+            return reply, isinstance(exc, _Unframed)
         op = request.get("op")
         if op == "ping":
-            return {"ok": True, "pong": True}
+            return {"ok": True, "pong": True}, False
         if op == "shutdown":
-            return {"ok": True, "stopping": True}
+            return {"ok": True, "stopping": True}, True
         with self._slots:
-            return self.manager.handle(request)
+            return self.manager.handle(request), False
+
+    @staticmethod
+    def _read_frame(request: dict, reader) -> dict:
+        """Read the frame the request line announced; the request comes
+        back with the frame's table as its ``events``.  A frame that can
+        be skipped is consumed whole before it is refused, so the
+        connection stays in step; EOF inside one applies nothing."""
+        size = request["frame"]
+        if type(size) is not int or not 0 <= size <= MAX_LINE_BYTES:
+            raise _Unframed(
+                f"'frame' must be a byte count in [0, {MAX_LINE_BYTES}], "
+                f"got {size!r}"
+            )
+        payload = reader.read(size)
+        if len(payload) < size:
+            raise EOFError("connection closed inside a frame")
+        if request.get("op") != "ingest":
+            raise BadRequest("only an ingest request may carry a 'frame'")
+        if "events" in request:
+            raise BadRequest("an ingest carries 'events' or 'frame', not both")
+        if size % FRAME_ROW.itemsize:
+            raise BadRequest(
+                f"frame of {size} bytes is not whole rows of "
+                f"{FRAME_ROW.itemsize} bytes"
+            )
+        return {**request, "events": np.frombuffer(payload, FRAME_ROW)}
 
     # ------------------------------------------------------------------
     # Blocking entry point (CLI)

@@ -3,7 +3,8 @@
 The server is a thin pipe onto ``SessionManager.handle`` — these tests
 pin the transport's own obligations: one reply per request line in
 order, parseable replies for unparseable requests, typed client-side
-errors, bounded overload-aware retries, and a clean start/stop story.
+errors, bounded overload-aware retries, the binary ingest frame, and a
+clean start/stop story.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
+from repro.runtime import QuerySession
 from repro.runtime.faults import Fault, FaultPlan
 from repro.service import (
     BadRequest,
@@ -26,6 +28,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service import server as server_module
+from repro.service.protocol import serialize_results
 from service_helpers import (
     SQL_SUM,
     integer_events,
@@ -38,6 +41,8 @@ from service_helpers import (
 NUM_KEYS = 4
 CLOSED = "service closed the connection"
 INGEST_ALICE = b'{"op":"ingest","tenant":"alice","events":[[1,0,1.0]]}\n'
+PING = b'{"op": "ping"}\n'
+SQL_TUMBLING_SUM = "SELECT SUM(v) FROM s GROUP BY WINDOWS(TUMBLING(second, 2))"
 
 
 def raw_call(f, line: bytes) -> dict:
@@ -45,6 +50,13 @@ def raw_call(f, line: bytes) -> dict:
     f.write(line)
     f.flush()
     return json.loads(f.readline())
+
+
+def framed(rows, **header) -> bytes:
+    """An ingest header line and the float64 frame of ``rows``."""
+    payload = np.asarray(rows, dtype="<f8").reshape(-1, 3).tobytes()
+    header = {"op": "ingest", "frame": len(payload), **header}
+    return json.dumps(header).encode() + b"\n" + payload
 
 
 @pytest.fixture
@@ -504,3 +516,256 @@ class TestTransportConformance:
             assert raw_call(f, deep)["error"] == "bad_request"
             assert raw_call(f, b'{"op": "nope"}\n')["error"] == "bad_request"
             assert raw_call(f, b'{"op": "ping"}\n')["pong"] is True
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestIngestFrames:
+    """The binary ingest frame: the same request as JSON rows in
+    another encoding, and refused by the rule for an overlong line when
+    it cannot be trusted."""
+
+    @pytest.mark.parametrize(
+        "header, size, detail",
+        [
+            ({"op": "ingest"}, 25, "frame of 25 bytes is not whole rows"),
+            ({"op": "stats"}, 24, "only an ingest request may carry"),
+            ({"op": "ingest", "events": []}, 24, "'events' or 'frame'"),
+        ],
+    )
+    def test_a_skippable_frame_is_consumed_then_refused(
+        self, served, header, size, detail
+    ):
+        manager, server = served
+        # Were the frame not consumed, it would run into the next line.
+        line = json.dumps({"tenant": "a", "frame": size, **header})
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            reply = raw_call(f, line.encode() + b"\n" + b"\xff" * size)
+            assert reply["error"] == "bad_request"
+            assert detail in reply["detail"]
+            assert raw_call(f, PING) == {"ok": True, "pong": True}
+        assert manager.tenants == ()
+
+    @pytest.mark.parametrize("size", [-1, 1.5, "24", True, None, "max+1"])
+    def test_an_untrusted_length_is_answered_then_hung_up(self, served, size):
+        manager, server = served
+        if size == "max+1":
+            size = server_module.MAX_LINE_BYTES + 1
+        line = json.dumps({"op": "ingest", "tenant": "a", "frame": size})
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            reply = raw_call(f, line.encode() + b"\n")
+            assert reply["error"] == "bad_request"
+            assert reply["detail"].startswith("'frame' must be a byte count")
+            assert f.readline() == b""  # no next request on this socket
+        assert manager.tenants == ()
+
+    def test_eof_inside_a_frame_applies_nothing(self, served):
+        manager, server = served
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            sock.sendall(framed([[1, 0, 1.0], [2, 0, 1.0]], tenant="a")[:-8])
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as f:
+                assert f.readline() == b""  # closed without a reply
+        assert manager.tenants == ()
+
+    def test_a_zero_byte_frame_is_an_empty_batch(self, served):
+        _, server = served
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            reply = raw_call(f, framed([], tenant="a"))
+            assert reply["ok"] and reply["admitted"] == 0
+            empty = b'{"op": "ingest", "tenant": "a", "events": []}\n'
+            assert raw_call(f, empty) == reply
+            assert raw_call(f, PING)["pong"] is True
+
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            (
+                [[1, 0, 1.0], [2.5, 0, 1.0]],
+                "events[1]: timestamp and key must be integers below 2**53 "
+                "(exact in float64), got [2.5, 0.0, 1.0]",
+            ),
+            ([[1, 0, 1.0], [-1, 0, 1.0]], "events[1]: timestamp -1 must be >= 0"),
+        ],
+    )
+    def test_bad_rows_in_a_frame_are_named(self, served, rows, detail):
+        manager, server = served
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            assert raw_call(f, framed(rows, tenant="a")) == {
+                "ok": False, "error": "bad_request", "detail": detail,
+            }
+            assert raw_call(f, PING)["pong"] is True
+        stats = manager.stats("a")["stats"]
+        assert (stats["bad_requests"], stats["admitted_events"]) == (1, 0)
+
+    def test_rows_that_are_not_three_numbers_go_as_json(self, served):
+        _, server = served
+        with ServiceClient(port=server.port) as client:
+            # ``None`` cannot cross in a frame: this message is the
+            # server's own scan of the JSON rows.
+            with pytest.raises(BadRequest) as exc_info:
+                client.ingest("a", [(1, 0, 1.0), (2, None, 1.0)])
+            assert str(exc_info.value).startswith(
+                "events[1]: expected [ts, key, value], got [2, None, 1.0]"
+            )
+            # ... and a ``None`` value is no NaN.
+            with pytest.raises(BadRequest, match=r"^events\[0\]: expected"):
+                client.ingest("a", np.array([(1, 0, None)], dtype=object))
+            # Arities that add up to 3n must not be re-cut into rows.
+            with pytest.raises(BadRequest, match=r"^events\[0\]: expected"):
+                client.ingest("a", [(1, 0, 1.0, 9.0), (2, 0)])
+            assert client.stats("a")["stats"]["admitted_events"] == 0
+
+    def test_a_frame_and_json_rows_are_one_request(
+        self, served, monkeypatch, repro_seed
+    ):
+        """The same batches as JSON rows on a raw socket and through
+        the typed client: identical replies, stats and results — and
+        the client's really went as frames."""
+        manager, server = served
+        seen: list = []
+        ingest = manager.ingest
+
+        def recording(tenant, events):
+            seen.append((tenant, type(events).__name__))
+            return ingest(tenant, events)
+
+        monkeypatch.setattr(manager, "ingest", recording)
+        events = integer_events(60, NUM_KEYS, seed=repro_seed)
+        batches = [events[:50], [], events[50:51], [(7, 0, 1.0), (-1, 0, 1.0)]]
+        batches += [events[i : i + 23] for i in range(51, len(events), 23)]
+        traces: dict = {"json": [], "frame": []}
+        with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+            f = sock.makefile("rwb")
+            raw_call(f, json.dumps({"op": "register", "tenant": "json",
+                                    "query": SQL_SUM}).encode() + b"\n")
+            for batch in batches:
+                line = json.dumps(
+                    {"op": "ingest", "tenant": "json", "events": batch}
+                )
+                traces["json"].append(raw_call(f, line.encode() + b"\n"))
+            raw_results = raw_call(f, b'{"op":"results","tenant":"json"}\n')
+        with ServiceClient(port=server.port) as client:
+            client.register("frame", SQL_SUM)
+            for batch in batches:
+                try:
+                    out = client.ingest("frame", batch)
+                    traces["frame"].append({"ok": True, **out})
+                except BadRequest as exc:
+                    traces["frame"].append(
+                        {"ok": False, "error": "bad_request",
+                         "detail": str(exc)}
+                    )
+            results = serialize_results(client.results("frame"))
+        assert traces["frame"] == traces["json"], f"seed={repro_seed}"
+        assert results == raw_results["results"]
+        stats = {t: manager.stats(t) for t in ("json", "frame")}
+        assert stats["frame"] == stats["json"]
+        assert stats["frame"]["stats"]["tail_length"] > 0
+        assert seen == [("json", "list")] * len(batches) + [
+            ("frame", "ndarray")
+        ] * len(batches)
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestReplyAndClientFailures:
+    def test_a_client_whose_exchange_failed_sends_nothing_more(self, gated):
+        """A client used to keep its timed-out socket: its next batch
+        still reached the server and was applied, though the caller was
+        told the exchange failed — a retrying producer double-applied
+        it, and a half-sent frame would have desynchronised the
+        stream."""
+        manager, server, parked, release = gated
+        client = ServiceClient(port=server.port, timeout=0.3)
+        try:
+            with pytest.raises(ExecutionError, match="timed out"):
+                client.ingest("alice", [(1, 0, 1.0)])
+            assert parked.is_set()
+            for call in (
+                lambda: client.ingest("alice", [(2, 0, 1.0), (3, 0, 1.0)]),
+                client.ping,
+            ):
+                with pytest.raises(ExecutionError, match="nothing sent"):
+                    call()
+        finally:
+            release.set()
+            client.close()
+        assert settled(
+            lambda: service_threads().count("repro-service-handler"), 0
+        ) == 0
+        with ServiceClient(port=server.port) as fresh:
+            assert fresh.stats("alice")["stats"]["admitted_events"] == 1
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    def test_an_overflowed_result_crosses_the_wire(self, served):
+        """Two events of 1e308 sum to inf: its reply used to raise in
+        the handler thread after the drain had consumed the rows."""
+        _, server = served
+        rows = [(0, 0, 1e308), (1, 0, 1e308)]
+        rows += [(t, 1, -1e308) for t in range(2, 60)]
+        with ServiceClient(port=server.port) as client:
+            client.register("a", SQL_TUMBLING_SUM)
+            client.ingest("a", rows)
+            reply = client.request("results", tenant="a", drain=False)
+            (block,) = reply["results"]["q1"]
+            assert block["values"][0][0] == "inf"
+            assert block["values"][1][1] == "-inf"
+            (got,) = client.results("a")["q1"].values()
+            assert got.start_instance == 0
+            assert got.values[0, 0] == np.inf and got.values[1, 1] == -np.inf
+            assert client.ping()
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value):RuntimeWarning")
+    def test_non_finite_values_through_the_typed_client(self, served):
+        """NaN and ±inf values cross as raw float64, and every result —
+        an empty instance's NaN, inf, and the NaN of ``inf - inf`` —
+        comes back bit for bit."""
+        _, server = served
+        nan, inf = float("nan"), float("inf")
+        rows = [(1, 0, nan), (2, 1, inf), (3, 1, -inf), (4, 2, inf)]
+        rows += [(5, 2, 1.0), (6, 0, -inf)]
+        rows += [(t, t % 3, float(t)) for t in range(7, 40)]
+        queries = {
+            "s": SQL_TUMBLING_SUM,
+            "m": "SELECT MIN(v) FROM s GROUP BY WINDOWS(HOPPING(second, 4, 2))",
+        }
+        with ServiceClient(port=server.port) as client:
+            for name, sql in queries.items():
+                client.register("a", sql, name=name)
+            client.ingest("a", rows)
+            got = client.results("a")
+        session = QuerySession(num_keys=NUM_KEYS)
+        try:
+            for name, sql in queries.items():
+                session.register(sql, name=name)
+            session.push_many(rows)
+            expected = session.drain_results()
+        finally:
+            session.close()
+        bits: set = set()
+        for name, by_window in expected.items():
+            for window, block in by_window.items():
+                back = got[name][window]
+                assert back.start_instance == block.start_instance
+                assert back.values.tobytes() == block.values.tobytes()
+                bits |= set(block.values.view(np.uint64).ravel().tolist())
+        assert {0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0 << 48, 0xFFF0 << 48} <= bits
+
+    def test_a_reply_that_cannot_be_encoded_is_answered_failed(self):
+        class Unencodable:
+            def handle(self, request: dict) -> dict:
+                return {"ok": True, "value": object()}
+
+        with ServiceServer(Unencodable()) as server:
+            with ServiceClient(port=server.port) as client:
+                reply = client.request("stats", tenant="a")
+                assert reply["ok"] is False and reply["error"] == "failed"
+                assert reply["detail"].startswith("reply cannot be encoded")
+                assert client.ping()
