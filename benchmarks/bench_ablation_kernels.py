@@ -68,27 +68,27 @@ def _best(fn, reps=5):
     return best
 
 
-def _kernel_micros(n: int) -> "list[dict]":
+def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
     """Time the C kernel against the NumPy code it replaces."""
     rng = np.random.default_rng(0)
     segs = max(n // 100, 16)
     codes = rng.integers(0, segs, n).astype(np.int64)
     values = rng.random(n)
 
-    ids_py, vals_py = holistic_segment_values(
-        codes, values, MEDIAN, native=False
-    )
-    ids_c, vals_c = holistic_segment_values(
-        codes, values, MEDIAN, native=True
-    )
+    def numpy_path():
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", "0")
+            return holistic_segment_values(codes, values, MEDIAN)
+
+    def kernel_path():
+        return kernels.holistic_segment_values(codes, values, MEDIAN)
+
+    ids_py, vals_py = numpy_path()
+    ids_c, vals_c = kernel_path()
     np.testing.assert_array_equal(ids_py, ids_c)
     np.testing.assert_array_equal(vals_py, vals_c)
-    hol_py = _best(
-        lambda: holistic_segment_values(codes, values, MEDIAN, native=False)
-    )
-    hol_c = _best(
-        lambda: holistic_segment_values(codes, values, MEDIAN, native=True)
-    )
+    hol_py = _best(numpy_path)
+    hol_c = _best(kernel_path)
 
     return [
         {
@@ -160,7 +160,7 @@ def test_kernels_ablation_report(report_sink, bench_events, monkeypatch):
             f"compiled kernels unavailable: {kernels.availability_error()}"
         )
     n = max(bench_events, 30_000)
-    micros = _kernel_micros(n)
+    micros = _kernel_micros(n, monkeypatch)
     stream = constant_rate_stream(bench_events, seed=1)
     engine = _engine_path(stream, monkeypatch)
     plane = _zero_copy_plane(bench_events)

@@ -60,9 +60,7 @@ def main() -> None:
     batch = bursty_stream()
     events = scramble_batch(batch, max_lateness=5, seed=3)
 
-    session = QuerySession(
-        num_keys=1, max_lateness=5, hysteresis=0.5, alpha=0.6
-    )
+    session = QuerySession(num_keys=1, max_lateness=5, hysteresis=0.5)
     fast = session.register(FAST, name="fast")
     print(f"registered {fast!r} before any data")
 

@@ -12,17 +12,15 @@ hash, and loads it through :mod:`ctypes` — no build-time dependency, no
 compiled artifact in the tree, and a byte-for-byte pure-Python fallback
 when no compiler is available.
 
-Control knob — the ``REPRO_KERNELS`` environment variable:
+Control knob — the ``REPRO_KERNELS`` environment variable, read at
+every call that runs holistic segment compute (every engine path and
+the live runtime alike):
 
-* unset / ``auto`` — kernels are used only where a caller explicitly
-  asks for them (the ``columnar-panes-native`` engine path), silently
-  falling back to NumPy when they cannot be built;
-* ``1`` — kernels are used *everywhere* holistic segment compute runs
-  (all engine paths and the live runtime), still falling back
-  silently;
-* ``require`` — like ``1`` but raising :class:`KernelsUnavailable`
-  instead of falling back (CI uses this to pin the compiled path);
-* ``0`` — kernels are never used, even where explicitly requested.
+* unset / ``auto`` / ``0`` — NumPy;
+* ``1`` — the kernel, silently falling back to NumPy when it cannot be
+  built;
+* ``require`` — the kernel, raising :class:`KernelsUnavailable`
+  instead of falling back (CI uses this to pin the compiled path).
 
 Everything here depends only on the standard library and NumPy, so the
 aggregate/engine layers can import it without cycles.
@@ -156,29 +154,22 @@ def availability_error() -> "str | None":
 
 
 def globally_enabled() -> bool:
-    """True when every reduction site should use the kernels."""
+    """True when holistic segment compute takes the kernel."""
     return _mode() in ("1", "require") and _load() is not None
 
 
-def resolve(native: "bool | None") -> bool:
-    """Decide whether a call site should take the native path.
-
-    ``native=True`` is an explicit request (the native engine path),
-    ``None`` defers to ``REPRO_KERNELS``, ``False`` forces NumPy.
-    ``REPRO_KERNELS=0`` wins over everything; ``require`` raises when
-    the library cannot be built.
-    """
-    mode = _mode()  # read once per visit: tests flip it between calls
-    if mode == "0" or native is False:
-        return False
-    if mode == "require":
-        if _load() is None:
-            raise KernelsUnavailable(
-                f"REPRO_KERNELS=require but kernels are unavailable: "
-                f"{_load_error}"
-            )
+def resolve() -> bool:
+    """Whether this call takes the kernel: :func:`globally_enabled`,
+    except that ``REPRO_KERNELS=require`` raises when the library
+    cannot be built."""
+    if globally_enabled():
         return True
-    return (native is True or mode == "1") and _load() is not None
+    if _mode() == "require":
+        raise KernelsUnavailable(
+            f"REPRO_KERNELS=require but kernels are unavailable: "
+            f"{_load_error}"
+        )
+    return False
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:

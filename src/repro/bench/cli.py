@@ -159,7 +159,8 @@ def _cmd_session(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from ..runtime import open_session
+    from ..engine.events import DEFAULT_NUM_SLOTS
+    from ..runtime import ShardedSession
     from ..workloads.streams import constant_rate_stream
 
     # Tri-state so scenario mode can tell "not given" from a real
@@ -223,10 +224,10 @@ def _cmd_session(args: argparse.Namespace) -> int:
             f"checkpointing every {args.checkpoint_every:,} watermark "
             f"ticks to {args.checkpoint_dir}/"
         )
-    session = open_session(
+    session = ShardedSession(
         num_shards=args.shards,
         backend=args.shard_backend,
-        num_slots=args.slots,
+        num_slots=DEFAULT_NUM_SLOTS if args.slots is None else args.slots,
         num_keys=args.keys,
         max_lateness=args.lateness,
         hysteresis=None if args.no_adapt else args.hysteresis,
@@ -405,7 +406,7 @@ def _print_session_report(session, results, async_ingest: bool) -> None:
 def _cmd_restore(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from ..runtime import latest_checkpoint, read_checkpoint, restore_session
+    from ..runtime import ShardedSession, latest_checkpoint, read_checkpoint
     from ..workloads.streams import constant_rate_stream
 
     target = Path(args.checkpoint)
@@ -423,7 +424,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    session = restore_session(
+    session = ShardedSession.restore(
         snap, backend=args.shard_backend, async_ingest=args.async_ingest
     )
     spec = meta["stream"]

@@ -27,13 +27,12 @@ from ..aggregates.registry import MIN
 from ..core.optimizer import optimize
 from ..engine.events import EventBatch
 from ..windows.coverage import CoverageSemantics
-from ..windows.window import WindowSet
 from ..workloads.debs import debs_like_stream
 from ..workloads.generators import RandomGen, SequentialGen
 from ..workloads.streams import constant_rate_stream
 from .analysis import SampleStats, pearson_r
 from .harness import BoostSummary, ComparisonResult, compare_plans
-from .reporting import format_boost_summary_table, format_series, format_table
+from .reporting import format_series, format_table
 
 #: Default scaled-down stream size for experiments (paper: 1M-32M).
 DEFAULT_EVENTS = 200_000
@@ -355,7 +354,3 @@ def render_correlation(panels: list[CorrelationPanel]) -> str:
         rows,
         title="Figure 19: cost-model speedup vs observed speedup",
     )
-
-
-def render_summary(summaries: list[BoostSummary], title: str) -> str:
-    return format_boost_summary_table(summaries, title)

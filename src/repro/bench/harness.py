@@ -10,7 +10,7 @@ reported alongside because they are what the cost model predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..aggregates.base import AggregateFunction
 from ..core.optimizer import OptimizationResult, optimize
@@ -193,11 +193,3 @@ class BoostSummary:
             f"{self.mean_with:.2f}x",
             f"{self.max_with:.2f}x",
         )
-
-
-@dataclass
-class SeriesPoint:
-    """One x-position of a figure: throughputs of each plan variant."""
-
-    run_index: int
-    values: dict[str, float] = field(default_factory=dict)

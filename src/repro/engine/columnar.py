@@ -208,7 +208,6 @@ def holistic_segment_values(
     codes: np.ndarray,
     values: np.ndarray,
     aggregate: AggregateFunction,
-    native: "bool | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Evaluate a holistic aggregate per integer-coded group.
 
@@ -218,17 +217,18 @@ def holistic_segment_values(
     arithmetic) run in one vectorized pass; others fall back to a
     per-segment ``compute`` loop.
 
-    When ``native`` resolves true (see ``repro._kernels.resolve``) and
-    the aggregate declares a ``native_segment_kind``, the whole pass —
-    grouping, per-segment sort, closed form — runs in the compiled
-    kernel.  The results depend only on each segment's ascending value
-    sequence and repeat the NumPy index arithmetic operation for
-    operation, so both paths are bit-identical.
+    When ``REPRO_KERNELS`` selects the compiled kernel (see
+    ``repro._kernels.resolve``) and the aggregate declares a
+    ``native_segment_kind``, the whole pass — grouping, per-segment
+    sort, closed form — runs in the compiled kernel.  The results
+    depend only on each segment's ascending value sequence and repeat
+    the NumPy index arithmetic operation for operation, so both paths
+    are bit-identical.
     """
     if (
         codes.size
         and kernels.holistic_kind(aggregate) is not None
-        and kernels.resolve(native)
+        and kernels.resolve()
     ):
         return kernels.holistic_segment_values(codes, values, aggregate)
     order = np.lexsort((values, codes))

@@ -382,59 +382,34 @@ class KeyPartitioner:
     Elasticity: :meth:`with_slot_map` derives a sibling partitioner for
     a relabelled slot map (a migration / split / merge) without
     rehashing keys — the key → slot hash is immutable for the life of
-    the stream.  A legacy explicit ``assignment`` (key → shard) is
-    still accepted for tests; such a partitioner carries no slot
-    structure and cannot migrate.
+    the stream.
     """
 
     def __init__(
         self,
         num_keys: int,
         num_shards: int,
-        assignment: "np.ndarray | None" = None,
         slot_map: "np.ndarray | None" = None,
         num_slots: int = DEFAULT_NUM_SLOTS,
     ):
-        if assignment is not None and slot_map is not None:
+        if slot_map is None:
+            slot_map = default_slot_map(num_slots, num_shards)
+        slot_map = np.asarray(slot_map, dtype=np.int64)
+        if slot_map.ndim != 1 or slot_map.size < 1:
+            raise ExecutionError("slot_map must be a 1-d array")
+        if slot_map.min() < 0 or slot_map.max() >= num_shards:
             raise ExecutionError(
-                "pass either assignment (key → shard) or slot_map "
-                "(slot → shard), not both"
+                f"slot_map entries must lie in [0, {num_shards})"
             )
-        if assignment is None:
-            if slot_map is None:
-                slot_map = default_slot_map(num_slots, num_shards)
-            slot_map = np.asarray(slot_map, dtype=np.int64)
-            if slot_map.ndim != 1 or slot_map.size < 1:
-                raise ExecutionError("slot_map must be a 1-d array")
-            if slot_map.min() < 0 or slot_map.max() >= num_shards:
-                raise ExecutionError(
-                    f"slot_map entries must lie in [0, {num_shards})"
-                )
-            self.num_slots = int(slot_map.size)
-            self.slot_map = slot_map
-            self.slot_of_key = key_slots(num_keys, self.num_slots)
-            assignment = slot_map[self.slot_of_key]
-        else:
-            assignment = np.asarray(assignment, dtype=np.int64)
-            if assignment.shape != (num_keys,):
-                raise ExecutionError(
-                    f"assignment must have shape ({num_keys},), "
-                    f"got {assignment.shape}"
-                )
-            if num_keys and (
-                assignment.min() < 0 or assignment.max() >= num_shards
-            ):
-                raise ExecutionError(
-                    f"assignment entries must lie in [0, {num_shards})"
-                )
-            self.num_slots = 0
-            self.slot_map = None
-            self.slot_of_key = None
+        self.num_slots = int(slot_map.size)
+        self.slot_map = slot_map
+        self.slot_of_key = key_slots(num_keys, self.num_slots)
         self.num_keys = num_keys
         self.num_shards = num_shards
-        self.shard_of = assignment
+        self.shard_of = slot_map[self.slot_of_key]
         self.owned = [
-            np.flatnonzero(assignment == shard) for shard in range(num_shards)
+            np.flatnonzero(self.shard_of == shard)
+            for shard in range(num_shards)
         ]
         # Global key -> local dense id within its owning shard.
         self.local_id = np.empty(num_keys, dtype=np.int64)
@@ -445,28 +420,12 @@ class KeyPartitioner:
         """Local dense-id space size (>= 1 even for empty shards)."""
         return max(1, int(self.owned[shard].size))
 
-    def keys_in_slots(self, slots: "Sequence[int]") -> np.ndarray:
-        """Global key ids hashing into any of ``slots`` (ascending)."""
-        if self.slot_of_key is None:
-            raise ExecutionError(
-                "partitioner built from an explicit assignment has no "
-                "slot structure"
-            )
-        return np.flatnonzero(
-            np.isin(self.slot_of_key, np.asarray(slots, dtype=np.int64))
-        )
-
     def with_slot_map(
         self, slot_map: np.ndarray, num_shards: "int | None" = None
     ) -> "KeyPartitioner":
         """Sibling partitioner for a relabelled slot map (same keys,
         same key → slot hash).  ``num_shards`` may grow or shrink for
         splits/merges."""
-        if self.slot_of_key is None:
-            raise ExecutionError(
-                "partitioner built from an explicit assignment has no "
-                "slot structure"
-            )
         return KeyPartitioner(
             self.num_keys,
             self.num_shards if num_shards is None else num_shards,
@@ -515,11 +474,7 @@ class KeyPartitioner:
         return out
 
 
-def partition_batch(
-    batch: EventBatch,
-    num_shards: int,
-    assignment: "np.ndarray | None" = None,
-) -> "list[BatchShard]":
+def partition_batch(batch: EventBatch, num_shards: int) -> "list[BatchShard]":
     """Hash-partition ``batch`` by key into ``num_shards`` slices.
 
     Each slice is timestamp-sorted with the parent's horizon and a
@@ -527,9 +482,7 @@ def partition_batch(
     session core can consume directly.  The union of slices is exactly
     the input: :func:`merge_batch_shards` reassembles it bit-for-bit.
     """
-    return KeyPartitioner(
-        batch.num_keys, num_shards, assignment=assignment
-    ).partition(batch)
+    return KeyPartitioner(batch.num_keys, num_shards).partition(batch)
 
 
 def merge_batch_shards(

@@ -17,8 +17,7 @@ input — which is exactly what the tests assert.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,41 +28,21 @@ from .events import EVENT_COLUMN_DTYPES, EventBatch
 Event = tuple[int, int, float]  # (timestamp, key, value)
 
 
-#: Default bound on *retained* late events (counters stay exact).
-DEFAULT_LATE_EVENT_CAP = 64
-
-
 @dataclass
 class ReorderStats:
-    """Counters of a reorder pass.
-
-    ``late_events`` retains at most ``late_event_cap`` dropped events
-    (the earliest ones — debugging wants the first offenders); an
-    unbounded list would contradict the bounded-state guarantee every
-    operator downstream of this front door maintains (DESIGN.md §5).
-    The *counters* — ``late_dropped``, ``max_observed_lateness`` — are
-    exact regardless of the cap.
-    """
+    """Exact counters of a reorder pass.  Late events are counted and
+    dropped, never kept, so the front door's state stays as bounded as
+    every operator downstream of it (DESIGN.md §5)."""
 
     accepted: int = 0
     late_dropped: int = 0
     max_observed_lateness: int = 0
-    late_events: list[Event] = field(default_factory=list)
-    late_event_cap: int = DEFAULT_LATE_EVENT_CAP
-    late_events_elided: int = 0
 
-    def note_late(
-        self, count: int, lateness: int, events: Iterable[Event], keep: bool
-    ) -> None:
+    def note_late(self, count: int, lateness: int) -> None:
         """Count ``count`` late drops, the worst ``lateness`` ticks
-        behind the watermark; ``events`` yields them in arrival order
-        and is read only as far as the cap has room."""
+        behind the watermark."""
         self.late_dropped += count
         self.max_observed_lateness = max(self.max_observed_lateness, lateness)
-        if keep:
-            room = max(self.late_event_cap - len(self.late_events), 0)
-            self.late_events.extend(islice(events, room))
-            self.late_events_elided += max(count - room, 0)
 
     @property
     def total(self) -> int:
@@ -79,23 +58,13 @@ class ReorderBuffer:
     ``flush`` drains the remainder at end of stream.
     """
 
-    def __init__(
-        self,
-        max_lateness: int,
-        keep_late_events: bool = False,
-        late_event_cap: int = DEFAULT_LATE_EVENT_CAP,
-    ):
+    def __init__(self, max_lateness: int):
         if max_lateness < 0:
             raise ExecutionError(
                 f"max_lateness must be >= 0, got {max_lateness}"
             )
-        if late_event_cap < 0:
-            raise ExecutionError(
-                f"late_event_cap must be >= 0, got {late_event_cap}"
-            )
         self.max_lateness = max_lateness
-        self.stats = ReorderStats(late_event_cap=late_event_cap)
-        self._keep_late = keep_late_events
+        self.stats = ReorderStats()
         self._heap: list[Event] = []
         self._max_seen = -1
         self._sequence = 0  # tie-break to keep same-timestamp arrival order
@@ -109,9 +78,7 @@ class ReorderBuffer:
         if ts < 0:
             raise ExecutionError(f"timestamps must be >= 0, got {ts}")
         if ts < self.watermark:
-            self.stats.note_late(
-                1, self.watermark - ts, [(ts, key, value)], self._keep_late
-            )
+            self.stats.note_late(1, self.watermark - ts)
             return
         self.stats.accepted += 1
         heapq.heappush(self._heap, (ts, self._sequence, key, value))
@@ -158,13 +125,9 @@ class ReorderBuffer:
         behind = seen[:-1] - ts
         late = behind > self.max_lateness
         if late.any():
-            dropped = np.flatnonzero(late)
-            first = dropped[: self.stats.late_event_cap]
             self.stats.note_late(
-                int(dropped.size),
-                int(behind[dropped].max()) - self.max_lateness,
-                zip(*(c[first].tolist() for c in (ts, keys, values))),
-                self._keep_late,
+                int(np.count_nonzero(late)),
+                int(behind[late].max()) - self.max_lateness,
             )
             accepted = ~late
             ts, keys, values = ts[accepted], keys[accepted], values[accepted]

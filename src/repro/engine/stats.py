@@ -76,21 +76,6 @@ class ExecutionStats:
         """Record one shared pane-table binning pass over ``events``."""
         self.events_binned += events
 
-    def record_copied(self, nbytes: int) -> None:
-        """Record ``nbytes`` of event data physically copied.
-
-        The zero-copy data plane (docs/performance.md) charges every
-        materializing copy of event columns — ring-slot reads, buffer
-        localization — here, so benchmarks can gate bytes copied per
-        event end-to-end.
-        """
-        self.bytes_copied += nbytes
-
-    def record_copy_elided(self, events: int) -> None:
-        """Record ``events`` handed downstream without a copy (borrowed
-        ring views, flushed runs absorbed where they lie)."""
-        self.copies_elided += events
-
     @property
     def total_pairs(self) -> int:
         """Total logical inputs processed across all window operators."""

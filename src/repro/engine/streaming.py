@@ -33,7 +33,7 @@ import numpy as np
 
 from ..aggregates.base import AggregateFunction
 from ..errors import ExecutionError
-from ..plans.nodes import LogicalPlan, WindowAggregateNode
+from ..plans.nodes import LogicalPlan
 from ..windows.coverage import covering_multiplier
 from ..windows.window import Window
 from .columnar import (
@@ -1020,7 +1020,3 @@ class ChunkedStreamingExecutor:
     def max_retained_state(self) -> int:
         """Largest per-operator buffered-state high-water mark."""
         return max(op.max_retained for op in self._topo)
-
-    def retained_by_window(self) -> "dict[Window, int]":
-        """Per-window high-water marks (panes / partials / events)."""
-        return {w: op.max_retained for w, op in self._operators.items()}

@@ -15,10 +15,11 @@ and the out-of-order front door — into one long-lived session class:
   the single-process service shape of the paper's motivating Azure IoT
   Central scenario.
 
-:func:`open_session` / :func:`restore_session` are what the service,
-the scenario runner and the CLI call; one shard runs in-process.  The
-life-cycle and the chunk clock are
-:class:`~repro.runtime.ingest.SessionFrontDoor` (DESIGN.md §8).
+The service, the scenario runner and the CLI construct and restore
+:class:`ShardedSession` directly; one shard runs in-process whatever
+backend it names (:func:`has_workers`).  The life-cycle and the chunk
+clock are :class:`~repro.runtime.ingest.SessionFrontDoor` (DESIGN.md
+§8).
 
 ``async_ingest=True`` puts a bounded queue and a background pump thread
 in front of ingestion — pushes return without waiting for flushes,
@@ -43,7 +44,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .core import (
-    DEFAULT_RETIRED_RESULT_CAP,
+    RETIRED_RESULT_CAP,
     RegisterAck,
     SessionCore,
     ShardReport,
@@ -55,7 +56,6 @@ from .results import (
     WindowResults,
     finalize_partials,
 )
-from .entry import has_workers, open_session, restore_session
 from .ingest import DEFAULT_INGEST_HIGH_WATERMARK, IngestStats
 from .session import QuerySession
 from .sharding import (
@@ -65,6 +65,7 @@ from .sharding import (
     SerialShardBackend,
     ShardedSession,
     SharedMemoryShardBackend,
+    has_workers,
 )
 from .shm_ring import RingSpec, ShmRing
 
@@ -72,7 +73,6 @@ __all__ = [
     "CheckpointStore",
     "DEFAULT_CONTROL_TIMEOUT",
     "DEFAULT_INGEST_HIGH_WATERMARK",
-    "DEFAULT_RETIRED_RESULT_CAP",
     "Fault",
     "FaultPlan",
     "IngestStats",
@@ -80,6 +80,7 @@ __all__ = [
     "PlanSwitchRecord",
     "ProcessShardBackend",
     "QuerySession",
+    "RETIRED_RESULT_CAP",
     "RegisterAck",
     "RingSpec",
     "SHARD_BACKENDS",
@@ -94,8 +95,6 @@ __all__ = [
     "finalize_partials",
     "has_workers",
     "latest_checkpoint",
-    "open_session",
     "read_checkpoint",
-    "restore_session",
     "write_checkpoint",
 ]

@@ -71,7 +71,10 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v7: a raw operator keeps its panes in one store with a column cursor
 #: and a coordinator owes buffered events to its slot loads — a v6 raw
 #: operator holds a bare pane list and a v6 coordinator no such count.
-CHECKPOINT_VERSION = 7
+#: v8: settings no caller turned are constants — a v7 coordinator
+#: carries the factor-window switch and the retired-result cap, a v7
+#: core the cap, and a v7 reorder buffer its retained late-event log.
+CHECKPOINT_VERSION = 8
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

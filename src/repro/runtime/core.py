@@ -49,10 +49,14 @@ from .results import (
     WindowResults,
 )
 
-#: Default bound on retained *retired* subscriptions (the ``name@gN``
-#: archive plus plainly-deregistered queries).  Counters stay exact —
-#: mirrors ``ReorderStats.late_event_cap``.
-DEFAULT_RETIRED_RESULT_CAP = 64
+#: Bound on retained *retired* subscriptions per core (the ``name@gN``
+#: archive plus plainly-deregistered queries), evicted oldest first;
+#: the eviction counters stay exact.
+RETIRED_RESULT_CAP = 64
+
+#: The event rate (events per tick) a session prices its plans at
+#: before its rate controller has observed any.
+INITIAL_EVENT_RATE = 1
 
 #: Result-routing scopes a query can register under.
 SCOPES = ("per_key", "global")
@@ -169,39 +173,30 @@ class SessionCore:
     chunk_ticks:
         Watermark-block width.  Default: the largest registered window
         range, recomputed at every switch.
-    event_rate / enable_factor_windows:
-        Cost-model inputs of the embedded
-        :class:`~repro.core.multiquery.IncrementalWorkload`.
-    max_retired_results:
-        Retention cap on retired subscriptions (``None`` = unbounded).
-        Evictions are counted exactly in
-        :attr:`retired_results_evicted` / :attr:`retired_instances_evicted`.
+    event_rate:
+        The rate the embedded
+        :class:`~repro.core.multiquery.IncrementalWorkload` prices
+        plans at (a coordinator hands a new core its current rate).
+
+    Retired subscriptions are retained up to :data:`RETIRED_RESULT_CAP`;
+    evictions are counted exactly in :attr:`retired_results_evicted` /
+    :attr:`retired_instances_evicted`.
     """
 
     def __init__(
         self,
         num_keys: int = 1,
         chunk_ticks: "int | None" = None,
-        event_rate: int = 1,
-        enable_factor_windows: bool = True,
-        max_retired_results: "int | None" = DEFAULT_RETIRED_RESULT_CAP,
+        event_rate: int = INITIAL_EVENT_RATE,
     ):
         if num_keys < 1:
             raise ExecutionError(f"num_keys must be >= 1, got {num_keys}")
-        if max_retired_results is not None and max_retired_results < 0:
-            raise ExecutionError(
-                f"max_retired_results must be >= 0, got {max_retired_results}"
-            )
         self.num_keys = num_keys
         # Global id of each local key.  A standalone core owns the
         # whole key space; a shard core is handed its slice by
         # ``ShardConfig.build`` and re-labelled at migration barriers.
         self.key_ids = np.arange(num_keys, dtype=np.int64)
-        self.workload = IncrementalWorkload(
-            event_rate=event_rate,
-            enable_factor_windows=enable_factor_windows,
-        )
-        self.max_retired_results = max_retired_results
+        self.workload = IncrementalWorkload(event_rate=event_rate)
         self._fixed_chunk = chunk_ticks
         self._chunk_ticks = chunk_ticks or 1
         # Buffered runs, absorbed in place at the next flush.  A run may
@@ -609,10 +604,7 @@ class SessionCore:
         """Retain a retired subscription within the retention cap,
         evicting oldest-first with exact counters."""
         self._retired[slot] = sub
-        cap = self.max_retired_results
-        if cap is None:
-            return
-        while len(self._retired) > cap:
+        while len(self._retired) > RETIRED_RESULT_CAP:
             old_slot = next(iter(self._retired))
             old = self._retired.pop(old_slot)
             self.retired_results_evicted += 1

@@ -35,9 +35,9 @@ thread in front of that machinery instead:
 
 **Backpressure, not loss.**  The queue is bounded in *events* (a batch
 weighs its length): once the backlog reaches ``high_watermark`` the
-gate closes and data producers block until the pump drains it to
-``low_watermark`` (hysteresis, so producers wake to a usefully empty
-queue instead of thrashing at the boundary).  Nothing is ever dropped
+gate closes and data producers block until the pump drains it to half
+that (hysteresis, so producers wake to a usefully empty queue instead
+of thrashing at the boundary).  Nothing is ever dropped
 or reordered — a slow consumer slows the producer down, it never
 corrupts results (``tests/runtime/test_ingest.py`` holds this as a
 property).  Waits and the backlog high-water mark are counted exactly
@@ -86,7 +86,7 @@ from .checkpoint import (
     require_cadence,
     write_checkpoint,
 )
-from .core import EpochRateObserver
+from .core import INITIAL_EVENT_RATE, EpochRateObserver
 
 __all__ = [
     "DEFAULT_INGEST_HIGH_WATERMARK",
@@ -149,10 +149,11 @@ class _Call:
 class IngestQueue:
     """A bounded FIFO of ingest commands, weighed in events.
 
-    Data items (events, batches) respect the high/low-watermark gate;
-    call and stop items bypass it (they are control plane — blocking a
-    ``register`` behind the very backlog it is meant to synchronize
-    with would invert its priority).
+    Data items (events, batches) respect the gate — it shuts at
+    ``high_watermark`` queued events and reopens once the backlog has
+    drained to half that; call and stop items bypass it (they are
+    control plane — blocking a ``register`` behind the very backlog it
+    is meant to synchronize with would invert its priority).
 
     Multi-producer safe: every entry point takes the one internal
     lock, so concurrent ``put_data``/``put_control`` callers admit
@@ -161,24 +162,13 @@ class IngestQueue:
     consumer (the pump thread) — ``get`` is not designed for more.
     """
 
-    def __init__(
-        self,
-        high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        low_watermark: "int | None" = None,
-    ):
+    def __init__(self, high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK):
         if high_watermark < 1:
             raise ExecutionError(
                 f"high_watermark must be >= 1, got {high_watermark}"
             )
-        if low_watermark is None:
-            low_watermark = high_watermark // 2
-        if not 0 <= low_watermark < high_watermark:
-            raise ExecutionError(
-                f"low_watermark must lie in [0, {high_watermark}), "
-                f"got {low_watermark}"
-            )
         self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
+        self.low_watermark = high_watermark // 2
         self.stats = IngestStats()
         self._items: deque = deque()
         self._depth_events = 0
@@ -187,11 +177,6 @@ class IngestQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._gate = threading.Condition(self._lock)
-
-    @property
-    def depth_events(self) -> int:
-        """Events currently queued (racy snapshot outside the pump)."""
-        return self._depth_events
 
     def _admit(self, item, weight: int) -> None:
         self._items.append((item, weight))
@@ -351,12 +336,7 @@ class SessionFrontDoor:
     )
 
     def _open_front_door(
-        self,
-        max_lateness: int,
-        chunk_ticks: "int | None",
-        event_rate: int,
-        hysteresis,
-        alpha: float,
+        self, max_lateness: int, chunk_ticks: "int | None", hysteresis
     ) -> None:
         """Fresh time-keeping state (a restored session adopts it from
         the snapshot instead)."""
@@ -364,7 +344,7 @@ class SessionFrontDoor:
             None
             if hysteresis is None
             else RateController(
-                hysteresis=hysteresis, alpha=alpha, initial_rate=event_rate
+                hysteresis=hysteresis, initial_rate=INITIAL_EVENT_RATE
             )
         )
         self._reorder = ReorderBuffer(max_lateness)
@@ -382,20 +362,26 @@ class SessionFrontDoor:
         self,
         async_ingest: bool,
         ingest_high_watermark: int,
-        ingest_low_watermark: "int | None",
         auto_checkpoint: "CheckpointStore | None",
         checkpoint_meta,
         on_checkpoint,
     ) -> None:
         """What is an override, never part of a snapshot: the ingest
         mode, the longest run a batch is applied in, and the checkpoint
-        cadence.  Last step of both ``__init__`` and :meth:`restore`."""
-        if ingest_high_watermark < 1:
-            raise ExecutionError(
-                f"high_watermark must be >= 1, got {ingest_high_watermark}"
-            )
+        cadence.  Last step of both ``__init__`` and :meth:`restore`,
+        after the backend is up — so a refused setting closes the
+        session before it raises."""
+        try:
+            if ingest_high_watermark < 1:
+                raise ExecutionError(
+                    "high_watermark must be >= 1, got "
+                    f"{ingest_high_watermark}"
+                )
+            self._auto_store = require_cadence(auto_checkpoint)
+        except ExecutionError:
+            self.close()
+            raise
         self._run_events = ingest_high_watermark
-        self._auto_store = require_cadence(auto_checkpoint)
         self._checkpoint_meta = checkpoint_meta
         self._on_checkpoint = on_checkpoint
         self._pump = (
@@ -403,7 +389,6 @@ class SessionFrontDoor:
                 push=self._push_now,
                 push_run=self._push_run_now,
                 high_watermark=ingest_high_watermark,
-                low_watermark=ingest_low_watermark,
             )
             if async_ingest
             else None
@@ -703,7 +688,6 @@ class SessionFrontDoor:
         *,
         async_ingest: bool = False,
         ingest_high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        ingest_low_watermark: "int | None" = None,
         auto_checkpoint: "CheckpointStore | None" = None,
         checkpoint_meta=None,
         on_checkpoint=None,
@@ -717,8 +701,9 @@ class SessionFrontDoor:
         snapshotted in async mode may restore in sync mode and vice
         versa; so is ``placement`` (``backend`` / ``fault_plan`` /
         ``worker_recovery`` / ``control_timeout`` — invariant 10: the
-        snapshot's shard layout runs anywhere).  Everything after
-        ``source`` is keyword-only.  Captured
+        snapshot's shard layout runs anywhere, placed by the
+        constructor's rule, so one shard runs in-process).  Everything
+        after ``source`` is keyword-only.  Captured
         ingest-queue residue is replayed through the restored front
         door first, so the restored timeline has applied exactly the
         events the original had accepted.  The auto-checkpoint knobs
@@ -735,7 +720,6 @@ class SessionFrontDoor:
         self._attach(
             async_ingest,
             ingest_high_watermark,
-            ingest_low_watermark,
             auto_checkpoint,
             checkpoint_meta,
             on_checkpoint,
@@ -828,16 +812,16 @@ class IngestPump:
         push,
         push_run=None,
         high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        low_watermark: "int | None" = None,
-        name: str = "repro-ingest-pump",
     ):
         self._apply = {_EVENT: push, _RUN: push_run}
-        self.queue = IngestQueue(high_watermark, low_watermark)
+        self.queue = IngestQueue(high_watermark)
         self._error: "BaseException | None" = None
         self._error_seen = False
         self._discarded_events = 0
         self._stopped = False
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self._thread = threading.Thread(
+            target=self._run, name="repro-ingest-pump", daemon=True
+        )
         self._thread.start()
 
     # ------------------------------------------------------------------

@@ -76,7 +76,8 @@ from ..errors import ExecutionError
 from ..windows.window import Window
 from .checkpoint import CheckpointStore
 from .core import (
-    DEFAULT_RETIRED_RESULT_CAP,
+    INITIAL_EVENT_RATE,
+    RETIRED_RESULT_CAP,
     RegisterAck,
     SessionCore,
     ShardReport,
@@ -140,16 +141,12 @@ class ShardConfig:
     key_ids: np.ndarray  # global id of each local key, ascending
     chunk_ticks: "int | None"
     event_rate: int
-    enable_factor_windows: bool
-    max_retired_results: "int | None"
 
     def build(self) -> SessionCore:
         core = SessionCore(
             num_keys=int(self.key_ids.size),
             chunk_ticks=self.chunk_ticks,
             event_rate=self.event_rate,
-            enable_factor_windows=self.enable_factor_windows,
-            max_retired_results=self.max_retired_results,
         )
         # Emitted rows are addressed by global key id (DESIGN.md §12).
         core.key_ids = self.key_ids
@@ -1211,14 +1208,30 @@ _BACKEND_CLASSES = {
 SHARD_BACKENDS = tuple(_BACKEND_CLASSES)
 
 
-def _resolve_backend(backend):
-    if not isinstance(backend, str):
-        return backend
-    if backend not in _BACKEND_CLASSES:
+def has_workers(num_shards: int, backend: "str | object" = "serial") -> bool:
+    """Whether a session of this shape runs shard worker processes —
+    the only shapes a fault plan or ``worker_recovery`` can act on.
+
+    The placement rule: one shard has no second core to overlap with,
+    so it runs in-process whatever ``backend`` says.
+    :class:`ShardedSession` applies it at construction and at
+    :meth:`~ShardedSession.restore` alike, and invariant 10 makes it
+    invisible in the results."""
+    return num_shards > 1 and backend != "serial"
+
+
+def _resolve_backend(backend, num_shards: int):
+    """The backend instance for ``backend`` under the placement rule
+    (:func:`has_workers`)."""
+    if isinstance(backend, str) and backend not in _BACKEND_CLASSES:
         raise ExecutionError(
             f"unknown shard backend {backend!r}; expected one of "
             f"{SHARD_BACKENDS}"
         )
+    if not has_workers(num_shards, backend):
+        return SerialShardBackend()
+    if not isinstance(backend, str):
+        return backend
     return _BACKEND_CLASSES[backend]()
 
 
@@ -1233,7 +1246,9 @@ class ShardedSession(SessionFrontDoor):
     * ``num_shards`` / ``backend`` — the partition width and where the
       shard cores run (``"serial"`` in-process, ``"process"`` one
       worker per shard over pipes, ``"shm"`` one worker per shard over
-      shared-memory rings);
+      shared-memory rings).  One shard runs in-process whatever
+      ``backend`` says, here and on :meth:`restore`
+      (:func:`has_workers`);
     * ``async_ingest=True`` — a bounded queue + pump thread in front
       of the coordinator (:mod:`repro.runtime.ingest`): pushes return
       immediately, backpressure at ``ingest_high_watermark`` queued
@@ -1286,14 +1301,9 @@ class ShardedSession(SessionFrontDoor):
         num_slots: int = DEFAULT_NUM_SLOTS,
         max_lateness: int = 0,
         chunk_ticks: "int | None" = None,
-        event_rate: int = 1,
         hysteresis: "float | None" = 0.25,
-        alpha: float = 0.3,
-        enable_factor_windows: bool = True,
-        max_retired_results: "int | None" = DEFAULT_RETIRED_RESULT_CAP,
         async_ingest: bool = False,
         ingest_high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
-        ingest_low_watermark: "int | None" = None,
         fault_plan=None,
         worker_recovery: bool = False,
         control_timeout: "float | None" = DEFAULT_CONTROL_TIMEOUT,
@@ -1316,9 +1326,7 @@ class ShardedSession(SessionFrontDoor):
             raise ExecutionError(
                 f"num_shards must be >= 1, got {num_shards}"
             )
-        self._open_front_door(
-            max_lateness, chunk_ticks, event_rate, hysteresis, alpha
-        )
+        self._open_front_door(max_lateness, chunk_ticks, hysteresis)
         self.num_keys = num_keys
         self.num_shards = num_shards
         self.partitioner = KeyPartitioner(
@@ -1339,9 +1347,7 @@ class ShardedSession(SessionFrontDoor):
         self._slot_events = np.zeros(self.num_slots, dtype=np.float64)
         self._slot_pending = np.zeros(self.num_slots, dtype=np.int64)
         self._fixed_chunk = chunk_ticks
-        self._event_rate = event_rate
-        self._enable_factor_windows = enable_factor_windows
-        self._max_retired_results = max_retired_results
+        self._event_rate = INITIAL_EVENT_RATE
         self._queries: "dict[str, tuple[Query, str]]" = {}
         self._modes: dict[str, str] = {}
         self._forward: "SessionCore | None" = None
@@ -1354,7 +1360,6 @@ class ShardedSession(SessionFrontDoor):
         self._attach(
             async_ingest,
             ingest_high_watermark,
-            ingest_low_watermark,
             auto_checkpoint,
             checkpoint_meta,
             on_checkpoint,
@@ -1363,10 +1368,11 @@ class ShardedSession(SessionFrontDoor):
     def _start_backend(
         self, backend, fault_plan, worker_recovery: bool, control_timeout
     ) -> None:
-        """Bring up one core per active shard on ``backend`` and reset
-        everything a session never carries across a restore: the
-        per-backend-slot ingest buffers and the teardown flag."""
-        self.backend = _resolve_backend(backend)
+        """Bring up one core per active shard on ``backend`` (placed by
+        :func:`has_workers`) and reset everything a session never
+        carries across a restore: the per-backend-slot ingest buffers
+        and the teardown flag."""
+        self.backend = _resolve_backend(backend, self.num_shards)
         self.backend.configure(fault_plan, worker_recovery, control_timeout)
         self.backend.start(
             [self._shard_config(shard) for shard in self.active_shards]
@@ -1511,15 +1517,12 @@ class ShardedSession(SessionFrontDoor):
 
         The map only exists to protect *archived* results from a
         cross-core-set name collision, and the archives themselves are
-        capped (``max_retired_results`` per core), so this memory is
-        capped to the same budget: oldest non-live names age out along
-        with the archives they guarded."""
+        capped (:data:`~repro.runtime.core.RETIRED_RESULT_CAP` per
+        core), so this memory is capped to the same budget: oldest
+        non-live names age out along with the archives they guarded."""
         self._modes.pop(name, None)
         self._modes[name] = mode
-        cap = self._max_retired_results
-        if cap is None:
-            return
-        while len(self._modes) > cap:
+        while len(self._modes) > RETIRED_RESULT_CAP:
             stale = next(
                 (n for n in self._modes if n not in self._queries), None
             )
@@ -1553,8 +1556,6 @@ class ShardedSession(SessionFrontDoor):
                 num_keys=1,
                 chunk_ticks=self._fixed_chunk,
                 event_rate=self._event_rate,
-                enable_factor_windows=self._enable_factor_windows,
-                max_retired_results=self._max_retired_results,
             )
             if at > 0:
                 self._forward.advance_to(at)
@@ -1838,8 +1839,6 @@ class ShardedSession(SessionFrontDoor):
             key_ids=(partitioner or self.partitioner).owned[shard],
             chunk_ticks=self._fixed_chunk,
             event_rate=self._event_rate,
-            enable_factor_windows=self._enable_factor_windows,
-            max_retired_results=self._max_retired_results,
         )
 
     def _apply_slot_map(self, slot_map, num_shards: int) -> None:
@@ -1961,8 +1960,6 @@ class ShardedSession(SessionFrontDoor):
         "_slot_pending",
         "_fixed_chunk",
         "_event_rate",
-        "_enable_factor_windows",
-        "_max_retired_results",
         "_queries",
         "_modes",
         "_forward",

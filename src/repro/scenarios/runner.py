@@ -34,8 +34,9 @@ import numpy as np
 
 from ..aggregates.registry import get_aggregate
 from ..core.multiquery import Query
+from ..engine.events import DEFAULT_NUM_SLOTS
 from ..errors import ExecutionError
-from ..runtime import has_workers, open_session
+from ..runtime import ShardedSession, has_workers
 from ..workloads.domains import domain_stream
 from ..workloads.rng import seeded_rng
 from .rstream import StreamCapture, read_rstream, write_rstream
@@ -283,21 +284,6 @@ class ScenarioReport:
             "queries": dict(self.queries),
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "backend": self.backend,
-            "shards": self.shards,
-            "async_ingest": self.async_ingest,
-            "wall_seconds": self.wall_seconds,
-            "throughput": self.throughput,
-            "total_physical": self.total_physical,
-            "slots_moved": self.slots_moved,
-            "worker_recoveries": self.worker_recoveries,
-            "faults_fired": self.faults_fired,
-            **self.outcome(),
-        }
-
     def verify(self, expect, where: str = "scenario") -> None:
         """Check this run against an :class:`ExpectSpec`; raises one
         :class:`~repro.errors.ExecutionError` naming every mismatch."""
@@ -490,10 +476,12 @@ def _execute(
     fault_plan = (
         chaos.build_plan() if chaos is not None and workers else None
     )
-    session = open_session(
+    session = ShardedSession(
         num_shards=runtime.shards,
         backend=runtime.backend,
-        num_slots=runtime.slots,
+        num_slots=(
+            DEFAULT_NUM_SLOTS if runtime.slots is None else runtime.slots
+        ),
         fault_plan=fault_plan,
         worker_recovery=runtime.worker_recovery and workers,
         num_keys=compiled.num_keys,

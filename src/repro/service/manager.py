@@ -52,7 +52,7 @@ import numpy as np
 
 from ..engine.events import EVENT_BYTES, event_columns
 from ..errors import ExecutionError, ReproError
-from ..runtime import CheckpointStore, open_session, restore_session
+from ..runtime import CheckpointStore, ShardedSession
 from ..runtime.core import resolve_registration_query
 from ..runtime.faults import SERVICE_FAULT_KINDS
 from .protocol import BadRequest, Overloaded, serialize_results
@@ -284,8 +284,9 @@ class SessionManager:
         byte budget is the front door, and a per-tenant pump queue
         would hold replayable events *outside* the tail — a crash
         would then lose them silently.  ``num_shards`` / ``backend``
-        pick the session shape (:func:`~repro.runtime.open_session`);
-        the supervisor here is the layer above it.
+        pick the session shape (one shard runs in-process whatever the
+        backend, :func:`~repro.runtime.has_workers`); the supervisor
+        here is the layer above it.
         """
         cfg = state.config
         wiring = {
@@ -294,8 +295,10 @@ class SessionManager:
             "on_checkpoint": lambda snap, path: state.tail.clear(),
         }
         if source is not None:
-            return restore_session(source, backend=cfg.backend, **wiring)
-        return open_session(
+            return ShardedSession.restore(
+                source, backend=cfg.backend, **wiring
+            )
+        return ShardedSession(
             num_shards=cfg.num_shards,
             backend=cfg.backend,
             num_keys=cfg.num_keys,

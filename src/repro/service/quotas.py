@@ -136,8 +136,8 @@ class TenantConfig(Spec):
     * ``num_keys`` / ``max_lateness`` / ``chunk_ticks`` — the stream
       shape, as in :class:`~repro.runtime.ShardedSession`.
     * ``num_shards`` / ``backend`` — the session's shard count and
-      where its cores run (:func:`~repro.runtime.open_session`: one
-      shard runs in-process).
+      where its cores run (one shard runs in-process whatever the
+      backend, :func:`~repro.runtime.has_workers`).
     * ``checkpoint_every`` — auto-checkpoint cadence in ticks
       (``None`` inherits the manager's default); the cadence also
       bounds the supervisor's replay tail.

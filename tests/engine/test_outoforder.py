@@ -64,44 +64,16 @@ class TestReorderBuffer:
         with pytest.raises(ExecutionError):
             list(buffer.push(-1, 0, 1.0))
 
-    def test_keep_late_events(self):
-        buffer = ReorderBuffer(max_lateness=0, keep_late_events=True)
-        list(buffer.push(5, 0, 1.0))
-        list(buffer.push(1, 0, 2.0))
-        assert buffer.stats.late_events == [(1, 0, 2.0)]
-
-    def test_retained_late_events_are_capped(self):
-        """Counters stay exact; the retained list is bounded (the
-        bounded-state guarantee of DESIGN.md §5 applies to the front
-        door too)."""
-        buffer = ReorderBuffer(
-            max_lateness=0, keep_late_events=True, late_event_cap=3
-        )
-        list(buffer.push(100, 0, 1.0))
-        for ts in range(10):
-            list(buffer.push(ts, 0, float(ts)))
-        assert buffer.stats.late_dropped == 10
-        assert len(buffer.stats.late_events) == 3
-        assert buffer.stats.late_events == [
-            (0, 0, 0.0),
-            (1, 0, 1.0),
-            (2, 0, 2.0),
-        ]
-        assert buffer.stats.late_events_elided == 7
-        assert buffer.stats.max_observed_lateness == 100
-
-    def test_default_cap_bounds_memory_without_keep(self):
+    def test_late_drops_are_counted_not_retained(self):
+        """Late events are dropped with exact counters and nothing
+        else: the front door's state stays bounded (DESIGN.md §5)."""
         buffer = ReorderBuffer(max_lateness=0)
         list(buffer.push(1000, 0, 1.0))
         for ts in range(500):
             list(buffer.push(ts, 0, 0.0))
         assert buffer.stats.late_dropped == 500
-        assert buffer.stats.late_events == []
-        assert buffer.stats.late_events_elided == 0
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ExecutionError):
-            ReorderBuffer(max_lateness=0, late_event_cap=-1)
+        assert buffer.stats.max_observed_lateness == 1000
+        assert buffer.stats.accepted == 1
 
 
 class TestBatchFromUnordered:
@@ -170,8 +142,6 @@ COUNTERS = (
     "accepted",
     "late_dropped",
     "max_observed_lateness",
-    "late_events",
-    "late_events_elided",
 )
 
 
@@ -191,12 +161,12 @@ class TestPushBatch:
     )
 
     @staticmethod
-    def _play(events, splits, max_lateness, keep_late, verbs):
+    def _play(events, splits, max_lateness, verbs):
         """Feed ``events`` piece by piece, each through the next of
         ``verbs`` (cycled): ``push`` event by event, ``batch`` through
         ``push_batch``, ``pickle`` the same after a pickle round trip of
         the buffer.  Returns ``(per-piece trace, buffer)``."""
-        buffer = ReorderBuffer(max_lateness, keep_late_events=keep_late)
+        buffer = ReorderBuffer(max_lateness)
         bounds = sorted(min(s, len(events)) for s in splits)
         trace = []
         for index, piece in enumerate(
@@ -217,7 +187,6 @@ class TestPushBatch:
         events=events_strategy,
         splits=st.lists(st.integers(0, 200), max_size=3),
         max_lateness=st.integers(0, 15),
-        keep_late=st.booleans(),
         mixed=st.lists(
             st.sampled_from(("push", "batch", "pickle")),
             min_size=1,
@@ -226,17 +195,17 @@ class TestPushBatch:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_per_event_push_on_both_paths(
-        self, events, splits, max_lateness, keep_late, mixed
+        self, events, splits, max_lateness, mixed
     ):
         """Both ways a batch meets a buffer: every piece batched, and
         batches interleaved with per-event pushes (the carried heap
         handed across in both directions, pickled mid-stream)."""
         oracle, oracle_buf = self._play(
-            events, splits, max_lateness, keep_late, ["push"]
+            events, splits, max_lateness, ["push"]
         )
         for verbs in (["batch"], mixed):
             trace, buf = self._play(
-                events, splits, max_lateness, keep_late, verbs
+                events, splits, max_lateness, verbs
             )
             assert trace == oracle, verbs
             for counter in COUNTERS:
@@ -245,9 +214,7 @@ class TestPushBatch:
                 ), (verbs, counter)
             # Drain order after the batch must also agree.
             assert list(buf.flush()) == list(
-                self._play(events, splits, max_lateness, keep_late, ["push"])[
-                    1
-                ].flush()
+                self._play(events, splits, max_lateness, ["push"])[1].flush()
             ), verbs
 
     @given(
@@ -331,7 +298,7 @@ class TestPushBatch:
         assert list(buffer.flush()) == [(3, 1, 2.0), (5, 0, 1.0)]
 
     def test_an_all_late_batch_moves_nothing_but_the_counters(self):
-        buffer = ReorderBuffer(1, keep_late_events=True)
+        buffer = ReorderBuffer(1)
         assert rows(buffer.push_batch(*columns([(10, 0, 1.0)]))) == []
         late = [(3, 1, 2.0), (8, 0, 3.0), (0, 1, 4.0)]
         assert rows(buffer.push_batch(*columns(late))) == []
@@ -339,22 +306,15 @@ class TestPushBatch:
         assert buffer.stats.accepted == 1
         assert buffer.stats.late_dropped == 3
         assert buffer.stats.max_observed_lateness == 9
-        assert buffer.stats.late_events == late
 
-    def test_retained_late_events_are_capped_across_batches(self):
-        buffer = ReorderBuffer(0, keep_late_events=True, late_event_cap=3)
+    def test_late_counters_stay_exact_across_batches(self):
+        buffer = ReorderBuffer(0)
         first = [(100, 0, 0.0)] + [(ts, 0, float(ts)) for ts in range(2)]
         second = [(ts, 1, float(ts)) for ts in range(2, 7)]
         buffer.push_batch(*columns(first))
-        assert buffer.stats.late_events_elided == 0
+        assert buffer.stats.late_dropped == 2
         buffer.push_batch(*columns(second))
         assert buffer.stats.late_dropped == 7
-        assert buffer.stats.late_events == [
-            (0, 0, 0.0),
-            (1, 0, 1.0),
-            (2, 1, 2.0),
-        ]
-        assert buffer.stats.late_events_elided == 4
         assert buffer.stats.max_observed_lateness == 100
 
     def test_equal_timestamps_keep_arrival_order_across_the_seam(self):

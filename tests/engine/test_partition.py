@@ -182,11 +182,11 @@ class TestPartitionErrors:
         with pytest.raises(ExecutionError):
             KeyPartitioner(8, 2).partition(batch)
 
-    def test_bad_assignment(self):
-        with pytest.raises(ExecutionError):
-            KeyPartitioner(4, 2, assignment=np.array([0, 1, 2, 0]))
-        with pytest.raises(ExecutionError):
-            KeyPartitioner(4, 2, assignment=np.array([0, 1]))
+    def test_bad_slot_map(self):
+        with pytest.raises(ExecutionError, match="lie in"):
+            KeyPartitioner(4, 2, slot_map=np.array([0, 1, 2, 0]))
+        with pytest.raises(ExecutionError, match="1-d"):
+            KeyPartitioner(4, 2, slot_map=np.zeros((2, 2), dtype=np.int64))
 
     def test_merge_zero_shards(self):
         with pytest.raises(ExecutionError):

@@ -137,28 +137,30 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7])
     def test_older_checkpoint_is_refused(self, tmp_path, old):
         """A file written before subscriptions held key-labelled
         segments (format v1), before both session kinds shared one
         state-graph layout (v2), before the chunk clock moved into
         the front door's frame (v3), while the async residue still
         had a sorted-batch kind (v4), while a one-shard session
-        snapshotted a bare core under its own kind (v5), or while a
-        raw operator kept its panes as a bare list (v6) must be
+        snapshotted a bare core under its own kind (v5), while a raw
+        operator kept its panes as a bare list (v6), or while the
+        coordinator carried the factor-window switch, the retired
+        cap and the reorder buffer its late-event log (v7) must be
         rejected by its header — even with a valid checksum — never
         restored half-shaped."""
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
         path = tmp_path / "ckpt.rckpt"
         write_checkpoint(self.make_snapshot(), path)
         blob = bytearray(path.read_bytes())
         offset = len(CHECKPOINT_MAGIC)
-        assert blob[offset : offset + 2] == (7).to_bytes(2, "little")
+        assert blob[offset : offset + 2] == (8).to_bytes(2, "little")
         blob[offset : offset + 2] = old.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(
             ExecutionError,
-            match=rf"format v{old} is not supported \(this build reads v7\)",
+            match=rf"format v{old} is not supported \(this build reads v8\)",
         ):
             read_checkpoint(path)
 

@@ -26,6 +26,7 @@ from repro.core.multiquery import Query
 from repro.engine.events import DEFAULT_NUM_SLOTS
 from repro.errors import ExecutionError
 from repro.runtime import QuerySession, ShardedSession
+from repro.runtime import core as core_module
 from repro.runtime.core import SessionCore
 from repro.windows.window import Window, WindowSet
 
@@ -153,20 +154,21 @@ def run_cycles(session, events, horizon, barriers=()):
     return session.finish(horizon=horizon)
 
 
-def test_archive_rename_and_eviction_straddle_a_migration():
+def test_archive_rename_and_eviction_straddle_a_migration(monkeypatch):
+    # Lower the archive cap so three retirements evict one.
+    monkeypatch.setattr(core_module, "RETIRED_RESULT_CAP", 2)
     batch = integer_stream(ticks=320, num_keys=NUM_KEYS, seed=11)
     events = list(batch.rows())
     n = len(events)
     half = np.arange(DEFAULT_NUM_SLOTS // 2, dtype=np.int64)
 
-    plain = QuerySession(num_keys=NUM_KEYS, max_retired_results=2, hysteresis=None)
+    plain = QuerySession(num_keys=NUM_KEYS, hysteresis=None)
     expected = run_cycles(plain, events, batch.horizon)
     assert plain.backend.cores[0].retired_results_evicted == 1
     assert any("@g" in name for name in expected)
 
     sharded = ShardedSession(
-        num_keys=NUM_KEYS, num_shards=2, max_retired_results=2,
-        hysteresis=None,
+        num_keys=NUM_KEYS, num_shards=2, hysteresis=None
     )
     # One barrier while the first archive is the only one, one between
     # the second retirement and the eviction it causes, one after.

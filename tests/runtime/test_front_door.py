@@ -22,8 +22,11 @@ import threading
 
 import pytest
 
-from repro.aggregates.registry import MIN, SUM
+from repro.aggregates.registry import MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
+from repro.engine.columnar import holistic_segment_values
+from repro.engine.events import KeyPartitioner, partition_batch
+from repro.engine.outoforder import ReorderBuffer
 from repro.errors import ExecutionError
 from repro.runtime import (
     CheckpointStore,
@@ -381,3 +384,65 @@ def test_finish_stops_the_pump_and_closes_the_stream(shards, repro_seed):
         assert_identical(results, session.results(), "after finish")
         with pytest.raises(ExecutionError, match="finished"):
             session.push(horizon + 1, 0, 1.0)
+
+
+# ----------------------------------------------------------------------
+# The settable surface: settings no caller turned are constants
+# ----------------------------------------------------------------------
+REMOVED = [
+    "event_rate",
+    "alpha",
+    "enable_factor_windows",
+    "max_retired_results",
+    "ingest_low_watermark",
+]
+
+
+@pytest.mark.parametrize("name", REMOVED)
+@pytest.mark.parametrize("cls", [QuerySession, ShardedSession])
+def test_a_removed_setting_is_a_type_error(cls, name):
+    with pytest.raises(TypeError, match=name):
+        cls(num_keys=2, **{name: 1})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["num_shards", "backend", "num_slots", "fault_plan", "worker_recovery",
+     "control_timeout"],
+)
+def test_a_query_session_takes_no_placement(name):
+    with pytest.raises(TypeError, match=name):
+        QuerySession(num_keys=2, **{name: 1})
+
+
+def test_restore_takes_no_low_watermark():
+    with QuerySession(num_keys=2) as session:
+        snap = session.snapshot()
+    with pytest.raises(TypeError, match="ingest_low_watermark"):
+        ShardedSession.restore(snap, ingest_low_watermark=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SessionCore(num_keys=2, enable_factor_windows=False),
+        lambda: SessionCore(num_keys=2, max_retired_results=2),
+        lambda: ReorderBuffer(0, keep_late_events=True),
+        lambda: ReorderBuffer(0, late_event_cap=3),
+        lambda: KeyPartitioner(4, 2, assignment=[0, 1, 0, 1]),
+        lambda: partition_batch(integer_stream(ticks=4), 2, assignment=None),
+        lambda: holistic_segment_values([0], [1.0], MEDIAN, native=True),
+    ],
+    ids=[
+        "SessionCore-factors",
+        "SessionCore-retired",
+        "ReorderBuffer-keep",
+        "ReorderBuffer-cap",
+        "KeyPartitioner-assignment",
+        "partition_batch-assignment",
+        "holistic_segment_values-native",
+    ],
+)
+def test_a_removed_mode_is_a_type_error(build):
+    with pytest.raises(TypeError):
+        build()

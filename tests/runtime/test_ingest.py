@@ -65,27 +65,25 @@ class TestIngestQueue:
     def test_watermark_validation(self):
         with pytest.raises(ExecutionError):
             IngestQueue(high_watermark=0)
-        with pytest.raises(ExecutionError):
-            IngestQueue(high_watermark=10, low_watermark=10)
-        queue = IngestQueue(high_watermark=10)
+        queue = IngestQueue(high_watermark=11)
         assert queue.low_watermark == 5
 
     def test_gate_hysteresis_and_exact_wait_counters(self):
-        queue = IngestQueue(high_watermark=4, low_watermark=1)
-        for i in range(4):
+        queue = IngestQueue(high_watermark=6)
+        for i in range(6):
             queue.put_data(("event", i), 1)
-        assert queue.stats.max_depth_events == 4
+        assert queue.stats.max_depth_events == 6
         assert not queue._gate_open  # at the high watermark: shut
-        # Drain above the low watermark: still shut (hysteresis).
+        # Drain above half the high watermark: still shut (hysteresis).
         queue.get()
         queue.get()
         assert not queue._gate_open
-        queue.get()  # depth 1 == low watermark: reopens
+        queue.get()  # depth 3 == half the high watermark: reopens
         assert queue._gate_open
         assert queue.stats.backpressure_waits == 0  # nobody had to block
 
     def test_control_items_bypass_the_gate(self):
-        queue = IngestQueue(high_watermark=2, low_watermark=0)
+        queue = IngestQueue(high_watermark=2)
         queue.put_data(("event", 0), 1)
         queue.put_data(("event", 1), 1)
         assert not queue._gate_open
@@ -263,7 +261,6 @@ def test_full_queue_backpressure_never_drops_or_reorders(repro_seed):
         chunk_ticks=40,
         async_ingest=True,
         ingest_high_watermark=128,
-        ingest_low_watermark=32,
     )
     try:
         for query, scope in QUERIES:

@@ -18,7 +18,9 @@ from repro.engine.executor import execute_plan
 from repro.engine.outoforder import scramble_batch
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
-from repro.runtime import QuerySession, ShardedSession, open_session
+from repro.runtime import QuerySession, ShardedSession
+from repro.runtime import core as core_module
+from repro.runtime.core import INITIAL_EVENT_RATE
 from repro.runtime.ingest import DEFAULT_INGEST_HIGH_WATERMARK
 from repro.windows.window import Window, WindowSet
 
@@ -218,12 +220,12 @@ class TestPlanSwitching:
             ticks=1800,
             num_keys=1,
             seed=7,
-            rate_segments=((1, 600), (30, 600), (1, 600)),
+            rate_segments=((1, 600), (40, 600), (1, 600)),
         )
         query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
         cold = cold_reference([query], stream)
         session = serial_session(
-            shards, num_keys=1, hysteresis=0.5, alpha=0.6, chunk_ticks=24
+            shards, num_keys=1, hysteresis=0.5, chunk_ticks=24
         )
         session.register(query)
         # A rate replan applies at the end of the push_many call that
@@ -346,10 +348,13 @@ class TestPlanSwitching:
     def test_hysteresis_suppresses_switches_on_stable_rate(
         self, shards
     ):
-        stream = integer_stream(ticks=1200, rate=4, num_keys=1, seed=8)
+        # The stream runs at the rate a session first plans at.
+        stream = integer_stream(
+            ticks=1200, rate=INITIAL_EVENT_RATE, num_keys=1, seed=8
+        )
         query = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
         session = serial_session(
-            shards, num_keys=1, event_rate=4, hysteresis=0.5, chunk_ticks=24
+            shards, num_keys=1, hysteresis=0.5, chunk_ticks=24
         )
         session.register(query)
         session.push_many(stream.rows())
@@ -584,8 +589,10 @@ class TestSessionApi:
         stay pending and apply at the next push — the observed rate
         reaches the workload either way."""
         stream = integer_stream(ticks=1200, rate=20, num_keys=1, seed=14)
+        # The rate estimate approaches 20 from below; with no
+        # hysteresis every whole step of it is a replan.
         session = serial_session(
-            shards, num_keys=1, hysteresis=0.1, alpha=1.0, chunk_ticks=10
+            shards, num_keys=1, hysteresis=0.0, chunk_ticks=10
         )
         session.register(Query("a", WindowSet([Window(20, 10)]), MIN))
         rows = list(stream.rows())
@@ -615,8 +622,13 @@ class TestSessionApi:
 @SHARD_COUNTS
 class TestRetiredRetention:
     """The retired-result archive is capped with exact eviction
-    counters (mirrors the ``late_events_elided`` pattern): a service
-    whose dashboards churn forever must not grow without bound."""
+    counters: a service whose dashboards churn forever must not grow
+    without bound.  The cap is a constant; tests that provoke eviction
+    lower it for the test."""
+
+    @pytest.fixture
+    def cap_of_two(self, monkeypatch):
+        monkeypatch.setattr(core_module, "RETIRED_RESULT_CAP", 2)
 
     def _churn(self, session, rows, cycles):
         """Register/deregister ``q`` once per stream segment."""
@@ -633,13 +645,11 @@ class TestRetiredRetention:
             i += per
 
     def test_cap_bounds_archive_with_exact_counters(
-        self, shards, int_stream
+        self, shards, int_stream, cap_of_two
     ):
         rows = list(int_stream.rows())
         cycles = 6
-        session = serial_session(
-            shards, num_keys=2, hysteresis=None, max_retired_results=2
-        )
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         self._churn(session, rows, cycles)
         results = session.finish(horizon=int_stream.horizon)
         retired = [name for name in results if name != "q"]
@@ -648,18 +658,6 @@ class TestRetiredRetention:
         # the two retained and the final life's live subscription.
         assert core_counter(session, "retired_results_evicted") == cycles - 2
         assert core_counter(session, "retired_instances_evicted") > 0
-
-    def test_uncapped_archive_retains_everything(
-        self, shards, int_stream
-    ):
-        rows = list(int_stream.rows())
-        session = serial_session(
-            shards, num_keys=2, hysteresis=None, max_retired_results=None
-        )
-        self._churn(session, rows, 6)
-        results = session.finish(horizon=int_stream.horizon)
-        assert len([n for n in results if n.startswith("q@g")]) == 5
-        assert core_counter(session, "retired_results_evicted") == 0
 
     def test_default_cap_keeps_existing_behaviour(
         self, shards, int_stream
@@ -674,15 +672,13 @@ class TestRetiredRetention:
         assert len([n for n in results if n.startswith("q@g")]) == 3
 
     def test_rename_keeps_archive_eviction_order(
-        self, shards, int_stream
+        self, shards, int_stream, cap_of_two
     ):
         """Re-registering a name renames its archive *in place*: the
         renamed entry must stay oldest in the eviction order, not be
         rejuvenated past archives retired after it."""
         rows = list(int_stream.rows())
-        session = serial_session(
-            shards, num_keys=2, hysteresis=None, max_retired_results=2
-        )
+        session = serial_session(shards, num_keys=2, hysteresis=None)
         wq, wr, ws = Window(10, 5), Window(12, 6), Window(14, 7)
         session.register(Query("q", WindowSet([wq]), MIN))
         session.register(Query("r", WindowSet([wr]), MIN))
@@ -778,7 +774,7 @@ def test_one_shard_forwards_a_global_holistic_query(backend):
     median = Query("med", WindowSet([Window(12, 6)]), MEDIAN)
     results = []
     for shards in (1, 2):
-        with open_session(
+        with ShardedSession(
             num_shards=shards, backend=backend, num_keys=4, hysteresis=None
         ) as session:
             session.register(median, scope="global")

@@ -99,7 +99,6 @@ def test_randomized_schedules_are_observationally_invisible(schedule):
         num_keys=2,
         max_lateness=schedule["lateness"],
         hysteresis=schedule["hysteresis"],
-        alpha=0.6,
     )
     dropped = set()
     for i, (ts, key, value) in enumerate(events):

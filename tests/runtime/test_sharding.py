@@ -6,13 +6,21 @@ references, watermark alignment, the consuming read path, stats
 aggregation, and the error surface of both backends.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.aggregates.registry import AVG, MEDIAN, MIN, STDEV, SUM
 from repro.core.multiquery import Query
 from repro.errors import ExecutionError
-from repro.runtime import SHARD_BACKENDS, QuerySession, ShardedSession
+from repro.runtime import (
+    RETIRED_RESULT_CAP,
+    CheckpointStore,
+    SHARD_BACKENDS,
+    QuerySession,
+    ShardedSession,
+)
 from repro.windows.window import Window, WindowSet
 
 from session_streams import assert_identical, integer_stream
@@ -339,8 +347,7 @@ class TestApiSurface:
             batched_reorder.accepted,
             batched_reorder.late_dropped,
             batched_reorder.max_observed_lateness,
-            batched_reorder.late_events,
-        ) == (3, 2, 129, [])
+        ) == (3, 2, 129)
 
     def test_closed_session_fails_loudly(self, int_stream):
         """After close() every surface raises — never a silent empty
@@ -365,16 +372,17 @@ class TestApiSurface:
     def test_mode_memory_stays_bounded(self):
         """The cross-core-set name-collision guard ages out with the
         archives it protects — no unbounded per-name growth."""
-        session = ShardedSession(
-            num_keys=2, num_shards=2, hysteresis=None,
-            max_retired_results=3,
-        )
-        for i in range(20):
+        session = ShardedSession(num_keys=2, num_shards=2, hysteresis=None)
+        churn = RETIRED_RESULT_CAP + 16
+        for i in range(churn):
             name = session.register(
                 Query(f"d{i}", WindowSet([Window(10, 5)]), SUM)
             )
             session.deregister(name)
-        assert len(session._modes) <= 3
+        assert len(session._modes) == RETIRED_RESULT_CAP
+        assert {
+            core.retired_results_evicted for core in session.backend.cores
+        } == {churn - RETIRED_RESULT_CAP}
 
     def test_cross_core_name_reuse_rejected(self, int_stream):
         """A name whose archive lives on the shard cores cannot be
@@ -475,3 +483,65 @@ class TestProcessBackend:
             session.finish()
         for proc in session.backend._procs:
             assert not proc.is_alive()
+
+
+WORKER_BACKENDS = pytest.mark.parametrize("backend", ["process", "shm"])
+
+#: Front-door settings a session refuses, each after its backend is up.
+REFUSED = {
+    "high_watermark": lambda tmp_path: {"ingest_high_watermark": 0},
+    "cadence": lambda tmp_path: {"auto_checkpoint": CheckpointStore(tmp_path)},
+}
+
+
+class TestPlacement:
+    """Where a session runs: a refused setting leaves no worker behind,
+    and one shard runs in-process at construction and on restore alike
+    (the conftest fence also fails a leaked ``/dev/shm`` segment or
+    descriptor here)."""
+
+    @WORKER_BACKENDS
+    @pytest.mark.parametrize("setting", sorted(REFUSED))
+    def test_refused_setting_leaves_no_worker(self, backend, setting, tmp_path):
+        with pytest.raises(ExecutionError):
+            ShardedSession(
+                num_keys=8, num_shards=2, backend=backend,
+                **REFUSED[setting](tmp_path),
+            )
+        assert multiprocessing.active_children() == []
+
+    @WORKER_BACKENDS
+    @pytest.mark.parametrize("setting", sorted(REFUSED))
+    def test_refused_setting_on_restore_leaves_no_worker(
+        self, backend, setting, tmp_path, int_stream
+    ):
+        with ShardedSession(
+            num_keys=NUM_KEYS, num_shards=2, hysteresis=None
+        ) as session:
+            session.register(QA)
+            session.push_many(list(int_stream.rows())[:200])
+            snap = session.snapshot()
+        with pytest.raises(ExecutionError):
+            ShardedSession.restore(
+                snap, backend=backend, **REFUSED[setting](tmp_path)
+            )
+        assert multiprocessing.active_children() == []
+
+    @WORKER_BACKENDS
+    def test_one_shard_restores_in_process(self, backend, int_stream):
+        rows = list(int_stream.rows())
+        with ShardedSession(
+            num_keys=NUM_KEYS, backend=backend, hysteresis=None
+        ) as session:
+            assert session.backend.name == "serial"
+            session.register(QA)
+            session.push_many(rows[:300])
+            snap = session.snapshot()
+            session.push_many(rows[300:])
+            expected = session.finish(horizon=int_stream.horizon)
+        with ShardedSession.restore(snap, backend=backend) as restored:
+            assert restored.backend.name == "serial"
+            assert multiprocessing.active_children() == []
+            restored.push_many(rows[300:])
+            got = restored.finish(horizon=int_stream.horizon)
+        assert_identical(expected, got, f"one shard restored on {backend}")

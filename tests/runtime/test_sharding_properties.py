@@ -102,7 +102,6 @@ def run_sharded(
         backend=backend,
         max_lateness=lateness,
         hysteresis=hysteresis,
-        alpha=0.6,
         async_ingest=async_ingest,
         ingest_high_watermark=ingest_high_watermark,
         fault_plan=fault_plan,

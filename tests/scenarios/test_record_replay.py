@@ -225,14 +225,14 @@ class TestOneShardRuns:
         assert report.digest == runner.run(backend="serial").digest
         assert built == []  # 3 serial shards: no workers either
 
-    def test_open_session_refuses_chaos_at_one_shard(self):
-        from repro.runtime import FaultPlan, open_session
+    def test_one_shard_session_refuses_chaos(self):
+        from repro.runtime import FaultPlan, ShardedSession
 
         refusal = "does not support fault injection / worker recovery"
         with pytest.raises(ExecutionError, match=refusal):
-            open_session(num_shards=1, backend="process", fault_plan=FaultPlan([]))
+            ShardedSession(backend="process", fault_plan=FaultPlan([]))
         with pytest.raises(ExecutionError, match=refusal):
-            open_session(num_shards=1, worker_recovery=True)
+            ShardedSession(backend="shm", worker_recovery=True)
 
     @pytest.mark.parametrize("async_ingest", [False, True])
     def test_feed_is_columnar(self, monkeypatch, async_ingest):

@@ -7,6 +7,7 @@ breaker transition, and retry quote in here is exact arithmetic — a
 failing assertion names a wrong counter, not a missed sleep.
 """
 
+import multiprocessing
 import threading
 
 import pytest
@@ -285,6 +286,39 @@ class TestSupervision:
             events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
         )
         assert got == expected, f"seed={repro_seed}"
+
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_one_shard_tenant_recovers_in_process(
+        self, tmp_path, repro_seed, backend
+    ):
+        """A one-shard tenant runs in-process whatever backend its
+        config names — and still does after recovering from its
+        checkpoint."""
+        events = integer_events(60, NUM_KEYS, seed=repro_seed)
+        plan = FaultPlan(
+            Fault(kind="kill_session", tenant="alice", op="ingest",
+                  at_watermark=25)
+        )
+        config = {
+            "defaults": {
+                "num_keys": NUM_KEYS, "rate": 1e9, "burst": 1e9,
+                "num_shards": 1, "backend": backend,
+            }
+        }
+        with make_manager(
+            tmp_path, config=config, fault_plan=plan, checkpoint_every=16
+        ) as mgr:
+            mgr.register("alice", SQL_SUM)
+            for ts, key, value in events:
+                mgr.ingest("alice", [(ts, key, value)])
+            assert mgr.stats("alice")["stats"]["restores"] == 1
+            assert list((tmp_path / "ckpt" / "alice").glob("*.rckpt"))
+            assert mgr._tenants["alice"].session.backend.name == "serial"
+            assert multiprocessing.active_children() == []
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        ), f"seed={repro_seed}"
 
     def test_kill_before_any_checkpoint_replays_full_tail(self, tmp_path, repro_seed):
         events = integer_events(20, NUM_KEYS, seed=repro_seed)
