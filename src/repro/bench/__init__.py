@@ -20,8 +20,6 @@ from .reporting import (
     format_boost_summary_table,
     format_series,
     format_table,
-    render_json,
-    write_json_report,
 )
 
 __all__ = [
@@ -45,9 +43,7 @@ __all__ = [
     "make_stream",
     "optimizer_overhead",
     "pearson_r",
-    "render_json",
     "run_panel",
     "scotty_comparison",
-    "write_json_report",
     "throughput_panels",
 ]

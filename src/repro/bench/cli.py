@@ -28,9 +28,6 @@ Commands
                   circuit breakers, and checkpoint+replay restore
                   (DESIGN.md §10, docs/service.md).  ``--config``
                   loads a ``tenants.yaml`` quota file.
-``bench``         benchmark utilities; ``bench compare`` diffs two
-                  ``BENCH_*.json`` reports and exits non-zero on
-                  regressions beyond a threshold (the CI perf gate).
 """
 
 from __future__ import annotations
@@ -516,20 +513,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from .compare import compare_files
-
-    code, text = compare_files(
-        args.baseline,
-        args.current,
-        threshold=args.threshold,
-        portable_only=args.portable_only,
-        require_cpu_match=args.require_cpu_match,
-    )
-    print(text)
-    return code
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     for name, description in sorted(EXPERIMENTS.items()):
         print(f"{name:8s} {description}")
@@ -737,34 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.set_defaults(func=_cmd_serve)
 
-    p_bench = sub.add_parser("bench", help="benchmark utilities")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_cmp = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json reports; exit non-zero on regression",
-    )
-    p_cmp.add_argument("baseline", help="baseline BENCH_*.json path")
-    p_cmp.add_argument("current", help="current BENCH_*.json path")
-    p_cmp.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="relative regression tolerance (default 0.2 = 20%%)",
-    )
-    p_cmp.add_argument(
-        "--portable-only",
-        action="store_true",
-        help="gate only machine-independent metrics (speedups, logical/"
-        "physical counters) — use when comparing across hardware",
-    )
-    p_cmp.add_argument(
-        "--require-cpu-match",
-        action="store_true",
-        help="fail (exit 1) when the baseline's recorded meta.cpu_count "
-        "differs from the current report's — wall-clock gating is only "
-        "meaningful on matching hardware",
-    )
-    p_cmp.set_defaults(func=_cmd_bench_compare)
     return parser
 
 

@@ -7,9 +7,6 @@ in a terminal.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Sequence
 
 
@@ -55,32 +52,6 @@ def format_series(
             row.append(f"{values[i] * scale:,.0f}" if i < len(values) else "-")
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def render_json(payload: dict) -> str:
-    """Serialize a benchmark payload deterministically (sorted keys).
-
-    Machine-readable counterpart of the text tables: CI stores these
-    files (e.g. ``BENCH_engines.json``) so the perf trajectory can be
-    diffed across commits.
-    """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_json_report(path: "str | Path", payload: dict) -> Path:
-    """Write ``payload`` as deterministic JSON; returns the path.
-
-    Stamps ``meta.cpu_count`` (the host's parallelism) into the payload
-    so ``bench compare`` can warn when a baseline produced on different
-    hardware is diffed against the current host — wall-clock metrics
-    from hosts with different core counts are not comparable.
-    """
-    meta = payload.setdefault("meta", {})
-    meta.setdefault("cpu_count", os.cpu_count())
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_json(payload))
-    return target
 
 
 def format_boost_summary_table(summaries, title: str) -> str:

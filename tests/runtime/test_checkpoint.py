@@ -328,6 +328,7 @@ def test_sharded_session_restores_bit_identically(
     for ts, key, value in events:
         oracle.push(ts, key, value)
     expected = oracle.finish(horizon=horizon)
+    cold = oracle.stats()
     oracle.close()
 
     live = build(backend, async_ingest)
@@ -348,11 +349,18 @@ def test_sharded_session_restores_bit_identically(
             for ts, key, value in events[cut:]:
                 restored.push(ts, key, value)
             actual = restored.finish(horizon=horizon)
+            stats = restored.stats()
         finally:
             restored.close()
         assert_identical(
             expected, actual, f"{context} restore={restore_backend}"
         )
+        # The snapshot carries the work counters: a resumed timeline
+        # ends with exactly the cold run's logical and physical work.
+        assert (stats.total_pairs, stats.total_physical) == (
+            cold.total_pairs,
+            cold.total_physical,
+        ), f"{context} restore={restore_backend}"
 
 
 def test_sharded_snapshot_preserves_registration_schedule(repro_seed):

@@ -22,6 +22,7 @@ from repro.runtime import (
     ShardedSession,
 )
 from repro.windows.window import Window, WindowSet
+from repro.workloads.streams import zipf_stream
 
 from session_streams import assert_identical, integer_stream
 
@@ -238,6 +239,69 @@ class TestCoordination:
                 (s.generation, s.reason, s.key, s.watermark)
                 for s in logs[0]
             ]
+
+
+class TestRebalancing:
+    """Hot-slot migration flattens Zipf skew (DESIGN.md §12, invariant
+    10).  Four serial shards, 256 keys, the stream cut into twelve
+    segments; the rebalanced run calls ``rebalance()`` after each.  The
+    load counters are deterministic, so this holds on any host: at
+    30 000 events the hot shard's share reads 0.37 -> 0.25 at s=0.8
+    and 0.52 -> 0.25 at s=1.2."""
+
+    QUERIES = [
+        Query("sums", WindowSet([Window(300, 50), Window(600, 100)]), SUM),
+        Query("mins", WindowSet([Window(400, 80)]), MIN),
+        Query("avgs", WindowSet([Window(480, 120)]), AVG),
+    ]
+
+    def run(self, table, horizon, shards, rebalance):
+        session = ShardedSession(
+            num_keys=256,
+            num_shards=shards,
+            backend="serial",
+            chunk_ticks=1200,
+            hysteresis=None,
+        )
+        with session:
+            for query in self.QUERIES:
+                session.register(query)
+            moved = 0
+            for segment in np.array_split(table, 12):
+                session.push_many(segment)
+                if rebalance:
+                    moved += session.rebalance()
+            results = session.finish(horizon=horizon)
+            loads = [load["events"] for load in session.shard_loads().values()]
+            return (
+                results,
+                moved,
+                max(loads) / sum(loads),
+                session.stats().total_physical,
+            )
+
+    @pytest.mark.parametrize("s", [0.8, 1.2])
+    def test_rebalancing_lowers_the_hot_share(self, s):
+        # Integer values: the migrated run's extra flush boundaries
+        # cannot re-associate a sum away from bit-identity.
+        stream = zipf_stream(
+            30_000, num_keys=256, s=s, rate=8, seed=7, integer_values=True
+        )
+        table = np.column_stack(
+            (stream.timestamps, stream.keys, stream.values)
+        )
+        oracle, _, _, physical = self.run(table, stream.horizon, 1, False)
+        fixed, no_moves, fixed_share, fixed_physical = self.run(
+            table, stream.horizon, 4, False
+        )
+        moving, moves, moving_share, moving_physical = self.run(
+            table, stream.horizon, 4, True
+        )
+        assert no_moves == 0 and moves > 0
+        assert moving_share < fixed_share
+        assert fixed_physical == moving_physical == physical
+        assert_identical(oracle, fixed, f"s={s} static")
+        assert_identical(oracle, moving, f"s={s} rebalanced")
 
 
 class TestApiSurface:
