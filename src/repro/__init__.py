@@ -3,7 +3,7 @@ aggregates.
 
 A full reproduction of Wu, Bernstein, Raizman, Pavlopoulou (ICDE 2022):
 the window coverage graph, the cost-based optimizer, factor windows,
-query rewriting, a SQL front end, two streaming engines, a stream-
+query rewriting, a SQL front end, two execution engines, a stream-
 slicing baseline, and the paper's complete evaluation harness.
 
 Quickstart::
@@ -45,7 +45,6 @@ from .engine import (
     available_engines,
     execute_plan,
     make_batch,
-    register_engine,
     results_equal,
 )
 from .errors import ReproError
@@ -108,7 +107,6 @@ __all__ = [
     "parse",
     "partitioned_by",
     "plan_query",
-    "register_engine",
     "results_equal",
     "rewrite_plan",
     "to_flink",

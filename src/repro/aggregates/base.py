@@ -185,9 +185,9 @@ class AggregateFunction(ABC):
         Fold order is part of the contract (DESIGN.md §5): a segment's
         component is the strict left-to-right fold of its values *in
         input order*, starting from the identity — what a Python
-        ``+=`` loop over the events computes, and what the row-at-a-time
-        ``streaming`` oracle adds in.  ``values`` is only read (it may
-        be a read-only shared-memory view).
+        ``+=`` loop over the events computes, and what the per-event
+        test oracle adds in.  ``values`` is only read (it may be a
+        read-only shared-memory view).
 
         A code outside ``[0, num_segments)`` raises
         :class:`~repro.errors.ExecutionError` before anything is

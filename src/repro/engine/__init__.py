@@ -1,5 +1,5 @@
-"""The engines: columnar (N*k reference), row-at-a-time streaming
-(oracle) and the chunked pane operators (batch and live)."""
+"""The engines: columnar (the paper's N*k reference) and the chunked
+pane operators (batch and live)."""
 
 from .columnar import (
     WindowState,
@@ -14,7 +14,6 @@ from .executor import (
     ExecutionResult,
     available_engines,
     execute_plan,
-    register_engine,
     results_equal,
 )
 from .outoforder import (
@@ -26,7 +25,7 @@ from .outoforder import (
 )
 from .panes import logical_raw_pairs, pane_width
 from .stats import ExecutionStats
-from .streaming import ChunkedStreamingExecutor, StreamingExecutor
+from .streaming import ChunkedStreamingExecutor
 
 __all__ = [
     "ChunkedStreamingExecutor",
@@ -35,7 +34,6 @@ __all__ = [
     "ExecutionStats",
     "ReorderBuffer",
     "ReorderStats",
-    "StreamingExecutor",
     "WindowState",
     "aggregate_from_provider",
     "aggregate_raw",
@@ -49,7 +47,6 @@ __all__ = [
     "make_batch",
     "num_complete_instances",
     "pane_width",
-    "register_engine",
     "reorder_events",
     "results_equal",
     "scramble_batch",

@@ -1,36 +1,36 @@
-"""Plan execution facade and the engine/path registry.
+"""Plan execution facade and the fixed table of engine names.
 
-``execute_plan(plan, batch, engine=...)`` runs a logical plan on a
-finite event batch with any registered execution path and returns an
-:class:`ExecutionResult` bundling per-window result arrays with
-execution statistics.  This is the function the benchmark harness, the
-examples, and the equivalence tests all call.
+``execute_plan(plan, batch, engine=...)`` validates a logical plan and
+runs it on a finite event batch with one of the paths in
+:func:`available_engines`, returning an :class:`ExecutionResult` that
+bundles per-window result arrays with execution statistics.  This is
+the function the benchmark harness, the examples, and the equivalence
+tests all call.
 
-Registered paths (DESIGN.md §5) — three implementations; the two pane
-names are two chunk sizes of one of them (a fifth, legacy name is an
-alias: see the comment at the registry's end):
+Two implementations behind four names (DESIGN.md §5):
 
 ``columnar``
-    The reference vectorized engine: every raw read materializes all
-    ``N * k`` (event, instance) pairs and scatters them.
+    The paper's reference vectorized engine: every raw read
+    materializes all ``N * k`` (event, instance) pairs and scatters
+    them.
+``streaming-chunked``
+    The chunked pane operators every session runs, fed watermark blocks
+    of the largest window range with bounded open state.
 ``columnar-panes``
-    The pane engine fed the whole batch as one chunk: bin each raw
+    The same operators fed the whole batch as one chunk: bin each raw
     read's events once (one indexed scatter), assemble instances by
     folding their panes in place (``fold_covering_sets``).
-``streaming-chunked``
-    The same operators fed ``chunk_ticks``-wide watermark blocks
-    (default: the largest window range) with bounded open state — what
-    a live session runs.
-``streaming``
-    Row-at-a-time reference interpreter (the semantic oracle).
+``columnar-panes-native``
+    A legacy name for ``columnar-panes``, kept for the frozen ledger.
 
 All paths produce identical results and identical *logical* pair
-counts; they differ only in wall-clock and *physical* touches.
+counts; they differ only in wall-clock and *physical* touches.  A
+chunk size of its own is ``ChunkedStreamingExecutor(plan, batch,
+chunk_ticks=...)``.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +49,7 @@ from .columnar import (
 )
 from .events import EventBatch
 from .stats import ExecutionStats
-from .streaming import ChunkedStreamingExecutor, StreamingExecutor
+from .streaming import ChunkedStreamingExecutor
 
 Record = tuple[str, int, int, float]  # (window label, key, instance, value)
 
@@ -61,7 +61,6 @@ class ExecutionResult:
     plan: LogicalPlan
     results: dict[Window, np.ndarray]
     stats: ExecutionStats
-    engine: str = ""  # the name execute_plan was asked for; it stamps it
 
     @property
     def throughput(self) -> float:
@@ -97,80 +96,26 @@ class ExecutionResult:
         return records
 
 
-EngineFn = Callable[..., ExecutionResult]
-
-_ENGINES: dict[str, EngineFn] = {}
-
-
-def register_engine(name: str) -> "Callable[[EngineFn], EngineFn]":
-    """Register an execution path under ``name`` (decorator).
-
-    The registered callable receives ``(plan, batch, **options)`` — its
-    keyword parameters are the options the path accepts — and must
-    return an :class:`ExecutionResult`; :func:`execute_plan` stamps it
-    with the name it was asked for.
-    Registering an existing name replaces the path — the hook
-    third-party backends use to shadow a built-in.
-    """
-
-    def decorator(fn: EngineFn) -> EngineFn:
-        _ENGINES[name] = fn
-        return fn
-
-    return decorator
-
-
 def available_engines() -> tuple[str, ...]:
-    """Names of all registered execution paths, sorted."""
+    """Names of all execution paths, sorted."""
     return tuple(sorted(_ENGINES))
 
 
-def _check_options(engine: str, fn: EngineFn, options: dict) -> None:
-    """Refuse an option the path has no keyword parameter for."""
-    params = inspect.signature(fn).parameters
-    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-        return
-    accepted = list(params)[2:]  # after (plan, batch)
-    unknown = sorted(set(options) - set(accepted))
-    if unknown:
-        raise ExecutionError(
-            f"engine {engine!r} takes no option "
-            f"{', '.join(map(repr, unknown))}; it accepts: "
-            + (", ".join(accepted) or "none")
-        )
-
-
 def execute_plan(
-    plan: LogicalPlan,
-    batch: EventBatch,
-    engine: str = "columnar",
-    validate: bool = True,
-    **engine_kwargs,
+    plan: LogicalPlan, batch: EventBatch, engine: str = "columnar"
 ) -> ExecutionResult:
-    """Execute ``plan`` over ``batch`` on the ``engine`` path.
-
-    ``engine`` is any name in :func:`available_engines`; extra keyword
-    arguments are the path's options (e.g. ``chunk_ticks`` for
-    ``streaming-chunked``).  An option the named path does not take is
-    an :class:`~repro.errors.ExecutionError`, raised before anything
-    runs.
-    """
+    """Validate ``plan`` and execute it over ``batch`` on ``engine``,
+    any name in :func:`available_engines`."""
     fn = _ENGINES.get(engine)
     if fn is None:
         raise ExecutionError(
             f"unknown engine {engine!r}; available: "
             + ", ".join(available_engines())
         )
-    if engine_kwargs:
-        _check_options(engine, fn, engine_kwargs)
-    if validate:
-        validate_plan(plan)
-    result = fn(plan, batch, **engine_kwargs)
-    result.engine = engine
-    return result
+    validate_plan(plan)
+    return fn(plan, batch)
 
 
-@register_engine("columnar")
 def _execute_columnar(plan: LogicalPlan, batch: EventBatch) -> ExecutionResult:
     stats = ExecutionStats(events=batch.num_events)
     started = time.perf_counter()
@@ -210,37 +155,29 @@ def _execute_columnar(plan: LogicalPlan, batch: EventBatch) -> ExecutionResult:
     return ExecutionResult(plan, results, stats)
 
 
-@register_engine("streaming")
-def _execute_streaming(plan: LogicalPlan, batch: EventBatch) -> ExecutionResult:
-    executor = StreamingExecutor(plan, batch)
-    return ExecutionResult(plan, executor.run(), executor.stats)
-
-
-@register_engine("streaming-chunked")
-def _execute_streaming_chunked(
-    plan: LogicalPlan,
-    batch: EventBatch,
-    chunk_ticks: "int | None" = None,
+def _execute_chunked(
+    plan: LogicalPlan, batch: EventBatch, chunk_ticks: "int | None" = None
 ) -> ExecutionResult:
     executor = ChunkedStreamingExecutor(plan, batch, chunk_ticks=chunk_ticks)
     return ExecutionResult(plan, executor.run(), executor.stats)
 
 
-@register_engine("columnar-panes")
 def _execute_columnar_panes(
     plan: LogicalPlan, batch: EventBatch
 ) -> ExecutionResult:
     """The chunked operators fed one chunk: the whole batch."""
-    return _execute_streaming_chunked(
-        plan, batch, chunk_ticks=max(1, batch.horizon)
-    )
+    return _execute_chunked(plan, batch, chunk_ticks=max(1, batch.horizon))
 
 
-# The frozen ledger ladder (benchmarks/ledger/ladder.py:45) still climbs
-# a fourth pane rung, so its name stays — bound to the same callable
-# until ROADMAP item 4 unfreezes the ladder.  Whether holistic compute
-# runs in C is REPRO_KERNELS' call there, as at every other call site.
-register_engine("columnar-panes-native")(_execute_columnar_panes)
+_ENGINES: dict[str, Callable[[LogicalPlan, EventBatch], ExecutionResult]] = {
+    "columnar": _execute_columnar,
+    "columnar-panes": _execute_columnar_panes,
+    # The frozen ledger ladder (benchmarks/ledger/ladder.py:44-46)
+    # climbs this name; ledger v2 (ROADMAP item 1) deletes it.  Whether
+    # holistic compute runs in C is REPRO_KERNELS' call, as everywhere.
+    "columnar-panes-native": _execute_columnar_panes,
+    "streaming-chunked": _execute_chunked,
+}
 
 
 def results_equal(

@@ -7,15 +7,15 @@ measured work with the analytic cost model (DESIGN.md invariant 6) and
 lets benchmarks report a deterministic, hardware-independent work
 metric next to wall-clock throughput.
 
-Fast execution paths (the pane-partitioned columnar path, the chunked
-streaming executor) do strictly less work than the logical count: they
+The chunked pane operators (``columnar-panes``, ``streaming-chunked``
+and every session) do strictly less work than the logical count: they
 bin each event into one pane and assemble instances from pane partials.
-Those paths additionally report **physical** touches — what the
-hardware actually did — split into per-window assembly work
-(``physical_per_window``) and the shared event-binning passes
+They additionally report **physical** touches — what the hardware
+actually did — split into per-window assembly work
+(``physical_per_window``) and the event-binning passes
 (``events_binned``).  The logical counters stay identical across all
 paths (DESIGN.md invariant 5/6); the physical counters are the quantity
-the engine ablations optimize (DESIGN.md §5).
+engine work optimizes (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ class ExecutionStats:
     ``pairs_per_window`` is the *logical* count the cost model prices;
     ``physical_per_window`` is the per-window work the execution path
     actually performed (pane/sub-aggregate assembly, raw scans);
-    ``events_binned`` counts events routed through shared pane tables
-    (charged once per table, not per window, because the binning pass
-    is shared by every window reading from that table).
+    ``events_binned`` counts the events each raw read bins into its
+    pane store, once per raw read.
     """
 
     events: int = 0
@@ -73,7 +72,7 @@ class ExecutionStats:
             )
 
     def record_binned(self, events: int) -> None:
-        """Record one shared pane-table binning pass over ``events``."""
+        """Record one raw read's binning pass over ``events``."""
         self.events_binned += events
 
     @property

@@ -33,8 +33,6 @@ def physical_path(node: WindowAggregateNode, engine: str) -> str:
         return f"subagg-fold[M={multiplier}]"
     if not node.aggregate.mergeable:
         return "raw-segmented-scan[holistic]"
-    if engine == "streaming":
-        return f"event-loop[k={window.range // window.slide}]"
     if engine == "columnar":
         return f"raw-materialize[k={window.range // window.slide}]"
     pane = math.gcd(window.range, window.slide)

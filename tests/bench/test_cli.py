@@ -75,7 +75,7 @@ class TestEnginesCommand:
     def test_lists_registered_paths(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        for name in ("columnar", "columnar-panes", "streaming", "streaming-chunked"):
+        for name in ("columnar", "columnar-panes", "streaming-chunked"):
             assert name in out
 
     def test_annotates_query_plan(self, capsys):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from multiprocessing import resource_tracker
@@ -49,6 +50,10 @@ from hypothesis import strategies as st
 
 from repro.engine.events import EventBatch, make_batch
 from repro.windows.window import Window, WindowSet
+
+# The per-event engine oracle (``oracle_streaming``) lives beside the
+# engine tests; this makes it importable from every suite.
+sys.path.insert(0, str(Path(__file__).parent / "engine"))
 
 _SEED_ENV = os.environ.get("REPRO_TEST_SEED")
 REPRO_TEST_SEED = (

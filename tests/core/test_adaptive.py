@@ -98,12 +98,20 @@ class TestAdaptiveOptimizer:
 
 
 class TestSimulateAdaptive:
-    def test_adaptive_between_oracle_and_static(self):
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            [1] * 4 + [50] * 8 + [1] * 4,
+            [1] * 6 + [120] * 4 + [1] * 6,
+            [1, 2, 4, 8, 16, 32, 64, 128, 64, 32, 16, 8, 4, 2, 1, 1],
+        ],
+        ids=["step", "burst", "ramp"],
+    )
+    def test_adaptive_between_oracle_and_static(self, trace):
         # A window set whose best plan flips with the rate: the W(2,1)
         # factor window's benefit is 36η − 70, negative at η = 1 and
         # positive from η = 2 on.
         windows = WindowSet([Window(6, 3), Window(8, 4)])
-        trace = [1] * 4 + [50] * 8 + [1] * 4
         outcome = simulate_adaptive(
             windows, MIN, trace, hysteresis=0.2, alpha=1.0
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cost import CostModel
 from repro.core.exhaustive import (
     candidate_pool,
     exhaustive_min_cost,
@@ -11,6 +12,7 @@ from repro.core.optimizer import min_cost_wcg, min_cost_wcg_with_factors
 from repro.errors import CostModelError
 from repro.windows.coverage import CoverageSemantics
 from repro.windows.window import Window, WindowSet
+from repro.workloads.generators import RandomGen
 
 PART = CoverageSemantics.PARTITIONED_BY
 COV = CoverageSemantics.COVERED_BY
@@ -43,10 +45,27 @@ class TestExhaustiveSearch:
         # (e.g. chaining W(5,5) under W(10,10)) but never higher.
         assert best.total_cost <= 150
 
-    def test_never_worse_than_heuristic(self, example7_windows):
-        heuristic, _ = min_cost_wcg_with_factors(example7_windows, PART)
-        optimal = exhaustive_min_cost(example7_windows, PART, max_factors=2)
-        assert optimal.total_cost <= heuristic.total_cost
+    @pytest.mark.parametrize(
+        "windows",
+        [WindowSet([Window(20, 20), Window(30, 30), Window(40, 40)])]
+        + [
+            RandomGen(seed_ranges=(2, 5), kr=12).generate(
+                3, tumbling=True, seed=seed
+            )
+            for seed in range(200, 208)
+        ],
+        ids=["example7"] + [f"random-{seed}" for seed in range(200, 208)],
+    )
+    def test_never_worse_than_heuristic(self, windows):
+        """Each search is at least as good as the one it refines:
+        exhaustive ≤ Algorithm 3 ≤ Algorithm 1 ≤ the unshared baseline."""
+        baseline = CostModel().baseline_cost(windows)
+        plain = min_cost_wcg(windows, PART).total_cost
+        heuristic, _ = min_cost_wcg_with_factors(windows, PART)
+        optimal = exhaustive_min_cost(
+            windows, PART, max_factors=2, max_candidates=128
+        )
+        assert optimal.total_cost <= heuristic.total_cost <= plain <= baseline
 
     def test_never_worse_than_no_factors(self):
         windows = WindowSet([Window(20, 20), Window(50, 50)])

@@ -8,6 +8,7 @@ from repro.aggregates.registry import MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query, optimize_workload
 from repro.errors import CostModelError
 from repro.windows.window import Window, WindowSet
+from repro.workloads.generators import SequentialGen
 
 
 def _q(name, ranges, aggregate=MIN):
@@ -103,6 +104,26 @@ class TestSharingGains:
         text = plan.summary()
         assert "gain from sharing" in text
         assert "2 in 1 shared group" in text
+
+
+    def test_gain_grows_with_concurrent_dashboards(self):
+        """N dashboard queries of three SequentialGen windows each: every
+        workload gains from sharing, and ten queries gain at least as
+        much as two (the gain is not monotone step by step)."""
+        gen = SequentialGen()
+        gains = []
+        for num_queries in (2, 4, 6, 8, 10):
+            queries = [
+                Query(
+                    f"q{i}",
+                    gen.generate(3, tumbling=True, seed=300 + i),
+                    MIN,
+                )
+                for i in range(num_queries)
+            ]
+            gains.append(optimize_workload(queries).sharing_gain)
+        assert all(gain >= 1.0 for gain in gains)
+        assert gains[-1] >= gains[0]
 
 
 class TestSubsetFactorCandidates:

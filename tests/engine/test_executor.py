@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracle_streaming
 from repro.aggregates.registry import MEDIAN, MIN
 from repro.core.optimizer import min_cost_wcg
 from repro.core.rewrite import rewrite_plan
@@ -89,67 +90,27 @@ class TestResultsEqual:
         batch = make_batch([25], [1.0], horizon=30)
         plan = original_plan(WindowSet([Window(10, 10)]), MIN)
         a = execute_plan(plan, batch)
-        b = execute_plan(plan, batch, engine="streaming")
+        b = oracle_streaming.execute(plan, batch)
         assert results_equal(a, b)
 
 
 class TestEngineRegistry:
-    def test_all_builtin_paths_registered(self):
+    def test_four_names_and_nothing_else(self, batch):
         from repro.engine.executor import available_engines
 
-        assert set(available_engines()) >= {
+        names = (
             "columnar",
             "columnar-panes",
-            "streaming",
+            "columnar-panes-native",
             "streaming-chunked",
-        }
-
-    def test_registry_is_extensible(self, batch):
-        from repro.engine.executor import (
-            _ENGINES,
-            execute_plan,
-            register_engine,
         )
-
-        @register_engine("echo")
-        def _echo(plan, batch, **kwargs):
-            return execute_plan(plan, batch, engine="columnar")
-
-        try:
-            plan = original_plan(WindowSet([Window(10, 10)]), MIN)
-            result = execute_plan(plan, batch, engine="echo")
-            assert result.stats.events == batch.num_events
-        finally:
-            del _ENGINES["echo"]
-
-    def test_result_is_stamped_with_the_requested_name(self, batch):
-        from repro.engine.executor import _ENGINES, available_engines
-
+        assert available_engines() == names
         plan = original_plan(WindowSet([Window(10, 10)]), MIN)
-        for name in available_engines():
-            assert execute_plan(plan, batch, engine=name).engine == name
-        # Two names, one pane engine: only the stamp tells them apart.
-        assert _ENGINES["columnar-panes"] is _ENGINES["columnar-panes-native"]
-
-    @pytest.mark.parametrize(
-        "engine, accepts",
-        [("columnar-panes", "none"), ("streaming-chunked", "chunk_ticks")],
-    )
-    def test_unknown_option_is_an_engine_error(self, batch, engine, accepts):
-        """Not the bare ``TypeError`` of the path's private function —
-        and raised before the plan is even validated."""
         with pytest.raises(ExecutionError) as raised:
-            execute_plan(object(), batch, engine=engine, chunk_tick=5)
-        message = str(raised.value)
-        assert repr(engine) in message and "'chunk_tick'" in message
-        assert message.endswith(f"it accepts: {accepts}")
-
-    def test_engine_kwargs_forwarded(self, batch):
-        plan = original_plan(WindowSet([Window(10, 10)]), MIN)
-        result = execute_plan(
-            plan, batch, engine="streaming-chunked", chunk_ticks=17
+            execute_plan(plan, batch, engine="streaming")
+        assert str(raised.value) == (
+            "unknown engine 'streaming'; available: " + ", ".join(names)
         )
-        assert result.stats.events == batch.num_events
 
 
 class TestLogicalPhysicalSplit:

@@ -21,10 +21,18 @@ from repro.core.optimizer import optimize
 from repro.core.rewrite import rewrite_plan
 from repro.engine.columnar import FOLD_PASSES_MAX_WIDTH, aggregate_raw
 from repro.engine.events import make_batch
-from repro.engine.executor import execute_plan, results_equal
+from repro.engine.executor import (
+    ExecutionResult,
+    execute_plan,
+    results_equal,
+)
 from repro.engine.panes import logical_raw_pairs, pane_width
 from repro.engine.stats import ExecutionStats
-from repro.engine.streaming import _ChunkedRawOperator, _ChunkedSubAggOperator
+from repro.engine.streaming import (
+    ChunkedStreamingExecutor,
+    _ChunkedRawOperator,
+    _ChunkedSubAggOperator,
+)
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
@@ -200,6 +208,11 @@ def _plans(aggregate, windows=WINDOWS):
     return plans
 
 
+def _run_chunked(plan, batch, chunk_ticks):
+    executor = ChunkedStreamingExecutor(plan, batch, chunk_ticks=chunk_ticks)
+    return ExecutionResult(plan, executor.run(), executor.stats)
+
+
 class TestAnyChunkingOneAnswer:
     """``columnar-panes`` and ``streaming-chunked`` are one engine at two
     chunk sizes, so every chunk size must tell the ``columnar`` story:
@@ -218,10 +231,7 @@ class TestAnyChunkingOneAnswer:
         batch = _stream(whole=True)
         for plan in _plans(aggregate):
             reference = execute_plan(plan, batch, engine="columnar")
-            chunked = execute_plan(
-                plan, batch, engine="streaming-chunked",
-                chunk_ticks=CHUNKINGS[chunking],
-            )
+            chunked = _run_chunked(plan, batch, CHUNKINGS[chunking])
             assert set(chunked.results) == set(reference.results)
             for window, want in reference.results.items():
                 np.testing.assert_array_equal(chunked.results[window], want)
@@ -240,9 +250,7 @@ class TestAnyChunkingOneAnswer:
         for plan in _plans(aggregate):
             reference = execute_plan(plan, batch, engine="columnar")
             panes = execute_plan(plan, batch, engine="columnar-panes")
-            chunked = execute_plan(
-                plan, batch, engine="streaming-chunked", chunk_ticks=chunk_ticks
-            )
+            chunked = _run_chunked(plan, batch, chunk_ticks)
             assert results_equal(reference, chunked)
             assert (
                 chunked.stats.pairs_per_window
@@ -275,10 +283,7 @@ class TestAnyChunkingOneAnswer:
         assert 100 // 2 > FOLD_PASSES_MAX_WIDTH
         for plan in _plans(aggregate, windows):
             panes = execute_plan(plan, batch, engine="columnar-panes")
-            chunked = execute_plan(
-                plan, batch, engine="streaming-chunked",
-                chunk_ticks=CHUNKINGS[chunking],
-            )
+            chunked = _run_chunked(plan, batch, CHUNKINGS[chunking])
             assert set(chunked.results) == set(panes.results)
             for window, got in chunked.results.items():
                 np.testing.assert_array_equal(got, panes.results[window])
@@ -317,7 +322,6 @@ class TestPanesEngine:
         panes = execute_plan(plan, batch, engine="columnar-panes")
         assert results_equal(columnar, panes)
         assert columnar.stats.pairs_per_window == panes.stats.pairs_per_window
-        assert panes.engine == "columnar-panes"
 
     def test_physical_fraction_below_one_for_high_k(self):
         n = 5_000

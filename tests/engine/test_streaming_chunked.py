@@ -3,16 +3,26 @@
 import numpy as np
 import pytest
 
+import oracle_streaming
 from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.optimizer import min_cost_wcg_with_factors
 from repro.core.rewrite import rewrite_plan
 from repro.engine.events import make_batch
-from repro.engine.executor import execute_plan, results_equal
-from repro.engine.streaming import ChunkedStreamingExecutor
+from repro.engine.executor import (
+    ExecutionResult,
+    execute_plan,
+    results_equal,
+)
+from repro.engine.streaming import ChunkedStreamingExecutor, _ChunkedRawOperator
 from repro.errors import ExecutionError
 from repro.plans.builder import original_plan
 from repro.windows.coverage import CoverageSemantics
 from repro.windows.window import Window, WindowSet
+
+
+def _run_chunked(plan, batch, chunk_ticks):
+    executor = ChunkedStreamingExecutor(plan, batch, chunk_ticks=chunk_ticks)
+    return ExecutionResult(plan, executor.run(), executor.stats)
 
 
 @pytest.fixture
@@ -37,9 +47,7 @@ class TestChunkedMatchesReference:
             aggregate,
         )
         reference = execute_plan(plan, batch, engine="columnar")
-        chunked = execute_plan(
-            plan, batch, engine="streaming-chunked", chunk_ticks=chunk_ticks
-        )
+        chunked = _run_chunked(plan, batch, chunk_ticks)
         assert results_equal(reference, chunked)
         assert (
             reference.stats.pairs_per_window == chunked.stats.pairs_per_window
@@ -50,7 +58,7 @@ class TestChunkedMatchesReference:
             example7_windows, CoverageSemantics.PARTITIONED_BY
         )
         plan = rewrite_plan(gmin, MIN)
-        reference = execute_plan(plan, batch, engine="streaming")
+        reference = oracle_streaming.execute(plan, batch)
         chunked = execute_plan(plan, batch, engine="streaming-chunked")
         assert results_equal(reference, chunked)
         assert (
@@ -69,10 +77,54 @@ class TestChunkedMatchesReference:
         batch = make_batch([3, 150, 151, 490], [1.0, 2.0, 3.0, 4.0], horizon=500)
         plan = original_plan(WindowSet([Window(20, 10)]), SUM)
         reference = execute_plan(plan, batch, engine="columnar")
-        chunked = execute_plan(
-            plan, batch, engine="streaming-chunked", chunk_ticks=35
-        )
+        chunked = _run_chunked(plan, batch, chunk_ticks=35)
         assert results_equal(reference, chunked)
+
+
+class TestTwoIndependentReferences:
+    """Neither reference runs the pane operators' close: a wrong fold
+    there fails against the per-event oracle *and* against
+    ``columnar``, each on its own."""
+
+    @pytest.mark.parametrize("aggregate", [MIN, SUM], ids=lambda a: a.name)
+    def test_a_corrupted_close_fails_both(
+        self, batch, example7_windows, aggregate, monkeypatch
+    ):
+        gmin, _ = min_cost_wcg_with_factors(
+            example7_windows, CoverageSemantics.PARTITIONED_BY
+        )
+        plan = rewrite_plan(gmin, aggregate)
+        oracle = oracle_streaming.execute(plan, batch)
+        columnar = execute_plan(plan, batch, engine="columnar")
+        clean = execute_plan(plan, batch, engine="streaming-chunked")
+        assert results_equal(oracle, clean) and results_equal(columnar, clean)
+
+        close_range = _ChunkedRawOperator._close_range
+        corrupted = []
+
+        def corrupt_one_value(operator, m0, m1):
+            emit = operator._emit
+
+            def emit_corrupted(m0, m1, components):
+                if not corrupted:
+                    components = tuple(c.copy() for c in components)
+                    components[0][0, 0] = -1e6  # key 0, instance m0
+                    corrupted.append((operator.window, m0))
+                emit(m0, m1, components)
+
+            operator._emit = emit_corrupted
+            try:
+                close_range(operator, m0, m1)
+            finally:
+                del operator._emit
+
+        monkeypatch.setattr(
+            _ChunkedRawOperator, "_close_range", corrupt_one_value
+        )
+        mutant = execute_plan(plan, batch, engine="streaming-chunked")
+        assert corrupted
+        assert not results_equal(oracle, mutant)
+        assert not results_equal(columnar, mutant)
 
 
 class TestBoundedState:
@@ -166,12 +218,7 @@ class TestStrideExceedsMultiplier:
         for plan in plans:
             reference = execute_plan(plan, batch, engine="columnar")
             for chunk_ticks in (1, 5, 13, 200):
-                chunked = execute_plan(
-                    plan,
-                    batch,
-                    engine="streaming-chunked",
-                    chunk_ticks=chunk_ticks,
-                )
+                chunked = _run_chunked(plan, batch, chunk_ticks)
                 assert results_equal(reference, chunked)
                 assert (
                     reference.stats.pairs_per_window

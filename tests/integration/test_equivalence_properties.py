@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle_streaming
 from repro.aggregates.registry import AVG, COUNT, MAX, MIN, SUM
 from repro.bench.harness import compare_plans  # noqa: F401  (API sanity)
 from repro.core.optimizer import optimize
@@ -115,15 +116,19 @@ def test_partitioned_by_plans_equivalent(aggregate, windows, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_streaming_engine_agrees_with_columnar(windows, seed):
+    """The session engine against both references: ``columnar`` and the
+    per-event oracle, which share no operator code with it."""
     batch = _random_batch(seed, horizon=100)
     for plan in _all_variants(windows, MIN):
         columnar = execute_plan(plan, batch, engine="columnar")
-        streaming = execute_plan(plan, batch, engine="streaming")
-        assert results_equal(columnar, streaming)
-        assert (
-            columnar.stats.pairs_per_window
-            == streaming.stats.pairs_per_window
-        )
+        streaming = oracle_streaming.execute(plan, batch)
+        chunked = execute_plan(plan, batch, engine="streaming-chunked")
+        for reference in (columnar, streaming):
+            assert results_equal(reference, chunked)
+            assert (
+                reference.stats.pairs_per_window
+                == chunked.stats.pairs_per_window
+            )
 
 
 @pytest.mark.parametrize("aggregate", [SUM, AVG], ids=lambda a: a.name)
@@ -139,14 +144,14 @@ def test_raw_reads_share_one_fold_order_on_real_values(
     """Every path bins raw events through one primitive whose fold
     order is input order — the order the row-at-a-time oracle adds in —
     so on a real-valued (non-integer) stream the original plan's sums
-    are *equal*, not merely close: ``columnar`` against ``streaming``
-    on hopping windows, where an ``allclose`` would hide a pairwise or
+    are *equal*, not merely close: ``columnar`` against the oracle on
+    hopping windows, where an ``allclose`` would hide a pairwise or
     re-sorted reduction."""
     batch = _random_batch(seed, horizon=100)
     assert np.any(batch.values != np.round(batch.values))
     plan = original_plan(windows, aggregate)
     columnar = execute_plan(plan, batch, engine="columnar")
-    streaming = execute_plan(plan, batch, engine="streaming")
+    streaming = oracle_streaming.execute(plan, batch)
     for window in windows:
         np.testing.assert_array_equal(
             columnar.results[window], streaming.results[window]

@@ -93,9 +93,6 @@ class TestPhysicalPathAnnotation:
         assert "raw-materialize[k=4]" in physical_path(
             plan.window_nodes()[0], "columnar"
         )
-        assert "event-loop[k=4]" in physical_path(
-            plan.window_nodes()[0], "streaming"
-        )
 
     def test_paths_for_every_window(self):
         plan = _factor_plan()
