@@ -303,6 +303,7 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                 expect.accepted,
                 expect.late_dropped,
                 expect.total_pairs,
+                expect.total_physical,
                 expect.min_throughput,
                 expect.queries,
             )

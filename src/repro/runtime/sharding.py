@@ -39,9 +39,10 @@ to every core, and one backend surface written over it once
   deterministically in shard order: the test oracle.
 * :class:`ProcessShardBackend` — one worker process per shard over a
   ``multiprocessing`` pipe; columnar event slices ship per run (one
-  IPC message per shard per run, never per event) and data-plane
-  commands are fire-and-forget, so the coordinator keeps routing run
-  ``k+1`` while workers crunch run ``k``.
+  message per shard per run, never per event: a pickled header plus
+  one raw part per column) and data-plane commands are
+  fire-and-forget, so the coordinator keeps routing run ``k+1`` while
+  workers crunch run ``k``.
 * :class:`SharedMemoryShardBackend` — the same worker topology, but
   the data plane moves to one single-producer/single-consumer columnar
   ring per shard in ``multiprocessing.shared_memory``
@@ -50,6 +51,12 @@ to every core, and one backend surface written over it once
   data plane is pickled — and watermark advances ride the same ring,
   so data/advance ordering is a property of the ring, not of pipe
   scheduling.  Control-plane commands stay on the pipe (DESIGN.md §8).
+
+Both worker backends speak one pipe codec, :func:`_send_msg` /
+:func:`_recv_msg`: a protocol-5 pickle skeleton, then each contiguous
+array's bytes as their own out-of-band part, so a worker's
+``ShardReport`` reaches the coordinator without being copied into a
+pickle stream (DESIGN.md §8, "Control pipe").
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import select
+import struct
 import time
 import traceback
 from dataclasses import dataclass
@@ -403,13 +412,103 @@ _IDLE_POLL_SECONDS = 500e-6
 #: to cost nothing against real reply latencies.
 _CONTROL_POLL_SECONDS = 0.05
 
+#: A message's fixed head: skeleton bytes, out-of-band part count.
+_HEAD = struct.Struct("<QQ")
+
+#: Most buffers one ``writev`` / ``readv`` call takes (POSIX IOV_MAX).
+_IOV_MAX = 1024
+
+
+def _frame(obj) -> list:
+    """One message as the buffers that go down the pipe, in order: the
+    head and every part's byte size, the protocol-5 pickle skeleton,
+    then each out-of-band part straight from its array's memory."""
+    buffers = []
+    skeleton = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    parts = [buffer.raw() for buffer in buffers]
+    sizes = struct.pack(f"<{len(parts)}Q", *(part.nbytes for part in parts))
+    return [_HEAD.pack(len(skeleton), len(parts)) + sizes, skeleton, *parts]
+
+
+def _skip(views: list, n: int) -> list:
+    """What is left of ``views`` after their first ``n`` bytes."""
+    i = 0
+    while i < len(views) and n >= views[i].nbytes:
+        n -= views[i].nbytes
+        i += 1
+    rest = views[i:]
+    if n:
+        rest[0] = rest[0][n:]
+    return rest
+
+
+def _write_all(fd: int, buffers: list) -> None:
+    views = [memoryview(buffer) for buffer in buffers if len(buffer)]
+    while views:
+        views = _skip(views, os.writev(fd, views[:_IOV_MAX]))
+
+
+def _read_into(fd: int, buffers: list, ready) -> None:
+    views = [memoryview(buffer) for buffer in buffers if len(buffer)]
+    while views:
+        if ready is not None:
+            ready()
+        n = os.readv(fd, views[:_IOV_MAX])
+        if n == 0:
+            raise EOFError("pipe closed mid-message")
+        views = _skip(views, n)
+
+
+def _send_msg(conn, obj) -> None:
+    """Send one message over a worker pipe, in both directions
+    (DESIGN.md §8, "Control pipe").
+
+    The message is pickled with protocol 5 into a small skeleton, and
+    each contiguous array's bytes go out as their own part, written
+    (``writev``) straight from the array's memory: nothing large is
+    copied into a pickle stream.
+    """
+    _write_all(conn.fileno(), _frame(obj))
+
+
+def _recv_msg(conn, ready=None):
+    """Receive one :func:`_send_msg` message.
+
+    Each part is read (``readv``) into a fresh writable buffer that
+    the rebuilt array owns.  ``ready()``, when given, is called before
+    every read and returns once the pipe is readable, or raises: the
+    coordinator's liveness check runs per read, not per message.  A
+    sender that dies mid-message raises :class:`EOFError` (or
+    :class:`OSError`) here.
+    """
+    fd = conn.fileno()
+    head = bytearray(_HEAD.size)
+    _read_into(fd, [head], ready)
+    skeleton_size, count = _HEAD.unpack(head)
+    rest = bytearray(8 * count + skeleton_size)
+    _read_into(fd, [rest], ready)
+    sizes = struct.unpack_from(f"<{count}Q", rest)
+    # Uninitialized: readv fills every byte, so no zero-fill pass.
+    buffers = [np.empty(size, dtype=np.uint8) for size in sizes]
+    _read_into(fd, buffers, ready)
+    return pickle.loads(memoryview(rest)[8 * count :], buffers=buffers)
+
+
+class _Unanswered(Exception):
+    """No next part is coming: the worker is ``dead`` or ``stall``
+    (the exception's message is the cause)."""
+
+    def __init__(self, kind: str, cause: str):
+        super().__init__(cause)
+        self.kind = kind
+
 
 def _send_fatal(conn) -> None:
     """Last words: ship the traceback of a dying worker loop up the
     control pipe so the coordinator can surface the *cause* of the
     crash, not just an EOF (satellite of DESIGN.md §9)."""
     try:
-        conn.send(("fatal", traceback.format_exc()))
+        _send_msg(conn, ("fatal", traceback.format_exc()))
     except Exception:  # pragma: no cover - pipe already gone
         pass
 
@@ -431,14 +530,14 @@ class _ShardWorker:
         it; any other command's failure is parked."""
         owes = msg[0] in _REPLY_OPS
         if owes and self.parked is not None:
-            self.conn.send(("error", self.parked))
+            _send_msg(self.conn, ("error", self.parked))
             return
         try:
             reply = ("ok", _apply(self.core, msg))
         except Exception:
             reply = ("error", traceback.format_exc())
         if owes:
-            self.conn.send(reply)
+            _send_msg(self.conn, reply)
         elif reply[0] == "error" and self.parked is None:
             self.parked = reply[1]
 
@@ -452,7 +551,7 @@ class _ShardWorker:
             # split's sibling, session restore); whatever the
             # coordinator replays follows on the stream.
             self.core, self.parked = pickle.loads(msg[1]), None
-            self.conn.send(("ok", self.core.watermark))
+            _send_msg(self.conn, ("ok", self.core.watermark))
         else:
             self.apply(msg)
         return True
@@ -462,7 +561,7 @@ class _ShardWorker:
         one FIFO."""
         while True:
             try:
-                msg = self.conn.recv()
+                msg = _recv_msg(self.conn)
             except (EOFError, OSError):  # pragma: no cover - parent died
                 return
             if not self.control(msg):
@@ -525,7 +624,7 @@ class _ShardWorker:
                 if not self.conn.poll(0 if drain() else _IDLE_POLL_SECONDS):
                     continue
                 try:
-                    msg = self.conn.recv()
+                    msg = _recv_msg(self.conn)
                 except (EOFError, OSError):  # pragma: no cover - parent died
                     return
                 if msg[0] == "restore":
@@ -678,7 +777,7 @@ class _WorkerShardBackend(_ShardBackend):
             if conn is None:
                 continue
             try:
-                conn.send(("close",))
+                _send_msg(conn, ("close",))
             except (BrokenPipeError, OSError):
                 pass
             try:
@@ -716,7 +815,7 @@ class _WorkerShardBackend(_ShardBackend):
                     time.sleep(fault.delay_seconds)
                 elif fault.kind == "kill_mid_op":
                     try:
-                        self._conns[slot].send(msg)
+                        _send_msg(self._conns[slot], msg)
                     except (BrokenPipeError, OSError):
                         pass
                     self._kill_worker(slot)
@@ -726,51 +825,63 @@ class _WorkerShardBackend(_ShardBackend):
                         f"fault kind {fault.kind!r} cannot fire on the "
                         "control plane"
                     )
-        self._conns[slot].send(msg)
+        _send_msg(self._conns[slot], msg)
 
     def _recv_reply(self, slot: int) -> "tuple[str, object, str | None]":
         """Await one control reply with liveness: returns ``(kind,
         payload, cause)`` where kind is ``ok``/``error`` (worker
         replied), ``dead`` (worker died), or ``stall`` (alive but past
-        the control timeout)."""
+        the control timeout).  Liveness is checked before every read of
+        the reply, so a worker that dies or goes silent mid-reply is
+        ``dead`` or ``stall`` too."""
         conn, proc = self._conns[slot], self._procs[slot]
         timeout = self._control_timeout
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        while True:
-            try:
-                # A dead worker gets one last poll: it may have flushed
-                # its fatal traceback before the pipe closed.
-                if conn.poll(_CONTROL_POLL_SECONDS) or (
-                    not proc.is_alive() and conn.poll(0)
-                ):
-                    kind, payload = conn.recv()
-                    if kind != "fatal":
-                        return (kind, payload, None)
-                    self._fatal_tracebacks[slot] = payload
-                    return ("dead", None, "worker crashed")
-            except (EOFError, OSError):
-                return ("dead", None, "control connection lost")
-            if not proc.is_alive():
-                return (
-                    "dead",
-                    None,
-                    f"worker exited (exitcode {proc.exitcode})",
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                cause = (
-                    f"no reply within {timeout:.1f}s (worker alive — "
-                    "control message lost or worker wedged)"
-                )
-                if not self._retain:
-                    # Match the crash path's actionable hint: a stall is
-                    # recoverable the same way a crash is.
-                    cause += (
-                        "; worker_recovery=True would respawn and "
-                        "replay the stalled worker instead of failing"
+
+        # ``ready`` runs before every read of the reply: one poll object
+        # costs a syscall per wait, where ``conn.poll`` builds a
+        # selector each call.
+        poller = select.poll()
+        poller.register(conn, select.POLLIN)
+        step_ms = int(_CONTROL_POLL_SECONDS * 1000)
+
+        def ready() -> None:
+            while not poller.poll(step_ms):
+                if not proc.is_alive():
+                    # A dead worker gets one last poll: it may have
+                    # flushed its fatal traceback before the pipe
+                    # closed.
+                    if poller.poll(0):
+                        return
+                    raise _Unanswered(
+                        "dead", f"worker exited (exitcode {proc.exitcode})"
                     )
-                return ("stall", None, cause)
+                if deadline is not None and time.monotonic() >= deadline:
+                    cause = (
+                        f"no reply within {timeout:.1f}s (worker alive — "
+                        "control message lost or worker wedged)"
+                    )
+                    if not self._retain:
+                        # Match the crash path's actionable hint: a
+                        # stall is recoverable the same way a crash is.
+                        cause += (
+                            "; worker_recovery=True would respawn and "
+                            "replay the stalled worker instead of failing"
+                        )
+                    raise _Unanswered("stall", cause)
+
+        try:
+            kind, payload = _recv_msg(conn, ready)
+        except (EOFError, OSError):
+            return ("dead", None, "control connection lost")
+        except _Unanswered as exc:
+            return (exc.kind, None, str(exc))
+        if kind != "fatal":
+            return (kind, payload, None)
+        self._fatal_tracebacks[slot] = payload
+        return ("dead", None, "worker crashed")
 
     def _raise_worker_failure(
         self, slot: int, cause: str, context: str
@@ -782,13 +893,17 @@ class _WorkerShardBackend(_ShardBackend):
         if slot not in self._fatal_tracebacks and conn is not None:
             # A data-plane failure never reads the pipe — give the
             # dying worker a moment to flush its last words.
+            def ready() -> None:
+                if not conn.poll(0.2):
+                    raise _Unanswered("stall", "no last words")
+
             try:
-                while conn.poll(0.2):
-                    last = conn.recv()
+                while True:
+                    last = _recv_msg(conn, ready)
                     if last[0] == "fatal":
                         self._fatal_tracebacks[slot] = last[1]
                         break
-            except (EOFError, OSError):
+            except (EOFError, OSError, _Unanswered):
                 pass
         proc = self._procs[slot]
         shard = self._configs[slot].shard
@@ -937,16 +1052,16 @@ class _WorkerShardBackend(_ShardBackend):
         conn = self._conns[slot]
         base = self._base_states[slot]
         if base is not None:
-            conn.send(("restore", base))
+            _send_msg(conn, ("restore", base))
             self._expect_ok(slot, "restore", cause)
         for msg in self._logs[slot]:
             if msg[0] in _REPLY_OPS:
-                conn.send(msg)
+                _send_msg(conn, msg)
                 self._expect_ok(slot, msg[0], cause)
             else:
                 self._ship(slot, msg)
         if inflight is not None:
-            conn.send(inflight)
+            _send_msg(conn, inflight)
             return self._expect_ok(slot, inflight[0], cause)
         return None
 
@@ -992,7 +1107,7 @@ class _WorkerShardBackend(_ShardBackend):
         self._spawn_worker(config)
         slot = len(self._conns) - 1
         try:
-            self._conns[slot].send(("restore", state))
+            _send_msg(self._conns[slot], ("restore", state))
         except (BrokenPipeError, OSError) as exc:
             self._migration_failure(
                 slot, "restore", f"restore send failed ({exc})"
@@ -1088,10 +1203,11 @@ class _WorkerShardBackend(_ShardBackend):
 class ProcessShardBackend(_WorkerShardBackend):
     """One worker process per shard, fed columnar slices over a pipe.
 
-    Pipes give per-worker FIFO command streams; only commands that owe
-    a reply produce one, so the coordinator can pipeline data-plane
-    traffic without round trips.  Workers are daemonic — they die with
-    the coordinator process.
+    One ``feed`` is one message: a pickled header, then one raw part
+    per column (:func:`_send_msg`).  Pipes give per-worker FIFO command
+    streams; only commands that owe a reply produce one, so the
+    coordinator can pipeline data-plane traffic without round trips.
+    Workers are daemonic — they die with the coordinator process.
     """
 
     name = "process"
@@ -1101,7 +1217,7 @@ class ProcessShardBackend(_WorkerShardBackend):
         return ()
 
     def _ship(self, slot: int, msg) -> None:
-        self._conns[slot].send(msg)
+        _send_msg(self._conns[slot], msg)
 
 
 class SharedMemoryShardBackend(_WorkerShardBackend):

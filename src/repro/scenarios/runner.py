@@ -293,6 +293,7 @@ class ScenarioReport:
             ("accepted", expect.accepted, self.accepted),
             ("late_dropped", expect.late_dropped, self.late_dropped),
             ("total_pairs", expect.total_pairs, self.total_pairs),
+            ("total_physical", expect.total_physical, self.total_physical),
         )
         for label, expected, actual in checks:
             if expected is not None and actual != expected:

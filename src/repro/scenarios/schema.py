@@ -408,7 +408,9 @@ class ExpectSpec(Spec):
 
     ``digest`` pins the full result set bit-for-bit; ``accepted`` /
     ``late_dropped`` pin the reorder counters; ``total_pairs`` pins
-    the logical work (machine-independent, DESIGN.md invariant 6);
+    the logical work (machine-independent, DESIGN.md invariant 6) and
+    ``total_physical`` the physical work (the same on every backend and
+    shard count);
     ``min_throughput`` is a soft floor in events/second (checked only
     when > 0 — wall-clock is hardware-dependent, so committed
     scenarios leave it unset and benches set it at run time).
@@ -421,6 +423,7 @@ class ExpectSpec(Spec):
     accepted: "int | None" = setting(optional(INT), None, at_least(0))
     late_dropped: "int | None" = setting(optional(INT), None, at_least(0))
     total_pairs: "int | None" = setting(optional(INT), None, at_least(0))
+    total_physical: "int | None" = setting(optional(INT), None, at_least(0))
     min_throughput: "float | None" = setting(optional(NUMBER), None)
     queries: "dict | None" = setting(
         optional(mapping_of(INT)), None, at_least(0)

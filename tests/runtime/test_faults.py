@@ -20,6 +20,7 @@ from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.errors import ExecutionError
 from repro.runtime import Fault, FaultPlan, ShardedSession
+from repro.runtime.sharding import _send_msg
 from repro.windows.window import Window, WindowSet
 
 from session_streams import integer_stream
@@ -268,6 +269,53 @@ def test_crash_during_mutation_recovers(repro_seed, op):
     assert_identical(expected, actual, f"kill_mid_op {op}")
 
 
+@pytest.mark.parametrize("read", ["results", "drain_results"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_crash_during_collect_recovers(repro_seed, backend, read):
+    """kill_mid_op on ``collect``, whose reply is a multi-part message
+    (a skeleton, then one part per result array): the worker dies
+    before, while or after writing it.  Either the coordinator reads a
+    whole reply, or it re-issues the collect on a rebuilt worker; a
+    draining read (``collect`` with ``drain=True``, logged for replay)
+    must be consumed exactly once either way, so the mid-stream read
+    and the final results equal the crash-free run's."""
+    events, horizon = make_events(int(repro_seed) % 1000)
+    cut = len(events) // 2
+
+    def drive(session):
+        for query, scope in WORKLOAD:
+            session.register(query, scope=scope)
+        for ts, key, value in events[:cut]:
+            session.push(ts, key, value)
+        mid = getattr(session, read)()
+        for ts, key, value in events[cut:]:
+            session.push(ts, key, value)
+        return mid, session.finish(horizon=horizon)
+
+    oracle = ShardedSession(num_keys=NUM_KEYS, num_shards=NUM_SHARDS)
+    expected = drive(oracle)
+    oracle.close()
+
+    plan = FaultPlan(Fault("kill_mid_op", slot=1, op="collect"))
+    session = ShardedSession(
+        num_keys=NUM_KEYS,
+        num_shards=NUM_SHARDS,
+        backend=backend,
+        fault_plan=plan,
+        worker_recovery=True,
+        control_timeout=10.0,
+    )
+    try:
+        actual = drive(session)
+        assert session.worker_recoveries == 1
+    finally:
+        session.close()
+    assert plan.exhausted
+    context = f"kill_mid_op collect {backend} {read}"
+    assert_identical(expected[0], actual[0], context)
+    assert_identical(expected[1], actual[1], context)
+
+
 def test_snapshot_taken_during_crash_is_still_consistent(repro_seed):
     """A worker killed mid-snapshot: the re-issued snapshot command
     (after respawn + replay) must yield the same consistent cut."""
@@ -379,7 +427,7 @@ def test_worker_error_ships_worker_traceback():
             session.push(ts, key, value)
         # Reach into one worker and make its next control command
         # explode inside the worker process.
-        session.backend._conns[1].send(("no_such_command",))
+        _send_msg(session.backend._conns[1], ("no_such_command",))
         with pytest.raises(ExecutionError) as excinfo:
             session.results()
         # The coordinator's reply stream is one behind now, but the
