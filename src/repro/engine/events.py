@@ -137,24 +137,10 @@ def _first_malformed_row(rows) -> "str | None":
     return None
 
 
-def event_table(events, num_keys: int) -> np.ndarray:
-    """Validate ``(ts, key, value)`` rows into an ``(n, 3)`` float64
-    table — the check every batch front end (both session classes'
-    ``push_many`` and the service manager) runs before applying any of
-    a batch.
-
-    ``events`` is an iterable of rows or an ``(n, 3)`` array.  The
-    batch is checked whole and the first offending row is named: three
-    numeric fields per row; timestamps and keys integral and below
-    2**53 in magnitude (they travel through float64, which must not
-    round them); ``ts >= 0``; keys inside ``[0, num_keys)``.  A NaN in
-    a numeric array is a real NaN (a legal value; a NaN ts or key fails
-    the exactness check), so only rows and object arrays, where
-    ``None`` converts to NaN, earn the per-row scan.
-    """
-    rows = events if isinstance(events, (list, np.ndarray)) else list(events)
-    if len(rows) == 0:
-        return np.empty((0, 3), dtype=np.float64)
+def _row_table(rows) -> np.ndarray:
+    """``rows`` (a non-empty list or array) as an ``(n, 3)`` float64
+    table, or the error naming the first row that is not three
+    fields."""
     try:
         if isinstance(rows, np.ndarray):
             table = np.asarray(rows, dtype=np.float64)
@@ -173,36 +159,56 @@ def event_table(events, num_keys: int) -> np.ndarray:
             _first_malformed_row(rows)
             or "events must be rows of [ts, key, value]"
         )
-    if np.isnan(table).any() and getattr(rows, "dtype", object) == object:
+    return table
+
+
+def _first_invalid_row(
+    rows, table: np.ndarray, num_keys: int, verdicts: "tuple[bool, ...]"
+) -> "str | None":
+    """The message naming the first row that breaks the first rule
+    :func:`event_columns` found broken, or ``None`` when the batch
+    holds nothing but legal NaN values.  ``verdicts`` is that check's
+    ``(exact, ts_ok, keys_ok)``; each rule here only looks for its
+    offending row."""
+    if getattr(rows, "dtype", object) == object and np.isnan(table).any():
         # ``None`` converts to NaN silently, so a NaN anywhere earns
         # the per-row scan (which lets a real NaN value through).
         problem = _first_malformed_row(rows)
         if problem is not None:
-            raise ExecutionError(problem)
+            return problem
+    exact, ts_ok, keys_ok = verdicts
     ids = table[:, :2]
-    exact = np.abs(ids) < _EXACT_INT_LIMIT
-    if exact.all():
-        exact = ids.astype(np.int64) == ids
-    if not exact.all():
-        i = int(np.argmin(exact.all(axis=1)))
+    if not exact:
+        row_ok = np.abs(ids) < _EXACT_INT_LIMIT
+        if row_ok.all():
+            with np.errstate(invalid="ignore"):
+                row_ok = ids.astype(np.int64) == ids
+        i = _first(~row_ok.all(axis=1))
         row = rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i]
-        raise ExecutionError(
+        return (
             f"events[{i}]: timestamp and key must be integers below "
             f"2**53 (exact in float64), got {list(row)!r}"
         )
-    ts, keys = table[:, 0], table[:, 1]
-    if ts.min() < 0:
-        i = int(np.argmax(ts < 0))
-        raise ExecutionError(
-            f"events[{i}]: timestamp {int(ts[i])} must be >= 0"
-        )
-    if keys.min() < 0 or keys.max() >= num_keys:
-        i = int(np.argmax((keys < 0) | (keys >= num_keys)))
-        raise ExecutionError(
+    ts, keys = ids[:, 0], ids[:, 1]
+    if not ts_ok:
+        i = _first(ts < 0)
+        return f"events[{i}]: timestamp {int(ts[i])} must be >= 0"
+    if not keys_ok:
+        i = _first((keys < 0) | (keys >= num_keys))
+        return (
             f"events[{i}]: key {int(keys[i])} outside dense id space "
             f"[0, {num_keys})"
         )
-    return table
+    return None
+
+
+def _first(bad: np.ndarray) -> int:
+    """The index of the first ``True`` in ``bad``, which a rule found
+    broken must hold."""
+    i = int(np.argmax(bad))
+    if not bad[i]:
+        raise AssertionError("a broken rule matched no row")
+    return i
 
 
 @dataclass(frozen=True)
@@ -221,22 +227,56 @@ class EventColumns:
 
 
 def event_columns(events, num_keys: int) -> EventColumns:
-    """:func:`event_table`, split into the engines' ``(ts, keys,
-    values)`` columns.  Idempotent: columns already validated against
-    the same ``num_keys`` come back untouched, so a batch checked at
-    one front door (the service manager) is not checked again at the
-    next (``push_many``, on apply and on every tail replay)."""
+    """Validate ``(ts, key, value)`` rows into the engines' ``(ts,
+    keys, values)`` columns — the check every batch front end (both
+    session classes' ``push_many`` and the service manager) runs
+    before applying any of a batch.
+
+    ``events`` is an iterable of rows or an ``(n, 3)`` array.  The
+    batch is checked whole and the first offending row is named: three
+    numeric fields per row; timestamps and keys integral and below
+    2**53 in magnitude (they travel through float64, which must not
+    round them); ``ts >= 0``; keys inside ``[0, num_keys)``.  A NaN in
+    a numeric array is a real NaN (a legal value; a NaN ts or key fails
+    the exactness check), so only rows and object arrays, where
+    ``None`` converts to NaN, earn the per-row scan.  The two id
+    columns are cast to int64 once: the casts are both the exactness
+    check and the returned columns.  Each rule gets one verdict over
+    the whole batch; only a broken one is searched for its first
+    offending row.
+
+    Idempotent: columns already validated against the same
+    ``num_keys`` come back untouched, so a batch checked at one front
+    door (the service manager) is not checked again at the next
+    (``push_many``, on apply and on every tail replay)."""
     if isinstance(events, EventColumns):
         if events.num_keys == num_keys:
             return events
         events = np.column_stack(tuple(events))
-    table = event_table(events, num_keys)
-    return EventColumns(
-        table[:, 0].astype(np.int64),
-        table[:, 1].astype(np.int64),
-        np.ascontiguousarray(table[:, 2]),
-        num_keys,
+    rows = events if isinstance(events, (list, np.ndarray)) else list(events)
+    if len(rows) == 0:
+        empty = (np.empty(0, dtype) for _, dtype in EVENT_COLUMN_DTYPES)
+        return EventColumns(*empty, num_keys)
+    table = _row_table(rows)
+    float_ids = table[:, :2].T
+    with np.errstate(invalid="ignore"):
+        ids = float_ids.astype(np.int64, order="C")
+    low, high = ids.min(axis=1).tolist(), ids.max(axis=1).tolist()
+    values = np.ascontiguousarray(table[:, 2])
+    verdicts = (
+        bool((ids == float_ids).all())
+        and -_EXACT_INT_LIMIT < min(low)
+        and max(high) < _EXACT_INT_LIMIT,
+        low[0] >= 0,
+        0 <= low[1] and high[1] < num_keys,
     )
+    if not all(verdicts) or (
+        getattr(rows, "dtype", object) == object and np.isnan(values).any()
+    ):
+        problem = _first_invalid_row(rows, table, num_keys, verdicts)
+        if problem is not None:
+            raise ExecutionError(problem)
+    return EventColumns(ids[0], ids[1], values, num_keys)
 
 
 def make_batch(

@@ -49,13 +49,28 @@ class ReorderStats:
         return self.accepted + self.late_dropped
 
 
+#: The empty column carry.  ``push`` tells a column carry from a heap by
+#: identity with it (an unpickled empty carry is a copy, which ``push``
+#: turns into an empty heap once); nothing writes into it, since a held
+#: tail is always a fresh copy.
+_NO_COLUMNS = tuple(np.empty(0, dtype) for _, dtype in EVENT_COLUMN_DTYPES)
+
+
 class ReorderBuffer:
-    """Min-heap reorder buffer with a trailing watermark.
+    """Reorder buffer with a trailing watermark.
 
     ``push`` accepts one (possibly out-of-order) event and yields every
     event whose timestamp the new watermark has passed, in order;
     ``push_batch`` does the same for a columnar block in one pass.
     ``flush`` drains the remainder at end of stream.
+
+    The carried events live in one of two shapes, never both: three
+    sorted columns (``EVENT_COLUMN_DTYPES``) after a ``push_batch``,
+    or the ``(ts, seq, key, value)`` min-heap ``push`` works on.  A
+    ``push`` onto columns turns them into a heap once; the next
+    ``push_batch`` or pickle folds the heap back into columns once.  A
+    buffer fed only batches never builds a Python object per event, and
+    a pickle always holds columns.
     """
 
     def __init__(self, max_lateness: int):
@@ -65,9 +80,15 @@ class ReorderBuffer:
             )
         self.max_lateness = max_lateness
         self.stats = ReorderStats()
-        self._heap: list[Event] = []
         self._max_seen = -1
+        self._held = _NO_COLUMNS
+        self._heap: list[tuple[int, int, int, float]] = []
         self._sequence = 0  # tie-break to keep same-timestamp arrival order
+
+    def __getstate__(self) -> dict:
+        # One shape on disk: the carry as columns, the heap empty.
+        return {**self.__dict__, "_held": self._carried(), "_heap": [],
+                "_sequence": 0}
 
     @property
     def watermark(self) -> int:
@@ -77,16 +98,33 @@ class ReorderBuffer:
     def push(self, ts: int, key: int, value: float) -> Iterator[Event]:
         if ts < 0:
             raise ExecutionError(f"timestamps must be >= 0, got {ts}")
-        if ts < self.watermark:
-            self.stats.note_late(1, self.watermark - ts)
+        watermark = self._max_seen - self.max_lateness
+        if ts < watermark:
+            self.stats.note_late(1, watermark - ts)
             return
+        if self._held is not _NO_COLUMNS:
+            # Sorted columns are already a valid heap.
+            held = [column.tolist() for column in self._held]
+            self._heap = list(zip(held[0], range(len(held[0])), *held[1:]))
+            self._sequence, self._held = len(self._heap), _NO_COLUMNS
         self.stats.accepted += 1
-        heapq.heappush(self._heap, (ts, self._sequence, key, value))
+        heap = self._heap
+        heapq.heappush(heap, (ts, self._sequence, key, value))
         self._sequence += 1
-        self._max_seen = max(self._max_seen, ts)
-        while self._heap and self._heap[0][0] < self.watermark:
-            out_ts, _, out_key, out_value = heapq.heappop(self._heap)
+        if ts > self._max_seen:
+            self._max_seen = ts
+            watermark = ts - self.max_lateness
+        while heap and heap[0][0] < watermark:
+            out_ts, _, out_key, out_value = heapq.heappop(heap)
             yield (out_ts, out_key, out_value)
+
+    def _carried(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """The carried events as sorted columns, whichever shape holds
+        them."""
+        if not self._heap:
+            return self._held
+        events = [(t, k, v) for t, _, k, v in sorted(self._heap)]
+        return tuple(_columns(events))
 
     def push_batch(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
@@ -104,13 +142,13 @@ class ReorderBuffer:
         * ``push`` releases in ``(ts, arrival)`` order and never
           releases a tick that can still receive an event, so what a
           run of pushes releases is the stable timestamp sort of the
-          carried events followed by the accepted ones, cut at the
-          final watermark.  An in-order block is already that sort.
+          carried columns followed by the accepted events, cut at the
+          final watermark.  An in-order concatenation is already that
+          sort.
 
-        The remainder is carried as the ``(ts, seq, key, value)`` list
-        ``push`` keeps (sorted, hence a valid heap), so the two verbs
-        interleave freely on one buffer.  A negative timestamp rejects
-        the whole block before any state moves.
+        The remainder is kept as sorted columns (a copy of the tail
+        only, never a view of the caller's arrays).  A negative
+        timestamp rejects the whole block before any state moves.
         """
         ts = np.asarray(ts, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
@@ -133,36 +171,38 @@ class ReorderBuffer:
             ts, keys, values = ts[accepted], keys[accepted], values[accepted]
         self._max_seen = int(seen[-1])
         self.stats.accepted += int(ts.size)
-        columns = [
-            ts,
-            np.arange(self._sequence, self._sequence + ts.size),
-            keys,
-            values,
-        ]
-        self._sequence += int(ts.size)
         if self._heap:
-            columns = [
-                np.concatenate((np.asarray(held, dtype=column.dtype), column))
-                for held, column in zip(zip(*sorted(self._heap)), columns)
-            ]
-        merged = columns[0]
-        if (merged[1:] < merged[:-1]).any():
-            order = np.argsort(merged, kind="stable")
-            columns = [column[order] for column in columns]
-        cut = int(np.searchsorted(columns[0], self.watermark, side="left"))
-        self._heap = list(zip(*(column[cut:].tolist() for column in columns)))
-        out_ts, _, out_keys, out_values = (column[:cut] for column in columns)
-        return out_ts, out_keys, out_values
+            self._held, self._heap = self._carried(), []
+        if self._held[0].size:
+            ts, keys, values = (
+                np.concatenate(pair)
+                for pair in zip(self._held, (ts, keys, values))
+            )
+        if (ts[1:] < ts[:-1]).any():
+            order = np.argsort(ts, kind="stable")
+            ts, keys, values = ts[order], keys[order], values[order]
+        cut = int(np.searchsorted(ts, self.watermark, side="left"))
+        self._held = (
+            _NO_COLUMNS
+            if cut == ts.size
+            else (ts[cut:].copy(), keys[cut:].copy(), values[cut:].copy())
+        )
+        return ts[:cut], keys[:cut], values[:cut]
+
+    def _drain(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Take every carried event, as sorted columns (end of
+        stream)."""
+        columns = self._carried()
+        self._held, self._heap = _NO_COLUMNS, []
+        return columns
 
     def flush(self) -> Iterator[Event]:
-        """Drain all buffered events (end of stream)."""
-        while self._heap:
-            ts, _, key, value = heapq.heappop(self._heap)
-            yield (ts, key, value)
+        """Drain all buffered events (end of stream), in order."""
+        return zip(*(column.tolist() for column in self._drain()))
 
     @property
     def buffered(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + self._held[0].size
 
 
 def _columns(rows: "list[Event]") -> "list[np.ndarray]":
@@ -180,8 +220,9 @@ def _reorder_columns(
     flush: ``([ts, keys, values], stats)`` of everything released."""
     buffer = ReorderBuffer(max_lateness)
     released = buffer.push_batch(*_columns(list(events)))
-    tail = _columns(list(buffer.flush()))
-    return [np.concatenate(pair) for pair in zip(released, tail)], buffer.stats
+    return [
+        np.concatenate(pair) for pair in zip(released, buffer._drain())
+    ], buffer.stats
 
 
 def reorder_events(

@@ -74,7 +74,9 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v8: settings no caller turned are constants — a v7 coordinator
 #: carries the factor-window switch and the retired-result cap, a v7
 #: core the cap, and a v7 reorder buffer its retained late-event log.
-CHECKPOINT_VERSION = 8
+#: v9: the reorder buffer carries its held events as sorted columns —
+#: a v8 buffer holds a ``(ts, seq, key, value)`` tuple heap instead.
+CHECKPOINT_VERSION = 9
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

@@ -501,10 +501,11 @@ class SessionFrontDoor:
 
         The same call on any session — whatever its ``max_lateness``,
         whatever the front door already holds, wherever the batch
-        starts: an in-order batch crosses the reorder buffer for the
-        price of a comparison, its newest tick waits there for the next
-        one like any pushed event, and events behind the watermark are
-        dropped and counted as late."""
+        starts: the batch crosses the reorder buffer as columns (one
+        running maximum for its late events, which are dropped and
+        counted, and no sort when it joins the carried columns in
+        order), and leaves a copy of its own newest tick carried until
+        the next one, like any pushed event."""
         if batch.num_keys != self.num_keys:
             raise ExecutionError(
                 f"batch has {batch.num_keys} keys, session has "

@@ -4,11 +4,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates.registry import MIN
-from repro.engine.events import make_batch
+from repro.engine.events import EVENT_COLUMN_DTYPES, make_batch
 from repro.engine.executor import execute_plan, results_equal
 from repro.engine.outoforder import (
     ReorderBuffer,
@@ -165,7 +165,9 @@ class TestPushBatch:
         """Feed ``events`` piece by piece, each through the next of
         ``verbs`` (cycled): ``push`` event by event, ``batch`` through
         ``push_batch``, ``pickle`` the same after a pickle round trip of
-        the buffer.  Returns ``(per-piece trace, buffer)``."""
+        the buffer, ``pickle-push`` event by event after one.  Returns
+        ``(per-piece trace, buffer)``: each piece's releases, watermark,
+        held count and counters."""
         buffer = ReorderBuffer(max_lateness)
         bounds = sorted(min(s, len(events)) for s in splits)
         trace = []
@@ -174,21 +176,35 @@ class TestPushBatch:
         ):
             block = [events[i] for i in piece]
             verb = verbs[index % len(verbs)]
-            if verb == "pickle":
+            if verb.startswith("pickle"):
                 buffer = pickle.loads(pickle.dumps(buffer))
-            if verb == "push":
+            if verb.endswith("push"):
                 released = [e for row in block for e in buffer.push(*row)]
             else:
                 released = rows(buffer.push_batch(*columns(block)))
-            trace.append((released, buffer.watermark, buffer.buffered))
+            counters = [getattr(buffer.stats, c) for c in COUNTERS]
+            trace.append(
+                (released, buffer.watermark, buffer.buffered, counters)
+            )
         return trace, buffer
+
+    def _assert_matches_push(self, events, splits, max_lateness, verbs):
+        """Every piece fed through ``verbs`` ≡ fed event by event: the
+        trace call by call, then the end-of-stream drain."""
+        oracle, oracle_buf = self._play(
+            events, splits, max_lateness, ["push"]
+        )
+        trace, buf = self._play(events, splits, max_lateness, verbs)
+        assert trace == oracle, verbs
+        assert list(buf.flush()) == list(oracle_buf.flush()), verbs
+        assert buf.buffered == 0
 
     @given(
         events=events_strategy,
         splits=st.lists(st.integers(0, 200), max_size=3),
         max_lateness=st.integers(0, 15),
         mixed=st.lists(
-            st.sampled_from(("push", "batch", "pickle")),
+            st.sampled_from(("push", "batch", "pickle", "pickle-push")),
             min_size=1,
             max_size=4,
         ),
@@ -200,22 +216,119 @@ class TestPushBatch:
         """Both ways a batch meets a buffer: every piece batched, and
         batches interleaved with per-event pushes (the carried heap
         handed across in both directions, pickled mid-stream)."""
-        oracle, oracle_buf = self._play(
-            events, splits, max_lateness, ["push"]
-        )
         for verbs in (["batch"], mixed):
-            trace, buf = self._play(
-                events, splits, max_lateness, verbs
+            self._assert_matches_push(events, splits, max_lateness, verbs)
+
+    @staticmethod
+    @st.composite
+    def in_order_pieces(draw):
+        """``(events, splits, max_lateness)``: a stream cut into
+        timestamp-sorted pieces, each starting near the newest tick so
+        far — often exactly at it, at the watermark or one below, so
+        late prefixes, seams at the carried maximum, all-late pieces
+        and empty pieces all occur."""
+        max_lateness = draw(st.integers(0, 8))
+        events, splits, newest = [], [], -1
+        for _ in range(draw(st.integers(1, 6))):
+            offset = draw(
+                st.sampled_from((0, -1, -max_lateness, -max_lateness - 1))
+                | st.integers(-20, 6)
             )
-            assert trace == oracle, verbs
-            for counter in COUNTERS:
-                assert getattr(buf.stats, counter) == getattr(
-                    oracle_buf.stats, counter
-                ), (verbs, counter)
-            # Drain order after the batch must also agree.
-            assert list(buf.flush()) == list(
-                self._play(events, splits, max_lateness, ["push"])[1].flush()
-            ), verbs
+            tick = max(0, newest + offset)
+            piece = draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 3),  # step to the next timestamp
+                        st.integers(0, 3),  # key
+                        st.floats(-100, 100, allow_nan=False, width=32),
+                    ),
+                    max_size=12,
+                )
+            )
+            for step, key, value in piece:
+                tick += step
+                events.append((tick, key, value))
+                newest = max(newest, tick)
+            splits.append(len(events))
+        return events, splits, max_lateness
+
+    @given(
+        stream=in_order_pieces(),
+        verbs=st.lists(
+            st.sampled_from(("push", "batch", "pickle", "pickle-push")),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(  # a late prefix, then an event at the watermark held
+        stream=(
+            [(10, 0, 1.0), (5, 1, 2.0), (7, 0, 3.0), (8, 1, 4.0),
+             (12, 0, 5.0)],
+            [1], 2,
+        ),
+        verbs=["batch"],
+    )
+    @example(  # a block starting exactly at the carried maximum
+        stream=(
+            [(3, 0, 1.0), (6, 1, 2.0), (6, 2, 3.0), (9, 0, 4.0)], [2], 2
+        ),
+        verbs=["batch"],
+    )
+    @example(  # a block starting exactly at the watermark
+        stream=(
+            [(3, 0, 1.0), (6, 1, 2.0), (4, 2, 3.0), (9, 0, 4.0)], [2], 2
+        ),
+        verbs=["batch"],
+    )
+    @example(  # an all-late sorted block
+        stream=(
+            [(10, 0, 1.0), (2, 1, 2.0), (5, 0, 3.0), (8, 1, 4.0)], [1], 1
+        ),
+        verbs=["batch"],
+    )
+    @example(  # an empty block after a carry
+        stream=([(3, 0, 1.0), (6, 1, 2.0), (7, 0, 1.0)], [2, 2], 2),
+        verbs=["batch"],
+    )
+    @example(  # push -> push_batch -> pickle -> push
+        stream=(
+            [(4, 0, 1.0), (2, 1, 2.0), (5, 0, 3.0), (5, 1, 4.0),
+             (3, 2, 5.0), (9, 0, 6.0), (6, 3, 7.0), (8, 1, 8.0)],
+            [2, 4, 6], 3,
+        ),
+        verbs=["push", "batch", "pickle-push", "push"],
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_order_pieces_match_per_event_push(self, stream, verbs):
+        """Timestamp-sorted pieces (a late prefix, no sort at a seam at
+        or above the carried maximum, the one-below seam that does
+        sort) ≡ ``push``, alone and with the verbs mixed across
+        pickles."""
+        events, splits, max_lateness = stream
+        for feed in (["batch"], verbs):
+            self._assert_matches_push(events, splits, max_lateness, feed)
+
+    def test_a_batch_fed_buffer_carries_columns_only(self):
+        """``push_batch`` alone never builds the heap; a ``push`` turns
+        the carry into one, the next batch folds it back, and a pickle
+        holds columns whichever shape the buffer is in."""
+        buffer = ReorderBuffer(3)
+        for block in ([(5, 0, 1.0), (2, 1, 2.0), (9, 0, 3.0)],
+                      [(8, 1, 4.0), (10, 0, 5.0)]):
+            buffer.push_batch(*columns(block))
+            assert buffer._heap == []
+            assert [c.dtype for c in buffer._held] == [
+                dtype for _, dtype in EVENT_COLUMN_DTYPES
+            ]
+        assert list(buffer.push(11, 1, 6.0)) == []
+        assert buffer._held[0].size == 0 and len(buffer._heap) == 4
+        state = buffer.__getstate__()
+        assert state["_heap"] == []
+        assert state["_held"][0].tolist() == [8, 9, 10, 11]
+        assert len(buffer._heap) == 4  # pickling folds a copy
+        buffer.push_batch(*columns([(12, 0, 7.0)]))
+        assert buffer._heap == []
+        assert buffer._held[0].tolist() == [9, 10, 11, 12]
 
     @given(
         events=events_strategy,

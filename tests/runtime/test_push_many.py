@@ -15,6 +15,8 @@ loop); real-valued streams are held to the same standard with
 ``hysteresis=None``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,50 @@ def test_push_many_is_the_per_event_loop(
         assert listed_wm == loop_wm, context
 
 
+GOOD_ROWS = [(3, 0, 1.0), (4, 1, 2.0)]
+_EXACT = (
+    "events[2]: timestamp and key must be integers below 2**53 "
+    "(exact in float64), got "
+)
+_SHAPE = "events[2]: expected [ts, key, value], got "
+_NAN = "(cannot convert float NaN to integer)"
+_NONE = "(float() argument must be a string or a real number, not 'NoneType')"
+_SHORT = "(not enough values to unpack (expected 3, got 2))"
+_LONG = "(too many values to unpack (expected 3))"
+nan, inf = float("nan"), float("inf")
+
+#: ``(id, bad row, message on a row list, message on an array)``
+#: appended after ``GOOD_ROWS`` — the messages of the validation rules
+#: as first written, kept word for word.
+MALFORMED = [
+    ("nan-ts", (nan, 1, 2.0), f"{_SHAPE}(nan, 1, 2.0) {_NAN}",
+     f"{_EXACT}[nan, 1.0, 2.0]"),
+    ("inf-ts", (inf, 1, 2.0), f"{_EXACT}[inf, 1, 2.0]",
+     f"{_EXACT}[inf, 1.0, 2.0]"),
+    ("nan-key", (4, nan, 2.0), f"{_SHAPE}(4, nan, 2.0) {_NAN}",
+     f"{_EXACT}[4.0, nan, 2.0]"),
+    ("inf-key", (4, inf, 2.0), f"{_EXACT}[4, inf, 2.0]",
+     f"{_EXACT}[4.0, inf, 2.0]"),
+    ("2**53-ts", (2**53, 1, 2.0), f"{_EXACT}[9007199254740992, 1, 2.0]",
+     f"{_EXACT}[9007199254740992.0, 1.0, 2.0]"),
+    ("2**53-key", (4, 2**53, 2.0), f"{_EXACT}[4, 9007199254740992, 2.0]",
+     f"{_EXACT}[4.0, 9007199254740992.0, 2.0]"),
+    ("fractional-ts", (1.5, 1, 2.0), f"{_EXACT}[1.5, 1, 2.0]",
+     f"{_EXACT}[1.5, 1.0, 2.0]"),
+    ("negative-ts", (-1, 1, 2.0), "events[2]: timestamp -1 must be >= 0",
+     "events[2]: timestamp -1 must be >= 0"),
+    ("key-num_keys", (4, NUM_KEYS, 2.0),
+     "events[2]: key 4 outside dense id space [0, 4)",
+     "events[2]: key 4 outside dense id space [0, 4)"),
+    ("None", (4, 1, None), f"{_SHAPE}(4, 1, None) {_NONE}",
+     f"{_SHAPE}array([4, 1, None], dtype=object) {_NONE}"),
+    ("2-field", (4, 1), f"{_SHAPE}(4, 1) {_SHORT}",
+     f"{_SHAPE}[4, 1] {_SHORT}"),
+    ("4-field", (4, 1, 2.0, 5.0), f"{_SHAPE}(4, 1, 2.0, 5.0) {_LONG}",
+     f"{_SHAPE}[4, 1, 2.0, 5.0] {_LONG}"),
+]
+
+
 class TestBatchValidation:
     """A batch is checked whole before any of it is applied.  (A
     fractional timestamp used to be truncated on its way through
@@ -172,6 +218,37 @@ class TestBatchValidation:
         session.push_many([(3, 0, 1.0)])  # still healthy
         assert session.reorder_stats.accepted == accepted + 1
 
+    @pytest.mark.parametrize("feed", ["rows", "ndarray"])
+    @pytest.mark.parametrize(
+        "bad, rows_message, array_message",
+        [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_each_malformed_class_names_its_row(
+        self, feed, bad, rows_message, array_message
+    ):
+        """The validation contract, message for message: every class
+        of malformed row, on a row list and on an array, raises the
+        text below naming row 2 and applies nothing."""
+        rows = GOOD_ROWS + [bad]
+        if feed == "rows":
+            events, expected = rows, rows_message
+        elif len(bad) != 3:
+            events, expected = np.empty(len(rows), dtype=object), array_message
+            events[:] = [list(row) for row in rows]
+        else:
+            dtype = object if None in bad else np.float64
+            events, expected = np.array(rows, dtype=dtype), array_message
+        session = serial_session(1, num_keys=NUM_KEYS, hysteresis=None)
+        session.register(INITIAL[0])
+        session.push_many([(1, 0, 1.0), (2, 1, 2.0)])
+        before = pickle.dumps(session._reorder)
+        with pytest.raises(ExecutionError) as raised:
+            session.push_many(events)
+        assert str(raised.value) == expected
+        assert pickle.dumps(session._reorder) == before
+        session.close()
+
     def test_exact_conversion_boundary(self):
         ts, keys, values = event_columns(
             [(2**53 - 1, 0, float("nan")), (0, 1, 0.5)], num_keys=2
@@ -179,12 +256,25 @@ class TestBatchValidation:
         assert ts.dtype == np.int64 and keys.dtype == np.int64
         assert ts.tolist() == [2**53 - 1, 0]  # exact, not rounded
         assert np.isnan(values[0]) and values[1] == 0.5  # NaN is a value
+        assert all(column.flags.c_contiguous for column in (ts, keys, values))
+        assert values.base is None  # no wider copy kept alive by a batch
         with pytest.raises(ExecutionError, match=r"events\[0\]"):
             event_columns([(2**53, 0, 1.0)], num_keys=2)
         with pytest.raises(ExecutionError, match=r"events\[0\]"):
             event_columns(np.array([[np.inf, 0.0, 1.0]]), num_keys=2)
         empty = event_columns([], num_keys=2)
         assert [column.size for column in empty] == [0, 0, 0]
+
+    def test_a_broken_rule_without_an_offending_row_fails_loudly(self):
+        """The failure path only looks for the row a broken verdict
+        names: a verdict with no such row is a bug, never a message
+        about a valid row."""
+        from repro.engine.events import _first_invalid_row
+
+        table = np.array([[1.0, 0.0, 1.0]])
+        with pytest.raises(AssertionError, match="matched no row"):
+            _first_invalid_row(table, table, 2, (True, True, False))
+        assert _first_invalid_row(table, table, 2, (True, True, True)) is None
 
     @SHARD_COUNTS
     def test_validation_is_idempotent(self, shards):
