@@ -10,8 +10,9 @@ consults the plan before every ``advance`` it ships and every
 control-plane command it sends).  A control-plane fault names its
 command by its op name in the shard op table
 (``repro.runtime.sharding._SHARD_OPS``: ``register``, ``collect``,
-``snapshot``, ``extract`` …) or ``restore``.  Given the same stream and
-schedule, a
+``snapshot``, ``extract`` …) or ``restore`` (a core handed to a worker:
+on a session restore, a split's sibling, an epoch rollback).  Given the
+same stream and schedule, a
 :class:`FaultPlan` fires at the same instruction on every run, which
 is what lets ``tests/runtime/test_checkpoint.py`` assert bit-identical
 recovery under hypothesis-chosen crash points seeded from

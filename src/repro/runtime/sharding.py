@@ -252,12 +252,13 @@ class _ShardBackend:
     """The backend surface the session drives, written once.
 
     Every public command is a message ``(op, *args)`` of
-    :data:`_SHARD_OPS`, sent through three primitives a backend
-    supplies: :meth:`_broadcast` (to every core, one reply each, in
-    slot order), :meth:`_on` (to one core, its reply) and :meth:`_post`
-    (fire-and-forget data plane).  It also supplies ``start``,
-    ``slot_count``, ``_add_slot`` (append a core loaded from a
-    snapshot blob), ``_drop_slot`` and ``_restore_cores``.
+    :data:`_SHARD_OPS` (or the life-cycle ``restore``), sent through
+    two primitives a backend supplies: :meth:`_round` (a list of
+    ``(slot, msg)``, every message sent before any reply is read, one
+    reply per message in order) and :meth:`_post` (fire-and-forget data
+    plane).  It also supplies ``start``, ``slot_count``,
+    ``_append_slot`` (a new last slot, filled by the ``restore`` that
+    follows) and ``_drop_slot``.
 
     The durability surface is here too, so the session never probes:
     a backend without workers has nothing to recover, and refuses a
@@ -292,6 +293,10 @@ class _ShardBackend:
             self._post(slot, ("advance", watermark))
 
     # Control plane ----------------------------------------------------
+    def _broadcast(self, msg) -> list:
+        """One command to every core: its replies, in slot order."""
+        return self._round([(slot, msg) for slot in range(self.slot_count)])
+
     def register(self, query: Query, at: int, scope: str) -> RegisterAck:
         return _merge_acks(self._broadcast(("register", query, at, scope)))
 
@@ -332,31 +337,58 @@ class _ShardBackend:
                 f"snapshot has {len(states)} shard cores, backend has "
                 f"{self.slot_count}"
             )
-        self._restore_cores(states)
+        self._round(
+            [(slot, ("restore", state)) for slot, state in enumerate(states)]
+        )
 
-    # Elastic-shard protocol (DESIGN.md §12): the five ops one
-    # coordinator plan is built from, on every backend.
-    def migrate_extract(self, slot: int, local_ids) -> object:
-        return self._on(slot, ("extract", local_ids))
+    def _add_slot(self, config: ShardConfig, state: bytes) -> None:
+        """Append a slot whose core is the pickled ``state`` (a split's
+        sibling, or an epoch rollback's pre-plan core)."""
+        self._append_slot(config)
+        self._round([(self.slot_count - 1, ("restore", state))])
 
-    def migrate_absorb(self, slot: int, bundle, positions) -> None:
-        self._on(slot, ("absorb", bundle, positions))
+    # Elastic-shard protocol (DESIGN.md §12): the five phases one
+    # coordinator plan is built from, on every backend.  Each phase is
+    # one round over the slots it touches: ops on different cores
+    # commute, and each core still sees its own ops in plan order.
+    def migrate_extract(self, requests) -> list:
+        """``(slot, local_ids)`` pairs: one key bundle per pair."""
+        return self._round(
+            [(slot, ("extract", local_ids)) for slot, local_ids in requests]
+        )
 
-    def spawn_sibling(self, src_slot: int, config: ShardConfig) -> None:
-        """Shard split: the donor serializes a keyless sibling
-        (workload history and barrier cursors intact, per-key state
-        stripped, counters zeroed), loaded into a new last slot."""
-        self._add_slot(config, self._on(src_slot, ("sibling",)))
+    def migrate_absorb(self, requests) -> None:
+        """``(slot, bundle, positions)`` triples, in plan order."""
+        self._round(
+            [
+                (slot, ("absorb", bundle, positions))
+                for slot, bundle, positions in requests
+            ]
+        )
 
-    def retire_shard(self, slot: int) -> object:
-        """Shard merge: take the keyless core's cross-key remnant and
-        drop the slot from the topology."""
-        remnant = self._on(slot, ("remnant",))
-        self._drop_slot(slot)
-        return remnant
+    def spawn_siblings(self, src_slot: int, configs) -> None:
+        """Shard split: the donor serializes one keyless sibling per
+        config (workload history and barrier cursors intact, per-key
+        state stripped, counters zeroed), each loaded into a new last
+        slot."""
+        blobs = self._round([(src_slot, ("sibling",)) for _ in configs])
+        for config, blob in zip(configs, blobs):
+            self._add_slot(config, blob)
 
-    def absorb_remnant(self, slot: int, remnant) -> None:
-        self._on(slot, ("absorb_remnant", remnant))
+    def retire_shards(self, slots) -> list:
+        """Shard merge: take each keyless core's cross-key remnant,
+        then drop the slots from the topology — in the order given,
+        which must be descending (a removal never shifts a slot still
+        to be dropped)."""
+        remnants = self._round([(slot, ("remnant",)) for slot in slots])
+        for slot in slots:
+            self._drop_slot(slot)
+        return remnants
+
+    def absorb_remnants(self, slot: int, remnants) -> None:
+        self._round(
+            [(slot, ("absorb_remnant", remnant)) for remnant in remnants]
+        )
 
     def close(self) -> None:
         """Release what :meth:`start` built (nothing, in-process)."""
@@ -382,23 +414,25 @@ class SerialShardBackend(_ShardBackend):
     def slot_count(self) -> int:
         return len(self.cores)
 
-    def _broadcast(self, msg) -> list:
-        return [_apply(core, msg) for core in self.cores]
+    def _round(self, msgs) -> list:
+        replies = []
+        for slot, msg in msgs:
+            if msg[0] == "restore":
+                self.cores[slot] = pickle.loads(msg[1])
+                replies.append(self.cores[slot].watermark)
+            else:
+                replies.append(_apply(self.cores[slot], msg))
+        return replies
 
-    def _on(self, slot: int, msg):
-        return _apply(self.cores[slot], msg)
+    def _post(self, slot: int, msg) -> None:
+        _apply(self.cores[slot], msg)
 
-    _post = _on
-
-    def _add_slot(self, config: ShardConfig, state: bytes) -> None:
-        del config  # the blob is the whole core
-        self.cores.append(pickle.loads(state))
+    def _append_slot(self, config: ShardConfig) -> None:
+        del config  # the restore that follows brings the whole core
+        self.cores.append(None)
 
     def _drop_slot(self, slot: int) -> None:
         del self.cores[slot]
-
-    def _restore_cores(self, states: "list[bytes]") -> None:
-        self.cores = [pickle.loads(state) for state in states]
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +751,7 @@ class _WorkerShardBackend(_ShardBackend):
     def start(self, configs: "list[ShardConfig]") -> None:
         try:
             for config in configs:
-                self._spawn_worker(config)
+                self._append_slot(config)
         except BaseException:
             # A mid-loop failure (ENOSPC on /dev/shm, spawn error)
             # would otherwise orphan what already exists — close() is
@@ -734,7 +768,7 @@ class _WorkerShardBackend(_ShardBackend):
         self._last_acked: "list[int]" = []
         self._fatal_tracebacks: "dict[int, str]" = {}
 
-    def _spawn_worker(self, config: ShardConfig) -> None:
+    def _append_slot(self, config: ShardConfig) -> None:
         """Append one slot and start its worker."""
         self._configs.append(config)
         self._conns.append(None)
@@ -926,61 +960,72 @@ class _WorkerShardBackend(_ShardBackend):
         raise ExecutionError(detail)
 
     # ------------------------------------------------------------------
-    # The three primitives, with recovery
+    # The two primitives, with recovery
     # ------------------------------------------------------------------
-    def _broadcast(self, msg) -> list:
-        """Send one reply-bearing command to every worker, gather one
-        reply per worker (drain-before-raise), and recover any worker
-        that died along the way."""
-        op = msg[0]
-        count = len(self._conns)
-        send_failure: "dict[int, str]" = {}
-        for slot in range(count):
+    def _round(self, msgs) -> list:
+        """Run one round: send every ``(slot, msg)`` before reading any
+        reply, then read exactly one reply per message sent, in order
+        (a slot that died or stalled is not read again), and only then
+        raise — so no reply is left in a pipe to desync the next round.
+
+        A dead or stalled worker escalates as
+        :class:`_MigrationDisrupted` inside a migration epoch (migration
+        ops are never logged, so per-slot replay would rebuild a core
+        from a base that predates them: a bundle could be applied
+        twice), as the shard-named :class:`ExecutionError` when
+        recovery is not armed, and is otherwise respawned, replayed and
+        handed its message again.  Error replies raise after that, all
+        shards named.
+        """
+        failed: "dict[int, str]" = {}
+        for index, (slot, msg) in enumerate(msgs):
             try:
                 self._send_control(slot, msg)
             except (BrokenPipeError, OSError) as exc:
-                send_failure[slot] = f"control send failed ({exc})"
-        replies: list = [None] * count
-        errors: "list[tuple[int, str]]" = []
-        failed: "list[tuple[int, str]]" = []
-        for slot in range(count):
-            if slot in send_failure:
-                failed.append((slot, send_failure[slot]))
+                failed[index] = f"control send failed ({exc})"
+        replies: list = [None] * len(msgs)
+        errors: "list[tuple[int, str, str]]" = []
+        lost: "dict[int, str]" = {}
+        for index, (slot, msg) in enumerate(msgs):
+            if index in failed:
+                continue
+            if slot in lost:
+                failed[index] = lost[slot]
                 continue
             kind, payload, cause = self._recv_reply(slot)
             if kind == "ok":
-                replies[slot] = payload
+                replies[index] = payload
                 self._last_acked[slot] = self._last_advance
             elif kind == "error":
-                errors.append((slot, payload))
+                errors.append((slot, msg[0], payload))
             else:  # dead or stall
-                failed.append((slot, cause))
-        for slot, cause in failed:
+                failed[index] = lost[slot] = cause
+        for index, cause in sorted(failed.items()):
+            slot, msg = msgs[index]
             if self._migration_active:
-                # Per-slot replay recovery is invalid mid-epoch: the
-                # replay base predates the (unlogged) migration ops.
-                # Escalate so the coordinator rolls the epoch back.
-                raise _MigrationDisrupted(slot, op, cause)
+                raise _MigrationDisrupted(slot, msg[0], cause)
             if not self._retain:
-                self._raise_worker_failure(slot, cause, op)
-            replies[slot] = self._recover_slot(slot, cause, inflight=msg)
+                self._raise_worker_failure(slot, cause, msg[0])
+            replies[index] = self._recover_slot(slot, cause, inflight=msg)
         if errors:
             detail = "\n".join(
-                f"shard {self._configs[slot].shard}: {payload}"
-                for slot, payload in errors
+                f"shard {self._configs[slot].shard} ({op!r}): {payload}"
+                for slot, op, payload in errors
             )
             raise ExecutionError(f"shard worker(s) failed:\n{detail}")
         if self._retain:
-            if op == "snapshot":
-                # The new respawn base: the replay logs start over.
-                self._base_states = list(replies)
-                self._logs = [[] for _ in replies]
-            elif op in _LOGGED_OPS or msg == ("collect", True):
-                # A drained collect consumes subscription state: replay
-                # must reproduce the consumption (and discard the
-                # output).
-                for log in self._logs:
-                    log.append(msg)
+            for (slot, msg), reply in zip(msgs, replies):
+                if msg[0] in ("snapshot", "restore"):
+                    # The new respawn base: the replay log starts over.
+                    self._base_states[slot] = (
+                        reply if msg[0] == "snapshot" else msg[1]
+                    )
+                    self._logs[slot] = []
+                elif msg[0] in _LOGGED_OPS or msg == ("collect", True):
+                    # A drained collect consumes subscription state:
+                    # replay must reproduce the consumption (and
+                    # discard the output).
+                    self._logs[slot].append(msg)
         return replies
 
     def _post(self, slot: int, msg) -> None:
@@ -1003,34 +1048,6 @@ class _WorkerShardBackend(_ShardBackend):
                 self._recover_slot(slot, cause, inflight=None)
             else:
                 self._raise_worker_failure(slot, cause, op)
-
-    # Migration ops are single-slot, synchronous, and — unlike every
-    # other command — NOT individually recoverable: a transplant
-    # bundle extracted from a core that then crashed and was restored
-    # from its base would be applied twice.  A failure mid-plan raises
-    # :class:`_MigrationDisrupted` instead; the coordinator rolls the
-    # whole topology back to the epoch snapshot and redoes the plan.
-    def _on(self, slot: int, msg):
-        op = msg[0]
-        try:
-            self._send_control(slot, msg)
-        except (BrokenPipeError, OSError) as exc:
-            self._migration_failure(slot, op, f"control send failed ({exc})")
-        kind, payload, cause = self._recv_reply(slot)
-        if kind == "ok":
-            self._last_acked[slot] = self._last_advance
-            return payload
-        if kind == "error":
-            raise ExecutionError(
-                f"shard {self._configs[slot].shard} rejected migration "
-                f"op {op!r}:\n{payload}"
-            )
-        self._migration_failure(slot, op, cause)
-
-    def _migration_failure(self, slot: int, op: str, cause: str) -> None:
-        if self._retain:
-            raise _MigrationDisrupted(slot, op, cause)
-        self._raise_worker_failure(slot, cause, op)
 
     # ------------------------------------------------------------------
     # Crash recovery: respawn + restore + replay
@@ -1099,27 +1116,8 @@ class _WorkerShardBackend(_ShardBackend):
         )
 
     # ------------------------------------------------------------------
-    # Slots: add, drop, restore, and migration epochs
+    # Slots: drop, and migration epochs
     # ------------------------------------------------------------------
-    def _add_slot(self, config: ShardConfig, state: bytes) -> None:
-        """Append a worker and load ``state`` into it (a split's
-        sibling, or an epoch rollback's pre-plan core)."""
-        self._spawn_worker(config)
-        slot = len(self._conns) - 1
-        try:
-            _send_msg(self._conns[slot], ("restore", state))
-        except (BrokenPipeError, OSError) as exc:
-            self._migration_failure(
-                slot, "restore", f"restore send failed ({exc})"
-            )
-        kind, payload, cause = self._recv_reply(slot)
-        if kind != "ok":
-            self._migration_failure(
-                slot, "restore", cause or f"restore rejected:\n{payload}"
-            )
-        if self._retain:
-            self._base_states[slot] = state
-
     def _drop_slot(self, slot: int) -> None:
         self._stop_workers([slot], grace=5.0)
         for seq in (
@@ -1137,19 +1135,6 @@ class _WorkerShardBackend(_ShardBackend):
             if s != slot
         }
 
-    def _restore_cores(self, states: "list[bytes]") -> None:
-        for slot, state in enumerate(states):
-            self._send_control(slot, ("restore", state))
-        for slot in range(len(states)):
-            kind, _, cause = self._recv_reply(slot)
-            if kind != "ok":
-                self._raise_worker_failure(
-                    slot, cause or "restore rejected", "restore"
-                )
-        if self._retain:
-            self._base_states = list(states)
-            self._logs = [[] for _ in states]
-
     def migration_epoch_begin(self) -> None:
         """Open a migration epoch: snapshot every core (the rollback
         point) and remember the pre-plan topology."""
@@ -1162,7 +1147,7 @@ class _WorkerShardBackend(_ShardBackend):
         self._epoch_bases = list(self._base_states)
         # From here until epoch_end's snapshot lands, a worker death
         # cannot be repaired per-slot (migration ops are unlogged) —
-        # _broadcast escalates failures to _MigrationDisrupted instead.
+        # _round escalates failures to _MigrationDisrupted instead.
         self._migration_active = True
 
     def migration_rollback(self) -> None:
@@ -1961,14 +1946,15 @@ class ShardedSession(SessionFrontDoor):
         """Atomically migrate to a new slot → shard map at a barrier.
 
         The migration plan is a pure function of the (old, new)
-        partitioner pair, built from the five backend migration ops:
-        per-(source, destination) key extracts, sibling spawns for
-        newly active shards, ordered absorbs, and descending-slot
-        retires with remnant folds.  On worker backends with recovery
-        armed, the plan runs inside a migration epoch: a crash rolls
-        every worker back to the pre-plan snapshot and the whole plan
-        is redone, so a migration is all-or-nothing (invariant 12
-        meets invariant 10)."""
+        partitioner pair, built as five phases of backend rounds:
+        every per-(source, destination) key extract, the sibling
+        spawns for newly active shards, every absorb, the
+        descending-slot retires, and the remnant folds.  Each round
+        runs on all the workers it touches at once.  On worker
+        backends with recovery armed, the plan runs inside a migration
+        epoch: a crash rolls every worker back to the pre-plan snapshot
+        and the whole plan is redone, so a migration is all-or-nothing
+        (invariant 12 meets invariant 10)."""
         old = self.partitioner
         slot_map = np.asarray(slot_map, dtype=np.int64)
         new = old.with_slot_map(slot_map, num_shards)
@@ -1993,7 +1979,8 @@ class ShardedSession(SessionFrontDoor):
             backend = self.backend
             slot_of = {shard: i for i, shard in enumerate(old_active)}
             owned_now = {}
-            moves: "list[tuple[int, object, np.ndarray]]" = []
+            extracts: "list[tuple[int, np.ndarray]]" = []
+            moves: "list[tuple[int, np.ndarray]]" = []
             for src in old_active:
                 mine = old.owned[src]
                 dest_of = new.shard_of[mine]
@@ -2001,35 +1988,34 @@ class ShardedSession(SessionFrontDoor):
                     np.bincount(dest_of[dest_of != src])
                 ):
                     going = dest_of == dst
-                    bundle = backend.migrate_extract(
-                        slot_of[src], np.flatnonzero(going)
-                    )
-                    moves.append((int(dst), bundle, mine[going]))
+                    extracts.append((slot_of[src], np.flatnonzero(going)))
+                    moves.append((int(dst), mine[going]))
                     mine, dest_of = mine[~going], dest_of[~going]
                 owned_now[src] = mine
+            bundles = backend.migrate_extract(extracts)
             # Spawn before any retire, so backend slot 0 (the donor)
             # is always a live original.
-            next_slot = len(old_active)
-            for dst in spawned:
-                backend.spawn_sibling(0, self._shard_config(dst, new))
+            backend.spawn_siblings(
+                0, [self._shard_config(dst, new) for dst in spawned]
+            )
+            for next_slot, dst in enumerate(spawned, len(old_active)):
                 slot_of[dst] = next_slot
-                next_slot += 1
                 owned_now[dst] = np.empty(0, dtype=np.int64)
-            for dst, bundle, keys in moves:
+            absorbs = []
+            for (dst, keys), bundle in zip(moves, bundles):
                 combined = np.sort(np.concatenate((owned_now[dst], keys)))
                 positions = np.searchsorted(combined, keys)
-                backend.migrate_absorb(slot_of[dst], bundle, positions)
+                absorbs.append((slot_of[dst], bundle, positions))
                 owned_now[dst] = combined
+            backend.migrate_absorb(absorbs)
             # Retire emptied shards in descending backend-slot order
             # (removals never shift a slot still to be visited), then
             # fold their remnants into the first slot of the final
             # layout.
-            remnants = [
-                backend.retire_shard(slot_of[src])
-                for src in sorted(retiring, key=lambda s: -slot_of[s])
-            ]
-            for remnant in remnants:
-                backend.absorb_remnant(0, remnant)
+            remnants = backend.retire_shards(
+                sorted((slot_of[src] for src in retiring), reverse=True)
+            )
+            backend.absorb_remnants(0, remnants)
 
         self._run_migration(plan)
         self.partitioner = new
@@ -2127,7 +2113,13 @@ class ShardedSession(SessionFrontDoor):
         self._start_backend(
             backend, fault_plan, worker_recovery, control_timeout
         )
-        self.backend.restore(state["shards"])
+        try:
+            self.backend.restore(state["shards"])
+        except BaseException:
+            # No session is returned, so nothing else would ever stop
+            # the workers or unlink their rings.
+            self.backend.close()
+            raise
 
     def _collect(self, drain: bool):
         self._require_backend()

@@ -110,3 +110,17 @@ def assert_identical(expected, actual, context):
                 reference.values,
                 err_msg=f"{context} {name}/{window}",
             )
+
+
+def swap_keyed_slots(session) -> None:
+    """One migration plan with two donors: every other keyed slot of
+    each of two shards moves to the other one (each still receives
+    one, so neither retires)."""
+    slot_map = session.slot_map
+    keyed = np.unique(session.partitioner.slot_of_key)
+    swapped = slot_map.copy()
+    for shard in (0, 1):
+        mine = keyed[slot_map[keyed] == shard]
+        assert mine.size, "both shards must own keys to donate"
+        swapped[mine[::2]] = 1 - shard
+    session._apply_slot_map(swapped, session.num_shards)

@@ -411,6 +411,42 @@ def test_unrecovered_crash_raises_actionable_diagnostics(backend):
     assert "worker_recovery=True" in message  # tells the user the fix
 
 
+@pytest.mark.parametrize("recovery", [False, True])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_restore_under_a_killed_worker(repro_seed, backend, recovery):
+    """A worker killed as it is handed its snapshotted core fails the
+    restore with the shard-named error and leaves no worker process,
+    descriptor or ring behind (the resource fences check) — or, with
+    recovery armed, is respawned and handed its core again."""
+    events, horizon = make_events(int(repro_seed) % 1000)
+    cut = len(events) // 2
+    with ShardedSession(num_keys=NUM_KEYS, num_shards=NUM_SHARDS) as session:
+        for query, scope in WORKLOAD:
+            session.register(query, scope=scope)
+        for ts, key, value in events[:cut]:
+            session.push(ts, key, value)
+        snap = session.snapshot()
+    plan = FaultPlan(Fault("kill", slot=1, op="restore"))
+    placement = dict(backend=backend, fault_plan=plan, control_timeout=10.0)
+    if not recovery:
+        with pytest.raises(
+            ExecutionError, match=r"shard \d+ worker failed during 'restore'"
+        ):
+            ShardedSession.restore(snap, **placement)
+        assert plan.exhausted
+        return
+    expected, _ = run_session(events, horizon)
+    with ShardedSession.restore(
+        snap, worker_recovery=True, **placement
+    ) as session:
+        for ts, key, value in events[cut:]:
+            session.push(ts, key, value)
+        actual = session.finish(horizon=horizon)
+        assert session.worker_recoveries == 1
+    assert plan.exhausted
+    assert_identical(expected, actual, f"seed={repro_seed} {backend}")
+
+
 def test_worker_error_ships_worker_traceback():
     """A Python error inside a worker must surface ITS traceback at
     the coordinator, not a bare broken-pipe or a desynced reply."""

@@ -33,7 +33,7 @@ from repro.engine.outoforder import scramble_batch
 from repro.runtime import Fault, FaultPlan, ShardedSession
 from repro.windows.window import Window, WindowSet
 
-from session_streams import integer_stream
+from session_streams import integer_stream, swap_keyed_slots
 
 #: (query, scope) pool mixing taxonomies and both result scopes.
 POOL = [
@@ -769,6 +769,43 @@ CHAOS_MIGRATION_CELLS = [
     ("kill_after_ack", "absorb_remnant", 0, "shm"),
 ]
 
+#: Cells for plans in which both workers donate in the same round: an
+#: interleaved swap of keyed slots, twice.  Slot 1 is killed on its
+#: ``extract`` (the second message of the round, after slot 0's is on
+#: the wire) or as it takes it; a worker that acked its ``absorb`` is
+#: killed at its next command, the epoch-closing snapshot.
+CHAOS_SWAP_CELLS = [
+    ("kill", "extract", 1, "process"),
+    ("kill", "extract", 1, "shm"),
+    ("kill_mid_op", "extract", 1, "shm"),
+    ("kill_after_ack", "absorb", 0, "process"),
+    ("kill_after_ack", "absorb", 1, "shm"),
+]
+
+
+def one_way_plans(n):
+    return {
+        int(0.35 * n): [
+            lambda s: s.move_slots(
+                np.arange(DEFAULT_NUM_SLOTS, dtype=np.int64), 1
+            )
+        ],
+        int(0.55 * n): [lambda s: s.split_shard()],
+        int(0.8 * n): [lambda s: s.merge_shard(s.num_shards - 1)],
+    }
+
+
+def swap_plans(n):
+    return {
+        int(0.35 * n): [swap_keyed_slots],
+        int(0.7 * n): [swap_keyed_slots],
+    }
+
+
+CHAOS_CELLS = [(*cell, one_way_plans) for cell in CHAOS_MIGRATION_CELLS] + [
+    (*cell, swap_plans) for cell in CHAOS_SWAP_CELLS
+]
+
 
 class KillAfterAck(FaultPlan):
     """Kill ``slot``'s worker at the first control command *after* it
@@ -796,19 +833,23 @@ class KillAfterAck(FaultPlan):
 
 @pytest.mark.chaos
 @pytest.mark.parametrize(
-    "kind,op,slot,backend",
-    CHAOS_MIGRATION_CELLS,
-    ids=[f"{k}-{o}-{b}" for k, o, _, b in CHAOS_MIGRATION_CELLS],
+    "kind,op,slot,backend,plans",
+    CHAOS_CELLS,
+    ids=[
+        f"{k}-{o}-{b}" + ("-swap" if plans is swap_plans else "")
+        for k, o, _, b, plans in CHAOS_CELLS
+    ],
 )
 def test_migrations_survive_worker_kill_mid_op(
-    repro_seed, kind, op, slot, backend
+    repro_seed, kind, op, slot, backend, plans
 ):
-    """A worker killed mid-migration (on each migration op kind) rolls
-    the epoch back, redoes the plan, and still matches the serial
-    oracle bit-for-bit — with emitted, never-drained rows on every core
-    at every barrier (``PINNED`` is live from event 0), so a rollback
-    that lost or duplicated a sealed segment would fail the
-    coordinator's coverage check."""
+    """A worker killed mid-migration (on each migration op kind, and
+    inside a round where both workers donate) rolls the epoch back,
+    redoes the plan, and still matches the serial oracle bit-for-bit —
+    with emitted, never-drained rows on every core at every barrier
+    (``PINNED`` is live from event 0), so a rollback that lost or
+    duplicated a sealed segment would fail the coordinator's coverage
+    check."""
     rng = np.random.default_rng((repro_seed, 1401))
     lateness = int(rng.integers(0, 5))
     batch = integer_stream(
@@ -817,16 +858,7 @@ def test_migrations_survive_worker_kill_mid_op(
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
     schedule = make_schedule(rng, len(events))
     schedule[0].setdefault(0, []).append(PINNED)
-    n = len(events)
-    ops_at = {
-        int(0.35 * n): [
-            lambda s: s.move_slots(
-                np.arange(DEFAULT_NUM_SLOTS, dtype=np.int64), 1
-            )
-        ],
-        int(0.55 * n): [lambda s: s.split_shard()],
-        int(0.8 * n): [lambda s: s.merge_shard(s.num_shards - 1)],
-    }
+    ops_at = plans(len(events))
     plan = (
         KillAfterAck(slot, op)
         if kind == "kill_after_ack"
