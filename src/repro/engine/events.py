@@ -29,6 +29,9 @@ EVENT_COLUMN_DTYPES = (
     ("value", np.dtype(np.float64)),
 )
 
+#: An empty event run, one array per column (nothing writes into it).
+NO_EVENTS = tuple(np.empty(0, dtype) for _, dtype in EVENT_COLUMN_DTYPES)
+
 #: Bytes one event occupies across all columns.
 EVENT_BYTES = sum(dtype.itemsize for _, dtype in EVENT_COLUMN_DTYPES)
 

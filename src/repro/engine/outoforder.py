@@ -16,14 +16,13 @@ input — which is exactly what the tests assert.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..errors import ExecutionError
-from .events import EVENT_COLUMN_DTYPES, EventBatch
+from .events import EVENT_COLUMN_DTYPES, NO_EVENTS, EventBatch
 
 Event = tuple[int, int, float]  # (timestamp, key, value)
 
@@ -49,28 +48,16 @@ class ReorderStats:
         return self.accepted + self.late_dropped
 
 
-#: The empty column carry.  ``push`` tells a column carry from a heap by
-#: identity with it (an unpickled empty carry is a copy, which ``push``
-#: turns into an empty heap once); nothing writes into it, since a held
-#: tail is always a fresh copy.
-_NO_COLUMNS = tuple(np.empty(0, dtype) for _, dtype in EVENT_COLUMN_DTYPES)
-
-
 class ReorderBuffer:
     """Reorder buffer with a trailing watermark.
 
-    ``push`` accepts one (possibly out-of-order) event and yields every
-    event whose timestamp the new watermark has passed, in order;
-    ``push_batch`` does the same for a columnar block in one pass.
-    ``flush`` drains the remainder at end of stream.
-
-    The carried events live in one of two shapes, never both: three
-    sorted columns (``EVENT_COLUMN_DTYPES``) after a ``push_batch``,
-    or the ``(ts, seq, key, value)`` min-heap ``push`` works on.  A
-    ``push`` onto columns turns them into a heap once; the next
-    ``push_batch`` or pickle folds the heap back into columns once.  A
-    buffer fed only batches never builds a Python object per event, and
-    a pickle always holds columns.
+    ``push_batch`` accepts a columnar block of (possibly out-of-order)
+    events and returns every event the new watermark has passed, in
+    order; ``flush`` drains the remainder at end of stream.  The
+    carried events are three sorted columns (``EVENT_COLUMN_DTYPES``),
+    so the buffer never builds a Python object per event and a pickle
+    is its plain state.  The per-event definition the block pass is
+    checked against lives in the tests (``oracle_reorder.py``).
     """
 
     def __init__(self, max_lateness: int):
@@ -81,50 +68,12 @@ class ReorderBuffer:
         self.max_lateness = max_lateness
         self.stats = ReorderStats()
         self._max_seen = -1
-        self._held = _NO_COLUMNS
-        self._heap: list[tuple[int, int, int, float]] = []
-        self._sequence = 0  # tie-break to keep same-timestamp arrival order
-
-    def __getstate__(self) -> dict:
-        # One shape on disk: the carry as columns, the heap empty.
-        return {**self.__dict__, "_held": self._carried(), "_heap": [],
-                "_sequence": 0}
+        self._held = NO_EVENTS
 
     @property
     def watermark(self) -> int:
         """Timestamps strictly below this are final."""
         return self._max_seen - self.max_lateness
-
-    def push(self, ts: int, key: int, value: float) -> Iterator[Event]:
-        if ts < 0:
-            raise ExecutionError(f"timestamps must be >= 0, got {ts}")
-        watermark = self._max_seen - self.max_lateness
-        if ts < watermark:
-            self.stats.note_late(1, watermark - ts)
-            return
-        if self._held is not _NO_COLUMNS:
-            # Sorted columns are already a valid heap.
-            held = [column.tolist() for column in self._held]
-            self._heap = list(zip(held[0], range(len(held[0])), *held[1:]))
-            self._sequence, self._held = len(self._heap), _NO_COLUMNS
-        self.stats.accepted += 1
-        heap = self._heap
-        heapq.heappush(heap, (ts, self._sequence, key, value))
-        self._sequence += 1
-        if ts > self._max_seen:
-            self._max_seen = ts
-            watermark = ts - self.max_lateness
-        while heap and heap[0][0] < watermark:
-            out_ts, _, out_key, out_value = heapq.heappop(heap)
-            yield (out_ts, out_key, out_value)
-
-    def _carried(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """The carried events as sorted columns, whichever shape holds
-        them."""
-        if not self._heap:
-            return self._held
-        events = [(t, k, v) for t, _, k, v in sorted(self._heap)]
-        return tuple(_columns(events))
 
     def push_batch(
         self, ts: np.ndarray, keys: np.ndarray, values: np.ndarray
@@ -132,16 +81,18 @@ class ReorderBuffer:
         """Push a columnar block of (possibly out-of-order) events.
 
         Returns the released events as ``(ts, keys, values)`` arrays —
-        the exact sequence ``push`` would have yielded event by event,
-        with identical late-drop decisions and counters, in one pass
-        over the block instead of one heap operation per event:
+        the exact sequence the per-event definition (drop an event
+        behind the watermark, else hold it; release every held event
+        below the new watermark in ``(ts, arrival)`` order) yields
+        event by event, with identical late-drop decisions and
+        counters, in one pass over the block:
 
         * an event is late iff it is behind the watermark of everything
           seen *before* it — a running maximum (a late event is below
           that maximum, so folding it in changes nothing);
-        * ``push`` releases in ``(ts, arrival)`` order and never
+        * the definition releases in ``(ts, arrival)`` order and never
           releases a tick that can still receive an event, so what a
-          run of pushes releases is the stable timestamp sort of the
+          run of events releases is the stable timestamp sort of the
           carried columns followed by the accepted events, cut at the
           final watermark.  An in-order concatenation is already that
           sort.
@@ -171,8 +122,6 @@ class ReorderBuffer:
             ts, keys, values = ts[accepted], keys[accepted], values[accepted]
         self._max_seen = int(seen[-1])
         self.stats.accepted += int(ts.size)
-        if self._heap:
-            self._held, self._heap = self._carried(), []
         if self._held[0].size:
             ts, keys, values = (
                 np.concatenate(pair)
@@ -183,7 +132,7 @@ class ReorderBuffer:
             ts, keys, values = ts[order], keys[order], values[order]
         cut = int(np.searchsorted(ts, self.watermark, side="left"))
         self._held = (
-            _NO_COLUMNS
+            NO_EVENTS
             if cut == ts.size
             else (ts[cut:].copy(), keys[cut:].copy(), values[cut:].copy())
         )
@@ -192,8 +141,7 @@ class ReorderBuffer:
     def _drain(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Take every carried event, as sorted columns (end of
         stream)."""
-        columns = self._carried()
-        self._held, self._heap = _NO_COLUMNS, []
+        columns, self._held = self._held, NO_EVENTS
         return columns
 
     def flush(self) -> Iterator[Event]:
@@ -202,7 +150,14 @@ class ReorderBuffer:
 
     @property
     def buffered(self) -> int:
-        return len(self._heap) + self._held[0].size
+        return self._held[0].size
+
+    def next_held(self, at: int, default: int) -> int:
+        """The smallest carried timestamp at or after ``at`` (``default``
+        when there is none)."""
+        ts = self._held[0]
+        index = int(np.searchsorted(ts, at, side="left"))
+        return int(ts[index]) if index < ts.size else default
 
 
 def _columns(rows: "list[Event]") -> "list[np.ndarray]":

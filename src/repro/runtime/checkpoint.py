@@ -76,7 +76,10 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: core the cap, and a v7 reorder buffer its retained late-event log.
 #: v9: the reorder buffer carries its held events as sorted columns —
 #: a v8 buffer holds a ``(ts, seq, key, value)`` tuple heap instead.
-CHECKPOINT_VERSION = 9
+#: v10: one reorder representation — the front door's frame has no
+#: staged events and the buffer no heap fields, and residue items are
+#: per-event rows or column runs; a v9 graph carries all three.
+CHECKPOINT_VERSION = 10
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

@@ -72,11 +72,12 @@ import pickle
 import threading
 from collections import deque
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
 from ..core.adaptive import RateController
-from ..engine.events import EventBatch, EventColumns, event_columns
+from ..engine.events import NO_EVENTS, EventBatch, EventColumns, event_columns
 from ..engine.outoforder import ReorderBuffer
 from ..errors import ExecutionError
 from .checkpoint import (
@@ -97,6 +98,9 @@ __all__ = [
     "synchronized",
 ]
 
+#: Past every valid timestamp (they stay below 2**53): "no event".
+_NEVER = 2**62
+
 #: Default backlog bound, in events.  At the benchmark's ~1-3M ev/s
 #: single-shard drain rate this is tens of milliseconds of slack —
 #: deep enough to absorb producer bursts, shallow enough that a
@@ -108,52 +112,25 @@ DEFAULT_INGEST_HIGH_WATERMARK = 65_536
 class IngestStats:
     """Exact counters of one session's async front door."""
 
-    enqueued_events: int = 0  # events accepted (push + runs + batches)
+    enqueued_events: int = 0  # events accepted (rows + runs)
     enqueued_calls: int = 0  # synchronous commands routed through
     backpressure_waits: int = 0  # producer blocks on a closed gate
     max_depth_events: int = 0  # backlog high-water mark, in events
 
 
-class _Call:
-    """One synchronous command in flight through the queue."""
-
-    __slots__ = ("fn", "args", "kwargs", "done", "result", "error")
-
-    def __init__(self, fn, args, kwargs):
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-        self.done = threading.Event()
-        self.result = None
-        self.error: "BaseException | None" = None
-
-    def run(self) -> None:
-        try:
-            self.result = self.fn(*self.args, **self.kwargs)
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            self.error = exc
-        finally:
-            self.done.set()
-
-    def fail(self, error: BaseException) -> None:
-        self.error = error
-        self.done.set()
-
-    def wait(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.result
-
-
 class IngestQueue:
     """A bounded FIFO of ingest commands, weighed in events.
 
-    Data items (events, batches) respect the gate — it shuts at
-    ``high_watermark`` queued events and reopens once the backlog has
-    drained to half that; call and stop items bypass it (they are
+    Data items (rows entries, column runs) respect the gate — it shuts
+    at ``high_watermark`` queued events and reopens once the backlog
+    has drained to half that; call and stop items bypass it (they are
     control plane — blocking a ``register`` behind the very backlog it
     is meant to synchronize with would invert its priority).
+
+    Per-event rows join the *open* rows entry — the tail item, while
+    it is a rows entry the pump has not taken — or open a new one, so
+    a row is one list append under the lock and every later item
+    orders itself after the rows.  Each row weighs one event.
 
     Multi-producer safe: every entry point takes the one internal
     lock, so concurrent ``put_data``/``put_control`` callers admit
@@ -179,7 +156,12 @@ class IngestQueue:
         self._gate = threading.Condition(self._lock)
 
     def _admit(self, item, weight: int) -> None:
-        self._items.append((item, weight))
+        tail = self._items[-1] if self._items else None
+        if item[0] == _ROWS and tail is not None and tail[0][0] == _ROWS:
+            tail[0][1].extend(item[1])  # the open rows entry
+            tail[1] += weight
+        else:
+            self._items.append([item, weight])
         self._depth_events += weight
         if self._depth_events > self.stats.max_depth_events:
             self.stats.max_depth_events = self._depth_events
@@ -188,7 +170,8 @@ class IngestQueue:
         self._not_empty.notify()
 
     def put_data(self, item, weight: int) -> None:
-        """Enqueue one data command, blocking while the gate is shut."""
+        """Enqueue one data command, blocking while the gate is shut
+        (a rows item joins the open rows entry)."""
         with self._lock:
             if self._closed:
                 raise ExecutionError("ingest queue is closed")
@@ -224,14 +207,15 @@ class IngestQueue:
             return item, weight
 
     def peek_data(self) -> list:
-        """The queued *data* items, in order, without consuming them —
-        the ingest-queue residue a session snapshot captures so queued
-        but not-yet-applied events survive a restore (DESIGN.md §9)."""
+        """The queued *data* items (row lists copied), in order,
+        without consuming them — the ingest-queue residue a session
+        snapshot captures so queued but not-yet-applied events survive
+        a restore (DESIGN.md §9)."""
         with self._lock:
             return [
-                item
-                for item, _ in self._items
-                if item[0] in _DATA
+                (kind, list(payload) if kind == _ROWS else payload)
+                for (kind, payload), _ in self._items
+                if kind in _DATA
             ]
 
     def close(self) -> list:
@@ -248,10 +232,12 @@ class IngestQueue:
             return leftovers
 
 
-#: Queue item kinds: one event, one validated column run, one
-#: synchronous call, the stop sentinel.
-_EVENT, _RUN, _CALL, _STOP = range(4)
-_DATA = (_EVENT, _RUN)
+#: Queue item kinds, each a ``(kind, payload)`` pair: a list of
+#: per-event rows, one validated column run, one synchronous call
+#: (``(reply, fn, args, kwargs)``: the pump puts ``(error, result)`` on
+#: the one-shot ``reply`` queue), the stop sentinel.
+_ROWS, _RUN, _CALL, _STOP = range(4)
+_DATA = (_ROWS, _RUN)
 
 
 def synchronized(method):
@@ -259,13 +245,15 @@ def synchronized(method):
     its own position in the command stream — through
     :meth:`IngestPump.submit_call` while a pump is accepting and the
     caller is not the pump thread itself (re-entrant calls, e.g. the
-    auto-checkpoint taking a snapshot, run inline), directly otherwise."""
+    auto-checkpoint taking a snapshot, run inline), directly otherwise,
+    after the pending rows settle."""
 
     @functools.wraps(method)
     def at_stream_position(self, *args, **kwargs):
         pump = self._pump
         if pump is not None and pump.accepting and not pump.in_pump_thread():
             return pump.submit_call(method, self, *args, **kwargs)
+        self._settle()
         return method(self, *args, **kwargs)
 
     at_stream_position.synchronized = True
@@ -277,13 +265,14 @@ class SessionFrontDoor:
 
     The base owns the time-keeping — the reorder buffer, the rate
     controller and its epoch observer, the auto-name counter, the
-    checkpoint store / meta / callback, the pump and **the chunk
-    clock** (``_watermark``, ``_chunk_ticks``, ``_chunk_end``,
-    ``_max_event_ts``, ``_pending_events`` and the scalar staging
-    buffer per-event ``push`` fills) — and every verb around it:
-    ``push`` / ``push_many`` / ``push_batch``, the one loop that finds
-    the chunk ends in a released run (:meth:`_apply_run`), ``_flush`` /
-    ``_sync``, the end-of-push epilogue (rate replan, then
+    checkpoint store / meta / callback, the pump, the pending rows
+    per-event ``push`` appends to, and **the chunk clock**
+    (``_watermark``, ``_chunk_ticks``, ``_chunk_end``,
+    ``_max_event_ts``, ``_pending_events``) — and every verb around
+    it: ``push`` / ``push_many`` / ``push_batch``, the settle rule that
+    applies pending rows (:meth:`_push_rows_now`), the one loop that
+    finds the chunk ends in a released run (:meth:`_apply_run`),
+    ``_flush`` / ``_sync``, the end-of-push epilogue (rate replan, then
     auto-checkpoint cadence), ``snapshot`` / ``restore`` and their
     framing, ``finish``, ``results`` / ``drain_results``, ``close``.
     The coordinator (:class:`~repro.runtime.sharding.ShardedSession`)
@@ -308,7 +297,8 @@ class SessionFrontDoor:
     interleave their bytes and corrupt the stream).  Exempt are the
     data-plane enqueues (``push`` / ``push_many`` / ``push_batch``),
     ``finish`` / ``close`` (they stop the pump) and reads of one
-    coordinator-local value (``watermark``, ``reorder_stats``).
+    coordinator-local value (``watermark``, ``reorder_stats``; the two
+    that depend on the events settle the pending rows first).
     ``tests/runtime/test_front_door.py`` holds the session to it, and
     fails a subclass that grows a chunk cut of its own.
     """
@@ -319,8 +309,7 @@ class SessionFrontDoor:
     #: (DESIGN.md §9): time-keeping state, then the chunk clock.
     #: ``_pending_events`` counts partial-chunk events already handed
     #: to ``_buffer_run`` — the rate observer still owes them to the
-    #: next ``observe_flush`` — and ``_staged`` holds the ones not yet
-    #: handed over.
+    #: next ``observe_flush``.  Rows not yet applied travel as residue.
     _FRAME = (
         "controller",
         "_reorder",
@@ -331,7 +320,6 @@ class SessionFrontDoor:
         "_watermark",
         "_max_event_ts",
         "_pending_events",
-        "_staged",
         "_closed",
     )
 
@@ -355,7 +343,6 @@ class SessionFrontDoor:
         self._watermark = 0
         self._max_event_ts = -1
         self._pending_events = 0
-        self._staged: "tuple[list, list, list]" = ([], [], [])
         self._closed = False
 
     def _attach(
@@ -371,6 +358,8 @@ class SessionFrontDoor:
         cadence.  Last step of both ``__init__`` and :meth:`restore`,
         after the backend is up — so a refused setting closes the
         session before it raises."""
+        self._rows: "list[tuple]" = []
+        self._settling: "tuple[list, int]" = ([], 0)
         try:
             if ingest_high_watermark < 1:
                 raise ExecutionError(
@@ -386,7 +375,7 @@ class SessionFrontDoor:
         self._on_checkpoint = on_checkpoint
         self._pump = (
             IngestPump(
-                push=self._push_now,
+                push_rows=self._push_rows_now,
                 push_run=self._push_run_now,
                 high_watermark=ingest_high_watermark,
             )
@@ -401,6 +390,7 @@ class SessionFrontDoor:
     def watermark(self) -> int:
         """The chunk clock: instances ending at or before this are
         final and emitted, and every core is at it after any flush."""
+        self._settle()
         return self._watermark
 
     @property
@@ -410,6 +400,7 @@ class SessionFrontDoor:
 
     @property
     def reorder_stats(self):
+        self._settle()
         return self._reorder.stats
 
     def _next_auto_name(self) -> str:
@@ -425,28 +416,54 @@ class SessionFrontDoor:
 
     # ------------------------------------------------------------------
     # Ingestion: three public verbs, each enqueued (async) or applied
-    # inline (sync) by the same ``_push*_now`` function
+    # inline (sync) by the same ``_push_*_now`` function
     # ------------------------------------------------------------------
     def push(self, ts: int, key: int, value: float) -> None:
         """Ingest one (possibly out-of-order) event.
 
-        In async mode this enqueues and returns immediately, blocking
-        only under backpressure."""
+        The event joins the pending rows — a list on the session in
+        sync mode, the ingest queue's open rows entry in async mode —
+        which are applied as column runs through :meth:`push_many`'s
+        path, cut by the settle rule (:meth:`_push_rows_now`) so every
+        chunk flush, rate replan and auto-checkpoint lands after the
+        same event as if each event were applied alone.  Sync mode
+        validates the row here, by the rule and with the messages of
+        ``push_many([row])``, and settles at the row that may flush a
+        chunk (its watermark passes an event at or past the chunk end,
+        carried or pending) — so flushes and checkpoints still happen
+        inside that row's call — when the list reaches the ingest run
+        size, before every other verb, before a ``watermark`` or
+        ``reorder_stats`` read and on ``close``.  In
+        async mode this enqueues and returns immediately, blocking
+        only under backpressure; the pump validates each rows entry
+        whole."""
         pump = self._pump
         if pump is not None and pump.accepting:
-            pump.submit_event(ts, key, value)
-        else:
-            self._push_now(ts, key, value)
-
-    def _push_now(self, ts: int, key: int, value: float) -> None:
+            pump.submit_row((ts, key, value))
+            return
         self._require_open()
-        if not 0 <= key < self.num_keys:
-            raise ExecutionError(
-                f"key {key} outside dense id space [0, {self.num_keys})"
-            )
-        for event in self._reorder.push(ts, int(key), float(value)):
-            self._stage(*event)
-        self._end_push()
+        # Plain ints and a float that ``event_columns`` takes as they
+        # are (ids exact in float64) skip the batch check here; the
+        # settle casts the rows whole.
+        if not (
+            type(ts) is int
+            and type(key) is int
+            and type(value) is float
+            and 0 <= ts < 2**53
+            and 0 <= key < self.num_keys
+        ):
+            event_columns([(ts, key, value)], self.num_keys)
+        rows = self._rows
+        if not rows:
+            self._flush_at = self._reorder.next_held(self._chunk_end, _NEVER)
+        rows.append((ts, key, value))
+        if self._chunk_end <= ts < self._flush_at:
+            self._flush_at = ts
+        if (
+            ts - self._reorder.max_lateness > self._flush_at
+            or len(rows) >= self._run_events
+        ):
+            self._settle()
 
     def push_many(self, events) -> None:
         """Ingest ``(ts, key, value)`` events — an iterable of rows,
@@ -471,6 +488,7 @@ class SessionFrontDoor:
         columns = event_columns(events, self.num_keys)
         pump = self._pump
         if pump is None or not pump.accepting:
+            self._settle()
             self._push_run_now(columns)
             return
         ts, keys, values = columns
@@ -483,7 +501,7 @@ class SessionFrontDoor:
                 )
             )
 
-    def _push_run_now(self, columns: EventColumns) -> None:
+    def _push_run_now(self, columns) -> None:
         self._require_open()
         ts, keys, values = columns
         high = self._run_events
@@ -494,6 +512,74 @@ class SessionFrontDoor:
             )
         if ts.size:
             self._end_push()
+
+    def _settle(self) -> None:
+        """Apply the pending rows of sync mode, if any.  The list is
+        swapped out first, so a read nested in an epilogue (the CLI's
+        ``checkpoint_meta`` reading ``reorder_stats``) finds nothing to
+        settle."""
+        rows = self._rows
+        if rows:
+            self._rows = []
+            self._push_rows_now(rows)
+
+    def _push_rows_now(self, rows: list) -> None:
+        """Validate per-event rows whole, like a batch, and apply them
+        in pieces (:meth:`_piece_end`), each a :meth:`_push_run_now`
+        and so ended by the epilogue — flushes, replans and
+        checkpoints land after the same rows as when each row is
+        applied alone.  The rows after the current piece are snapshot
+        residue until applied; if validation or a piece fails, the
+        pump counts them discarded."""
+        n, hi = len(rows), 0
+        try:
+            ts, keys, values = event_columns(rows, self.num_keys)
+            passes = np.maximum(
+                np.maximum.accumulate(ts) - self._reorder.max_lateness,
+                self._reorder.watermark,
+            )
+            while hi < n:
+                lo, hi = hi, self._piece_end(ts, passes, hi)
+                self._settling = rows, hi
+                self._push_run_now((ts[lo:hi], keys[lo:hi], values[lo:hi]))
+        except BaseException:
+            if self._pump is not None:
+                self._pump.discard(n - hi)
+            raise
+        finally:
+            self._settling = [], 0
+
+    def _piece_end(self, ts, passes, lo: int) -> int:
+        """Where the piece of rows from ``lo`` ends: just after ``lo``
+        while the epilogue is owed from before it (a replan parked, a
+        checkpoint due), else just after the first row whose watermark
+        (``passes``) passes an event at or past the chunk end —
+        carried, or among the rows from ``lo`` up to it — so that its
+        release flushes, or after the last row.  The epilogue of every
+        row in between would find nothing to do.  A late row counted
+        among them can only end a piece early.  No row before the
+        first whose watermark passes the chunk end itself can flush;
+        from there the rows are scanned in doubling blocks, so the
+        cost is linear in the rows the piece then applies."""
+        store = self._auto_store
+        if self._rate_observer.pending_rate is not None or (
+            store is not None and store.due(self._watermark)
+        ):
+            return lo + 1
+        end, n = self._chunk_end, int(ts.size)
+        row = max(lo, int(np.searchsorted(passes, end, "right")))
+        first, size = self._reorder.next_held(end, _NEVER), 16
+        while row < n - 1:
+            block = ts[lo : row + size]
+            at = np.minimum.accumulate(np.where(block >= end, block, _NEVER))
+            at = np.minimum(at[row - lo :], first)
+            flushes = passes[row : row + size] > at
+            if flushes.any():
+                return row + int(flushes.argmax()) + 1
+            first = int(at[-1])
+            lo = row = row + size
+            size *= 2
+        return n
 
     def push_batch(self, batch: EventBatch) -> None:
         """Ingest one sorted columnar batch: :meth:`push_many` of its
@@ -520,52 +606,21 @@ class SessionFrontDoor:
     # ------------------------------------------------------------------
     # The chunk clock: where the watermark advances
     # ------------------------------------------------------------------
-    def _stage(self, ts: int, key: int, value: float) -> None:
-        """Apply one released event: stage it, then flush every chunk
-        end it crossed.  The event is staged first, so every
-        released-but-undelivered event is buffered when a flush fires;
-        delivering an event slightly before its chunk is harmless —
-        closes are watermark-driven."""
-        staged_ts, staged_keys, staged_values = self._staged
-        staged_ts.append(ts)
-        staged_keys.append(key)
-        staged_values.append(value)
-        self._pending_events += 1
-        if ts > self._max_event_ts:
-            self._max_event_ts = ts
-        while ts >= self._chunk_end:
-            self._flush(self._chunk_end)
-
-    def _seal_staged(self, ends=()) -> None:
-        """Hand the staged events over as one column run (an empty one
-        when nothing is staged but a chunk end is)."""
-        ts, keys, values = self._staged
-        if ts or ends:
-            self._staged = ([], [], [])
-            self._buffer_run(
-                np.asarray(ts, dtype=np.int64),
-                np.asarray(keys, dtype=np.int64),
-                np.asarray(values, dtype=np.float64),
-                ends,
-            )
-
     def _apply_run(self, ts, keys, values) -> None:
         """Apply one *released* (timestamp-sorted) column run — the
-        columnar form of looping :meth:`_stage`, and the only chunk cut
-        in the runtime.
+        only chunk cut in the runtime.
 
-        Every chunk end the run crosses is accounted where the
-        per-event loop flushes — just *after* the chunk-crossing event,
-        with that chunk's count — and then the operators get the run
-        once: everything up to the last crossing event in one
-        ``_buffer_run``, delivered to the last chunk end in one
+        Every chunk end the run crosses is accounted just *after* the
+        chunk-crossing event, with that chunk's count — where applying
+        the events one at a time would flush — and then the operators
+        get the run once: everything up to the last crossing event in
+        one ``_buffer_run``, delivered to the last chunk end in one
         ``_deliver``.  Exact pane folds make the chunks in between
         unobservable.  The events after the last crossing stay
-        buffered, as the per-event loop leaves them staged."""
+        buffered until a later chunk end."""
         n = int(ts.size)
         if n == 0:
             return
-        self._seal_staged()  # arrival order: staged events came first
         pos, ends = 0, []
         while True:
             cut = int(np.searchsorted(ts, self._chunk_end, side="left")) + 1
@@ -594,8 +649,9 @@ class SessionFrontDoor:
         )
 
     def _flush(self, to_watermark: int) -> None:
-        """Seal staging, advance the clock, deliver."""
-        self._seal_staged(ends=(len(self._staged[0]),))
+        """Close a chunk end at ``to_watermark`` (the slot loads step
+        too) and deliver."""
+        self._buffer_run(*NO_EVENTS, (0,))
         self._close_chunk(to_watermark)
         self._deliver(to_watermark)
 
@@ -610,7 +666,8 @@ class SessionFrontDoor:
             self._flush(at)
 
     def _end_push(self) -> None:
-        """What every push call — one event or one batch — ends with."""
+        """What every ``push_many`` call and every settled piece of
+        rows ends with."""
         # Rate-driven switches are deferred to this point: a switch
         # advances operators up to the reorder watermark, which is only
         # safe once every event the buffer has released is applied.
@@ -622,8 +679,10 @@ class SessionFrontDoor:
         """Cadence-driven checkpointing, inside the ingest path itself:
         fires on the same thread that applies pushes (the pump thread
         in async mode), so every saved cut is prefix-consistent with
-        the command stream by construction.  It runs once per push
-        call, so a cut never falls inside a ``push_many`` batch."""
+        the command stream by construction.  It runs at the end of a
+        ``push_many`` call or a settled piece, so a cut never falls
+        inside a batch; the unapplied rest of the rows being settled
+        is residue."""
         store = self._auto_store
         if store is None or not store.due(self.watermark):
             return
@@ -648,9 +707,10 @@ class SessionFrontDoor:
         serialized at exactly the coordinator's stream position
         without advancing the watermark, plus the coordinator's
         layout), the front door's
-        own frame (``_FRAME``: reorder buffer, rate controller, chunk
-        clock and staged events), and — in async mode — the
-        ingest-queue residue (events enqueued but not yet applied).
+        own frame (``_FRAME``: reorder buffer, rate controller and
+        chunk clock), and the residue: the rows of a settle in progress
+        not yet applied and — in async mode — the ingest queue's
+        (events enqueued but not yet applied).
         Like every synchronization point it runs at its position in
         the command stream, so it is prefix-consistent with everything
         pushed before it, and taking it never perturbs results.
@@ -661,10 +721,12 @@ class SessionFrontDoor:
         it (:meth:`restore`) and replaying the remainder of the stream
         is bit-identical to never having stopped (invariant 12).
         """
+        rows, applied = self._settling
         graph = {
             "session": self._capture(),
             "door": {name: getattr(self, name) for name in self._FRAME},
-            "residue": [] if self._pump is None else self._pump.pending_data(),
+            "residue": [(_ROWS, rows[applied:])]
+            + ([] if self._pump is None else self._pump.queue.peek_data()),
         }
         # One dumps over the whole graph: shared references (the
         # controller inside the observer) survive, and the snapshot is
@@ -704,13 +766,14 @@ class SessionFrontDoor:
         ``worker_recovery`` / ``control_timeout`` — invariant 10: the
         snapshot's shard layout runs anywhere, placed by the
         constructor's rule, so one shard runs in-process).  Everything
-        after ``source`` is keyword-only.  Captured
-        ingest-queue residue is replayed through the restored front
-        door first, so the restored timeline has applied exactly the
-        events the original had accepted.  The auto-checkpoint knobs
-        mirror the constructor's (cadence state lives in the store,
-        not the snapshot — pass the same store to keep the cadence
-        rolling).
+        after ``source`` is keyword-only.  Captured residue is replayed
+        through the restored front door first — column runs through
+        ``push_many``, rows through ``push`` — so the restored timeline
+        applies exactly the events the original had accepted, with
+        every epilogue after the same event.  The auto-checkpoint
+        knobs mirror the constructor's (cadence state lives in the
+        store, not the snapshot — pass the same store to keep the
+        cadence rolling).
         """
         snap = source if isinstance(source, Snapshot) else read_checkpoint(source)
         graph = pickle.loads(snap.payload["state"])
@@ -725,9 +788,12 @@ class SessionFrontDoor:
             checkpoint_meta,
             on_checkpoint,
         )
-        replay = {_EVENT: self.push, _RUN: self.push_many}
-        for kind, *payload in graph["residue"]:
-            replay[kind](*payload)
+        for kind, events in graph["residue"]:
+            if kind == _RUN:
+                self.push_many(events)
+            else:
+                for row in events:
+                    self.push(*row)
         return self
 
     # ------------------------------------------------------------------
@@ -746,8 +812,7 @@ class SessionFrontDoor:
     @synchronized
     def _drain_and_seal(self, horizon: "int | None"):
         self._require_open()
-        for event in self._reorder.flush():
-            self._stage(*event)
+        self._apply_run(*self._reorder._drain())
         if horizon is None:
             horizon = max(self._watermark, self._max_event_ts + 1)
         if horizon < self._watermark:
@@ -791,30 +856,43 @@ class SessionFrontDoor:
         self.close()
 
     def _stop_pump(self) -> None:
-        """Drain and stop the pump (idempotent; no-op in sync mode)."""
+        """Apply what is still pending, so both modes close having
+        applied every accepted event (idempotent): the pump drains its
+        queue and stops (drain or raise); in sync mode the pending rows
+        settle, and are dropped only when the backend has failed (an
+        ``ExecutionError``: closing over dead workers never raises)."""
         if self._pump is not None:
             self._pump.stop()
+            return
+        try:
+            self._settle()
+        except ExecutionError:
+            pass
 
 
 class IngestPump:
     """The background thread draining an :class:`IngestQueue` into a
     session's synchronous ingest path.
 
-    ``push`` / ``push_run`` are the session's
-    *synchronous* single-threaded entry points, one per data item kind
-    — the pump is their only caller while it runs, which is the whole
-    concurrency story: one producer-facing bounded MPSC queue (any
-    number of submitting threads), one consumer thread, zero shared
-    mutable session state across threads.
+    ``push_rows`` / ``push_run`` are the session's *synchronous*
+    single-threaded entry points, one per data item kind (a list of
+    rows, which it validates whole; validated
+    :class:`~repro.engine.events.EventColumns`) — the pump is their
+    only caller while it runs, which is the whole concurrency story:
+    one producer-facing bounded MPSC queue (any number of submitting
+    threads), one consumer thread, zero shared mutable session state
+    across threads.  A failure parks its error; ``push_rows`` counts
+    the rows it left unapplied through :meth:`discard`, so they join
+    the exact discard tally.
     """
 
     def __init__(
         self,
-        push,
-        push_run=None,
+        push_rows,
+        push_run,
         high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
     ):
-        self._apply = {_EVENT: push, _RUN: push_run}
+        self._apply = {_ROWS: push_rows, _RUN: push_run}
         self.queue = IngestQueue(high_watermark)
         self._error: "BaseException | None" = None
         self._error_seen = False
@@ -846,13 +924,14 @@ class IngestPump:
                 f"async ingest failed: {self._error}"
             ) from self._error
 
-    def pending_data(self) -> list:
-        """The queued-but-unapplied data items (snapshot residue)."""
-        return self.queue.peek_data()
-
-    def submit_event(self, ts: int, key: int, value: float) -> None:
+    def submit_row(self, row) -> None:
         self._raise_pending()
-        self.queue.put_data((_EVENT, ts, key, value), 1)
+        self.queue.put_data((_ROWS, [row]), 1)
+
+    def discard(self, events: int) -> None:
+        """Count events of the rows entry being applied that a failure
+        left unapplied."""
+        self._discarded_events += events
 
     def submit_run(self, columns: EventColumns) -> None:
         self._raise_pending()
@@ -862,9 +941,11 @@ class IngestPump:
         """Enqueue ``fn(*args, **kwargs)`` and wait for the pump to
         execute it at its position in the command stream."""
         self._raise_pending()
-        call = _Call(fn, args, kwargs)
-        self.queue.put_control((_CALL, call))
-        result = call.wait()
+        reply = SimpleQueue()
+        self.queue.put_control((_CALL, (reply, fn, args, kwargs)))
+        error, result = reply.get()
+        if error is not None:
+            raise error
         self._raise_pending()
         return result
 
@@ -882,7 +963,7 @@ class IngestPump:
         if self._stopped and not self._thread.is_alive():
             return
         try:
-            self.queue.put_control((_STOP,), counted=False)
+            self.queue.put_control((_STOP, None), counted=False)
         except ExecutionError:  # already closed by a crashed pump
             pass
         self._thread.join()
@@ -905,24 +986,23 @@ class IngestPump:
     def _run(self) -> None:
         try:
             while True:
-                item, weight = self.queue.get()
-                kind = item[0]
+                (kind, payload), weight = self.queue.get()
                 if kind == _STOP:
                     break
                 if kind == _CALL:
-                    call = item[1]
+                    reply, fn, args, kwargs = payload
                     if self._error is not None:
                         # Failing the call surfaces the parked error to
                         # the producer blocked in submit_call(); mark it
                         # seen so stop() does not raise it a second time.
                         self._error_seen = True
-                        call.fail(
-                            ExecutionError(
-                                f"async ingest failed: {self._error}"
-                            )
-                        )
-                    else:
-                        call.run()
+                        error = f"async ingest failed: {self._error}"
+                        reply.put((ExecutionError(error), None))
+                        continue
+                    try:
+                        reply.put((None, fn(*args, **kwargs)))
+                    except BaseException as exc:  # noqa: BLE001 - relayed
+                        reply.put((exc, None))
                     continue
                 if self._error is not None:
                     # Poisoned: discard data (counted — stop() raises
@@ -930,15 +1010,15 @@ class IngestPump:
                     self._discarded_events += weight
                     continue
                 try:
-                    self._apply[kind](*item[1:])
+                    self._apply[kind](payload)
                 except BaseException as exc:  # noqa: BLE001 - parked
                     self._error = exc
         finally:
             self._stopped = True
-            for item, weight in self.queue.close():
-                if item[0] == _CALL:
-                    item[1].fail(
-                        ExecutionError("ingest pump stopped")
+            for (kind, payload), weight in self.queue.close():
+                if kind == _CALL:
+                    payload[0].put(
+                        (ExecutionError("ingest pump stopped"), None)
                     )
                 else:
                     self._discarded_events += weight

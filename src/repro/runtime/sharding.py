@@ -1763,13 +1763,8 @@ class ShardedSession(SessionFrontDoor):
 
     def _loads(self) -> np.ndarray:
         """Decayed per-slot event loads: the counters stepped at every
-        chunk end, plus the events taken in since the last one — staged
-        or buffered alike, so the value is the same whatever call
-        granularity brought them."""
-        staged = np.asarray(self._staged[1], dtype=np.int64)
-        return self._slot_events + (self._slot_pending + np.bincount(
-            self.partitioner.slot_of_key[staged], minlength=self.num_slots
-        ))
+        chunk end, plus the events buffered since the last one."""
+        return self._slot_events + self._slot_pending
 
     @synchronized
     def slot_loads(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -2213,8 +2208,10 @@ class ShardedSession(SessionFrontDoor):
     def close(self) -> None:
         """Shut the backend down (worker processes exit).  The session
         accepts no further calls — results must be read before
-        closing.  In async mode the pump is stopped first (queued
-        events are still applied, so nothing in flight is lost).
+        closing.  Every accepted event is applied first, so nothing in
+        flight is lost: in async mode the pump drains its queue and
+        stops, in sync mode per-event ``push``'s pending rows settle
+        (dropped only if the backend has already failed).
 
         Robust to crashed workers: the backend teardown always runs —
         bounded join with terminate → kill escalation, shared-memory

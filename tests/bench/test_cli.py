@@ -128,3 +128,46 @@ class TestServeCommand:
         missing = tmp_path / "nope.yaml"
         assert main(["serve", "--port", "0", "--config", str(missing)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSessionCheckpointRoundTrip:
+    """The CLI's two per-event ``push`` loops: ``session`` writing
+    checkpoints as it streams, then ``restore`` resuming the same
+    stream from the newest one."""
+
+    QUERIES = (
+        "SELECT DeviceID, MIN(T) FROM Input GROUP BY DeviceID, Windows("
+        "Window('a', TumblingWindow(second, 20)), "
+        "Window('b', HoppingWindow(second, 40, 20)))",
+        "SELECT DeviceID, SUM(T) FROM Input GROUP BY DeviceID, Windows("
+        "Window('c', TumblingWindow(second, 30)))",
+    )
+
+    @staticmethod
+    def emitted(out: str) -> list:
+        lines = out.splitlines()
+        start = lines.index("emitted results:") + 1
+        return lines[start : lines.index("", start)]
+
+    @pytest.mark.parametrize("mode", [[], ["--async-ingest"]],
+                             ids=["sync", "async"])
+    def test_restore_resumes_to_the_uninterrupted_results(
+        self, tmp_path, capsys, mode
+    ):
+        stream = ["--events", "3000"]
+        assert main(["session", *self.QUERIES, *stream, *mode]) == 0
+        expected = self.emitted(capsys.readouterr().out)
+        assert len(expected) == 3
+        directory = str(tmp_path / "ckpt")
+        code = main(
+            ["session", *self.QUERIES, *stream, *mode,
+             "--checkpoint-dir", directory, "--checkpoint-every", "100"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("checkpoint -> ckpt-") >= 5
+        assert self.emitted(out) == expected
+        assert main(["restore", directory, *mode]) == 0
+        out = capsys.readouterr().out
+        assert "restored x1 session" in out
+        assert self.emitted(out) == expected

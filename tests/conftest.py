@@ -51,8 +51,8 @@ from hypothesis import strategies as st
 from repro.engine.events import EventBatch, make_batch
 from repro.windows.window import Window, WindowSet
 
-# The per-event engine oracle (``oracle_streaming``) lives beside the
-# engine tests; this makes it importable from every suite.
+# The per-event oracles (``oracle_streaming``, ``oracle_reorder``) live
+# beside the engine tests; this makes them importable from every suite.
 sys.path.insert(0, str(Path(__file__).parent / "engine"))
 
 _SEED_ENV = os.environ.get("REPRO_TEST_SEED")
@@ -223,7 +223,12 @@ def ledger_window_sets() -> "dict[str, WindowSet]":
 # ----------------------------------------------------------------------
 # Resource fences
 # ----------------------------------------------------------------------
-PUMP_CHECKED = {"test_ingest.py", "test_front_door.py", "test_push_many.py"}
+PUMP_CHECKED = {
+    "test_ingest.py",
+    "test_front_door.py",
+    "test_push_many.py",
+    "test_cli.py",
+}
 BACKEND_CHECKED = {"runtime", "scenarios"}
 
 

@@ -21,6 +21,8 @@ from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
 from repro.workloads.streams import constant_rate_stream
 
+from oracle_reorder import OracleReorderBuffer
+
 
 class TestReorderBuffer:
     def test_in_order_passthrough(self):
@@ -49,9 +51,10 @@ class TestReorderBuffer:
 
     def test_watermark_trails_max_seen(self):
         buffer = ReorderBuffer(max_lateness=5)
-        list(buffer.push(10, 0, 1.0))
+        buffer.push_batch(*columns([(10, 0, 1.0)]))
         assert buffer.watermark == 5
-        list(buffer.push(7, 0, 1.0))  # out of order but above watermark
+        # Out of order but above the watermark.
+        buffer.push_batch(*columns([(7, 0, 1.0)]))
         assert buffer.watermark == 5
         assert buffer.stats.accepted == 2
 
@@ -62,15 +65,15 @@ class TestReorderBuffer:
     def test_negative_timestamp_rejected(self):
         buffer = ReorderBuffer(max_lateness=1)
         with pytest.raises(ExecutionError):
-            list(buffer.push(-1, 0, 1.0))
+            buffer.push_batch(*columns([(-1, 0, 1.0)]))
 
     def test_late_drops_are_counted_not_retained(self):
         """Late events are dropped with exact counters and nothing
         else: the front door's state stays bounded (DESIGN.md §5)."""
         buffer = ReorderBuffer(max_lateness=0)
-        list(buffer.push(1000, 0, 1.0))
+        buffer.push_batch(*columns([(1000, 0, 1.0)]))
         for ts in range(500):
-            list(buffer.push(ts, 0, 0.0))
+            buffer.push_batch(*columns([(ts, 0, 0.0)]))
         assert buffer.stats.late_dropped == 500
         assert buffer.stats.max_observed_lateness == 1000
         assert buffer.stats.accepted == 1
@@ -146,9 +149,10 @@ COUNTERS = (
 
 
 class TestPushBatch:
-    """The columnar batch push is the per-event path, call by call —
-    every release, late-drop decision and stats counter — alone or
-    interleaved with ``push`` on one buffer."""
+    """The columnar batch push is the per-event definition
+    (``oracle_reorder``), call by call — every release, late-drop
+    decision and stats counter — whatever the blocks: whole pieces,
+    one event at a time, across pickles."""
 
     events_strategy = st.lists(
         st.tuples(
@@ -164,11 +168,16 @@ class TestPushBatch:
     def _play(events, splits, max_lateness, verbs):
         """Feed ``events`` piece by piece, each through the next of
         ``verbs`` (cycled): ``push`` event by event, ``batch`` through
-        ``push_batch``, ``pickle`` the same after a pickle round trip of
-        the buffer, ``pickle-push`` event by event after one.  Returns
-        ``(per-piece trace, buffer)``: each piece's releases, watermark,
-        held count and counters."""
-        buffer = ReorderBuffer(max_lateness)
+        ``push_batch`` whole, ``pickle`` the same after a pickle round
+        trip of the buffer — on the oracle when ``verbs`` is
+        ``["oracle"]``, else on a ``ReorderBuffer`` (where ``push`` is
+        a ``push_batch`` per event).  Returns ``(per-piece trace,
+        buffer)``: each piece's releases, watermark, held count and
+        counters."""
+        oracle = verbs == ["oracle"]
+        buffer = (OracleReorderBuffer if oracle else ReorderBuffer)(
+            max_lateness
+        )
         bounds = sorted(min(s, len(events)) for s in splits)
         trace = []
         for index, piece in enumerate(
@@ -176,10 +185,16 @@ class TestPushBatch:
         ):
             block = [events[i] for i in piece]
             verb = verbs[index % len(verbs)]
-            if verb.startswith("pickle"):
+            if verb == "pickle":
                 buffer = pickle.loads(pickle.dumps(buffer))
-            if verb.endswith("push"):
+            if oracle:
                 released = [e for row in block for e in buffer.push(*row)]
+            elif verb == "push":
+                released = [
+                    e
+                    for row in block
+                    for e in rows(buffer.push_batch(*columns([row])))
+                ]
             else:
                 released = rows(buffer.push_batch(*columns(block)))
             counters = [getattr(buffer.stats, c) for c in COUNTERS]
@@ -189,10 +204,11 @@ class TestPushBatch:
         return trace, buffer
 
     def _assert_matches_push(self, events, splits, max_lateness, verbs):
-        """Every piece fed through ``verbs`` ≡ fed event by event: the
-        trace call by call, then the end-of-stream drain."""
+        """Every piece fed through ``verbs`` ≡ fed event by event to
+        the oracle: the trace call by call, then the end-of-stream
+        drain."""
         oracle, oracle_buf = self._play(
-            events, splits, max_lateness, ["push"]
+            events, splits, max_lateness, ["oracle"]
         )
         trace, buf = self._play(events, splits, max_lateness, verbs)
         assert trace == oracle, verbs
@@ -204,7 +220,7 @@ class TestPushBatch:
         splits=st.lists(st.integers(0, 200), max_size=3),
         max_lateness=st.integers(0, 15),
         mixed=st.lists(
-            st.sampled_from(("push", "batch", "pickle", "pickle-push")),
+            st.sampled_from(("push", "batch", "pickle")),
             min_size=1,
             max_size=4,
         ),
@@ -214,8 +230,8 @@ class TestPushBatch:
         self, events, splits, max_lateness, mixed
     ):
         """Both ways a batch meets a buffer: every piece batched, and
-        batches interleaved with per-event pushes (the carried heap
-        handed across in both directions, pickled mid-stream)."""
+        batches interleaved with one-event blocks (the carried columns
+        handed across, pickled mid-stream)."""
         for verbs in (["batch"], mixed):
             self._assert_matches_push(events, splits, max_lateness, verbs)
 
@@ -255,7 +271,7 @@ class TestPushBatch:
     @given(
         stream=in_order_pieces(),
         verbs=st.lists(
-            st.sampled_from(("push", "batch", "pickle", "pickle-push")),
+            st.sampled_from(("push", "batch", "pickle")),
             min_size=1,
             max_size=4,
         ),
@@ -296,38 +312,34 @@ class TestPushBatch:
              (3, 2, 5.0), (9, 0, 6.0), (6, 3, 7.0), (8, 1, 8.0)],
             [2, 4, 6], 3,
         ),
-        verbs=["push", "batch", "pickle-push", "push"],
+        verbs=["push", "batch", "pickle", "push"],
     )
     @settings(max_examples=60, deadline=None)
     def test_in_order_pieces_match_per_event_push(self, stream, verbs):
         """Timestamp-sorted pieces (a late prefix, no sort at a seam at
         or above the carried maximum, the one-below seam that does
-        sort) ≡ ``push``, alone and with the verbs mixed across
+        sort) ≡ the oracle, alone and with the verbs mixed across
         pickles."""
         events, splits, max_lateness = stream
         for feed in (["batch"], verbs):
             self._assert_matches_push(events, splits, max_lateness, feed)
 
     def test_a_batch_fed_buffer_carries_columns_only(self):
-        """``push_batch`` alone never builds the heap; a ``push`` turns
-        the carry into one, the next batch folds it back, and a pickle
-        holds columns whichever shape the buffer is in."""
+        """The carry is three sorted columns after every block, a
+        one-event block included, and a pickle holds them as they
+        are."""
         buffer = ReorderBuffer(3)
         for block in ([(5, 0, 1.0), (2, 1, 2.0), (9, 0, 3.0)],
-                      [(8, 1, 4.0), (10, 0, 5.0)]):
+                      [(8, 1, 4.0), (10, 0, 5.0)], [(11, 1, 6.0)]):
             buffer.push_batch(*columns(block))
-            assert buffer._heap == []
             assert [c.dtype for c in buffer._held] == [
                 dtype for _, dtype in EVENT_COLUMN_DTYPES
             ]
-        assert list(buffer.push(11, 1, 6.0)) == []
-        assert buffer._held[0].size == 0 and len(buffer._heap) == 4
-        state = buffer.__getstate__()
-        assert state["_heap"] == []
+        assert buffer._held[0].tolist() == [8, 9, 10, 11]
+        state = pickle.loads(pickle.dumps(buffer)).__dict__
+        assert state.keys() == buffer.__dict__.keys()
         assert state["_held"][0].tolist() == [8, 9, 10, 11]
-        assert len(buffer._heap) == 4  # pickling folds a copy
         buffer.push_batch(*columns([(12, 0, 7.0)]))
-        assert buffer._heap == []
         assert buffer._held[0].tolist() == [9, 10, 11, 12]
 
     @given(
@@ -390,8 +402,7 @@ class TestPushBatch:
         batch is refused before any state moves."""
         for carried in ([], [(7, 0, 1.0), (9, 1, 2.0)]):
             buffer = ReorderBuffer(2)
-            for row in carried:
-                list(buffer.push(*row))
+            buffer.push_batch(*columns(carried))
             before = pickle.dumps(buffer)
             with pytest.raises(ExecutionError, match=">= 0"):
                 buffer.push_batch(
@@ -432,12 +443,12 @@ class TestPushBatch:
 
     def test_equal_timestamps_keep_arrival_order_across_the_seam(self):
         """Carried events precede the batch's at the same tick, and a
-        later ``push`` at that tick follows both."""
+        later event at that tick follows both."""
         buffer = ReorderBuffer(0)
-        assert list(buffer.push(5, 0, 0.0)) == []
+        assert rows(buffer.push_batch(*columns([(5, 0, 0.0)]))) == []
         same_tick = [(5, 1, 1.0), (5, 2, 2.0)]
         assert rows(buffer.push_batch(*columns(same_tick))) == []
-        assert list(buffer.push(5, 3, 3.0)) == []
+        assert rows(buffer.push_batch(*columns([(5, 3, 3.0)]))) == []
         late_then_next = [(4, 9, 9.0), (6, 4, 4.0)]
         released = rows(buffer.push_batch(*columns(late_then_next)))
         assert released == [(5, k, float(k)) for k in range(4)]

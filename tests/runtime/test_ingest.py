@@ -8,7 +8,9 @@ polling ``drain_results()`` must keep buffered result state bounded
 regardless of how long the session runs.
 """
 
+import sys
 import threading
+from queue import SimpleQueue
 
 import numpy as np
 import pytest
@@ -17,8 +19,12 @@ from repro.aggregates.registry import AVG, MEDIAN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import EventColumns
 from repro.errors import ExecutionError
-from repro.runtime import ShardedSession, SharedMemoryShardBackend
-from repro.runtime.ingest import IngestPump, IngestQueue
+from repro.runtime import (
+    CheckpointStore,
+    ShardedSession,
+    SharedMemoryShardBackend,
+)
+from repro.runtime.ingest import _CALL, _ROWS, IngestPump, IngestQueue
 from repro.windows.window import Window, WindowSet
 
 from session_streams import SHARD_COUNTS, integer_stream, serial_session
@@ -90,6 +96,37 @@ class TestIngestQueue:
         queue.put_control(("call", None))  # must not block
         assert queue.stats.enqueued_calls == 1
 
+    def test_rows_join_the_open_entry_until_another_item_or_the_pump(self):
+        """Rows append to the tail rows entry, each weighing one event;
+        a call (or any item) after them, or the pump taking the entry,
+        closes it — so a call never lands inside a rows entry."""
+        queue = IngestQueue(high_watermark=4)
+        queue.put_data((_ROWS, [(0, 0, 1.0)]), 1)
+        queue.put_data((_ROWS, [(1, 0, 2.0)]), 1)
+        queue.put_control(("call", None))
+        queue.put_data((_ROWS, [(2, 1, 3.0)]), 1)
+        assert queue.stats.enqueued_events == 3
+        assert queue.stats.max_depth_events == 3
+        assert queue.peek_data() == [
+            (_ROWS, [(0, 0, 1.0), (1, 0, 2.0)]),
+            (_ROWS, [(2, 1, 3.0)]),
+        ]
+        assert queue.get() == ((_ROWS, [(0, 0, 1.0), (1, 0, 2.0)]), 2)
+        assert queue.get() == (("call", None), 0)
+        taken, weight = queue.get()
+        assert (taken, weight) == ((_ROWS, [(2, 1, 3.0)]), 1)
+        queue.put_data((_ROWS, [(3, 0, 4.0)]), 1)  # the taken entry stays
+        assert taken == (_ROWS, [(2, 1, 3.0)])
+        for ts in range(4, 7):
+            queue.put_data((_ROWS, [(ts, 0, 5.0)]), 1)
+        assert not queue._gate_open  # four rows: the high watermark
+        assert queue.get() == (
+            (_ROWS, [(ts, 0, v) for ts, v in ((3, 4.0), (4, 5.0), (5, 5.0),
+                                                (6, 5.0))]),
+            4,
+        )
+        assert queue._gate_open
+
 
 # ----------------------------------------------------------------------
 # Front-door error parking
@@ -117,17 +154,21 @@ class TestDrainOrRaiseClose:
     raise the parked error with an exact count of what was discarded —
     never silently drop pending input (DESIGN.md §9)."""
 
+    @staticmethod
+    def _unreachable_run(columns):  # pragma: no cover - never queued
+        raise AssertionError("no column run was submitted")
+
     def test_clean_stop_flushes_queued_events(self):
         applied = []
         gate = threading.Event()
 
-        def push(ts, key, value):
+        def push_rows(rows):
             gate.wait()
-            applied.append((ts, key, value))
+            applied.extend(rows)
 
-        pump = IngestPump(push=push, high_watermark=64)
+        pump = IngestPump(push_rows, self._unreachable_run, high_watermark=64)
         for i in range(5):
-            pump.submit_event(i, 0, 1.0)
+            pump.submit_row((i, 0, 1.0))
         gate.set()
         pump.stop()  # must not raise, must apply everything queued
         assert applied == [(i, 0, 1.0) for i in range(5)]
@@ -136,16 +177,20 @@ class TestDrainOrRaiseClose:
         applied = []
         gate = threading.Event()
 
-        def push(ts, key, value):
+        def push_rows(rows):
+            # The session's contract: rows left behind a failing row
+            # in its entry are counted through discard().
             gate.wait()
-            if key == 99:
-                raise ValueError("boom")
-            applied.append((ts, key, value))
+            for index, row in enumerate(rows):
+                if row[1] == 99:
+                    pump.discard(len(rows) - index - 1)
+                    raise ValueError("boom")
+                applied.append(row)
 
-        pump = IngestPump(push=push, high_watermark=64)
-        pump.submit_event(0, 99, 1.0)  # poison, held at the gate
+        pump = IngestPump(push_rows, self._unreachable_run, high_watermark=64)
+        pump.submit_row((0, 99, 1.0))  # poison, held at the gate
         for i in range(5):
-            pump.submit_event(i + 1, 0, 1.0)  # queued FIFO behind it
+            pump.submit_row((i + 1, 0, 1.0))  # queued FIFO behind it
         gate.set()
         with pytest.raises(
             ExecutionError,
@@ -155,19 +200,43 @@ class TestDrainOrRaiseClose:
         assert applied == []  # nothing behind the poison was applied...
         pump.stop()  # ...and a second stop does not raise it twice
 
+    @SHARD_COUNTS
+    def test_a_rows_entry_failing_validation_is_discarded_whole(self, shards):
+        """A rows entry is validated like a batch: one bad row parks
+        the error, and every event of the entry is discarded."""
+        session = serial_session(shards, num_keys=2, async_ingest=True)
+        session.push(0, 1, 1.0)
+        session.results()  # the first row applied, in an entry alone
+        gate = threading.Event()  # hold the pump: the rows form one entry
+        session._pump.queue.put_control(
+            (_CALL, (SimpleQueue(), gate.wait, (), {}))
+        )
+        for row in ((1, 0, 1.0), (2, 99, 1.0), (3, 0, 1.0)):
+            session.push(*row)
+        gate.set()
+        with pytest.raises(
+            ExecutionError,
+            match=(
+                r"events\[1\]: key 99 outside dense id space \[0, 2\); "
+                r"3 queued event\(s\) were discarded"
+            ),
+        ):
+            session.close()
+        assert session.reorder_stats.total == 1
+
     def test_stop_counts_batch_discards_by_event(self):
         batch = integer_stream(ticks=10, num_keys=NUM_KEYS, seed=7, rate=3)
         gate = threading.Event()
 
-        def push(ts, key, value):
+        def push_rows(rows):
             gate.wait()
             raise ValueError("boom")
 
         def push_run(columns):  # pragma: no cover - parked error skips it
             raise AssertionError("batch must be discarded, not applied")
 
-        pump = IngestPump(push=push, push_run=push_run, high_watermark=256)
-        pump.submit_event(0, 99, 1.0)
+        pump = IngestPump(push_rows, push_run, high_watermark=256)
+        pump.submit_row((0, 1, 1.0))
         pump.submit_run(
             EventColumns(batch.timestamps, batch.keys, batch.values, NUM_KEYS)
         )
@@ -177,6 +246,73 @@ class TestDrainOrRaiseClose:
             match=rf"{batch.num_events} queued event\(s\) were discarded",
         ):
             pump.stop()
+
+    @SHARD_COUNTS
+    def test_a_row_failing_inside_its_entry_discards_the_rows_behind(
+        self, shards, tmp_path
+    ):
+        """A row fails — its auto-checkpoint callback raises — inside a
+        rows entry that still holds the rows behind it: ``close()``
+        counts exactly those rows, and the run queued after the entry,
+        as discarded.  The failing row is the one ``push_many([row])``
+        checkpoints at."""
+        batch = integer_stream(ticks=40, num_keys=NUM_KEYS, seed=3, rate=3)
+        columns = (batch.timestamps, batch.keys, batch.values)
+        rows = list(zip(*(column.tolist() for column in columns)))
+        tail = EventColumns(
+            batch.timestamps[:5], batch.keys[:5], batch.values[:5], NUM_KEYS
+        )
+
+        def run(async_ingest, directory, on_checkpoint):
+            session = serial_session(
+                shards,
+                num_keys=NUM_KEYS,
+                chunk_ticks=4,
+                hysteresis=None,
+                async_ingest=async_ingest,
+                auto_checkpoint=CheckpointStore(directory, every=10),
+                checkpoint_meta=lambda: {
+                    "position": session.reorder_stats.total
+                },
+                on_checkpoint=on_checkpoint,
+            )
+            for query, scope in QUERIES:
+                session.register(query, scope=scope)
+            return session
+
+        positions = []
+        with run(
+            False,
+            tmp_path / "rows",
+            lambda snap, path: positions.append(snap.meta["position"]),
+        ) as reference:
+            for row in rows:
+                reference.push_many([row])
+        failing = positions[0]
+        assert 0 < failing < len(rows)
+
+        def fail(snap, path):
+            assert snap.meta["position"] == failing
+            raise ValueError("disk full")
+
+        session = run(True, tmp_path / "push", fail)
+        gate = threading.Event()  # hold the pump: the rows form one entry
+        session._pump.queue.put_control(
+            (_CALL, (SimpleQueue(), gate.wait, (), {}))
+        )
+        for row in rows:
+            session.push(*row)
+        session.push_many(tail)
+        gate.set()
+        discarded = len(rows) - failing + tail.ts.size
+        with pytest.raises(
+            ExecutionError,
+            match=(
+                rf"disk full; {discarded} queued event\(s\) were "
+                "discarded, not applied"
+            ),
+        ):
+            session.close()
 
     @SHARD_COUNTS
     def test_session_close_raises_unobserved_parked_error_once(self, shards):
@@ -444,10 +580,18 @@ def _mpsc_run(session, batch, producers):
         threading.Thread(target=producer, args=(lane,))
         for lane in range(producers)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    # Switch threads often, so producers race each other and the pump
+    # on the open rows entry.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors, errors
 
 
@@ -490,6 +634,7 @@ def test_mpsc_producers_equal_serial_oracle(repro_seed, shards, producers):
         actual = session.finish(horizon=batch.horizon)
         stats = session.reorder_stats  # pump fully drained by finish()
         assert stats.accepted == batch.num_events
+        assert session.ingest_stats.enqueued_events == batch.num_events
         assert stats.late_dropped == 0
     _assert_identical(
         expected, actual, f"seed={repro_seed} producers={producers}"

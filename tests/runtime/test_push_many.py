@@ -16,6 +16,7 @@ loop); real-valued streams are held to the same standard with
 """
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ import pytest
 from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import event_columns
+from repro.engine.outoforder import ReorderBuffer
 from repro.errors import ExecutionError
+from repro.runtime import CheckpointStore, ShardedSession
+from repro.runtime.ingest import SessionFrontDoor
 from repro.windows.window import Window, WindowSet
 
 from session_streams import SHARD_COUNTS, serial_session
@@ -147,6 +151,366 @@ def test_push_many_is_the_per_event_loop(
         assert listed_wm == loop_wm, context
 
 
+def ops_for(session, length):
+    """The mid-stream workload changes: ``{row index: call}``."""
+    return {
+        length // 3: lambda: session.register(LATE),
+        2 * length // 3: lambda: session.deregister("sums"),
+    }
+
+
+def applied(session):
+    stats = session.reorder_stats
+    return stats.accepted + stats.late_dropped
+
+
+def replanning_run(rows, verb, async_ingest, shards, directory):
+    """Every row alone through ``verb`` on a session that replans at
+    any drift and checkpoints every 25 ticks: ``(results, switches,
+    checkpoints, reorder stats)``, each checkpoint paired with the
+    applied position its ``checkpoint_meta`` saw."""
+    saved = []
+    session = serial_session(
+        shards,
+        num_keys=NUM_KEYS,
+        max_lateness=8,
+        chunk_ticks=CHUNK_TICKS,
+        hysteresis=0.0,
+        async_ingest=async_ingest,
+        auto_checkpoint=CheckpointStore(directory, every=25),
+        checkpoint_meta=lambda: {"position": applied(session)},
+        on_checkpoint=lambda snap, path: saved.append(snap),
+    )
+    with session:
+        for query in INITIAL:
+            session.register(query)
+        ops = ops_for(session, len(rows))
+        for index, row in enumerate(rows):
+            if index in ops:
+                ops[index]()
+            if verb == "push":
+                session.push(*row)
+            else:
+                session.push_many([row])
+        results = session.finish(TICKS)
+        switches = [(s.reason, s.watermark, s.rate) for s in session.switches]
+        return results, switches, saved, session.reorder_stats
+
+
+def position_of(snap):
+    """The applied position ``snap`` was cut at, off its own reorder
+    counters (residue not yet applied)."""
+    stats = pickle.loads(snap.payload["state"])["door"]["_reorder"].stats
+    return stats.accepted + stats.late_dropped
+
+
+def resumed(snap, rows, async_ingest, directory):
+    """Restore ``snap`` in ``async_ingest`` mode, its checkpoint cadence
+    rolling on from the snapshot, and push the rest of ``rows`` from the
+    restored session's own position: ``(results, switches,
+    checkpoints, residue)`` — the checkpoints as ``(watermark,
+    position)`` and ``residue`` the number of rows the snapshot
+    carried."""
+    store = CheckpointStore(directory, every=25)
+    store.save(snap)
+    saved = []
+    session = ShardedSession.restore(
+        snap,
+        async_ingest=async_ingest,
+        auto_checkpoint=store,
+        on_checkpoint=lambda cut, path: saved.append(
+            (cut.watermark, position_of(cut))
+        ),
+    )
+    with session:
+        session.results()  # a synchronization point: residue applied
+        position = applied(session)
+        ops = ops_for(session, len(rows))
+        for index in range(position, len(rows)):
+            if index in ops:
+                ops[index]()
+            session.push(*rows[index])
+        results = session.finish(TICKS)
+        switches = [(s.reason, s.watermark, s.rate) for s in session.switches]
+        return results, switches, saved, position - snap.meta["position"]
+
+
+@SHARD_COUNTS
+@pytest.mark.parametrize("async_ingest", [False, True], ids=["sync", "async"])
+def test_push_lands_every_epilogue_where_one_row_calls_do(
+    shards, async_ingest, tmp_path, repro_seed
+):
+    """Per-event ``push`` settles its pending rows in pieces, yet every
+    chunk flush, rate replan and auto-checkpoint lands after the same
+    row as with ``push_many([row])`` — which runs the epilogue per
+    call — and every checkpoint, pending rows carried as residue,
+    resumes to the uninterrupted results, switches and checkpoints."""
+    rows = arrivals(repro_seed, 8, whole=True)
+    context = f"seed={repro_seed}"
+    config = (async_ingest, shards)
+    pushed, pushed_switches, pushed_saves, pushed_reorder = replanning_run(
+        rows, "push", *config, tmp_path / "push"
+    )
+    single, single_switches, single_saves, single_reorder = replanning_run(
+        rows, "push_many", *config, tmp_path / "push_many"
+    )
+    assert_same_results(pushed, single, context)
+    assert pushed_switches == single_switches, context
+    # A replan moved the rate the later switches were priced at.
+    assert {rate for _, _, rate in pushed_switches} != {1}, context
+    assert len(pushed_saves) >= 5, context
+    cuts = [(snap.watermark, snap.meta["position"]) for snap in pushed_saves]
+    assert cuts == [
+        (snap.watermark, snap.meta["position"]) for snap in single_saves
+    ], context
+    assert cuts == [
+        (snap.watermark, position_of(snap)) for snap in pushed_saves
+    ], context
+    assert_same_reorder(pushed_reorder, single_reorder, context)
+    carried = 0
+    for number, snap in enumerate(pushed_saves):
+        where = f"{context} wm={snap.watermark}"
+        results, switches, saves, residue = resumed(
+            snap, rows, async_ingest, tmp_path / f"resumed-{number}"
+        )
+        assert_same_results(results, pushed, where)
+        assert switches == pushed_switches, where
+        assert saves == cuts[number + 1 :], where
+        carried += residue > 0
+    if async_ingest:
+        assert carried, context  # the pump held rows at some cut
+
+
+@pytest.mark.parametrize("async_ingest", [False, True], ids=["sync", "async"])
+def test_close_applies_every_pushed_row(async_ingest, tmp_path, repro_seed):
+    """A session closed unfinished has applied every row ``push``
+    accepted — auto-checkpoints written, reorder counters moved —
+    exactly as ``push_many([row])`` has, in either ingest mode."""
+    rows = arrivals(repro_seed, 8, whole=True)[:1000]
+
+    def closed(verb):
+        saved = []
+        session = serial_session(
+            2,
+            num_keys=NUM_KEYS,
+            max_lateness=8,
+            chunk_ticks=CHUNK_TICKS,
+            hysteresis=0.0,
+            async_ingest=async_ingest,
+            auto_checkpoint=CheckpointStore(tmp_path / verb, every=25),
+            checkpoint_meta=lambda: {"position": applied(session)},
+            on_checkpoint=lambda snap, path: saved.append(
+                (snap.watermark, snap.meta["position"])
+            ),
+        )
+        for query in INITIAL:
+            session.register(query)
+        for row in rows:
+            if verb == "push":
+                session.push(*row)
+            else:
+                session.push_many([row])
+        if verb == "push" and not async_ingest:
+            assert session._rows  # rows still pending at close
+        session.close()
+        return saved, session.reorder_stats
+
+    saved, stats = closed("push")
+    expected_saved, expected_stats = closed("push_many")
+    assert saved == expected_saved
+    assert len(saved) >= 3
+    assert_same_reorder(stats, expected_stats, f"seed={repro_seed}")
+    assert stats.accepted + stats.late_dropped == len(rows)
+
+
+def test_close_drops_pending_rows_only_over_a_failed_backend(monkeypatch):
+    """A sync session whose backend has failed still closes without
+    raising; its pending rows go with it."""
+    session = serial_session(
+        1, num_keys=NUM_KEYS, max_lateness=8, chunk_ticks=CHUNK_TICKS,
+        hysteresis=None,
+    )
+    session.register(INITIAL[0])
+    for row in arrivals(3, 8, whole=True)[:60]:
+        session.push(*row)
+    assert session._rows
+
+    def failed(*args):
+        raise ExecutionError("worker failed")
+
+    monkeypatch.setattr(session, "_buffer_run", failed)
+    session.close()
+    assert session._rows == []
+    with pytest.raises(ExecutionError, match="closed"):
+        session.results()
+
+
+def test_a_silent_gap_does_not_cut_a_piece_per_row(monkeypatch):
+    """After a silent gap longer than ``max_lateness + chunk_ticks``
+    the watermark runs past the chunk end with nothing released at or
+    past it; rows arriving then cannot flush, so ``push`` keeps them
+    pending rather than applying each as a piece of its own (a piece
+    copies the whole carry, which would make the catch-up quadratic).
+    Without replans or checkpoints every piece ends at a flushing row,
+    bar the one ``finish`` settles."""
+    rng = np.random.default_rng(5)
+    ticks = np.concatenate([np.arange(0, 40), np.arange(400, 440)])
+    ts = np.repeat(ticks, 20)
+    order = np.argsort(ts + rng.integers(0, 33, ts.size), kind="stable")
+    rows = [(int(t), int(t) % NUM_KEYS, 1.0) for t in ts[order]]
+    pieces, flushing = [], []
+    push_batch = ReorderBuffer.push_batch
+    apply_run = SessionFrontDoor._apply_run
+
+    def counted_push_batch(self, *columns):
+        pieces.append(len(columns[0]))
+        return push_batch(self, *columns)
+
+    def counted_apply_run(self, *run):
+        watermark = self._watermark
+        apply_run(self, *run)
+        flushing.append(self._watermark != watermark)
+
+    monkeypatch.setattr(ReorderBuffer, "push_batch", counted_push_batch)
+    monkeypatch.setattr(SessionFrontDoor, "_apply_run", counted_apply_run)
+    with serial_session(
+        1, num_keys=NUM_KEYS, max_lateness=32, chunk_ticks=4, hysteresis=None
+    ) as session:
+        session.register(INITIAL[0])
+        for row in rows:
+            session.push(*row)
+        session.finish()
+        assert applied(session) == len(rows)
+    assert len(pieces) <= sum(flushing) + 1
+    assert len(pieces) < len(rows) // 40
+
+
+@pytest.mark.parametrize("overshoot", [0, 3], ids=["in-bound", "late"])
+@pytest.mark.parametrize("max_lateness", [0, 5, 40])
+def test_pieces_end_at_the_rows_that_flush(
+    monkeypatch, repro_seed, max_lateness, overshoot
+):
+    """A whole gapped stream as one rows entry (the pump held busy) is
+    cut after exactly the rows at which ``push_many([row])`` flushes a
+    chunk, and after its last row; late rows (jitter past the bound)
+    may only add cuts."""
+    rng = np.random.default_rng(repro_seed)
+    rows, tick = [], 0
+    for _ in range(8):
+        span, rate = int(rng.integers(20, 120)), int(rng.integers(1, 6))
+        ts = np.repeat(np.arange(tick, tick + span), rate)
+        jitter = rng.integers(0, max_lateness + overshoot + 1, ts.size)
+        ts = ts[np.argsort(ts + jitter, kind="stable")]
+        rows += [(int(t), int(rng.integers(0, NUM_KEYS)), 1.0) for t in ts]
+        tick += span + int(rng.choice([0, 5, 60, 200]))
+    options = dict(
+        num_keys=NUM_KEYS,
+        max_lateness=max_lateness,
+        chunk_ticks=4,
+        hysteresis=None,
+    )
+    flushes = {len(rows)}
+    with serial_session(1, **options) as session:
+        session.register(INITIAL[0])
+        for index, row in enumerate(rows):
+            watermark = session.watermark
+            session.push_many([row])
+            if session.watermark != watermark:
+                flushes.add(index + 1)
+    cuts = set()
+    push_run_now = SessionFrontDoor._push_run_now
+
+    def recorded(self, columns):
+        push_run_now(self, columns)
+        cuts.add(self._reorder.stats.total)
+
+    monkeypatch.setattr(SessionFrontDoor, "_push_run_now", recorded)
+    with serial_session(1, async_ingest=True, **options) as session:
+        session.register(INITIAL[0])
+        entered, gate = threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            gate.wait()
+
+        holder = threading.Thread(target=session._pump.submit_call, args=(hold,))
+        holder.start()
+        assert entered.wait(timeout=30)
+        for row in rows:
+            session.push(*row)
+        gate.set()
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert session.ingest_stats.max_depth_events == len(rows)
+    context = f"seed={repro_seed}"
+    assert len(flushes) > 20, context
+    if overshoot:
+        assert cuts >= flushes, (context, sorted(flushes - cuts))
+    else:
+        assert cuts == flushes, (context, sorted(cuts ^ flushes))
+
+
+def gapped_rows():
+    """Whole-valued spans at rate 1 or 30, some followed by a silent
+    gap: a replan's clock sync can then cross a chunk end no event
+    reached and park the next replan inside the epilogue itself."""
+    rng = np.random.default_rng(8)
+    rows, tick = [], 0
+    for _ in range(12):
+        rate = int(rng.choice([1, 30]))
+        span = int(rng.integers(4, 40))
+        for t in range(tick, tick + span):
+            rows += [
+                (t, int(rng.integers(0, 4)), float(rng.integers(0, 100)))
+                for _ in range(rate)
+            ]
+        tick += span + int(rng.choice([0, 0, 30, 90]))
+    return rows
+
+
+@SHARD_COUNTS
+@pytest.mark.parametrize("max_lateness", [0, 3])
+def test_one_rows_entry_replans_where_one_row_calls_do(shards, max_lateness):
+    """The whole stream as one rows entry — the pump held busy while
+    it queues — against ``push_many([row])``: a replan still parked
+    after an epilogue is applied after the very next row."""
+    rate_sensitive = Query("f", WindowSet([Window(6, 3), Window(8, 4)]), MIN)
+    rows = gapped_rows()
+
+    def switches(held):
+        with serial_session(
+            shards, num_keys=4, max_lateness=max_lateness, chunk_ticks=8,
+            hysteresis=0.0, async_ingest=held,
+        ) as session:
+            session.register(rate_sensitive)
+            if held:
+                entered, gate = threading.Event(), threading.Event()
+
+                def hold():
+                    entered.set()
+                    gate.wait()
+
+                holder = threading.Thread(
+                    target=session._pump.submit_call, args=(hold,)
+                )
+                holder.start()
+                assert entered.wait(timeout=30)
+                for row in rows:
+                    session.push(*row)
+                gate.set()
+                holder.join(timeout=30)
+                assert not holder.is_alive()
+            else:
+                for row in rows:
+                    session.push_many([row])
+            session.finish()
+            return [(s.reason, s.watermark, s.rate) for s in session.switches]
+
+    expected = switches(held=False)
+    assert sum(reason == "rate" for reason, _, _ in expected) >= 3
+    assert switches(held=True) == expected
+
+
 GOOD_ROWS = [(3, 0, 1.0), (4, 1, 2.0)]
 _EXACT = (
     "events[2]: timestamp and key must be integers below 2**53 "
@@ -195,6 +559,39 @@ class TestBatchValidation:
     """A batch is checked whole before any of it is applied.  (A
     fractional timestamp used to be truncated on its way through
     ``astype(int64)`` on the sharded front door.)"""
+
+    @pytest.mark.parametrize("verb", ["push", "push_many"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1.5, 0, 1.0), "got [1.5, 0, 1.0]"),
+            ((3, 1.7, 1.0), "got [3, 1.7, 1.0]"),
+            ((4, 0, None), f"{_SHAPE}(4, 0, None) {_NONE}"),
+            ((2**60, 0, 1.0), f"got [{2**60}, 0, 1.0]"),
+        ],
+        ids=["fractional-ts", "fractional-key", "None-value", "2**60-ts"],
+    )
+    def test_push_validates_like_push_many(self, verb, bad, message):
+        """``push(*row)`` raises what ``push_many([row])`` raises — the
+        same rule, word for word — and applies nothing.  (``push``
+        used to truncate a fractional timestamp or key, take a
+        timestamp beyond float64's exact range, and let ``None`` out
+        as a bare ``TypeError``.)"""
+        if message.startswith("got "):
+            message = _EXACT + message[len("got "):]
+        expected = message.replace("events[2]", "events[0]")
+        with serial_session(1, num_keys=NUM_KEYS, hysteresis=None) as session:
+            session.register(INITIAL[0])
+            session.push_many([(1, 0, 1.0), (2, 1, 2.0)])
+            with pytest.raises(ExecutionError) as raised:
+                if verb == "push":
+                    session.push(*bad)
+                else:
+                    session.push_many([bad])
+            assert str(raised.value) == expected
+            assert applied(session) == 2
+            session.push(3, 0, 1.0)  # still healthy
+            assert applied(session) == 3
 
     @SHARD_COUNTS
     def test_bad_row_applies_nothing(self, shards):
