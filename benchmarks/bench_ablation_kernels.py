@@ -38,6 +38,8 @@ from repro.workloads.streams import constant_rate_stream
 #: Loose acceptance floors — CI machines are noisy.
 MIN_KERNEL_SPEEDUP = 1.5
 MIN_ENGINE_SPEEDUP = 1.1
+#: Stream length of the engine-path run (and the micro's sample size).
+EVENTS = 30_000
 
 
 def _best(fn, reps=5):
@@ -107,14 +109,13 @@ def _engine_path(stream, monkeypatch) -> dict:
     }
 
 
-def test_kernels_ablation_report(report_sink, bench_events, monkeypatch):
+def test_kernels_ablation_report(monkeypatch):
     if not kernels.available():
         pytest.skip(
             f"compiled kernels unavailable: {kernels.availability_error()}"
         )
-    n = max(bench_events, 30_000)
-    micros = _kernel_micros(n, monkeypatch)
-    stream = constant_rate_stream(bench_events, seed=1)
+    micros = _kernel_micros(EVENTS, monkeypatch)
+    stream = constant_rate_stream(EVENTS, seed=1)
     engine = _engine_path(stream, monkeypatch)
 
     for row in micros:
@@ -144,13 +145,12 @@ def test_kernels_ablation_report(report_sink, bench_events, monkeypatch):
             f"{engine['native_speedup']:.2f}x",
         )
     )
-    report_sink(
-        "ablation_kernels",
+    print(
         format_table(
             ["kernel", "NumPy ms", "native ms", "speedup"],
             rows,
             title=(
-                f"Compiled hot kernels vs NumPy ({n:,} events/elements)"
+                f"Compiled hot kernels vs NumPy ({EVENTS:,} events/elements)"
             ),
-        ),
+        )
     )

@@ -1,6 +1,6 @@
 """Benchmark harness: plan comparison, experiments, reporting, CLI."""
 
-from .analysis import SampleStats, best_fit_line, geometric_mean, pearson_r
+from .analysis import SampleStats, pearson_r
 from .experiments import (
     DEFAULT_EVENTS,
     DEFAULT_RUNS,
@@ -32,14 +32,12 @@ __all__ = [
     "PanelResult",
     "PlanRun",
     "SampleStats",
-    "best_fit_line",
     "boost_summary_table",
     "compare_plans",
     "cost_model_correlation",
     "format_boost_summary_table",
     "format_series",
     "format_table",
-    "geometric_mean",
     "make_stream",
     "optimizer_overhead",
     "pearson_r",

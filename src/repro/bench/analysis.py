@@ -28,16 +28,6 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(xc @ yc) / denom
 
 
-def best_fit_line(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[float, float]:
-    """Least-squares slope and intercept (for Figure-19-style plots)."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(slope), float(intercept)
-
-
 @dataclass
 class SampleStats:
     """Mean and (population) standard deviation of a sample."""
@@ -56,11 +46,3 @@ class SampleStats:
             std=float(array.std()),
             count=int(array.size),
         )
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean — the right average for speedup ratios."""
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0 or np.any(array <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(array))))

@@ -46,6 +46,8 @@ EXPERIMENTS = {
     "fig12": "optimizer overhead vs |W|",
     "fig13": "Flink vs Scotty vs factor windows, |W|=10",
     "fig14": "throughput panels, synthetic, |W|=10",
+    "fig15": "throughput panels, synthetic small stream, |W|=5",
+    "fig16": "throughput panels, synthetic small stream, |W|=10",
     "fig17": "throughput panels, real (DEBS-like), |W|=5",
     "fig18": "throughput panels, real (DEBS-like), |W|=10",
     "fig19": "cost-model correlation",
@@ -71,9 +73,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _panel_experiment(args, dataset: str, size: int) -> int:
+def _panel_experiment(args, dataset: str, size: int, events: int) -> int:
     panels = experiments.throughput_panels(
-        dataset=dataset, set_size=size, events=args.events, runs=args.runs
+        dataset=dataset, set_size=size, events=events, runs=args.runs
     )
     for panel in panels:
         print(panel.render())
@@ -83,18 +85,21 @@ def _panel_experiment(args, dataset: str, size: int) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     name = args.name
-    if name == "fig11":
-        return _panel_experiment(args, "synthetic", 5)
-    if name == "fig14":
-        return _panel_experiment(args, "synthetic", 10)
-    if name == "fig17":
-        return _panel_experiment(args, "real", 5)
-    if name == "fig18":
-        return _panel_experiment(args, "real", 10)
-    if name == "fig20":
-        return _panel_experiment(args, "synthetic", 15)
-    if name == "fig21":
-        return _panel_experiment(args, "synthetic", 20)
+    # The paper's small stream (Synthetic-1M: Figs. 15/16, Table IV)
+    # is a quarter of the main one.
+    small = args.events // 4
+    panel_setups = {
+        "fig11": ("synthetic", 5, args.events),
+        "fig14": ("synthetic", 10, args.events),
+        "fig15": ("synthetic", 5, small),
+        "fig16": ("synthetic", 10, small),
+        "fig17": ("real", 5, args.events),
+        "fig18": ("real", 10, args.events),
+        "fig20": ("synthetic", 15, args.events),
+        "fig21": ("synthetic", 20, args.events),
+    }
+    if name in panel_setups:
+        return _panel_experiment(args, *panel_setups[name])
     if name == "fig12":
         points = experiments.optimizer_overhead(runs=args.runs)
         print(experiments.render_overhead(points))
@@ -117,7 +122,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if name in ("table1", "table2", "table3", "table4"):
         dataset = "real" if name == "table2" else "synthetic"
         sizes = (15, 20) if name == "table3" else (5, 10)
-        events = args.events // 4 if name == "table4" else args.events
+        events = small if name == "table4" else args.events
         summaries = experiments.boost_summary_table(
             dataset=dataset, set_sizes=sizes, events=events, runs=args.runs
         )

@@ -1,10 +1,11 @@
 """Experiment definitions — one per table/figure of the paper.
 
 Every experiment returns structured results *and* can render the same
-rows/series the paper reports.  Default stream sizes are scaled down
-(the paper uses 1M/10M/32M events on a C# engine; a Python engine gets
-the same shapes from fewer events), and every entry point takes
-``events=`` to scale back up.
+rows/series the paper reports; ``factor-windows experiment <id>`` is
+the one runner.  Default stream sizes are scaled down (the paper uses
+1M/10M/32M events on a C# engine; a Python engine gets the same shapes
+from fewer events), and every entry point takes ``events=`` to scale
+back up.  Every figure is MIN.
 
 Mapping (see DESIGN.md §4):
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..aggregates.base import AggregateFunction
 from ..aggregates.registry import MIN
 from ..core.optimizer import optimize
 from ..engine.events import EventBatch
@@ -117,7 +117,6 @@ def run_panel(
     set_size: int,
     batch: EventBatch,
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
     include_scotty: bool = False,
 ) -> PanelResult:
     """Run one figure panel: ``runs`` freshly generated window sets."""
@@ -129,7 +128,7 @@ def run_panel(
         panel.comparisons.append(
             compare_plans(
                 windows,
-                aggregate,
+                MIN,
                 batch,
                 include_scotty=include_scotty,
                 semantics=semantics,
@@ -143,7 +142,6 @@ def throughput_panels(
     set_size: int = 5,
     events: int = DEFAULT_EVENTS,
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
     include_scotty: bool = False,
 ) -> list[PanelResult]:
     """Figures 11/14-18/20/21: the four panels (R/S × tumbling/hopping)."""
@@ -158,7 +156,6 @@ def throughput_panels(
                     set_size,
                     batch,
                     runs=runs,
-                    aggregate=aggregate,
                     include_scotty=include_scotty,
                 )
             )
@@ -170,7 +167,6 @@ def boost_summary_table(
     set_sizes: tuple[int, ...] = (5, 10),
     events: int = DEFAULT_EVENTS,
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
 ) -> list[BoostSummary]:
     """Tables I/II/III/IV: mean/max boosts for every setup."""
     batch = make_stream(dataset, events)
@@ -184,7 +180,6 @@ def boost_summary_table(
                     set_size,
                     batch,
                     runs=runs,
-                    aggregate=aggregate,
                 )
                 summaries.append(
                     BoostSummary.from_comparisons(
@@ -204,14 +199,16 @@ class OverheadPoint:
 
 
 def optimizer_overhead(
-    set_sizes: tuple[int, ...] = (5, 10, 15, 20),
+    set_sizes: tuple[int, ...] = (5, 10, 15, 20, 40),
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
 ) -> list[OverheadPoint]:
     """Figure 12: average factor-window optimization time vs |W|.
 
     Tumbling sets exercise partitioned-by search (Algorithm 5), hopping
     sets the covered-by search (Algorithm 2); no stream is executed.
+    |W| = 40 is past the paper's range: it is the size a live
+    session's shared group reaches when four ten-window queries
+    register (DESIGN.md §6), where every ``register`` pays this search.
     """
     points: list[OverheadPoint] = []
     for generator in ("random", "sequential"):
@@ -226,7 +223,7 @@ def optimizer_overhead(
                         set_size, tumbling=tumbling, seed=_BASE_SEED + i
                     )
                     started = time.perf_counter()
-                    optimize(windows, aggregate, semantics_override=semantics)
+                    optimize(windows, MIN, semantics_override=semantics)
                     timings.append(time.perf_counter() - started)
                 points.append(
                     OverheadPoint(
@@ -259,7 +256,6 @@ def scotty_comparison(
     set_size: int = 10,
     events: int = DEFAULT_EVENTS,
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
 ) -> list[PanelResult]:
     """Figures 13/22: Flink (original) vs Scotty (slicing) vs factor
     windows, on the Scotty benchmark generator's constant-rate data."""
@@ -274,7 +270,6 @@ def scotty_comparison(
                     set_size,
                     batch,
                     runs=runs,
-                    aggregate=aggregate,
                     include_scotty=True,
                 )
             )
@@ -283,49 +278,45 @@ def scotty_comparison(
 
 @dataclass
 class CorrelationPanel:
-    """Figure 19: predicted vs actual speedup points for one panel."""
+    """Figure 19: predicted vs observed speedup points for one panel.
+
+    One set of runs gives two observed axes: ``actual`` is the
+    wall-clock throughput ratio (the paper's γ_T) and ``work`` the
+    deterministic processed-pair ratio, which isolates the cost
+    model's fidelity from timing noise.
+    """
 
     label: str
     predicted: list[float] = field(default_factory=list)
     actual: list[float] = field(default_factory=list)
+    work: list[float] = field(default_factory=list)
 
     @property
     def r(self) -> float:
         return pearson_r(self.predicted, self.actual)
+
+    @property
+    def r_work(self) -> float:
+        return pearson_r(self.predicted, self.work)
 
 
 def cost_model_correlation(
     set_sizes: tuple[int, ...] = (5, 10),
     events: int = DEFAULT_EVENTS,
     runs: int = DEFAULT_RUNS,
-    aggregate: AggregateFunction = MIN,
-    use_pairs: bool = False,
 ) -> list[CorrelationPanel]:
     """Figure 19: γ_C (cost-model speedup, w/ over w/o factor windows)
-    against γ_T (observed throughput speedup), Pearson r per panel.
-
-    With ``use_pairs=True`` the 'actual' axis uses the deterministic
-    processed-pair ratio instead of wall-clock throughput — useful for
-    a noise-free check that the engines implement the cost model.
-    """
+    against the observed speedup, Pearson r per panel, on wall clock
+    (``r``) and on processed pairs (``r_work``)."""
     batch = make_stream("synthetic", events)
     panels = []
     for generator in ("random", "sequential"):
         for tumbling in (True, False):
-            semantics = _semantics(tumbling)
-            gen_label = (
-                "RandomGen" if generator.startswith("r") else "SequentialGen"
-            )
-            sem_label = "partitioned by" if tumbling else "covered by"
-            panel = CorrelationPanel(label=f"{gen_label}, '{sem_label}'")
+            label = PanelResult(generator, tumbling, 0).label
+            panel = CorrelationPanel(label=label)
             for set_size in set_sizes:
                 result = run_panel(
-                    generator,
-                    tumbling,
-                    set_size,
-                    batch,
-                    runs=runs,
-                    aggregate=aggregate,
+                    generator, tumbling, set_size, batch, runs=runs
                 )
                 for comparison in result.comparisons:
                     rewritten = comparison.rewritten
@@ -335,22 +326,21 @@ def cost_model_correlation(
                     if factors.cost == 0 or rewritten.pairs == 0:
                         continue
                     panel.predicted.append(rewritten.cost / factors.cost)
-                    if use_pairs:
-                        panel.actual.append(rewritten.pairs / factors.pairs)
-                    else:
-                        panel.actual.append(
-                            factors.throughput / rewritten.throughput
-                        )
+                    panel.actual.append(
+                        factors.throughput / rewritten.throughput
+                    )
+                    panel.work.append(rewritten.pairs / factors.pairs)
             panels.append(panel)
     return panels
 
 
 def render_correlation(panels: list[CorrelationPanel]) -> str:
     rows = [
-        (p.label, len(p.predicted), f"{p.r:.3f}") for p in panels
+        (p.label, len(p.predicted), f"{p.r:.3f}", f"{p.r_work:.4f}")
+        for p in panels
     ]
     return format_table(
-        ["Panel", "Points", "Pearson r"],
+        ["Panel", "Points", "Pearson r (wall clock)", "Pearson r (pairs)"],
         rows,
         title="Figure 19: cost-model speedup vs observed speedup",
     )

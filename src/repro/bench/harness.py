@@ -101,20 +101,16 @@ def compare_plans(
     windows: WindowSet,
     aggregate: AggregateFunction,
     batch: EventBatch,
-    event_rate: int = 1,
     include_scotty: bool = False,
-    engine: str = "columnar",
     semantics: "CoverageSemantics | None" = None,
 ) -> ComparisonResult:
     """Optimize ``windows`` and measure every plan variant on ``batch``."""
-    optimization = optimize(
-        windows, aggregate, event_rate=event_rate, semantics_override=semantics
-    )
+    optimization = optimize(windows, aggregate, semantics_override=semantics)
 
     orig_plan = original_plan(windows, aggregate)
     orig_run = _measure(
         "original",
-        execute_plan(orig_plan, batch, engine=engine),
+        execute_plan(orig_plan, batch),
         cost=optimization.baseline_cost,
     )
 
@@ -124,7 +120,7 @@ def compare_plans(
         plan = rewrite_plan(optimization.without_factors, aggregate)
         rewritten_run = _measure(
             "rewritten",
-            execute_plan(plan, batch, engine=engine),
+            execute_plan(plan, batch),
             cost=optimization.without_factors.total_cost,
         )
     if optimization.with_factors is not None:
@@ -133,7 +129,7 @@ def compare_plans(
         )
         factors_run = _measure(
             "rewritten+factors",
-            execute_plan(plan, batch, engine=engine),
+            execute_plan(plan, batch),
             cost=optimization.with_factors.total_cost,
         )
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.bench.analysis import (
-    SampleStats,
-    best_fit_line,
-    geometric_mean,
-    pearson_r,
-)
+from repro.bench.analysis import SampleStats, pearson_r
 
 
 class TestPearsonR:
@@ -35,14 +30,6 @@ class TestPearsonR:
             pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-class TestBestFitLine:
-    def test_recovers_line(self):
-        x = np.arange(10, dtype=float)
-        slope, intercept = best_fit_line(x, 3 * x + 1)
-        assert slope == pytest.approx(3.0)
-        assert intercept == pytest.approx(1.0)
-
-
 class TestSampleStats:
     def test_mean_and_std(self):
         stats = SampleStats.of([2.0, 4.0, 6.0])
@@ -53,14 +40,3 @@ class TestSampleStats:
     def test_empty(self):
         stats = SampleStats.of([])
         assert stats.count == 0 and stats.mean == 0.0
-
-
-class TestGeometricMean:
-    def test_value(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.bench.cli import build_parser, main
+from repro.bench.cli import EXPERIMENTS, build_parser, main
+
+DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
 
 QUERY = (
     "SELECT MIN(T) FROM Input GROUP BY WINDOWS("
@@ -44,11 +49,23 @@ class TestListCommand:
         out = capsys.readouterr().out
         for name in ("fig11", "fig12", "fig13", "fig19", "table1", "table3"):
             assert name in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == sorted(EXPERIMENTS)
+        # DESIGN.md §4 maps every paper artifact to its id.
+        text = DESIGN.read_text()
+        section = text[text.index("## §4") : text.index("## §5")]
+        assert set(re.findall(r"`((?:fig|table)\d+)`", section)) == set(listed)
 
 
 class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "fig99"]) == 2
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_listed_id_runs(self, capsys, name):
+        code = main(["experiment", name, "--events", "4000", "--runs", "1"])
+        assert code == 0
+        assert capsys.readouterr().out
 
     def test_fig12_runs(self, capsys):
         assert main(["experiment", "fig12", "--runs", "1"]) == 0

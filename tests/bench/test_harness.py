@@ -66,13 +66,6 @@ class TestComparePlans:
             CoverageSemantics.PARTITIONED_BY
         )
 
-    def test_streaming_engine_option(self, example7_windows):
-        small = constant_rate_stream(500)
-        result = compare_plans(
-            example7_windows, MIN, small, engine="streaming-chunked"
-        )
-        assert result.original.pairs > result.with_factors.pairs
-
 
 class TestPlanRun:
     def test_boost_over(self):
