@@ -4,7 +4,9 @@ Two measurements, each preceded by a bit-identity assertion (a kernel
 that got faster by being wrong would be worthless):
 
 * **kernel micro** — the C kernel (`repro._kernels`) against the
-  NumPy code it replaces: segmented holistic compute (MEDIAN).
+  NumPy code it replaces: the one-call holistic window close a live
+  operator runs per flush (MEDIAN over retained events, pair codes
+  included).
   (Raw-event binning and the reorder buffer have no kernel: one
   ``ufunc.at`` scatter in ``segment_reduce`` and one stable sort in
   ``ReorderBuffer.push_batch``, on every path);
@@ -29,7 +31,7 @@ import pytest
 from repro import _kernels as kernels
 from repro.aggregates.registry import MEDIAN
 from repro.bench.reporting import format_table
-from repro.engine.columnar import holistic_segment_values
+from repro.engine.columnar import holistic_close
 from repro.engine.executor import execute_plan, results_equal
 from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
@@ -54,31 +56,39 @@ def _best(fn, reps=5):
 def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
     """Time the C kernel against the NumPy code it replaces."""
     rng = np.random.default_rng(0)
-    segs = max(n // 100, 16)
-    codes = rng.integers(0, segs, n).astype(np.int64)
     values = rng.random(n)
 
-    def numpy_path():
+    # A live close: n retained events of 64 keys, W(40, 20) (k = 2),
+    # closing the n / 160 instances they cover.
+    window = Window(40, 20)
+    ts = np.sort(rng.integers(0, n // 8, n)).astype(np.int64)
+    keys = rng.integers(0, 64, n).astype(np.int64)
+    m1 = int(ts[-1]) // window.slide
+
+    def numpy_close():
         with monkeypatch.context() as env:
             env.setenv("REPRO_KERNELS", "0")
-            return holistic_segment_values(codes, values, MEDIAN)
+            return holistic_close(ts, keys, values, window, 0, m1, 64, MEDIAN)
 
-    def kernel_path():
-        return kernels.holistic_segment_values(codes, values, MEDIAN)
+    def kernel_close():
+        return kernels.holistic_close(
+            ts, keys, values, window.slide, window.instances_per_event,
+            0, m1, 64, MEDIAN,
+        )
 
-    ids_py, vals_py = numpy_path()
-    ids_c, vals_c = kernel_path()
-    np.testing.assert_array_equal(ids_py, ids_c)
-    np.testing.assert_array_equal(vals_py, vals_c)
-    hol_py = _best(numpy_path)
-    hol_c = _best(kernel_path)
+    block_py, pairs_py = numpy_close()
+    block_c, pairs_c = kernel_close()
+    assert pairs_py == pairs_c
+    np.testing.assert_array_equal(block_py, block_c)
+    close_py = _best(numpy_close)
+    close_c = _best(kernel_close)
 
     return [
         {
-            "kernel": "holistic_median",
-            "numpy_seconds": hol_py,
-            "native_seconds": hol_c,
-            "native_speedup": hol_py / hol_c,
+            "kernel": "holistic_close_median",
+            "numpy_seconds": close_py,
+            "native_seconds": close_c,
+            "native_speedup": close_py / close_c,
         },
     ]
 

@@ -1,7 +1,8 @@
 """Optional compiled hot kernels behind a pure-NumPy fallback.
 
 ``reprokernels.c`` holds one small C kernel for the engine's one
-scalar hot spot NumPy has no primitive for: segmented holistic compute.
+scalar hot spot NumPy has no primitive for: segmented holistic compute,
+as one whole window close.
 (Raw-event binning and the reorder buffer need none: NumPy's indexed
 ``ufunc.at`` scatter in ``AggregateFunction.segment_reduce`` and the
 one stable sort in ``ReorderBuffer.push_batch`` each beat the kernel
@@ -45,7 +46,7 @@ __all__ = [
     "globally_enabled",
     "resolve",
     "holistic_kind",
-    "holistic_segment_values",
+    "holistic_close",
 ]
 
 
@@ -88,8 +89,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64 = ctypes.c_int64
     i32 = ctypes.c_int32
     f64 = ctypes.c_double
-    lib.repro_seg_holistic.argtypes = [p, p, i64, i64, i32, f64, p, p, p, p, p]
-    lib.repro_seg_holistic.restype = i64
+    lib.repro_close_holistic.argtypes = [
+        p, p, p, i64, i64, i64, i64, i64, i64, i32, f64, p,
+    ]
+    lib.repro_close_holistic.restype = i64
     return lib
 
 
@@ -185,33 +188,29 @@ def holistic_kind(aggregate) -> "tuple | None":
     return getattr(aggregate, "native_segment_kind", None)
 
 
-def holistic_segment_values(codes, values, aggregate):
-    """Native drop-in for ``engine.columnar.holistic_segment_values``.
-
-    Returns ``(segment_ids, results)`` for the non-empty segments, in
-    ascending segment order — the same contract as the NumPy path.
-    """
+def _kind_args(aggregate) -> "tuple[int, float]":
     kind = holistic_kind(aggregate)
-    lib = _load()
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    if kind[0] == "quantile":
+        return 0, float(kind[1])
+    return 1, 0.0
+
+
+def holistic_close(ts, keys, values, slide, k, m0, m1, num_keys, aggregate):
+    """Native drop-in for ``engine.columnar.holistic_close``.
+
+    Returns ``(block, pairs)``: the finalized ``(num_keys, m1 - m0)``
+    block of instances ``[m0, m1)`` over the retained events (NaN where
+    no event lies) and the number of (event, instance) pairs formed.
+    """
+    ts = np.ascontiguousarray(ts, dtype=np.int64)
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if codes.size == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    num_segments = int(codes.max()) + 1
-    kind_code = 0 if kind[0] == "quantile" else 1
-    q = float(kind[1]) if kind[0] == "quantile" else 0.0
-    counts = np.empty(num_segments, dtype=np.int64)
-    offsets = np.empty(num_segments, dtype=np.int64)
-    grouped = np.empty(codes.size, dtype=np.float64)
-    seg_ids = np.empty(num_segments, dtype=np.int64)
-    results = np.empty(num_segments, dtype=np.float64)
-    written = lib.repro_seg_holistic(
-        _ptr(codes), _ptr(values), ctypes.c_int64(codes.size),
-        ctypes.c_int64(num_segments), ctypes.c_int32(kind_code),
-        ctypes.c_double(q), _ptr(counts), _ptr(offsets), _ptr(grouped),
-        _ptr(seg_ids), _ptr(results),
+    block = np.empty((num_keys, m1 - m0), dtype=np.float64)
+    kind_code, q = _kind_args(aggregate)
+    pairs = _load().repro_close_holistic(
+        _ptr(ts), _ptr(keys), _ptr(values), ts.size, slide, k, m0, m1,
+        num_keys, kind_code, q, _ptr(block),
     )
-    return seg_ids[:written], results[:written]
+    if pairs < 0:
+        raise MemoryError("holistic close: scratch allocation failed")
+    return block, pairs

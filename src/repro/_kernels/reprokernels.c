@@ -5,10 +5,14 @@
  * single NumPy ufunc.at scatter and ReorderBuffer.push_batch one stable
  * sort, neither of which a C loop beats):
  *
- *   repro_seg_holistic      — segmented holistic compute (quantile /
- *                             count-distinct).  Replaces the global
- *                             lexsort with a counting-bucket pass plus a
- *                             per-segment sort.  Bit-identical: results
+ *   repro_close_holistic    — one holistic window close (quantile /
+ *                             count-distinct): forms every (event,
+ *                             instance) pair of [m0, m1) from the
+ *                             retained events, groups them by (key,
+ *                             instance) in counting buckets, sorts each
+ *                             segment and writes the finalized block
+ *                             (NaN where a segment is empty).
+ *                             Bit-identical to the NumPy close: results
  *                             depend only on each segment's ascending
  *                             (NaN-last) value sequence, and the closed
  *                             forms repeat the NumPy index arithmetic
@@ -19,7 +23,7 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
+#include <stdlib.h>
 
 #define API __attribute__((visibility("default")))
 
@@ -91,62 +95,92 @@ static void sort_doubles(double *a, int64_t n)
 #define KIND_QUANTILE 0
 #define KIND_COUNT_DISTINCT 1
 
-/* Group values by code (counting buckets, stable), sort each segment,
- * and evaluate the holistic closed form.  Scratch arrays are provided
- * by the caller: counts[num_segments] (zeroing done here),
- * offsets[num_segments], grouped[n].  Non-empty segment ids and their
- * results are written compacted; returns how many were written. */
-API int64_t repro_seg_holistic(const int64_t *codes, const double *values,
-                               int64_t n, int64_t num_segments,
-                               int32_t kind, double q,
-                               int64_t *counts, int64_t *offsets,
-                               double *grouped,
-                               int64_t *seg_ids, double *results)
+/* The holistic closed form over one sorted, non-empty segment. */
+static double closed_form(const double *seg, int64_t c, int32_t kind,
+                          double q)
 {
-    int64_t i, s, total = 0, written = 0;
-    memset(counts, 0, (size_t)num_segments * sizeof(int64_t));
-    for (i = 0; i < n; i++)
-        counts[codes[i]]++;
-    for (s = 0; s < num_segments; s++) {
-        offsets[s] = total;
-        total += counts[s];
+    int64_t i, distinct = 0, has_nan = 0;
+    if (kind == KIND_QUANTILE) {
+        double position, frac, low, high;
+        int64_t lo, hi;
+        if (isnan(seg[c - 1]))
+            return NAN;
+        position = (double)(c - 1) * q;
+        lo = (int64_t)floor(position);
+        hi = (int64_t)ceil(position);
+        frac = position - (double)lo;
+        low = seg[lo];
+        high = seg[hi];
+        return low + (high - low) * frac;
     }
-    /* Stable scatter; offsets[s] ends up pointing at the segment end. */
-    for (i = 0; i < n; i++)
-        grouped[offsets[codes[i]]++] = values[i];
-    for (s = 0; s < num_segments; s++) {
-        int64_t c = counts[s];
-        double *seg, res;
-        if (c == 0)
-            continue;
-        seg = grouped + (offsets[s] - c);
-        sort_doubles(seg, c);
-        if (kind == KIND_QUANTILE) {
-            if (isnan(seg[c - 1])) {
-                res = NAN;
-            } else {
-                double position = (double)(c - 1) * q;
-                int64_t lo = (int64_t)floor(position);
-                int64_t hi = (int64_t)ceil(position);
-                double frac = position - (double)lo;
-                double low = seg[lo], high = seg[hi];
-                res = low + (high - low) * frac;
-            }
-        } else {
-            int64_t distinct = 0, has_nan = 0;
-            for (i = 0; i < c; i++) {
-                if (isnan(seg[i])) { /* NaNs sorted to the end */
-                    has_nan = 1;
-                    break;
-                }
-                if (distinct == 0 || seg[i] != seg[i - 1])
-                    distinct++;
-            }
-            res = (double)(distinct + has_nan);
+    for (i = 0; i < c; i++) {
+        if (isnan(seg[i])) { /* NaNs sorted to the end */
+            has_nan = 1;
+            break;
         }
-        seg_ids[written] = s;
-        results[written] = res;
-        written++;
+        if (distinct == 0 || seg[i] != seg[i - 1])
+            distinct++;
     }
-    return written;
+    return (double)(distinct + has_nan);
+}
+
+/* Close instances [m0, m1) of a holistic window over the n retained
+ * events: event (t, key, v) lies in instances floor(t/slide) - j for
+ * j < k, and each one inside [m0, m1) forms the pair coded
+ * key * (m1 - m0) + (instance - m0).  Pairs are grouped by code
+ * (counting buckets), each segment sorted, and out[code] set to the
+ * closed form, or NaN for an empty segment; out is the row-major
+ * (num_keys, m1 - m0) block.  Returns the number of pairs formed, or
+ * -1 when scratch memory cannot be allocated. */
+API int64_t repro_close_holistic(const int64_t *ts, const int64_t *keys,
+                                 const double *values, int64_t n,
+                                 int64_t slide, int64_t k,
+                                 int64_t m0, int64_t m1, int64_t num_keys,
+                                 int32_t kind, double q, double *out)
+{
+    int64_t span = m1 - m0, segments = num_keys * span;
+    int64_t i, s, m, total;
+    int64_t *offsets = calloc((size_t)segments + 1, sizeof(int64_t));
+    int64_t *top = malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    double *grouped = NULL;
+    if (offsets == NULL || top == NULL)
+        goto fail;
+    /* offsets[code + 1] counts the code's pairs ... */
+    for (i = 0; i < n; i++) {
+        int64_t t = ts[i], d = t / slide;
+        top[i] = (d * slide > t) ? d - 1 : d; /* floor, as NumPy's // */
+        for (m = top[i] - k + 1 > m0 ? top[i] - k + 1 : m0;
+             m <= top[i] && m < m1; m++)
+            offsets[keys[i] * span + (m - m0) + 1]++;
+    }
+    /* ... and, summed, where the code's segment starts. */
+    for (s = 0; s < segments; s++)
+        offsets[s + 1] += offsets[s];
+    total = offsets[segments];
+    grouped = malloc((size_t)(total > 0 ? total : 1) * sizeof(double));
+    if (grouped == NULL)
+        goto fail;
+    /* Stable scatter; offsets[code] ends up at the segment end. */
+    for (i = 0; i < n; i++)
+        for (m = top[i] - k + 1 > m0 ? top[i] - k + 1 : m0;
+             m <= top[i] && m < m1; m++)
+            grouped[offsets[keys[i] * span + (m - m0)]++] = values[i];
+    for (s = 0; s < segments; s++) {
+        int64_t start = s ? offsets[s - 1] : 0, c = offsets[s] - start;
+        if (c == 0) {
+            out[s] = NAN;
+            continue;
+        }
+        sort_doubles(grouped + start, c);
+        out[s] = closed_form(grouped + start, c, kind, q);
+    }
+    free(grouped);
+    free(top);
+    free(offsets);
+    return total;
+fail:
+    free(grouped);
+    free(top);
+    free(offsets);
+    return -1;
 }

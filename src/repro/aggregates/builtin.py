@@ -141,8 +141,9 @@ class Avg(AggregateFunction):
     def finalize(self, components: Components):
         total = np.asarray(components[0], dtype=np.float64)
         count = np.asarray(components[1], dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            result = np.where(count > 0, total / np.where(count > 0, count, 1), np.nan)
+        result = np.divide(
+            total, count, out=np.full_like(total, np.nan), where=count > 0
+        )
         return _as_result(result)
 
 

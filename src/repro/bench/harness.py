@@ -4,12 +4,14 @@ For one (window set, aggregate, stream) triple this produces the
 paper's three series — *Original Plan*, *Plan w/o Factor Windows*,
 *Plan w/ Factor Windows* — plus optionally the Scotty-style slicing
 baseline (Figures 13/22).  Throughput is events per wall-clock second
-(the paper's metric [34]); the deterministic processed-pair counts are
-reported alongside because they are what the cost model predicts.
+(the paper's metric [34]) of the median of :data:`TIMED_RUNS` warmed
+runs per variant; the deterministic processed-pair counts are reported
+alongside because they are what the cost model predicts.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 from ..aggregates.base import AggregateFunction
@@ -17,7 +19,7 @@ from ..core.optimizer import OptimizationResult, optimize
 from ..windows.coverage import CoverageSemantics
 from ..core.rewrite import rewrite_plan
 from ..engine.events import EventBatch
-from ..engine.executor import ExecutionResult, execute_plan
+from ..engine.executor import execute_plan
 from ..plans.builder import original_plan
 from ..slicing.slicer import execute_sliced
 from ..windows.window import WindowSet
@@ -86,15 +88,37 @@ class ComparisonResult:
         return out
 
 
-def _measure(name: str, result: ExecutionResult, cost: int = 0) -> PlanRun:
-    return PlanRun(
-        name=name,
-        throughput=result.throughput,
-        pairs=result.stats.total_pairs,
-        wall_seconds=result.stats.wall_seconds,
-        cost=cost,
-        physical=result.stats.total_physical,
-    )
+#: Timed runs per plan variant, each variant warmed up by one untimed
+#: run first.  The variants take turns running first, and each reports
+#: its median wall — one cold timing moved an identical boost by 1.12x
+#: between two experiments.
+TIMED_RUNS = 3
+
+
+def _median_runs(variants: "dict[str, tuple]") -> "dict[str, PlanRun]":
+    """Warm up, then time every ``name -> (run, cost)`` variant
+    :data:`TIMED_RUNS` times in rotating order."""
+    names = list(variants)
+    results: "dict[str, list]" = {name: [] for name in names}
+    for name in names:
+        variants[name][0]()
+    for turn in range(TIMED_RUNS):
+        shift = turn % len(names)
+        for name in names[shift:] + names[:shift]:
+            results[name].append(variants[name][0]())
+    measured = {}
+    for name, runs in results.items():
+        wall = statistics.median(run.stats.wall_seconds for run in runs)
+        stats = runs[0].stats
+        measured[name] = PlanRun(
+            name=name,
+            throughput=stats.events / wall if wall > 0 else float("inf"),
+            pairs=stats.total_pairs,
+            wall_seconds=wall,
+            cost=variants[name][1],
+            physical=stats.total_physical,
+        )
+    return measured
 
 
 def compare_plans(
@@ -107,50 +131,42 @@ def compare_plans(
     """Optimize ``windows`` and measure every plan variant on ``batch``."""
     optimization = optimize(windows, aggregate, semantics_override=semantics)
 
-    orig_plan = original_plan(windows, aggregate)
-    orig_run = _measure(
-        "original",
-        execute_plan(orig_plan, batch),
-        cost=optimization.baseline_cost,
-    )
+    def plan_run(plan):
+        return lambda: execute_plan(plan, batch)
 
-    rewritten_run = None
-    factors_run = None
+    variants = {
+        "original": (
+            plan_run(original_plan(windows, aggregate)),
+            optimization.baseline_cost,
+        )
+    }
     if optimization.without_factors is not None:
-        plan = rewrite_plan(optimization.without_factors, aggregate)
-        rewritten_run = _measure(
-            "rewritten",
-            execute_plan(plan, batch),
-            cost=optimization.without_factors.total_cost,
+        variants["rewritten"] = (
+            plan_run(rewrite_plan(optimization.without_factors, aggregate)),
+            optimization.without_factors.total_cost,
         )
     if optimization.with_factors is not None:
         plan = rewrite_plan(
             optimization.with_factors, aggregate, description="rewritten+factors"
         )
-        factors_run = _measure(
-            "rewritten+factors",
-            execute_plan(plan, batch),
-            cost=optimization.with_factors.total_cost,
+        variants["rewritten+factors"] = (
+            plan_run(plan),
+            optimization.with_factors.total_cost,
         )
-
-    scotty_run = None
     if include_scotty and aggregate.mergeable:
-        sliced = execute_sliced(windows, aggregate, batch)
-        scotty_run = PlanRun(
-            name="scotty",
-            throughput=sliced.throughput,
-            pairs=sliced.stats.total_pairs,
-            wall_seconds=sliced.stats.wall_seconds,
+        variants["scotty"] = (
+            lambda: execute_sliced(windows, aggregate, batch),
+            0,
         )
-
+    runs = _median_runs(variants)
     return ComparisonResult(
         windows=windows,
         aggregate=aggregate,
         optimization=optimization,
-        original=orig_run,
-        rewritten=rewritten_run,
-        with_factors=factors_run,
-        scotty=scotty_run,
+        original=runs["original"],
+        rewritten=runs.get("rewritten"),
+        with_factors=runs.get("rewritten+factors"),
+        scotty=runs.get("scotty"),
     )
 
 

@@ -146,12 +146,20 @@ def fold_covering_sets(
         )
     if width <= FOLD_PASSES_MAX_WIDTH:
         stop = last - width + 1
-        out = comp[:, first:stop:stride].copy()
-        rows = max(1, FOLD_BLOCK_BYTES // (comp.itemsize * (last - first)))
-        for lo in range(0, comp.shape[0], rows):
-            acc, block = out[lo:lo + rows], comp[lo:lo + rows]
-            for j in range(1, width):
-                ufunc(acc, block[:, first + j:stop + j:stride], out=acc)
+        if width == 1:
+            return comp[:, first:stop:stride].copy()
+        # The first pass allocates the accumulator; the rest fold into it.
+        out = ufunc(
+            comp[:, first:stop:stride], comp[:, first + 1:stop + 1:stride]
+        )
+        if width > 2:
+            rows = max(
+                1, FOLD_BLOCK_BYTES // (comp.itemsize * (last - first))
+            )
+            for lo in range(0, comp.shape[0], rows):
+                acc, block = out[lo:lo + rows], comp[lo:lo + rows]
+                for j in range(2, width):
+                    ufunc(acc, block[:, first + j:stop + j:stride], out=acc)
         return out
     sets = sliding_window_view(comp, width, axis=1)[:, first::stride][:, :count]
     return ufunc.reduce(sets, axis=2)
@@ -215,22 +223,9 @@ def holistic_segment_values(
     are lexsorted by (code, value), so aggregates exposing a
     ``segment_compute`` kernel (MEDIAN/QUANTILE via sorted-segment index
     arithmetic) run in one vectorized pass; others fall back to a
-    per-segment ``compute`` loop.
-
-    When ``REPRO_KERNELS`` selects the compiled kernel (see
-    ``repro._kernels.resolve``) and the aggregate declares a
-    ``native_segment_kind``, the whole pass — grouping, per-segment
-    sort, closed form — runs in the compiled kernel.  The results
-    depend only on each segment's ascending value sequence and repeat
-    the NumPy index arithmetic operation for operation, so both paths
-    are bit-identical.
+    per-segment ``compute`` loop.  This is the reference the compiled
+    close in :func:`holistic_close` repeats.
     """
-    if (
-        codes.size
-        and kernels.holistic_kind(aggregate) is not None
-        and kernels.resolve()
-    ):
-        return kernels.holistic_segment_values(codes, values, aggregate)
     order = np.lexsort((values, codes))
     sorted_codes = codes[order]
     sorted_values = values[order]
@@ -251,6 +246,61 @@ def holistic_segment_values(
     return segment_ids, np.asarray(results, dtype=np.float64)
 
 
+def holistic_close(
+    ts: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    window: Window,
+    m0: int,
+    m1: int,
+    num_keys: int,
+    aggregate: AggregateFunction,
+) -> "tuple[np.ndarray, int]":
+    """Close instances ``[m0, m1)`` of a holistic window over raw events.
+
+    Every event is routed to each of its ``k = r/s`` instances that
+    lies in ``[m0, m1)`` and the aggregate is evaluated per (key,
+    instance).  Returns ``(block, pairs)``: the finalized ``(num_keys,
+    m1 - m0)`` block, NaN where no event lies, and the number of
+    (event, instance) pairs formed.  The events need not be sorted.
+
+    When ``REPRO_KERNELS`` selects the compiled kernel (see
+    ``repro._kernels.resolve``) and the aggregate declares a
+    ``native_segment_kind``, the whole close — pair codes, grouping,
+    per-segment sort, closed form — is one kernel call
+    (``repro_close_holistic``).  Its results depend only on each
+    segment's ascending value sequence and repeat the NumPy index
+    arithmetic operation for operation, so both paths are bit-identical.
+    """
+    k = window.instances_per_event
+    if (
+        ts.size
+        and kernels.holistic_kind(aggregate) is not None
+        and kernels.resolve()
+    ):
+        return kernels.holistic_close(
+            ts, keys, values, window.slide, k, m0, m1, num_keys, aggregate
+        )
+    span = m1 - m0
+    block = np.full((num_keys, span), np.nan, dtype=np.float64)
+    if ts.size == 0:
+        return block, 0
+    base = ts // window.slide
+    code_parts, value_parts = [], []
+    for j in range(k):
+        instance = base - j
+        valid = (instance >= m0) & (instance < m1)
+        code_parts.append(keys[valid] * span + (instance[valid] - m0))
+        value_parts.append(values[valid])
+    codes = np.concatenate(code_parts)
+    if codes.size:
+        segment_ids, results = holistic_segment_values(
+            codes, np.concatenate(value_parts), aggregate
+        )
+        block.reshape(-1)[segment_ids] = results
+    return block, int(codes.size)
+
+
 def aggregate_raw_holistic(
     batch: EventBatch,
     window: Window,
@@ -263,23 +313,12 @@ def aggregate_raw_holistic(
     There is no partial form, so this only supports the original plan.
     """
     n_inst = num_complete_instances(window, batch.horizon)
-    out = np.full((batch.num_keys, n_inst), np.nan, dtype=np.float64)
     if n_inst == 0 or batch.num_events == 0:
-        return out
-    k = window.instances_per_event
-    base = batch.timestamps // window.slide
-    code_parts, value_parts = [], []
-    for j in range(k):
-        instance = base - j
-        valid = (instance >= 0) & (instance < n_inst)
-        code_parts.append(batch.keys[valid] * n_inst + instance[valid])
-        value_parts.append(batch.values[valid])
-    codes = np.concatenate(code_parts)
-    values = np.concatenate(value_parts)
+        return np.full((batch.num_keys, n_inst), np.nan, dtype=np.float64)
+    out, pairs = holistic_close(
+        batch.timestamps, batch.keys, batch.values, window, 0, n_inst,
+        batch.num_keys, aggregate,
+    )
     if stats is not None:
-        stats.record_pairs(window, int(codes.size))
-    if codes.size == 0:
-        return out
-    segment_ids, results = holistic_segment_values(codes, values, aggregate)
-    out.reshape(-1)[segment_ids] = results
+        stats.record_pairs(window, pairs)
     return out

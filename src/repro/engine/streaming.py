@@ -28,11 +28,7 @@ from ..errors import ExecutionError
 from ..plans.nodes import LogicalPlan
 from ..windows.coverage import covering_multiplier
 from ..windows.window import Window
-from .columnar import (
-    fold_covering_sets,
-    holistic_segment_values,
-    num_complete_instances,
-)
+from .columnar import fold_covering_sets, holistic_close, num_complete_instances
 from .events import EventBatch
 from .panes import logical_raw_pairs, pane_width
 from .stats import ExecutionStats
@@ -521,26 +517,12 @@ class _ChunkedHolisticOperator(_ChunkedOperator):
             raise ExecutionError(
                 f"holistic {self.aggregate.name} cannot feed downstream windows"
             )
-        span = m1 - m0
-        block = np.full((self.num_keys, span), np.nan, dtype=np.float64)
-        if self._ts.size:
-            k = self.window.instances_per_event
-            base = self._ts // self.window.slide
-            code_parts, value_parts = [], []
-            for j in range(k):
-                instance = base - j
-                valid = (instance >= m0) & (instance < m1)
-                code_parts.append(
-                    self._keys[valid] * span + (instance[valid] - m0)
-                )
-                value_parts.append(self._values[valid])
-            codes = np.concatenate(code_parts)
-            if codes.size:
-                self.stats.record_physical(self.window, int(codes.size))
-                segment_ids, computed = holistic_segment_values(
-                    codes, np.concatenate(value_parts), self.aggregate
-                )
-                block.reshape(-1)[segment_ids] = computed
+        block, pairs = holistic_close(
+            self._ts, self._keys, self._values, self.window, m0, m1,
+            self.num_keys, self.aggregate,
+        )
+        if pairs:
+            self.stats.record_physical(self.window, pairs)
         if self.results is not None:
             self._store_results(m0, m1, block)
         if self.sink is not None:

@@ -9,7 +9,15 @@ at most the reorder buffer plus one chunk, never history).
 
 Streams carry integer values so every partial merge is exact float64
 arithmetic: bit-identity is required, not just closeness.
+
+Switch points are drawn uniformly over event indices and, besides,
+snapped to where the switch's safe watermark is an exact multiple of
+the slides the re-planned group's fresh operators run on: there a fresh
+raw operator's first instance starts at the watermark itself, the edge
+where a switch that closes one instance too early or too late shows.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -55,6 +63,8 @@ schedule_strategy = st.fixed_dictionaries(
         "deregister_at": st.lists(
             st.floats(0.65, 0.95), min_size=5, max_size=5
         ),
+        "snap_register": st.lists(st.booleans(), min_size=5, max_size=5),
+        "snap_deregister": st.lists(st.booleans(), min_size=5, max_size=5),
         "lateness": st.integers(0, 9),
         "scramble_seed": st.integers(0, 100),
         "rates": st.lists(
@@ -63,6 +73,18 @@ schedule_strategy = st.fixed_dictionaries(
         "hysteresis": st.sampled_from([None, 0.4]),
     }
 )
+
+
+def _slides_lcm(queries) -> int:
+    return math.lcm(*(w.slide for q in queries for w in q.windows))
+
+
+def _snapped(index: int, modulus: int, safe: np.ndarray) -> int:
+    """The first event index at or after ``index`` whose safe watermark
+    is a positive multiple of ``modulus`` (``index`` if there is none)."""
+    tail = safe[index:]
+    hits = np.flatnonzero((tail > 0) & (tail % modulus == 0))
+    return index + int(hits[0]) if hits.size else index
 
 
 @given(schedule=schedule_strategy)
@@ -81,19 +103,31 @@ def test_randomized_schedules_are_observationally_invisible(schedule):
         batch, schedule["lateness"], seed=schedule["scramble_seed"]
     )
     n = len(events)
+    # The safe watermark a mutation before event ``i`` switches at.
+    seen = np.maximum.accumulate([ts for ts, _, _ in events])
+    safe = np.maximum(
+        np.concatenate(([-1], seen[:-1])) - schedule["lateness"], 0
+    )
 
     register_at = {}
     deregister_at = {}
     for slot, index in enumerate(picks):
         query = POOL[index]
-        register_at.setdefault(
-            int(schedule["register_at"][slot] * n), []
-        ).append(query)
+        at = int(schedule["register_at"][slot] * n)
+        if schedule["snap_register"][slot]:
+            at = _snapped(at, _slides_lcm([query]), safe)
+        register_at.setdefault(at, []).append(query)
         if schedule["deregister"][slot] and slot > 0:
             # slot 0 always survives so the final workload is non-empty
-            deregister_at.setdefault(
-                int(schedule["deregister_at"][slot] * n), []
-            ).append(query.name)
+            at = int(schedule["deregister_at"][slot] * n)
+            if schedule["snap_deregister"][slot]:
+                # The group's surviving queries are re-planned.
+                peers = [
+                    POOL[i] for i in picks
+                    if i != index and POOL[i].aggregate is query.aggregate
+                ]
+                at = _snapped(at, _slides_lcm(peers or [query]), safe)
+            deregister_at.setdefault(at, []).append(query.name)
 
     session = QuerySession(
         num_keys=2,
