@@ -23,11 +23,9 @@ registering along the way:
 
 * two per-key dashboards (merged per shard, concatenated by key at
   the coordinator),
-* a *global* AVG across every device (shards emit pre-finalize
-  partials reduced over their keys; the coordinator ``combine``s and
-  finalizes — the only sound way to merge an algebraic aggregate),
-* a *global* MEDIAN (holistic: no partial form exists, so raw values
-  forward to a coordinator-local core),
+* a *global* AVG and a *global* MEDIAN across every device (raw
+  values forward to a coordinator-local one-key core, whatever the
+  aggregate),
 
 and verifies all five runs agree bit-for-bit.
 
@@ -102,22 +100,13 @@ def main() -> None:
     print(f"{'serial x1':>18}: {EVENTS / base_wall / 1e3:>9,.0f}  1.00x")
     for num_shards, backend, async_ingest in configs:
         results, wall, stats = run(num_shards, backend, async_ingest)
-        # Invariant 10: per-key results (and raw-forwarded holistics)
-        # are bit-identical at every shard count even for float
-        # streams; the global partial merge reassociates the cross-key
-        # float sum, so it is exact-to-reassociation here (and
-        # bit-exact on integer streams — see the property tests).
+        # Invariant 10: per-key and global results are bit-identical
+        # at every shard count, even for float streams.
         for name, by_window in baseline.items():
             for window, reference in by_window.items():
-                emitted = results[name][window].values
-                if name == "fleet_avg":
-                    np.testing.assert_allclose(
-                        emitted, reference.values, rtol=1e-12
-                    )
-                else:
-                    np.testing.assert_array_equal(
-                        emitted, reference.values
-                    )
+                np.testing.assert_array_equal(
+                    results[name][window].values, reference.values
+                )
         assert stats.pairs_per_window == base_stats.pairs_per_window
         label = f"{backend} x{num_shards}" + (
             " +async" if async_ingest else ""
@@ -126,11 +115,7 @@ def main() -> None:
             f"{label:>18}: {EVENTS / wall / 1e3:>9,.0f}  "
             f"{base_wall / wall:.2f}x"
         )
-    print(
-        "\nall configurations agree: per-key and forwarded results "
-        "bit-identical,\nglobal partial merges exact to float "
-        "reassociation"
-    )
+    print("\nall configurations agree: every result bit-identical")
 
     fleet_avg = next(iter(baseline["fleet_avg"].values()))
     fleet_median = next(iter(baseline["fleet_median"].values()))
@@ -140,7 +125,8 @@ def main() -> None:
     )
     print(
         f"fleet MEDIAN row shape {fleet_median.values.shape} "
-        "(raw-forwarded: holistic aggregates have no partial form)"
+        f"(instances [{fleet_median.start_instance}, "
+        f"{fleet_median.frontier}))"
     )
 
 

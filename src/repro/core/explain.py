@@ -86,9 +86,9 @@ def _shard_section(result: OptimizationResult, shards) -> list[str]:
     where the stream's weight currently sits.
     """
     from ..plans.render import (
+        SHARD_MERGE_DESCRIPTION,
         resolve_shards,
         shard_load_lines,
-        shard_merge_description,
     )
 
     shards, loads = resolve_shards(shards)
@@ -96,8 +96,7 @@ def _shard_section(result: OptimizationResult, shards) -> list[str]:
         f"shard fan-out (x{shards} key-hash shards):",
         "  plan replicated per shard over a disjoint key slice; "
         "workload mutations broadcast at one safe watermark",
-        f"  merge ({result.aggregate.name}): "
-        f"{shard_merge_description(result.aggregate)}",
+        f"  merge ({result.aggregate.name}): {SHARD_MERGE_DESCRIPTION}",
     ]
     if loads is not None:
         lines.append("  load (decayed, per shard):")

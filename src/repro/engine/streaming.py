@@ -37,15 +37,6 @@ from .stats import ExecutionStats
 #: the block is a fresh ``(num_keys, m1 - m0)`` float array.
 EmitSink = Callable[[Window, int, int, np.ndarray], None]
 
-#: Pre-finalize emission callback: ``(window, m0, m1, components)``
-#: where each component is a ``(num_keys, m1 - m0)`` float array.  This
-#: is the partial-merge tap of the sharded runtime (DESIGN.md §7): a
-#: shard reduces the components over its local keys and a coordinator
-#: ``combine``s the per-shard partials before finalizing — the only
-#: sound way to assemble a cross-key algebraic aggregate from shards.
-#: Holistic operators have no partial form and never call it.
-PartialSink = Callable[[Window, int, int, tuple], None]
-
 
 def _pad_columns(buf: np.ndarray, width: int, ident: float) -> np.ndarray:
     """Extend ``buf`` to ``width`` columns with identity fill.
@@ -114,7 +105,6 @@ class _ChunkedOperator:
         *,
         start_instance: int = 0,
         sink: "EmitSink | None" = None,
-        partial_sink: "PartialSink | None" = None,
     ):
         self.window = window
         self.aggregate = aggregate
@@ -123,7 +113,6 @@ class _ChunkedOperator:
         self.stats = stats
         self.start_instance = start_instance
         self.sink = sink
-        self.partial_sink = partial_sink
         self.consumers: "list[_ChunkedSubAggOperator]" = []
         self.results: "np.ndarray | None" = None
         self.next_close = start_instance
@@ -171,8 +160,6 @@ class _ChunkedOperator:
 
     def _emit(self, m0: int, m1: int, components: tuple) -> None:
         """Finalize a closed block into results and feed consumers."""
-        if self.partial_sink is not None:
-            self.partial_sink(self.window, m0, m1, components)
         if self.results is not None or self.sink is not None:
             block = np.asarray(
                 self.aggregate.finalize(components), dtype=np.float64

@@ -49,16 +49,13 @@ def physical_paths(
     }
 
 
-def shard_merge_description(aggregate) -> str:
-    """The coordinator's merge step for ``aggregate`` (DESIGN.md §7).
-
-    Single source of truth for the merge-mode wording — the plan tree
-    header and ``core.explain`` both render it, and they must never
-    drift apart.
-    """
-    if not aggregate.mergeable:
-        return "per-key rows concatenate; global reads raw-forward"
-    return "per-key rows concatenate; global partials combine"
+#: The coordinator's merge step, the same for every aggregate
+#: (DESIGN.md §7): the plan tree header and ``core.explain`` both
+#: render it.
+SHARD_MERGE_DESCRIPTION = (
+    "per-key rows concatenate; global reads raw-forward to the "
+    "coordinator's one-key core"
+)
 
 
 def resolve_shards(shards):
@@ -95,17 +92,16 @@ def shard_load_lines(loads: dict, indent: str = "  ") -> list[str]:
     return lines
 
 
-def shard_fanout(plan: LogicalPlan, shards: int) -> str:
-    """One-line description of how ``plan`` fans out over key shards.
+def shard_fanout(shards: int) -> str:
+    """One-line description of how a plan fans out over key shards.
 
     The sharded runtime (DESIGN.md §7) replicates the *whole* plan on
-    every shard over a disjoint key slice; what differs per aggregate
-    is only the coordinator's merge step, which this line names.
+    every shard over a disjoint key slice; this line also names the
+    coordinator's merge step.
     """
-    aggregate = next(iter(plan.window_nodes())).aggregate
     return (
         f"x{shards} key-hash shards (plan replicated per shard; "
-        f"{shard_merge_description(aggregate)})"
+        f"{SHARD_MERGE_DESCRIPTION})"
     )
 
 
@@ -220,7 +216,7 @@ def to_tree(
         header += f" shards={shards}"
     lines: list[str] = [header]
     if shards is not None:
-        lines.append(f"  fan-out: {shard_fanout(plan, shards)}")
+        lines.append(f"  fan-out: {shard_fanout(shards)}")
     if loads is not None:
         lines.extend(shard_load_lines(loads))
 

@@ -9,8 +9,9 @@ and the out-of-order front door — into one long-lived session class:
   key space behind one coordinator clock, with pluggable execution
   backends (deterministic serial; a ``multiprocessing`` worker pool
   over pipes; a shared-memory ring data plane — see
-  ``docs/backends.md`` for the backend contract) and a partial-merge
-  coordinator (DESIGN.md §7, invariant 10);
+  ``docs/backends.md`` for the backend contract); global-scope
+  queries run on the coordinator's own one-key core (DESIGN.md §7,
+  invariant 10);
 * :class:`QuerySession` — the same class pinned to one serial shard:
   the single-process service shape of the paper's motivating Azure IoT
   Central scenario.
@@ -50,12 +51,7 @@ from .core import (
     ShardReport,
 )
 from .faults import Fault, FaultPlan
-from .results import (
-    PartialResults,
-    PlanSwitchRecord,
-    WindowResults,
-    finalize_partials,
-)
+from .results import PlanSwitchRecord, WindowResults
 from .ingest import DEFAULT_INGEST_HIGH_WATERMARK, IngestStats
 from .session import QuerySession
 from .sharding import (
@@ -76,7 +72,6 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "IngestStats",
-    "PartialResults",
     "PlanSwitchRecord",
     "ProcessShardBackend",
     "QuerySession",
@@ -92,7 +87,6 @@ __all__ = [
     "ShmRing",
     "Snapshot",
     "WindowResults",
-    "finalize_partials",
     "has_workers",
     "latest_checkpoint",
     "read_checkpoint",

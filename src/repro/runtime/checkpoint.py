@@ -79,7 +79,9 @@ CHECKPOINT_MAGIC = b"RCKPT\x00"
 #: v10: one reorder representation — the front door's frame has no
 #: staged events and the buffer no heap fields, and residue items are
 #: per-event rows or column runs; a v9 graph carries all three.
-CHECKPOINT_VERSION = 10
+#: v11: one global path — a core has no partial subscriptions and a
+#: shard report no ``partials`` field; a v10 core carries both.
+CHECKPOINT_VERSION = 11
 
 #: Checkpoint filename shape used by :class:`CheckpointStore`.
 _CKPT_NAME = re.compile(r"^ckpt-(\d{12})\.rckpt$")

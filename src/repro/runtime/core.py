@@ -41,13 +41,7 @@ from ..engine.stats import ExecutionStats
 from ..errors import ExecutionError
 from ..windows.window import Window
 from .group import GroupRuntime
-from .results import (
-    PartialResults,
-    PartialSubscription,
-    PlanSwitchRecord,
-    Subscription,
-    WindowResults,
-)
+from .results import PlanSwitchRecord, Subscription, WindowResults
 
 #: Bound on retained *retired* subscriptions per core (the ``name@gN``
 #: archive plus plainly-deregistered queries), evicted oldest first;
@@ -57,9 +51,6 @@ RETIRED_RESULT_CAP = 64
 #: The event rate (events per tick) a session prices its plans at
 #: before its rate controller has observed any.
 INITIAL_EVENT_RATE = 1
-
-#: Result-routing scopes a query can register under.
-SCOPES = ("per_key", "global")
 
 
 @dataclass
@@ -82,7 +73,7 @@ class RegisterAck:
 
 @dataclass
 class ShardReport:
-    """One core's emitted results: per-key rows plus cross-key partials.
+    """One core's emitted per-key rows.
 
     Row ``i`` of every ``results`` block is global key ``key_ids[i]``.
     On a core that has been through a migration barrier, ``results``
@@ -92,7 +83,6 @@ class ShardReport:
     """
 
     results: "dict[str, dict[Window, WindowResults]]"
-    partials: "dict[tuple[str, Window], PartialResults]"
     key_ids: np.ndarray
     sealed: "dict[tuple[str, Window], list[tuple]]"
 
@@ -210,8 +200,7 @@ class SessionCore:
         self._max_event_ts = -1
         self._groups: dict[GroupKey, GroupRuntime] = {}
         self._subs: dict[tuple[str, Window], Subscription] = {}
-        self._psubs: dict[tuple[str, Window], PartialSubscription] = {}
-        self._retired: "dict[tuple[str, Window], Subscription | PartialSubscription]" = {}
+        self._retired: dict[tuple[str, Window], Subscription] = {}
         # Plans a rate reprice changed, held only until the switch
         # that follows it.
         self._repriced: "list[WorkloadDelta]" = []
@@ -272,23 +261,17 @@ class SessionCore:
                 "barrier"
             )
 
-    def _subs_of(self, kind: type) -> list:
-        """``(slot, subscription)`` for every subscription of ``kind``
-        (:class:`Subscription` or :class:`PartialSubscription`), live
-        then retired."""
-        live = self._subs if kind is Subscription else self._psubs
-        return list(live.items()) + [
-            (slot, sub)
-            for slot, sub in self._retired.items()
-            if isinstance(sub, kind)
-        ]
+    def _all_subs(self) -> list:
+        """``(slot, subscription)`` for every subscription, live then
+        retired."""
+        return list(self._subs.items()) + list(self._retired.items())
 
     def _rekey(self, key_ids: np.ndarray) -> None:
         """Adopt a new owned-key set: every per-key subscription seals
         the rows emitted under the old one."""
         self.key_ids = key_ids
         self.num_keys = int(key_ids.size)
-        for _, sub in self._subs_of(Subscription):
+        for _, sub in self._all_subs():
             sub.rekey(key_ids)
 
     def extract_keys(self, local_ids: "np.ndarray | list[int]") -> dict:
@@ -379,15 +362,14 @@ class SessionCore:
         history — which is what keeps every barrier identity
         (operator structure, close cursors, subscription frontiers)
         valid — but starts empty: no emitted rows (the copy maps every
-        per-key subscription's buffers to empty lists, so a split
-        costs O(live state), not O(history)), per-key operator state
-        stripped, cross-key partial blocks neutralized to identity
-        components, and all counters zeroed so the merged logical
-        stats across cores stay equal to the unsharded run.
+        subscription's buffers to empty lists, so a split costs
+        O(live state), not O(history)), per-key operator state
+        stripped, and all counters zeroed so the merged logical stats
+        across cores stay equal to the unsharded run.
         """
         self._require_barrier("spawn_sibling")
         memo: dict = {}
-        for _, sub in self._subs_of(Subscription):
+        for _, sub in self._all_subs():
             memo[id(sub._blocks)] = []
             memo[id(sub._sealed)] = []
         twin: "SessionCore" = copy.deepcopy(self, memo)
@@ -396,8 +378,6 @@ class SessionCore:
             # extracts before it spawns, so a retiring slot-0 shard
             # has had every key moved out by the time it donates.
             twin.extract_keys(np.arange(twin.num_keys, dtype=np.int64))
-        for _, psub in twin._subs_of(PartialSubscription):
-            psub.neutralize()
         for runtime in twin._groups.values():
             runtime.stats.__init__()
         twin.wall_seconds = 0.0
@@ -412,22 +392,17 @@ class SessionCore:
 
         After :meth:`extract_keys` moved every owned key out, what
         remains is the sealed per-key rows it emitted while it owned
-        keys (labelled by global key id, so any core can hold them),
-        the partial-subscription blocks holding closed-instance
-        contributions of those keys, and the logical counters.  The
-        coordinator folds the remnant into exactly one surviving core,
-        so each instance still counts every key once and merged stats
-        stay equal to the unsharded run.
+        keys (labelled by global key id, so any core can hold them)
+        and the logical counters.  The coordinator folds the remnant
+        into exactly one surviving core, so merged stats stay equal to
+        the unsharded run.
         """
         return {
             "watermark": self._watermark,
             "generation": self.generation,
             "subs": [
-                [
-                    (slot, sub.extract_remnant())
-                    for slot, sub in self._subs_of(kind)
-                ]
-                for kind in (Subscription, PartialSubscription)
+                (slot, sub.extract_remnant())
+                for slot, sub in self._all_subs()
             ],
             "group_stats": [
                 (key, rt.stats) for key, rt in self._groups.items()
@@ -451,16 +426,13 @@ class SessionCore:
                 f"(wm={remnant['watermark']}, gen={remnant['generation']}) "
                 f"vs (wm={self._watermark}, gen={self.generation})"
             )
-        for kind, incoming in zip(
-            (Subscription, PartialSubscription), remnant["subs"]
-        ):
-            mine = self._subs_of(kind)
-            if [slot for slot, _ in incoming] != [slot for slot, _ in mine]:
-                raise ExecutionError(
-                    f"{kind.__name__} structure mismatch on remnant absorb"
-                )
-            for (_, sub), (_, state) in zip(mine, incoming):
-                sub.absorb_remnant(state)
+        mine, incoming = self._all_subs(), remnant["subs"]
+        if [slot for slot, _ in incoming] != [slot for slot, _ in mine]:
+            raise ExecutionError(
+                "subscription structure mismatch on remnant absorb"
+            )
+        for (_, sub), (_, sealed) in zip(mine, incoming):
+            sub.absorb_remnant(sealed)
         if [key for key, _ in remnant["group_stats"]] != list(self._groups):
             raise ExecutionError("group structure mismatch on remnant absorb")
         for key, stats in remnant["group_stats"]:
@@ -478,32 +450,11 @@ class SessionCore:
     # ------------------------------------------------------------------
     # Workload mutations
     # ------------------------------------------------------------------
-    def register(
-        self,
-        query: Query,
-        at: "int | None" = None,
-        scope: str = "per_key",
-    ) -> RegisterAck:
+    def register(self, query: Query, at: "int | None" = None) -> RegisterAck:
         """Register one named query at the safe watermark ``at``
-        (default: the core's own watermark).
-
-        ``scope="per_key"`` routes finalized per-key blocks to a
-        :class:`Subscription`; ``scope="global"`` routes pre-finalize
-        component blocks to a :class:`PartialSubscription` (mergeable
-        aggregates only — holistic global queries have no partial form
-        and must be raw-forwarded to a single-key core instead).
-        """
+        (default: the core's own watermark); finalized per-key blocks
+        route to one :class:`Subscription` per window."""
         self._require_open()
-        if scope not in SCOPES:
-            raise ExecutionError(
-                f"unknown scope {scope!r}; expected one of {SCOPES}"
-            )
-        if scope == "global" and not query.aggregate.mergeable:
-            raise ExecutionError(
-                f"{query.aggregate.name} is holistic: global scope needs "
-                "raw forwarding (a ShardedSession coordinator core), not "
-                "partial merging"
-            )
         # Re-using a retired query's name must not shadow its archived
         # results: move them to a generation-suffixed name, *in place*
         # — renaming must not rejuvenate the archive's position in the
@@ -527,23 +478,10 @@ class SessionCore:
             target = routing[(query.name, window)]
             op = runtime.ops[target]
             slot = (query.name, window)
-            if scope == "per_key":
-                sub = Subscription(
-                    query.name, window, op.next_close, self.key_ids
-                )
-                self._subs[slot] = sub
-                runtime.subs_by_window.setdefault(target, []).append(sub)
-            else:
-                psub = PartialSubscription(
-                    query.name, window, op.next_close, query.aggregate
-                )
-                self._psubs[slot] = psub
-                runtime.psubs_by_window.setdefault(target, []).append(psub)
-            starts[slot] = (
-                self._subs[slot].start
-                if scope == "per_key"
-                else self._psubs[slot].start
-            )
+            sub = Subscription(query.name, window, op.next_close, self.key_ids)
+            self._subs[slot] = sub
+            runtime.subs_by_window.setdefault(target, []).append(sub)
+            starts[slot] = sub.start
         return self._ack(query.name, starts)
 
     def deregister(self, name: str, at: "int | None" = None) -> RegisterAck:
@@ -557,7 +495,7 @@ class SessionCore:
         delta = self.workload.deregister(name)
         for window in query.windows:
             slot = (name, window)
-            sub = self._subs.pop(slot, None) or self._psubs.pop(slot, None)
+            sub = self._subs.pop(slot, None)
             if sub is not None:
                 self._archive(slot, sub)
         self._apply_delta(delta, at)
@@ -596,11 +534,7 @@ class SessionCore:
             starts=starts,
         )
 
-    def _archive(
-        self,
-        slot: "tuple[str, Window]",
-        sub: "Subscription | PartialSubscription",
-    ) -> None:
+    def _archive(self, slot: "tuple[str, Window]", sub: Subscription) -> None:
         """Retain a retired subscription within the retention cap,
         evicting oldest-first with exact counters."""
         self._retired[slot] = sub
@@ -640,18 +574,13 @@ class SessionCore:
         """Re-index this group's subscriptions by operator window."""
         routing = self.workload.routing()
         runtime.subs_by_window = {}
-        runtime.psubs_by_window = {}
-        for table, out in (
-            (self._subs, runtime.subs_by_window),
-            (self._psubs, runtime.psubs_by_window),
-        ):
-            for (name, window), sub in table.items():
-                target = routing.get((name, window))
-                if target is None or target not in runtime.ops:
-                    continue
-                if self.workload.group_of(name) != runtime.key:
-                    continue
-                out.setdefault(target, []).append(sub)
+        for (name, window), sub in self._subs.items():
+            target = routing.get((name, window))
+            if target is None or target not in runtime.ops:
+                continue
+            if self.workload.group_of(name) != runtime.key:
+                continue
+            runtime.subs_by_window.setdefault(target, []).append(sub)
 
     def _record_switch(
         self, delta: WorkloadDelta, started: float, **counts
@@ -784,7 +713,7 @@ class SessionCore:
         return horizon
 
     def report(self, drain: bool = False) -> ShardReport:
-        """Emitted results: per-key rows plus cross-key partials.
+        """Emitted per-key rows, retired subscriptions first.
 
         ``drain=False`` snapshots (non-consuming — memory grows with
         emitted instances); ``drain=True`` consumes: each subscription
@@ -792,22 +721,16 @@ class SessionCore:
         dropped once read — the bounded-memory service read path.
         """
         results: dict[str, dict[Window, WindowResults]] = {}
-        partials: dict[tuple[str, Window], PartialResults] = {}
         sealed: dict[tuple[str, Window], list[tuple]] = {}
-        tables = (self._retired, self._subs, self._psubs)
-        for table in tables:
+        for table in (self._retired, self._subs):
             for (name, window), sub in table.items():
-                per_key = isinstance(sub, Subscription)
-                if per_key:  # read before a drain frees them
-                    sealed[(name, window)] = sub.sealed()
+                # Read before a drain frees them.
+                sealed[(name, window)] = sub.sealed()
                 emitted = sub.drain() if drain else sub.snapshot()
-                if per_key:
-                    results.setdefault(name, {})[window] = emitted
-                else:
-                    partials[(name, window)] = emitted
+                results.setdefault(name, {})[window] = emitted
         if drain:
             self._retired = {}
-        return ShardReport(results, partials, self.key_ids, sealed)
+        return ShardReport(results, self.key_ids, sealed)
 
     def _require_open(self) -> None:
         if self._closed:

@@ -3,11 +3,8 @@
 One :class:`GroupRuntime` owns the chunked operators of one shared
 plan across generations: the current generation's operators, any
 still-draining displaced operators, the providers-first advance order
-spanning both, and the routing of emitted blocks to subscriptions —
-finalized per-key blocks to :class:`~repro.runtime.results.Subscription`
-and pre-finalize component blocks to
-:class:`~repro.runtime.results.PartialSubscription` (the sharded
-runtime's cross-key merge tap, DESIGN.md §7).
+spanning both, and the routing of finalized blocks to
+:class:`~repro.runtime.results.Subscription` objects.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from ..engine.streaming import (
 from ..errors import ExecutionError
 from ..plans.nodes import LogicalPlan
 from ..windows.window import Window
-from .results import PartialSubscription, Subscription
+from .results import Subscription
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -44,20 +41,13 @@ class GroupRuntime:
         self.advance_order: list[_ChunkedOperator] = []
         self.absorbers: list[_ChunkedOperator] = []
         self.subs_by_window: dict[Window, list[Subscription]] = {}
-        self.psubs_by_window: dict[Window, list[PartialSubscription]] = {}
 
     # ------------------------------------------------------------------
-    # Emission sinks: operator blocks → subscriptions
+    # Emission sink: operator blocks → subscriptions
     # ------------------------------------------------------------------
     def sink(self, window: Window, m0: int, m1: int, block: np.ndarray) -> None:
         for sub in self.subs_by_window.get(window, ()):
             sub.accept(m0, m1, block)
-
-    def partial_sink(
-        self, window: Window, m0: int, m1: int, components: tuple
-    ) -> None:
-        for sub in self.psubs_by_window.get(window, ()):
-            sub.accept(m0, m1, components)
 
     # ------------------------------------------------------------------
     # Generation switch
@@ -127,7 +117,6 @@ class GroupRuntime:
             kwargs = dict(
                 start_instance=start,
                 sink=None if node.is_factor else self.sink,
-                partial_sink=None if node.is_factor else self.partial_sink,
             )
             if provider is None:
                 op = cls(*args, **kwargs)

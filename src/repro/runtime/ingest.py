@@ -828,9 +828,8 @@ class SessionFrontDoor:
     def results(self):
         """Per-query, per-window emitted results, live and retired
         subscriptions both, merged at the coordinator: per-key rows
-        scattered back to the global key space, global partials
-        combined and finalized, forwarded holistics passed through as
-        single rows.
+        scattered back to the global key space, global-scope rows
+        passed through from the coordinator's one-key core.
 
         Non-consuming: every call returns everything accumulated since
         each subscription started, so memory grows with emitted

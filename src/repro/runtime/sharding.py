@@ -19,14 +19,10 @@ The coordinator merges per result-routing mode:
 * ``per_key`` queries — **disjoint-key concatenation**: each shard's
   rows scatter into the global key space (every key is owned by
   exactly one shard, so merging is a permutation, not arithmetic);
-* ``global`` distributive/algebraic queries — **vectorized partial
-  merge**: shards emit pre-finalize aggregate components reduced over
-  their local keys; the coordinator ``combine``s the per-shard
-  partials over whole instance arrays and finalizes once;
-* ``global`` holistic queries — **raw forwarding**: no partial form
-  exists, so the full value stream feeds a coordinator-local
-  single-key core (inherently unsharded, per the Gray et al.
-  taxonomy).
+* ``global`` queries, whatever the aggregate — **raw forwarding**: the
+  released value stream feeds a coordinator-local single-key core,
+  which sees the same stream at every shard count, backend and slot
+  map, so a global row is the one-key session's row bit for bit.
 
 Three execution backends implement one contract (documented for
 third-party implementations in ``docs/backends.md``): one command
@@ -73,7 +69,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..aggregates.registry import get_aggregate
 from ..core.multiquery import Query
 from ..engine.events import (
     DEFAULT_NUM_SLOTS,
@@ -97,10 +92,7 @@ from .ingest import (
     SessionFrontDoor,
     synchronized,
 )
-from .results import PlanSwitchRecord, WindowResults, finalize_partials
-
-#: Coordinator merge modes, derived from (scope, taxonomy).
-MERGE_MODES = ("concat", "partial", "forward")
+from .results import PlanSwitchRecord, WindowResults
 
 #: Default control-plane reply deadline, in seconds.  A worker that is
 #: alive but silent past this (lost control message, wedged loop) is
@@ -297,8 +289,8 @@ class _ShardBackend:
         """One command to every core: its replies, in slot order."""
         return self._round([(slot, msg) for slot in range(self.slot_count)])
 
-    def register(self, query: Query, at: int, scope: str) -> RegisterAck:
-        return _merge_acks(self._broadcast(("register", query, at, scope)))
+    def register(self, query: Query, at: int) -> RegisterAck:
+        return _merge_acks(self._broadcast(("register", query, at)))
 
     def deregister(self, name: str, at: int) -> RegisterAck:
         return _merge_acks(self._broadcast(("deregister", name, at)))
@@ -376,10 +368,10 @@ class _ShardBackend:
             self._add_slot(config, blob)
 
     def retire_shards(self, slots) -> list:
-        """Shard merge: take each keyless core's cross-key remnant,
-        then drop the slots from the topology — in the order given,
-        which must be descending (a removal never shifts a slot still
-        to be dropped)."""
+        """Shard merge: take each keyless core's remnant (sealed rows
+        and counters), then drop the slots from the topology — in the
+        order given, which must be descending (a removal never shifts a
+        slot still to be dropped)."""
         remnants = self._round([(slot, ("remnant",)) for slot in slots])
         for slot in slots:
             self._drop_slot(slot)
@@ -1357,9 +1349,8 @@ class ShardedSession(SessionFrontDoor):
     * :meth:`push_batch` / :meth:`push_many` — whole columnar batches
       cross the reorder buffer in one pass, are partitioned once per
       run and shipped as slices, with no per-event Python dispatch;
-    * ``scope="global"`` registrations — cross-key aggregates merged
-      at the coordinator (partials for mergeable aggregates, raw
-      forwarding for holistic ones);
+    * ``scope="global"`` registrations — one cross-key row, computed
+      by a one-key core the coordinator feeds the released stream;
     * durability — :meth:`snapshot` / :meth:`restore` capture and
       resume the whole session bit-identically (invariant 12), and
       ``worker_recovery=True`` arms transparent respawn-and-replay of
@@ -1397,7 +1388,7 @@ class ShardedSession(SessionFrontDoor):
     def __init__(
         self,
         num_keys: int = 1,
-        num_shards: "int | str" = 1,
+        num_shards: int = 1,
         backend: "str | object" = "serial",
         num_slots: int = DEFAULT_NUM_SLOTS,
         max_lateness: int = 0,
@@ -1414,15 +1405,6 @@ class ShardedSession(SessionFrontDoor):
     ):
         if num_keys < 1:
             raise ExecutionError(f"num_keys must be >= 1, got {num_keys}")
-        if num_shards == "auto":
-            # One shard per CPU, never more than one per slot — the
-            # elastic APIs (rebalance / split / merge) then adapt the
-            # layout to the observed load.
-            num_shards = max(1, min(os.cpu_count() or 1, num_slots))
-        elif isinstance(num_shards, str):
-            raise ExecutionError(
-                f"num_shards must be an int or 'auto', got {num_shards!r}"
-            )
         if num_shards < 1:
             raise ExecutionError(
                 f"num_shards must be >= 1, got {num_shards}"
@@ -1561,11 +1543,11 @@ class ShardedSession(SessionFrontDoor):
     # Workload mutations
     # ------------------------------------------------------------------
     @staticmethod
-    def _merge_mode(query: Query, scope: str) -> str:
+    def _merge_mode(scope: str) -> str:
         if scope == "per_key":
             return "concat"
         if scope == "global":
-            return "partial" if query.aggregate.mergeable else "forward"
+            return "forward"
         raise ExecutionError(
             f"unknown scope {scope!r}; expected 'per_key' or 'global'"
         )
@@ -1577,20 +1559,17 @@ class ShardedSession(SessionFrontDoor):
         """Register one query on every shard at the same safe
         watermark; returns its name.
 
-        ``scope="global"`` merges across all keys at the coordinator:
-        vectorized partial ``combine`` for distributive/algebraic
-        aggregates, raw forwarding for holistic ones."""
+        ``scope="global"`` computes one row across all keys on the
+        coordinator's one-key core, fed the released stream."""
         self._require_open()
         query = resolve_registration_query(query, name, self._next_auto_name)
         if query.name in self._queries:
             raise ExecutionError(
                 f"query name {query.name!r} is already registered"
             )
-        mode = self._merge_mode(query, scope)
+        mode = self._merge_mode(scope)
         previous = self._modes.get(query.name)
-        if previous is not None and (previous == "forward") != (
-            mode == "forward"
-        ):
+        if previous is not None and previous != mode:
             raise ExecutionError(
                 f"name {query.name!r} was previously registered with an "
                 "incompatible scope; its archive lives on a different "
@@ -1599,14 +1578,10 @@ class ShardedSession(SessionFrontDoor):
         at = self._safe_watermark()
         self._sync(at)
         if mode == "forward":
-            self._ensure_forward_core(at).register(
-                query, at=at, scope="per_key"
-            )
+            self._ensure_forward_core(at).register(query, at=at)
             self._forward_names.add(query.name)
         else:
-            self.backend.register(
-                query, at, "per_key" if mode == "concat" else "global"
-            )
+            self.backend.register(query, at)
         self._queries[query.name] = (query, mode)
         self._note_mode(query.name, mode)
         self._generation += 1
@@ -1894,8 +1869,8 @@ class ShardedSession(SessionFrontDoor):
     def merge_shard(self, shard: int, into: "int | None" = None) -> int:
         """Shrink the live worker count: move every slot of ``shard``
         onto ``into`` (default: the least loaded other shard) and
-        retire ``shard``'s core, folding its cross-key residue into a
-        survivor.  Merging the highest shard id also shrinks
+        retire ``shard``'s core, folding its sealed rows and counters
+        into a survivor.  Merging the highest shard id also shrinks
         ``num_shards``; merging a middle id leaves that id inactive
         (ids are never renumbered — key hashes must stay stable).
         Returns the absorbing shard id."""
@@ -2136,12 +2111,6 @@ class ShardedSession(SessionFrontDoor):
                 window: self._scatter(name, window, reports)
                 for window in reports[0].results[name]
             }
-        for name, window in sorted(reports[0].partials):
-            parts = [report.partials[(name, window)] for report in reports]
-            aggregate = get_aggregate(parts[0].aggregate)
-            out.setdefault(name, {})[window] = finalize_partials(
-                aggregate, parts
-            )
         if self._forward is not None:
             forwarded = self._forward.report(drain=drain)
             for name, by_window in forwarded.results.items():

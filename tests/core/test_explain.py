@@ -77,7 +77,7 @@ class TestShardSection:
         result = optimize(example7_windows, MIN)
         text = explain(result, shards=4)
         assert "shard fan-out (x4 key-hash shards):" in text
-        assert "global partials combine" in text
+        assert "global reads raw-forward" in text
 
     def test_holistic_shard_section(self):
         result = optimize(WindowSet([Window(20, 20), Window(40, 40)]), MEDIAN)

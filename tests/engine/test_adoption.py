@@ -86,13 +86,26 @@ class _TapSink:
         )
 
 
+class _TapConsumer:
+    """First in its provider's consumer list: records each component
+    block the provider hands its consumers, before any of them can
+    adopt it."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def accept_block(self, m0, m1, components):
+        self.sink(PROVIDER, m0, m1, components)
+
+
 def _core(name, num_keys, tap, raw_cls, sub_cls):
-    """A provider with a sink and a partial sink feeding two consumers."""
+    """A provider with a sink and a component tap feeding two
+    consumers."""
     stats = ExecutionStats()
     raw = raw_cls(
-        PROVIDER, AVG, num_keys, None, stats,
-        sink=tap.sink(f"{name}.final"), partial_sink=tap.sink(f"{name}.partial"),
+        PROVIDER, AVG, num_keys, None, stats, sink=tap.sink(f"{name}.final")
     )
+    raw.consumers.append(_TapConsumer(tap.sink(f"{name}.partial")))
     for window in (TUMBLING, HOPPING):
         raw.consumers.append(
             sub_cls(
@@ -104,7 +117,7 @@ def _core(name, num_keys, tap, raw_cls, sub_cls):
 
 
 def _operators(raw):
-    return [raw, *raw.consumers]
+    return [raw, *raw.consumers[1:]]
 
 
 def _feed(raw, ts, keys, values, start, end):

@@ -109,12 +109,12 @@ class TestLogicalRawPairs:
 
 
 class _Partials:
-    """``partial_sink`` that keeps the emitted component blocks."""
+    """A consumer that keeps the component blocks its provider emits."""
 
     def __init__(self):
         self.blocks = []
 
-    def __call__(self, window, m0, m1, components):
+    def accept_block(self, m0, m1, components):
         self.blocks.append(components)
 
     def components(self):
@@ -134,8 +134,9 @@ class TestRawOperatorFedOneChunk:
         sink = _Partials()
         op = _ChunkedRawOperator(
             window, aggregate, batch.num_keys, reference.num_instances,
-            ExecutionStats(), partial_sink=sink,
+            ExecutionStats(),
         )
+        op.consumers.append(sink)
         op.absorb(batch.timestamps, batch.keys, batch.values)
         op.advance(batch.horizon)
         assert op.drained

@@ -119,14 +119,13 @@ class TestShardFanout:
         text = to_tree(plan, shards=4)
         assert "shards=4" in text
         assert "x4 key-hash shards" in text
-        assert "partials combine" in shard_fanout(plan, 4)
+        assert "global reads raw-forward" in shard_fanout(4)
 
-    def test_holistic_fanout_names_forwarding(self):
+    def test_holistic_tree_names_forwarding(self):
         from repro.aggregates.registry import MEDIAN
-        from repro.plans.render import shard_fanout
 
         plan = original_plan(WindowSet([Window(20, 20)]), MEDIAN)
-        assert "raw-forward" in shard_fanout(plan, 2)
+        assert "global reads raw-forward" in to_tree(plan, shards=2)
 
     def test_tree_unannotated_without_shards(self):
         assert "shards=" not in to_tree(_factor_plan())

@@ -3,10 +3,14 @@
 Integer-valued streams make every built-in mergeable aggregate's
 partial arithmetic *exact* in float64, so session output must be
 **bit**-identical to a cold batch run regardless of how the live chunk
-boundaries fall (DESIGN.md invariant 9's strongest form).
+boundaries fall (DESIGN.md invariant 9's strongest form).  Real-valued
+streams (:func:`real_stream`) serve the comparisons that need no such
+help: one session against another of the same workload.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -77,6 +81,21 @@ def integer_stream(
         horizon=t0,
         num_keys=num_keys,
     )
+
+
+def real_stream(
+    ticks: int,
+    rate: int = 2,
+    num_keys: int = 2,
+    seed: int = 0,
+    rate_segments: "tuple[tuple[int, int], ...] | None" = None,
+) -> EventBatch:
+    """:func:`integer_stream`'s timestamps and keys with Gaussian
+    values: no sum of these is exact in float64, so a result matches
+    another bit for bit only if both folded in the same order."""
+    batch = integer_stream(ticks, rate, num_keys, seed, rate_segments)
+    values = np.random.default_rng(seed).normal(20.0, 5.0, batch.num_events)
+    return dataclasses.replace(batch, values=values)
 
 
 def cold_reference(queries, batch):

@@ -137,7 +137,7 @@ class TestCheckpointFormat:
         with pytest.raises(ExecutionError, match="not supported"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_older_checkpoint_is_refused(self, tmp_path, old):
         """A file written before subscriptions held key-labelled
         segments (format v1), before both session kinds shared one
@@ -149,20 +149,22 @@ class TestCheckpointFormat:
         coordinator carried the factor-window switch, the retired
         cap and the reorder buffer its late-event log (v7), while
         the reorder buffer carried its held events as a tuple heap
-        (v8), or while the front door's frame carried staged events and
-        the buffer heap fields (v9) must be rejected by its header —
-        even with a valid checksum — never restored half-shaped."""
-        assert CHECKPOINT_VERSION == 10
+        (v8), while the front door's frame carried staged events and
+        the buffer heap fields (v9), or while a core carried partial
+        subscriptions for global-scope queries (v10) must be rejected
+        by its header — even with a valid checksum — never restored
+        half-shaped."""
+        assert CHECKPOINT_VERSION == 11
         path = tmp_path / "ckpt.rckpt"
         write_checkpoint(self.make_snapshot(), path)
         blob = bytearray(path.read_bytes())
         offset = len(CHECKPOINT_MAGIC)
-        assert blob[offset : offset + 2] == (10).to_bytes(2, "little")
+        assert blob[offset : offset + 2] == (11).to_bytes(2, "little")
         blob[offset : offset + 2] = old.to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(
             ExecutionError,
-            match=rf"format v{old} is not supported \(this build reads v10\)",
+            match=rf"format v{old} is not supported \(this build reads v11\)",
         ):
             read_checkpoint(path)
 

@@ -238,7 +238,8 @@ def test_crash_during_mutation_recovers(repro_seed, op):
         for ts, key, value in events[:cut]:
             session.push(ts, key, value)
         if op == "deregister":
-            session.deregister(WORKLOAD[1][0].name)
+            # A per-key query: its deregister is a shard op.
+            session.deregister(WORKLOAD[0][0].name)
         elif op == "snapshot":
             session.snapshot()
         else:

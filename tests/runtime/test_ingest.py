@@ -525,10 +525,14 @@ def test_drain_results_stays_bounded_under_async_ingest(repro_seed):
 
 
 def _assert_subscriptions_released(session):
-    """After a drain, every live per-key/partial subscription on every
-    (serial-backend) shard core holds zero buffered instances."""
-    for core in session.backend.cores:
-        for sub in list(core._subs.values()) + list(core._psubs.values()):
+    """After a drain, every live subscription on every (serial-backend)
+    shard core and on the coordinator's global-scope core holds zero
+    buffered instances."""
+    cores = list(session.backend.cores)
+    if session._forward is not None:
+        cores.append(session._forward)
+    for core in cores:
+        for sub in core._subs.values():
             assert sub.emitted_instances == 0
 
 

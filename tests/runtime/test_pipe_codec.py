@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.core import ShardReport
-from repro.runtime.results import PartialResults, WindowResults
+from repro.runtime.results import WindowResults
 from repro.runtime.sharding import (
     _CONTROL_POLL_SECONDS,
     ProcessShardBackend,
@@ -47,21 +47,17 @@ def _report() -> ShardReport:
                 )
             }
         },
-        partials={
-            ("g", window): PartialResults(
-                query="g",
-                window=window,
-                start_instance=0,
-                frontier=20,
-                aggregate="avg",
-                components=(rng.normal(size=20), rng.normal(size=20)),
-            )
-        },
         key_ids=key_ids,
+        # Nested arrays: per (query, window), a list of segments, each
+        # a tuple holding two arrays.
         sealed={
             ("q", window): [
-                (np.array([1, 2, 9]), 3, rng.normal(size=(3, 5)))
-            ]
+                (np.array([1, 2, 9]), 3, rng.normal(size=(3, 5))),
+                (np.array([0, 5]), 8, rng.normal(size=(2, 7))),
+            ],
+            ("r", window): [
+                (np.array([3, 7, 8]), 0, rng.normal(size=(3, 20)))
+            ],
         },
     )
 
@@ -116,7 +112,6 @@ def test_shard_report_round_trips():
     got = received[1]
     assert isinstance(got, ShardReport)
     assert got.results.keys() == report.results.keys()
-    assert got.partials.keys() == report.partials.keys()
     assert got.sealed.keys() == report.sealed.keys()
     _assert_same_arrays(report, got)
 

@@ -1,7 +1,7 @@
 """API tests for the key-sharded runtime (DESIGN.md §7).
 
 Complements the invariant-10 property suite with directed checks of
-the coordinator: global-scope merging against collapsed-key
+the coordinator: global-scope rows against collapsed-key
 references, watermark alignment, the consuming read path, stats
 aggregation, and the error surface of both backends.
 """
@@ -24,7 +24,7 @@ from repro.runtime import (
 from repro.windows.window import Window, WindowSet
 from repro.workloads.streams import zipf_stream
 
-from session_streams import assert_identical, integer_stream
+from session_streams import assert_identical, integer_stream, real_stream
 
 QA = Query("a", WindowSet([Window(20, 10), Window(40, 20)]), MIN)
 QB = Query("b", WindowSet([Window(24, 12)]), SUM)
@@ -36,88 +36,118 @@ def int_stream():
     return integer_stream(ticks=600, rate=2, num_keys=NUM_KEYS, seed=21)
 
 
-def collapsed_reference(stream, query, horizon):
+@pytest.fixture(scope="module")
+def gaussian_stream():
+    return real_stream(ticks=600, rate=2, num_keys=NUM_KEYS, seed=21)
+
+
+#: One global query per taxonomy cell: distributive (SUM, MIN),
+#: algebraic (AVG, STDEV) and holistic (MEDIAN).
+GLOBAL_QUERIES = [
+    Query(
+        f"g_{aggregate.name.lower()}",
+        WindowSet([Window(20, 10), Window(30, 15)]),
+        aggregate,
+    )
+    for aggregate in (SUM, AVG, STDEV, MIN, MEDIAN)
+]
+
+
+def collapsed_reference(stream, queries):
     """The global answer computed the slow, obviously-correct way: all
-    keys mapped onto one."""
+    keys mapped onto one, pushed one event at a time."""
     session = QuerySession(num_keys=1, hysteresis=None)
-    session.register(query)
+    for query in queries:
+        session.register(query)
     for ts, _key, value in stream.rows():
         session.push(ts, 0, value)
-    return session.finish(horizon=horizon)
+    return session.finish(horizon=stream.horizon)
+
+
+@pytest.fixture(scope="module")
+def collapsed_globals(gaussian_stream):
+    return collapsed_reference(gaussian_stream, GLOBAL_QUERIES)
 
 
 class TestGlobalScope:
-    @pytest.mark.parametrize(
-        "aggregate", [SUM, AVG, STDEV], ids=lambda a: a.name
-    )
-    def test_partial_merge_matches_collapsed_keys(
-        self, int_stream, aggregate
+    """A global query runs on the coordinator's one-key core, fed the
+    released stream — the same at every shard count, backend, ingest
+    mode and slot map — so its row is the collapsed-key session's bit
+    for bit on real values, whatever the aggregate."""
+
+    @pytest.mark.parametrize("ingest", ["sync", "async"])
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
+    @pytest.mark.parametrize("shards", [1, 3, 4])
+    def test_global_rows_equal_the_collapsed_session(
+        self, gaussian_stream, collapsed_globals, shards, backend, ingest
     ):
-        """Vectorized cross-shard ``combine`` equals aggregating the
-        un-keyed stream directly (exact for integer values)."""
-        query = Query("g", WindowSet([Window(20, 10)]), aggregate)
-        reference = collapsed_reference(
-            int_stream, query, int_stream.horizon
+        with ShardedSession(
+            num_keys=NUM_KEYS,
+            num_shards=shards,
+            backend=backend,
+            hysteresis=None,
+            async_ingest=ingest == "async",
+        ) as session:
+            session.register(QA)
+            for query in GLOBAL_QUERIES:
+                session.register(query, scope="global")
+            for lo in range(0, gaussian_stream.horizon, 150):
+                session.push_batch(gaussian_stream.slice_time(lo, lo + 150))
+            results = session.finish(horizon=gaussian_stream.horizon)
+        del results["a"]
+        assert_identical(
+            collapsed_globals, results, f"{backend} x{shards} {ingest}"
         )
+
+    def test_global_rows_survive_migrations(
+        self, gaussian_stream, collapsed_globals
+    ):
+        """Rebalance, split and merge move keys between shard cores;
+        none of it reaches the coordinator's core."""
         session = ShardedSession(
             num_keys=NUM_KEYS, num_shards=3, hysteresis=None
         )
-        session.register(query, scope="global")
-        session.push_many(int_stream.rows())
-        results = session.finish(horizon=int_stream.horizon)
-        emitted = results["g"][Window(20, 10)]
-        assert emitted.values.shape[0] == 1  # one global row
-        if aggregate is STDEV:
-            # Gaussian-free integer stream, but STDEV finalization
-            # involves a sqrt of a difference — allow reassociation.
-            np.testing.assert_allclose(
-                emitted.values,
-                reference["g"][Window(20, 10)].values,
-                rtol=1e-9,
-            )
-        else:
-            np.testing.assert_array_equal(
-                emitted.values, reference["g"][Window(20, 10)].values
-            )
-
-    def test_holistic_forwarding_matches_collapsed_keys(self, int_stream):
-        """Global MEDIAN has no partial form: raw forwarding to the
-        coordinator core must equal the collapsed-key run exactly."""
-        query = Query("h", WindowSet([Window(30, 15)]), MEDIAN)
-        reference = collapsed_reference(
-            int_stream, query, int_stream.horizon
-        )
-        session = ShardedSession(
-            num_keys=NUM_KEYS, num_shards=4, hysteresis=None
-        )
-        session.register(query, scope="global")
-        session.push_many(int_stream.rows())
-        results = session.finish(horizon=int_stream.horizon)
-        np.testing.assert_array_equal(
-            results["h"][Window(30, 15)].values,
-            reference["h"][Window(30, 15)].values,
-        )
+        session.register(QA)
+        for query in GLOBAL_QUERIES:
+            session.register(query, scope="global")
+        steps = iter([
+            lambda: session.rebalance(),
+            lambda: session.split_shard(),
+            lambda: session.merge_shard(session.num_shards - 1),
+        ])
+        layouts = [session.slot_map.copy()]
+        for lo in range(0, gaussian_stream.horizon, 150):
+            session.push_batch(gaussian_stream.slice_time(lo, lo + 150))
+            step = next(steps, None)
+            if step is not None:
+                step()
+                layouts.append(session.slot_map.copy())
+        results = session.finish(horizon=gaussian_stream.horizon)
+        assert not np.array_equal(layouts[0], layouts[2])
+        assert session.num_shards == 3
+        del results["a"]
+        assert_identical(collapsed_globals, results, "rebalance/split/merge")
 
     def test_midstream_holistic_registration_starts_aligned(
-        self, int_stream
+        self, gaussian_stream
     ):
         """A global holistic query registered mid-stream owns only
         instances from its aligned activation start — and matches the
         collapsed-key reference on that suffix."""
         query = Query("h", WindowSet([Window(30, 15)]), MEDIAN)
-        reference = collapsed_reference(
-            int_stream, query, int_stream.horizon
-        )["h"][Window(30, 15)]
+        reference = collapsed_reference(gaussian_stream, [query])["h"][
+            Window(30, 15)
+        ]
         session = ShardedSession(
             num_keys=NUM_KEYS, num_shards=3, hysteresis=None
         )
         session.register(QA)
-        rows = list(int_stream.rows())
+        rows = list(gaussian_stream.rows())
         for i, (ts, key, value) in enumerate(rows):
             if i == len(rows) // 2:
                 session.register(query, scope="global")
             session.push(ts, key, value)
-        results = session.finish(horizon=int_stream.horizon)
+        results = session.finish(horizon=gaussian_stream.horizon)
         emitted = results["h"][Window(30, 15)]
         assert emitted.start_instance > 0
         assert emitted.frontier == reference.frontier
@@ -125,24 +155,6 @@ class TestGlobalScope:
             emitted.values,
             reference.values[:, emitted.start_instance:],
         )
-
-    def test_global_and_per_key_share_operators(self, int_stream):
-        """A global and a per-key query over the same window share one
-        operator: logical pairs match the per-key-only run."""
-        def pairs(with_global):
-            session = ShardedSession(
-                num_keys=NUM_KEYS, num_shards=2, hysteresis=None
-            )
-            session.register(QA)
-            if with_global:
-                session.register(
-                    Query("g", QA.windows, MIN), scope="global"
-                )
-            session.push_many(int_stream.rows())
-            session.finish(horizon=int_stream.horizon)
-            return session.stats().total_pairs
-
-        assert pairs(True) == pairs(False)
 
 
 class TestCoordination:
@@ -503,7 +515,7 @@ class TestProcessBackend:
             with pytest.raises(ExecutionError):
                 # Duplicate registration fails inside the workers and
                 # must surface as a clean coordinator-side error.
-                session.backend.register(QA, session.watermark, "per_key")
+                session.backend.register(QA, session.watermark)
         finally:
             session.close()
 

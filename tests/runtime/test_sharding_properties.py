@@ -15,12 +15,14 @@ The same identity must hold across every execution configuration:
 *when* work happens, never *what* is computed).  The serial-sync run
 is the oracle every other cell of the matrix is compared against.
 
-Streams carry integer values so every partial merge — the global
-cross-key combine included — is exact float64 arithmetic: bit-identity
-is required, not just closeness.  One resharding test runs per-key
-queries over real values, which need no such help.  Schedules
-are seeded from ``REPRO_TEST_SEED`` (printed in the pytest header and
-embedded in failure messages) so counterexamples reproduce exactly.
+Streams carry real (Gaussian) values, whose float64 sums are exact in
+no order but the one they were folded in: bit-identity is required,
+not just closeness.  It holds in both scopes because neither reduces
+across shards — a per-key row is folded by the one core owning its
+key, and a global row by the coordinator's one-key core, which sees
+the same released stream at every shard count.  Schedules are seeded
+from ``REPRO_TEST_SEED`` (printed in the pytest header and embedded in
+failure messages) so counterexamples reproduce exactly.
 """
 
 import numpy as np
@@ -28,12 +30,11 @@ import pytest
 
 from repro.aggregates.registry import AVG, MAX, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
-from repro.engine.events import make_batch
 from repro.engine.outoforder import scramble_batch
 from repro.runtime import Fault, FaultPlan, ShardedSession
 from repro.windows.window import Window, WindowSet
 
-from session_streams import integer_stream, swap_keyed_slots
+from session_streams import real_stream, swap_keyed_slots
 
 #: (query, scope) pool mixing taxonomies and both result scopes.
 POOL = [
@@ -45,7 +46,7 @@ POOL = [
     (Query("q5", WindowSet([Window(12, 4)]), SUM), "global"),
     (Query("q6", WindowSet([Window(8, 4)]), AVG), "global"),
     (Query("q7", WindowSet([Window(12, 12)]), MAX), "global"),
-    (Query("q8", WindowSet([Window(6, 3)]), MEDIAN), "global"),  # forward
+    (Query("q8", WindowSet([Window(6, 3)]), MEDIAN), "global"),
 ]
 
 NUM_KEYS = 5
@@ -161,7 +162,7 @@ def test_randomized_schedules_are_shard_invariant(repro_seed, case):
     rng = np.random.default_rng((repro_seed, case))
     lateness = int(rng.integers(0, 9))
     hysteresis = [None, 0.4][int(rng.integers(0, 2))]
-    batch = integer_stream(
+    batch = real_stream(
         ticks=TICKS,
         num_keys=NUM_KEYS,
         seed=int(rng.integers(0, 1000)),
@@ -222,7 +223,7 @@ def test_backend_matrix_matches_serial_sync_oracle(
     schedule (invariants 10 and 11)."""
     rng = np.random.default_rng((repro_seed, 77, num_shards))
     lateness = int(rng.integers(0, 5))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
@@ -266,7 +267,7 @@ def test_schedules_survive_injected_worker_crashes(
     rng = np.random.default_rng((repro_seed, 131))
     num_shards = int(rng.integers(2, 4))
     lateness = int(rng.integers(0, 5))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
@@ -314,7 +315,7 @@ def test_push_batch_matches_per_event_push(repro_seed, backend, async_ingest):
     pushing the same events one at a time — on every backend, in both
     ingest modes."""
     rng = np.random.default_rng((repro_seed, 99))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=400, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     queries = [
@@ -368,7 +369,7 @@ def test_zero_copy_plane_copies_at_most_once_per_event(
     the stream moves with no copy at all, and the results still match
     the serial oracle bit-for-bit."""
     rng = np.random.default_rng((repro_seed, 1109))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=400, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     queries = [(POOL[0][0], "per_key"), (POOL[2][0], "per_key")]
@@ -407,7 +408,7 @@ def test_ingest_never_mutates_caller_arrays(repro_seed, backend):
     """The zero-copy plane hands caller arrays (and views of them)
     straight to the shard cores; no stage may write into them."""
     rng = np.random.default_rng((repro_seed, 211))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     before = (
@@ -513,7 +514,7 @@ def test_elastic_reshard_schedules_are_layout_invariant(repro_seed, backend):
     serial oracle, however the layout was reshaped mid-stream."""
     rng = np.random.default_rng((repro_seed, 1201))
     lateness = int(rng.integers(0, 6))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
@@ -548,12 +549,8 @@ def test_elastic_reshard_is_bit_identical_per_key_on_real_values(repro_seed):
     stream stay bit-identical to the static 1-shard run, however the
     layout was reshaped."""
     rng = np.random.default_rng((repro_seed, 1202))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
-    )
-    batch = make_batch(
-        batch.timestamps, rng.normal(20.0, 5.0, batch.num_events),
-        keys=batch.keys, num_keys=NUM_KEYS, horizon=batch.horizon,
     )
     events = scramble_batch(batch, 3, seed=int(rng.integers(0, 100)))
     schedule = ({0: [entry for entry in POOL if entry[1] == "per_key"]}, {})
@@ -619,7 +616,7 @@ def test_closed_rows_stay_put_across_barriers_and_polls(repro_seed, backend):
     1-shard run given the same polls."""
     rng = np.random.default_rng((repro_seed, 1251))
     lateness = int(rng.integers(0, 6))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
@@ -671,7 +668,7 @@ def test_spawn_from_emptied_donor_shard(backend):
     fresh shard — and extracts run before spawns, so by donation time
     the donor core is already keyless.  Regression: the sibling spawn
     used to die with ``extract_keys needs at least one key``."""
-    batch = integer_stream(ticks=240, num_keys=NUM_KEYS, seed=7)
+    batch = real_stream(ticks=240, num_keys=NUM_KEYS, seed=7)
     events = list(batch.rows())
     cut = len(events) // 2
     schedule = ({0: [POOL[0], POOL[5]]}, {})
@@ -702,7 +699,7 @@ def test_elastic_layout_survives_checkpoint_restore(repro_seed, backend):
     map and backend slot order; restore resumes that exact layout and
     the completed run still matches the static serial oracle."""
     rng = np.random.default_rng((repro_seed, 1301))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = list(batch.rows())
@@ -852,7 +849,7 @@ def test_migrations_survive_worker_kill_mid_op(
     check."""
     rng = np.random.default_rng((repro_seed, 1401))
     lateness = int(rng.integers(0, 5))
-    batch = integer_stream(
+    batch = real_stream(
         ticks=300, num_keys=NUM_KEYS, seed=int(rng.integers(0, 1000))
     )
     events = scramble_batch(batch, lateness, seed=int(rng.integers(0, 100)))
