@@ -1,22 +1,20 @@
-"""Ablation: the compiled holistic kernel vs pure NumPy (DESIGN.md §11).
+"""Ablation: the compiled kernels vs pure NumPy (DESIGN.md §11).
 
 Two measurements, each preceded by a bit-identity assertion (a kernel
 that got faster by being wrong would be worthless):
 
-* **kernel micro** — the C kernel (`repro._kernels`) against the
+* **kernel micros** — each C kernel (`repro._kernels`) against the
   NumPy code it replaces: the one-call holistic window close a live
   operator runs per flush (MEDIAN over retained events, pair codes
-  included).
-  (Raw-event binning and the reorder buffer have no kernel: one
-  ``ufunc.at`` scatter in ``segment_reduce`` and one stable sort in
-  ``ReorderBuffer.push_batch``, on every path);
+  included), and ``event_columns`` on a 1 000-row list, the front
+  door's rows-to-columns pass (``REPRO_KERNELS=1`` against ``0``);
 * **engine path** — the pane engine (``columnar-panes``) on a holistic
   plan, where the segmented sort dominates, under ``REPRO_KERNELS=1``
   against ``REPRO_KERNELS=0``: one engine name, the switch every call
   site obeys.
 
-The gates are the two speed-up ratios asserted below: each compares
-two runs on one host, so no baseline from another host is needed.
+The gates are the speed-up ratios asserted below: each compares two
+runs on one host, so no baseline from another host is needed.
 This is the only C-kernel-vs-NumPy speed gate in the repo:
 the ledger runs every workload with kernels on and never prices the
 switch.  When no C compiler is available the test is skipped — the
@@ -32,6 +30,7 @@ from repro import _kernels as kernels
 from repro.aggregates.registry import MEDIAN
 from repro.bench.reporting import format_table
 from repro.engine.columnar import holistic_close
+from repro.engine.events import event_columns
 from repro.engine.executor import execute_plan, results_equal
 from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
@@ -40,8 +39,10 @@ from repro.workloads.streams import constant_rate_stream
 #: Loose acceptance floors — CI machines are noisy.
 MIN_KERNEL_SPEEDUP = 1.5
 MIN_ENGINE_SPEEDUP = 1.1
-#: Stream length of the engine-path run (and the micro's sample size).
+#: Stream length of the engine-path run (and the close micro's sample).
 EVENTS = 30_000
+#: Rows per ``event_columns`` call: a front-door batch.
+ROWS = 1_000
 
 
 def _best(fn, reps=5):
@@ -83,12 +84,38 @@ def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
     close_py = _best(numpy_close)
     close_c = _best(kernel_close)
 
+    # A front-door batch: ROWS out-of-order tuples of 64 keys.
+    rows = list(
+        zip(
+            (ts[:ROWS] + rng.integers(0, 8, ROWS)).tolist(),
+            keys[:ROWS].tolist(),
+            values[:ROWS].tolist(),
+        )
+    )
+
+    def parse(mode):
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", mode)
+            return event_columns(rows, 64)
+
+    for py_column, c_column in zip(parse("0"), parse("1")):
+        assert py_column.dtype == c_column.dtype
+        assert py_column.tobytes() == c_column.tobytes()
+    parse_py = _best(lambda: parse("0"), reps=50)
+    parse_c = _best(lambda: parse("1"), reps=50)
+
     return [
         {
             "kernel": "holistic_close_median",
             "numpy_seconds": close_py,
             "native_seconds": close_c,
             "native_speedup": close_py / close_c,
+        },
+        {
+            "kernel": f"event_columns_{ROWS}_rows",
+            "numpy_seconds": parse_py,
+            "native_seconds": parse_c,
+            "native_speedup": parse_py / parse_c,
         },
     ]
 

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import _kernels as kernels
 from ..errors import ExecutionError
 
 #: The stream event schema, column by column — the single source of
@@ -248,6 +249,13 @@ def event_columns(events, num_keys: int) -> EventColumns:
     the whole batch; only a broken one is searched for its first
     offending row.
 
+    A row list takes the compiled parser when the kernels are on
+    (:func:`repro._kernels.parse_rows`, one pass in C): it accepts only
+    rows of exact ints and a float (or int) value that pass every rule
+    above, and hands any other batch to the NumPy path here whole, so
+    the columns and every message are the same under every
+    ``REPRO_KERNELS`` setting.
+
     Idempotent: columns already validated against the same
     ``num_keys`` come back untouched, so a batch checked at one front
     door (the service manager) is not checked again at the next
@@ -260,6 +268,10 @@ def event_columns(events, num_keys: int) -> EventColumns:
     if len(rows) == 0:
         empty = (np.empty(0, dtype) for _, dtype in EVENT_COLUMN_DTYPES)
         return EventColumns(*empty, num_keys)
+    if isinstance(rows, list) and kernels.resolve():
+        columns = kernels.parse_rows(rows, num_keys)
+        if columns is not None:
+            return EventColumns(*columns, num_keys)
     table = _row_table(rows)
     float_ids = table[:, :2].T
     with np.errstate(invalid="ignore"):

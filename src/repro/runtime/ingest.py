@@ -444,7 +444,7 @@ class SessionFrontDoor:
         self._require_open()
         # Plain ints and a float that ``event_columns`` takes as they
         # are (ids exact in float64) skip the batch check here; the
-        # settle casts the rows whole.
+        # settle converts the rows whole.
         if not (
             type(ts) is int
             and type(key) is int

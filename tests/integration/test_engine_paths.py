@@ -9,6 +9,8 @@ model's prediction on aligned constant-rate streams even though the
 fast paths physically do less work.
 """
 
+import sysconfig
+import threading
 from functools import partial
 
 import numpy as np
@@ -148,6 +150,121 @@ def test_native_path_falls_back_without_kernels(aggregate, monkeypatch):
     assert set(pure.results) == set(requested.results)
     for window, array in pure.results.items():
         np.testing.assert_array_equal(array, requested.results[window])
+
+
+@pytest.fixture
+def fresh_kernels(monkeypatch, tmp_path):
+    """The kernel loader as a new process finds it, caching in
+    ``tmp_path`` and asked for the kernels (``REPRO_KERNELS=1``); the
+    process's own module comes back after the test."""
+    from repro import _kernels
+
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    monkeypatch.setattr(_kernels, "_module", None)
+    monkeypatch.setattr(_kernels, "_load_attempted", False)
+    monkeypatch.setattr(_kernels, "_load_error", None)
+    return _kernels
+
+
+def test_a_module_built_for_another_interpreter_is_never_loaded(
+    fresh_kernels, monkeypatch
+):
+    """The cached module's name carries the interpreter's
+    ``EXT_SUFFIX``: a file another interpreter cached beside it (here
+    a junk one, which would fail to load) is a different file."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    own = fresh_kernels._module_path()
+    config_var = sysconfig.get_config_var
+    with monkeypatch.context() as other:
+        other.setattr(
+            sysconfig, "get_config_var",
+            lambda name: ".cpython-39-other.so" if name == "EXT_SUFFIX"
+            else config_var(name),
+        )
+        foreign = fresh_kernels._module_path()
+    assert own.name.endswith(suffix) and foreign.name != own.name
+    assert foreign.parent == own.parent
+    foreign.parent.mkdir(parents=True)
+    foreign.write_bytes(b"another interpreter's build")
+    if not fresh_kernels.available():
+        error = fresh_kernels.availability_error()
+        assert "failed to load" not in error
+        pytest.skip(f"no compiled kernels: {error}")
+    assert fresh_kernels._module.__file__ == str(own)
+
+
+def test_threads_racing_the_first_load_all_get_the_kernels(
+    fresh_kernels, monkeypatch
+):
+    """The caller's thread and a pump thread may both reach the loader
+    first: one builds, the others wait for its verdict instead of
+    reading "not loaded" (which ``require`` would raise on)."""
+    from repro.engine.events import event_columns
+
+    monkeypatch.setenv("REPRO_KERNELS", "require")
+    gate = threading.Barrier(4)
+    failures = []
+
+    def convert():
+        gate.wait()
+        try:
+            event_columns([(1, 0, 1.0)], 2)
+        except fresh_kernels.KernelsUnavailable as exc:
+            failures.append(str(exc))
+
+    threads = [threading.Thread(target=convert) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    if fresh_kernels._module is None:
+        pytest.skip(f"no compiled kernels: {fresh_kernels._load_error}")
+    assert failures == []
+
+
+def test_missing_python_headers_fall_back(
+    fresh_kernels, monkeypatch, tmp_path
+):
+    """Without ``Python.h`` at the include path ``sysconfig`` reports,
+    nothing is built: the kernels are unavailable and say why,
+    ``REPRO_KERNELS=1`` gives NumPy's results bit for bit, and
+    ``require`` refuses."""
+    from repro.engine.events import event_columns
+
+    get_paths = sysconfig.get_paths
+    empty = tmp_path / "include"
+    empty.mkdir()
+    monkeypatch.setattr(
+        sysconfig, "get_paths",
+        lambda *args, **kwargs: {
+            **get_paths(*args, **kwargs),
+            "include": str(empty),
+            "platinclude": str(empty),
+        },
+    )
+    assert not fresh_kernels.available()
+    assert "Python.h" in fresh_kernels.availability_error()
+    assert not list((tmp_path / "cache").glob("*"))
+    rows = [(0, 0, 1.5), (3, 1, float("nan")), (7, 0, 2**60 + 1)]
+    plan = original_plan(WindowSet([Window(12, 4), Window(8, 8)]), MEDIAN)
+    batch = _random_batch(77)
+    runs = {}
+    for mode in ("0", "1"):
+        monkeypatch.setenv("REPRO_KERNELS", mode)
+        columns = event_columns(rows, 2)
+        runs[mode] = (
+            [(c.dtype, c.tobytes()) for c in columns],
+            execute_plan(plan, batch, engine="columnar-panes"),
+        )
+    assert runs["1"][0] == runs["0"][0]
+    assert results_equal(runs["1"][1], runs["0"][1])
+    monkeypatch.setenv("REPRO_KERNELS", "require")
+    with pytest.raises(fresh_kernels.KernelsUnavailable, match="Python.h"):
+        fresh_kernels.resolve()
+    with pytest.raises(fresh_kernels.KernelsUnavailable, match="Python.h"):
+        event_columns(rows, 2)
 
 
 @pytest.mark.parametrize("aggregate", [MIN, MAX], ids=lambda a: a.name)

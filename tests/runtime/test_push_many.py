@@ -17,10 +17,12 @@ loop); real-valued streams are held to the same standard with
 
 import pickle
 import threading
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from repro import _kernels as kernels
 from repro.aggregates.registry import AVG, MEDIAN, MIN, SUM
 from repro.core.multiquery import Query
 from repro.engine.events import event_columns
@@ -555,6 +557,41 @@ MALFORMED = [
 ]
 
 
+Row = namedtuple("Row", "ts key value")
+
+#: ``(id, rows)`` that ``event_columns`` must turn into the same
+#: columns or the same message with and without the compiled parser:
+#: every id and value shape it takes, and every one it must hand to the
+#: NumPy path (which accepts some of them, e.g. a float id ``3.0``),
+#: the ``MALFORMED`` rows included.
+PARSER_CASES = [
+    ("clean", [
+        (0, 0, 1.5), [2**53 - 1, NUM_KEYS - 1, -2.0], (5, 1, nan),
+        [6, 2, inf], (7, 3, 2**60 + 1), (8, 0, -inf), [9, 1, -0.0],
+    ]),
+    ("tuples", [(3, 0, 1.0), (4, 1, 2.0)]),
+    ("lists", [[3, 0, 1.0], [4, 1, 2.0]]),
+    ("int-value", [(3, 0, 7), (4, 1, -(2**70))]),
+    ("key-minus-1", GOOD_ROWS + [(4, -1, 1.0)]),
+    ("None-ts", GOOD_ROWS + [(None, 0, 1.0)]),
+    ("bool-ts", GOOD_ROWS + [(True, 0, 1.0)]),
+    ("bool-key", GOOD_ROWS + [(4, False, 1.0)]),
+    ("bool-value", GOOD_ROWS + [(4, 0, True)]),
+    ("np.int64-ts", GOOD_ROWS + [(np.int64(4), 0, 1.0)]),
+    ("np.int64-key", GOOD_ROWS + [(4, np.int64(2**53), 1.0)]),
+    ("np.float64-value", GOOD_ROWS + [(4, 0, np.float64(0.1))]),
+    ("float-ts-3.0", GOOD_ROWS + [(3.0, 0, 1.0)]),
+    ("float-key-3.0", GOOD_ROWS + [(4, 3.0, 1.0)]),
+    ("float-key-3.5", GOOD_ROWS + [(4, 3.5, 1.0)]),
+    ("str-value", GOOD_ROWS + [(4, 0, "1.5")]),
+    ("str-key", GOOD_ROWS + [(4, "x", 1.0)]),
+    ("4-field-list", GOOD_ROWS + [[4, 0, 1.0, 2.0]]),
+    ("ts-beyond-int64", GOOD_ROWS + [(2**64, 0, 1.0)]),
+    ("value-beyond-float64", GOOD_ROWS + [(4, 0, 10**400)]),
+    ("tuple-subclass", GOOD_ROWS + [Row(4, 0, 1.0)]),
+] + [(f"malformed-{name}", GOOD_ROWS + [bad]) for name, bad, *_ in MALFORMED]
+
+
 class TestBatchValidation:
     """A batch is checked whole before any of it is applied.  (A
     fractional timestamp used to be truncated on its way through
@@ -661,6 +698,50 @@ class TestBatchValidation:
             event_columns(np.array([[np.inf, 0.0, 1.0]]), num_keys=2)
         empty = event_columns([], num_keys=2)
         assert [column.size for column in empty] == [0, 0, 0]
+
+    @pytest.mark.parametrize("mode", ["1", "require"])
+    @pytest.mark.parametrize(
+        "rows", [case[1] for case in PARSER_CASES],
+        ids=[case[0] for case in PARSER_CASES],
+    )
+    def test_parser_and_numpy_path_agree(self, rows, mode, monkeypatch):
+        """A row list gives the same columns (dtype and bits) or the
+        same message under every ``REPRO_KERNELS`` setting: the
+        compiled parser takes only what the NumPy path takes unchanged
+        and hands it every other batch whole.  Without a compiler,
+        ``1`` is the NumPy path again."""
+        if mode == "require" and not kernels.available():
+            pytest.skip(f"no kernels: {kernels.availability_error()}")
+
+        def outcome(setting):
+            monkeypatch.setenv("REPRO_KERNELS", setting)
+            try:
+                columns = event_columns(list(rows), NUM_KEYS)
+            except ExecutionError as exc:
+                return str(exc)
+            return [(c.dtype, c.tobytes()) for c in columns]
+
+        assert outcome(mode) == outcome("0")
+
+    def test_parser_takes_a_clean_list_whole(self, monkeypatch):
+        """A clean row list — tuples and lists, boundary ids, NaN and
+        infinite values, int values — never reaches the NumPy table
+        under ``require``."""
+        from repro.engine import events
+
+        if not kernels.available():
+            pytest.skip(f"no kernels: {kernels.availability_error()}")
+        monkeypatch.setenv("REPRO_KERNELS", "require")
+
+        def no_table(rows):
+            raise AssertionError("the batch reached the NumPy path")
+
+        monkeypatch.setattr(events, "_row_table", no_table)
+        rows = [case[1] for case in PARSER_CASES if case[0] == "clean"][0]
+        ts, keys, values = event_columns(rows, NUM_KEYS)
+        assert ts.tolist() == [0, 2**53 - 1, 5, 6, 7, 8, 9]
+        assert keys.tolist() == [0, NUM_KEYS - 1, 1, 2, 3, 0, 1]
+        assert values.base is None and values[4] == float(2**60 + 1)
 
     def test_a_broken_rule_without_an_offending_row_fails_loudly(self):
         """The failure path only looks for the row a broken verdict

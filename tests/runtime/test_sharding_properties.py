@@ -580,7 +580,10 @@ def make_polls(rng, n_events, barriers, gap=40):
         for i in range(int(0.05 * n_events), int(0.95 * n_events))
         if all(abs(i - b) >= gap for b in barriers)
     ]
-    picks = rng.choice(candidates, size=int(rng.integers(3, 8)), replace=False)
+    # The size is drawn first and only then bounded, so every draw
+    # that fits is the one it always was.
+    size = min(int(rng.integers(3, 8)), len(candidates))
+    picks = rng.choice(candidates, size=size, replace=False)
     return {int(i): [bool(rng.integers(0, 2))] for i in picks}
 
 
