@@ -4,10 +4,13 @@ Two measurements, each preceded by a bit-identity assertion (a kernel
 that got faster by being wrong would be worthless):
 
 * **kernel micros** — each C kernel (`repro._kernels`) against the
-  NumPy code it replaces: the one-call holistic window close a live
-  operator runs per flush (MEDIAN over retained events, pair codes
-  included), and ``event_columns`` on a 1 000-row list, the front
-  door's rows-to-columns pass (``REPRO_KERNELS=1`` against ``0``);
+  NumPy code it replaces (``REPRO_KERNELS=1`` against ``0``): a live
+  raw operator's absorb of one run into its pane store (STDEV: codes,
+  lifts and the ``ufunc.at`` scatter per component), a live-sized
+  covering-set fold (``fold_covering_sets``, width 8), the one-call
+  holistic window close a live operator runs per flush (MEDIAN over
+  retained events, pair codes included), and ``event_columns`` on a
+  1 000-row list, the front door's rows-to-columns pass;
 * **engine path** — the pane engine (``columnar-panes``) on a holistic
   plan, where the segmented sort dominates, under ``REPRO_KERNELS=1``
   against ``REPRO_KERNELS=0``: one engine name, the switch every call
@@ -27,11 +30,13 @@ import numpy as np
 import pytest
 
 from repro import _kernels as kernels
-from repro.aggregates.registry import MEDIAN
+from repro.aggregates.registry import MEDIAN, STDEV
 from repro.bench.reporting import format_table
-from repro.engine.columnar import holistic_close
+from repro.engine.columnar import fold_covering_sets, holistic_close
 from repro.engine.events import event_columns
 from repro.engine.executor import execute_plan, results_equal
+from repro.engine.stats import ExecutionStats
+from repro.engine.streaming import _ChunkedRawOperator
 from repro.plans.builder import original_plan
 from repro.windows.window import Window, WindowSet
 from repro.workloads.streams import constant_rate_stream
@@ -52,6 +57,73 @@ def _best(fn, reps=5):
         fn()
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def _best_fresh(make, run, reps=5):
+    """Best time of ``run(make())`` with ``make`` untimed."""
+    best = float("inf")
+    for _ in range(reps):
+        state = make()
+        started = time.perf_counter()
+        run(state)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _fold_micros(n: int, values, ts, keys, monkeypatch) -> "list[dict]":
+    """Time the two mergeable-fold kernels against their NumPy bodies."""
+
+    def under(mode, fn):
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", mode)
+            return fn()
+
+    # One run of n events absorbed by a live (unbounded) STDEV raw
+    # operator of W(40, 20) (pane 20) over 64 keys whose pane store
+    # already spans the run (it absorbed it once, untimed).
+    def raw_operator():
+        operator = _ChunkedRawOperator(
+            Window(40, 20), STDEV, 64, None, ExecutionStats()
+        )
+        return absorb(operator)
+
+    def absorb(operator):
+        operator.absorb(ts, keys, values)
+        return operator
+
+    stores = [
+        under(mode, lambda: absorb(raw_operator()))._store for mode in ("0", "1")
+    ]
+    for py_store, c_store in zip(*stores):
+        assert py_store.tobytes() == c_store.tobytes()
+    absorb_py = under("0", lambda: _best_fresh(raw_operator, absorb, reps=20))
+    absorb_c = under("1", lambda: _best_fresh(raw_operator, absorb, reps=20))
+
+    # A live close: 8 instances of width 8, stride 4, over a column cut
+    # of a 64-key pane store.
+    table = np.random.default_rng(1).normal(0.0, 1.0, (64, 48))
+    comp = table[:, 3:]
+
+    def fold():
+        return fold_covering_sets(np.minimum, comp, 2, 4, 8, 8)
+
+    assert under("0", fold).tobytes() == under("1", fold).tobytes()
+    fold_py = under("0", lambda: _best(fold, reps=200))
+    fold_c = under("1", lambda: _best(fold, reps=200))
+    return [
+        {
+            "kernel": f"absorb_panes_stdev_{n}_events",
+            "numpy_seconds": absorb_py,
+            "native_seconds": absorb_c,
+            "native_speedup": absorb_py / absorb_c,
+        },
+        {
+            "kernel": "fold_sets_min_64x8x8",
+            "numpy_seconds": fold_py,
+            "native_seconds": fold_c,
+            "native_speedup": fold_py / fold_c,
+        },
+    ]
 
 
 def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
@@ -104,7 +176,7 @@ def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
     parse_py = _best(lambda: parse("0"), reps=50)
     parse_c = _best(lambda: parse("1"), reps=50)
 
-    return [
+    return _fold_micros(n, values, ts, keys, monkeypatch) + [
         {
             "kernel": "holistic_close_median",
             "numpy_seconds": close_py,

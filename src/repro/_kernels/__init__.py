@@ -1,8 +1,15 @@
 """Optional compiled hot kernels behind a pure-NumPy fallback.
 
-``reprokernels.c`` is one CPython extension module holding two
-kernels for the two scalar hot spots NumPy has no primitive for:
+``reprokernels.c`` is one CPython extension module holding four
+kernels, each the body of one NumPy function it stays bit-identical to:
 
+* ``absorb_panes`` — one raw run into a raw operator's pane store:
+  pane codes and every component's lifted fold in one pass
+  (:func:`absorb_panes`, called by
+  ``engine.streaming._ChunkedRawOperator.absorb``);
+* ``fold_sets`` — the covering-set fold of
+  ``engine.columnar.fold_covering_sets`` up to
+  ``FOLD_PASSES_MAX_WIDTH`` partials (:func:`fold_sets`);
 * ``close_holistic`` — segmented holistic compute, as one whole
   window close (:func:`holistic_close`);
 * ``parse_rows`` — a list of ``(ts, key, value)`` rows into the three
@@ -11,14 +18,22 @@ kernels for the two scalar hot spots NumPy has no primitive for:
   path takes unchanged and hands every other batch back to it whole,
   so accepted columns and every error message are NumPy's.
 
-(Raw-event binning and the reorder buffer need none: NumPy's indexed
-``ufunc.at`` scatter in ``AggregateFunction.segment_reduce`` and the
-one stable sort in ``ReorderBuffer.push_batch`` each beat the kernel
-that used to live here.)  This package builds the module **on demand**
+(The reorder buffer needs none: the one stable sort in
+``ReorderBuffer.push_batch`` beat the kernel that used to live here.)
+The two folds add, min or max doubles only in the orders DESIGN.md §5
+fixes — a pane is the left fold of its events in input order, a
+covering set the left fold of its partials in time order — and an
+IEEE-754 add, min or max of two doubles is one deterministic
+operation, so the same order gives the same bits.  The build keeps it
+so (``-ffp-contract=off``: no fused multiply-add), and min and max
+mirror ``np.minimum`` / ``np.maximum`` (NaN propagates from either
+side; of ``0.0`` and ``-0.0`` the second operand wins).  This package
+builds the module **on demand**
 with whatever C compiler the host has (``cc`` / ``gcc`` / ``clang``,
 overridable via ``REPRO_CC``) against the running interpreter's
-``Python.h``, caches it under the source hash plus the interpreter's
-``EXT_SUFFIX`` (so another interpreter never loads it), and loads it
+``Python.h``, caches it under the hash of the source and the flags plus
+the interpreter's ``EXT_SUFFIX`` (so another interpreter never loads
+it), and loads it
 with :class:`importlib.machinery.ExtensionFileLoader`.  The kernels
 take their arrays through the buffer protocol — no NumPy headers, no
 build-time dependency, no compiled artifact in the tree, and a
@@ -26,8 +41,9 @@ byte-for-byte pure-Python fallback when no compiler or no Python
 headers are available.
 
 Control knob — the ``REPRO_KERNELS`` environment variable, read at
-every call that runs a holistic close or converts a row list (every
-engine path, every front door and the live runtime alike):
+every call that absorbs a raw run, folds covering sets, runs a
+holistic close or converts a row list (every engine path, every front
+door and the live runtime alike):
 
 * unset / ``auto`` / ``0`` — NumPy;
 * ``1`` — the kernels, silently falling back to NumPy when they cannot
@@ -62,6 +78,10 @@ __all__ = [
     "availability_error",
     "globally_enabled",
     "resolve",
+    "absorb_spec",
+    "absorb_panes",
+    "fold_op",
+    "fold_sets",
     "holistic_kind",
     "holistic_close",
     "parse_rows",
@@ -74,6 +94,9 @@ class KernelsUnavailable(RuntimeError):
 
 _SOURCE = Path(__file__).with_name("reprokernels.c")
 _MODULE = "reprokernels"
+#: ``-ffp-contract=off``: the folds' ``s + x * x`` must round twice, as
+#: NumPy's lift and add do, not once as a fused multiply-add.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 _module = None
 _load_attempted = False
@@ -81,8 +104,21 @@ _load_lock = threading.Lock()
 _load_error: "str | None" = None
 
 
+_ENV_KEY = os.environ.encodekey("REPRO_KERNELS")
+_modes: "dict[object, str]" = {}
+
+
 def _mode() -> str:
-    return os.environ.get("REPRO_KERNELS", "auto").strip().lower()
+    """``REPRO_KERNELS``, normalized.  Read from the environment's own
+    mapping, which ``os.environ`` updates in place: the switch is read
+    on every fold, and ``os.environ.get`` costs about a microsecond of
+    Python-level calls."""
+    raw = os.environ._data.get(_ENV_KEY)
+    mode = _modes.get(raw)
+    if mode is None:
+        text = "auto" if raw is None else os.environ.decodevalue(raw)
+        mode = _modes[raw] = text.strip().lower()
+    return mode
 
 
 def _cache_dir() -> Path:
@@ -105,9 +141,12 @@ def _find_compiler() -> "str | None":
 
 
 def _module_path() -> Path:
-    """The cached module: one file per source hash and interpreter
-    ABI (``EXT_SUFFIX``, e.g. ``.cpython-311-x86_64-linux-gnu.so``)."""
-    digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    """The cached module: one file per source and flags hash and
+    interpreter ABI (``EXT_SUFFIX``, e.g.
+    ``.cpython-311-x86_64-linux-gnu.so``)."""
+    digest = hashlib.sha256(
+        _SOURCE.read_bytes() + " ".join(_CFLAGS).encode()
+    ).hexdigest()[:16]
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     return _cache_dir() / f"{_MODULE}-{digest}{suffix}"
 
@@ -128,7 +167,7 @@ def _build(target: Path) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     cmd = [
-        compiler, "-O3", "-shared", "-fPIC",
+        compiler, *_CFLAGS,
         *(f"-I{include}" for include in includes),
         # macOS resolves the interpreter's symbols at load time.
         *(["-undefined", "dynamic_lookup"] if sys.platform == "darwin"
@@ -194,7 +233,7 @@ def availability_error() -> "str | None":
 
 
 def globally_enabled() -> bool:
-    """True when holistic closes and row lists take the kernels."""
+    """True when every call site takes the kernels."""
     return _mode() in ("1", "require") and _load() is not None
 
 
@@ -210,6 +249,66 @@ def resolve() -> bool:
             f"{_load_error}"
         )
     return False
+
+
+# ------------------------------------------------------------------ #
+# mergeable folds                                                    #
+# ------------------------------------------------------------------ #
+
+#: The kernel's codes (OP_* and LIFT_* in reprokernels.c).
+_FOLD_OPS = {"add": 0, "min": 1, "max": 2}
+_UFUNC_OPS = {np.add: 0, np.minimum: 1, np.maximum: 2}
+_LIFTS = {"value": 0, "square": 1, "one": 2}
+_specs: "dict[tuple, bytes]" = {}
+
+
+def absorb_spec(aggregate) -> "bytes | None":
+    """The ``(op, lift)`` byte pair per component that
+    :func:`absorb_panes` folds, from the aggregate's
+    ``native_components``; ``None`` when it declares none."""
+    components = getattr(aggregate, "native_components", None)
+    if components is None:
+        return None
+    spec = _specs.get(components)
+    if spec is None:
+        spec = _specs[components] = bytes(
+            code
+            for op, lift in components
+            for code in (_FOLD_OPS[op], _LIFTS[lift])
+        )
+    return spec
+
+
+def absorb_panes(ts, keys, values, pane, shift, spec, stores) -> int:
+    """Fold a raw run into ``stores`` (the raw operator's C-contiguous
+    ``(num_keys, capacity)`` pane stores, one per component): event
+    ``i`` lands at row ``keys[i]``, column ``ts[i] // pane + shift``,
+    each component's lifted value folded in input order — what
+    ``ufunc.at`` over the flat codes does.  Returns -1, or the index of
+    the first event whose cell lies outside the stores, in which case
+    nothing was written."""
+    return _load().absorb_panes(
+        np.ascontiguousarray(ts, dtype=np.int64),
+        np.ascontiguousarray(keys, dtype=np.int64),
+        np.ascontiguousarray(values, dtype=np.float64),
+        pane, shift, spec, stores,
+    )
+
+
+def fold_op(ufunc) -> "int | None":
+    """The kernel's code for a fold ufunc (add, minimum, maximum)."""
+    return _UFUNC_OPS.get(ufunc)
+
+
+def fold_sets(op, comp, first, stride, width, count) -> "np.ndarray | None":
+    """``out[:, m]`` = the left fold of ``comp[:, first + m*stride +
+    j]`` over ``j < width``, in passes, as a fresh ``(rows, count)``
+    array; ``None`` when ``comp`` is not a float64 view with unit inner
+    stride (the caller's NumPy passes then take it)."""
+    out = np.empty((comp.shape[0], count))
+    if _load().fold_sets(op, comp, first, stride, width, count, out):
+        return out
+    return None
 
 
 # ------------------------------------------------------------------ #

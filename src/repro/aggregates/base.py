@@ -241,6 +241,21 @@ class AggregateFunction(ABC):
         """
         return None
 
+    @property
+    def native_components(self) -> "tuple | None":
+        """Per component, the ``(op, lift)`` the compiled pane absorb
+        folds, if it can.
+
+        ``op`` is ``"add"``, ``"min"`` or ``"max"`` (the component's
+        ufunc) and ``lift`` is ``"value"``, ``"square"`` or ``"one"``
+        (what :meth:`lift` makes of a raw value), so the raw operator
+        can bin a run in one C pass, in the fold order of
+        :meth:`segment_reduce`.  ``None`` (the default — holistic
+        aggregates, or a lift such as GEOMEAN's ``log``) keeps the
+        ``ufunc.at`` scatter.
+        """
+        return None
+
     def compute(self, values: Sequence) -> float:
         """Directly aggregate a collection of raw values.
 

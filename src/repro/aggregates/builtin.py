@@ -44,6 +44,10 @@ class Min(AggregateFunction):
     def identity_components(self) -> Components:
         return (np.inf,)
 
+    @property
+    def native_components(self):
+        return (("min", "value"),)
+
     def lift(self, values) -> Components:
         return (np.asarray(values, dtype=np.float64),)
 
@@ -70,6 +74,10 @@ class Max(AggregateFunction):
     def identity_components(self) -> Components:
         return (-np.inf,)
 
+    @property
+    def native_components(self):
+        return (("max", "value"),)
+
     def lift(self, values) -> Components:
         return (np.asarray(values, dtype=np.float64),)
 
@@ -92,6 +100,10 @@ class Sum(AggregateFunction):
     def identity_components(self) -> Components:
         return (0.0,)
 
+    @property
+    def native_components(self):
+        return (("add", "value"),)
+
     def lift(self, values) -> Components:
         return (np.asarray(values, dtype=np.float64),)
 
@@ -113,6 +125,10 @@ class Count(AggregateFunction):
     def identity_components(self) -> Components:
         return (0.0,)
 
+    @property
+    def native_components(self):
+        return (("add", "one"),)
+
     def lift(self, values) -> Components:
         return (np.ones_like(np.asarray(values, dtype=np.float64)),)
 
@@ -133,6 +149,10 @@ class Avg(AggregateFunction):
     @property
     def identity_components(self) -> Components:
         return (0.0, 0.0)
+
+    @property
+    def native_components(self):
+        return (("add", "value"), ("add", "one"))
 
     def lift(self, values) -> Components:
         array = np.asarray(values, dtype=np.float64)
@@ -164,6 +184,10 @@ class Stdev(AggregateFunction):
     @property
     def identity_components(self) -> Components:
         return (0.0, 0.0, 0.0)
+
+    @property
+    def native_components(self):
+        return (("add", "value"), ("add", "square"), ("add", "one"))
 
     def lift(self, values) -> Components:
         array = np.asarray(values, dtype=np.float64)

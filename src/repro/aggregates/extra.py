@@ -49,6 +49,10 @@ class Range(AggregateFunction):
     def identity_components(self) -> Components:
         return (np.inf, -np.inf)
 
+    @property
+    def native_components(self):
+        return (("min", "value"), ("max", "value"))
+
     def lift(self, values) -> Components:
         # Both components may alias the input: lifted components are
         # read-only by contract (see AggregateFunction.lift), so the
@@ -113,6 +117,10 @@ class SumOfSquares(AggregateFunction):
     @property
     def identity_components(self) -> Components:
         return (0.0,)
+
+    @property
+    def native_components(self):
+        return (("add", "square"),)
 
     def lift(self, values) -> Components:
         array = np.asarray(values, dtype=np.float64)

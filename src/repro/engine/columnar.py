@@ -136,7 +136,10 @@ def fold_covering_sets(
 
     Up to ``FOLD_PASSES_MAX_WIDTH`` partials the fold is a strict left
     fold in time order; wider sets are NumPy's reduce of each contiguous
-    set (DESIGN.md §5, "One merge primitive").
+    set (DESIGN.md §5, "One merge primitive").  Under ``REPRO_KERNELS``
+    an add, minimum or maximum fold up to that width is one kernel call
+    (``repro_fold_sets``) in the same pass order, so bit-identical; the
+    NumPy passes below stay its reference and fallback.
     """
     last = first + (count - 1) * stride + width
     if first < 0 or last > comp.shape[1]:
@@ -145,6 +148,11 @@ def fold_covering_sets(
             f"span columns [{first}, {last}), outside the {comp.shape[1]} held"
         )
     if width <= FOLD_PASSES_MAX_WIDTH:
+        op = kernels.fold_op(ufunc)
+        if op is not None and kernels.resolve():
+            out = kernels.fold_sets(op, comp, first, stride, width, count)
+            if out is not None:
+                return out
         stop = last - width + 1
         if width == 1:
             return comp[:, first:stop:stride].copy()

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import _kernels as kernels
 from ..aggregates.base import AggregateFunction
 from ..errors import ExecutionError
 from ..plans.nodes import LogicalPlan
@@ -357,39 +358,59 @@ class _ChunkedRawOperator(_ChunkedOperator):
             ),
             physical=0,
         )
-        panes = ts if self.pane == 1 else ts // self.pane
         # Clip to the panes the owned instance range [start, cap) reads:
         # pre-start events belong only to instances this operator never
         # closes, post-cap events only to its replacement's instances.
+        # Pane P starts at tick P * pane, so the cuts are searches on ts.
         lo_cut = 0
-        if panes.size and panes[0] < self.pane_offset:
-            lo_cut = int(np.searchsorted(panes, self.pane_offset, side="left"))
-        hi_cut = panes.size
+        if ts[0] < self.pane_offset * self.pane:
+            lo_cut = int(
+                np.searchsorted(ts, self.pane_offset * self.pane, side="left")
+            )
+        hi_cut = ts.size
         if self.num_instances is not None:
             last_pane = (
                 (self.num_instances - 1) * self.stride + self.per_instance
             )
-            hi_cut = int(np.searchsorted(panes, last_pane, side="left"))
-        if lo_cut or hi_cut < panes.size:
+            hi_cut = int(np.searchsorted(ts, last_pane * self.pane, side="left"))
+        if lo_cut or hi_cut < ts.size:
             ts = ts[lo_cut:hi_cut]
             keys = keys[lo_cut:hi_cut]
             values = values[lo_cut:hi_cut]
-            panes = panes[lo_cut:hi_cut]
         if ts.size == 0:
             return
         self.stats.record_binned(ts.size)
-        self._ensure_panes(int(panes[-1]) + 1)
-        # One flat scatter per component into the raveled store (the
-        # tuple-indexed form is several times slower).
-        codes = keys * self._store[0].shape[1]
-        codes += panes
-        codes += self._col - self.pane_offset
-        for ufunc, buf, comp in zip(
-            self.aggregate.component_ufuncs,
-            self._store,
-            self.aggregate.lift(values),
-        ):
-            ufunc.at(buf.reshape(-1), codes, comp)
+        self._ensure_panes(int(ts[-1]) // self.pane + 1)
+        shift = self._col - self.pane_offset
+        spec = kernels.absorb_spec(self.aggregate)
+        if spec is not None and kernels.resolve():
+            bad = kernels.absorb_panes(
+                ts, keys, values, self.pane, shift, spec, self._store
+            )
+        else:
+            # Columns lie inside the store by construction; a key outside
+            # it must raise before anything is written (ufunc.at would
+            # wrap a negative code around).
+            bad = -1
+            if keys.min() < 0 or keys.max() >= self.num_keys:
+                bad = int(np.argmax((keys < 0) | (keys >= self.num_keys)))
+            else:
+                # One flat scatter per component into the raveled store
+                # (the tuple-indexed form is several times slower).
+                codes = keys * self._store[0].shape[1]
+                codes += ts if self.pane == 1 else ts // self.pane
+                codes += shift
+                for ufunc, buf, comp in zip(
+                    self.aggregate.component_ufuncs,
+                    self._store,
+                    self.aggregate.lift(values),
+                ):
+                    ufunc.at(buf.reshape(-1), codes, comp)
+        if bad >= 0:
+            raise ExecutionError(
+                f"{self.window}: event {bad} (key {int(keys[bad])}, "
+                f"ts {int(ts[bad])}) lies outside the pane store"
+            )
         self._note_retained(self._span)
 
     def _close_range(self, m0: int, m1: int) -> None:

@@ -109,9 +109,10 @@ def test_registry_exposes_all_paths():
 def test_native_path_bit_identical_to_panes(aggregate, monkeypatch):
     """The C kernel must match the NumPy closed form *bitwise*, not just
     within allclose tolerance.  The pane engine is one callable whatever
-    its name; ``REPRO_KERNELS`` alone picks the holistic kernel, so the
-    two sides are one engine name under ``0`` and ``1`` (mergeable
-    aggregates run the same scatter either way)."""
+    its name; ``REPRO_KERNELS`` alone picks the kernels — the holistic
+    close, and for mergeable aggregates the pane absorb and the
+    covering-set fold — so the two sides are one engine name under
+    ``0`` and ``1``."""
     from repro import _kernels
 
     windows = WindowSet([Window(12, 4), Window(20, 4), Window(6, 6)])
