@@ -9,8 +9,11 @@ that got faster by being wrong would be worthless):
   lifts and the ``ufunc.at`` scatter per component), a live-sized
   covering-set fold (``fold_covering_sets``, width 8), the one-call
   holistic window close a live operator runs per flush (MEDIAN over
-  retained events, pair codes included), and ``event_columns`` on a
-  1 000-row list, the front door's rows-to-columns pass;
+  retained events, pair codes included), ``event_columns`` on a
+  1 000-row list, the front door's rows-to-columns pass, the reorder
+  buffer's ``push_batch`` over jittered 1 000-row batches, and a
+  two-shard session's ``_buffer_run`` of one 20 000-event Zipf run
+  (slot counts, load steps and the shard split);
 * **engine path** — the pane engine (``columnar-panes``) on a holistic
   plan, where the segmented sort dominates, under ``REPRO_KERNELS=1``
   against ``REPRO_KERNELS=0``: one engine name, the switch every call
@@ -35,9 +38,11 @@ from repro.bench.reporting import format_table
 from repro.engine.columnar import fold_covering_sets, holistic_close
 from repro.engine.events import event_columns
 from repro.engine.executor import execute_plan, results_equal
+from repro.engine.outoforder import ReorderBuffer
 from repro.engine.stats import ExecutionStats
 from repro.engine.streaming import _ChunkedRawOperator
 from repro.plans.builder import original_plan
+from repro.runtime import ShardedSession
 from repro.windows.window import Window, WindowSet
 from repro.workloads.streams import constant_rate_stream
 
@@ -46,8 +51,14 @@ MIN_KERNEL_SPEEDUP = 1.5
 MIN_ENGINE_SPEEDUP = 1.1
 #: Stream length of the engine-path run (and the close micro's sample).
 EVENTS = 30_000
-#: Rows per ``event_columns`` call: a front-door batch.
+#: Rows per ``event_columns`` call and per reorder block: a front-door
+#: batch.
 ROWS = 1_000
+#: Reorder blocks per timed pass, their disorder in ticks (eight events
+#: a tick), and the routed run's length.
+REORDER_BLOCKS = 100
+REORDER_LATENESS = 32
+ROUTE_EVENTS = 20_000
 
 
 def _best(fn, reps=5):
@@ -192,6 +203,86 @@ def _kernel_micros(n: int, monkeypatch) -> "list[dict]":
     ]
 
 
+def _front_door_micros(monkeypatch) -> "list[dict]":
+    """Time the reorder and route kernels against their NumPy bodies,
+    each after a bit-identity check."""
+    rng = np.random.default_rng(2)
+
+    def under(mode, fn):
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_KERNELS", mode)
+            return fn()
+
+    def bits(columns):
+        return [np.asarray(c).view(np.int64).tobytes() for c in columns]
+
+    # Jittered front-door blocks: eight events a tick, each arriving up
+    # to REORDER_LATENESS ticks early, so no event is late.
+    n = REORDER_BLOCKS * ROWS
+    ticks = np.arange(n, dtype=np.int64) // 8
+    order = np.argsort(
+        ticks + rng.integers(0, REORDER_LATENESS + 1, n), kind="stable"
+    )
+    ts, keys, values = ticks[order], rng.integers(0, 64, n), rng.random(n)
+    blocks = [
+        (ts[lo : lo + ROWS], keys[lo : lo + ROWS], values[lo : lo + ROWS])
+        for lo in range(0, n, ROWS)
+    ]
+
+    def reorder():
+        buffer = ReorderBuffer(REORDER_LATENESS)
+        return [buffer.push_batch(*block) for block in blocks]
+
+    assert [bits(out) for out in under("0", reorder)] == [
+        bits(out) for out in under("1", reorder)
+    ]
+    reorder_py = under("0", lambda: _best(reorder))
+    reorder_c = under("1", lambda: _best(reorder))
+
+    # One released Zipf(1.2) run over two serial shards, crossing one
+    # chunk end, as ``_apply_run`` hands it to the router.
+    run_ts = np.arange(ROUTE_EVENTS, dtype=np.int64) // 8
+    run_keys = (rng.zipf(1.2, ROUTE_EVENTS) % 256).astype(np.int64)
+    run_values = rng.random(ROUTE_EVENTS)
+    ends = [ROUTE_EVENTS // 2]
+    session = ShardedSession(num_keys=256, num_shards=2, hysteresis=None)
+
+    def route():
+        session._array_buf = [[] for _ in session.active_shards]
+        session._buffer_run(run_ts, run_keys, run_values, ends)
+
+    def routed():
+        return [
+            [bits(part) for part in buf] for buf in session._array_buf
+        ] + [bits([session._slot_events, session._slot_pending])]
+
+    try:
+        loads = session._slot_events.copy(), session._slot_pending.copy()
+        under("0", route)
+        numpy_routed = routed()
+        session._slot_events[:], session._slot_pending[:] = loads
+        under("1", route)
+        assert routed() == numpy_routed
+        route_py = under("0", lambda: _best(route, reps=20))
+        route_c = under("1", lambda: _best(route, reps=20))
+    finally:
+        session.close()
+    return [
+        {
+            "kernel": f"reorder_{REORDER_BLOCKS}x{ROWS}_rows",
+            "numpy_seconds": reorder_py,
+            "native_seconds": reorder_c,
+            "native_speedup": reorder_py / reorder_c,
+        },
+        {
+            "kernel": f"route_{ROUTE_EVENTS}_events_2_shards",
+            "numpy_seconds": route_py,
+            "native_seconds": route_c,
+            "native_speedup": route_py / route_c,
+        },
+    ]
+
+
 def _engine_path(stream, monkeypatch) -> dict:
     """The pane engine on a holistic plan, kernel off vs kernel on."""
     plan = original_plan(
@@ -223,7 +314,9 @@ def test_kernels_ablation_report(monkeypatch):
         pytest.skip(
             f"compiled kernels unavailable: {kernels.availability_error()}"
         )
-    micros = _kernel_micros(EVENTS, monkeypatch)
+    micros = _kernel_micros(EVENTS, monkeypatch) + _front_door_micros(
+        monkeypatch
+    )
     stream = constant_rate_stream(EVENTS, seed=1)
     engine = _engine_path(stream, monkeypatch)
 

@@ -1,6 +1,6 @@
 """Optional compiled hot kernels behind a pure-NumPy fallback.
 
-``reprokernels.c`` is one CPython extension module holding four
+``reprokernels.c`` is one CPython extension module holding six
 kernels, each the body of one NumPy function it stays bit-identical to:
 
 * ``absorb_panes`` — one raw run into a raw operator's pane store:
@@ -16,10 +16,20 @@ kernels, each the body of one NumPy function it stays bit-identical to:
   event columns in one pass (:func:`parse_rows`, called by
   ``engine.events.event_columns``).  It accepts only rows the NumPy
   path takes unchanged and hands every other batch back to it whole,
-  so accepted columns and every error message are NumPy's.
+  so accepted columns and every error message are NumPy's;
+* ``reorder_run`` — a block through the reorder buffer up to its
+  watermark cut: the running-maximum late test, then the carried and
+  accepted events as their stable timestamp sort, a counting sort on
+  the tick offset when they are out of order (:func:`reorder_run`,
+  called by ``engine.outoforder.ReorderBuffer.push_batch``); a block
+  spanning more than about four ticks an event goes to ``argsort``;
+* ``route_run`` — a released run's slot counts per chunk end, shard
+  counts, local ids and stable split by shard (:func:`route_run`,
+  called by ``runtime.sharding.ShardedSession._buffer_run``).
 
-(The reorder buffer needs none: the one stable sort in
-``ReorderBuffer.push_batch`` beat the kernel that used to live here.)
+The two front-door kernels add no float: they count, compare ticks
+and move 8-byte words, so they are the NumPy bodies by construction
+(a stable sort's permutation is unique).
 The two folds add, min or max doubles only in the orders DESIGN.md §5
 fixes — a pane is the left fold of its events in input order, a
 covering set the left fold of its partials in time order — and an
@@ -42,8 +52,8 @@ headers are available.
 
 Control knob — the ``REPRO_KERNELS`` environment variable, read at
 every call that absorbs a raw run, folds covering sets, runs a
-holistic close or converts a row list (every engine path, every front
-door and the live runtime alike):
+holistic close, converts a row list, reorders a block or routes a run
+(every engine path, every front door and the live runtime alike):
 
 * unset / ``auto`` / ``0`` — NumPy;
 * ``1`` — the kernels, silently falling back to NumPy when they cannot
@@ -85,6 +95,8 @@ __all__ = [
     "holistic_kind",
     "holistic_close",
     "parse_rows",
+    "reorder_run",
+    "route_run",
 ]
 
 
@@ -363,3 +375,62 @@ def parse_rows(rows: list, num_keys: int) -> "tuple | None":
     if _load().parse_rows(rows, num_keys, ids, values):
         return ids[0], ids[1], values
     return None
+
+
+# ------------------------------------------------------------------ #
+# the front door: reorder and route                                  #
+# ------------------------------------------------------------------ #
+
+def reorder_run(ts, keys, values, held, max_seen, max_lateness):
+    """The body of ``ReorderBuffer.push_batch`` before its watermark
+    cut, in one call: ``((ts, keys, values), late, worst, max_seen)``
+    — the carried columns ``held`` and the block's accepted events as
+    their stable timestamp sort, the late count, the worst lateness
+    past ``max_lateness`` and the new running maximum — or ``None``
+    when the block goes to the NumPy body whole: a negative timestamp
+    (which it rejects), a column that is not C-contiguous
+    int64/int64/float64, or an out-of-order block spanning more than
+    about four ticks an event (the counting sort's table would outgrow
+    it)."""
+    size = ts.size + held[0].size
+    ids = np.empty((2, size), dtype=np.int64)
+    out = np.empty(size, dtype=np.float64)
+    run = _load().reorder_run(
+        ts, keys, values, *held, max_seen, max_lateness, ids, out
+    )
+    if run is None:
+        return None
+    m, late, worst, max_seen = run
+    return (ids[0, :m], ids[1, :m], out[:m]), late, worst, max_seen
+
+
+def route_run(ts, keys, values, ends, partitioner, pending):
+    """The integer half of ``ShardedSession._buffer_run``, in one call:
+    ``(steps, bounds, owner, split)``, or ``None`` — ``pending``
+    untouched — when the run goes to the NumPy body (a column of
+    another dtype or layout, a key or end outside its table).
+
+    ``steps[s]`` for ``s < len(ends)`` is what the NumPy body adds to
+    the decayed loads at ``ends[s]``: the slot counts of the run's
+    ``s``-th segment, the first plus the ``pending`` counts owed from
+    before (the last row is the kernel's scratch); ``pending`` (the
+    session's int64 counts, updated in place) ends holding the events
+    after the last end.  ``bounds[j]`` is the number of events
+    on shards below ``j``; ``owner`` the shard holding the whole run
+    (-1 when none does); ``split = (ts, local, values)``: with an
+    owner, ``local`` is every event's local id in input order, else
+    the three columns hold shard ``j``'s events, in input order, at
+    ``[bounds[j], bounds[j + 1])``."""
+    n = ts.size
+    steps = np.empty((len(ends) + 1, partitioner.num_slots), dtype=np.int64)
+    bounds = np.empty(partitioner.num_shards + 1, dtype=np.int64)
+    ids = np.empty((2, n), dtype=np.int64)
+    out = np.empty(n, dtype=np.float64)
+    owner = _load().route_run(
+        ts, keys, values, ends, partitioner.slot_of_key,
+        partitioner.slot_map, partitioner.local_id, pending, steps, bounds,
+        ids, out,
+    )
+    if owner is None:
+        return None
+    return steps, bounds, owner, (ids[1], ids[0], out)

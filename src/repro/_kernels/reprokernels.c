@@ -1,10 +1,12 @@
 /* Compiled hot kernels for the repro engine (see repro/_kernels/__init__.py).
  *
- * One CPython extension module, `reprokernels`, with four functions.
+ * One CPython extension module, `reprokernels`, with six functions.
  * All read and write their arrays through the buffer protocol (the
  * Python C API only: no NumPy headers, so no NumPy ABI coupling).  The
  * two folds add, min or max doubles only in the orders DESIGN.md §5
- * fixes, so each is bit-identical to the NumPy body it replaces:
+ * fixes, so each is bit-identical to the NumPy body it replaces; the
+ * two front-door kernels add no float at all, and move values as
+ * 8-byte words:
  *
  *   absorb_panes(ts, keys, values, pane, shift, spec, stores) -> bad
  *                           one raw run into a pane store: per event
@@ -42,6 +44,24 @@
  *                           event columns in one pass, or False,
  *                           having accepted nothing, for any batch the
  *                           NumPy path must judge (see parse_rows).
+ *
+ *   reorder_run(ts, keys, values, held_ts, held_keys, held_values,
+ *               max_seen, max_lateness, ids, out) -> tuple | None
+ *                           ReorderBuffer.push_batch up to its cut: the
+ *                           running-maximum late test, then the carried
+ *                           and accepted events as their stable
+ *                           timestamp sort (a counting sort on the
+ *                           tick offset when they are out of order);
+ *                           None for a block NumPy must take.
+ *
+ *   route_run(ts, keys, values, ends, slot_of_key, slot_map, local_id,
+ *             pending, steps, bounds, ids, out) -> owner | None
+ *                           the integer half of the sharded session's
+ *                           buffer_run: per-chunk-end slot counts (the
+ *                           pending counts moved as NumPy moves them),
+ *                           per-shard counts, local ids, and a stable
+ *                           counting scatter by shard when the shards
+ *                           share the run.
  *
  * Plain C99 + libm; built on demand with `cc -O3 -ffp-contract=off
  * -shared -fPIC -I<Python include>` (a contracted x * x + s is one FMA
@@ -814,6 +834,364 @@ done:
 }
 
 /* ---------------------------------------------------------------- */
+/* the front door: reorder and route                                 */
+/* ---------------------------------------------------------------- */
+
+/* A reorder block whose tick span (carried plus accepted events) is
+ * above this many ticks per event, plus the slack, would spend more on
+ * the counting table than on the events; it goes back to NumPy whole. */
+#define REORDER_SPAN_PER_EVENT 4
+#define REORDER_SPAN_SLACK 1024
+
+/* Event values move as 8-byte words, never through a double register:
+ * every NaN payload arrives as it left. */
+typedef uint64_t word;
+
+/* The body of ReorderBuffer.push_batch before its watermark cut, into
+ * out (capacity h + n): the h carried events, then the n block events
+ * less the late ones -- an event more than max_lateness behind every
+ * timestamp seen before it, which being below that maximum leaves it
+ * where it was -- as the stable timestamp sort of that concatenation.
+ * res gets {size, late count, worst lateness, new max_seen}.  Returns
+ * 0; 1 for a block NumPy must take (a negative timestamp, which it
+ * rejects, or an out-of-order span above the counting bound); or -1
+ * when scratch memory cannot be allocated.  Only when the events are
+ * out of order does a counting sort on the tick offset ts - lo run; a
+ * stable sort's permutation is unique, so it is
+ * np.argsort(kind="stable") by construction. */
+static int repro_reorder_run(const int64_t *ts, const int64_t *keys,
+                             const word *values, int64_t n,
+                             const int64_t *held_ts, const int64_t *held_keys,
+                             const word *held_values, int64_t h,
+                             int64_t max_seen, int64_t max_lateness,
+                             int64_t *out_ts, int64_t *out_keys,
+                             word *out_values, int64_t res[4])
+{
+    int64_t i, seen = max_seen, late = 0, worst = 0, m = h, lo, hi, span;
+    int64_t *slots;
+    word *sorted;
+    int in_order = 1;
+    for (i = 0; i < n; i++) {
+        int64_t t = ts[i];
+        if (t < 0)
+            return 1;
+        if (seen - t > max_lateness) {
+            late++;
+            worst = seen - t > worst ? seen - t : worst;
+            continue;
+        }
+        seen = t > seen ? t : seen;
+        out_ts[m] = t;
+        out_keys[m] = keys[i];
+        out_values[m++] = values[i];
+    }
+    memcpy(out_ts, held_ts, (size_t)h * 8);
+    memcpy(out_keys, held_keys, (size_t)h * 8);
+    memcpy(out_values, held_values, (size_t)h * 8);
+    res[0] = m;
+    res[1] = late;
+    res[2] = late ? worst - max_lateness : 0;
+    res[3] = seen;
+    lo = hi = m ? out_ts[0] : 0;
+    for (i = 1; i < m; i++) {
+        in_order &= out_ts[i] >= out_ts[i - 1];
+        lo = out_ts[i] < lo ? out_ts[i] : lo;
+        hi = out_ts[i] > hi ? out_ts[i] : hi;
+    }
+    if (in_order)
+        return 0;
+    span = hi - lo + 1;
+    if (span > REORDER_SPAN_PER_EVENT * m + REORDER_SPAN_SLACK)
+        return 1;
+    /* slots[d + 1] counts the events at tick lo + d; summed, slots[d] is
+     * where tick lo + d starts, and the scatter in input order keeps
+     * ties in it. */
+    slots = calloc((size_t)span + 1, sizeof(int64_t));
+    sorted = malloc((size_t)(3 * m) * sizeof(word));
+    if (slots == NULL || sorted == NULL) {
+        free(slots);
+        free(sorted);
+        return -1;
+    }
+    for (i = 0; i < m; i++)
+        slots[out_ts[i] - lo + 1]++;
+    for (i = 0; i < span; i++)
+        slots[i + 1] += slots[i];
+    for (i = 0; i < m; i++) {
+        int64_t p = slots[out_ts[i] - lo]++;
+        sorted[p] = (word)out_ts[i];
+        sorted[m + p] = (word)out_keys[i];
+        sorted[2 * m + p] = out_values[i];
+    }
+    memcpy(out_ts, sorted, (size_t)m * 8);
+    memcpy(out_keys, sorted + m, (size_t)m * 8);
+    memcpy(out_values, sorted + 2 * m, (size_t)m * 8);
+    free(sorted);
+    free(slots);
+    return 0;
+}
+
+/* The integer half of ShardedSession._buffer_run over n released
+ * events.  Segment s of the run ends at ends[s]; the tail follows the
+ * last end.  steps (num_ends + 1 rows of num_slots) gets per segment
+ * its per-slot event counts, and the slot loads' integer part moves as
+ * the NumPy body moves it: steps[0] also takes the pending counts, and
+ * pending becomes the tail's counts (with no end, pending gains them).
+ * bounds (num_shards + 1) gets bounds[j] = the events of shards below
+ * j.  When one shard owns the run, out_local gets every event's local
+ * id in input order; else the run is scattered stably by shard --
+ * shard j's events, in input order, at [bounds[j], bounds[j + 1]) of
+ * out_ts, out_local and out_values.  Returns the owning shard, -1 for a
+ * shared (or empty) run, or -2 -- pending untouched -- for a key, slot,
+ * shard or end outside its table, which NumPy then judges. */
+static int64_t repro_route_run(const int64_t *ts, const int64_t *keys,
+                               const word *values, int64_t n,
+                               const int64_t *ends, int64_t num_ends,
+                               const int64_t *slot_of_key, int64_t num_keys,
+                               const int64_t *slot_map, int64_t num_slots,
+                               const int64_t *local_id, int64_t num_shards,
+                               int64_t *pending, int64_t *steps,
+                               int64_t *bounds, int64_t *out_ts,
+                               int64_t *out_local, word *out_values)
+{
+    int64_t i, s, seg, lo = 0, owner = -1;
+    int64_t *tail = steps + num_ends * num_slots;
+    for (s = 0; s < num_ends; s++)
+        if (ends[s] < (s ? ends[s - 1] : 0) || ends[s] > n)
+            return -2;
+    for (s = 0; s < num_slots; s++)
+        if ((uint64_t)slot_map[s] >= (uint64_t)num_shards)
+            return -2;
+    memset(steps, 0, (size_t)((num_ends + 1) * num_slots) * 8);
+    memset(bounds, 0, (size_t)(num_shards + 1) * 8);
+    for (seg = 0; seg <= num_ends; seg++) {
+        int64_t hi = seg < num_ends ? ends[seg] : n;
+        int64_t *row = steps + seg * num_slots;
+        for (i = lo; i < hi; i++) {
+            int64_t slot;
+            if ((uint64_t)keys[i] >= (uint64_t)num_keys)
+                return -2;
+            slot = slot_of_key[keys[i]];
+            if ((uint64_t)slot >= (uint64_t)num_slots)
+                return -2;
+            row[slot]++;
+        }
+        lo = hi;
+    }
+    for (seg = 0; seg <= num_ends; seg++)
+        for (s = 0; s < num_slots; s++)
+            bounds[slot_map[s] + 1] += steps[seg * num_slots + s];
+    for (s = 0; s < num_slots; s++) {
+        if (num_ends) {
+            steps[s] += pending[s];
+            pending[s] = tail[s];
+        } else {
+            pending[s] += tail[s];
+        }
+    }
+    for (s = 0; s < num_shards; s++) {
+        if (n && bounds[s + 1] == n)
+            owner = s;
+        bounds[s + 1] += bounds[s];
+    }
+    if (owner >= 0) {
+        for (i = 0; i < n; i++)
+            out_local[i] = local_id[keys[i]];
+        return owner;
+    }
+    /* bounds[j] runs from shard j's start to its end (the next one's
+     * start), and is shifted back after. */
+    for (i = 0; i < n; i++) {
+        int64_t key = keys[i], p = bounds[slot_map[slot_of_key[key]]]++;
+        out_ts[p] = ts[i];
+        out_local[p] = local_id[key];
+        out_values[p] = values[i];
+    }
+    for (s = num_shards; s > 0; s--)
+        bounds[s] = bounds[s - 1];
+    bounds[0] = 0;
+    return -1;
+}
+
+/* Borrow obj's buffer as get_column does, but for an input a kernel
+ * only may take: a buffer of another dtype, length or layout returns
+ * 0 with no error set (the caller hands the call back to NumPy). */
+static int take_column(PyObject *obj, Py_buffer *view, char kind,
+                       Py_ssize_t n)
+{
+    if (get_column(obj, view, kind, n, 0) == 0)
+        return 1;
+    PyErr_Clear();
+    return 0;
+}
+
+/* reorder_run(ts, keys, values, held_ts, held_keys, held_values,
+ * max_seen, max_lateness, ids, out) -> (size, late, worst, max_seen)
+ * or None: repro_reorder_run into ids (the C-ordered (2, h + n) ts and
+ * keys rows) and out; None -- every input untouched -- for an input of
+ * another dtype or layout, or a block repro_reorder_run hands back. */
+static PyObject *reorder_run(PyObject *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Py_buffer cols[6], ids, out;
+    long long ints[2]; /* max_seen, max_lateness */
+    int64_t res[4];
+    Py_ssize_t n = 0, h = 0, taken = 0, cap;
+    int status = 1;
+    PyObject *result = NULL;
+    (void)self;
+    if (nargs != 10) {
+        PyErr_SetString(PyExc_TypeError, "reorder_run takes 10 arguments");
+        return NULL;
+    }
+    if (get_ints(args, 6, 2, ints) < 0)
+        return NULL;
+    if (ints[1] < 0) {
+        PyErr_SetString(PyExc_ValueError, "reorder_run: max_lateness < 0");
+        return NULL;
+    }
+    for (; taken < 6; taken++) {
+        Py_ssize_t want = taken == 0 ? -1 : taken == 3 ? -1
+                          : taken < 3 ? n : h;
+        if (!take_column(args[taken], &cols[taken],
+                         taken % 3 == 2 ? 'f' : 'i', want))
+            goto release;
+        if (taken == 0)
+            n = cols[0].len / 8;
+        if (taken == 3)
+            h = cols[3].len / 8;
+    }
+    cap = n + h;
+    if (get_column(args[8], &ids, 'i', 2 * cap, 1) < 0)
+        goto release;
+    if (get_column(args[9], &out, 'f', cap, 1) < 0) {
+        PyBuffer_Release(&ids);
+        goto release;
+    }
+    if (cap < GIL_FREE_WORK) {
+        status = repro_reorder_run(
+            cols[0].buf, cols[1].buf, cols[2].buf, n, cols[3].buf,
+            cols[4].buf, cols[5].buf, h, ints[0], ints[1], ids.buf,
+            (int64_t *)ids.buf + cap, out.buf, res);
+    } else {
+        Py_BEGIN_ALLOW_THREADS
+        status = repro_reorder_run(
+            cols[0].buf, cols[1].buf, cols[2].buf, n, cols[3].buf,
+            cols[4].buf, cols[5].buf, h, ints[0], ints[1], ids.buf,
+            (int64_t *)ids.buf + cap, out.buf, res);
+        Py_END_ALLOW_THREADS
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&ids);
+release:
+    while (taken-- > 0)
+        PyBuffer_Release(&cols[taken]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (status < 0)
+        return PyErr_NoMemory();
+    if (status > 0)
+        Py_RETURN_NONE;
+    result = Py_BuildValue("(LLLL)", (long long)res[0], (long long)res[1],
+                           (long long)res[2], (long long)res[3]);
+    return result;
+}
+
+/* route_run(ts, keys, values, ends, slot_of_key, slot_map, local_id,
+ * pending, steps, bounds, ids, out) -> owner or None: repro_route_run
+ * with the session's (num_slots,) pending counts, the (len(ends) + 1,
+ * num_slots) steps block, the (num_shards + 1,) bounds and the split
+ * into ids (the C-ordered (2, n) local-id and ts rows) and out.  ends
+ * is a list or tuple of ints.  None -- pending untouched -- for an
+ * input of another dtype or layout, or a run repro_route_run hands
+ * back. */
+static PyObject *route_run(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    Py_buffer cols[6], outs[5];
+    PyObject *ends_seq;
+    int64_t *ends = NULL, stack_ends[8], owner = -2;
+    Py_ssize_t n = 0, num_ends, taken = 0, held = 0, e, num_keys = 0;
+    Py_ssize_t num_slots, want[5];
+    (void)self;
+    if (nargs != 12) {
+        PyErr_SetString(PyExc_TypeError, "route_run takes 12 arguments");
+        return NULL;
+    }
+    ends_seq = args[3];
+    if (!PyList_Check(ends_seq) && !PyTuple_Check(ends_seq)) {
+        PyErr_SetString(PyExc_TypeError, "route_run: ends must be a list "
+                                         "or tuple");
+        return NULL;
+    }
+    num_ends = PySequence_Fast_GET_SIZE(ends_seq);
+    ends = num_ends <= 8 ? stack_ends
+                         : PyMem_Malloc((size_t)num_ends * sizeof(int64_t));
+    if (ends == NULL)
+        return PyErr_NoMemory();
+    for (e = 0; e < num_ends; e++) {
+        ends[e] = PyLong_AsLongLong(PySequence_Fast_ITEMS(ends_seq)[e]);
+        if (ends[e] == -1 && PyErr_Occurred())
+            goto free_ends;
+    }
+    for (; taken < 6; taken++) {
+        /* ts, keys, values, slot_of_key, slot_map, local_id */
+        PyObject *obj = args[taken < 3 ? taken : taken + 1];
+        Py_ssize_t size = taken == 0 ? -1 : taken < 3 ? n
+                          : taken == 5 ? num_keys : -1;
+        if (!take_column(obj, &cols[taken], taken == 2 ? 'f' : 'i', size))
+            goto release;
+        if (taken == 0)
+            n = cols[0].len / 8;
+        if (taken == 3)
+            num_keys = cols[3].len / 8;
+    }
+    /* pending, steps, bounds, ids, out */
+    num_slots = cols[4].len / 8;
+    want[0] = num_slots;
+    want[1] = (num_ends + 1) * num_slots;
+    want[2] = -1;
+    want[3] = 2 * n;
+    want[4] = n;
+    for (; held < 5; held++)
+        if (get_column(args[7 + held], &outs[held], held == 4 ? 'f' : 'i',
+                       want[held], 1) < 0)
+            goto release;
+    if (outs[2].len < 8) {
+        PyErr_SetString(PyExc_ValueError, "route_run: bounds is empty");
+        goto release;
+    }
+#define ROUTE                                                            \
+    owner = repro_route_run(cols[0].buf, cols[1].buf, cols[2].buf, n, ends, \
+                            num_ends, cols[3].buf, num_keys, cols[4].buf, \
+                            num_slots, cols[5].buf, outs[2].len / 8 - 1,  \
+                            outs[0].buf, outs[1].buf, outs[2].buf,        \
+                            (int64_t *)outs[3].buf + n, outs[3].buf,      \
+                            outs[4].buf)
+    if (n < GIL_FREE_WORK) {
+        ROUTE;
+    } else {
+        Py_BEGIN_ALLOW_THREADS
+        ROUTE;
+        Py_END_ALLOW_THREADS
+    }
+#undef ROUTE
+release:
+    while (held-- > 0)
+        PyBuffer_Release(&outs[held]);
+    while (taken-- > 0)
+        PyBuffer_Release(&cols[taken]);
+free_ends:
+    if (ends != stack_ends)
+        PyMem_Free(ends);
+    if (PyErr_Occurred())
+        return NULL;
+    if (owner == -2)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(owner);
+}
+
+/* ---------------------------------------------------------------- */
 /* the module                                                        */
 /* ---------------------------------------------------------------- */
 
@@ -826,6 +1204,10 @@ static PyMethodDef methods[] = {
      METH_FASTCALL, "One holistic window close; returns the pair count."},
     {"parse_rows", (PyCFunction)(void (*)(void))parse_rows, METH_FASTCALL,
      "Rows to event columns in one pass; False leaves the batch to NumPy."},
+    {"reorder_run", (PyCFunction)(void (*)(void))reorder_run, METH_FASTCALL,
+     "A block through the reorder buffer; None leaves it to NumPy."},
+    {"route_run", (PyCFunction)(void (*)(void))route_run, METH_FASTCALL,
+     "A released run's slot counts and shard split; None leaves it to NumPy."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -26,6 +26,21 @@ def _as_result(value):
     return array
 
 
+def _empty_as_nan(components: Components, empty: float):
+    """MIN / MAX finalize: a fresh copy of the component with every
+    cell still at ``empty`` (the fold identity an instance without
+    events keeps) made NaN, bit for bit ``np.where(comp == empty, nan,
+    comp)``.  One ``any`` over the mask decides, and a block without
+    an empty cell is a plain copy.  (Deciding by a ``max`` / ``min``
+    instead skips the mask but pays a second pass over every block
+    that has an empty cell — most of ``plan_batch``'s cells.)"""
+    comp = np.asarray(components[0], dtype=np.float64)
+    empty_cells = comp == empty
+    if empty_cells.any():
+        return _as_result(np.where(empty_cells, np.nan, comp))
+    return _as_result(comp.copy())
+
+
 class Min(AggregateFunction):
     """MIN — distributive, merge-safe over overlapping partitions."""
 
@@ -52,8 +67,7 @@ class Min(AggregateFunction):
         return (np.asarray(values, dtype=np.float64),)
 
     def finalize(self, components: Components):
-        comp = np.asarray(components[0], dtype=np.float64)
-        return _as_result(np.where(comp == np.inf, np.nan, comp))
+        return _empty_as_nan(components, np.inf)
 
 
 class Max(AggregateFunction):
@@ -82,8 +96,7 @@ class Max(AggregateFunction):
         return (np.asarray(values, dtype=np.float64),)
 
     def finalize(self, components: Components):
-        comp = np.asarray(components[0], dtype=np.float64)
-        return _as_result(np.where(comp == -np.inf, np.nan, comp))
+        return _empty_as_nan(components, -np.inf)
 
 
 class Sum(AggregateFunction):

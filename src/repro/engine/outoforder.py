@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .. import _kernels as kernels
 from ..errors import ExecutionError
 from .events import EVENT_COLUMN_DTYPES, NO_EVENTS, EventBatch
 
@@ -100,12 +101,28 @@ class ReorderBuffer:
         The remainder is kept as sorted columns (a copy of the tail
         only, never a view of the caller's arrays).  A negative
         timestamp rejects the whole block before any state moves.
+
+        With the kernels on, everything before the cut is one call
+        (:func:`repro._kernels.reorder_run`), whose counting sort on
+        the tick offset is the same stable sort; a block it does not
+        take runs the NumPy body below, the reference.
         """
         ts = np.asarray(ts, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if ts.size == 0:
             return ts, keys, values
+        if kernels.resolve():
+            run = kernels.reorder_run(
+                ts, keys, values, self._held, self._max_seen,
+                self.max_lateness,
+            )
+            if run is not None:
+                columns, late, worst, self._max_seen = run
+                if late:
+                    self.stats.note_late(late, worst)
+                self.stats.accepted += int(ts.size) - late
+                return self._cut(*columns)
         if int(ts.min()) < 0:
             raise ExecutionError(
                 f"timestamps must be >= 0, got {int(ts.min())}"
@@ -130,6 +147,11 @@ class ReorderBuffer:
         if (ts[1:] < ts[:-1]).any():
             order = np.argsort(ts, kind="stable")
             ts, keys, values = ts[order], keys[order], values[order]
+        return self._cut(ts, keys, values)
+
+    def _cut(self, ts, keys, values):
+        """Release the sorted columns below the watermark; carry a copy
+        of the rest."""
         cut = int(np.searchsorted(ts, self.watermark, side="left"))
         self._held = (
             NO_EVENTS

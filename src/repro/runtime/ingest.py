@@ -51,11 +51,11 @@ still sees one totally-ordered command stream.  What the queue cannot
 restore is an order the producers never had: events from different
 threads interleave in admission order, so cross-thread timestamp
 ordering is the producers' problem (give the session ``max_lateness``
-slack, or keep each key's events on one thread).  The multi-tenant
-service (:mod:`repro.service`) leans on exactly this: N connection
-handlers feed one tenant's session concurrently
-(``tests/runtime/test_ingest.py`` holds N-producers ≡ serial-oracle as
-a property).
+slack, or keep each key's events on one thread);
+``tests/runtime/test_ingest.py`` holds N-producers ≡ serial-oracle as
+a property.  The multi-tenant service (:mod:`repro.service`) does not
+use this queue: it serializes a tenant's handlers on a lock over a
+sync session.
 
 **Errors.**  The pump applies data commands fire-and-forget, so a
 failure (e.g. a key outside the dense id space) is parked and raised

@@ -69,6 +69,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .. import _kernels as kernels
 from ..core.multiquery import Query
 from ..engine.events import (
     DEFAULT_NUM_SLOTS,
@@ -1656,8 +1657,17 @@ class ShardedSession(SessionFrontDoor):
         # that owns the whole run takes it as it is, and only a run the
         # shards share is masked apart.  The loads step at every chunk
         # end by the events delivered since the one before, whatever
-        # run boundaries those events crossed.
+        # run boundaries those events crossed.  With the kernels on, the
+        # counts and the split are one call (:meth:`_buffer_routed`);
+        # this NumPy body is the reference.
         partitioner = self.partitioner
+        if kernels.resolve():
+            routed = kernels.route_run(
+                ts, keys, values, ends, partitioner, self._slot_pending
+            )
+            if routed is not None:
+                self._buffer_routed(ts, values, *routed)
+                return
         slots = partitioner.slot_of_key[keys]
         counts = np.bincount(slots, minlength=self.num_slots)
         shares = np.bincount(
@@ -1684,6 +1694,29 @@ class ShardedSession(SessionFrontDoor):
                 idx = np.flatnonzero(owner == shard)
                 self._array_buf[slot].append(
                     (ts[idx], local[idx], values[idx])
+                )
+        if self._forward_names:
+            self._fwd_arrays.append((ts, values))
+
+    def _buffer_routed(self, ts, values, steps, bounds, owner, split):
+        """Apply :func:`repro._kernels.route_run`'s counts and split:
+        the float load steps of the NumPy body, in its order, then each
+        shard's share — the caller's columns for the shard owning the
+        run, else its range of the split."""
+        for end in range(len(steps) - 1):
+            self._slot_events += steps[end]
+            self._slot_events *= LOAD_DECAY
+        if not ts.size:
+            return
+        split_ts, local, split_values = split
+        bounds = bounds.tolist()
+        for slot, shard in enumerate(self.active_shards):
+            lo, hi = bounds[shard], bounds[shard + 1]
+            if shard == owner:
+                self._array_buf[slot].append((ts, local, values))
+            elif owner < 0 and hi > lo:
+                self._array_buf[slot].append(
+                    (split_ts[lo:hi], local[lo:hi], split_values[lo:hi])
                 )
         if self._forward_names:
             self._fwd_arrays.append((ts, values))

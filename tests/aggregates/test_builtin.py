@@ -124,6 +124,29 @@ class TestPartialProtocol:
         out = agg.finalize((np.asarray([np.inf, 2.0]),))
         assert math.isnan(out[0]) and out[1] == 2.0
 
+    @pytest.mark.parametrize("agg,empty", [(Min(), np.inf), (Max(), -np.inf)])
+    def test_min_max_finalize_is_the_where_bit_for_bit(self, agg, empty):
+        """Blocks with and without an empty cell, ±inf, ±0.0 and a NaN
+        with a payload: every bit of ``np.where(comp == empty, nan,
+        comp)``, always in a fresh array (consumers hold the
+        components); a 0-d component is a float."""
+        payload_nan = np.array([0x7FF8_0000_0000_0123]).view(np.float64)[0]
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            comp = rng.normal(0.0, 10.0, (4, 9))
+            flat = comp.reshape(-1)
+            for special in (empty, -empty, 0.0, -0.0, payload_nan):
+                if trial % 3 and rng.random() < 0.5:
+                    flat[rng.integers(0, flat.size)] = special
+            want = np.where(comp == empty, np.nan, comp)
+            got = agg.finalize((comp,))
+            assert not np.shares_memory(got, comp)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        for scalar in (empty, 3.5):
+            got = agg.finalize((np.float64(scalar),))
+            assert isinstance(got, float)
+            assert math.isnan(got) if scalar == empty else got == scalar
+
 
 class TestHolisticRestrictions:
     def test_median_has_no_lift(self):

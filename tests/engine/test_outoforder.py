@@ -1,14 +1,28 @@
-"""Tests for out-of-order ingestion (reorder buffer + watermark)."""
+"""Tests for out-of-order ingestion (reorder buffer + watermark).
 
+The compiled reorder (``repro._kernels.reorder_run``) must be the NumPy
+body bit for bit: :class:`TestKernelReorder` plays every block under
+``REPRO_KERNELS`` ``0``, ``1`` and ``require`` and holds each run to the
+per-event oracle, values compared through ``.view(np.int64)`` — ties of
+distinct values (an unstable sort would swap them), spans above the
+counting sort's bound (handed back to NumPy), lateness at the bound and
+one past it, empty and all-late blocks, and a negative timestamp that
+must leave the state as it was.  The kernel cases skip without a
+compiler.
+"""
+
+import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import _kernels as kernels
 from repro.aggregates.registry import MIN
-from repro.engine.events import EVENT_COLUMN_DTYPES, make_batch
+from repro.engine.events import EVENT_COLUMN_DTYPES, NO_EVENTS, make_batch
 from repro.engine.executor import execute_plan, results_equal
 from repro.engine.outoforder import (
     ReorderBuffer,
@@ -461,3 +475,185 @@ class TestPushBatch:
         assert rows(buffer.push_batch(*columns(batch))) == batch[:3]
         assert (buffer.watermark, buffer.buffered) == (2, 2)
         assert list(buffer.flush()) == batch[3:]
+
+
+# ---------------------------------------------------------------------
+# The compiled reorder: bit for bit the NumPy body, under every setting
+# ---------------------------------------------------------------------
+#: ``REPRO_KERNELS`` settings a block is played under; the compiled ones
+#: only where the kernels build.
+KERNEL_MODES = ("0", "1", "require") if kernels.available() else ("0",)
+needs_kernels = pytest.mark.skipif(
+    not kernels.available(), reason="compiled kernels unavailable"
+)
+#: A quiet NaN with a payload: its bits must arrive as they left.
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0123]).view(np.float64)[0]
+
+
+def _kernels(mode):
+    """Run the block under ``REPRO_KERNELS=mode``."""
+    return mock.patch.dict(os.environ, {"REPRO_KERNELS": mode})
+
+
+def _bits(released):
+    """Columns as int64 bit patterns: every bit of every value."""
+    return [np.asarray(c).view(np.int64).tolist() for c in released]
+
+
+def _oracle_trace(blocks, max_lateness):
+    """The per-event oracle's trace of ``blocks``: per block the
+    releases, watermark, held count and counters; then the drain."""
+    oracle = OracleReorderBuffer(max_lateness)
+    trace = []
+    for block in blocks:
+        released = [e for row in zip(*block) for e in oracle.push(*row)]
+        trace.append(
+            (
+                _bits(columns(released)),
+                oracle.watermark,
+                oracle.buffered,
+                [getattr(oracle.stats, c) for c in COUNTERS],
+            )
+        )
+    trace.append(_bits(columns(list(oracle.flush()))))
+    return trace
+
+
+def _buffer_trace(blocks, max_lateness, mode):
+    """The same trace of a :class:`ReorderBuffer` under ``mode``."""
+    buffer = ReorderBuffer(max_lateness)
+    trace = []
+    with _kernels(mode):
+        for block in blocks:
+            released = buffer.push_batch(*block)
+            trace.append(
+                (
+                    _bits(released),
+                    buffer.watermark,
+                    buffer.buffered,
+                    [getattr(buffer.stats, c) for c in COUNTERS],
+                )
+            )
+    trace.append(_bits(buffer._drain()))
+    return trace
+
+
+def _assert_every_mode_is_the_oracle(blocks, max_lateness):
+    want = _oracle_trace(blocks, max_lateness)
+    for mode in KERNEL_MODES:
+        assert _buffer_trace(blocks, max_lateness, mode) == want, mode
+
+
+def _blocks(events, splits):
+    """``events`` (``(ts, key)`` pairs) cut at ``splits`` into column
+    blocks, each event's value distinct — its arrival index, a NaN with
+    a payload every seventh — so a tie taken out of arrival order shows."""
+    values = np.arange(len(events), dtype=np.float64)
+    values[::7] = PAYLOAD_NAN
+    ts, keys = (
+        np.array(c, dtype=np.int64).reshape(-1)
+        for c in (zip(*events) if events else ((), ()))
+    )
+    bounds = sorted(min(s, len(events)) for s in splits)
+    return [
+        (ts[piece], keys[piece], values[piece])
+        for piece in np.split(np.arange(len(events)), bounds)
+    ]
+
+
+class TestKernelReorder:
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 3)), max_size=150
+        ),
+        splits=st.lists(st.integers(0, 150), max_size=4),
+        max_lateness=st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_arrival_orders_and_splits_match_the_oracle(
+        self, events, splits, max_lateness
+    ):
+        _assert_every_mode_is_the_oracle(
+            _blocks(events, splits), max_lateness
+        )
+
+    def test_ties_keep_arrival_order(self):
+        """Few ticks, many events each, shuffled: only a stable sort
+        keeps each tick's distinct values in arrival order, across the
+        carried columns too."""
+        rng = np.random.default_rng(7)
+        ticks = rng.permutation(np.repeat(np.arange(40, dtype=np.int64), 12))
+        keys = rng.integers(0, 4, ticks.size)
+        events = [(int(t), int(k)) for t, k in zip(ticks, keys)]
+        for max_lateness in (0, 5, 40):
+            _assert_every_mode_is_the_oracle(
+                _blocks(events, [100, 101, 300]), max_lateness
+            )
+
+    def test_spans_above_the_counting_bound_take_numpy(self):
+        """An out-of-order block spanning far more ticks than events is
+        handed back (``None``) and sorted by NumPy; one at the bound is
+        taken.  Both equal the oracle."""
+        wide = [(10**9, 0), (5, 1), (10**8, 2), (5, 3), (0, 0)]
+        # m = 5 events: the bound is 4 * 5 + 1024 ticks of span.
+        edge = [(4 * 5 + 1024 - 1, 0), (3, 1), (0, 2), (3, 3), (7, 0)]
+        for events in (wide, edge):
+            _assert_every_mode_is_the_oracle(_blocks(events, []), 10**10)
+        if not kernels.available():
+            return
+        for events, taken in ((wide, False), (edge, True)):
+            (ts, keys, values), = _blocks(events, [])
+            run = kernels.reorder_run(
+                ts, keys, values, NO_EVENTS, -1, 10**10
+            )
+            assert (run is not None) == taken
+
+    @pytest.mark.parametrize("max_lateness", [0, 1, 6])
+    def test_lateness_at_the_bound_is_kept_one_past_is_dropped(
+        self, max_lateness
+    ):
+        top = 50
+        events = [
+            (top, 0),
+            (top - max_lateness, 1),  # exactly max_lateness behind: kept
+            (top - max_lateness - 1, 2),  # one past: late
+            (top - max_lateness, 3),
+            (top + 1, 0),
+            (top - max_lateness, 1),  # now one past: late
+        ]
+        for splits in ([], [1], [3, 5], range(6)):
+            _assert_every_mode_is_the_oracle(
+                _blocks(events, list(splits)), max_lateness
+            )
+
+    def test_empty_and_fully_late_blocks(self):
+        events = [(30, 0), (31, 1), (2, 2), (1, 3), (0, 0), (33, 1)]
+        for splits in ([0, 0, 2, 5, 5], [2, 2, 5]):
+            _assert_every_mode_is_the_oracle(_blocks(events, splits), 3)
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_a_negative_timestamp_leaves_the_state_as_it_was(self, mode):
+        for carried in ([], [(7, 0), (3, 1), (9, 1)]):
+            buffer = ReorderBuffer(2)
+            with _kernels(mode):
+                for block in _blocks(carried, []):
+                    buffer.push_batch(*block)
+                before = pickle.dumps(buffer)
+                with pytest.raises(ExecutionError, match=">= 0"):
+                    buffer.push_batch(
+                        np.array([30, 8, -1, 40]),
+                        np.zeros(4, dtype=np.int64),
+                        np.zeros(4),
+                    )
+            assert pickle.dumps(buffer) == before
+
+    @needs_kernels
+    def test_columns_the_kernel_does_not_take_go_to_numpy(self):
+        """A strided column is handed back, not copied or refused."""
+        ts = np.arange(20, dtype=np.int64)[::-2]
+        keys = np.zeros(10, dtype=np.int64)
+        values = np.arange(10, dtype=np.float64)
+        assert (
+            kernels.reorder_run(ts, keys, values, NO_EVENTS, -1, 100) is None
+        )
+        _assert_every_mode_is_the_oracle([(ts, keys, values)], 100)

@@ -353,6 +353,121 @@ def test_push_batch_matches_per_event_push(repro_seed, backend, async_ingest):
 
 
 # ---------------------------------------------------------------------
+# The compiled router: ``_buffer_run`` under every kernel setting
+# ---------------------------------------------------------------------
+
+import os  # noqa: E402
+from unittest import mock  # noqa: E402
+
+from repro import _kernels as kernels  # noqa: E402
+from repro.engine.events import DEFAULT_NUM_SLOTS, NO_EVENTS  # noqa: E402
+
+#: A quiet NaN with a payload: its bits must arrive as they left.
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_0123]).view(np.float64)[0]
+
+
+def _route_runs(rng, owned):
+    """Released runs as ``_buffer_run`` gets them: sorted ticks, keys
+    from every shard or from one shard's keys only, values with a NaN
+    payload, ``ends`` anywhere in the run (repeats included); and
+    ``_flush``'s empty run with its one end at 0."""
+    runs = [(*NO_EVENTS, (0,))]
+    for _ in range(12):
+        n = int(rng.integers(0, 300))
+        pool = owned[int(rng.integers(0, len(owned)))]
+        keys = rng.choice(
+            pool if rng.random() < 0.3 else np.concatenate(owned), n
+        ).astype(np.int64)
+        values = rng.normal(0.0, 50.0, n)
+        values[rng.random(n) < 0.05] = PAYLOAD_NAN
+        ends = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 4))))
+        runs.append(
+            (
+                np.sort(rng.integers(0, 10_000, n)).astype(np.int64),
+                keys,
+                values,
+                tuple(ends.tolist()),
+            )
+        )
+        runs.append((*NO_EVENTS, (0,)))
+    return runs
+
+
+def _route_trace(slot_map, runs, num_shards, forward, mode):
+    """Each run's ``_buffer_run`` under ``REPRO_KERNELS=mode``: the
+    per-shard buffers and forward arrays (values as int64 bits), the
+    decayed loads as int64 bits and the pending counts, and whether
+    each shard buffer holds the caller's own ``ts``."""
+    session = ShardedSession(
+        num_keys=NUM_KEYS * 8, num_shards=num_shards, hysteresis=None
+    )
+    try:
+        session._apply_slot_map(slot_map, num_shards)
+        if forward:
+            session.register(POOL[5][0], scope="global")
+        trace = []
+        with mock.patch.dict(os.environ, {"REPRO_KERNELS": mode}):
+            for ts, keys, values, ends in runs:
+                session._buffer_run(ts, keys, values, ends)
+                trace.append(
+                    (
+                        [
+                            [
+                                [c.view(np.int64).tolist() for c in part]
+                                + [part[0] is ts]
+                                for part in buf
+                            ]
+                            for buf in session._array_buf
+                        ],
+                        [
+                            [c.view(np.int64).tolist() for c in part]
+                            for part in session._fwd_arrays
+                        ],
+                        session._slot_events.view(np.int64).tolist(),
+                        session._slot_pending.tolist(),
+                    )
+                )
+                session._array_buf = [[] for _ in session.active_shards]
+                session._fwd_arrays = []
+        return trace
+    finally:
+        session.close()
+
+
+@pytest.mark.skipif(
+    not kernels.available(), reason="compiled kernels unavailable"
+)
+@pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
+def test_compiled_router_is_the_numpy_split_bit_for_bit(
+    repro_seed, num_shards
+):
+    """``route_run`` (kernels ``1`` and ``require``) ≡ the NumPy body
+    (``0``) on random slot maps: every shard's buffered columns in
+    order, the forward arrays, ``_slot_events`` bit for bit and
+    ``_slot_pending`` — and a shard owning a whole run gets the
+    caller's columns, uncopied, under every setting."""
+    rng = np.random.default_rng((repro_seed, 4207, num_shards))
+    for draw in range(3):
+        slot_map = rng.integers(0, num_shards, DEFAULT_NUM_SLOTS)
+        slot_map[: num_shards] = np.arange(num_shards)
+        probe = ShardedSession(
+            num_keys=NUM_KEYS * 8, num_shards=num_shards, hysteresis=None
+        )
+        try:
+            partitioner = probe.partitioner.with_slot_map(slot_map)
+        finally:
+            probe.close()
+        owned = [keys for keys in partitioner.owned if keys.size]
+        runs = _route_runs(rng, owned)
+        context = f"seed={repro_seed} shards={num_shards} draw={draw}"
+        for forward in (False, True):
+            want = _route_trace(slot_map, runs, num_shards, forward, "0")
+            for mode in ("1", "require"):
+                got = _route_trace(slot_map, runs, num_shards, forward, mode)
+                assert got == want, (context, forward, mode)
+
+
+# ---------------------------------------------------------------------
 # Zero-copy data plane (DESIGN.md §11)
 # ---------------------------------------------------------------------
 
