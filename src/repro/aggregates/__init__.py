@@ -1,6 +1,6 @@
 """Aggregate functions: taxonomy, partial-aggregate protocol, built-ins."""
 
-from .base import AggregateFunction, Components, Taxonomy, empty_result_is_nan
+from .base import AggregateFunction, Components, Taxonomy
 from .builtin import Avg, Count, Max, Median, Min, Quantile, Stdev, Sum
 from .extra import CountDistinct, GeometricMean, Range, SumOfSquares
 from .registry import (
@@ -47,7 +47,6 @@ __all__ = [
     "Stdev",
     "Sum",
     "Taxonomy",
-    "empty_result_is_nan",
     "get_aggregate",
     "known_aggregates",
     "register_aggregate",

@@ -27,7 +27,6 @@ to simultaneously feed downstream windows in a rewritten plan.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from enum import Enum
 from typing import Sequence
@@ -282,8 +281,3 @@ class AggregateFunction(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} ({self.taxonomy})>"
-
-
-def empty_result_is_nan(value: float) -> bool:
-    """Helper for tests: does ``value`` denote an empty-instance result?"""
-    return isinstance(value, float) and math.isnan(value)

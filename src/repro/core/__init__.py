@@ -1,29 +1,11 @@
 """Core contribution: WCG, cost model, factor windows, rewriting."""
 
-from .adaptive import (
-    AdaptiveOptimizer,
-    AdaptiveSimulation,
-    PlanSwitch,
-    RateEstimator,
-    plan_cost_at_rate,
-    simulate_adaptive,
-)
+from .adaptive import RateEstimator
 from .cost import CostModel, MinCostWCG, minimize_cost, prune_useless_factors
 from .multiquery import Query, SharedGroup, WorkloadPlan, optimize_workload
-from .exhaustive import candidate_pool, exhaustive_min_cost, optimality_gap
+from .exhaustive import candidate_pool, exhaustive_min_cost
 from .explain import explain
-from .factor import (
-    FactorCandidate,
-    factor_benefit,
-    find_best_factor,
-    find_best_factor_covered,
-    find_best_factor_partitioned,
-    generate_candidates_covered,
-    generate_candidates_partitioned,
-    is_beneficial_partitioned,
-    prefer_candidate,
-    prune_dependent_candidates,
-)
+from .factor import FactorCandidate
 from .optimizer import (
     OptimizationResult,
     SearchStats,
@@ -35,17 +17,12 @@ from .rewrite import rewrite_plan
 from .wcg import WindowCoverageGraph
 
 __all__ = [
-    "AdaptiveOptimizer",
-    "AdaptiveSimulation",
     "CostModel",
-    "PlanSwitch",
     "Query",
     "SharedGroup",
     "WorkloadPlan",
     "optimize_workload",
     "RateEstimator",
-    "plan_cost_at_rate",
-    "simulate_adaptive",
     "FactorCandidate",
     "MinCostWCG",
     "OptimizationResult",
@@ -54,20 +31,10 @@ __all__ = [
     "candidate_pool",
     "exhaustive_min_cost",
     "explain",
-    "factor_benefit",
-    "find_best_factor",
-    "find_best_factor_covered",
-    "find_best_factor_partitioned",
-    "generate_candidates_covered",
-    "generate_candidates_partitioned",
-    "is_beneficial_partitioned",
     "min_cost_wcg",
     "min_cost_wcg_with_factors",
     "minimize_cost",
-    "optimality_gap",
     "optimize",
-    "prefer_candidate",
-    "prune_dependent_candidates",
     "prune_useless_factors",
     "rewrite_plan",
 ]

@@ -1,22 +1,16 @@
-"""Rate-aware adaptive re-optimization (the paper's §VI future work).
+"""Rate-aware re-costing (the paper's §VI future work).
 
 The paper's cost model is static: it prices plans for one assumed event
 rate η.  Section VI calls out "how to dynamically adjust cost estimates
 at runtime by keeping track of the input event rates" as future work.
-This module provides exactly that:
+This module provides the two pieces the live runtime uses:
 
 * :class:`RateEstimator` — an exponentially-weighted estimate of the
   stream's events-per-tick rate, fed from observed batches;
 * :class:`RateController` — estimator + hysteresis replan gate: the
   policy object a *live* :class:`~repro.runtime.QuerySession` feeds
   from real chunk boundaries (rate drift there triggers a watermark-
-  safe plan switch, DESIGN.md §6);
-* :class:`AdaptiveOptimizer` — re-optimizes when the controller
-  triggers, caching plans per rate;
-* :func:`simulate_adaptive` — replays a rate trace epoch by epoch and
-  accounts the cost of the adaptive policy against two references: the
-  static plan optimized once for the initial rate, and the oracle that
-  re-optimizes every epoch.
+  safe plan switch, DESIGN.md §6).
 
 Why rate matters at all: raw-event reads cost ``η·r`` per instance
 while sub-aggregate reads cost ``M`` independent of η (Observation 1).
@@ -28,14 +22,7 @@ the rate*, which is what makes adaptivity worth having.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from ..aggregates.base import AggregateFunction
 from ..errors import CostModelError
-from ..windows.window import VIRTUAL_ROOT, WindowSet
-from .cost import CostModel, MinCostWCG
-from .optimizer import OptimizationResult, optimize
 
 
 class RateEstimator:
@@ -86,8 +73,8 @@ class RateController:
     :meth:`observe` feeds one observation window and returns the new
     integer rate when the drift against the currently-planned rate
     exceeds ``hysteresis`` (meaning: re-plan now), else ``None``.  The
-    caller decides what re-planning means — the simulator re-optimizes
-    one query, the live session re-prices every shared group.
+    caller decides what re-planning means — the live session re-prices
+    every shared group.
     """
 
     def __init__(
@@ -96,7 +83,7 @@ class RateController:
         alpha: float = 0.3,
         initial_rate: "float | None" = None,
     ):
-        if hysteresis < 0:
+        if not hysteresis >= 0:  # NaN fails every comparison
             raise CostModelError("hysteresis must be >= 0")
         self.hysteresis = hysteresis
         self.estimator = RateEstimator(alpha=alpha, initial_rate=initial_rate)
@@ -114,168 +101,3 @@ class RateController:
                 return None
         self.planned_rate = rate
         return rate
-
-
-@dataclass
-class PlanSwitch:
-    """Record of one re-optimization decision."""
-
-    epoch: int
-    rate: int
-    cost: int
-    used_factors: bool
-
-
-class AdaptiveOptimizer:
-    """Re-optimizes a query when the observed rate drifts.
-
-    ``hysteresis`` is the relative rate change that triggers
-    re-optimization (0.25 = re-plan on a ±25% drift).  Plans are cached
-    per integer rate, so oscillating rates do not re-run the search.
-    """
-
-    def __init__(
-        self,
-        windows: WindowSet,
-        aggregate: AggregateFunction,
-        hysteresis: float = 0.25,
-        alpha: float = 0.3,
-    ):
-        self.windows = windows
-        self.aggregate = aggregate
-        self.controller = RateController(hysteresis=hysteresis, alpha=alpha)
-        self.estimator = self.controller.estimator
-        self.hysteresis = hysteresis
-        self._cache: dict[int, OptimizationResult] = {}
-        self._current: OptimizationResult | None = None
-        self.switches: list[PlanSwitch] = []
-
-    @property
-    def current(self) -> OptimizationResult:
-        if self._current is None:
-            raise CostModelError("no plan yet: call observe() first")
-        return self._current
-
-    def observe(self, events: int, ticks: int, epoch: int = 0) -> bool:
-        """Feed an observation; returns True when the plan changed."""
-        rate = self.controller.observe(events, ticks)
-        if rate is None:
-            return False
-        result = self._cache.get(rate)
-        if result is None:
-            result = optimize(self.windows, self.aggregate, event_rate=rate)
-            self._cache[rate] = result
-        changed = self._current is None or not _same_plan(
-            self._current.best, result.best
-        )
-        self._current = result
-        if changed:
-            self.switches.append(
-                PlanSwitch(
-                    epoch=epoch,
-                    rate=rate,
-                    cost=result.best_cost,
-                    used_factors=bool(
-                        result.with_factors is result.best
-                        and result.with_factors.factor_windows
-                    ),
-                )
-            )
-        return changed
-
-
-def _same_plan(left: "MinCostWCG | None", right: "MinCostWCG | None") -> bool:
-    if left is None or right is None:
-        return left is right
-    return left.provider == right.provider
-
-
-def plan_cost_at_rate(
-    result: OptimizationResult, rate: int
-) -> int:
-    """Re-price an already-chosen plan under a different event rate.
-
-    Providers stay fixed; only raw-read instance costs scale with η.
-    This is what a static plan actually costs once the rate drifts.
-    """
-    best = result.best
-    model = CostModel(event_rate=rate)
-    if best is None:
-        return model.baseline_cost(result.windows)
-    total = 0
-    for window in best.graph.nodes:
-        if window is VIRTUAL_ROOT:
-            continue
-        n = model.recurrence_count(window, best.period)
-        total += n * model.instance_cost(window, best.provider[window])
-    return total
-
-
-@dataclass
-class AdaptiveSimulation:
-    """Outcome of :func:`simulate_adaptive` over a rate trace."""
-
-    adaptive_cost: int = 0
-    static_cost: int = 0
-    oracle_cost: int = 0
-    switches: list[PlanSwitch] = field(default_factory=list)
-    epoch_rates: list[int] = field(default_factory=list)
-
-    @property
-    def regret(self) -> float:
-        """Adaptive cost over oracle cost (1.0 = perfect)."""
-        if self.oracle_cost == 0:
-            return 1.0
-        return self.adaptive_cost / self.oracle_cost
-
-    @property
-    def savings_vs_static(self) -> float:
-        """Fraction of the static plan's cost the adaptive policy saves."""
-        if self.static_cost == 0:
-            return 0.0
-        return 1.0 - self.adaptive_cost / self.static_cost
-
-
-def simulate_adaptive(
-    windows: WindowSet,
-    aggregate: AggregateFunction,
-    rate_trace: Sequence[int],
-    epoch_ticks: "int | None" = None,
-    hysteresis: float = 0.25,
-    alpha: float = 0.5,
-) -> AdaptiveSimulation:
-    """Replay ``rate_trace`` (events/tick per epoch) against three
-    policies and account per-epoch plan costs.
-
-    Each epoch spans one hyper-period (or ``epoch_ticks``).  *Static*
-    optimizes once for the first epoch's rate and never re-plans;
-    *adaptive* follows :class:`AdaptiveOptimizer`; *oracle* re-optimizes
-    with the true rate every epoch.
-    """
-    if not rate_trace:
-        raise CostModelError("rate trace must be non-empty")
-    model = CostModel()
-    period = epoch_ticks or model.hyper_period(windows)
-
-    static = optimize(windows, aggregate, event_rate=max(1, rate_trace[0]))
-    adaptive = AdaptiveOptimizer(
-        windows, aggregate, hysteresis=hysteresis, alpha=alpha
-    )
-    outcome = AdaptiveSimulation()
-
-    oracle_cache: dict[int, OptimizationResult] = {}
-    for epoch, rate in enumerate(rate_trace):
-        rate = max(1, int(rate))
-        outcome.epoch_rates.append(rate)
-        adaptive.observe(rate * period, period, epoch=epoch)
-
-        outcome.static_cost += plan_cost_at_rate(static, rate)
-        outcome.adaptive_cost += plan_cost_at_rate(adaptive.current, rate)
-        oracle = oracle_cache.get(rate)
-        if oracle is None:
-            oracle = optimize(windows, aggregate, event_rate=rate)
-            oracle_cache[rate] = oracle
-        outcome.oracle_cost += oracle.best_cost
-
-    outcome.switches = list(adaptive.switches)
-    return outcome

@@ -14,7 +14,6 @@ subsets is the true optimum within the candidate pool.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -122,20 +121,3 @@ def exhaustive_min_cost(
             best = result
     assert best is not None  # at least the empty subset ran
     return best
-
-
-def optimality_gap(
-    heuristic_cost: int, optimal_cost: int
-) -> float:
-    """Relative gap ``(heuristic - optimal) / optimal`` (0.0 = optimal)."""
-    if optimal_cost <= 0:
-        return 0.0
-    return (heuristic_cost - optimal_cost) / optimal_cost
-
-
-def _subset_count(pool_size: int, max_factors: int) -> int:
-    """Number of subsets the exhaustive search will evaluate."""
-    return sum(
-        math.comb(pool_size, size)
-        for size in range(min(max_factors, pool_size) + 1)
-    )

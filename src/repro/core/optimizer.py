@@ -240,7 +240,7 @@ def min_cost_wcg_with_factors(
 
     Deviations from the paper (see DESIGN.md §3): candidates are priced
     with the exact total-cost delta against the windows' current best
-    providers (:func:`~repro.core.factor.global_factor_benefit`)
+    providers (:func:`~repro.core.factor.price_factor`)
     instead of Equation 2's read-from-target assumption.  The paper's
     formula can over-estimate savings and insert a factor that makes
     the final plan *worse*; the global gate makes improvement over

@@ -19,8 +19,6 @@ from .executor import (
 from .outoforder import (
     ReorderBuffer,
     ReorderStats,
-    batch_from_unordered,
-    reorder_events,
     scramble_batch,
 )
 from .panes import logical_raw_pairs, pane_width
@@ -39,7 +37,6 @@ __all__ = [
     "aggregate_raw",
     "aggregate_raw_holistic",
     "available_engines",
-    "batch_from_unordered",
     "encode_keys",
     "execute_plan",
     "holistic_segment_values",
@@ -47,7 +44,6 @@ __all__ = [
     "make_batch",
     "num_complete_instances",
     "pane_width",
-    "reorder_events",
     "results_equal",
     "scramble_batch",
 ]

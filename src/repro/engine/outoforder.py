@@ -17,13 +17,13 @@ input — which is exactly what the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .. import _kernels as kernels
 from ..errors import ExecutionError
-from .events import EVENT_COLUMN_DTYPES, NO_EVENTS, EventBatch
+from .events import NO_EVENTS, EventBatch
 
 Event = tuple[int, int, float]  # (timestamp, key, value)
 
@@ -180,62 +180,6 @@ class ReorderBuffer:
         ts = self._held[0]
         index = int(np.searchsorted(ts, at, side="left"))
         return int(ts[index]) if index < ts.size else default
-
-
-def _columns(rows: "list[Event]") -> "list[np.ndarray]":
-    columns = tuple(zip(*rows)) or ((), (), ())
-    return [
-        np.asarray(column, dtype=dtype)
-        for column, (_, dtype) in zip(columns, EVENT_COLUMN_DTYPES)
-    ]
-
-
-def _reorder_columns(
-    events: Iterable[Event], max_lateness: int
-) -> "tuple[list[np.ndarray], ReorderStats]":
-    """One ``push_batch`` of the whole iterable, then the end-of-stream
-    flush: ``([ts, keys, values], stats)`` of everything released."""
-    buffer = ReorderBuffer(max_lateness)
-    released = buffer.push_batch(*_columns(list(events)))
-    return [
-        np.concatenate(pair) for pair in zip(released, buffer._drain())
-    ], buffer.stats
-
-
-def reorder_events(
-    events: Iterable[Event], max_lateness: int
-) -> tuple[list[Event], ReorderStats]:
-    """Reorder a finite event iterable; returns (sorted events, stats)."""
-    columns, stats = _reorder_columns(events, max_lateness)
-    return list(zip(*(column.tolist() for column in columns))), stats
-
-
-def batch_from_unordered(
-    events: Iterable[Event],
-    max_lateness: int,
-    horizon: "int | None" = None,
-    num_keys: "int | None" = None,
-) -> tuple[EventBatch, ReorderStats]:
-    """Build a sorted :class:`EventBatch` from an out-of-order iterable.
-
-    The returned batch feeds either engine directly; ``stats`` reports
-    what the lateness bound cost in dropped events.
-    """
-    (ts, keys, values), stats = _reorder_columns(events, max_lateness)
-    if not ts.size:
-        horizon, num_keys = horizon or 1, num_keys or 1
-    if num_keys is None:
-        num_keys = int(keys.max()) + 1
-    if horizon is None:
-        horizon = int(ts[-1]) + 1
-    batch = EventBatch(
-        timestamps=ts,
-        keys=keys,
-        values=values,
-        horizon=horizon,
-        num_keys=num_keys,
-    )
-    return batch, stats
 
 
 def scramble_batch(

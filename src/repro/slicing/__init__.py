@@ -4,7 +4,6 @@ from .edges import (
     assign_slices,
     expected_edge_count,
     slice_edges,
-    slices_per_instance,
     window_slice_spans,
 )
 from .slicer import (
@@ -24,6 +23,5 @@ __all__ = [
     "execute_sliced",
     "expected_edge_count",
     "slice_edges",
-    "slices_per_instance",
     "window_slice_spans",
 ]

@@ -10,7 +10,7 @@ slide, so slice edges are the union of all slide multiples.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -90,21 +90,3 @@ def window_slice_spans(
             f"instance boundaries of {window} do not align with slice edges"
         )
     return lo, hi
-
-
-def slices_per_instance(windows: Sequence[Window], horizon: int) -> dict:
-    """Average number of slices each window's instances aggregate.
-
-    This is the analytic cost driver of slicing-based execution; the
-    benchmark reports use it to explain Scotty-vs-factor-window gaps.
-    """
-    edges = slice_edges(windows, horizon)
-    out = {}
-    for window in windows:
-        n_inst = len(window.instance_range(horizon))
-        if n_inst == 0:
-            out[window] = 0.0
-            continue
-        lo, hi = window_slice_spans(window, edges, n_inst)
-        out[window] = float(np.mean(hi - lo))
-    return out

@@ -1,4 +1,4 @@
-"""Window model: specifications, intervals, and coverage relations.
+"""Window model: specifications and coverage relations.
 
 This package implements Section II of the paper — the formal study of
 overlapping relationships between windows — plus the time-unit handling
@@ -10,19 +10,10 @@ from .coverage import (
     covered_by,
     covering_multiplier,
     partitioned_by,
-    provider_instance_offsets,
     relates,
     strictly_relates,
 )
-from .intervals import (
-    brute_force_covered_by,
-    brute_force_multiplier,
-    brute_force_partitioned_by,
-    covering_set,
-    intervals,
-    iter_intervals,
-)
-from .units import canonical_unit, format_duration, parse_duration, to_ticks
+from .units import canonical_unit, format_duration, to_ticks
 from .window import VIRTUAL_ROOT, Window, WindowSet, hopping, tumbling
 
 __all__ = [
@@ -30,20 +21,12 @@ __all__ = [
     "VIRTUAL_ROOT",
     "Window",
     "WindowSet",
-    "brute_force_covered_by",
-    "brute_force_multiplier",
-    "brute_force_partitioned_by",
     "canonical_unit",
     "covered_by",
     "covering_multiplier",
-    "covering_set",
     "format_duration",
     "hopping",
-    "intervals",
-    "iter_intervals",
-    "parse_duration",
     "partitioned_by",
-    "provider_instance_offsets",
     "relates",
     "strictly_relates",
     "to_ticks",

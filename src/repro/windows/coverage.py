@@ -110,14 +110,3 @@ def strictly_relates(
 ) -> bool:
     """Like :func:`relates` but excluding the reflexive case."""
     return consumer != provider and relates(consumer, provider, semantics)
-
-
-def provider_instance_offsets(consumer: Window, provider: Window) -> list[int]:
-    """Start offsets of the covering set relative to a consumer interval.
-
-    For consumer instance ``[a, b)``, the covering provider instances
-    start at ``a, a + s2, ..., a + (M - 1) * s2`` (proof of Theorem 3).
-    Returned offsets are relative to ``a``.
-    """
-    multiplier = covering_multiplier(consumer, provider)
-    return [j * provider.slide for j in range(multiplier)]

@@ -69,27 +69,6 @@ def to_ticks(value: int, unit: str = "second") -> int:
     return value * SECONDS_PER_UNIT[canonical_unit(unit)]
 
 
-def parse_duration(text: str) -> int:
-    """Parse a human-readable duration such as ``"20 min"`` into ticks.
-
-    Accepts ``"<int> <unit>"`` or a bare integer (already in ticks).
-    """
-    parts = text.strip().split()
-    if len(parts) == 1:
-        try:
-            value = int(parts[0])
-        except ValueError as exc:
-            raise SqlSemanticError(f"cannot parse duration {text!r}") from exc
-        return to_ticks(value, "second")
-    if len(parts) == 2:
-        try:
-            value = int(parts[0])
-        except ValueError as exc:
-            raise SqlSemanticError(f"cannot parse duration {text!r}") from exc
-        return to_ticks(value, parts[1])
-    raise SqlSemanticError(f"cannot parse duration {text!r}")
-
-
 def format_duration(ticks: int) -> str:
     """Render ``ticks`` with the largest unit that divides it evenly."""
     for unit in ("day", "hour", "minute"):

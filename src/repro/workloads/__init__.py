@@ -1,6 +1,6 @@
 """Workload generation: window sets and event streams."""
 
-from .debs import debs_like_stream, real_32m
+from .debs import debs_like_stream
 from .domains import (
     DOMAIN_STREAMS,
     domain_stream,
@@ -12,16 +12,12 @@ from .generators import (
     DEFAULT_MULTIPLIER,
     DEFAULT_SEED_RANGES,
     DEFAULT_SEED_SLIDES,
-    GENERATORS,
     RandomGen,
     SequentialGen,
-    make_generator,
 )
 from .rng import seeded_pyrandom, seeded_rng
 from .streams import (
     constant_rate_stream,
-    synthetic_1m,
-    synthetic_10m,
     zipf_stream,
 )
 
@@ -30,7 +26,6 @@ __all__ = [
     "DEFAULT_SEED_RANGES",
     "DEFAULT_SEED_SLIDES",
     "DOMAIN_STREAMS",
-    "GENERATORS",
     "RandomGen",
     "SequentialGen",
     "constant_rate_stream",
@@ -38,12 +33,8 @@ __all__ = [
     "domain_stream",
     "flash_crowd_stream",
     "iot_telemetry_stream",
-    "make_generator",
-    "real_32m",
     "rtgs_payments_stream",
     "seeded_pyrandom",
     "seeded_rng",
-    "synthetic_10m",
-    "synthetic_1m",
     "zipf_stream",
 ]

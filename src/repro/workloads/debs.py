@@ -66,10 +66,3 @@ def debs_like_stream(
         horizon=num_events,
         num_keys=num_keys,
     )
-
-
-def real_32m(scale: float = 1.0, num_keys: int = 1, seed: int = 7) -> EventBatch:
-    """The paper's *Real-32M* dataset analogue (scaled by ``scale``)."""
-    return debs_like_stream(
-        max(1, int(32_000_000 * scale)), num_keys=num_keys, seed=seed
-    )

@@ -106,18 +106,3 @@ class SequentialGen:
                 slide = multiplier * s0
                 windows.add(Window(2 * slide, slide))
         return windows
-
-
-GENERATORS = {
-    "random": RandomGen,
-    "sequential": SequentialGen,
-}
-
-
-def make_generator(name: str, **kwargs):
-    """Instantiate a generator by short name (``random``/``sequential``)."""
-    key = name.strip().lower()
-    for prefix, cls in GENERATORS.items():
-        if key.startswith(prefix[0]) or key == prefix:
-            return cls(**kwargs)
-    raise InvalidWindowError(f"unknown generator {name!r}")

@@ -101,17 +101,3 @@ def zipf_stream(
         horizon=horizon,
         num_keys=num_keys,
     )
-
-
-def synthetic_1m(scale: float = 1.0, num_keys: int = 1, seed: int = 1) -> EventBatch:
-    """The paper's *Synthetic-1M* dataset (scaled by ``scale``)."""
-    return constant_rate_stream(
-        max(1, int(1_000_000 * scale)), num_keys=num_keys, seed=seed
-    )
-
-
-def synthetic_10m(scale: float = 1.0, num_keys: int = 1, seed: int = 1) -> EventBatch:
-    """The paper's *Synthetic-10M* dataset (scaled by ``scale``)."""
-    return constant_rate_stream(
-        max(1, int(10_000_000 * scale)), num_keys=num_keys, seed=seed
-    )

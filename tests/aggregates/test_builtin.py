@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.aggregates.base import Taxonomy, empty_result_is_nan
+from repro.aggregates.base import Taxonomy
 from repro.aggregates.builtin import (
     Avg,
     Count,
@@ -57,7 +57,8 @@ class TestComputeAgainstNumpy:
 class TestEmptyConventions:
     @pytest.mark.parametrize("aggregate", [Min(), Max(), Avg(), Stdev(), Median()])
     def test_nan_for_empty(self, aggregate):
-        assert empty_result_is_nan(aggregate.compute([]))
+        result = aggregate.compute([])
+        assert isinstance(result, float) and math.isnan(result)
 
     def test_sum_empty_is_zero(self):
         assert Sum().compute([]) == 0.0

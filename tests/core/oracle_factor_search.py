@@ -1,16 +1,23 @@
-"""Reference factor-window search: the object-level Algorithm 3.
+"""Reference factor-window search: the object-level Algorithm 3, and
+the paper-text functions it is built from.
 
 This is the search ``repro.core`` shipped before it moved to integer
 arithmetic, kept verbatim as the oracle of
 ``test_factor_search_differential.py``: one validated ``Window`` per
 grid point, ``covered_by`` / ``partitioned_by`` per constraint, and the
-whole graph re-priced for every candidate.  Slow and obviously right;
-tests only.
+whole graph re-priced for every candidate.  Next to it are the
+``Window``-level forms of Section IV as the paper states them —
+Equation 2 (:func:`factor_benefit`), Algorithms 2 and 5's selection
+(:func:`find_best_factor_covered`, :func:`find_best_factor_partitioned`),
+Algorithm 4 (:func:`is_beneficial_partitioned`) and Theorem 9
+(:func:`prefer_candidate`) — which ``test_factor_windows.py`` checks
+against Examples 7 and 8.  Slow and obviously right; tests only.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from repro.core.cost import (
@@ -95,6 +102,178 @@ def generate_candidates_partitioned(
         if all(partitioned_by(w, factor) for w in downstream):
             candidates.append(factor)
     return candidates
+
+
+def _read_cost(consumer: Window, provider: Window, model: CostModel) -> int:
+    """Per-instance read cost of ``consumer`` from ``provider``.
+
+    Reading from the virtual root means reading raw events at rate η.
+    """
+    if provider is VIRTUAL_ROOT:
+        return model.raw_instance_cost(consumer)
+    return covering_multiplier(consumer, provider)
+
+
+def factor_benefit(
+    target: Window,
+    downstream: Sequence[Window],
+    factor: Window,
+    period: int,
+    model: CostModel,
+) -> int:
+    """``δf = c' − c`` — the cost saved by inserting ``factor``.
+
+    ``c'`` is the cost of the Figure-9 configuration without the factor
+    (each ``Wj`` reads from ``target``), ``c`` the cost with it (each
+    ``Wj`` reads from ``factor``, which reads from ``target``).  The
+    cost of ``target`` itself cancels out.  This is Equation 2 in
+    expanded (pre-simplification) form, generalized to ``η > 1`` when
+    ``target`` is the virtual root.
+    """
+    without = 0
+    with_factor = 0
+    for consumer in downstream:
+        n = model.recurrence_count(consumer, period)
+        without += n * _read_cost(consumer, target, model)
+        with_factor += n * _read_cost(consumer, factor, model)
+    n_factor = model.recurrence_count(factor, period)
+    with_factor += n_factor * _read_cost(factor, target, model)
+    return without - with_factor
+
+
+def find_best_factor_covered(
+    target: Window,
+    downstream: Sequence[Window],
+    period: int,
+    model: CostModel,
+    exclude: Iterable[Window] = (),
+) -> "FactorCandidate | None":
+    """Algorithm 2: the best factor window under ``covered_by``.
+
+    Returns ``None`` when no candidate has strictly positive benefit
+    (the paper initializes ``δmax = 0`` and requires ``δf > δmax``).
+    """
+    best: FactorCandidate | None = None
+    for factor in generate_candidates_covered(target, downstream, exclude):
+        benefit = factor_benefit(target, downstream, factor, period, model)
+        if benefit > 0 and (best is None or benefit > best.benefit):
+            best = FactorCandidate(factor, benefit)
+    return best
+
+
+def _lambda(downstream: Sequence[Window], period: int) -> Fraction:
+    """``λ = Σ_j n_j / m_j`` (Equation 4)."""
+    total = Fraction(0)
+    for window in downstream:
+        n = window.recurrence_count(period)
+        m = Fraction(period, window.range)
+        total += Fraction(n) / m
+    return total
+
+
+def is_beneficial_partitioned(
+    factor: Window,
+    target: Window,
+    downstream: Sequence[Window],
+    period: int,
+) -> bool:
+    """Algorithm 4: does a tumbling ``factor`` between tumbling
+    ``target`` and ``downstream`` reduce total cost?
+
+    * ``K >= 2`` → yes: at least one downstream window benefits.
+    * ``K == 1`` with a tumbling downstream (``k1 == 1``) → no: the
+      factor just relays the same sub-aggregates.
+    * ``K == 1``, hopping downstream: yes when ``k1 >= 3`` and
+      ``m1 >= 3``; otherwise test ``rf/rW >= λ/(λ−1)`` exactly.
+    """
+    if len(downstream) >= 2:
+        return True
+    if not downstream:
+        return False
+    only = downstream[0]
+    k1 = only.instances_per_event
+    if k1 == 1:
+        return False
+    m1 = Fraction(period, only.range)
+    if k1 >= 3 and m1 >= 3:
+        return True
+    lam = _lambda(downstream, period)
+    if lam <= 1:
+        return False
+    ratio = Fraction(factor.range, target.range)
+    return ratio >= lam / (lam - 1)
+
+
+def prefer_candidate(
+    left: Window,
+    right: Window,
+    target: Window,
+    downstream: Sequence[Window],
+    period: int,
+) -> bool:
+    """Theorem 9: ``cost(left) <= cost(right)`` for independent tumbling
+    candidates ``left``/``right`` over tumbling ``target``.
+
+    The paper states the condition as
+    ``rf / r'f >= (λ − rf/rW) / (λ − r'f/rW)``; this evaluates the
+    equivalent pre-division form
+    ``λ − rf/rW <= (rf/r'f) · (λ − r'f/rW)``,
+    which avoids the sign flip when ``λ < r'f/rW`` (routine whenever the
+    target is the virtual root, where ``rW = 1``).
+    """
+    lam = _lambda(downstream, period)
+    r_w = target.range
+    lhs = lam - Fraction(left.range, r_w)
+    rhs = Fraction(left.range, right.range) * (
+        lam - Fraction(right.range, r_w)
+    )
+    return lhs <= rhs
+
+
+def prune_dependent_candidates(candidates: Sequence[Window]) -> list[Window]:
+    """Algorithm 5, lines 14-16: drop any candidate that covers another.
+
+    If ``W'f <= Wf`` (``W'f`` covered by ``Wf``), ``Wf`` is dominated:
+    relaying through the finer window cannot beat using the coarser one
+    directly (Example 8 keeps W(10,10) and drops W(5,5), W(2,2)).
+    """
+    kept = []
+    for factor in candidates:
+        dominated = any(
+            other != factor and covered_by(other, factor)
+            for other in candidates
+        )
+        if not dominated:
+            kept.append(factor)
+    return kept
+
+
+def find_best_factor_partitioned(
+    target: Window,
+    downstream: Sequence[Window],
+    period: int,
+    model: CostModel,
+    exclude: Iterable[Window] = (),
+) -> "FactorCandidate | None":
+    """Algorithm 5: the best tumbling factor under ``partitioned_by``."""
+    candidates = generate_candidates_partitioned(target, downstream, exclude)
+    beneficial = [
+        factor for factor in candidates
+        if is_beneficial_partitioned(factor, target, downstream, period)
+    ]
+    independent = prune_dependent_candidates(beneficial)
+    best: Window | None = None
+    for factor in independent:
+        if best is None or prefer_candidate(
+            factor, best, target, downstream, period
+        ):
+            best = factor
+    if best is None:
+        return None
+    benefit = factor_benefit(target, downstream, best, period, model)
+    if benefit <= 0:
+        return None
+    return FactorCandidate(best, benefit)
 
 
 def direct_downstream(

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.cost import CostModel
-from repro.core.exhaustive import (
-    candidate_pool,
-    exhaustive_min_cost,
-    optimality_gap,
-)
+from repro.core.exhaustive import candidate_pool, exhaustive_min_cost
 from repro.core.optimizer import min_cost_wcg, min_cost_wcg_with_factors
 from repro.errors import CostModelError
 from repro.windows.coverage import CoverageSemantics
@@ -84,14 +80,3 @@ class TestExhaustiveSearch:
     def test_result_is_forest(self, example7_windows):
         best = exhaustive_min_cost(example7_windows, PART, max_factors=2)
         assert best.graph.is_forest()
-
-
-class TestOptimalityGap:
-    def test_gap_zero_when_equal(self):
-        assert optimality_gap(150, 150) == 0.0
-
-    def test_gap_positive_when_heuristic_worse(self):
-        assert optimality_gap(180, 150) == pytest.approx(0.2)
-
-    def test_gap_guards_zero_optimal(self):
-        assert optimality_gap(100, 0) == 0.0

@@ -16,9 +16,11 @@ from repro.aggregates.registry import MIN
 from repro.core.cost import CostModel
 from repro.core.explain import explain
 from repro.core.factor import (
-    generate_candidates_covered,
-    generate_candidates_partitioned,
-    global_factor_benefit,
+    candidate_grid,
+    node_rows,
+    price_factor,
+    split_by_slide,
+    subset_signature,
 )
 from repro.core.optimizer import (
     SearchStats,
@@ -28,7 +30,7 @@ from repro.core.optimizer import (
 )
 from repro.core.wcg import WindowCoverageGraph
 from repro.windows.coverage import CoverageSemantics
-from repro.windows.window import VIRTUAL_ROOT, Window, WindowSet
+from repro.windows.window import Window, WindowSet
 from repro.workloads.generators import RandomGen, SequentialGen
 
 PART = CoverageSemantics.PARTITIONED_BY
@@ -129,34 +131,41 @@ def test_ledger_union_plans_identically(semantics, ledger_window_sets):
 def test_public_wrappers_match_the_oracle(
     windows, target_index, semantics, event_rate
 ):
-    """``generate_candidates_*`` and ``global_factor_benefit`` stay
-    callable on ``Window`` objects and agree with the object-level code
-    candidate by candidate, in order."""
+    """``candidate_grid`` enumerates the oracle's Algorithm 2 / 5
+    candidates in order, and ``split_by_slide`` + ``price_factor``
+    price each one as the oracle's object-level exact benefit does,
+    candidate by candidate."""
     model = CostModel(event_rate=event_rate)
     graph = WindowCoverageGraph.build(windows, semantics)
     period = model.hyper_period(windows)
     target = graph.nodes[target_index % len(graph.nodes)]
     downstream = list(graph.consumers_of(target))
-    if semantics is PART:
-        got = generate_candidates_partitioned(target, downstream, graph.nodes)
-        want = oracle.generate_candidates_partitioned(
-            target, downstream, graph.nodes
+    partitioned = semantics is PART
+    generate = (
+        oracle.generate_candidates_partitioned
+        if partitioned
+        else oracle.generate_candidates_covered
+    )
+    want = generate(target, downstream, graph.nodes)
+    got = []
+    if downstream:
+        nodes = {(w.range, w.slide) for w in graph.nodes}
+        grid = candidate_grid(
+            target.range, target.slide, *subset_signature(downstream),
+            partitioned,
         )
-    else:
-        got = generate_candidates_covered(target, downstream, graph.nodes)
-        want = oracle.generate_candidates_covered(
-            target, downstream, graph.nodes
-        )
-    assert got == want
-    for factor in got:
-        assert global_factor_benefit(
-            graph, factor, period, model
+        got = [
+            (rf, sf) for sf, ranges in grid for rf in ranges
+            if (rf, sf) not in nodes
+        ]
+    assert got == [(w.range, w.slide) for w in want]
+    rows = node_rows(graph, period, model)
+    for factor in want:
+        readers, sources = split_by_slide(rows, factor.slide, partitioned)
+        assert price_factor(
+            factor.range, factor.slide, readers, sources,
+            model.event_rate, period,
         ) == oracle.global_factor_benefit(graph, factor, period, model)
-    if target is not VIRTUAL_ROOT and not graph.is_factor(target):
-        # Pricing a window that is already a node ignores that node.
-        assert global_factor_benefit(
-            graph, target, period, model
-        ) == oracle.global_factor_benefit(graph, target, period, model)
 
 
 # ----------------------------------------------------------------------

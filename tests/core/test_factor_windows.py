@@ -1,9 +1,11 @@
-"""Tests for factor windows (Section IV): Algorithms 2, 4, 5."""
+"""Tests for factor windows (Section IV): Algorithms 2, 4, 5.
 
-import pytest
+The paper-text functions are the test oracle ``oracle_factor_search``;
+the optimizer's integer search is held to them by
+``test_factor_search_differential.py``.
+"""
 
-from repro.core.cost import CostModel
-from repro.core.factor import (
+from oracle_factor_search import (
     factor_benefit,
     find_best_factor_covered,
     find_best_factor_partitioned,
@@ -13,6 +15,7 @@ from repro.core.factor import (
     prefer_candidate,
     prune_dependent_candidates,
 )
+from repro.core.cost import CostModel
 from repro.core.optimizer import min_cost_wcg_with_factors
 from repro.windows.coverage import CoverageSemantics
 from repro.windows.window import VIRTUAL_ROOT, Window, WindowSet

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost import CostModel
-from repro.core.factor import factor_benefit
 from repro.core.optimizer import (
     min_cost_wcg,
     min_cost_wcg_with_factors,
@@ -12,7 +11,7 @@ from repro.core.optimizer import (
 )
 from repro.aggregates.registry import MIN, SUM
 from repro.windows.coverage import CoverageSemantics
-from repro.windows.window import VIRTUAL_ROOT, Window, WindowSet
+from repro.windows.window import Window, WindowSet
 
 PART = CoverageSemantics.PARTITIONED_BY
 COV = CoverageSemantics.COVERED_BY

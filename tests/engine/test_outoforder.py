@@ -22,12 +22,15 @@ from hypothesis import strategies as st
 
 from repro import _kernels as kernels
 from repro.aggregates.registry import MIN
-from repro.engine.events import EVENT_COLUMN_DTYPES, NO_EVENTS, make_batch
+from repro.engine.events import (
+    EVENT_COLUMN_DTYPES,
+    NO_EVENTS,
+    EventBatch,
+    make_batch,
+)
 from repro.engine.executor import execute_plan, results_equal
 from repro.engine.outoforder import (
     ReorderBuffer,
-    batch_from_unordered,
-    reorder_events,
     scramble_batch,
 )
 from repro.errors import ExecutionError
@@ -41,26 +44,26 @@ from oracle_reorder import OracleReorderBuffer
 class TestReorderBuffer:
     def test_in_order_passthrough(self):
         events = [(t, 0, float(t)) for t in range(10)]
-        ordered, stats = reorder_events(events, max_lateness=0)
+        ordered, stats = reorder(events, max_lateness=0)
         assert ordered == events
         assert stats.late_dropped == 0
 
     def test_reorders_within_bound(self):
         events = [(2, 0, 2.0), (0, 0, 0.0), (1, 0, 1.0), (3, 0, 3.0)]
-        ordered, stats = reorder_events(events, max_lateness=3)
+        ordered, stats = reorder(events, max_lateness=3)
         assert [e[0] for e in ordered] == [0, 1, 2, 3]
         assert stats.late_dropped == 0
 
     def test_late_event_dropped_and_counted(self):
         events = [(10, 0, 1.0), (0, 0, 2.0)]  # 0 is 10 ticks late
-        ordered, stats = reorder_events(events, max_lateness=3)
+        ordered, stats = reorder(events, max_lateness=3)
         assert [e[0] for e in ordered] == [10]
         assert stats.late_dropped == 1
         assert stats.max_observed_lateness == 7  # watermark 7, event at 0
 
     def test_same_timestamp_keeps_arrival_order(self):
         events = [(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0)]
-        ordered, _ = reorder_events(events, max_lateness=0)
+        ordered, _ = reorder(events, max_lateness=0)
         assert [e[1] for e in ordered] == [0, 1, 2]
 
     def test_watermark_trails_max_seen(self):
@@ -97,17 +100,15 @@ class TestBatchFromUnordered:
     def test_round_trip_equals_sorted_batch(self):
         batch = constant_rate_stream(500, num_keys=2, seed=3)
         scrambled = scramble_batch(batch, max_lateness=7, seed=1)
-        rebuilt, stats = batch_from_unordered(
-            scrambled, max_lateness=7, horizon=batch.horizon, num_keys=2
-        )
+        ordered, stats = reorder(scrambled, max_lateness=7)
         assert stats.late_dropped == 0
-        np.testing.assert_array_equal(rebuilt.timestamps, batch.timestamps)
+        assert [e[0] for e in ordered] == batch.timestamps.tolist()
         # Same multiset of (ts, key, value) triples.
-        assert sorted(rebuilt.rows()) == sorted(batch.rows())
+        assert sorted(ordered) == sorted(batch.rows())
 
     def test_empty_input(self):
-        rebuilt, stats = batch_from_unordered([], max_lateness=5)
-        assert rebuilt.num_events == 0
+        ordered, stats = reorder([], max_lateness=5)
+        assert ordered == []
         assert stats.total == 0
 
     def test_query_results_unaffected_by_disorder(self):
@@ -115,8 +116,9 @@ class TestBatchFromUnordered:
         plan = original_plan(windows, MIN)
         batch = constant_rate_stream(400, seed=5)
         scrambled = scramble_batch(batch, max_lateness=9, seed=2)
-        rebuilt, _ = batch_from_unordered(
-            scrambled, max_lateness=9, horizon=batch.horizon, num_keys=1
+        ordered, _ = reorder(scrambled, max_lateness=9)
+        rebuilt = EventBatch(
+            *columns(ordered), horizon=batch.horizon, num_keys=1
         )
         assert results_equal(
             execute_plan(plan, batch), execute_plan(plan, rebuilt)
@@ -131,14 +133,14 @@ class TestBatchFromUnordered:
         """scramble_batch never produces disorder the buffer drops."""
         batch = constant_rate_stream(120, seed=4)
         scrambled = scramble_batch(batch, max_lateness=lateness, seed=seed)
-        _, stats = reorder_events(scrambled, max_lateness=lateness)
+        _, stats = reorder(scrambled, max_lateness=lateness)
         assert stats.late_dropped == 0
         assert stats.accepted == batch.num_events
 
     def test_insufficient_lateness_drops(self):
         batch = make_batch([0, 1, 2, 3, 4, 5], [0.0] * 6)
         scrambled = [(5, 0, 0.0), (0, 0, 0.0), (4, 0, 0.0), (1, 0, 0.0)]
-        _, stats = reorder_events(scrambled, max_lateness=1)
+        _, stats = reorder(scrambled, max_lateness=1)
         assert stats.late_dropped == 2  # ts 0 and 1 behind watermark 4
 
 
@@ -153,6 +155,14 @@ def columns(events):
 
 def rows(released):
     return list(zip(*(column.tolist() for column in released)))
+
+
+def reorder(events, max_lateness):
+    """A finite stream through one buffer: one ``push_batch`` of every
+    event, then the end-of-stream flush — ``(sorted rows, stats)``."""
+    buffer = ReorderBuffer(max_lateness)
+    released = buffer.push_batch(*columns(list(events)))
+    return rows(released) + list(buffer.flush()), buffer.stats
 
 
 COUNTERS = (

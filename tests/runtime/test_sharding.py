@@ -13,7 +13,7 @@ import pytest
 
 from repro.aggregates.registry import AVG, MEDIAN, MIN, STDEV, SUM
 from repro.core.multiquery import Query
-from repro.errors import ExecutionError
+from repro.errors import CostModelError, ExecutionError
 from repro.runtime import (
     RETIRED_RESULT_CAP,
     CheckpointStore,
@@ -327,6 +327,11 @@ class TestApiSurface:
         session.register(QA)
         with pytest.raises(ExecutionError):
             session.register(QA)
+
+    @pytest.mark.parametrize("hysteresis", [-0.5, float("nan")])
+    def test_bad_hysteresis_rejected_at_construction(self, hysteresis):
+        with pytest.raises(CostModelError, match="hysteresis must be >= 0"):
+            ShardedSession(num_keys=2, num_shards=2, hysteresis=hysteresis)
 
     def test_unknown_deregister_rejected(self):
         session = ShardedSession(num_keys=2, num_shards=2, hysteresis=None)

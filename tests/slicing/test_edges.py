@@ -8,7 +8,6 @@ from repro.slicing.edges import (
     assign_slices,
     expected_edge_count,
     slice_edges,
-    slices_per_instance,
     window_slice_spans,
 )
 from repro.windows.window import Window
@@ -77,8 +76,3 @@ class TestWindowSliceSpans:
         edges = np.asarray([0, 5, 10])
         with pytest.raises(ExecutionError):
             window_slice_spans(Window(4, 2), edges, 2)
-
-    def test_slices_per_instance(self):
-        result = slices_per_instance([Window(10, 5), Window(20, 10)], 100)
-        assert result[Window(10, 5)] == pytest.approx(2.0)
-        assert result[Window(20, 10)] == pytest.approx(4.0)

@@ -3,7 +3,7 @@
 Section II of the paper defines window coverage/partitioning in terms of
 the *interval representation* ``W = {[m*s, m*s + r)}``.  The closed-form
 tests (Theorems 1 and 4) live in :mod:`repro.windows.coverage`; this
-module provides the direct, definition-level machinery:
+test oracle provides the direct, definition-level machinery:
 
 * enumerating intervals,
 * computing the covering set of an interval (Definition 2),
@@ -11,15 +11,16 @@ module provides the direct, definition-level machinery:
   Definitions 1, 4 and 5.
 
 The brute-force checks are deliberately simple and slow.  They exist so
-property-based tests can confirm the closed-form theorems against the
-definitions on thousands of random window pairs.
+property-based tests (invariant 1, ``test_coverage_properties.py``) can
+confirm the closed-form theorems against the definitions on thousands
+of random window pairs; tests only.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .window import Window
+from repro.windows.window import Window
 
 Interval = tuple[int, int]
 

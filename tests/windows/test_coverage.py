@@ -8,7 +8,6 @@ from repro.windows.coverage import (
     covered_by,
     covering_multiplier,
     partitioned_by,
-    provider_instance_offsets,
     relates,
     strictly_relates,
 )
@@ -97,12 +96,6 @@ class TestCoveringMultiplier:
     def test_virtual_root_multiplier_equals_range(self):
         # M(W, S) = 1 + (r - 1)/1 = r.
         assert covering_multiplier(Window(40, 40), Window(1, 1)) == 40
-
-    def test_provider_instance_offsets(self):
-        offsets = provider_instance_offsets(Window(10, 2), Window(8, 2))
-        assert offsets == [0, 2]
-        offsets = provider_instance_offsets(Window(40, 40), Window(10, 10))
-        assert offsets == [0, 10, 20, 30]
 
 
 class TestSemanticsDispatch:

@@ -14,7 +14,7 @@ from repro.windows.coverage import (
     covering_multiplier,
     partitioned_by,
 )
-from repro.windows.intervals import (
+from oracle_intervals import (
     brute_force_covered_by,
     brute_force_multiplier,
     brute_force_partitioned_by,

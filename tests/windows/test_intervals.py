@@ -2,7 +2,7 @@
 
 from itertools import islice
 
-from repro.windows.intervals import (
+from oracle_intervals import (
     brute_force_covered_by,
     brute_force_multiplier,
     brute_force_partitioned_by,

@@ -6,7 +6,6 @@ from repro.errors import SqlSemanticError
 from repro.windows.units import (
     canonical_unit,
     format_duration,
-    parse_duration,
     to_ticks,
 )
 
@@ -58,20 +57,6 @@ class TestToTicks:
             to_ticks(True, "minute")  # type: ignore[arg-type]
 
 
-class TestParseDuration:
-    def test_value_unit(self):
-        assert parse_duration("20 min") == 1200
-        assert parse_duration("1 hour") == 3600
-
-    def test_bare_integer_is_seconds(self):
-        assert parse_duration("45") == 45
-
-    def test_garbage_rejected(self):
-        for text in ("", "fast", "1 2 3", "x min"):
-            with pytest.raises(SqlSemanticError):
-                parse_duration(text)
-
-
 class TestFormatDuration:
     def test_largest_even_unit(self):
         assert format_duration(1200) == "20 minute"
@@ -81,4 +66,5 @@ class TestFormatDuration:
 
     def test_roundtrip(self):
         for ticks in (1, 60, 61, 3600, 5400, 86400):
-            assert parse_duration(format_duration(ticks)) == ticks
+            value, unit = format_duration(ticks).split()
+            assert to_ticks(int(value), unit) == ticks

@@ -8,7 +8,6 @@ from repro.workloads.generators import (
     DEFAULT_SEED_SLIDES,
     RandomGen,
     SequentialGen,
-    make_generator,
 )
 
 
@@ -91,15 +90,3 @@ class TestSequentialGen:
         for tumbling in (True, False):
             windows = gen.generate(8, tumbling=tumbling, seed=2)
             windows.validate_for_cost_model()
-
-
-class TestMakeGenerator:
-    def test_names(self):
-        assert isinstance(make_generator("random"), RandomGen)
-        assert isinstance(make_generator("sequential"), SequentialGen)
-        assert isinstance(make_generator("r"), RandomGen)
-        assert isinstance(make_generator("s"), SequentialGen)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(InvalidWindowError):
-            make_generator("zipfian")

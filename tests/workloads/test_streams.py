@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.workloads.debs import MF01_BASE_LEVEL, debs_like_stream, real_32m
-from repro.workloads.streams import (
-    constant_rate_stream,
-    synthetic_1m,
-    synthetic_10m,
-)
+from repro.workloads.debs import MF01_BASE_LEVEL, debs_like_stream
+from repro.workloads.streams import constant_rate_stream
 
 
 class TestConstantRateStream:
@@ -41,10 +37,6 @@ class TestConstantRateStream:
         with pytest.raises(ExecutionError):
             constant_rate_stream(10, rate=0)
 
-    def test_presets_scale(self):
-        assert synthetic_1m(scale=0.001).num_events == 1000
-        assert synthetic_10m(scale=0.0001).num_events == 1000
-
 
 class TestDebsLikeStream:
     def test_constant_sampling_rate(self):
@@ -69,6 +61,3 @@ class TestDebsLikeStream:
     def test_multi_key(self):
         batch = debs_like_stream(10, num_keys=2)
         assert set(batch.keys) == {0, 1}
-
-    def test_preset_scale(self):
-        assert real_32m(scale=1e-5).num_events == 320
