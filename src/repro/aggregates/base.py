@@ -138,6 +138,16 @@ class AggregateFunction(ABC):
         (NaN for MIN/MAX/AVG/STDEV/SUM, 0 for COUNT).
         """
 
+    def finalize_owned(self, components: Components):
+        """:meth:`finalize` of components the caller hands over.
+
+        Nothing else holds or reads ``components``, so an override may
+        write into them and return one of them; its result must be
+        :meth:`finalize`'s, bit for bit.  The pane operators call it
+        for a fold's fresh block no consumer reads (DESIGN.md §5).
+        """
+        return self.finalize(components)
+
     @property
     def num_components(self) -> int:
         return len(self.component_ufuncs)

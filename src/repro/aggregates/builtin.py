@@ -41,6 +41,14 @@ def _empty_as_nan(components: Components, empty: float):
     return _as_result(comp.copy())
 
 
+def _empty_as_nan_owned(components: Components, empty: float):
+    """:func:`_empty_as_nan` into the component itself, which the
+    caller owns: the same bits, without a fresh block."""
+    comp = components[0]
+    np.copyto(comp, np.nan, where=comp == empty)
+    return _as_result(comp)
+
+
 class Min(AggregateFunction):
     """MIN — distributive, merge-safe over overlapping partitions."""
 
@@ -68,6 +76,9 @@ class Min(AggregateFunction):
 
     def finalize(self, components: Components):
         return _empty_as_nan(components, np.inf)
+
+    def finalize_owned(self, components: Components):
+        return _empty_as_nan_owned(components, np.inf)
 
 
 class Max(AggregateFunction):
@@ -97,6 +108,9 @@ class Max(AggregateFunction):
 
     def finalize(self, components: Components):
         return _empty_as_nan(components, -np.inf)
+
+    def finalize_owned(self, components: Components):
+        return _empty_as_nan_owned(components, -np.inf)
 
 
 class Sum(AggregateFunction):

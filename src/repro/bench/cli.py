@@ -162,6 +162,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
         )
         return 2
     from ..engine.events import DEFAULT_NUM_SLOTS
+    from ..errors import ReproError
     from ..runtime import ShardedSession
     from ..workloads.streams import constant_rate_stream
 
@@ -226,16 +227,21 @@ def _cmd_session(args: argparse.Namespace) -> int:
             f"checkpointing every {args.checkpoint_every:,} watermark "
             f"ticks to {args.checkpoint_dir}/"
         )
-    session = ShardedSession(
-        num_shards=args.shards,
-        backend=args.shard_backend,
-        num_slots=DEFAULT_NUM_SLOTS if args.slots is None else args.slots,
-        num_keys=args.keys,
-        max_lateness=args.lateness,
-        hysteresis=None if args.no_adapt else args.hysteresis,
-        async_ingest=args.async_ingest,
-        **auto_kwargs,
-    )
+    try:
+        session = ShardedSession(
+            num_shards=args.shards,
+            backend=args.shard_backend,
+            num_slots=DEFAULT_NUM_SLOTS if args.slots is None else args.slots,
+            num_keys=args.keys,
+            max_lateness=args.lateness,
+            hysteresis=None if args.no_adapt else args.hysteresis,
+            async_ingest=args.async_ingest,
+            **auto_kwargs,
+        )
+    except ReproError as exc:
+        # A refused setting, like a bad `serve` config: one line, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"session: x{args.shards} key-hash shard(s) over "
         f"{session.num_slots} slots ({session.backend.name} backend"

@@ -19,7 +19,9 @@ Two implementations behind four names (DESIGN.md §5):
 ``columnar-panes``
     The same operators fed the whole batch as one chunk: bin each raw
     read's events once (one indexed scatter), assemble instances by
-    folding their panes in place (``fold_covering_sets``).
+    folding their panes in place (``fold_covering_sets``).  Its closes
+    are large, so sibling subtrees of a factor window advance on helper
+    threads, one per further CPU (``engine.streaming.ENGINE_HELPERS``).
 ``columnar-panes-native``
     A legacy name for ``columnar-panes``, kept for the frozen ledger.
 

@@ -11,6 +11,15 @@ engine: a live session feeds them a chunk per flush,
 ``streaming-chunked`` a chunk per ``chunk_ticks``, and
 ``columnar-panes`` one chunk — the whole batch (DESIGN.md §5).
 
+The executor absorbs each chunk serially, then advances the operators
+as a DAG: an operator is ready once its provider has advanced.  When
+some close folds at least ``HANDOFF_CELLS`` cells, the calling thread
+and ``ENGINE_HELPERS`` helper threads (one per further CPU) drain the
+ready list together, so sibling subtrees of a factor window run side
+by side; otherwise — always on one CPU — the caller advances them in
+plan order.  Each operator's output is a function of its provider's
+blocks alone, so the schedule shows in no result, counter or error.
+
 They must produce the ``columnar`` reference's results and *logical*
 processed-pair counts, and so must the per-event test oracle
 (``tests/engine/oracle_streaming.py``; DESIGN.md invariants 5 and 6).
@@ -18,6 +27,8 @@ processed-pair counts, and so must the per-event test oracle
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from typing import Callable
 
@@ -159,12 +170,26 @@ class _ChunkedOperator:
     def _close_range(self, m0: int, m1: int) -> None:
         raise NotImplementedError
 
+    def close_cells(self, watermark: int) -> int:
+        """Cells the close at ``watermark`` folds (0: nothing closes)."""
+        closing = self._close_bound(watermark) - self.next_close
+        return self._fold_cells(closing) if closing > 0 else 0
+
+    def _fold_cells(self, instances: int) -> int:
+        raise NotImplementedError
+
     def _emit(self, m0: int, m1: int, components: tuple) -> None:
-        """Finalize a closed block into results and feed consumers."""
+        """Finalize a closed block into results and feed consumers.
+
+        The fold's block is fresh: with no consumer to read it, the
+        finalize may write into it (``finalize_owned``)."""
         if self.results is not None or self.sink is not None:
-            block = np.asarray(
-                self.aggregate.finalize(components), dtype=np.float64
+            aggregate = self.aggregate
+            finalize = (
+                aggregate.finalize if self.consumers
+                else aggregate.finalize_owned
             )
+            block = np.asarray(finalize(components), dtype=np.float64)
             if self.results is not None:
                 self._store_results(m0, m1, block)
             if self.sink is not None:
@@ -413,6 +438,12 @@ class _ChunkedRawOperator(_ChunkedOperator):
             )
         self._note_retained(self._span)
 
+    def _fold_cells(self, instances: int) -> int:
+        return (
+            self.num_keys * instances * self.per_instance
+            * self.aggregate.num_components
+        )
+
     def _close_range(self, m0: int, m1: int) -> None:
         self._ensure_panes((m1 - 1) * self.stride + self.per_instance)
         self.stats.record_physical(
@@ -519,6 +550,11 @@ class _ChunkedHolisticOperator(_ChunkedOperator):
         self._keys = np.concatenate((self._keys, keys))
         self._values = np.concatenate((self._values, values))
         self._note_retained(self._ts.size)
+
+    def _fold_cells(self, instances: int) -> int:
+        # The close forms an (event, instance) pair per retained event
+        # and instance it lies in.
+        return int(self._ts.size) * self.window.instances_per_event
 
     def _close_range(self, m0: int, m1: int) -> None:
         if self.consumers:
@@ -639,6 +675,12 @@ class _ChunkedSubAggOperator(_ChunkedOperator):
             ]
         self._note_retained(self._partials[0].shape[1])
 
+    def _fold_cells(self, instances: int) -> int:
+        return (
+            self.num_keys * instances * self.multiplier
+            * self.aggregate.num_components
+        )
+
     def _close_range(self, m0: int, m1: int) -> None:
         needed = (m1 - 1) * self.stride + self.multiplier
         if needed > self.offset + self._partials[0].shape[1]:
@@ -711,6 +753,120 @@ class _ChunkedSubAggOperator(_ChunkedOperator):
         return self._partials[0].shape[1]
 
 
+#: Threads besides the caller that advance a plan's operators: one per
+#: further CPU this process may run on, so none on one CPU.
+ENGINE_HELPERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+) - 1
+
+#: Cells a close folds (``close_cells``) from which it wakes a helper;
+#: a watermark whose closes all fold fewer advances on the caller's
+#: thread alone, in plan order.  Read off the hand-off sweep in
+#: docs/performance.md ("Sibling subtrees on two threads"): below it, a
+#: thread's start and wake-up cost more than the close it would share.
+HANDOFF_CELLS = 1 << 18
+
+
+class _Round:
+    """One watermark's advance over the operator DAG, on several threads.
+
+    An operator is ready once its provider has advanced (and so handed
+    it its blocks); every drainer — the caller and the helpers — pops
+    the ready list until every operator has advanced.  Each operator
+    records into its own stats, merged in plan order afterwards, so the
+    counters (and their dicts' order) are the serial loop's.  A failing
+    operator's subtree does not advance, and the exception raised is
+    the one of the first failing operator in plan order — the serial
+    loop's, since every operator before it advances either way.
+    """
+
+    def __init__(
+        self, executor: "ChunkedStreamingExecutor", watermark: int
+    ) -> None:
+        self.topo = executor._topo
+        self.children = executor._children
+        self.watermark = watermark
+        self.shared = executor.stats
+        self.stats = [ExecutionStats() for _ in self.topo]
+        # A stack: the first root, then each operator's first consumer,
+        # pops first.
+        self.ready = executor._roots[::-1]
+        # Operators pushed and not yet advanced (or failed).
+        self.pending = len(self.ready)
+        self.errors: "dict[int, BaseException]" = {}
+        self.cond = threading.Condition()
+
+    def drain(self) -> None:
+        cond = self.cond
+        while True:
+            with cond:
+                while not self.ready and self.pending:
+                    cond.wait()
+                if not self.pending:
+                    return
+                index = self.ready.pop()
+            operator = self.topo[index]
+            try:
+                operator.advance(self.watermark)
+            except BaseException as exc:
+                with cond:
+                    # Nothing it feeds is pushed: its subtree stays put.
+                    self.errors[index] = exc
+                    self._finish(0)
+                continue
+            with cond:
+                children = self.children[index]
+                self.ready.extend(reversed(children))
+                wake = sum(
+                    self.topo[child].close_cells(self.watermark)
+                    >= HANDOFF_CELLS
+                    for child in children
+                )
+                self._finish(len(children))
+                if wake:
+                    cond.notify(wake)
+
+    def _finish(self, pushed: int) -> None:
+        self.pending += pushed - 1
+        if not self.pending:
+            self.cond.notify_all()
+
+    def run(self, helpers: int) -> None:
+        """Advance every operator: the caller drains with ``helpers``
+        threads started and joined here."""
+        for operator, stats in zip(self.topo, self.stats):
+            operator.stats = stats
+        threads = [
+            threading.Thread(target=self.drain, name="repro-engine-helper")
+            for _ in range(helpers)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            self.drain()
+        finally:
+            with self.cond:
+                # An interrupted caller lets the helpers go at once.
+                self.pending = 0
+                self.cond.notify_all()
+            for thread in threads:
+                thread.join()
+            for operator, stats in zip(self.topo, self.stats):
+                operator.stats = self.shared
+                self.shared.merge(stats)
+        errors, self.errors = self.errors, None
+        if errors:
+            error = errors[min(errors)]
+            del errors
+            try:
+                raise error
+            finally:
+                # No frame of this call may keep the exception (and,
+                # through its traceback, every operator) in a cycle.
+                del error
+
+
 class ChunkedStreamingExecutor:
     """Streaming execution in vectorized watermark blocks.
 
@@ -718,7 +874,10 @@ class ChunkedStreamingExecutor:
     reference, with bounded open state: each block of ``chunk_ticks``
     timestamps is processed with the pane reduction kernels.
     ``chunk_ticks`` defaults to the largest window range, so each block
-    typically closes at least one instance of every window.
+    typically closes at least one instance of every window.  A block
+    whose closes are large enough advances sibling subtrees on helper
+    threads, started and joined inside :meth:`run` (see the module
+    docstring).
     """
 
     def __init__(
@@ -740,10 +899,15 @@ class ChunkedStreamingExecutor:
         self._operators: dict[Window, _ChunkedOperator] = {}
         self._raw_ops: "list[_ChunkedRawOperator | _ChunkedHolisticOperator]" = []
         self._topo: list[_ChunkedOperator] = []
+        # The DAG by plan position: the roots, and each operator's
+        # consumers.
+        self._roots: list[int] = []
+        self._children: list[list[int]] = []
         self._build()
 
     def _build(self) -> None:
         batch = self.batch
+        position: dict[Window, int] = {}
         for node in self.plan.topological_window_order():
             num_instances = num_complete_instances(node.window, batch.horizon)
             args = (
@@ -772,6 +936,12 @@ class ChunkedStreamingExecutor:
             if not node.is_factor:
                 operator.expose_results()
             self._operators[node.window] = operator
+            index = position[node.window] = len(self._topo)
+            if node.provider is None:
+                self._roots.append(index)
+            else:
+                self._children[position[node.provider]].append(index)
+            self._children.append([])
             self._topo.append(operator)
 
     def run(self) -> "dict[Window, np.ndarray]":
@@ -780,20 +950,34 @@ class ChunkedStreamingExecutor:
         for _, end, ts, keys, values in self.batch.iter_time_chunks(
             self.chunk_ticks
         ):
+            # Serial, in plan order: every raw read counts into the one
+            # ``events_binned``.
             for raw_op in self._raw_ops:
                 raw_op.absorb(ts, keys, values)
-            # Providers close (and hand blocks downstream) before
-            # consumers observe the new watermark: topological order.
-            for operator in self._topo:
-                operator.advance(end)
-        for operator in self._topo:
-            operator.advance(self.batch.horizon)
+            self._advance(end)
+        self._advance(self.batch.horizon)
         self.stats.events = self.batch.num_events
         self.stats.wall_seconds = time.perf_counter() - started
         return {
             node.window: self._operators[node.window].results
             for node in self.plan.user_window_nodes()
         }
+
+    def _advance(self, watermark: int) -> None:
+        """Close every operator up to ``watermark``: providers before
+        their consumers, sibling subtrees on helper threads when a close
+        is large enough to share (DESIGN.md §5, "Sibling subtrees")."""
+        helpers = ENGINE_HELPERS
+        if helpers > 0 and any(
+            operator.close_cells(watermark) >= HANDOFF_CELLS
+            for operator in self._topo
+        ):
+            _Round(self, watermark).run(helpers)
+            return
+        # Providers close (and hand blocks downstream) before consumers
+        # observe the new watermark: topological order.
+        for operator in self._topo:
+            operator.advance(watermark)
 
     def max_retained_state(self) -> int:
         """Largest per-operator buffered-state high-water mark."""

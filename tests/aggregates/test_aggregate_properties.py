@@ -212,3 +212,28 @@ def test_segment_reduce_rejects_out_of_range_codes(code):
         Sum().segment_reduce(
             np.array([0, code, 2]), np.array([1.0, 2.0, 4.0]), 3
         )
+
+
+@pytest.mark.parametrize("agg", MERGEABLE, ids=lambda a: a.name)
+@given(
+    cells=st.lists(
+        st.sampled_from([0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]),
+        min_size=1,
+        max_size=24,
+    )
+)
+@settings(max_examples=60)
+def test_finalize_owned_is_finalize_bit_for_bit(agg, cells):
+    """An owned block finalizes to ``finalize``'s bits, empty cells
+    (``±inf`` for MIN/MAX, a zero count) included; ``finalize`` writes
+    into nothing it is handed."""
+    rows = np.asarray(cells, dtype=np.float64).reshape(1, -1)
+    components = tuple(rows.copy() for _ in range(agg.num_components))
+    before = [c.copy() for c in components]
+    with np.errstate(invalid="ignore"):  # AVG of inf / inf
+        want = np.asarray(agg.finalize(components), dtype=np.float64)
+        owned = tuple(c.copy() for c in components)
+        got = np.asarray(agg.finalize_owned(owned), dtype=np.float64)
+    for comp, kept in zip(components, before):
+        assert comp.view(np.int64).tolist() == kept.view(np.int64).tolist()
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -147,6 +147,23 @@ class TestServeCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestSessionCommand:
+    QUERY = (
+        "SELECT DeviceID, MIN(T) FROM Input GROUP BY DeviceID, Windows("
+        "Window('a', TumblingWindow(second, 20)))"
+    )
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_refused_hysteresis_exits_2(self, capsys, value):
+        code = main(
+            ["session", self.QUERY, "--events", "100", "--hysteresis", value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: hysteresis must be")
+        assert "Traceback" not in captured.err
+
+
 class TestSessionCheckpointRoundTrip:
     """The CLI's two per-event ``push`` loops: ``session`` writing
     checkpoints as it streams, then ``restore`` resuming the same
