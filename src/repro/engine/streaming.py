@@ -943,6 +943,24 @@ class ChunkedStreamingExecutor:
                 self._children[position[node.provider]].append(index)
             self._children.append([])
             self._topo.append(operator)
+        # Over a watermark span a mergeable close folds at most
+        # ``_fold_cells(1) * (1 + span // slide)`` cells (instances
+        # close at one per slide), so one sum rules a hand-off out at
+        # most watermarks; a holistic close's cells follow its retained
+        # events instead, so a plan with one is always asked.
+        mergeable = [
+            op for op in self._topo
+            if not isinstance(op, _ChunkedHolisticOperator)
+        ]
+        self._holistic = len(mergeable) < len(self._topo)
+        self._cells_per_close = max(
+            (op._fold_cells(1) for op in mergeable), default=0
+        )
+        self._cells_per_tick = max(
+            (op._fold_cells(1) / op.window.slide for op in mergeable),
+            default=0,
+        )
+        self._advanced_to = 0
 
     def run(self) -> "dict[Window, np.ndarray]":
         """Process the batch block-by-block; return per-window results."""
@@ -968,9 +986,18 @@ class ChunkedStreamingExecutor:
         their consumers, sibling subtrees on helper threads when a close
         is large enough to share (DESIGN.md §5, "Sibling subtrees")."""
         helpers = ENGINE_HELPERS
-        if helpers > 0 and any(
-            operator.close_cells(watermark) >= HANDOFF_CELLS
-            for operator in self._topo
+        span, self._advanced_to = watermark - self._advanced_to, watermark
+        if (
+            helpers > 0
+            and (
+                self._holistic
+                or self._cells_per_close + span * self._cells_per_tick
+                >= HANDOFF_CELLS
+            )
+            and any(
+                operator.close_cells(watermark) >= HANDOFF_CELLS
+                for operator in self._topo
+            )
         ):
             _Round(self, watermark).run(helpers)
             return

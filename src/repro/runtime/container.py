@@ -35,19 +35,17 @@ def write_framed(
 ) -> Path:
     """Frame ``body`` and write it to ``path`` atomically."""
     path = Path(path)
-    blob = (
-        magic
-        + _VERSION_WORD.pack(version)
-        + hashlib.sha256(body).digest()
-        + body
-    )
+    header = magic + _VERSION_WORD.pack(version) + hashlib.sha256(body).digest()
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            # Two writes, not one joined blob: a body larger than the
+            # buffer goes straight to the file, never copied.
+            handle.write(header)
+            handle.write(body)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

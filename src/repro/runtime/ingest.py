@@ -72,6 +72,7 @@ import pickle
 import threading
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from queue import SimpleQueue
 
 import numpy as np
@@ -246,7 +247,9 @@ def synchronized(method):
     :meth:`IngestPump.submit_call` while a pump is accepting and the
     caller is not the pump thread itself (re-entrant calls, e.g. the
     auto-checkpoint taking a snapshot, run inline), directly otherwise,
-    after the pending rows settle."""
+    after the pending rows settle and the checkpoint they leave owed is
+    written (:meth:`SessionFrontDoor._write_owed`; the pump writes one
+    after each data command, so it never owes one before a call)."""
 
     @functools.wraps(method)
     def at_stream_position(self, *args, **kwargs):
@@ -254,6 +257,7 @@ def synchronized(method):
         if pump is not None and pump.accepting and not pump.in_pump_thread():
             return pump.submit_call(method, self, *args, **kwargs)
         self._settle()
+        self._write_owed()
         return method(self, *args, **kwargs)
 
     at_stream_position.synchronized = True
@@ -304,6 +308,7 @@ class SessionFrontDoor:
     """
 
     _pump: "IngestPump | None" = None
+    _checkpoint_owed = False
 
     #: What a snapshot frame carries of the front door itself
     #: (DESIGN.md §9): time-keeping state, then the chunk clock.
@@ -373,11 +378,13 @@ class SessionFrontDoor:
         self._run_events = ingest_high_watermark
         self._checkpoint_meta = checkpoint_meta
         self._on_checkpoint = on_checkpoint
+        self._checkpoint_owed = False
         self._pump = (
             IngestPump(
                 push_rows=self._push_rows_now,
                 push_run=self._push_run_now,
                 high_watermark=ingest_high_watermark,
+                write_owed=self._write_owed,
             )
             if async_ingest
             else None
@@ -397,6 +404,13 @@ class SessionFrontDoor:
     def ingest_stats(self) -> "IngestStats | None":
         """Front-door counters (``None`` when ``async_ingest=False``)."""
         return None if self._pump is None else self._pump.stats
+
+    @property
+    def checkpoint_owed(self) -> bool:
+        """Whether the cadence found a checkpoint due at the end of the
+        last push that is not written yet (:meth:`_write_owed`; the
+        pump writes one before it takes its next command)."""
+        return self._checkpoint_owed
 
     @property
     def reorder_stats(self):
@@ -503,6 +517,7 @@ class SessionFrontDoor:
 
     def _push_run_now(self, columns) -> None:
         self._require_open()
+        self._write_owed()
         ts, keys, values = columns
         high = self._run_events
         for lo in range(0, int(ts.size), high):
@@ -539,6 +554,9 @@ class SessionFrontDoor:
                 self._reorder.watermark,
             )
             while hi < n:
+                # The last piece's checkpoint, its residue the rows
+                # from here on.
+                self._write_owed()
                 lo, hi = hi, self._piece_end(ts, passes, hi)
                 self._settling = rows, hi
                 self._push_run_now((ts[lo:hi], keys[lo:hi], values[lo:hi]))
@@ -667,32 +685,68 @@ class SessionFrontDoor:
 
     def _end_push(self) -> None:
         """What every ``push_many`` call and every settled piece of
-        rows ends with."""
+        rows ends with: a parked rate replan, then the checkpoint
+        cadence."""
         # Rate-driven switches are deferred to this point: a switch
         # advances operators up to the reorder watermark, which is only
         # safe once every event the buffer has released is applied.
         if self._rate_observer.pending_rate is not None:
             self._apply_rate(self._rate_observer.take_pending())
-        self._maybe_auto_checkpoint()
-
-    def _maybe_auto_checkpoint(self) -> None:
-        """Cadence-driven checkpointing, inside the ingest path itself:
-        fires on the same thread that applies pushes (the pump thread
-        in async mode), so every saved cut is prefix-consistent with
-        the command stream by construction.  It runs at the end of a
-        ``push_many`` call or a settled piece, so a cut never falls
-        inside a batch; the unapplied rest of the rows being settled
-        is residue."""
         store = self._auto_store
-        if store is None or not store.due(self.watermark):
-            return
+        if store is not None and store.due(self._watermark):
+            self._checkpoint_owed = True
+
+    def _write_owed(self) -> None:
+        """Write the checkpoint the cadence found due, if it is still
+        owed.
+
+        The cadence decides at the end of a ``push_many`` call or a
+        settled piece, so a cut never falls inside a batch; the write
+        is owed from there and paid before anything else moves the
+        session — by the next piece of rows (its residue the rows from
+        there on), the next push, every synchronization point, the pump
+        right after the data command that made it due, and ``close`` —
+        on the thread that applies pushes.  So the cut is the one the
+        cadence chose, prefix-consistent with the command stream, while
+        a caller that answers someone first (the session service) may
+        pay it after its reply (:meth:`write_owed_checkpoint`).  A
+        failed write is not owed again: the store's cadence stays due,
+        so the next push's epilogue retries it."""
+        if self._checkpoint_owed:
+            self._checkpoint_owed = False
+            self._write_checkpoint()
+
+    def _write_checkpoint(self) -> "tuple[Snapshot, Path]":
+        """The one checkpoint write: ``checkpoint_meta``, the capture,
+        ``CheckpointStore.save``, then ``on_checkpoint`` (the service
+        truncates its replay tail there)."""
         meta = (
             {} if self._checkpoint_meta is None else self._checkpoint_meta()
         )
         snap = self.snapshot(meta=meta)
-        path = store.save(snap)
+        path = self._auto_store.save(snap)
         if self._on_checkpoint is not None:
             self._on_checkpoint(snap, path)
+        return snap, path
+
+    @synchronized
+    def write_owed_checkpoint(self) -> None:
+        """Write the auto-checkpoint the last push made due, if it is
+        still owed — the work of every synchronization point's
+        prologue, with nothing after it.  The session service calls it
+        after sending the reply of the request that made the
+        checkpoint due."""
+
+    @synchronized
+    def checkpoint(self) -> "tuple[Snapshot, Path]":
+        """Write a checkpoint to the ``auto_checkpoint`` store now,
+        outside the cadence, through the cadence's own write
+        (``checkpoint_meta``, capture, save, ``on_checkpoint``) — after
+        the owed one, like every synchronization point.  Returns the
+        snapshot and its path."""
+        if self._auto_store is None:
+            raise ExecutionError("checkpoint() needs an auto_checkpoint store")
+        return self._write_checkpoint()
 
     # ------------------------------------------------------------------
     # Durability (DESIGN.md §9, invariant 12)
@@ -865,6 +919,7 @@ class SessionFrontDoor:
             return
         try:
             self._settle()
+            self._write_owed()
         except ExecutionError:
             pass
 
@@ -880,7 +935,9 @@ class IngestPump:
     only caller while it runs, which is the whole concurrency story:
     one producer-facing bounded MPSC queue (any number of submitting
     threads), one consumer thread, zero shared mutable session state
-    across threads.  A failure parks its error; ``push_rows`` counts
+    across threads.  After each data item it calls ``write_owed``, so
+    the checkpoint the item made due is written before the pump takes
+    anything else.  A failure parks its error; ``push_rows`` counts
     the rows it left unapplied through :meth:`discard`, so they join
     the exact discard tally.
     """
@@ -890,8 +947,10 @@ class IngestPump:
         push_rows,
         push_run,
         high_watermark: int = DEFAULT_INGEST_HIGH_WATERMARK,
+        write_owed=lambda: None,
     ):
         self._apply = {_ROWS: push_rows, _RUN: push_run}
+        self._write_owed = write_owed
         self.queue = IngestQueue(high_watermark)
         self._error: "BaseException | None" = None
         self._error_seen = False
@@ -1010,6 +1069,7 @@ class IngestPump:
                     continue
                 try:
                     self._apply[kind](payload)
+                    self._write_owed()
                 except BaseException as exc:  # noqa: BLE001 - parked
                     self._error = exc
         finally:

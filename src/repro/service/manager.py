@@ -24,7 +24,14 @@ operation is first appended to a retained *tail* — an admitted
 with one ``push_many``; the session auto-checkpoints on its own
 cadence (``auto_checkpoint=``, shared with the CLI), checked once per
 push call, so a cut always sits on an entry boundary, and the
-``on_checkpoint`` hook truncates the tail.  When a
+``on_checkpoint`` hook truncates the tail.  The checkpoint a request
+made due is *owed* and written after its reply: ``dispatch`` answers,
+``settle`` writes it (the TCP server sends the reply between the two;
+``handle`` is the two in turn), and any later op on the tenant writes
+it first, before anything reaches the tail — so the cut and the
+truncation are the ones an inline write would make.  A failed write
+fails no reply: it is counted, the tail stays whole, and the next due
+point retries.  When a
 session dies mid-operation the supervisor closes the wreck, restores
 the newest checkpoint (or rebuilds from scratch when none exists yet),
 and replays the tail in order — the failed operation included, since
@@ -89,7 +96,8 @@ class TenantStats:
     failed again during a replay (a user-error op that also failed on
     the original timeline — skipped, never looped on);
     ``faults_injected`` counts service-level chaos faults fired
-    against this tenant.
+    against this tenant; ``checkpoint_failures`` counts owed
+    checkpoints whose write failed (the tail was kept whole).
     """
 
     requests: int = 0
@@ -101,6 +109,7 @@ class TenantStats:
     restores: int = 0
     replay_skipped: int = 0
     faults_injected: int = 0
+    checkpoint_failures: int = 0
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -110,6 +119,8 @@ class _DeadSession:
     """What a hard-killed tenant session is replaced with: every use
     fails like a real mid-request death, reads included (a closed
     session still answers ``watermark`` and ``reorder_stats``)."""
+
+    checkpoint_owed = False  # its tail replays instead
 
     def __init__(self, cause: str):
         self._cause = cause
@@ -355,10 +366,45 @@ class SessionManager:
         with state.lock:
             wreck = state.session
             state.session = _DeadSession(cause)
+            # A dead session writes nothing more: not even the
+            # checkpoint it owed (its tail replays instead).
+            wreck._checkpoint_owed = False
             try:
                 wreck.close()
             except Exception:  # noqa: BLE001 - the wreck may be anything
                 pass
+
+    # ------------------------------------------------------------------
+    # The owed checkpoint
+    # ------------------------------------------------------------------
+    def _write_owed(self, state: _TenantState) -> None:
+        """Write the checkpoint the tenant's last push left owed, if any
+        — under the session lock, so an op waits for it.  Every op
+        calls it before it is fault-consulted and again before anything
+        joins the tail: the hook then truncates exactly the entries the
+        cut covers.  A failure fails no request: it is counted, the
+        tail stays whole, and the cadence retries at the next due
+        point.  The common case — nothing owed — is one read without
+        the lock, so a shed decision never waits on a busy session.  A
+        killed session owes nothing: its tail replays."""
+        if not getattr(state.session, "checkpoint_owed", False):
+            return
+        with state.lock:
+            if not state.session.checkpoint_owed:
+                return  # written by another op, or the session died
+            try:
+                state.session.write_owed_checkpoint()
+            except Exception:  # noqa: BLE001 - counted, never raised
+                with state.admission:
+                    state.stats.checkpoint_failures += 1
+
+    def settle(self, tenant) -> None:
+        """Write the checkpoint ``tenant``'s last request made due, if
+        it is still owed; never raises, never opens a tenant.  The TCP
+        server calls it right after sending the reply."""
+        state = self._tenants.get(tenant) if isinstance(tenant, str) else None
+        if state is not None:
+            self._write_owed(state)
 
     # ------------------------------------------------------------------
     # Supervision: restore + tail replay
@@ -398,6 +444,7 @@ class SessionManager:
         pending, state.tail = state.tail, []
         skipped: list = []
         for entry in pending:
+            self._write_owed(state)
             state.tail.append(entry)
             try:
                 self._apply_entry(state.session, entry)
@@ -436,6 +483,7 @@ class SessionManager:
         the entry fails again on the fresh session the fault is the
         op's, and the caller gets a ``bad_request`` — never a silent
         success over a skipped op."""
+        self._write_owed(state)
         state.tail.append(entry)
         try:
             self._apply_entry(state.session, entry)
@@ -473,8 +521,10 @@ class SessionManager:
     def _request(self, tenant, op: str):
         """Open one tenant request: resolve (or auto-open) the tenant,
         count the request, consult the fault plan — and count it again
-        in ``bad_requests`` if it ends up answered ``bad_request``."""
+        in ``bad_requests`` if it ends up answered ``bad_request``.
+        The checkpoint an earlier request left owed is written first."""
         state = self._tenant(tenant)
+        self._write_owed(state)
         state.stats.requests += 1
         try:
             self._consult_faults(state, op)
@@ -623,6 +673,7 @@ class SessionManager:
         with self._request(tenant, "results") as state:
             with state.lock:
                 self._stall_if_planned(state)
+                self._write_owed(state)
                 try:
                     if drain:
                         state.tail.append(("drain",))
@@ -645,30 +696,31 @@ class SessionManager:
             return serialize_results(raw)
 
     def snapshot(self, tenant: str) -> dict:
-        """Checkpoint a tenant's session now (outside the cadence);
-        truncates the replay tail like any checkpoint."""
+        """Checkpoint a tenant's session now (outside the cadence),
+        through the session's one checkpoint write — after the owed
+        one — which truncates the replay tail like any checkpoint.  A
+        failed write fails this request: durability is what it asked
+        for."""
         with self._request(tenant, "snapshot") as state:
             with state.lock:
                 self._stall_if_planned(state)
                 try:
-                    snap = state.session.snapshot(
-                        meta={"tenant": state.name}
-                    )
+                    snap, path = state.session.checkpoint()
                 except ExecutionError as exc:
                     with state.admission:
                         state.breaker.record_failure()
                     self._recover(state, exc)
-                    snap = state.session.snapshot(meta={"tenant": state.name})
-                path = state.store.save(snap)
-                state.tail.clear()
+                    snap, path = state.session.checkpoint()
                 with state.admission:
                     state.breaker.record_success()
             return {"path": str(path), "watermark": snap.watermark}
 
     def stats(self, tenant: str) -> dict:
-        """Admission/supervision counters plus session introspection."""
+        """Admission/supervision counters plus session introspection
+        (after the owed checkpoint is written)."""
         state = self._tenant(tenant)
         with state.lock:
+            self._write_owed(state)
             try:
                 session_info = {
                     "watermark": state.session.watermark,
@@ -688,9 +740,19 @@ class SessionManager:
     # ------------------------------------------------------------------
     def handle(self, request: dict) -> dict:
         """One request dict in, one reply dict out — the entire
-        protocol semantics, transport-free (the TCP server is a
-        thin pipe onto this; tests drive it directly for deterministic
-        interleavings)."""
+        protocol semantics, transport-free: :meth:`dispatch`, then
+        :meth:`settle`, so the reply returns with the checkpoint it
+        made due already written (tests drive this directly for
+        deterministic interleavings; the TCP server sends the reply
+        between the two)."""
+        reply = self.dispatch(request)
+        if isinstance(request, dict):
+            self.settle(request.get("tenant"))
+        return reply
+
+    def dispatch(self, request: dict) -> dict:
+        """Answer one request; a checkpoint it made due stays owed
+        until :meth:`settle` or the tenant's next op."""
         try:
             op = request.get("op")
             if op not in TENANT_OPS:
@@ -759,6 +821,7 @@ class SessionManager:
                 return
             self._closed = True
             for state in self._tenants.values():
+                self._write_owed(state)
                 with state.lock:
                     try:
                         state.session.close()

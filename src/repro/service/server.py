@@ -11,9 +11,17 @@ supervision, error shapes — live in the manager, which is what lets
 the chaos suite drive the *same* code path in-process with
 deterministic interleavings while this module only ever moves bytes.
 
-Per connection, requests are strictly sequential (read → handle →
-reply → read): replies can never reorder against their requests, and a
-client gets natural backpressure on its own socket.  What bounds the
+Per connection, requests are strictly sequential (read → dispatch →
+reply → settle → read): replies can never reorder against their
+requests, and a client gets natural backpressure on its own socket.
+The checkpoint a request made due is written *after* its reply is sent
+(:meth:`SessionManager.settle`, in a worker slot, also when the send
+fails), on the same thread: the reply never promised durability — the
+manager's replay tail covers it in memory — so the write does not
+stand between a request and its answer.  A later op on the tenant
+waits for it (:meth:`SessionManager.dispatch` writes an owed
+checkpoint first), so every cut is the one an in-process
+:meth:`SessionManager.handle` makes.  What bounds the
 transport's memory: one in-flight request per connection, a request
 line and a frame of at most :data:`MAX_LINE_BYTES` each, and at most
 ``max_workers`` requests inside the manager at once (a connection
@@ -182,8 +190,13 @@ class ServiceServer:
                 ):
                     if line.isspace():
                         continue
-                    reply, last = self._reply(line, reader)
-                    conn.sendall(_encoded(reply))
+                    reply, last, tenant = self._reply(line, reader)
+                    try:
+                        conn.sendall(_encoded(reply))
+                    finally:
+                        if tenant is not None:
+                            with self._slots:
+                                self.manager.settle(tenant)
                     if reply.get("stopping"):
                         self._request_stop()
                     if last:
@@ -191,9 +204,10 @@ class ServiceServer:
         except (OSError, EOFError):
             pass  # client went away mid-exchange; nothing to clean up
 
-    def _reply(self, line: bytes, reader) -> "tuple[dict, bool]":
-        """The reply to one request, and whether it is the
-        connection's last."""
+    def _reply(self, line: bytes, reader) -> "tuple[dict, bool, object]":
+        """The reply to one request, whether it is the connection's
+        last, and the tenant to settle after sending it (``None``: the
+        request never reached the manager)."""
         try:
             if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
                 rest = line  # discard up to the newline (or EOF)
@@ -207,14 +221,15 @@ class ServiceServer:
                 request = self._read_frame(request, reader)
         except BadRequest as exc:
             reply = {"ok": False, "error": "bad_request", "detail": str(exc)}
-            return reply, isinstance(exc, _Unframed)
+            return reply, isinstance(exc, _Unframed), None
         op = request.get("op")
         if op == "ping":
-            return {"ok": True, "pong": True}, False
+            return {"ok": True, "pong": True}, False, None
         if op == "shutdown":
-            return {"ok": True, "stopping": True}, True
+            return {"ok": True, "stopping": True}, True, None
         with self._slots:
-            return self.manager.handle(request), False
+            reply = self.manager.dispatch(request)
+        return reply, False, request.get("tenant")
 
     @staticmethod
     def _read_frame(request: dict, reader) -> dict:

@@ -55,6 +55,7 @@ DATA_PLANE = {"push", "push_many", "push_batch"}
 LIFECYCLE = {"finish", "close", "restore"}
 #: Reads of one coordinator-local value — no backend, no core walk.
 LOCAL_READS = {
+    "checkpoint_owed",
     "ingest_stats",
     "reorder_stats",
     "watermark",
@@ -224,9 +225,16 @@ def _exercise(session):
     """Call every synchronized public method once, as ``(name, thunk)``
     pairs in an order that keeps each call legal."""
     extra = Query("extra", WindowSet([Window(10, 5)]), SUM)
+
+    def checkpoint_without_a_store():
+        with pytest.raises(ExecutionError, match="auto_checkpoint store"):
+            session.checkpoint()
+
     calls = [
         ("register", lambda: session.register(extra)),
         ("stats", session.stats),
+        ("write_owed_checkpoint", session.write_owed_checkpoint),
+        ("checkpoint", checkpoint_without_a_store),
         ("max_retained_state", session.max_retained_state),
         ("switches", lambda: session.switches),
         ("results", session.results),

@@ -7,7 +7,9 @@ breaker transition, and retry quote in here is exact arithmetic — a
 failing assertion names a wrong counter, not a missed sleep.
 """
 
+import errno
 import multiprocessing
+import os
 import threading
 
 import pytest
@@ -479,6 +481,85 @@ class TestSupervision:
             got = mgr.results("alice")
         assert got == oracle_results(
             events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        ), f"seed={repro_seed}"
+
+    def test_handle_returns_once_the_owed_checkpoint_is_written(
+        self, tmp_path
+    ):
+        """``dispatch`` answers and leaves the checkpoint its ingest made
+        due owed; ``settle`` writes it and truncates the tail; ``handle``
+        is the two in turn.  ``settle`` opens no tenant."""
+        store = tmp_path / "ckpt" / "alice"
+        batch = [(t, 0, 1.0) for t in range(1, 30)]
+        with make_manager(tmp_path, checkpoint_every=10) as mgr:
+            mgr.handle({"op": "register", "tenant": "alice", "query": SQL_SUM})
+            reply = mgr.dispatch(
+                {"op": "ingest", "tenant": "alice", "events": batch}
+            )
+            assert reply["ok"] and reply["admitted"] == len(batch)
+            assert not list(store.glob("*.rckpt"))
+            for nobody in ("bob", None, ["alice"]):
+                mgr.settle(nobody)
+            assert mgr.tenants == ("alice",)
+            mgr.settle("alice")
+            assert len(list(store.glob("*.rckpt"))) == 1
+            assert mgr.stats("alice")["stats"]["tail_length"] == 0
+            mgr.handle({"op": "ingest", "tenant": "alice", "events": [
+                (t, 0, 1.0) for t in range(30, 60)
+            ]})
+            assert len(list(store.glob("*.rckpt"))) == 2
+
+    def test_a_failed_checkpoint_write_fails_no_ingest(
+        self, tmp_path, monkeypatch, repro_seed
+    ):
+        """The disk is full when an ingest makes a checkpoint due: the
+        ingest is answered ok — its batch was applied, so a retry would
+        only be late-dropped — the failure is counted, the tail keeps
+        every entry, and the next due point writes the checkpoint.  A
+        session death in between recovers from the whole tail."""
+        sql = "SELECT SUM(v) FROM s GROUP BY WINDOWS(TUMBLING(second, 4))"
+        events = integer_events(30, NUM_KEYS, seed=repro_seed)
+        first, second = events[:20], events[20:]
+        store = tmp_path / "ckpt" / "alice"
+        plan = FaultPlan(
+            Fault(kind="kill_session", tenant="alice", op="ingest",
+                  at_watermark=1)
+        )
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with make_manager(
+            tmp_path, fault_plan=plan, checkpoint_every=8
+        ) as mgr:
+            mgr.handle({"op": "register", "tenant": "alice", "query": sql})
+            with monkeypatch.context() as disk:
+                disk.setattr(os, "fsync", full_disk)
+                reply = mgr.handle(
+                    {"op": "ingest", "tenant": "alice", "events": first}
+                )
+            assert reply["ok"] and reply["admitted"] == 20, reply
+            assert reply["watermark"] >= 8  # the cadence fell due
+            stats = mgr.stats("alice")["stats"]
+            assert stats["checkpoint_failures"] == 1
+            assert stats["tail_length"] == 2  # register + the batch
+            assert stats["bad_requests"] == 0
+            assert not list(store.glob("*"))  # no file, no temp file
+            # The kill fires on the next ingest: recovery has no
+            # checkpoint, only the whole tail, and the cadence — still
+            # due — writes at its next due point.
+            reply = mgr.handle(
+                {"op": "ingest", "tenant": "alice", "events": second}
+            )
+            assert reply["ok"] and reply["admitted"] == len(second), reply
+            stats = mgr.stats("alice")["stats"]
+            assert stats["restores"] == 1 and stats["replay_skipped"] == 0
+            assert stats["checkpoint_failures"] == 1
+            assert stats["tail_length"] == 0
+            assert list(store.glob("*.rckpt"))
+            got = mgr.results("alice")
+        assert got == oracle_results(
+            events, [(0, sql, "", "per_key")], NUM_KEYS
         ), f"seed={repro_seed}"
 
     def test_repeated_recovery_failure_opens_breaker(self, tmp_path, monkeypatch):

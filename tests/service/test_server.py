@@ -356,23 +356,31 @@ class TestLifecycle:
 
 class OverlapRecorder:
     """Stands in for the manager (the transport only calls
-    ``handle``): records who ran and how many ran at once."""
+    ``dispatch``, then ``settle`` after the reply): records who was
+    dispatched and how many calls ran at once."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.running = 0
         self.most = 0
         self.order: list = []
+        self.settled: list = []
 
-    def handle(self, request: dict) -> dict:
+    def _inside(self, log: list, tenant) -> None:
         with self._lock:
             self.running += 1
             self.most = max(self.most, self.running)
-            self.order.append(request["tenant"])
+            log.append(tenant)
         time.sleep(0.002)  # long enough for the other side to arrive
         with self._lock:
             self.running -= 1
+
+    def dispatch(self, request: dict) -> dict:
+        self._inside(self.order, request["tenant"])
         return {"ok": True}
+
+    def settle(self, tenant) -> None:
+        self._inside(self.settled, tenant)
 
 
 @pytest.fixture
@@ -431,8 +439,10 @@ class TestTransportConformance:
             for t in threads:
                 t.join(10)
         assert sorted(done) == ["a", "b"]  # both made progress
-        assert recorder.most == 1  # never two inside at once
+        # Never two inside at once, the settle after a reply included.
+        assert recorder.most == 1
         assert sorted(recorder.order) == ["a"] * 20 + ["b"] * 20
+        assert sorted(recorder.settled) == sorted(recorder.order)
         assert recorder.order != sorted(recorder.order)  # interleaved
 
     def test_stop_wakes_idle_connections(self, tmp_path):
@@ -760,8 +770,11 @@ class TestReplyAndClientFailures:
 
     def test_a_reply_that_cannot_be_encoded_is_answered_failed(self):
         class Unencodable:
-            def handle(self, request: dict) -> dict:
+            def dispatch(self, request: dict) -> dict:
                 return {"ok": True, "value": object()}
+
+            def settle(self, tenant) -> None:
+                pass
 
         with ServiceServer(Unencodable()) as server:
             with ServiceClient(port=server.port) as client:
@@ -769,3 +782,126 @@ class TestReplyAndClientFailures:
                 assert reply["ok"] is False and reply["error"] == "failed"
                 assert reply["detail"].startswith("reply cannot be encoded")
                 assert client.ping()
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+class TestReplyBeforeCheckpoint:
+    """The checkpoint a request makes due is written after its reply
+    is sent, on the handler's thread, at the cut an in-process
+    ``handle`` writes it at; the tenant's next op waits for it."""
+
+    BATCH = [(t, 0, 1.0) for t in range(1, 30)]  # the cadence falls due
+
+    @staticmethod
+    def manager(tmp_path, **kw):
+        return SessionManager(
+            {"defaults": {"num_keys": NUM_KEYS, "rate": 1e9, "burst": 1e9}},
+            directory=tmp_path / "ckpt", checkpoint_every=10, **kw,
+        )
+
+    def test_the_reply_leaves_while_the_save_is_blocked(self, tmp_path):
+        entered, release = threading.Event(), threading.Event()
+        with self.manager(tmp_path) as manager:
+            manager.open_tenant("alice")
+            store = manager._tenants["alice"].store
+            real_save = store.save
+
+            def blocked_save(snapshot):
+                entered.set()
+                assert release.wait(10)
+                return real_save(snapshot)
+
+            store.save = blocked_save
+            with ServiceServer(manager) as server, ServiceClient(
+                port=server.port
+            ) as writer, ServiceClient(port=server.port) as reader:
+                writer.register("alice", SQL_SUM)
+                reply = writer.ingest("alice", self.BATCH)
+                assert reply["admitted"] == len(self.BATCH)
+                assert entered.wait(5)  # the reply came first
+                seen = []
+                stats = threading.Thread(
+                    target=lambda: seen.append(reader.stats("alice"))
+                )
+                stats.start()
+                stats.join(0.3)
+                assert stats.is_alive() and not seen  # waits for the write
+                release.set()
+                stats.join(5)
+                assert seen[0]["stats"]["tail_length"] == 0
+                assert seen[0]["stats"]["checkpoint_failures"] == 0
+            assert len(store.paths()) == 1
+
+    @pytest.mark.parametrize("linger", [False, True], ids=["fin", "reset"])
+    def test_a_client_gone_before_its_reply_still_gets_the_checkpoint(
+        self, tmp_path, linger
+    ):
+        """The client closes while its ingest is inside the manager, so
+        the reply goes nowhere (with ``reset`` the send itself fails);
+        the handler still writes the checkpoint the ingest made due."""
+        parked, release = threading.Event(), threading.Event()
+
+        def sleeper(seconds: float) -> None:
+            parked.set()
+            assert release.wait(10)
+
+        plan = FaultPlan(
+            Fault(kind="stall_client", tenant="alice", op="ingest",
+                  delay_seconds=1.0)
+        )
+        with self.manager(tmp_path, fault_plan=plan, sleeper=sleeper) as manager:
+            manager.register("alice", SQL_SUM)
+            store = manager._tenants["alice"].store
+            with ServiceServer(manager) as server:
+                sock = socket.create_connection(("127.0.0.1", server.port), 5)
+                if linger:  # close with a reset, not a FIN
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER,
+                        np.array([1, 0], dtype=np.int32).tobytes(),
+                    )
+                sock.sendall(json.dumps(
+                    {"op": "ingest", "tenant": "alice", "events": self.BATCH}
+                ).encode() + b"\n")
+                assert parked.wait(5)
+                sock.close()
+                release.set()
+                # Nothing but the handler can write it: no other op runs.
+                assert settled(lambda: len(store.paths()), 1, within=5) == 1
+            stats = manager.stats("alice")["stats"]
+            assert stats["tail_length"] == 0
+            assert stats["checkpoint_failures"] == 0
+
+    def test_checkpoints_over_tcp_land_where_handle_writes_them(
+        self, tmp_path, repro_seed
+    ):
+        """The same ops through ``handle`` in-process and over TCP:
+        equal replies, and checkpoints at equal watermarks."""
+        events = integer_events(90, NUM_KEYS, seed=repro_seed)
+        ops = [{"op": "register", "query": SQL_SUM}]
+        for lo in range(0, len(events), 14):
+            ops.append({"op": "ingest", "events": events[lo : lo + 14]})
+            if lo == 70:
+                ops.append({"op": "results", "drain": True})
+        ops += [{"op": "snapshot"}, {"op": "results", "drain": True}]
+
+        def cuts(manager):
+            return [
+                path.name for path in manager._tenants["alice"].store.paths()
+            ]
+
+        with self.manager(tmp_path / "local", keep=100) as local:
+            expected = [local.handle({"tenant": "alice", **op}) for op in ops]
+            local_cuts = cuts(local)
+        with self.manager(tmp_path / "tcp", keep=100) as remote:
+            with ServiceServer(remote) as server, ServiceClient(
+                port=server.port
+            ) as client:
+                got = [client.request(tenant="alice", **op) for op in ops]
+            remote_cuts = cuts(remote)
+        for reply in expected + got:
+            reply.pop("path", None)  # the snapshot's own directory
+        assert got == expected
+        assert len(local_cuts) >= 4
+        assert remote_cuts == local_cuts

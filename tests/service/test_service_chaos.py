@@ -265,6 +265,70 @@ class TestInvariant13:
         assert disturbed[VICTIM][-1]["results"] == expected
 
 
+class TestKillBetweenReplyAndCheckpoint:
+    def test_kill_after_the_reply_that_made_a_checkpoint_due(
+        self, tmp_path, repro_seed, repro_rng, monkeypatch
+    ):
+        """The schedule served as the TCP server serves it — ``dispatch``,
+        the reply, then ``settle`` — with the victim's session killed
+        right after a seeded one of its replies that left a checkpoint
+        owed, before the write.  The next victim op restores the
+        previous checkpoint and replays the untruncated tail; the
+        bystander's trace and the victim's results cannot tell."""
+        victim_events = integer_events(TICKS, NUM_KEYS, seed=repro_seed)
+        bystander_events = integer_events(
+            TICKS, NUM_KEYS, seed=repro_seed + 1
+        )
+        schedule = interleaved_schedule(victim_events, bystander_events)
+        config = {"defaults": {"num_keys": NUM_KEYS, "rate": 1e9, "burst": 1e9}}
+        undisturbed, _ = run_schedule(tmp_path, "twin", schedule, config=config)
+        sources = []
+        build = SessionManager._build_session
+
+        def recording_build(self, state, source):
+            if state.name == VICTIM:
+                sources.append(source)
+            return build(self, state, source)
+
+        monkeypatch.setattr(SessionManager, "_build_session", recording_build)
+        traces = {VICTIM: [], BYSTANDER: []}
+        due_points, killed = 0, None
+        kill_at = int(repro_rng.integers(0, 3))
+        with SessionManager(
+            config, directory=tmp_path / "ckpt-split", checkpoint_every=16
+        ) as mgr:
+            for tenant, request in schedule:
+                reply = mgr.dispatch({"tenant": tenant, **request})
+                traces[tenant].append(reply)
+                state = mgr._tenants[tenant]
+                if (
+                    tenant == VICTIM
+                    and killed is None
+                    and state.session.checkpoint_owed
+                ):
+                    if due_points == kill_at:
+                        killed = (state.store.latest(), len(state.tail))
+                        mgr._kill(state, "killed between reply and checkpoint")
+                    due_points += 1
+                mgr.settle(tenant)
+            stats = {t: mgr.stats(t)["stats"] for t in traces}
+        context = f"seed={repro_seed} kill_at={kill_at}"
+        assert killed is not None, context
+        previous, tail = killed
+        assert tail >= 1, context  # the batch that made it due, at least
+        # Built once, then restored from the checkpoint before the owed
+        # one (or rebuilt from scratch when there was none).
+        assert sources == [None, previous], context
+        assert stats[VICTIM]["restores"] == 1, context
+        assert stats[VICTIM]["checkpoint_failures"] == 0, context
+        assert traces[BYSTANDER] == undisturbed[BYSTANDER], context
+        assert stats[BYSTANDER]["restores"] == 0
+        expected = oracle_results(
+            victim_events, [(0, SQL_SUM, "", "per_key")], NUM_KEYS
+        )
+        assert traces[VICTIM][-1]["results"] == expected, context
+
+
 class TestConcurrentStallIsolation:
     def test_stalled_client_does_not_slow_a_co_tenant(
         self, tmp_path, repro_seed
